@@ -12,14 +12,16 @@ for n in (2, 3, 4):
     for fam in catalog_families(n):
         report = tropical_roots(fam.charpoly)
         roots = "  ".join(f"[{r.omega}, x{r.multiplicity}]" for r in report.roots) or "-"
-        star = "*" if fam.generic else " "
+        p = fam.parameters
+        star = "*" if p["generic"] else " "
         zeros = f"  (+{report.zero_root_count} flat)" if report.zero_root_count else ""
         agree = "" if report == fam.expected else "  << DISAGREES WITH EXPECTATION"
-        print(f" {star} {str(fam.partition):12s} {fam.constraint_name:14s} "
+        print(f" {star} {str(p['partition']):12s} {p['constraint']:14s} "
               f"{roots}{zeros}{agree}")
 
 print("\nslopes used for the generic rank-4 directions (seed 0):")
 for fam in catalog_families(4):
-    if fam.generic:
-        slopes = {k: str(v.re) for k, v in sorted(fam.direction.items()) if v}
-        print(f"  {fam.partition}: {slopes}")
+    p = fam.parameters
+    if p["generic"]:
+        slopes = {k: str(v.re) for k, v in sorted(p["direction"].items()) if v}
+        print(f"  {p['partition']}: {slopes}")

@@ -5,16 +5,14 @@ sensing circuit at its sixth-order degeneracy, nonreciprocal hopping chains,
 and momentum paths through the band touchings of a lossy Lieb lattice.
 """
 
-from tropeig import charpoly_direct, tropical_roots
+from tropeig import tropical_roots
 from tropeig.models import default_families, torus_knot
 
 families = [torus_knot(2, 3), torus_knot(3, 2), torus_knot(3, 2, "kx_only")]
 families += default_families()
 
 for fam in families:
-    realization = fam.realization
-    cp = realization if hasattr(realization, "coeffs") else charpoly_direct(realization)
-    report = tropical_roots(cp)
+    report = tropical_roots(fam.charpoly)
     roots = "  ".join(f"[{r.omega}, x{r.multiplicity}]" for r in report.roots) or "-"
     zeros = f"  (+{report.zero_root_count} flat)" if report.zero_root_count else ""
     check = "ok" if report == fam.expected else "MISMATCH"

@@ -23,7 +23,7 @@ for fam in (hatano_nelson(5, "obc"), hatano_nelson(5, "unidirectional"),
 print("\nbraids around the degeneracy (loop radius 1e-6)")
 for n in (3, 4):
     for fam in catalog_families(n):
-        if not fam.generic:
+        if not fam.parameters["generic"]:
             continue
         braid = braid_loop(fam, eps0=1e-6, steps=96)
         print(f"  {fam.name:24s} permutation={braid.permutation} "

@@ -16,16 +16,15 @@ from .charpoly import (CharPoly, PolyMatrix, build_direction_matrix,
                        charpoly_direct, charpoly_traces, companion_matrix,
                        substitute_direction, traceless_shift)
 from .tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
-                       TropicalRoot, eval_tropical, newton_polygon,
-                       tropical_product, tropical_roots, tropicalize)
-from .jordan import (JordanStructure, PerturbationFamily, WeyrAmbiguityError,
-                     catalog_families, jordan_matrix, partitions,
-                     weyr_structure)
+                       TropicalRoot, newton_polygon, tropical_product,
+                       tropical_roots, tropicalize)
+from .jordan import (JordanStructure, WeyrAmbiguityError, catalog_families,
+                     jordan_matrix, partitions, weyr_structure)
 from .numeric import (BraidPermutation, LoopDegeneracyError, SampleGrid,
                       VerificationResult, aberth_roots, braid_loop,
                       cardano_roots, charpoly_roots_at, eigenvalues_at,
                       fit_exponents, numeric_ord)
-from .models import (ModelFamily, build_example, cavity_dynamical,
+from .models import (Family, build_example, cavity_dynamical,
                      circuit_laplacian, default_families, dissipator,
                      effective_liouvillian_example, example_names,
                      hatano_nelson, lieb, lieb_hamiltonian,

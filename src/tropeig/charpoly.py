@@ -26,12 +26,6 @@ from .exact import EC_ONE, ExactComplex, invert_matrix
 from .poly import ScalarPoly
 
 
-def as_scalarpoly(x) -> ScalarPoly:
-    if isinstance(x, ScalarPoly):
-        return x
-    return ScalarPoly.const(x)
-
-
 class PolyMatrix:
     """Square matrix of ScalarPoly entries, immutable after construction."""
 
@@ -43,7 +37,7 @@ class PolyMatrix:
             raise ValueError("matrix must be square and non-empty")
         object.__setattr__(self, "n", n)
         object.__setattr__(
-            self, "rows", tuple(tuple(as_scalarpoly(x) for x in row) for row in entries))
+            self, "rows", tuple(tuple(ScalarPoly.from_value(x) for x in row) for row in entries))
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMatrix is immutable")
@@ -80,6 +74,12 @@ class PolyMatrix:
         return PolyMatrix([[x * c if isinstance(c, ScalarPoly) else x.scale(c)
                             for x in row] for row in self.rows])
 
+    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Kronecker product: entry (i*m + k, j*m + l) is self[i, j] * other[k, l]."""
+        m = other.n
+        return PolyMatrix([[self.rows[i // m][j // m] * other.rows[i % m][j % m]
+                            for j in range(self.n * m)] for i in range(self.n * m)])
+
     def trace(self) -> ScalarPoly:
         acc = ScalarPoly.zero()
         for i in range(self.n):
@@ -115,7 +115,7 @@ class CharPoly:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, coeffs: Sequence):
-        coeffs = tuple(as_scalarpoly(c) for c in coeffs)
+        coeffs = tuple(ScalarPoly.from_value(c) for c in coeffs)
         if len(coeffs) < 2 or coeffs[0] != ScalarPoly.const(1):
             raise ValueError("coefficients must start with the constant 1")
         object.__setattr__(self, "n", len(coeffs) - 1)
@@ -244,7 +244,7 @@ def build_direction_matrix(template: Sequence[Sequence],
             for name, coeff in entry:
                 acc = acc + t.scale(lookup(name) * ExactComplex.from_value(coeff))
             return acc
-        return as_scalarpoly(entry)
+        return ScalarPoly.from_value(entry)
 
     return PolyMatrix([[build(x) for x in row] for row in template])
 
@@ -257,7 +257,7 @@ def substitute_direction(template: Sequence[Sequence],
 
 def companion_matrix(coeffs: Sequence) -> PolyMatrix:
     """Companion matrix of a monic polynomial given as CharPoly-style a_0..a_n."""
-    coeffs = [as_scalarpoly(c) for c in coeffs]
+    coeffs = [ScalarPoly.from_value(c) for c in coeffs]
     n = len(coeffs) - 1
     rows = [[ScalarPoly.zero()] * n for _ in range(n)]
     for i in range(n - 1):

@@ -15,6 +15,7 @@ Output is deterministic byte-for-byte for fixed input, seed, and version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -24,7 +25,7 @@ from . import __version__
 from .charpoly import charpoly_direct
 from .jordan import (DEFAULT_SEED, WeyrAmbiguityError, catalog_families,
                      validate_partition, weyr_structure)
-from .models import build_example, example_names
+from .models import Family, build_example, example_names
 from .numeric import (DEFAULT_GRID, LoopDegeneracyError, SampleGrid, braid_loop,
                       fit_exponents)
 from .plots import polygon_svg, tropical_csv, tropical_svg
@@ -32,7 +33,8 @@ from .serialize import (ParseError, braid_to_json, charpoly_from_json,
                         charpoly_to_json, dumps, family_to_json,
                         jordan_structure_to_json, polygon_to_json,
                         polymatrix_from_json, polymatrix_to_json,
-                        report_to_json, tropical_to_json, verification_to_json)
+                        report_from_json, report_to_json, tropical_to_json,
+                        verification_to_json)
 from .tropical import newton_polygon, tropical_roots, tropicalize
 
 OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH = 0, 1, 2, 3, 4, 5
@@ -123,57 +125,49 @@ def cmd_catalog(args) -> int:
         lines = [f"{'partition':<12}{'constraint':<18}{'roots (omega x mult)':<34}"
                  f"{'zero':<6}{'check':<6}"]
         for fam, computed, agree in rows:
-            label = ("* " if fam.generic else "  ") + ",".join(map(str, fam.partition))
+            p = fam.parameters
+            label = ("* " if p["generic"] else "  ") + ",".join(map(str, p["partition"]))
             roots = " ".join(f"[{r.omega},{r.multiplicity}]" for r in computed.roots) or "-"
-            lines.append(f"{label:<12}{fam.constraint_name:<18}{roots:<34}"
+            lines.append(f"{label:<12}{p['constraint']:<18}{roots:<34}"
                          f"{computed.zero_root_count:<6}{'ok' if agree else 'MISMATCH':<6}")
         lines.append("(* marks the generic direction of each structure)")
         _emit("\n".join(lines) + "\n", args.output)
     return MISMATCH if mismatch else OK
 
 
-def _resolve_family(args):
+def _resolve_family(args) -> Family:
     if args.example:
         params = dict(_parse_param(p) for p in args.param or [])
         return build_example(args.example, **params)
     if args.jordan:
         partition = validate_partition(int(x) for x in args.jordan.split(","))
         for fam in catalog_families(sum(partition), seed=args.seed):
-            if fam.partition == partition and fam.constraint_name == args.constraint:
+            if (fam.parameters["partition"] == partition
+                    and fam.parameters["constraint"] == args.constraint):
                 return fam
         raise ParseError("--constraint",
                          f"no family '{args.constraint}' for partition {partition}")
     if args.file:
         obj = _load_json(args.file)
-        from .serialize import report_from_json
-
-        class FileFamily:
-            pass
-
-        fam = FileFamily()
         if "matrix" in obj:
-            fam.realization = polymatrix_from_json(obj["matrix"], "$.matrix")
+            realization = polymatrix_from_json(obj["matrix"], "$.matrix")
         elif "charpoly" in obj:
-            fam.realization = charpoly_from_json(obj["charpoly"], "$.charpoly")
+            realization = charpoly_from_json(obj["charpoly"], "$.charpoly")
         else:
             raise ParseError("$", "family file needs 'matrix' or 'charpoly'")
-        fam.expected = (report_from_json(obj["expected"], "$.expected")
-                        if "expected" in obj else None)
-        fam.name = obj.get("name", args.file)
-        return fam
+        family = Family(obj.get("name", args.file), realization)
+        # file families may omit the expectation; derive it from the input
+        expected = (report_from_json(obj["expected"], "$.expected") if "expected" in obj
+                    else tropical_roots(family.charpoly))
+        return dataclasses.replace(family, expected=expected, known_charpoly=family.charpoly)
     raise ParseError("verify", "one of --example / --jordan / --file is required")
 
 
 def cmd_verify(args) -> int:
     family = _resolve_family(args)
-    if getattr(family, "expected", None) is None:
-        # file families may omit the expectation; derive it from the input
-        realization = family.realization
-        cp = realization if hasattr(realization, "coeffs") else charpoly_direct(realization)
-        family.expected = tropical_roots(cp)
     grid = SampleGrid(t0=args.t0, ratio=args.ratio, count=args.count, phase=args.phase)
     result = fit_exponents(family, grid, match_tol=args.tol)
-    body = {"family": getattr(family, "name", "<file>"),
+    body = {"family": family.name,
             "expected": report_to_json(family.expected),
             "verification": verification_to_json(result),
             "provenance": _provenance(seed=args.seed, match_tol=args.tol,
@@ -199,11 +193,10 @@ def cmd_verify(args) -> int:
 def cmd_example(args) -> int:
     params = dict(_parse_param(p) for p in args.param or [])
     family = build_example(args.name, **params)
-    realization = family.realization
-    if hasattr(realization, "coeffs"):
-        real_json = {"charpoly": charpoly_to_json(realization)}
+    if family.matrix is not None:
+        real_json = {"matrix": polymatrix_to_json(family.matrix)}
     else:
-        real_json = {"matrix": polymatrix_to_json(realization)}
+        real_json = {"charpoly": charpoly_to_json(family.charpoly)}
     body = {"name": family.name,
             "parameters": {k: str(v) for k, v in family.parameters.items()},
             **real_json,

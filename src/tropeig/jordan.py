@@ -14,7 +14,7 @@ solved for exactly so that a coefficient cancels identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,7 +22,10 @@ import numpy as np
 
 from .charpoly import CharPoly, PolyMatrix, build_direction_matrix, charpoly_traces
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
-from .tropical import SplittingReport, TropicalRoot, tropical_roots
+from .models import Family
+# tropical_roots is not called here; the binding stays importable for the
+# benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
+from .tropical import SplittingReport, TropicalRoot, tropical_roots  # noqa: F401
 
 DEFAULT_SEED = 0
 
@@ -104,19 +107,17 @@ _TEMPLATES: Dict[Tuple[int, ...], list] = {
            ["d41", "d42", "d43", 0]],
 }
 
-_PLACEHOLDERS: Dict[Tuple[int, ...], Tuple[str, ...]] = {
-    (1, 1): ("d12", "d21", "d22"),
-    (2,): ("d21",),
-    (1, 1, 1): ("d11", "d12", "d13", "d21", "d23", "d31", "d32", "d33"),
-    (2, 1): ("d21", "d23", "d31", "d33"),
-    (3,): ("d31", "d32"),
-    (1, 1, 1, 1): ("d11", "d12", "d13", "d14", "d21", "d22", "d23", "d24",
-                   "d31", "d32", "d34", "d41", "d42", "d43", "d44"),
-    (2, 1, 1): ("d21", "d23", "d24", "d31", "d34", "d41", "d43", "d44"),
-    (2, 2): ("d21", "d23", "d24", "d31", "d41", "d43", "d44"),
-    (3, 1): ("d31", "d32", "d34", "d41", "d42", "d44"),
-    (4,): ("d41", "d42", "d43"),
-}
+def _placeholders(template) -> Tuple[str, ...]:
+    """Sorted placeholder names of a template; the catalog draws slopes in
+    this order, so it fixes which direction a seed produces."""
+    names = set()
+    for row in template:
+        for entry in row:
+            if isinstance(entry, str):
+                names.add(entry.lstrip("-"))
+            elif isinstance(entry, (list, tuple)):
+                names.update(name for name, _ in entry)
+    return tuple(sorted(names))
 
 
 @dataclass(frozen=True)
@@ -214,25 +215,6 @@ _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
 }
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """One catalog entry: a perturbed Jordan form and its expected report."""
-
-    partition: Tuple[int, ...]
-    constraint_name: str
-    generic: bool
-    matrix: PolyMatrix
-    charpoly: CharPoly
-    expected: SplittingReport
-    direction: Dict[str, ExactComplex] = field(repr=False, default_factory=dict)
-    coeff_orders: Tuple[Optional[int], ...] = ()
-
-    @property
-    def name(self) -> str:
-        label = ",".join(str(s) for s in self.partition)
-        return f"H[{label}] {self.constraint_name}"
-
-
 def _alpha_matches(cp: CharPoly, alpha) -> bool:
     for coeff, want in zip(cp.coeffs, alpha):
         o = coeff.ord()
@@ -265,9 +247,9 @@ def _solve_linear(template, direction, var, i, power) -> Optional[ExactComplex]:
     return -c0 / slope
 
 
-def _draw_family(spec: _FamilySpec, rng: random.Random) -> PerturbationFamily:
+def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
     template = _TEMPLATES[spec.partition]
-    names = _PLACEHOLDERS[spec.partition]
+    names = _placeholders(template)
     pinned = dict(spec.fixed)
     nonzero_pool = [k for k in range(-9, 10) if k != 0]
     for _ in range(500):
@@ -294,13 +276,17 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> PerturbationFamily:
             continue
         expected = SplittingReport(
             tuple(TropicalRoot(w, m) for w, m in spec.roots), spec.zero_roots)
-        return PerturbationFamily(spec.partition, spec.constraint, spec.generic,
-                                  matrix, cp, expected, direction, spec.alpha)
+        label = ",".join(str(s) for s in spec.partition)
+        return Family(f"H[{label}] {spec.constraint}", matrix, expected,
+                      {"partition": spec.partition, "constraint": spec.constraint,
+                       "generic": spec.generic, "direction": direction,
+                       "coeff_orders": spec.alpha},
+                      known_charpoly=cp)
     raise RuntimeError(
         f"could not realize family {spec.partition} '{spec.constraint}'")
 
 
-def catalog_families(n: int, seed: int = DEFAULT_SEED) -> List[PerturbationFamily]:
+def catalog_families(n: int, seed: int = DEFAULT_SEED) -> List[Family]:
     """All perturbation families for nilpotent structures of dimension n."""
     if n not in _CATALOG_SPECS:
         raise ValueError(f"catalog covers n in {{2, 3, 4}}, got {n}")

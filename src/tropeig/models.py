@@ -1,10 +1,10 @@
-"""Builders for the physical example families.
+"""Builders for the physical example families, and the Family type every
+input to the pipeline shares.
 
-Each builder returns a ModelFamily: a realization (an exact PolyMatrix in the
-perturbation variable, an exact CharPoly when matrix entries are not
-polynomial in the parameter, or a plain numeric matrix function), the exact
-parameter values used, and the splitting report the tropical analysis must
-reproduce.
+Each builder returns a Family: a realization (an exact PolyMatrix in the
+perturbation variable, or an exact CharPoly when matrix entries are not
+polynomial in the parameter), the exact parameter values used, and the
+splitting report the tropical analysis must reproduce.
 
 Models whose degeneracy conditions involve surds (the golden-ratio circuit
 couplings, the 1/sqrt(2) hopping of the dissipative four-level system) are
@@ -14,8 +14,9 @@ encoded exactly over a quadratic extension; see ``exact.ExactComplex``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -25,16 +26,39 @@ from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, ec
 from .poly import ScalarPoly, cos_series, sin_series
 from .tropical import SplittingReport, TropicalRoot
 
-Realization = Union[PolyMatrix, CharPoly, Callable[[complex], np.ndarray]]
-
 
 @dataclass(frozen=True)
-class ModelFamily:
+class Family:
+    """One input to the pipeline: an exact realization and the splitting
+    report its tropical analysis must reproduce.
+
+    ``charpoly`` is the realization itself when that is a CharPoly, and
+    otherwise the Berkowitz expansion of the matrix, computed on first use.
+    A builder that already holds the characteristic polynomial passes it as
+    ``known_charpoly`` so it is not expanded a second time.
+    """
+
     name: str
-    parameters: Dict[str, object]
-    realization: Realization
+    realization: Union[PolyMatrix, CharPoly]
     expected: Optional[SplittingReport] = None
+    parameters: Dict[str, object] = field(default_factory=dict)
     annotations: Tuple[str, ...] = ()
+    known_charpoly: InitVar[Optional[CharPoly]] = None
+
+    def __post_init__(self, known_charpoly):
+        if known_charpoly is not None:
+            self.__dict__["charpoly"] = known_charpoly  # seeds the cached property
+
+    @cached_property
+    def charpoly(self) -> CharPoly:
+        if isinstance(self.realization, CharPoly):
+            return self.realization
+        return charpoly_direct(self.realization)
+
+    @property
+    def matrix(self) -> Optional[PolyMatrix]:
+        """The realization if it is a matrix, else None."""
+        return self.realization if isinstance(self.realization, PolyMatrix) else None
 
 
 def _report(roots, zero=0) -> SplittingReport:
@@ -45,7 +69,7 @@ def _report(roots, zero=0) -> SplittingReport:
 # torus-knot companion family
 # ---------------------------------------------------------------------------
 
-def torus_knot(p: int, q: int, direction: str = "linear", ky=1) -> ModelFamily:
+def torus_knot(p: int, q: int, direction: str = "linear", ky=1) -> Family:
     """p x p cyclic-shift matrix with a z^q corner entry.
 
     ``linear`` substitutes z = t and yields p branches of order q/p;
@@ -69,38 +93,38 @@ def torus_knot(p: int, q: int, direction: str = "linear", ky=1) -> ModelFamily:
     for i in range(p - 1):
         rows[i][i + 1] = ScalarPoly.const(1)
     rows[p - 1][0] = z ** q
-    return ModelFamily(f"torus_knot({p},{q},{direction})",
-                       {"p": p, "q": q, "direction": direction},
-                       PolyMatrix(rows), expected)
+    return Family(f"torus_knot({p},{q},{direction})", PolyMatrix(rows), expected,
+                  {"p": p, "q": q, "direction": direction})
 
 
 # ---------------------------------------------------------------------------
 # cavity-mediated sensing
 # ---------------------------------------------------------------------------
 
-def cavity_dynamical(preset: str) -> ModelFamily:
+def cavity_dynamical(preset: str) -> Family:
     """Dynamical matrices of magnon-cavity sensors near higher-order EPs."""
     t = ScalarPoly.t()
     if preset == "d12":
         m = PolyMatrix([[-t, 0, 1],
                         [0, t, -1],
                         [-1, -1, 0]])
-        return ModelFamily("cavity d12", {"preset": preset}, m,
-                           _report([(Fraction(1, 3), 3)]))
+        return Family("cavity d12", m, _report([(Fraction(1, 3), 3)]),
+                      {"preset": preset})
     if preset == "d22_ep31":
         half = ScalarPoly.monomial(1, Fraction(1, 2))
         m = PolyMatrix([[-t, 0, 0, 1],
                         [0, half, 0, 0],
                         [0, 0, t, -1],
                         [-1, 0, -1, 0]])
-        return ModelFamily("cavity d22 (EP3+1)", {"preset": preset}, m,
-                           _report([(Fraction(1, 3), 3), (Fraction(1), 1)]))
+        return Family("cavity d22 (EP3+1)", m,
+                      _report([(Fraction(1, 3), 3), (Fraction(1), 1)]),
+                      {"preset": preset})
     if preset == "d22_ep4":
         # matrix entries involve sqrt(gamma); only the characteristic
         # polynomial is polynomial in gamma, so that is the realization
         cp = CharPoly([1, 0, -t, t, t])
-        return ModelFamily("cavity d22 (EP4)", {"preset": preset}, cp,
-                           _report([(Fraction(1, 4), 4)]))
+        return Family("cavity d22 (EP4)", cp, _report([(Fraction(1, 4), 4)]),
+                      {"preset": preset})
     raise ValueError(f"unknown cavity preset {preset!r}")
 
 
@@ -144,7 +168,7 @@ def circuit_matrix(perturbation: str) -> PolyMatrix:
     ])
 
 
-def circuit_laplacian(perturbation: str) -> ModelFamily:
+def circuit_laplacian(perturbation: str) -> Family:
     """Circuit Laplacian families: EP6 under bias perturbation, EP4-like
     response when only the gain/loss rate is detuned."""
     t = ScalarPoly.t()
@@ -174,15 +198,15 @@ def circuit_laplacian(perturbation: str) -> ModelFamily:
         expected = _report([(Fraction(1, 4), 4)], zero=2)
     else:
         raise ValueError(f"unknown circuit perturbation {perturbation!r}")
-    return ModelFamily(f"circuit ({perturbation})", {"perturbation": perturbation},
-                       cp, expected)
+    return Family(f"circuit ({perturbation})", cp, expected,
+                  {"perturbation": perturbation})
 
 
 # ---------------------------------------------------------------------------
 # bipartite Hatano-Nelson chain
 # ---------------------------------------------------------------------------
 
-def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> ModelFamily:
+def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> Family:
     """Nonreciprocal bipartite hopping chain of length L.
 
     Bonds alternate between two hopping/gain pairs, odd bonds carrying
@@ -226,8 +250,7 @@ def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> ModelFamily:
         params = {"L": L, "regime": regime, "t1": t1, "t2": t2}
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    return ModelFamily(f"hatano_nelson(L={L},{regime})", params,
-                       PolyMatrix(rows), expected)
+    return Family(f"hatano_nelson(L={L},{regime})", PolyMatrix(rows), expected, params)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +272,7 @@ def lieb_degeneracy_points(eps: float) -> Dict[str, Tuple[float, float]]:
     return {"arccot": (-a, a), "pi": (math.pi, math.pi)}
 
 
-def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> ModelFamily:
+def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> Family:
     """Characteristic polynomial along a momentum path through a degeneracy.
 
     The quadratic band factor is expanded as an exact truncated series in the
@@ -290,9 +313,8 @@ def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> ModelFamily:
     if cp.coefficient(2).ord().is_undetermined:
         expected = SplittingReport(expected.roots, expected.zero_root_count,
                                    undetermined=True)
-    return ModelFamily(f"lieb ({path})",
-                       {"path": path, "eps": eps, "series_order": series_order},
-                       cp, expected, notes)
+    return Family(f"lieb ({path})", cp, expected,
+                  {"path": path, "eps": eps, "series_order": series_order}, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +371,6 @@ def lindblad_liouvillian(h: np.ndarray, jumps) -> np.ndarray:
 
 # -- exact effective Liouvillian of the dissipative four-level system -------
 
-def _exact_kron(a, b):
-    na, nb = len(a), len(b)
-    out = [[EC_ZERO] * (na * nb) for _ in range(na * nb)]
-    for i in range(na):
-        for j in range(na):
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = a[i][j] * b[k][l]
-    return out
-
-
-def _exact_eye(n):
-    return [[EC_ONE if i == j else EC_ZERO for j in range(n)] for i in range(n)]
-
-
 def effective_hamiltonian(gamma2=Fraction(1), gamma4=Fraction(3),
                           epsilon=Fraction(0)):
     """3x3 non-Hermitian Hamiltonian of the postselected excited manifold,
@@ -388,56 +395,37 @@ def effective_hamiltonian(gamma2=Fraction(1), gamma4=Fraction(3),
     return h, gamma3
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def effective_liouvillian_matrix(gamma2=Fraction(1), gamma4=Fraction(3),
                                  epsilon=Fraction(0), recenter: bool = True) -> PolyMatrix:
     """Exact 9x9 effective Liouvillian with dissipation rates proportional
     to the ScalarPoly variable; optionally shifted by +gamma3 so the
     degenerate eigenvalue sits at zero."""
     h, gamma3 = effective_hamiltonian(gamma2, gamma4, epsilon)
-    eye = _exact_eye(3)
-    minus_ih = [[x * (-EC_I) for x in row] for row in h]
-    plus_ih_conj = [[x.conjugate() * EC_I for x in row] for row in h]
-    const = _mat_add(_exact_kron(minus_ih, eye), _exact_kron(eye, plus_ih_conj))
+    eye = PolyMatrix.identity(3)
+    minus_ih = PolyMatrix(h).scale(-EC_I)
+    plus_ih_conj = PolyMatrix([[x.conjugate() * EC_I for x in row] for row in h])
+    const = minus_ih.kron(eye) + eye.kron(plus_ih_conj)
+    if recenter:
+        const = const + PolyMatrix.identity(9).scale(gamma3)
 
     def basis(l, k):
-        m = [[EC_ZERO] * 3 for _ in range(3)]
-        m[l][k] = EC_ONE
-        return m
+        return PolyMatrix([[1 if (i, j) == (l, k) else 0 for j in range(3)]
+                           for i in range(3)])
 
     # decay |l><k| from upper level k to lower level l, rates linear in the
     # overall scale: 5/8 between (2,3), 39/50 between (2,4), 1/13 between (3,4)
     rates = {(0, 1): Fraction(5, 8), (0, 2): Fraction(39, 50), (1, 2): Fraction(1, 13)}
-    linear = [[EC_ZERO] * 9 for _ in range(9)]
+    linear = PolyMatrix([[0] * 9 for _ in range(9)])
     for (l, k), rate in rates.items():
         e = basis(l, k)
         ekk = basis(k, k)  # L+L = (L+L)^T = |k><k| for the real jump L = |l><k|
-        diss = _mat_add(_exact_kron(e, e),
-                        _mat_scale(_mat_add(_exact_kron(ekk, eye),
-                                            _exact_kron(eye, ekk)),
-                                   Fraction(-1, 2)))
-        linear = _mat_add(linear, _mat_scale(diss, rate))
-
-    shift = ExactComplex(gamma3) if recenter else EC_ZERO
-    rows = []
-    for i in range(9):
-        row = []
-        for j in range(9):
-            c0 = const[i][j] + (shift if i == j else EC_ZERO)
-            row.append(ScalarPoly({0: c0, 1: linear[i][j]}))
-        rows.append(row)
-    return PolyMatrix(rows)
+        diss = e.kron(e) + (ekk.kron(eye) + eye.kron(ekk)).scale(Fraction(-1, 2))
+        linear = linear + diss.scale(rate)
+    return const + linear.scale(ScalarPoly.t())
 
 
 def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),
-                                  epsilon=Fraction(0)) -> ModelFamily:
+                                  epsilon=Fraction(0)) -> Family:
     """Dissipative four-level system postselected on its excited levels.
 
     With the inter-level rates switched off the 9x9 generator is a multiblock
@@ -450,12 +438,11 @@ def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),
     cp = charpoly_direct(m)
     gamma3 = (Fraction(gamma2) + Fraction(gamma4)) / 2
     expected = _report([(Fraction(1, 5), 5), (Fraction(1, 3), 3), (Fraction(1), 1)])
-    return ModelFamily("effective_liouvillian",
-                       {"gamma2": Fraction(gamma2), "gamma3": gamma3,
-                        "gamma4": Fraction(gamma4), "epsilon": Fraction(epsilon),
-                        "lambda_EP": -gamma3},
-                       cp, expected,
-                       ("jump-free generator is a (5,3,1) multiblock EP",))
+    return Family("effective_liouvillian", cp, expected,
+                  {"gamma2": Fraction(gamma2), "gamma3": gamma3,
+                   "gamma4": Fraction(gamma4), "epsilon": Fraction(epsilon),
+                   "lambda_EP": -gamma3},
+                  ("jump-free generator is a (5,3,1) multiblock EP",))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +455,7 @@ def _build_lieb(path):
     return build
 
 
-BUILDERS: Dict[str, Callable[..., ModelFamily]] = {
+BUILDERS: Dict[str, Callable[..., Family]] = {
     "torus_knot": torus_knot,
     "cavity_d12": lambda: cavity_dynamical("d12"),
     "cavity_d22_ep31": lambda: cavity_dynamical("d22_ep31"),
@@ -487,13 +474,13 @@ def example_names() -> List[str]:
     return sorted(BUILDERS)
 
 
-def build_example(name: str, **params) -> ModelFamily:
+def build_example(name: str, **params) -> Family:
     if name not in BUILDERS:
         raise ValueError(f"unknown example {name!r}; available: {', '.join(example_names())}")
     return BUILDERS[name](**params)
 
 
-def default_families() -> List[ModelFamily]:
+def default_families() -> List[Family]:
     """One representative instance of every example family."""
     return [
         cavity_dynamical("d12"),

@@ -17,13 +17,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
-from .tropical import SplittingReport, TropicalRoot
+from .models import Family
+from .tropical import TropicalRoot, _lower_hull
 
 ZERO_TRACK_RELATIVE_FLOOR = 1e-13
 
@@ -69,16 +71,10 @@ DEFAULT_GRID = SampleGrid()
 
 def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
     m = len(coeffs) - 1
-    pts = [(i, math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
-    hull = []
-    for p in pts:  # upper convex hull, points already sorted by index
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
+    # upper convex hull of (i, log|c_i|); negation is exact, so the lower
+    # hull of the negated points makes the same decisions
+    pts = [(i, -math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
+    hull = [(i, -y) for i, y in _lower_hull(pts)]
     guesses: List[complex] = []
     for gi, ((i0, y0), (i1, y1)) in enumerate(zip(hull, hull[1:])):
         radius = math.exp((y1 - y0) / (i1 - i0))
@@ -243,26 +239,6 @@ def _match_ambiguous(prev, new, order) -> bool:
     return max(moves) > 0.45 * min_gap if min_gap < math.inf else False
 
 
-def _resolve_family(family):
-    """(eigenvalue function, expected report, dimension) for a family-like object."""
-    expected = getattr(family, "expected", None)
-    source = getattr(family, "realization", None)
-    if source is None and hasattr(family, "charpoly"):
-        source = family.charpoly
-    if source is None:
-        source = family
-    if isinstance(source, PolyMatrix):
-        cp = charpoly_direct(source)
-        return (lambda t: charpoly_roots_at(cp, t)), expected, source.n
-    if isinstance(source, CharPoly):
-        return (lambda t: charpoly_roots_at(source, t)), expected, source.n
-    if callable(source):
-        probe = np.asarray(source(1e-3), dtype=complex)
-        return (lambda t: list(np.linalg.eigvals(np.asarray(source(t), dtype=complex)))), \
-            expected, probe.shape[0]
-    raise TypeError(f"cannot extract eigenvalues from {type(source).__name__}")
-
-
 def track_eigenvalues(eig_fn, params: Sequence[complex]) -> np.ndarray:
     """Eigenvalues along a parameter path, rows ordered by continuation."""
     first = sorted(eig_fn(params[0]), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
@@ -290,7 +266,7 @@ class VerificationResult:
     diagnostics: Tuple[str, ...] = ()
 
 
-def fit_exponents(family, grid: SampleGrid = DEFAULT_GRID,
+def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
                   match_tol: float = 0.05,
                   cluster_gap: float = 0.1) -> VerificationResult:
     """Fit per-eigenvalue leading exponents and compare with the prediction.
@@ -303,11 +279,12 @@ def fit_exponents(family, grid: SampleGrid = DEFAULT_GRID,
     """
     if grid.decades() < 3:
         raise ValueError("grid must span at least three decades")
-    eig_fn, expected, n = _resolve_family(family)
+    expected = family.expected
     if expected is None:
         raise ValueError("family carries no expected splitting report")
+    n = family.charpoly.n
     ts = grid.points()
-    tracks = track_eigenvalues(eig_fn, ts)
+    tracks = track_eigenvalues(partial(charpoly_roots_at, family.charpoly), ts)
 
     scale = float(np.max(np.abs(tracks[0]))) or 1.0
     floor = ZERO_TRACK_RELATIVE_FLOOR * scale
@@ -397,7 +374,7 @@ class BraidPermutation:
         object.__setattr__(self, "cycle_lengths", tuple(sorted(cycles)))
 
 
-def braid_loop(family, eps0: float = 1e-3, steps: int = 64,
+def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64,
                max_depth: int = 14) -> BraidPermutation:
     """Permutation of eigenvalues after one loop eps0 * e^(i*phi).
 
@@ -406,7 +383,7 @@ def braid_loop(family, eps0: float = 1e-3, steps: int = 64,
     spacing).  Raises LoopDegeneracyError when eigenvalues approach each
     other below 1e-3 of the eigenvalue scale, or when halving bottoms out.
     """
-    eig_fn, _, n = _resolve_family(family)
+    eig_fn = partial(charpoly_roots_at, family.charpoly)
     phis = [2 * math.pi * k / steps for k in range(steps + 1)]
 
     start = sorted(eig_fn(eps0 * cmath.exp(1j * phis[0])),

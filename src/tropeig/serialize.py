@@ -14,7 +14,8 @@ from typing import Optional
 
 from .charpoly import CharPoly, PolyMatrix
 from .exact import ExactComplex
-from .jordan import JordanStructure, PerturbationFamily
+from .jordan import JordanStructure
+from .models import Family
 from .numeric import BraidPermutation, VerificationResult
 from .poly import Ord, ScalarPoly
 from .tropical import NewtonPolygon, SplittingReport, TropicalPoly, TropicalRoot
@@ -197,13 +198,15 @@ def jordan_structure_to_json(j: JordanStructure) -> dict:
             "rank_sequence": list(j.rank_sequence)}
 
 
-def family_to_json(f: PerturbationFamily) -> dict:
-    return {"partition": list(f.partition),
-            "constraint": f.constraint_name,
-            "generic": f.generic,
+def family_to_json(f: Family) -> dict:
+    """A catalog family: its Jordan structure, constraint and direction."""
+    p = f.parameters
+    return {"partition": list(p["partition"]),
+            "constraint": p["constraint"],
+            "generic": p["generic"],
             "matrix": polymatrix_to_json(f.matrix),
             "expected": report_to_json(f.expected),
-            "direction": {k: exact_to_json(v) for k, v in sorted(f.direction.items())}}
+            "direction": {k: exact_to_json(v) for k, v in sorted(p["direction"].items())}}
 
 
 def dumps(obj) -> str:

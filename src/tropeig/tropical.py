@@ -62,10 +62,6 @@ class TropicalPoly:
         return min(alpha + k * omega for k, alpha in self.terms)
 
 
-def eval_tropical(p: TropicalPoly, omega) -> Fraction:
-    return p(omega)
-
-
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Points (i, alpha_i) for i = 0..n and their lower convex hull."""
@@ -88,7 +84,8 @@ class NewtonPolygon:
 
 
 def _lower_hull(points):
-    """Monotone chain over points already sorted by x; exact comparisons.
+    """Monotone chain over points already sorted by x; comparisons are exact
+    on rational points (the root finder also runs it on float logarithms).
 
     Collinear interior points are dropped from the vertex list (their extent
     is still covered by the enclosing segment).

@@ -41,15 +41,14 @@ def rows(families):
     for fam in families:
         got = tropical_roots(fam.charpoly)
         assert got == fam.expected, fam.name
-        out.setdefault(fam.partition, []).append(
-            (frozenset((r.omega, r.multiplicity) for r in got.roots), fam.generic))
+        out.setdefault(fam.parameters["partition"], []).append(
+            (frozenset((r.omega, r.multiplicity) for r in got.roots),
+             fam.parameters["generic"]))
     return out
 
 
 def model_report(fam):
-    realization = fam.realization
-    cp = realization if hasattr(realization, "coeffs") else charpoly_direct(realization)
-    report = tropical_roots(cp)
+    report = tropical_roots(fam.charpoly)
     assert report == fam.expected, fam.name
     return {(r.omega, r.multiplicity) for r in report.roots}, report.zero_root_count
 
@@ -176,7 +175,7 @@ def test_criterion_09_exponent_fits(catalogs, eff_liouvillian):
     checked = 0
     for fams in catalogs.values():
         for fam in fams:
-            if fam.generic:
+            if fam.parameters["generic"]:
                 result = fit_exponents(fam, match_tol=FIT_TOL)
                 assert result.passed, (fam.name, result.diagnostics)
                 checked += 1
@@ -192,8 +191,8 @@ def test_criterion_09_exponent_fits(catalogs, eff_liouvillian):
 
 
 def test_criterion_10_braids(catalogs):
-    generic = {fam.partition: fam for fams in catalogs.values()
-               for fam in fams if fam.generic}
+    generic = {fam.parameters["partition"]: fam for fams in catalogs.values()
+               for fam in fams if fam.parameters["generic"]}
     cases = {(3,): (3,), (2, 1): (1, 2), (4,): (4,), (2, 2): (2, 2)}
     for partition, cycles in cases.items():
         braid = braid_loop(generic[partition], eps0=BRAID_EPS, steps=BRAID_STEPS)

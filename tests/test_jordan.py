@@ -55,7 +55,7 @@ class TestCatalog:
     def test_matrix_vanishes_at_zero(self, catalogs):
         for fams in catalogs.values():
             for fam in fams:
-                base = jordan_matrix(fam.partition, 0)
+                base = jordan_matrix(fam.parameters["partition"], 0)
                 at_zero = [[ScalarPoly.const(x.coefficient(0)) for x in row]
                            for row in fam.matrix.rows]
                 from tropeig.charpoly import PolyMatrix
@@ -70,7 +70,7 @@ class TestCatalog:
     def test_coefficient_orders_verified_generic(self, catalogs):
         for fams in catalogs.values():
             for fam in fams:
-                for coeff, want in zip(fam.charpoly.coeffs, fam.coeff_orders):
+                for coeff, want in zip(fam.charpoly.coeffs, fam.parameters["coeff_orders"]):
                     o = coeff.ord()
                     if want is None:
                         assert o.is_infinite
@@ -78,7 +78,8 @@ class TestCatalog:
                         assert o.value == want
 
     def test_table_n2(self, catalogs):
-        by_constraint = {(f.partition, f.constraint_name): f for f in catalogs[2]}
+        by_constraint = {(f.parameters["partition"], f.parameters["constraint"]): f
+                         for f in catalogs[2]}
         assert roots_set(by_constraint[((1, 1), "generic")].expected) == {(Fraction(1), 2)}
         assert roots_set(by_constraint[((2,), "generic")].expected) == {(Fraction(1, 2), 2)}
         unlift = by_constraint[((1, 1), "unlifting")]
@@ -87,7 +88,8 @@ class TestCatalog:
     def test_table_n3(self, catalogs):
         rows = {}
         for fam in catalogs[3]:
-            rows.setdefault(fam.partition, set()).add(roots_set(tropical_roots(fam.charpoly)))
+            rows.setdefault(fam.parameters["partition"], set()).add(
+                roots_set(tropical_roots(fam.charpoly)))
         assert {(Fraction(1), 3)} in [set(r) for r in rows[(1, 1, 1)]] or \
             frozenset({(Fraction(1), 3)}) in rows[(1, 1, 1)]
         assert rows[(2, 1)] == {frozenset({(Fraction(1, 2), 2), (Fraction(1), 1)}),
@@ -100,7 +102,8 @@ class TestCatalog:
     def test_table_n4_contains_all_printed_rows(self, catalogs):
         rows = {}
         for fam in catalogs[4]:
-            rows.setdefault(fam.partition, set()).add(roots_set(tropical_roots(fam.charpoly)))
+            rows.setdefault(fam.parameters["partition"], set()).add(
+                roots_set(tropical_roots(fam.charpoly)))
         printed = {
             (1, 1, 1, 1): [{(Fraction(1), 4)}, {(Fraction(1), 3)}, {(Fraction(1), 2)}],
             (2, 1, 1): [{(Fraction(1, 2), 2), (Fraction(1), 2)},
@@ -132,13 +135,14 @@ class TestCatalog:
         }
         for fams in catalogs.values():
             for fam in fams:
-                if fam.generic:
-                    assert roots_set(fam.expected) == frozenset(bold[fam.partition])
+                p = fam.parameters
+                if p["generic"]:
+                    assert roots_set(fam.expected) == frozenset(bold[p["partition"]])
 
     def test_deterministic_given_seed(self):
         a = catalog_families(3, seed=7)
         b = catalog_families(3, seed=7)
-        assert [f.direction for f in a] == [f.direction for f in b]
+        assert [f.parameters["direction"] for f in a] == [f.parameters["direction"] for f in b]
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

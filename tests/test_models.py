@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import EC_I, ExactComplex, ec
 from tropeig.jordan import jordan_matrix, weyr_structure
-from tropeig.models import (GAMMA_EP, MU_EP, ModelFamily, build_example,
+from tropeig.models import (GAMMA_EP, MU_EP, Family, build_example,
                             cavity_dynamical, circuit_laplacian, circuit_matrix,
                             default_families, dissipator, effective_hamiltonian,
                             effective_liouvillian_example,
@@ -17,13 +19,12 @@ from tropeig.models import (GAMMA_EP, MU_EP, ModelFamily, build_example,
                             liouvillian_from_nonhermitian, torus_knot)
 from tropeig.numeric import fit_exponents, numeric_ord
 from tropeig.poly import ScalarPoly
+from tropeig.serialize import polymatrix_from_json
 from tropeig.tropical import tropical_roots, tropicalize
 
 
-def analysis(fam: ModelFamily):
-    realization = fam.realization
-    cp = realization if isinstance(realization, CharPoly) else charpoly_direct(realization)
-    return cp, tropical_roots(cp)
+def analysis(fam: Family):
+    return fam.charpoly, tropical_roots(fam.charpoly)
 
 
 def roots_set(report):
@@ -273,6 +274,24 @@ class TestLindblad:
             assert got.partition == want
 
 
+class TestFamily:
+    def test_matrix_charpoly_is_expanded_once(self):
+        fam = hatano_nelson(4, "obc")
+        assert fam.matrix is fam.realization
+        assert fam.charpoly == charpoly_direct(fam.realization)
+        assert fam.charpoly is fam.charpoly
+
+    def test_charpoly_realization_is_the_charpoly(self):
+        fam = cavity_dynamical("d22_ep4")
+        assert fam.matrix is None
+        assert fam.charpoly is fam.realization
+
+    def test_known_charpoly_is_used(self):
+        m = torus_knot(3, 2).realization
+        cp = charpoly_traces(m)
+        assert Family("known", m, known_charpoly=cp).charpoly is cp
+
+
 class TestEffectiveLiouvillian:
     def test_hamiltonian_is_ep3(self):
         h, gamma3 = effective_hamiltonian()
@@ -286,6 +305,16 @@ class TestEffectiveLiouvillian:
         eigs = np.linalg.eigvals(m.to_array(0.0))
         # defective 9x9: numerical scatter is large but centered on -gamma3
         assert np.max(np.abs(eigs + float(gamma3))) < 1e-2
+
+    @pytest.mark.parametrize("case", ["default", "shifted", "not_recentered"])
+    def test_matrix_matches_stored_reference(self, case):
+        # reference matrices were written by the entry-by-entry Kronecker
+        # construction that PolyMatrix.kron replaced
+        path = Path(__file__).parent / "golden" / "effective_liouvillian_matrices.json"
+        ref = json.loads(path.read_text())[case]
+        kwargs = {k: Fraction(v) if isinstance(v, str) else v
+                  for k, v in ref["arguments"].items()}
+        assert effective_liouvillian_matrix(**kwargs) == polymatrix_from_json(ref["matrix"])
 
     def test_tropicalization_terms(self, eff_liouvillian):
         poly = tropicalize(eff_liouvillian.realization)

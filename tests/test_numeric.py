@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from tropeig.charpoly import CharPoly, PolyMatrix, companion_matrix
-from tropeig.models import cavity_dynamical
+from tropeig.models import Family, cavity_dynamical
 from tropeig.numeric import (DEFAULT_GRID, BraidPermutation, LoopDegeneracyError,
                              NonConvergenceError, SampleGrid, aberth_roots,
                              braid_loop, cardano_roots, charpoly_roots_at,
@@ -140,57 +140,48 @@ class TestCardano:
             assert matched_rel_err(cardano_roots(p, q), np.linalg.eigvals(m)) < 1e-9
 
 
-class SyntheticFamily:
-    """Minimal family-like object for driving the fitters directly."""
-
-    def __init__(self, realization, expected):
-        self.realization = realization
-        self.expected = expected
-        self.name = "synthetic"
-
-
 class TestFitExponents:
     def test_square_root_pair(self):
-        fam = SyntheticFamily(
-            CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
+        fam = Family(
+            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
             SplittingReport((TropicalRoot(Fraction(1, 2), 2),), 0))
         res = fit_exponents(fam)
         assert res.passed
         assert res.clusters[0].exponent == pytest.approx(0.5, abs=1e-6)
 
     def test_detects_wrong_prediction(self):
-        fam = SyntheticFamily(
-            CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
+        fam = Family(
+            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
             SplittingReport((TropicalRoot(Fraction(1, 3), 2),), 0))
         res = fit_exponents(fam)
         assert not res.passed
         assert res.diagnostics
 
     def test_detects_wrong_multiplicity(self):
-        fam = SyntheticFamily(
-            CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
+        fam = Family(
+            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
             SplittingReport((TropicalRoot(Fraction(1, 2), 1),), 1))
         res = fit_exponents(fam)
         assert not res.passed
 
     def test_zero_track_counting(self):
-        fam = SyntheticFamily(
-            CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1),
-                      ScalarPoly.zero()]),
+        fam = Family(
+            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1),
+                                   ScalarPoly.zero()]),
             SplittingReport((TropicalRoot(Fraction(1, 2), 2),), 1))
         res = fit_exponents(fam)
         assert res.passed and res.zero_tracks == 1
 
     def test_grid_must_span_three_decades(self):
-        fam = SyntheticFamily(
-            CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
+        fam = Family(
+            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
             SplittingReport((TropicalRoot(Fraction(1, 2), 2),), 0))
         with pytest.raises(ValueError):
             fit_exponents(fam, SampleGrid(count=5, ratio=0.5))
 
     def test_phase_invariance(self, catalogs):
         for fam in catalogs[3]:
-            if not fam.generic:
+            if not fam.parameters["generic"]:
                 continue
             base = fit_exponents(fam)
             rot = fit_exponents(fam, SampleGrid(phase=0.9))
@@ -200,11 +191,11 @@ class TestFitExponents:
     def test_generic_catalog_families(self, catalogs):
         for fams in catalogs.values():
             for fam in fams:
-                if fam.generic:
+                if fam.parameters["generic"]:
                     assert fit_exponents(fam).passed, fam.name
 
     def test_unlifting_direction_all_zero(self, catalogs):
-        fam = next(f for f in catalogs[2] if f.constraint_name == "unlifting")
+        fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
         res = fit_exponents(fam)
         assert res.passed and res.zero_tracks == 2 and not res.clusters
 
@@ -217,24 +208,27 @@ class TestBraid:
             BraidPermutation((0, 0, 1))
 
     def test_trefoil_like_3cycle(self, catalogs):
-        fam = next(f for f in catalogs[3] if f.partition == (3,) and f.generic)
+        fam = next(f for f in catalogs[3]
+                   if f.parameters["partition"] == (3,) and f.parameters["generic"])
         b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
         assert b.cycle_lengths == (3,)
 
     def test_pair_exchange_plus_fixed_point(self, catalogs):
-        fam = next(f for f in catalogs[3] if f.partition == (2, 1) and f.generic)
+        fam = next(f for f in catalogs[3]
+                   if f.parameters["partition"] == (2, 1) and f.parameters["generic"])
         b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
         assert b.cycle_lengths == (1, 2)
 
     def test_no_braiding_for_diagonalizable_structure(self, catalogs):
-        fam = next(f for f in catalogs[2] if f.partition == (1, 1) and f.generic)
+        fam = next(f for f in catalogs[2]
+                   if f.parameters["partition"] == (1, 1) and f.parameters["generic"])
         b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
         assert b.permutation == (0, 1)
 
     def test_cycles_match_multiplicity_structure(self, catalogs):
         for fams in catalogs.values():
             for fam in fams:
-                if not fam.generic:
+                if not fam.parameters["generic"]:
                     continue
                 b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
                 assert b.cycle_lengths == fam.expected.predicted_cycle_lengths(), fam.name
@@ -242,12 +236,12 @@ class TestBraid:
     def test_nongeneric_23_exponent_family_is_full_cycle(self, catalogs):
         # exponent 2/3 with multiplicity 3: the loop is observed to cycle all
         # three branches, matching the denominator heuristic
-        fam = next(f for f in catalogs[3] if f.constraint_name == "d21=0")
+        fam = next(f for f in catalogs[3] if f.parameters["constraint"] == "d21=0")
         b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
         assert b.cycle_lengths == (3,)
 
     def test_degenerate_loop_raises(self, catalogs):
-        fam = next(f for f in catalogs[2] if f.constraint_name == "unlifting")
+        fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
         with pytest.raises(LoopDegeneracyError):
             braid_loop(fam, eps0=1e-4, steps=16)
 

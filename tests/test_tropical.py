@@ -9,8 +9,8 @@ from tropeig.jordan import _TEMPLATES, catalog_families
 from tropeig.charpoly import build_direction_matrix
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
-                              TropicalRoot, eval_tropical, newton_polygon,
-                              tropical_product, tropical_roots, tropicalize)
+                              TropicalRoot, newton_polygon, tropical_product,
+                              tropical_roots, tropicalize)
 
 
 def cp_from_alpha(alpha):
@@ -35,8 +35,8 @@ class TestTropicalize:
     def test_square_root_pair(self):
         p = tropicalize(cp_from_alpha([0, None, 1]))
         assert p.terms == ((2, Fraction(0)), (0, Fraction(1)))
-        assert eval_tropical(p, 0) == 0
-        assert eval_tropical(p, 1) == 1
+        assert p(0) == 0
+        assert p(1) == 1
 
     def test_generic_quartic_chain(self):
         p = tropicalize(cp_from_alpha([0, None, 1, 1, 1]))
@@ -125,7 +125,7 @@ class TestTropicalRoots:
     def test_kink_value(self):
         p = tropicalize(cp_from_alpha([0, None, 1, 2]))
         # both active affine forms at the kink: 3w and 1 + w
-        assert eval_tropical(p, Fraction(1, 2)) == Fraction(3, 2)
+        assert p(Fraction(1, 2)) == Fraction(3, 2)
         assert 3 * Fraction(1, 2) == 1 + Fraction(1, 2) == Fraction(3, 2)
 
     def test_order_one_branch_is_root_zero(self):
