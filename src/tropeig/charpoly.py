@@ -13,11 +13,27 @@ Both return the monic coefficient vector a_0..a_n of
     det(lambda*I - M) = a_0 lambda^n + a_1 lambda^(n-1) + ... + a_n,
 
 with each a_i a ScalarPoly in the perturbation variable.
+
+Both run on an integer kernel rather than on ScalarPoly/ExactComplex
+objects.  On entry the matrix is scaled by D, the lcm of the denominators of
+every component of every coefficient, so that D*M has entries in
+Z[i][t] or, when M holds one surd sqrt(rad), in Z[i, sqrt(rad)][t].  A
+kernel polynomial is a pair (dense coefficient list, trunc); a coefficient
+is a tuple of Python ints, (re, im) over Z[i] or (re, im, sre, sim) for
+re + im*i + (sre + sim*i)*sqrt(rad).  Truncation orders are folded with
+ScalarPoly._join_trunc over every product and sum in the same order as the
+ScalarPoly expressions would, so a zero times a truncated entry still
+carries the truncation.  The coefficients of D*M's characteristic polynomial
+are algebraic integers, so the traces recursion divides by k exactly (and
+raises if it ever would not).  On exit a_k of D*M is divided by D^k and
+rebuilt as ExactComplex values.  A matrix mixing two radicands is rejected
+with the same ValueError that ExactComplex raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -67,7 +83,8 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         n = self.n
         cols = list(zip(*other.rows))
-        return PolyMatrix([[_dot(self.rows[i], cols[j]) for j in range(n)]
+        return PolyMatrix([[sum((a * b for a, b in zip(self.rows[i], cols[j])),
+                                ScalarPoly.zero()) for j in range(n)]
                            for i in range(n)])
 
     def scale(self, c) -> "PolyMatrix":
@@ -100,13 +117,6 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix(n={self.n})"
-
-
-def _dot(row, col) -> ScalarPoly:
-    acc = ScalarPoly.zero()
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
 
 
 class CharPoly:
@@ -173,48 +183,165 @@ def traceless_shift(m: PolyMatrix) -> PolyMatrix:
 
 def charpoly_traces(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via power sums and Newton's identities."""
-    n = m.n
-    s = [None]  # s[k] = tr(M^k)
-    power = m
+    rows, rad, den = _to_kernel(m)
+    n = len(rows)
+    one = _one(rad)
+    cols = list(zip(*rows))
+    s = [None]  # s[k] = tr(M^k), summed like PolyMatrix.trace
+    power = rows
     for k in range(1, n + 1):
-        s.append(power.trace())
+        s.append(_dot([power[i][i] for i in range(n)], [one] * n, rad))
         if k < n:
-            power = power @ m
-    a = [ScalarPoly.const(1)]
+            power = [[_dot(prow, col, rad) for col in cols] for prow in power]
+    a = [one]
     for k in range(1, n + 1):
-        acc = s[k]
-        for j in range(1, k):
-            acc = acc + a[j] * s[k - j]
-        a.append(acc.scale(Fraction(-1, k)))
-    return CharPoly(a)
+        # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
+        a.append(_div_exact(_dot(a[:k], s[k:0:-1], rad), -k))
+    return _from_kernel(a, rad, den)
 
 
 def charpoly_direct(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via the Berkowitz division-free expansion."""
-    return CharPoly(_berkowitz([list(row) for row in m.rows]))
+    rows, rad, den = _to_kernel(m)
+    return _from_kernel(_berkowitz(rows, rad), rad, den)
 
 
-def _berkowitz(a) -> list:
+def _berkowitz(a, rad) -> list:
     n = len(a)
+    one = _one(rad)
     if n == 1:
-        return [ScalarPoly.const(1), -a[0][0]]
-    top = a[0][0]
+        return [one, _neg(a[0][0])]
     r = a[0][1:]
-    c = [row[0] for row in a[1:]]
     b = [row[1:] for row in a[1:]]
-    items = [ScalarPoly.const(1), -top]
-    v = c
-    for _ in range(2, n + 1):
-        items.append(-_dot(r, v))
-        v = [_dot(row, v) for row in b]
-    prev = _berkowitz(b)  # length n
+    items = [one, _neg(a[0][0])]
+    v = [row[0] for row in a[1:]]
+    for k in range(2, n + 1):
+        items.append(_neg(_dot(r, v, rad)))
+        if k < n:
+            v = [_dot(row, v, rad) for row in b]
+    prev = _berkowitz(b, rad)  # length n
     out = []
     for i in range(n + 1):
-        acc = ScalarPoly.zero()
-        for j in range(max(0, i - n), min(i, n - 1) + 1):
-            acc = acc + items[i - j] * prev[j]
-        out.append(acc)
+        lo, hi = max(0, i - n), min(i, n - 1) + 1
+        out.append(_dot([items[i - j] for j in range(lo, hi)], prev[lo:hi], rad))
     return out
+
+
+# -- integer kernel (see the module docstring) --------------------------------
+
+def _to_kernel(m: PolyMatrix):
+    """(rows, rad, den): the entries of den * M as kernel polynomials."""
+    den, rads = 1, set()
+    for row in m.rows:
+        for p in row:
+            for c in p.terms.values():
+                den = lcm(den, c.re.denominator, c.im.denominator,
+                          c.sre.denominator, c.sim.denominator)
+                if c.rad:
+                    rads.add(c.rad)
+    if len(rads) > 1:
+        first, second = sorted(rads)[:2]
+        raise ValueError(f"mixed radicands {first} and {second}")
+    rad = rads.pop() if rads else 0
+
+    def scaled(c):
+        parts = (c.re, c.im, c.sre, c.sim) if rad else (c.re, c.im)
+        return tuple(f.numerator * (den // f.denominator) for f in parts)
+
+    def entry(p):
+        coeffs = [(0, 0, 0, 0) if rad else (0, 0)] * (max(p.terms) + 1 if p.terms else 0)
+        for e, c in p.terms.items():
+            coeffs[e] = scaled(c)
+        return coeffs, p.trunc
+
+    return [[entry(p) for p in row] for row in m.rows], rad, den
+
+
+def _from_kernel(coeffs, rad, den) -> CharPoly:
+    """CharPoly of M from the kernel coefficients a_k of den * M: a_k / den^k."""
+    out = []
+    for k, (poly, trunc) in enumerate(coeffs):
+        dk = den ** k
+        terms = {}
+        for e, c in enumerate(poly):
+            if any(c):
+                parts = [Fraction(x, dk) for x in c]
+                terms[e] = ExactComplex(*parts, rad) if rad else ExactComplex(*parts)
+        out.append(ScalarPoly(terms, trunc))
+    return CharPoly(out)
+
+
+def _one(rad):
+    return [(1, 0, 0, 0) if rad else (1, 0)], None
+
+
+def _neg(p):
+    coeffs, trunc = p
+    return [tuple(-x for x in c) for c in coeffs], trunc
+
+
+def _div_exact(p, k: int):
+    """p / k for a polynomial whose components are all multiples of k."""
+    coeffs, trunc = p
+    out = []
+    for c in coeffs:
+        q = []
+        for x in c:
+            d, r = divmod(x, k)
+            if r:
+                raise ArithmeticError(f"traces recursion: {x} is not divisible by {k}")
+            q.append(d)
+        out.append(tuple(q))
+    return out, trunc
+
+
+def _dot(row, col, rad):
+    """Sum of row[j] * col[j] over kernel polynomials.
+
+    The truncation order is folded with ScalarPoly._join_trunc over every
+    product and every sum, as in the ScalarPoly expression
+    zero + row[0] * col[0] + row[1] * col[1] + ...: a product with a zero
+    factor adds no terms but still carries the other factor's truncation.
+    """
+    join = ScalarPoly._join_trunc
+    fma = _fma_surd if rad else _fma_gauss
+    acc = [[] for _ in range(4 if rad else 2)]
+    trunc = None
+    for (a, ta), (b, tb) in zip(row, col):
+        trunc = join(trunc, join(ta, tb))
+        if a and b:
+            need = len(a) + len(b) - 1 - len(acc[0])
+            if need > 0:
+                for comp in acc:
+                    comp.extend([0] * need)
+            fma(acc, a, b, rad)
+    coeffs = list(zip(*acc))
+    if trunc is not None:
+        del coeffs[trunc:]
+    while coeffs and not any(coeffs[-1]):
+        coeffs.pop()
+    return coeffs, trunc
+
+
+def _fma_gauss(acc, a, b, rad):
+    """acc += a * b over Z[i]."""
+    re, im = acc
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b, i):
+            re[j] += ar * br - ai * bi
+            im[j] += ar * bi + ai * br
+
+
+def _fma_surd(acc, a, b, rad):
+    """acc += a * b over Z[i, sqrt(rad)], with (x + y sqrt(rad)) stored as
+    (re x, im x, re y, im y)."""
+    re, im, sre, sim = acc
+    for i, (a0, a1, a2, a3) in enumerate(a):
+        for j, (b0, b1, b2, b3) in enumerate(b, i):
+            re[j] += a0 * b0 - a1 * b1 + rad * (a2 * b2 - a3 * b3)
+            im[j] += a0 * b1 + a1 * b0 + rad * (a2 * b3 + a3 * b2)
+            sre[j] += a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1
+            sim[j] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
 
 
 def build_direction_matrix(template: Sequence[Sequence],

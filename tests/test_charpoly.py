@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tropeig.charpoly import (CharPoly, PolyMatrix, build_direction_matrix,
+from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, build_direction_matrix,
                               charpoly_direct, charpoly_traces, companion_matrix,
                               substitute_direction, traceless_shift)
 from tropeig.exact import ExactComplex, ec
@@ -60,6 +61,124 @@ class TestTwoAlgorithmsAgree:
         assert cp.n == 1
         assert cp.coefficient(1) == -p
         assert charpoly_traces(PolyMatrix([[p]])) == cp
+
+
+def _ref_dot(row, col) -> ScalarPoly:
+    acc = ScalarPoly.zero()
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
+
+
+def reference_berkowitz(a) -> list:
+    """Berkowitz on ScalarPoly entries: the object-path reference for the kernel."""
+    n = len(a)
+    if n == 1:
+        return [ScalarPoly.const(1), -a[0][0]]
+    top = a[0][0]
+    r = a[0][1:]
+    c = [row[0] for row in a[1:]]
+    b = [row[1:] for row in a[1:]]
+    items = [ScalarPoly.const(1), -top]
+    v = c
+    for _ in range(2, n + 1):
+        items.append(-_ref_dot(r, v))
+        v = [_ref_dot(row, v) for row in b]
+    prev = reference_berkowitz(b)  # length n
+    out = []
+    for i in range(n + 1):
+        acc = ScalarPoly.zero()
+        for j in range(max(0, i - n), min(i, n - 1) + 1):
+            acc = acc + items[i - j] * prev[j]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def exact_matrices(draw):
+    """n = 1..5; Gaussian rationals with denominators, at most one surd
+    sqrt(2) or sqrt(5), truncated entries and exact zeros beside them."""
+    n = draw(st.integers(1, 5))
+    rad = draw(st.sampled_from((0, 2, 5)))
+    small, den = st.integers(-6, 6), st.integers(1, 4)
+
+    def scalar():
+        re, im = (Fraction(draw(small), draw(den)) for _ in range(2))
+        if rad and draw(st.booleans()):
+            sre, sim = (Fraction(draw(small), draw(den)) for _ in range(2))
+            return ExactComplex(re, im, sre, sim, rad)
+        return ExactComplex(re, im)
+
+    def entry():
+        trunc = draw(st.sampled_from((None, None, None, 1, 2, 3)))
+        if draw(st.integers(0, 3)) == 0:
+            return ScalarPoly.zero(trunc)
+        return ScalarPoly({e: scalar() for e in range(3) if draw(st.booleans())}, trunc)
+
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(exact_matrices())
+    # an exact zero times a truncated entry is a truncated zero: a_2 = O(t^2)
+    @example(PolyMatrix([[0, 0], [0, ScalarPoly.zero(2)]]))
+    def test_direct_traces_reference_agree(self, m):
+        ref = CharPoly(reference_berkowitz([list(row) for row in m.rows]))
+        assert charpoly_direct(m) == ref
+        assert charpoly_traces(m) == ref
+
+    @pytest.mark.parametrize("fn", [charpoly_direct, charpoly_traces])
+    def test_mixed_radicands_rejected(self, fn):
+        m = PolyMatrix([[ExactComplex.radical(5, 1), 1],
+                        [ScalarPoly.t(), ExactComplex.radical(2, 1, 3)]])
+        with pytest.raises(ValueError, match="mixed radicands 2 and 5"):
+            fn(m)
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError, match="not divisible by 2"):
+            _div_exact(([(4, 3)], None), 2)
+
+
+def _sympy_poly(sympy, p: ScalarPoly, t):
+    def q(f):
+        return sympy.Rational(f.numerator, f.denominator)
+
+    total = sympy.Integer(0)
+    for e, c in p.terms.items():
+        value = q(c.re) + sympy.I * q(c.im)
+        if c.rad:
+            value += (q(c.sre) + sympy.I * q(c.sim)) * sympy.sqrt(c.rad)
+        total += value * t ** e
+    return total
+
+
+class TestSympyOracle:
+    """sympy's charpoly is a third, independent implementation."""
+
+    def _check(self, m):
+        sympy = pytest.importorskip("sympy")
+        t, lam = sympy.symbols("t lam")
+        theirs = sympy.Matrix([[_sympy_poly(sympy, x, t) for x in row] for row in m.rows])
+        theirs = theirs.charpoly(lam).all_coeffs()
+        for cp in (charpoly_direct(m), charpoly_traces(m)):
+            for ours, other in zip(cp.coeffs, theirs, strict=True):
+                assert sympy.expand(_sympy_poly(sympy, ours, t) - other) == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_dense_gaussian_rationals(self, n):
+        rng = random.Random(100 + n)
+
+        def q():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        self._check(PolyMatrix([[ScalarPoly({0: ExactComplex(q(), q()), 1: ExactComplex(q(), q())})
+                                 for _ in range(n)] for _ in range(n)]))
+
+    def test_surd_matrix(self):
+        s2 = ExactComplex(Fraction(1, 2), 1, Fraction(-3, 2), 1, 2)
+        self._check(PolyMatrix([[0, s2, ScalarPoly({1: ec(1, -1)})],
+                                [ScalarPoly({0: 1, 1: s2}), ec(Fraction(2, 3)), 0],
+                                [ExactComplex.radical(2, 1), ScalarPoly.t(), s2]]))
 
 
 class TestClosedForms:
