@@ -8,6 +8,8 @@ Subcommands: analyze, catalog, verify, example, jordan.  Exit codes:
     3  braid loop failed (too coarse or crossing a degeneracy)
     4  numerical rank ambiguity in Jordan detection
     5  a catalog family disagreed with its stored expectation
+    6  numeric check failed (exponent fit or braid cycles disagree with the
+       prediction, or a root iteration did not converge)
 
 Output is deterministic byte-for-byte for fixed input, seed, and version.
 """
@@ -26,8 +28,8 @@ from .charpoly import charpoly_direct
 from .jordan import (DEFAULT_SEED, WeyrAmbiguityError, catalog_families,
                      validate_partition, weyr_structure)
 from .models import Family, build_example, example_names
-from .numeric import (DEFAULT_GRID, LoopDegeneracyError, SampleGrid, braid_loop,
-                      fit_exponents)
+from .numeric import (DEFAULT_GRID, LoopDegeneracyError, NonConvergenceError,
+                      SampleGrid, braid_loop, fit_exponents)
 from .plots import polygon_svg, tropical_csv, tropical_svg
 from .serialize import (ParseError, braid_to_json, charpoly_from_json,
                         charpoly_to_json, dumps, family_to_json,
@@ -37,7 +39,7 @@ from .serialize import (ParseError, braid_to_json, charpoly_from_json,
                         verification_to_json)
 from .tropical import newton_polygon, tropical_roots, tropicalize
 
-OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH = 0, 1, 2, 3, 4, 5
+OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH, CHECK_FAILED = range(7)
 
 
 def _emit(text: str, output):
@@ -172,7 +174,7 @@ def cmd_verify(args) -> int:
             "verification": verification_to_json(result),
             "provenance": _provenance(seed=args.seed, match_tol=args.tol,
                                       t0=args.t0, ratio=args.ratio)}
-    status = OK if result.passed else USAGE
+    status = OK if result.passed else CHECK_FAILED
     if args.braid:
         try:
             braid = braid_loop(family, eps0=args.eps0, steps=args.steps)
@@ -181,7 +183,7 @@ def cmd_verify(args) -> int:
             if predicted is not None:
                 body["braid"]["predicted_cycle_lengths"] = list(predicted)
                 if tuple(predicted) != braid.cycle_lengths:
-                    status = max(status, USAGE)
+                    status = CHECK_FAILED
         except LoopDegeneracyError as exc:
             body["braid"] = {"error": str(exc)}
             _emit(dumps(body), args.output)
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILED
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

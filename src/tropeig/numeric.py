@@ -21,7 +21,6 @@ from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .models import Family
@@ -218,25 +217,61 @@ def cardano_roots(p: complex, q: complex) -> Tuple[complex, complex, complex]:
 # ---------------------------------------------------------------------------
 
 def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
-    """Indices m with new[m[i]] continuing prev[i], min total displacement."""
-    cost = np.abs(np.subtract.outer(np.asarray(prev), np.asarray(new)))
-    rows, cols = linear_sum_assignment(cost)
-    order = [0] * len(prev)
-    for r, c in zip(rows, cols):
-        order[r] = int(c)
+    """Indices m with new[m[i]] continuing prev[i], min total displacement.
+
+    Hungarian method with potentials, O(n^3): row i enters through a
+    shortest augmenting path in reduced costs from column 0, a virtual root.
+    Strict comparisons send ties to the lowest column index.
+    """
+    cost = [[abs(p - q) for q in new] for p in prev]
+    n = len(cost)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    owner = [0] * (n + 1)  # owner[j]: row (1-based) holding column j, 0 if free
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        way = [0] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if not j1:
+                raise ValueError("displacements must be finite numbers")
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    order = [0] * n
+    for j in range(1, n + 1):
+        order[owner[j] - 1] = j - 1
     return order
 
 
-def _match_ambiguous(prev, new, order) -> bool:
-    moves = [abs(prev[i] - new[order[i]]) for i in range(len(prev))]
-    pts = [new[j] for j in order]
-    min_gap = math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            gap = abs(pts[i] - pts[j])
-            if gap > 0:
-                min_gap = min(min_gap, gap)
-    return max(moves) > 0.45 * min_gap if min_gap < math.inf else False
+def _min_gap(eigs: Sequence[complex]) -> float:
+    """Smallest nonzero distance between two eigenvalues, inf if none.
+
+    Flat zero modes come back as repeated exact 0j and are no collision.
+    """
+    gaps = (abs(a - b) for i, a in enumerate(eigs) for b in eigs[i + 1:])
+    return min((g for g in gaps if g > 0), default=math.inf)
 
 
 def track_eigenvalues(eig_fn, params: Sequence[complex]) -> np.ndarray:
@@ -381,7 +416,8 @@ def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64,
     Continuation is nearest-neighbour with recursive step halving whenever a
     matching is ambiguous (displacement comparable to the local eigenvalue
     spacing).  Raises LoopDegeneracyError when eigenvalues approach each
-    other below 1e-3 of the eigenvalue scale, or when halving bottoms out.
+    other below 1e-3 of the eigenvalue scale, or when halving bottoms out;
+    flat zero modes, which coincide exactly, do not count as approaching.
     """
     eig_fn = partial(charpoly_roots_at, family.charpoly)
     phis = [2 * math.pi * k / steps for k in range(steps + 1)]
@@ -393,21 +429,21 @@ def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64,
         raise LoopDegeneracyError("all eigenvalues vanish on the loop")
 
     def gap_check(eigs):
-        gap = min((abs(a - b) for i, a in enumerate(eigs)
-                   for b in eigs[i + 1:]), default=math.inf)
+        gap = _min_gap(eigs)
         if gap < 1e-3 * lam_scale:
             raise LoopDegeneracyError(
                 f"minimum eigenvalue gap {gap:.3e} below 1e-3 of scale; "
                 "loop too coarse or crossing a degeneracy")
+        return gap
 
     gap_check(start)
     current = list(start)
 
     def advance(cur, phi_from, phi_to, depth):
         new = eig_fn(eps0 * cmath.exp(1j * phi_to))
-        gap_check(new)
+        gap = gap_check(new)
         order = _match(cur, new)
-        if _match_ambiguous(cur, new, order):
+        if max(abs(cur[i] - new[order[i]]) for i in range(len(cur))) > 0.45 * gap:
             if depth >= max_depth:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
             mid = (phi_from + phi_to) / 2

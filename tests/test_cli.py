@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +132,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
         assert code == 0 and json.loads(out)["verification"]["pass"]
 
+    def test_disagreeing_file_family_exit(self, tmp_path, capsys):
+        fam = {"matrix": SQRT_T,
+               "expected": {"roots": [{"omega": "1/3", "mult": 2}], "zero_roots": 0}}
+        code, out, _ = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
+        assert code == 6 and not json.loads(out)["verification"]["pass"]
+
+    def test_nonconvergence_exit_without_traceback(self, capsys):
+        code, out, err = run(capsys, "verify", "--example", "hatano_nelson",
+                             "--param", "L=8", "--param", "regime=obc")
+        assert code == 6 and out == ""
+        assert err.startswith("error: root iteration did not converge")
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
@@ -187,3 +203,12 @@ class TestDeterminism:
         _, out1, _ = run(capsys, "analyze", "--matrix", path)
         _, out2, _ = run(capsys, "analyze", "--matrix", path)
         assert out1 == out2
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = "import tropeig.cli, sys; sys.exit('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, timeout=120)
+        assert proc.returncode == 0

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from tropeig.charpoly import CharPoly, PolyMatrix, companion_matrix
-from tropeig.models import Family, cavity_dynamical
+from tropeig.models import Family, build_example, cavity_dynamical
 from tropeig.numeric import (DEFAULT_GRID, BraidPermutation, LoopDegeneracyError,
                              NonConvergenceError, SampleGrid, aberth_roots,
                              braid_loop, cardano_roots, charpoly_roots_at,
-                             eigenvalues_at, fit_exponents, numeric_ord)
+                             _match, eigenvalues_at, fit_exponents, numeric_ord)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import SplittingReport, TropicalRoot
 
@@ -23,6 +24,71 @@ def matched_rel_err(a, b):
     cost = np.abs(np.subtract.outer(np.asarray(a), np.asarray(b)))
     rows, cols = linear_sum_assignment(cost)
     return max(cost[i, j] / max(1.0, abs(b[j])) for i, j in zip(rows, cols))
+
+
+def optimal_cost(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum()), [int(c) for c in cols]
+
+
+def unique_optimum(cost, order):
+    """Whether every assignment other than order costs clearly more.
+
+    Any other assignment avoids some edge (i, order[i]), so forbidding each
+    edge in turn and re-solving finds the runner-up.
+    """
+    n = len(order)
+    if n == 1:
+        return True
+    best = float(cost[range(n), order].sum())
+    for i in range(n):
+        banned = cost.copy()
+        banned[i, order[i]] = np.inf
+        if optimal_cost(banned)[0] <= best + 1e-9 * (1 + best):
+            return False
+    return True
+
+
+points = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_pairs(draw, zeros=0):
+    n = draw(st.integers(1, 12))
+    prev, new = (draw(st.lists(points, min_size=n, max_size=n)) for _ in range(2))
+    for pts in (prev, new):
+        for _ in range(zeros):
+            pts.insert(draw(st.integers(0, len(pts))), 0j)
+    return prev, new
+
+
+class TestMatch:
+    @settings(max_examples=300, deadline=None)
+    @given(point_pairs())
+    def test_minimum_displacement_against_scipy(self, pair):
+        prev, new = pair
+        cost = np.abs(np.subtract.outer(np.asarray(prev), np.asarray(new)))
+        order = _match(prev, new)
+        best, ref = optimal_cost(cost)
+        assert sorted(order) == list(range(len(prev)))
+        assert float(cost[range(len(prev)), order].sum()) == pytest.approx(best, rel=1e-12,
+                                                                          abs=1e-12)
+        if unique_optimum(cost, ref):
+            assert order == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_pairs(zeros=2))
+    def test_duplicate_zeros_give_a_permutation(self, pair):
+        prev, new = pair
+        cost = np.abs(np.subtract.outer(np.asarray(prev), np.asarray(new)))
+        order = _match(prev, new)
+        assert sorted(order) == list(range(len(prev)))
+        assert float(cost[range(len(prev)), order].sum()) == pytest.approx(
+            optimal_cost(cost)[0], rel=1e-12, abs=1e-12)
+
+    def test_nonfinite_displacement_raises(self):
+        with pytest.raises(ValueError):
+            _match([0j, complex("nan")], [0j, 1j])
 
 
 class TestSampleGrid:
@@ -239,6 +305,22 @@ class TestBraid:
         fam = next(f for f in catalogs[3] if f.parameters["constraint"] == "d21=0")
         b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
         assert b.cycle_lengths == (3,)
+
+    @pytest.mark.parametrize("n, name, cycles", [
+        (4, "H[4] only d43", (1, 1, 2)),
+        (4, "H[1,1,1,1] p=q=0", (1, 1, 1, 1)),
+    ])
+    def test_flat_zero_modes_are_no_collision(self, catalogs, n, name, cycles):
+        fam = next(f for f in catalogs[n] if f.name == name)
+        assert fam.expected.zero_root_count == 2
+        b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
+        assert b.cycle_lengths == cycles == fam.expected.predicted_cycle_lengths()
+
+    def test_circuit_gamma_detune_with_flat_modes(self):
+        fam = build_example("circuit_gamma_detune")
+        assert fam.expected.zero_root_count == 2
+        b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
+        assert b.cycle_lengths == (1, 1, 4) == fam.expected.predicted_cycle_lengths()
 
     def test_degenerate_loop_raises(self, catalogs):
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
