@@ -18,27 +18,30 @@ Both run on an integer kernel rather than on ScalarPoly/ExactComplex
 objects.  On entry the matrix is scaled by D, the lcm of the denominators of
 every component of every coefficient, so that D*M has entries in
 Z[i][t] or, when M holds one surd sqrt(rad), in Z[i, sqrt(rad)][t].  A
-kernel polynomial is a pair (dense coefficient list, trunc); a coefficient
-is a tuple of Python ints, (re, im) over Z[i] or (re, im, sre, sim) for
-re + im*i + (sre + sim*i)*sqrt(rad).  Truncation orders are folded with
-ScalarPoly._join_trunc over every product and sum in the same order as the
-ScalarPoly expressions would, so a zero times a truncated entry still
-carries the truncation.  The coefficients of D*M's characteristic polynomial
-are algebraic integers, so the traces recursion divides by k exactly (and
-raises if it ever would not).  On exit a_k of D*M is divided by D^k and
-rebuilt as ExactComplex values.  A matrix mixing two radicands is rejected
-with the same ValueError that ExactComplex raises.
+kernel polynomial is a dense coefficient list; a coefficient is a tuple of
+Python ints, (re, im) over Z[i] or (re, im, sre, sim) for
+re + im*i + (sre + sim*i)*sqrt(rad).  The kernel computes exactly and the
+truncation is decided once: a_0 is exact, a_1 = -tr M is known below the
+smallest truncation order on the diagonal, and every a_k with k >= 2 below
+the smallest order anywhere in M.  That is what joining both operands'
+orders at every product and sum gives (a zero times a truncated entry stays
+truncated), and as exponents are non-negative, dropping the unknown terms
+once at the end equals cutting them at every step.  The coefficients of
+D*M's characteristic polynomial are algebraic integers, so the traces
+recursion divides by k exactly (and raises if it ever would not).  On exit
+a_k of D*M is divided by D^k and rebuilt as ExactComplex values.  A matrix
+mixing two radicands is rejected with the same ValueError as ExactComplex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import EC_ONE, ExactComplex, invert_matrix
+from .exact import ExactComplex, invert_matrix
 from .poly import ScalarPoly
 
 
@@ -157,9 +160,6 @@ class CharPoly:
                 break
         return k
 
-    def coeffs_at(self, t: complex) -> list:
-        return [c.evaluate(t) for c in self.coeffs]
-
     def evaluate(self, lam: complex, t: complex) -> complex:
         acc = 0j
         for c in self.coeffs:
@@ -187,7 +187,7 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
     n = len(rows)
     one = _one(rad)
     cols = list(zip(*rows))
-    s = [None]  # s[k] = tr(M^k), summed like PolyMatrix.trace
+    s = [None]  # s[k] = tr(M^k)
     power = rows
     for k in range(1, n + 1):
         s.append(_dot([power[i][i] for i in range(n)], [one] * n, rad))
@@ -197,23 +197,22 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
     for k in range(1, n + 1):
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
         a.append(_div_exact(_dot(a[:k], s[k:0:-1], rad), -k))
-    return _from_kernel(a, rad, den)
+    return _from_kernel(a, _coeff_orders(m), rad, den)
 
 
 def charpoly_direct(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via the Berkowitz division-free expansion."""
     rows, rad, den = _to_kernel(m)
-    return _from_kernel(_berkowitz(rows, rad), rad, den)
+    return _from_kernel(_berkowitz(rows, rad), _coeff_orders(m), rad, den)
 
 
 def _berkowitz(a, rad) -> list:
     n = len(a)
-    one = _one(rad)
+    items = [_one(rad), _neg(a[0][0])]
     if n == 1:
-        return [one, _neg(a[0][0])]
+        return items
     r = a[0][1:]
     b = [row[1:] for row in a[1:]]
-    items = [one, _neg(a[0][0])]
     v = [row[0] for row in a[1:]]
     for k in range(2, n + 1):
         items.append(_neg(_dot(r, v, rad)))
@@ -230,7 +229,7 @@ def _berkowitz(a, rad) -> list:
 # -- integer kernel (see the module docstring) --------------------------------
 
 def _to_kernel(m: PolyMatrix):
-    """(rows, rad, den): the entries of den * M as kernel polynomials."""
+    """(rows, rad, den): the known terms of den * M as kernel polynomials."""
     den, rads = 1, set()
     for row in m.rows:
         for p in row:
@@ -252,18 +251,27 @@ def _to_kernel(m: PolyMatrix):
         coeffs = [(0, 0, 0, 0) if rad else (0, 0)] * (max(p.terms) + 1 if p.terms else 0)
         for e, c in p.terms.items():
             coeffs[e] = scaled(c)
-        return coeffs, p.trunc
+        return coeffs
 
     return [[entry(p) for p in row] for row in m.rows], rad, den
 
 
-def _from_kernel(coeffs, rad, den) -> CharPoly:
-    """CharPoly of M from the kernel coefficients a_k of den * M: a_k / den^k."""
+def _coeff_orders(m: PolyMatrix) -> list:
+    """Truncation order of each a_k, None where exact (see the module docstring)."""
+    def least(polys):
+        return min((p.trunc for p in polys if p.trunc is not None), default=None)
+    diag = least(m.rows[i][i] for i in range(m.n))
+    return [None, diag] + [least(p for row in m.rows for p in row)] * (m.n - 1)
+
+
+def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
+    """CharPoly of M from the kernel coefficients a_k of den * M: a_k / den^k,
+    cut at its truncation order."""
     out = []
-    for k, (poly, trunc) in enumerate(coeffs):
+    for k, (poly, trunc) in enumerate(zip(coeffs, orders)):
         dk = den ** k
         terms = {}
-        for e, c in enumerate(poly):
+        for e, c in enumerate(poly[:trunc]):
             if any(c):
                 parts = [Fraction(x, dk) for x in c]
                 terms[e] = ExactComplex(*parts, rad) if rad else ExactComplex(*parts)
@@ -272,43 +280,27 @@ def _from_kernel(coeffs, rad, den) -> CharPoly:
 
 
 def _one(rad):
-    return [(1, 0, 0, 0) if rad else (1, 0)], None
+    return [(1, 0, 0, 0) if rad else (1, 0)]
 
 
 def _neg(p):
-    coeffs, trunc = p
-    return [tuple(-x for x in c) for c in coeffs], trunc
+    return [tuple(-x for x in c) for c in p]
 
 
 def _div_exact(p, k: int):
     """p / k for a polynomial whose components are all multiples of k."""
-    coeffs, trunc = p
-    out = []
-    for c in coeffs:
-        q = []
+    for c in p:
         for x in c:
-            d, r = divmod(x, k)
-            if r:
+            if x % k:
                 raise ArithmeticError(f"traces recursion: {x} is not divisible by {k}")
-            q.append(d)
-        out.append(tuple(q))
-    return out, trunc
+    return [tuple(x // k for x in c) for c in p]
 
 
 def _dot(row, col, rad):
-    """Sum of row[j] * col[j] over kernel polynomials.
-
-    The truncation order is folded with ScalarPoly._join_trunc over every
-    product and every sum, as in the ScalarPoly expression
-    zero + row[0] * col[0] + row[1] * col[1] + ...: a product with a zero
-    factor adds no terms but still carries the other factor's truncation.
-    """
-    join = ScalarPoly._join_trunc
+    """Sum of row[j] * col[j] over kernel polynomials."""
     fma = _fma_surd if rad else _fma_gauss
     acc = [[] for _ in range(4 if rad else 2)]
-    trunc = None
-    for (a, ta), (b, tb) in zip(row, col):
-        trunc = join(trunc, join(ta, tb))
+    for a, b in zip(row, col):
         if a and b:
             need = len(a) + len(b) - 1 - len(acc[0])
             if need > 0:
@@ -316,11 +308,9 @@ def _dot(row, col, rad):
                     comp.extend([0] * need)
             fma(acc, a, b, rad)
     coeffs = list(zip(*acc))
-    if trunc is not None:
-        del coeffs[trunc:]
     while coeffs and not any(coeffs[-1]):
         coeffs.pop()
-    return coeffs, trunc
+    return coeffs
 
 
 def _fma_gauss(acc, a, b, rad):

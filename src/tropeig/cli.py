@@ -253,8 +253,14 @@ def cmd_jordan(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit USAGE: argparse's own 2 means "undetermined" here
+        self.print_usage(sys.stderr)
+        self.exit(USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tropeig",
         description="Exact Newton-polygon / tropical classification of "
                     "eigenvalue splitting at non-Hermitian degeneracies")

@@ -87,10 +87,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return not (self.re == 0 and self.im == 0 and self.sre == 0 and self.sim == 0)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.im == 0 and self.sre == 0 and self.sim == 0
-
     def _join_rad(self, other: "ExactComplex") -> int:
         if self.rad and other.rad and self.rad != other.rad:
             raise ValueError(f"mixed radicands {self.rad} and {other.rad}")

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import CharPoly, PolyMatrix, build_direction_matrix, charpoly_traces
+from .charpoly import (CharPoly, PolyMatrix, build_direction_matrix, charpoly_traces,
+                       substitute_direction)
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
 from .models import Family
 # tropical_roots is not called here; the binding stays importable for the
@@ -226,10 +227,6 @@ def _alpha_matches(cp: CharPoly, alpha) -> bool:
     return True
 
 
-def _coeff_composite(cp: CharPoly, i: int, power: int) -> ExactComplex:
-    return cp.coefficient(i).coefficient(power)
-
-
 def _solve_linear(template, direction, var, i, power) -> Optional[ExactComplex]:
     """Exact value of `var` cancelling the t^power part of a_i, if unique.
 
@@ -238,9 +235,9 @@ def _solve_linear(template, direction, var, i, power) -> Optional[ExactComplex]:
     determine the line.
     """
     d0 = dict(direction, **{var: EC_ZERO})
-    c0 = _coeff_composite(charpoly_traces(build_direction_matrix(template, d0)), i, power)
+    c0 = substitute_direction(template, d0).coefficient(i).coefficient(power)
     d1 = dict(direction, **{var: EC_ONE})
-    c1 = _coeff_composite(charpoly_traces(build_direction_matrix(template, d1)), i, power)
+    c1 = substitute_direction(template, d1).coefficient(i).coefficient(power)
     slope = c1 - c0
     if not slope:
         return None

@@ -418,7 +418,11 @@ def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64,
     spacing).  Raises LoopDegeneracyError when eigenvalues approach each
     other below 1e-3 of the eigenvalue scale, or when halving bottoms out;
     flat zero modes, which coincide exactly, do not count as approaching.
+    Raises ValueError unless steps >= 1 and eps0 is finite.
     """
+    if steps < 1 or not math.isfinite(eps0):
+        raise ValueError(f"braid loop needs steps >= 1 and a finite eps0, "
+                         f"got steps={steps}, eps0={eps0}")
     eig_fn = partial(charpoly_roots_at, family.charpoly)
     phis = [2 * math.pi * k / steps for k in range(steps + 1)]
 

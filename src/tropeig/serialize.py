@@ -90,6 +90,8 @@ def scalarpoly_from_json(obj, path: str) -> ScalarPoly:
         exp = item["exp"]
         if not isinstance(exp, int) or exp < 0:
             raise ParseError(f"{tpath}.exp", "exponent must be a non-negative int")
+        if exp in terms:
+            raise ParseError(f"{tpath}.exp", f"repeated exponent {exp}")
         terms[exp] = exact_from_json(item, tpath)
     return ScalarPoly(terms, trunc)
 
@@ -143,6 +145,12 @@ def report_to_json(r: SplittingReport) -> dict:
             "undetermined": r.undetermined}
 
 
+def _count(x, least: int, path: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise ParseError(path, f"expected an int >= {least}, got {x!r}")
+    return x
+
+
 def report_from_json(obj, path: str = "$") -> SplittingReport:
     if not isinstance(obj, dict) or "roots" not in obj:
         raise ParseError(path, "expected an object with a 'roots' field")
@@ -152,8 +160,9 @@ def report_from_json(obj, path: str = "$") -> SplittingReport:
         if not isinstance(item, dict) or "omega" not in item or "mult" not in item:
             raise ParseError(rpath, "root needs 'omega' and 'mult'")
         roots.append(TropicalRoot(parse_frac(item["omega"], f"{rpath}.omega"),
-                                  item["mult"]))
-    return SplittingReport(tuple(roots), obj.get("zero_roots", 0),
+                                  _count(item["mult"], 1, f"{rpath}.mult")))
+    return SplittingReport(tuple(roots),
+                           _count(obj.get("zero_roots", 0), 0, f"{path}.zero_roots"),
                            bool(obj.get("undetermined", False)))
 
 

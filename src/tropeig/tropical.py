@@ -133,9 +133,6 @@ class SplittingReport:
     def total_dimension(self) -> int:
         return self.zero_root_count + sum(r.multiplicity for r in self.roots)
 
-    def nonzero_roots(self) -> Tuple[TropicalRoot, ...]:
-        return tuple(r for r in self.roots if r.omega > 0)
-
     def predicted_cycle_lengths(self) -> Optional[Tuple[int, ...]]:
         """Cycle structure of the braid around t = 0, series by series.
 

@@ -123,6 +123,8 @@ class TestKernelAgainstReference:
     @given(exact_matrices())
     # an exact zero times a truncated entry is a truncated zero: a_2 = O(t^2)
     @example(PolyMatrix([[0, 0], [0, ScalarPoly.zero(2)]]))
+    # an off-diagonal truncation leaves a_1 exact but truncates a_2
+    @example(PolyMatrix([[1, ScalarPoly.zero(1)], [ScalarPoly.monomial(2), 0]]))
     def test_direct_traces_reference_agree(self, m):
         ref = CharPoly(reference_berkowitz([list(row) for row in m.rows]))
         assert charpoly_direct(m) == ref
@@ -137,7 +139,7 @@ class TestKernelAgainstReference:
 
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError, match="not divisible by 2"):
-            _div_exact(([(4, 3)], None), 2)
+            _div_exact([(4, 3)], 2)
 
 
 def _sympy_poly(sympy, p: ScalarPoly, t):
@@ -194,6 +196,14 @@ class TestClosedForms:
         cp = charpoly_traces(PolyMatrix([[0, 1], [ScalarPoly.t(), 0]]))
         assert cp.coefficient(1) == ScalarPoly.zero()
         assert cp.coefficient(2) == ScalarPoly.monomial(1, -1)
+
+    def test_truncation_orders(self):
+        # a_1 = -tr M sees only the diagonal, a_2 = det M every entry
+        m = PolyMatrix([[1, ScalarPoly.zero(1)], [ScalarPoly.monomial(2), 0]])
+        for fn in (charpoly_direct, charpoly_traces):
+            cp = fn(m)
+            assert cp.coefficient(1) == ScalarPoly.const(-1)
+            assert cp.coefficient(2) == ScalarPoly.zero(1)
 
     def test_companion(self):
         coeffs = [ScalarPoly.const(1), ScalarPoly.monomial(1, 2),

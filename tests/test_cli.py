@@ -144,6 +144,19 @@ class TestVerify:
         assert code == 6 and out == ""
         assert err.startswith("error: root iteration did not converge")
 
+    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--steps", "-3"], ["--eps0", "nan"]])
+    def test_bad_braid_arguments_exit(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--jordan", "3", "--braid", *flag)
+        assert code == 1 and out == ""
+        assert err.startswith("error: braid loop needs steps >= 1")
+
+    def test_repeated_exponent_exit(self, tmp_path, capsys):
+        one = {"exp": 1, "re": "1", "im": "0"}
+        cp = {"coeffs": [[{"exp": 0, "re": "1", "im": "0"}], [],
+                         [one, dict(one, re="-1")]]}
+        code, _, err = run(capsys, "verify", "--file", write(tmp_path, "c.json", {"charpoly": cp}))
+        assert code == 1 and "repeated exponent 1" in err
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
@@ -195,6 +208,22 @@ class TestJordanCommand:
                            "--eigenvalue", "0", "--tol", "1e-6")
         assert code == 4
         assert "singular_value_gaps" in json.loads(out)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [["verify", "--count", "abc"], ["catalog", "7"],
+                                      ["frobnicate"]])
+    def test_argument_errors_exit_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
 
 
 class TestDeterminism:

@@ -322,6 +322,13 @@ class TestBraid:
         b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
         assert b.cycle_lengths == (1, 1, 4) == fam.expected.predicted_cycle_lengths()
 
+    @pytest.mark.parametrize("eps0, steps", [
+        (BRAID_EPS, 0), (BRAID_EPS, -3), (math.nan, 16), (math.inf, 16)])
+    def test_bad_arguments_rejected(self, catalogs, eps0, steps):
+        fam = catalogs[2][0]
+        with pytest.raises(ValueError, match="steps >= 1 and a finite eps0"):
+            braid_loop(fam, eps0=eps0, steps=steps)
+
     def test_degenerate_loop_raises(self, catalogs):
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
         with pytest.raises(LoopDegeneracyError):

@@ -48,6 +48,11 @@ class TestScalarRoundTrip:
         with pytest.raises(ParseError, match=r"\$\[0\]\.exp"):
             scalarpoly_from_json([{"exp": -1, "re": "1", "im": "0"}], "$")
 
+    def test_repeated_exponent_rejected(self):
+        terms = [{"exp": 1, "re": "1", "im": "0"}, {"exp": 1, "re": "-1", "im": "0"}]
+        with pytest.raises(ParseError, match=r"\$\[1\]\.exp: repeated exponent 1"):
+            scalarpoly_from_json(terms, "$")
+
 
 class TestMatrixRoundTrip:
     def test_random_matrices(self):
@@ -89,6 +94,19 @@ class TestReportRoundTrip:
                                TropicalRoot(Fraction(1), 1)), 3, False)
         blob = json.loads(json.dumps(report_to_json(rep)))
         assert report_from_json(blob) == rep
+
+    @pytest.mark.parametrize("root, zero_roots, where", [
+        ({"omega": "1/2", "mult": 2.0}, 0, r"roots\[0\]\.mult"),
+        ({"omega": "1/2", "mult": "2"}, 0, r"roots\[0\]\.mult"),
+        ({"omega": "1/2", "mult": True}, 0, r"roots\[0\]\.mult"),
+        ({"omega": "1/2", "mult": 0}, 0, r"roots\[0\]\.mult"),
+        ({"omega": "1/2", "mult": 2}, -1, r"\$\.zero_roots"),
+        ({"omega": "1/2", "mult": 2}, False, r"\$\.zero_roots"),
+        ({"omega": "1/2", "mult": 2}, 1.0, r"\$\.zero_roots"),
+    ])
+    def test_counts_must_be_ints(self, root, zero_roots, where):
+        with pytest.raises(ParseError, match=where):
+            report_from_json({"roots": [root], "zero_roots": zero_roots})
 
     def test_exact_omega_strings(self):
         rep = SplittingReport((TropicalRoot(Fraction(2, 3), 3),), 0)
