@@ -35,9 +35,10 @@ mixing two radicands is rejected with the same ValueError as ExactComplex.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -45,21 +46,20 @@ from .exact import ExactComplex, invert_matrix
 from .poly import ScalarPoly
 
 
+@dataclass(frozen=True, slots=True)
 class PolyMatrix:
     """Square matrix of ScalarPoly entries, immutable after construction."""
 
-    __slots__ = ("n", "rows")
+    rows: Tuple[Tuple[ScalarPoly, ...], ...]  # any square nested sequence on input
+    n: int = field(init=False)
 
-    def __init__(self, entries: Sequence[Sequence]):
-        n = len(entries)
-        if n < 1 or any(len(r) != n for r in entries):
+    def __post_init__(self):
+        n = len(self.rows)
+        if n < 1 or any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square and non-empty")
+        rows = tuple(tuple(ScalarPoly.from_value(x) for x in row) for row in self.rows)
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "rows", tuple(tuple(ScalarPoly.from_value(x) for x in row) for row in entries))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
@@ -68,12 +68,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __add__(self, other):
         return PolyMatrix([[a + b for a, b in zip(r1, r2)]
@@ -122,26 +116,19 @@ class PolyMatrix:
         return f"PolyMatrix(n={self.n})"
 
 
+@dataclass(frozen=True, slots=True)
 class CharPoly:
     """Monic degree-n polynomial in lambda with ScalarPoly coefficients."""
 
-    __slots__ = ("n", "coeffs")
+    coeffs: Tuple[ScalarPoly, ...]
+    n: int = field(init=False)
 
-    def __init__(self, coeffs: Sequence):
-        coeffs = tuple(ScalarPoly.from_value(c) for c in coeffs)
+    def __post_init__(self):
+        coeffs = tuple(ScalarPoly.from_value(c) for c in self.coeffs)
         if len(coeffs) < 2 or coeffs[0] != ScalarPoly.const(1):
             raise ValueError("coefficients must start with the constant 1")
         object.__setattr__(self, "n", len(coeffs) - 1)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CharPoly is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, CharPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def coefficient(self, i: int) -> ScalarPoly:
         """a_i, the coefficient of lambda^(n-i)."""

@@ -54,6 +54,8 @@ def _load_json(path: str):
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ParseError(path, "file not found")
+    except OSError as exc:  # a directory, no permission, ...
+        raise ParseError(path, exc.strerror)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
 
@@ -82,11 +84,7 @@ def _parse_param(item: str):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    if bool(args.matrix) == bool(args.charpoly):
-        print("analyze: exactly one of --matrix / --charpoly is required",
-              file=sys.stderr)
-        return USAGE
-    if args.matrix:
+    if args.matrix is not None:
         cp = charpoly_direct(polymatrix_from_json(_load_json(args.matrix)))
     else:
         cp = charpoly_from_json(_load_json(args.charpoly))
@@ -138,10 +136,10 @@ def cmd_catalog(args) -> int:
 
 
 def _resolve_family(args) -> Family:
-    if args.example:
+    if args.example is not None:
         params = dict(_parse_param(p) for p in args.param or [])
         return build_example(args.example, **params)
-    if args.jordan:
+    if args.jordan is not None:
         partition = validate_partition(int(x) for x in args.jordan.split(","))
         for fam in catalog_families(sum(partition), seed=args.seed):
             if (fam.parameters["partition"] == partition
@@ -149,20 +147,18 @@ def _resolve_family(args) -> Family:
                 return fam
         raise ParseError("--constraint",
                          f"no family '{args.constraint}' for partition {partition}")
-    if args.file:
-        obj = _load_json(args.file)
-        if "matrix" in obj:
-            realization = polymatrix_from_json(obj["matrix"], "$.matrix")
-        elif "charpoly" in obj:
-            realization = charpoly_from_json(obj["charpoly"], "$.charpoly")
-        else:
-            raise ParseError("$", "family file needs 'matrix' or 'charpoly'")
-        family = Family(obj.get("name", args.file), realization)
-        # file families may omit the expectation; derive it from the input
-        expected = (report_from_json(obj["expected"], "$.expected") if "expected" in obj
-                    else tropical_roots(family.charpoly))
-        return dataclasses.replace(family, expected=expected, known_charpoly=family.charpoly)
-    raise ParseError("verify", "one of --example / --jordan / --file is required")
+    obj = _load_json(args.file)
+    if "matrix" in obj:
+        realization = polymatrix_from_json(obj["matrix"], "$.matrix")
+    elif "charpoly" in obj:
+        realization = charpoly_from_json(obj["charpoly"], "$.charpoly")
+    else:
+        raise ParseError("$", "family file needs 'matrix' or 'charpoly'")
+    family = Family(obj.get("name", args.file), realization)
+    # file families may omit the expectation; derive it from the input
+    expected = (report_from_json(obj["expected"], "$.expected") if "expected" in obj
+                else tropical_roots(family.charpoly))
+    return dataclasses.replace(family, expected=expected, known_charpoly=family.charpoly)
 
 
 def cmd_verify(args) -> int:
@@ -268,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="splitting report for a matrix or charpoly")
-    p.add_argument("--matrix", help="PolyMatrix JSON file")
-    p.add_argument("--charpoly", help="CharPoly JSON file")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--matrix", help="PolyMatrix JSON file")
+    src.add_argument("--charpoly", help="CharPoly JSON file")
     p.add_argument("--output", "-o")
     p.add_argument("--emit-tropical-plot", metavar="CSV")
     p.add_argument("--emit-svg", metavar="SVG")
@@ -284,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify", help="numerically verify predicted exponents")
-    p.add_argument("--example", choices=example_names())
-    p.add_argument("--jordan", metavar="PARTITION", help="e.g. '4' or '2,1'")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--example", choices=example_names())
+    src.add_argument("--jordan", metavar="PARTITION", help="e.g. '4' or '2,1'")
+    src.add_argument("--file", help="family JSON with matrix/charpoly and expected")
     p.add_argument("--constraint", default="generic")
-    p.add_argument("--file", help="family JSON with matrix/charpoly and expected")
     p.add_argument("--param", action="append", metavar="K=V")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--t0", type=float, default=DEFAULT_GRID.t0)

@@ -71,16 +71,12 @@ class ExactComplex:
     def from_value(x) -> "ExactComplex":
         if isinstance(x, ExactComplex):
             return x
-        return ExactComplex(_as_fraction(x))
-
-    @staticmethod
-    def make(re, im=0) -> "ExactComplex":
-        return ExactComplex(_as_fraction(re), _as_fraction(im))
+        return ExactComplex(x)
 
     @staticmethod
     def radical(rad: int, sre, sim=0) -> "ExactComplex":
         """(sre + sim*i) * sqrt(rad)."""
-        return ExactComplex(_ZERO, _ZERO, _as_fraction(sre), _as_fraction(sim), rad)
+        return ExactComplex(_ZERO, _ZERO, sre, sim, rad)
 
     # -- predicates --------------------------------------------------------
 
@@ -183,7 +179,7 @@ EC_I = ExactComplex(_ZERO, Fraction(1))
 
 def ec(re, im=0) -> ExactComplex:
     """Shorthand Gaussian-rational constructor."""
-    return ExactComplex.make(re, im)
+    return ExactComplex(re, im)
 
 
 def invert_matrix(rows):

@@ -136,81 +136,77 @@ class _FamilySpec:
     solve: Tuple[Tuple[str, int, int], ...] = ()  # (var, i, power)
 
 
-def _fr(p, q=1):
-    return Fraction(p, q)
-
-
 _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
     2: [
-        _FamilySpec((1, 1), "generic", True, (0, None, 2), ((_fr(1), 2),), 0),
+        _FamilySpec((1, 1), "generic", True, (0, None, 2), ((Fraction(1), 2),), 0),
         _FamilySpec((1, 1), "unlifting", False, (0, None, None), (), 2,
                     solve=(("d21", 2, 2),)),
-        _FamilySpec((2,), "generic", True, (0, None, 1), ((_fr(1, 2), 2),), 0),
+        _FamilySpec((2,), "generic", True, (0, None, 1), ((Fraction(1, 2), 2),), 0),
     ],
     3: [
-        _FamilySpec((1, 1, 1), "generic", True, (0, None, 2, 3), ((_fr(1), 3),), 0),
-        _FamilySpec((1, 1, 1), "q=0", False, (0, None, 2, None), ((_fr(1), 2),), 1,
+        _FamilySpec((1, 1, 1), "generic", True, (0, None, 2, 3), ((Fraction(1), 3),), 0),
+        _FamilySpec((1, 1, 1), "q=0", False, (0, None, 2, None), ((Fraction(1), 2),), 1,
                     zeros=("d11", "d33", "d13", "d31")),
         _FamilySpec((1, 1, 1), "p=q=0", False, (0, None, None, None), (), 3,
                     zeros=("d11", "d13", "d21", "d23", "d31", "d32", "d33"),
                     fixed=(("d12", 1),)),
         _FamilySpec((2, 1), "generic", True, (0, None, 1, 2),
-                    ((_fr(1, 2), 2), (_fr(1), 1)), 0),
-        _FamilySpec((2, 1), "d21=0", False, (0, None, 2, 2), ((_fr(2, 3), 3),), 0,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 0),
+        _FamilySpec((2, 1), "d21=0", False, (0, None, 2, 2), ((Fraction(2, 3), 3),), 0,
                     zeros=("d21",)),
-        _FamilySpec((2, 1), "d21=0,q=0", False, (0, None, 2, None), ((_fr(1), 2),), 1,
+        _FamilySpec((2, 1), "d21=0,q=0", False, (0, None, 2, None), ((Fraction(1), 2),), 1,
                     zeros=("d21", "d31")),
-        _FamilySpec((2, 1), "q=0", False, (0, None, 1, None), ((_fr(1, 2), 2),), 1,
+        _FamilySpec((2, 1), "q=0", False, (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
                     solve=(("d31", 3, 2),)),
-        _FamilySpec((3,), "generic", True, (0, None, 1, 1), ((_fr(1, 3), 3),), 0),
-        _FamilySpec((3,), "d31=0", False, (0, None, 1, None), ((_fr(1, 2), 2),), 1,
+        _FamilySpec((3,), "generic", True, (0, None, 1, 1), ((Fraction(1, 3), 3),), 0),
+        _FamilySpec((3,), "d31=0", False, (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
                     zeros=("d31",)),
     ],
     4: [
-        _FamilySpec((1, 1, 1, 1), "generic", True, (0, None, 2, 3, 4), ((_fr(1), 4),), 0),
-        _FamilySpec((1, 1, 1, 1), "r=0", False, (0, None, None, 3, 4), ((_fr(1), 4),), 0,
+        _FamilySpec((1, 1, 1, 1), "generic", True, (0, None, 2, 3, 4), ((Fraction(1), 4),), 0),
+        _FamilySpec((1, 1, 1, 1), "r=0", False, (0, None, None, 3, 4), ((Fraction(1), 4),), 0,
                     solve=(("d12", 2, 2),)),
-        _FamilySpec((1, 1, 1, 1), "p=0", False, (0, None, 2, None, 4), ((_fr(1), 4),), 0,
+        _FamilySpec((1, 1, 1, 1), "p=0", False, (0, None, 2, None, 4), ((Fraction(1), 4),), 0,
                     solve=(("d12", 3, 3),)),
-        _FamilySpec((1, 1, 1, 1), "q=0", False, (0, None, 2, 3, None), ((_fr(1), 3),), 1,
+        _FamilySpec((1, 1, 1, 1), "q=0", False, (0, None, 2, 3, None), ((Fraction(1), 3),), 1,
                     solve=(("d14", 4, 4),)),
-        _FamilySpec((1, 1, 1, 1), "p=q=0", False, (0, None, 2, None, None), ((_fr(1), 2),), 2,
+        _FamilySpec((1, 1, 1, 1), "p=q=0", False, (0, None, 2, None, None), ((Fraction(1), 2),), 2,
                     zeros=("d11", "d13", "d14", "d22", "d23", "d24",
                            "d31", "d32", "d41", "d42", "d43", "d44"),
                     fixed=(("d12", 1), ("d21", 1), ("d34", 1))),
         _FamilySpec((2, 1, 1), "generic", True, (0, None, 1, 2, 3),
-                    ((_fr(1, 2), 2), (_fr(1), 2)), 0),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), 0),
         _FamilySpec((2, 1, 1), "d21=0", False, (0, None, 2, 2, 3),
-                    ((_fr(2, 3), 3), (_fr(1), 1)), 0, zeros=("d21",)),
+                    ((Fraction(2, 3), 3), (Fraction(1), 1)), 0, zeros=("d21",)),
         _FamilySpec((2, 1, 1), "p=0", False, (0, None, 1, None, 3),
-                    ((_fr(1, 2), 2), (_fr(1), 2)), 0, solve=(("d24", 3, 2),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), 0, solve=(("d24", 3, 2),)),
         _FamilySpec((2, 1, 1), "q=0", False, (0, None, 1, 2, None),
-                    ((_fr(1, 2), 2), (_fr(1), 1)), 1, solve=(("d34", 4, 3),)),
-        _FamilySpec((2, 2), "generic", True, (0, None, 1, 2, 2), ((_fr(1, 2), 4),), 0),
-        _FamilySpec((2, 2), "d21=d43=0", False, (0, None, 2, 2, 2), ((_fr(1, 2), 4),), 0,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 1, solve=(("d34", 4, 3),)),
+        _FamilySpec((2, 2), "generic", True, (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0),
+        _FamilySpec((2, 2), "d21=d43=0", False, (0, None, 2, 2, 2), ((Fraction(1, 2), 4),), 0,
                     zeros=("d21", "d43")),
         _FamilySpec((2, 2), "p=0", False, (0, None, 1, 2, 3),
-                    ((_fr(1, 2), 2), (_fr(1), 2)), 0, solve=(("d23", 4, 2),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), 0, solve=(("d23", 4, 2),)),
         _FamilySpec((2, 2), "d21=d43=0,p=0", False, (0, None, 2, 2, 3),
-                    ((_fr(2, 3), 3), (_fr(1), 1)), 0, zeros=("d21", "d43", "d23")),
+                    ((Fraction(2, 3), 3), (Fraction(1), 1)), 0, zeros=("d21", "d43", "d23")),
         _FamilySpec((2, 2), "p=q=0", False, (0, None, 1, 2, None),
-                    ((_fr(1, 2), 2), (_fr(1), 1)), 1,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 1,
                     zeros=("d24", "d44"),
                     fixed=(("d21", 1), ("d43", 1), ("d23", 1), ("d41", 1), ("d31", 1))),
         _FamilySpec((3, 1), "generic", True, (0, None, 1, 1, 2),
-                    ((_fr(1, 3), 3), (_fr(1), 1)), 0),
-        _FamilySpec((3, 1), "q=0", False, (0, None, 1, 1, None), ((_fr(1, 3), 3),), 1,
+                    ((Fraction(1, 3), 3), (Fraction(1), 1)), 0),
+        _FamilySpec((3, 1), "q=0", False, (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
                     solve=(("d34", 4, 2),)),
-        _FamilySpec((3, 1), "d31=0", False, (0, None, 1, 2, 2), ((_fr(1, 2), 4),), 0,
+        _FamilySpec((3, 1), "d31=0", False, (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0,
                     zeros=("d31",)),
         _FamilySpec((3, 1), "d32=0", False, (0, None, 2, 1, 2),
-                    ((_fr(1, 3), 3), (_fr(1), 1)), 0, zeros=("d32",)),
+                    ((Fraction(1, 3), 3), (Fraction(1), 1)), 0, zeros=("d32",)),
         _FamilySpec((3, 1), "d31=0,q=0", False, (0, None, 1, 2, None),
-                    ((_fr(1, 2), 2), (_fr(1), 1)), 1, zeros=("d31", "d41")),
-        _FamilySpec((4,), "generic", True, (0, None, 1, 1, 1), ((_fr(1, 4), 4),), 0),
-        _FamilySpec((4,), "d41=0", False, (0, None, 1, 1, None), ((_fr(1, 3), 3),), 1,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 1, zeros=("d31", "d41")),
+        _FamilySpec((4,), "generic", True, (0, None, 1, 1, 1), ((Fraction(1, 4), 4),), 0),
+        _FamilySpec((4,), "d41=0", False, (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
                     zeros=("d41",)),
-        _FamilySpec((4,), "only d43", False, (0, None, 1, None, None), ((_fr(1, 2), 2),), 2,
+        _FamilySpec((4,), "only d43", False, (0, None, 1, None, None), ((Fraction(1, 2), 2),), 2,
                     zeros=("d41", "d42")),
     ],
 }
@@ -230,9 +226,10 @@ def _alpha_matches(cp: CharPoly, alpha) -> bool:
 def _solve_linear(template, direction, var, i, power) -> Optional[ExactComplex]:
     """Exact value of `var` cancelling the t^power part of a_i, if unique.
 
-    Every placeholder occupies a single matrix position, so each
-    characteristic coefficient is affine in each slope; two evaluations
-    determine the line.
+    Every `solve` variable occupies a single matrix position (diagonal
+    placeholders such as d11 may fill two, but are never solved for), and a
+    determinant is affine in any one entry, so a_i is affine in that slope;
+    two evaluations determine the line.
     """
     d0 = dict(direction, **{var: EC_ZERO})
     c0 = substitute_direction(template, d0).coefficient(i).coefficient(power)

@@ -60,29 +60,23 @@ class Ord:
         return f">={self.value}?"
 
 
-def _coerce(c) -> ExactComplex:
-    return ExactComplex.from_value(c)
-
-
+@dataclass(frozen=True, slots=True)
 class ScalarPoly:
     """Immutable sparse polynomial/truncated series over ExactComplex."""
 
-    __slots__ = ("terms", "trunc")
+    terms: Optional[dict] = None  # exponent -> coefficient; zeros and terms >= trunc dropped
+    trunc: Optional[int] = None
 
-    def __init__(self, terms=None, trunc: Optional[int] = None):
+    def __post_init__(self):
         clean = {}
-        if terms:
-            for e, c in terms.items():
+        if self.terms:
+            for e, c in self.terms.items():
                 if e < 0:
                     raise ValueError("negative exponent")
-                c = _coerce(c)
-                if c and (trunc is None or e < trunc):
+                c = ExactComplex.from_value(c)
+                if c and (self.trunc is None or e < self.trunc):
                     clean[e] = c
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ScalarPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -92,11 +86,11 @@ class ScalarPoly:
 
     @staticmethod
     def const(c) -> "ScalarPoly":
-        return ScalarPoly({0: _coerce(c)})
+        return ScalarPoly({0: c})
 
     @staticmethod
     def monomial(exp: int, c=1) -> "ScalarPoly":
-        return ScalarPoly({exp: _coerce(c)})
+        return ScalarPoly({exp: c})
 
     @staticmethod
     def t() -> "ScalarPoly":
@@ -130,12 +124,7 @@ class ScalarPoly:
     def coefficient(self, exp: int) -> ExactComplex:
         return self.terms.get(exp, ExactComplex())
 
-    def __eq__(self, other):
-        if not isinstance(other, ScalarPoly):
-            return NotImplemented
-        return self.terms == other.terms and self.trunc == other.trunc
-
-    def __hash__(self):
+    def __hash__(self):  # terms is a dict, so the generated hash would fail
         return hash((frozenset(self.terms.items()), self.trunc))
 
     # -- arithmetic --------------------------------------------------------
@@ -181,12 +170,12 @@ class ScalarPoly:
         return self.scale(other)
 
     def scale(self, c) -> "ScalarPoly":
-        c = _coerce(c)
+        c = ExactComplex.from_value(c)
         return ScalarPoly({e: v * c for e, v in self.terms.items()}, self.trunc)
 
     def __truediv__(self, k):
         """Division by an exact scalar (used by integer-division recursions)."""
-        inv = _coerce(k).inverse()
+        inv = ExactComplex.from_value(k).inverse()
         return self.scale(inv)
 
     def __pow__(self, n: int):
@@ -203,7 +192,7 @@ class ScalarPoly:
 
     def rescale_t(self, c) -> "ScalarPoly":
         """Substitute t -> c*t for an exact nonzero scalar c."""
-        c = _coerce(c)
+        c = ExactComplex.from_value(c)
         if not c:
             raise ValueError("rescaling by zero")
         out, p = {}, EC_ONE
@@ -243,7 +232,7 @@ def cos_series(order: int) -> ScalarPoly:
     terms = {}
     k = 0
     while 2 * k < order:
-        terms[2 * k] = ExactComplex.make(Fraction((-1) ** k, factorial(2 * k)))
+        terms[2 * k] = ExactComplex(Fraction((-1) ** k, factorial(2 * k)))
         k += 1
     return ScalarPoly(terms, trunc=order)
 
@@ -253,6 +242,6 @@ def sin_series(order: int) -> ScalarPoly:
     terms = {}
     k = 0
     while 2 * k + 1 < order:
-        terms[2 * k + 1] = ExactComplex.make(Fraction((-1) ** k, factorial(2 * k + 1)))
+        terms[2 * k + 1] = ExactComplex(Fraction((-1) ** k, factorial(2 * k + 1)))
         k += 1
     return ScalarPoly(terms, trunc=order)

@@ -154,6 +154,11 @@ def _count(x, least: int, path: str) -> int:
 def report_from_json(obj, path: str = "$") -> SplittingReport:
     if not isinstance(obj, dict) or "roots" not in obj:
         raise ParseError(path, "expected an object with a 'roots' field")
+    if not isinstance(obj["roots"], list):
+        raise ParseError(f"{path}.roots", f"expected an array, got {obj['roots']!r}")
+    undetermined = obj.get("undetermined", False)
+    if not isinstance(undetermined, bool):
+        raise ParseError(f"{path}.undetermined", f"expected true or false, got {undetermined!r}")
     roots = []
     for i, item in enumerate(obj["roots"]):
         rpath = f"{path}.roots[{i}]"
@@ -163,7 +168,7 @@ def report_from_json(obj, path: str = "$") -> SplittingReport:
                                   _count(item["mult"], 1, f"{rpath}.mult")))
     return SplittingReport(tuple(roots),
                            _count(obj.get("zero_roots", 0), 0, f"{path}.zero_roots"),
-                           bool(obj.get("undetermined", False)))
+                           undetermined)
 
 
 def polygon_to_json(np_: NewtonPolygon) -> dict:

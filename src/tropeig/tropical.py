@@ -53,10 +53,6 @@ class TropicalPoly:
         object.__setattr__(
             self, "terms", tuple(sorted(dedup.items(), reverse=True)))
 
-    @property
-    def degree(self) -> int:
-        return self.terms[0][0]
-
     def __call__(self, omega) -> Fraction:
         omega = Fraction(omega)
         return min(alpha + k * omega for k, alpha in self.terms)

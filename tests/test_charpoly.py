@@ -23,6 +23,36 @@ def rand_exact_direction(rng, names):
     return {nm: ec(rng.randint(-9, 9), rng.randint(-3, 3)) for nm in names}
 
 
+VALUE_TYPES = {
+    "ScalarPoly": (lambda: ScalarPoly({0: 1, 2: ec(1, -3)}, 5), ("terms", "trunc")),
+    "PolyMatrix": (lambda: PolyMatrix([[0, 1], [ScalarPoly.t(), 0]]), ("rows", "n")),
+    "CharPoly": (lambda: CharPoly([1, 0, -ScalarPoly.t()]), ("coeffs", "n")),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+class TestValueContract:
+    def test_fields_are_read_only(self, name):
+        make, fields = VALUE_TYPES[name]
+        value = make()
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, f, getattr(value, f))
+
+    def test_equal_values_hash_equal(self, name):
+        make, _ = VALUE_TYPES[name]
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_never_equals_a_non_instance(self, name):
+        make, fields = VALUE_TYPES[name]
+        value = make()
+        others = [None, 0, 1, fields] + [getattr(value, f) for f in fields]
+        others += [m() for other, (m, _) in VALUE_TYPES.items() if other != name]
+        for other in others:
+            assert value != other and other != value, other
+
+
 class TestTracelessShift:
     def test_diagonal(self):
         m = traceless_shift(PolyMatrix([[1, 0], [0, 3]]))

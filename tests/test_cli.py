@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,20 +63,32 @@ class TestAnalyze:
         assert code == 1
         assert "entries[0][0]" in err
 
-    def test_requires_exactly_one_input(self, tmp_path, capsys):
-        code, _, err = run(capsys, "analyze")
-        assert code == 1
+    def test_requires_exactly_one_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 1
+        assert "one of the arguments --matrix --charpoly is required" in capsys.readouterr().err
+
+    def test_unreadable_input_exits_usage(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", "--matrix", str(tmp_path))
+        assert code == 1 and out == "" and err.startswith(f"error: {tmp_path}: ")
 
     def test_plot_emission(self, tmp_path, capsys):
         csv = tmp_path / "plot.csv"
         svg = tmp_path / "plot.svg"
+        polygon = tmp_path / "polygon.svg"
         code, _, _ = run(capsys, "analyze", "--matrix", write(tmp_path, "m.json", SQRT_T),
-                         "--emit-tropical-plot", str(csv), "--emit-svg", str(svg))
+                         "--emit-tropical-plot", str(csv), "--emit-svg", str(svg),
+                         "--emit-polygon-svg", str(polygon))
         assert code == 0
         lines = csv.read_text().splitlines()
         assert lines[0] == "kind,omega,value,exact_omega,multiplicity"
         assert any(line.startswith("kink,") and ",1/2," in line for line in lines)
         assert svg.read_text().startswith("<svg")
+        # lambda^2 - t: points (0, 0) and (2, 1), both hull vertices, drawn red
+        drawn = re.findall(r'<circle [^>]*fill="(\w+)"/><text [^>]*>(\([^<]*\))</text>',
+                           polygon.read_text())
+        assert sorted(drawn, key=lambda d: d[1]) == [("red", "(0, 0)"), ("red", "(2, 1)")]
 
 
 class TestCatalog:
@@ -157,6 +170,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--file", write(tmp_path, "c.json", {"charpoly": cp}))
         assert code == 1 and "repeated exponent 1" in err
 
+    @pytest.mark.parametrize("expected, where", [
+        ({"roots": 5}, "$.expected.roots"),
+        ({"roots": [], "undetermined": "false"}, "$.expected.undetermined"),
+    ])
+    def test_malformed_expectation_exit(self, tmp_path, capsys, expected, where):
+        fam = {"matrix": SQRT_T, "expected": expected}
+        code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
+        assert code == 1 and out == "" and err.startswith(f"error: {where}: ")
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
@@ -211,8 +233,11 @@ class TestJordanCommand:
 
 
 class TestArgumentErrors:
-    @pytest.mark.parametrize("argv", [["verify", "--count", "abc"], ["catalog", "7"],
-                                      ["frobnicate"]])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--count", "abc"], ["catalog", "7"], ["frobnicate"],
+        ["verify", "--example", "cavity_d12", "--file", "/nonexistent.json"],
+        ["verify", "--jordan", "2", "--file", "/nonexistent.json"],
+    ])
     def test_argument_errors_exit_usage(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -6,7 +6,7 @@ import pytest
 
 from tropeig.charpoly import charpoly_direct
 from tropeig.exact import ec
-from tropeig.jordan import (JordanStructure, WeyrAmbiguityError,
+from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, JordanStructure, WeyrAmbiguityError,
                             catalog_families, jordan_matrix, partitions,
                             validate_partition, weyr_structure)
 from tropeig.poly import ScalarPoly
@@ -143,6 +143,26 @@ class TestCatalog:
         a = catalog_families(3, seed=7)
         b = catalog_families(3, seed=7)
         assert [f.parameters["direction"] for f in a] == [f.parameters["direction"] for f in b]
+
+    @staticmethod
+    def positions(partition, var):
+        """Number of template entries in which placeholder `var` appears."""
+        def names(entry):
+            if isinstance(entry, str):
+                return {entry.lstrip("-")}
+            if isinstance(entry, list):
+                return {name for name, _ in entry}
+            return set()
+        return sum(var in names(entry) for row in _TEMPLATES[partition] for entry in row)
+
+    def test_solve_variables_occupy_one_position(self):
+        # _solve_linear assumes a_i is affine in the solved slope
+        solved = {(spec.partition, var) for specs in _CATALOG_SPECS.values()
+                  for spec in specs for var, _, _ in spec.solve}
+        assert len(solved) == 8
+        for partition, var in solved:
+            assert self.positions(partition, var) == 1, (partition, var)
+        assert self.positions((1, 1, 1), "d11") == 2  # diagonal ones may repeat
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

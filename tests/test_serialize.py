@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -90,10 +91,11 @@ class TestCharPolyRoundTrip:
 
 class TestReportRoundTrip:
     def test_round_trip(self):
-        rep = SplittingReport((TropicalRoot(Fraction(1, 5), 5),
-                               TropicalRoot(Fraction(1), 1)), 3, False)
-        blob = json.loads(json.dumps(report_to_json(rep)))
-        assert report_from_json(blob) == rep
+        for rep in (SplittingReport((TropicalRoot(Fraction(1, 5), 5),
+                                     TropicalRoot(Fraction(1), 1)), 3, False),
+                    SplittingReport((), 2, True)):
+            blob = json.loads(json.dumps(report_to_json(rep)))
+            assert report_from_json(blob) == rep
 
     @pytest.mark.parametrize("root, zero_roots, where", [
         ({"omega": "1/2", "mult": 2.0}, 0, r"roots\[0\]\.mult"),
@@ -107,6 +109,18 @@ class TestReportRoundTrip:
     def test_counts_must_be_ints(self, root, zero_roots, where):
         with pytest.raises(ParseError, match=where):
             report_from_json({"roots": [root], "zero_roots": zero_roots})
+
+    @pytest.mark.parametrize("blob, where", [
+        ({"roots": 5}, "$.roots: expected an array"),
+        ({"roots": "ab"}, "$.roots: expected an array"),
+        ({"roots": {"omega": "1/2", "mult": 2}}, "$.roots: expected an array"),
+        ({"roots": [], "undetermined": "false"}, "$.undetermined"),
+        ({"roots": [], "undetermined": 0}, "$.undetermined"),
+        ({"roots": [], "undetermined": None}, "$.undetermined"),
+    ])
+    def test_roots_list_and_undetermined_bool(self, blob, where):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            report_from_json(blob)
 
     def test_exact_omega_strings(self):
         rep = SplittingReport((TropicalRoot(Fraction(2, 3), 3),), 0)
