@@ -17,27 +17,50 @@ with each a_i a ScalarPoly in the perturbation variable.
 Both run on an integer kernel rather than on ScalarPoly/ExactComplex
 objects.  On entry the matrix is scaled by D, the lcm of the denominators of
 every component of every coefficient, so that D*M has entries in
-Z[i][t] or, when M holds one surd sqrt(rad), in Z[i, sqrt(rad)][t].  A
-kernel polynomial is a dense coefficient list; a coefficient is a tuple of
-Python ints, (re, im) over Z[i] or (re, im, sre, sim) for
-re + im*i + (sre + sim*i)*sqrt(rad).  The kernel computes exactly and the
+Z[i][t] or, when M holds one surd sqrt(rad), in Z[i, sqrt(rad)][t].  The
 truncation is decided once: a_0 is exact, a_1 = -tr M is known below the
 smallest truncation order on the diagonal, and every a_k with k >= 2 below
 the smallest order anywhere in M.  That is what joining both operands'
 orders at every product and sum gives (a zero times a truncated entry stays
-truncated), and as exponents are non-negative, dropping the unknown terms
-once at the end equals cutting them at every step.  The coefficients of
-D*M's characteristic polynomial are algebraic integers, so the traces
-recursion divides by k exactly (and raises if it ever would not).  On exit
-a_k of D*M is divided by D^k and rebuilt as ExactComplex values.  A matrix
-mixing two radicands is rejected with the same ValueError as ExactComplex.
+truncated), and as exponents are non-negative, computing with the known
+terms exactly and dropping the unknown ones once at the end equals cutting
+them at every step.
+
+Kronecker substitution.  The kernel substitutes t -> 2^bits, so a kernel
+entry is one Python int per component: (re, im) over Z[i], or
+(re, im, sre, sim) for re + im*i + (sre + sim*i)*sqrt(rad), and zero is
+None.  Polynomial products become 4 (or 16) big-int products.  Every ring
+operation commutes with the substitution, so only the final coefficients
+need to fit: each a_k is read back as balanced base-2^bits digits, which is
+exact while every component lies in [-2^(bits-1), 2^(bits-1)).
+
+The digit bound.  With w = isqrt(rad) + 1 (so w^2 > rad) the norm
+||p|| = sum_e |re| + |im| + w (|sre| + |sim|) is submultiplicative and
+bounds every component.  a_k is a signed sum of the C(n, k) principal k x k
+minors, and a minor's norm is at most the product of its rows' norm sums, so
+with R the largest row sum of entry norms every component of a_k is at most
+C(n, k) R^k.  bits is two more than the bit length of n max_k C(n, k) R^k;
+the factor n covers the traces' sums k a_k.
+
+Sparsity.  Each row is the list of its nonzero (column, entry) pairs.
+Berkowitz skips the zero entries of v in every A v product and combines the
+nonzero items with the nonzero coefficients of the trailing block's
+polynomial only, so a chain costs O(n^2) steps; the traces recursion forms
+M^k row by row from the nonzeros.
+
+The coefficients of D*M's characteristic polynomial are algebraic integers,
+so the traces recursion divides k a_k by k exactly: it unpacks each sum,
+checks and divides every coefficient, and packs the quotient again (it
+raises if a division ever would not be exact).  On exit a_k of D*M is
+divided by D^k and rebuilt as ExactComplex values.  A matrix mixing two
+radicands is rejected with the same ValueError as ExactComplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, isqrt, lcm
 from typing import Mapping, Sequence, Tuple
 
 import numpy as np
@@ -170,53 +193,80 @@ def traceless_shift(m: PolyMatrix) -> PolyMatrix:
 
 def charpoly_traces(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via power sums and Newton's identities."""
-    rows, rad, den = _to_kernel(m)
+    rows, rad, den, bits = _to_kernel(m)
     n = len(rows)
-    one = _one(rad)
-    cols = list(zip(*rows))
     s = [None]  # s[k] = tr(M^k)
     power = rows
     for k in range(1, n + 1):
-        s.append(_dot([power[i][i] for i in range(n)], [one] * n, rad))
+        s.append(_sum([x for i, row in enumerate(power) for j, x in row if j == i]))
         if k < n:
-            power = [[_dot(prow, col, rad) for col in cols] for prow in power]
-    a = [one]
+            power = [_row_times(row, rows, rad) for row in power]
+    a = [(1, 0, 0, 0) if rad else (1, 0)]
     for k in range(1, n + 1):
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
-        a.append(_div_exact(_dot(a[:k], s[k:0:-1], rad), -k))
-    return _from_kernel(a, _coeff_orders(m), rad, den)
+        total = _dot([(x, y) for x, y in zip(a, s[k:0:-1]) if x and y], rad)
+        a.append(_pack(_div_exact(_unpack(total, bits), -k), bits))
+    return _from_kernel([_unpack(x, bits) for x in a], _coeff_orders(m), rad, den)
 
 
 def charpoly_direct(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via the Berkowitz division-free expansion."""
-    rows, rad, den = _to_kernel(m)
-    return _from_kernel(_berkowitz(rows, rad), _coeff_orders(m), rad, den)
+    rows, rad, den, bits = _to_kernel(m)
+    coeffs = [_unpack(x, bits) for x in _berkowitz(rows, rad)]
+    return _from_kernel(coeffs, _coeff_orders(m), rad, den)
 
 
-def _berkowitz(a, rad) -> list:
-    n = len(a)
-    items = [_one(rad), _neg(a[0][0])]
-    if n == 1:
-        return items
-    r = a[0][1:]
-    b = [row[1:] for row in a[1:]]
-    v = [row[0] for row in a[1:]]
-    for k in range(2, n + 1):
-        items.append(_neg(_dot(r, v, rad)))
-        if k < n:
-            v = [_dot(row, v, rad) for row in b]
-    prev = _berkowitz(b, rad)  # length n
-    out = []
-    for i in range(n + 1):
-        lo, hi = max(0, i - n), min(i, n - 1) + 1
-        out.append(_dot([items[i - j] for j in range(lo, hi)], prev[lo:hi], rad))
-    return out
+def _berkowitz(rows, rad) -> list:
+    """det(lambda I - A) for sparse kernel rows, built up from the trailing
+    1x1 block: level i borders the block A[i+1:, i+1:] with row and column i.
+    Indices stay absolute and v is None outside i+1..n-1, so the full rows
+    serve as the block's rows."""
+    n = len(rows)
+    one = (1, 0, 0, 0) if rad else (1, 0)
+    cols = [[] for _ in range(n)]
+    for j, row in enumerate(rows):
+        for c, x in row:
+            cols[c].append((j, x))
+    prev = [one]  # det of the empty block
+    for i in range(n - 1, -1, -1):
+        size = n - i
+        top, r = None, []  # -A[i, i] and -A[i, i+1:]
+        for c, x in rows[i]:
+            if c == i:
+                top = tuple(-y for y in x)
+            elif c > i:
+                r.append((c, tuple(-y for y in x)))
+        items = [one, top]
+        v = [None] * n  # A[i+1:, i]
+        for j, x in cols[i]:
+            if j > i:
+                v[j] = x
+        for k in range(2, size + 1):
+            if not any(v):
+                items += [None] * (size + 1 - k)
+                break
+            items.append(_dot([(x, v[c]) for c, x in r if v[c]], rad))
+            if k < size:
+                v[i + 1:] = [_dot([(x, v[c]) for c, x in rows[j] if v[c]], rad)
+                             for j in range(i + 1, n)]
+        # Toeplitz step: out[p + q] += items[p] * prev[q] over nonzero pairs
+        nonzero = [(p, x) for p, x in enumerate(items) if x]
+        terms = [[] for _ in range(size + 1)]
+        for q, y in enumerate(prev):
+            if y:
+                for p, x in nonzero:
+                    if p + q > size:
+                        break
+                    terms[p + q].append((x, y))
+        prev = [_dot(t, rad) for t in terms]
+    return prev
 
 
 # -- integer kernel (see the module docstring) --------------------------------
 
 def _to_kernel(m: PolyMatrix):
-    """(rows, rad, den): the known terms of den * M as kernel polynomials."""
+    """(rows, rad, den, bits): the known terms of den * M packed at 2^bits,
+    each row the list of its nonzero (column, entry) pairs in column order."""
     den, rads = 1, set()
     for row in m.rows:
         for p in row:
@@ -229,18 +279,29 @@ def _to_kernel(m: PolyMatrix):
         first, second = sorted(rads)[:2]
         raise ValueError(f"mixed radicands {first} and {second}")
     rad = rads.pop() if rads else 0
+    w = isqrt(rad) + 1  # w^2 > rad keeps the norm submultiplicative
 
     def scaled(c):
         parts = (c.re, c.im, c.sre, c.sim) if rad else (c.re, c.im)
         return tuple(f.numerator * (den // f.denominator) for f in parts)
 
     def entry(p):
-        coeffs = [(0, 0, 0, 0) if rad else (0, 0)] * (max(p.terms) + 1 if p.terms else 0)
+        coeffs = [(0, 0, 0, 0) if rad else (0, 0)] * (max(p.terms) + 1)
         for e, c in p.terms.items():
             coeffs[e] = scaled(c)
         return coeffs
 
-    return [[entry(p) for p in row] for row in m.rows], rad, den
+    def norm(c):
+        return abs(c[0]) + abs(c[1]) + (w * (abs(c[2]) + abs(c[3])) if rad else 0)
+
+    sparse = [[(j, entry(p)) for j, p in enumerate(row) if p.terms] for row in m.rows]
+    # R, the largest row sum of entry norms (see the module docstring)
+    r_max = max(sum(norm(c) for _, coeffs in row for c in coeffs) for row in sparse)
+    n = m.n
+    bound = n * max(comb(n, k) * r_max ** k for k in range(n + 1))
+    bits = bound.bit_length() + 2
+    rows = [[(j, _pack(coeffs, bits)) for j, coeffs in row] for row in sparse]
+    return rows, rad, den, bits
 
 
 def _coeff_orders(m: PolyMatrix) -> list:
@@ -266,12 +327,37 @@ def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
     return CharPoly(out)
 
 
-def _one(rad):
-    return [(1, 0, 0, 0) if rad else (1, 0)]
+def _pack(coeffs, bits):
+    """Kernel entry of a list of coefficient tuples, None if it is empty."""
+    if not coeffs:
+        return None
+    packed = []
+    for comp in zip(*coeffs):
+        x = 0
+        for c in reversed(comp):
+            x = (x << bits) + c
+        packed.append(x)
+    return tuple(packed)
 
 
-def _neg(p):
-    return [tuple(-x for x in c) for c in p]
+def _unpack(p, bits) -> list:
+    """Coefficient tuples of a kernel entry, read as balanced base-2^bits
+    digits; exact while every component lies in [-2^(bits-1), 2^(bits-1))."""
+    if p is None:
+        return []
+    base, half = 1 << bits, 1 << (bits - 1)
+    comps = []
+    for x in p:
+        digits = []
+        while x:
+            d = x & (base - 1)
+            if d >= half:
+                d -= base
+            digits.append(d)
+            x = (x - d) >> bits
+        comps.append(digits)
+    size = max(map(len, comps))
+    return list(zip(*(d + [0] * (size - len(d)) for d in comps)))
 
 
 def _div_exact(p, k: int):
@@ -283,42 +369,42 @@ def _div_exact(p, k: int):
     return [tuple(x // k for x in c) for c in p]
 
 
-def _dot(row, col, rad):
-    """Sum of row[j] * col[j] over kernel polynomials."""
-    fma = _fma_surd if rad else _fma_gauss
-    acc = [[] for _ in range(4 if rad else 2)]
-    for a, b in zip(row, col):
-        if a and b:
-            need = len(a) + len(b) - 1 - len(acc[0])
-            if need > 0:
-                for comp in acc:
-                    comp.extend([0] * need)
-            fma(acc, a, b, rad)
-    coeffs = list(zip(*acc))
-    while coeffs and not any(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
+def _sum(entries):
+    """Sum of kernel entries, None if it is zero."""
+    out = tuple(map(sum, zip(*entries)))
+    return out if any(out) else None
 
 
-def _fma_gauss(acc, a, b, rad):
-    """acc += a * b over Z[i]."""
-    re, im = acc
-    for i, (ar, ai) in enumerate(a):
-        for j, (br, bi) in enumerate(b, i):
-            re[j] += ar * br - ai * bi
-            im[j] += ar * bi + ai * br
+def _dot(pairs, rad):
+    """Sum of a * b over (a, b) pairs of kernel entries, None if it is zero.
+    Over Z[i, sqrt(rad)], x + y sqrt(rad) is stored as (re x, im x, re y, im y)."""
+    if rad:
+        c0 = c1 = c2 = c3 = r0 = r1 = 0
+        for (a0, a1, a2, a3), (b0, b1, b2, b3) in pairs:
+            c0 += a0 * b0 - a1 * b1
+            c1 += a0 * b1 + a1 * b0
+            r0 += a2 * b2 - a3 * b3
+            r1 += a2 * b3 + a3 * b2
+            c2 += a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1
+            c3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+        out = (c0 + rad * r0, c1 + rad * r1, c2, c3)
+    else:
+        re = im = 0
+        for (ar, ai), (br, bi) in pairs:
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out = (re, im)
+    return out if any(out) else None
 
 
-def _fma_surd(acc, a, b, rad):
-    """acc += a * b over Z[i, sqrt(rad)], with (x + y sqrt(rad)) stored as
-    (re x, im x, re y, im y)."""
-    re, im, sre, sim = acc
-    for i, (a0, a1, a2, a3) in enumerate(a):
-        for j, (b0, b1, b2, b3) in enumerate(b, i):
-            re[j] += a0 * b0 - a1 * b1 + rad * (a2 * b2 - a3 * b3)
-            im[j] += a0 * b1 + a1 * b0 + rad * (a2 * b3 + a3 * b2)
-            sre[j] += a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1
-            sim[j] += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+def _row_times(row, rows, rad) -> list:
+    """row * M for a sparse row and the sparse rows of M."""
+    acc = {}
+    for c, x in row:
+        for j, y in rows[c]:
+            acc.setdefault(j, []).append((x, y))
+    out = ((j, _dot(pairs, rad)) for j, pairs in acc.items())
+    return [(j, x) for j, x in out if x]
 
 
 def build_direction_matrix(template: Sequence[Sequence],

@@ -148,6 +148,8 @@ def _resolve_family(args) -> Family:
         raise ParseError("--constraint",
                          f"no family '{args.constraint}' for partition {partition}")
     obj = _load_json(args.file)
+    if not isinstance(obj, dict):
+        raise ParseError("$", "family file must be a JSON object")
     if "matrix" in obj:
         realization = polymatrix_from_json(obj["matrix"], "$.matrix")
     elif "charpoly" in obj:

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, build_direction_matrix,
-                              charpoly_direct, charpoly_traces, companion_matrix,
-                              substitute_direction, traceless_shift)
+from tropeig import charpoly as charpoly_module
+from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, _pack, _to_kernel, _unpack,
+                              build_direction_matrix, charpoly_direct, charpoly_traces,
+                              companion_matrix, substitute_direction, traceless_shift)
 from tropeig.exact import ExactComplex, ec
 from tropeig.jordan import _TEMPLATES
+from tropeig.models import hatano_nelson
 from tropeig.poly import ScalarPoly
 
 
@@ -125,12 +127,14 @@ def reference_berkowitz(a) -> list:
 
 
 @st.composite
-def exact_matrices(draw):
-    """n = 1..5; Gaussian rationals with denominators, at most one surd
-    sqrt(2) or sqrt(5), truncated entries and exact zeros beside them."""
-    n = draw(st.integers(1, 5))
+def exact_matrices(draw, max_n=5, bound=6, degree=2):
+    """n = 1..max_n; Gaussian rationals with denominators, at most one surd
+    sqrt(2) or sqrt(5), truncated entries and exact zeros beside them.  The
+    nonzero pattern is dense, a random mask, a permutation, bidiagonal, or
+    dense with one zero row or column."""
+    n = draw(st.integers(1, max_n))
     rad = draw(st.sampled_from((0, 2, 5)))
-    small, den = st.integers(-6, 6), st.integers(1, 4)
+    small, den = st.integers(-bound, bound), st.integers(1, 4)
 
     def scalar():
         re, im = (Fraction(draw(small), draw(den)) for _ in range(2))
@@ -143,9 +147,23 @@ def exact_matrices(draw):
         trunc = draw(st.sampled_from((None, None, None, 1, 2, 3)))
         if draw(st.integers(0, 3)) == 0:
             return ScalarPoly.zero(trunc)
-        return ScalarPoly({e: scalar() for e in range(3) if draw(st.booleans())}, trunc)
+        return ScalarPoly({e: scalar() for e in range(degree + 1) if draw(st.booleans())},
+                          trunc)
 
-    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+    shape = draw(st.sampled_from(("dense", "mask", "permutation", "bidiagonal", "zero_line")))
+    if shape == "mask":
+        keep = {(i, j) for i in range(n) for j in range(n) if draw(st.booleans())}
+    elif shape == "permutation":
+        keep = set(enumerate(draw(st.permutations(range(n)))))
+    elif shape == "bidiagonal":
+        off = draw(st.sampled_from((1, -1)))
+        keep = {(i, j) for i in range(n) for j in range(n) if j - i in (0, off)}
+    else:
+        line = draw(st.integers(0, n - 1)) if shape == "zero_line" else None
+        axis = draw(st.integers(0, 1))
+        keep = {(i, j) for i in range(n) for j in range(n) if (i, j)[axis] != line}
+    return PolyMatrix([[entry() if (i, j) in keep else ScalarPoly.zero() for j in range(n)]
+                       for i in range(n)])
 
 
 class TestKernelAgainstReference:
@@ -170,6 +188,92 @@ class TestKernelAgainstReference:
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError, match="not divisible by 2"):
             _div_exact([(4, 3)], 2)
+
+
+def _components(p: ScalarPoly):
+    for c in p.terms.values():
+        yield from (c.re, c.im, c.sre, c.sim)
+
+
+class TestPackedKernel:
+    """The digit width 2^bits must hold every a_k and every traces sum k a_k
+    of den * M, computed from all known terms, as a balanced digit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_matrices(max_n=6, bound=2 ** 40, degree=4))
+    # tight for a_1 = -c: the two margin bits are what makes it fit
+    @example(PolyMatrix([[2 ** 40 - 1]]))
+    # tight for 6 a_6 = 6 c^6: needs the factor n
+    @example(PolyMatrix([[2 ** 40 - 1 if i == j else 0 for j in range(6)] for i in range(6)]))
+    def test_bits_dominate_every_coefficient(self, m):
+        _, _, den, bits = _to_kernel(m)
+        known = [[ScalarPoly(p.terms).scale(den) for p in row] for row in m.rows]
+        ref = reference_berkowitz(known)
+        largest = max(k * abs(x) for k, a in enumerate(ref) for x in _components(a))
+        assert all(x.denominator == 1 for a in ref for x in _components(a))
+        assert largest < 2 ** (bits - 1)
+
+    @pytest.mark.parametrize("bits", [2, 3, 17, 64, 200])
+    def test_pack_unpack_round_trip(self, bits):
+        top = 2 ** (bits - 1) - 1
+        cases = [[(top, -top)], [(-top, top)], [(0, 0), (top, -1)],
+                 [(top, 1), (-1, -top)],  # negative leading digits
+                 [(-top, 0), (0, 0), (-1, 0)],
+                 [(top, -top, 0, 1), (-top, top, -1, 0), (0, 0, -top, 0)],
+                 [(-top - 1, top)]]  # the lowest balanced digit
+        for coeffs in cases:
+            assert _unpack(_pack(coeffs, bits), bits) == coeffs
+        assert _pack([], bits) is None and _unpack(None, bits) == []
+
+
+def _lambda_product(*factors) -> CharPoly:
+    """Product of polynomials in lambda given as ScalarPoly coefficient lists."""
+    out = [ScalarPoly.const(1)]
+    for f in factors:
+        acc = [ScalarPoly.zero()] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] = acc[i + j] + a * ScalarPoly.from_value(b)
+        out = acc
+    return CharPoly(out)
+
+
+class TestSparseStructures:
+    @pytest.mark.parametrize("L", [2, 3, 24, 64])
+    def test_unidirectional_chain_closed_form(self, L):
+        t1, t2 = 3, Fraction(1, 3)
+        m = hatano_nelson(L, "unidirectional", t1=t1, t2=t2).matrix
+        amps = (2 * t1) ** (L // 2) * (2 * t2) ** ((L - 1) // 2)
+        want = CharPoly([1] + [0] * (L - 1) + [ScalarPoly.monomial(1, ec(-amps))])
+        assert charpoly_direct(m) == want
+        if L <= 24:
+            assert charpoly_traces(m) == want
+
+    @pytest.mark.parametrize("L, lam, blocks", [(4, 0, 2), (5, 1, 2), (8, 0, 4)])
+    def test_obc_chain_closed_form(self, L, lam, blocks):
+        t = ScalarPoly.t()
+        ep2 = [1, 0, -(t.scale(2) + t * t)]  # lambda^2 - 2t - t^2
+        want = _lambda_product(*[[1, 0]] * lam, *[ep2] * blocks)
+        m = hatano_nelson(L, "obc").matrix
+        assert charpoly_direct(m) == want
+        assert charpoly_traces(m) == want
+
+    @pytest.mark.parametrize("fn", [charpoly_direct, charpoly_traces])
+    def test_chain_products_grow_quadratically(self, fn, monkeypatch):
+        """A deterministic work guard: count the kernel's entry products."""
+        products = 0
+        dot = charpoly_module._dot
+
+        def counting_dot(pairs, rad):
+            nonlocal products
+            pairs = list(pairs)
+            products += len(pairs)
+            return dot(pairs, rad)
+
+        monkeypatch.setattr(charpoly_module, "_dot", counting_dot)
+        L = 64
+        fn(hatano_nelson(L, "unidirectional").matrix)
+        assert 0 < products <= 4 * L * L
 
 
 def _sympy_poly(sympy, p: ScalarPoly, t):

@@ -179,6 +179,12 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
         assert code == 1 and out == "" and err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("doc", [5, "matrix"])
+    def test_non_object_family_file_exit(self, tmp_path, capsys, doc):
+        code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", doc))
+        assert code == 1 and out == "" and err.startswith("error: $: ")
+        assert "family file must be a JSON object" in err
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
