@@ -1,9 +1,10 @@
 """Byte-exact CLI outputs on a fixed corpus.
 
 Each case runs ``tropeig`` in process and compares its stdout, byte for
-byte, and its exit code with files under ``tests/golden/cli``.  The corpus
-freezes the behaviour of ``catalog``, ``example`` and ``verify`` across
-refactors.  After an intended output change, regenerate the files with
+byte, and its exit code with files under ``tests/golden/cli``; the plot
+files ``analyze`` emits are compared the same way.  The corpus freezes the
+behaviour of every subcommand across refactors.  After an intended output
+change, regenerate the files (and the demo outputs, see test_demos.py) with
 
     PYTHONPATH=src python tests/test_golden_cli.py --regenerate
 
@@ -14,6 +15,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,9 +37,19 @@ PARTITIONS = ["2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,
 FAMILY_FILES = ["family_matrix.json", "family_charpoly.json"]
 
 
+# analyze's plot flags, each with the suffix of its golden file
+ARTIFACTS = {"analyze-matrix": [("--emit-tropical-plot", "csv"), ("--emit-svg", "svg"),
+                                ("--emit-polygon-svg", "polygon.svg")]}
+
+
 def _cases():
-    cases = {"catalog-json": ["catalog", "--format", "json"],
-             "catalog-table": ["catalog"]}
+    cases = {"analyze-matrix": ["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")],
+             "analyze-charpoly": ["analyze", "--charpoly",
+                                  str(GOLDEN / "analyze_charpoly.json")],
+             "catalog-json": ["catalog", "--format", "json"],
+             "catalog-table": ["catalog"],
+             "jordan-matrix": ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"),
+                               "--eigenvalue", "1,0.5"]}
     for name in EXAMPLES:
         cases[f"example-{name}"] = ["example", name, *EXAMPLE_PARAMS.get(name, [])]
     for name in EXAMPLES:
@@ -53,18 +65,28 @@ def _cases():
 CASES = _cases()
 
 
-def run_cli(argv):
+def run_case(case, tmp):
+    """(exit code, stdout, {suffix: artifact bytes}) of one case; the
+    artifacts are written under the directory tmp."""
+    argv = list(CASES[case])
+    paths = {}
+    for flag, suffix in ARTIFACTS.get(case, ()):
+        paths[suffix] = Path(tmp) / f"{case}.{suffix}"
+        argv += [flag, str(paths[suffix])]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), {s: p.read_bytes() for s, p in paths.items()}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_output_matches_golden(case):
-    code, out = run_cli(CASES[case])
+def test_cli_output_matches_golden(case, tmp_path):
+    code, out, artifacts = run_case(case, tmp_path)
     assert code == json.loads(EXIT_CODES.read_text())[case]
     assert out.encode() == (OUTPUTS / f"{case}.out").read_bytes()
+    assert sorted(artifacts) == sorted(s for _, s in ARTIFACTS.get(case, ()))
+    for suffix, data in artifacts.items():
+        assert data == (OUTPUTS / f"{case}.{suffix}").read_bytes(), suffix
 
 
 def test_corpus_covers_every_example_and_partition():
@@ -78,9 +100,12 @@ def test_corpus_covers_every_example_and_partition():
 def regenerate():
     OUTPUTS.mkdir(parents=True, exist_ok=True)
     codes = {}
-    for case, argv in sorted(CASES.items()):
-        codes[case], out = run_cli(argv)
-        (OUTPUTS / f"{case}.out").write_bytes(out.encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            codes[case], out, artifacts = run_case(case, tmp)
+            (OUTPUTS / f"{case}.out").write_bytes(out.encode())
+            for suffix, data in artifacts.items():
+                (OUTPUTS / f"{case}.{suffix}").write_bytes(data)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
 
 
@@ -88,3 +113,5 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     regenerate()
+    from test_demos import regenerate as regenerate_demos
+    regenerate_demos()
