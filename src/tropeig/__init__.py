@@ -14,7 +14,7 @@ from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, ec
 from .poly import Ord, ScalarPoly, cos_series, sin_series
 from .charpoly import (CharPoly, PolyMatrix, build_direction_matrix,
                        charpoly_direct, charpoly_traces, companion_matrix,
-                       substitute_direction, traceless_shift)
+                       traceless_shift)
 from .tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
                        TropicalRoot, newton_polygon, tropical_product,
                        tropical_roots, tropicalize)

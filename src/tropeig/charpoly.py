@@ -43,10 +43,11 @@ C(n, k) R^k.  bits is two more than the bit length of n max_k C(n, k) R^k;
 the factor n covers the traces' sums k a_k.
 
 Sparsity.  Each row is the list of its nonzero (column, entry) pairs.
-Berkowitz skips the zero entries of v in every A v product and combines the
-nonzero items with the nonzero coefficients of the trailing block's
-polynomial only, so a chain costs O(n^2) steps; the traces recursion forms
-M^k row by row from the nonzeros.
+Berkowitz keeps only the nonzeros of v, forms every A v product by scattering
+them through the nonzeros of their columns, and combines the nonzero items
+with the nonzero coefficients of the trailing block's polynomial only, so a
+chain costs O(n) kernel dot products; the traces recursion forms M^k row by
+row from the nonzeros.
 
 The coefficients of D*M's characteristic polynomial are algebraic integers,
 so the traces recursion divides k a_k by k exactly: it unpacks each sum,
@@ -108,8 +109,7 @@ class PolyMatrix:
                            for i in range(n)])
 
     def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix([[x * c if isinstance(c, ScalarPoly) else x.scale(c)
-                            for x in row] for row in self.rows])
+        return PolyMatrix([[x * c for x in row] for row in self.rows])
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Kronecker product: entry (i*m + k, j*m + l) is self[i, j] * other[k, l]."""
@@ -219,8 +219,8 @@ def charpoly_direct(m: PolyMatrix) -> CharPoly:
 def _berkowitz(rows, rad) -> list:
     """det(lambda I - A) for sparse kernel rows, built up from the trailing
     1x1 block: level i borders the block A[i+1:, i+1:] with row and column i.
-    Indices stay absolute and v is None outside i+1..n-1, so the full rows
-    serve as the block's rows."""
+    Indices stay absolute and v keeps only its nonzeros, keyed by row, so
+    A v scatters them through the column lists."""
     n = len(rows)
     one = (1, 0, 0, 0) if rad else (1, 0)
     cols = [[] for _ in range(n)]
@@ -237,18 +237,19 @@ def _berkowitz(rows, rad) -> list:
             elif c > i:
                 r.append((c, tuple(-y for y in x)))
         items = [one, top]
-        v = [None] * n  # A[i+1:, i]
-        for j, x in cols[i]:
-            if j > i:
-                v[j] = x
+        v = {j: x for j, x in cols[i] if j > i}  # A[i+1:, i]
         for k in range(2, size + 1):
-            if not any(v):
+            if not v:
                 items += [None] * (size + 1 - k)
                 break
-            items.append(_dot([(x, v[c]) for c, x in r if v[c]], rad))
+            items.append(_dot([(x, v[c]) for c, x in r if c in v], rad))
             if k < size:
-                v[i + 1:] = [_dot([(x, v[c]) for c, x in rows[j] if v[c]], rad)
-                             for j in range(i + 1, n)]
+                acc = {}
+                for c, y in v.items():
+                    for j, x in cols[c]:
+                        if j > i:
+                            acc.setdefault(j, []).append((x, y))
+                v = {j: x for j, pairs in acc.items() if (x := _dot(pairs, rad))}
         # Toeplitz step: out[p + q] += items[p] * prev[q] over nonzero pairs
         nonzero = [(p, x) for p, x in enumerate(items) if x]
         terms = [[] for _ in range(size + 1)]
@@ -258,7 +259,7 @@ def _berkowitz(rows, rad) -> list:
                     if p + q > size:
                         break
                     terms[p + q].append((x, y))
-        prev = [_dot(t, rad) for t in terms]
+        prev = [_dot(t, rad) if t else None for t in terms]
     return prev
 
 
@@ -412,37 +413,31 @@ def build_direction_matrix(template: Sequence[Sequence],
     """Instantiate a symbolic perturbation pattern on a one-parameter line.
 
     Template entries are either constants (int / Fraction / ExactComplex /
-    ScalarPoly, kept as-is), a placeholder name like ``"d21"`` (optionally
-    ``"-d21"``), or a linear combination given as a sequence of
-    ``(name, integer_coefficient)`` pairs.  Each placeholder name must be
-    assigned a slope in ``direction``; the entry becomes slope * t.
+    ScalarPoly, kept as-is), a linear combination given as a sequence of
+    ``(name, integer_coefficient)`` pairs, or a placeholder name like
+    ``"d21"`` or ``"-d21"``, which stands for ``[("d21", 1)]`` or
+    ``[("d21", -1)]``.  Each placeholder name must be assigned a slope in
+    ``direction``; the entry becomes (sum of coefficient * slope) * t.
     """
-    t = ScalarPoly.t()
-
     def lookup(name: str) -> ExactComplex:
         if name not in direction:
             raise ValueError(f"no direction assigned for placeholder '{name}'")
         return ExactComplex.from_value(direction[name])
 
+    def term(name: str, coeff) -> ExactComplex:
+        val = lookup(name)
+        # coefficients +-1, the only ones the catalog uses, need no product
+        return val if coeff == 1 else -val if coeff == -1 else val * coeff
+
     def build(entry) -> ScalarPoly:
         if isinstance(entry, str):
-            neg = entry.startswith("-")
-            val = lookup(entry[1:] if neg else entry)
-            return t.scale(-val if neg else val)
+            entry = [(entry[1:], -1) if entry.startswith("-") else (entry, 1)]
         if isinstance(entry, (list, tuple)):
-            acc = ScalarPoly.zero()
-            for name, coeff in entry:
-                acc = acc + t.scale(lookup(name) * ExactComplex.from_value(coeff))
-            return acc
+            terms = [term(name, coeff) for name, coeff in entry]
+            return ScalarPoly({1: sum(terms[1:], terms[0]) if terms else 0})
         return ScalarPoly.from_value(entry)
 
     return PolyMatrix([[build(x) for x in row] for row in template])
-
-
-def substitute_direction(template: Sequence[Sequence],
-                         direction: Mapping[str, object]) -> CharPoly:
-    """Characteristic polynomial of a pattern restricted to one direction."""
-    return charpoly_traces(build_direction_matrix(template, direction))
 
 
 def companion_matrix(coeffs: Sequence) -> PolyMatrix:

@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charpoly import (CharPoly, PolyMatrix, build_direction_matrix, charpoly_traces,
-                       substitute_direction)
+from .charpoly import CharPoly, PolyMatrix, build_direction_matrix, charpoly_traces
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
 from .models import Family
 # tropical_roots is not called here; the binding stays importable for the
@@ -124,8 +123,7 @@ def _placeholders(template) -> Tuple[str, ...]:
 @dataclass(frozen=True)
 class _FamilySpec:
     partition: Tuple[int, ...]
-    constraint: str
-    generic: bool
+    constraint: str  # "generic" names the generic direction
     # valuation ord(a_i) for i = 0..n; None means identically zero
     alpha: Tuple[Optional[int], ...]
     roots: Tuple[Tuple[Fraction, int], ...]
@@ -138,75 +136,75 @@ class _FamilySpec:
 
 _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
     2: [
-        _FamilySpec((1, 1), "generic", True, (0, None, 2), ((Fraction(1), 2),), 0),
-        _FamilySpec((1, 1), "unlifting", False, (0, None, None), (), 2,
+        _FamilySpec((1, 1), "generic", (0, None, 2), ((Fraction(1), 2),), 0),
+        _FamilySpec((1, 1), "unlifting", (0, None, None), (), 2,
                     solve=(("d21", 2, 2),)),
-        _FamilySpec((2,), "generic", True, (0, None, 1), ((Fraction(1, 2), 2),), 0),
+        _FamilySpec((2,), "generic", (0, None, 1), ((Fraction(1, 2), 2),), 0),
     ],
     3: [
-        _FamilySpec((1, 1, 1), "generic", True, (0, None, 2, 3), ((Fraction(1), 3),), 0),
-        _FamilySpec((1, 1, 1), "q=0", False, (0, None, 2, None), ((Fraction(1), 2),), 1,
+        _FamilySpec((1, 1, 1), "generic", (0, None, 2, 3), ((Fraction(1), 3),), 0),
+        _FamilySpec((1, 1, 1), "q=0", (0, None, 2, None), ((Fraction(1), 2),), 1,
                     zeros=("d11", "d33", "d13", "d31")),
-        _FamilySpec((1, 1, 1), "p=q=0", False, (0, None, None, None), (), 3,
+        _FamilySpec((1, 1, 1), "p=q=0", (0, None, None, None), (), 3,
                     zeros=("d11", "d13", "d21", "d23", "d31", "d32", "d33"),
                     fixed=(("d12", 1),)),
-        _FamilySpec((2, 1), "generic", True, (0, None, 1, 2),
+        _FamilySpec((2, 1), "generic", (0, None, 1, 2),
                     ((Fraction(1, 2), 2), (Fraction(1), 1)), 0),
-        _FamilySpec((2, 1), "d21=0", False, (0, None, 2, 2), ((Fraction(2, 3), 3),), 0,
+        _FamilySpec((2, 1), "d21=0", (0, None, 2, 2), ((Fraction(2, 3), 3),), 0,
                     zeros=("d21",)),
-        _FamilySpec((2, 1), "d21=0,q=0", False, (0, None, 2, None), ((Fraction(1), 2),), 1,
+        _FamilySpec((2, 1), "d21=0,q=0", (0, None, 2, None), ((Fraction(1), 2),), 1,
                     zeros=("d21", "d31")),
-        _FamilySpec((2, 1), "q=0", False, (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
+        _FamilySpec((2, 1), "q=0", (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
                     solve=(("d31", 3, 2),)),
-        _FamilySpec((3,), "generic", True, (0, None, 1, 1), ((Fraction(1, 3), 3),), 0),
-        _FamilySpec((3,), "d31=0", False, (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
+        _FamilySpec((3,), "generic", (0, None, 1, 1), ((Fraction(1, 3), 3),), 0),
+        _FamilySpec((3,), "d31=0", (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
                     zeros=("d31",)),
     ],
     4: [
-        _FamilySpec((1, 1, 1, 1), "generic", True, (0, None, 2, 3, 4), ((Fraction(1), 4),), 0),
-        _FamilySpec((1, 1, 1, 1), "r=0", False, (0, None, None, 3, 4), ((Fraction(1), 4),), 0,
+        _FamilySpec((1, 1, 1, 1), "generic", (0, None, 2, 3, 4), ((Fraction(1), 4),), 0),
+        _FamilySpec((1, 1, 1, 1), "r=0", (0, None, None, 3, 4), ((Fraction(1), 4),), 0,
                     solve=(("d12", 2, 2),)),
-        _FamilySpec((1, 1, 1, 1), "p=0", False, (0, None, 2, None, 4), ((Fraction(1), 4),), 0,
+        _FamilySpec((1, 1, 1, 1), "p=0", (0, None, 2, None, 4), ((Fraction(1), 4),), 0,
                     solve=(("d12", 3, 3),)),
-        _FamilySpec((1, 1, 1, 1), "q=0", False, (0, None, 2, 3, None), ((Fraction(1), 3),), 1,
+        _FamilySpec((1, 1, 1, 1), "q=0", (0, None, 2, 3, None), ((Fraction(1), 3),), 1,
                     solve=(("d14", 4, 4),)),
-        _FamilySpec((1, 1, 1, 1), "p=q=0", False, (0, None, 2, None, None), ((Fraction(1), 2),), 2,
+        _FamilySpec((1, 1, 1, 1), "p=q=0", (0, None, 2, None, None), ((Fraction(1), 2),), 2,
                     zeros=("d11", "d13", "d14", "d22", "d23", "d24",
                            "d31", "d32", "d41", "d42", "d43", "d44"),
                     fixed=(("d12", 1), ("d21", 1), ("d34", 1))),
-        _FamilySpec((2, 1, 1), "generic", True, (0, None, 1, 2, 3),
+        _FamilySpec((2, 1, 1), "generic", (0, None, 1, 2, 3),
                     ((Fraction(1, 2), 2), (Fraction(1), 2)), 0),
-        _FamilySpec((2, 1, 1), "d21=0", False, (0, None, 2, 2, 3),
+        _FamilySpec((2, 1, 1), "d21=0", (0, None, 2, 2, 3),
                     ((Fraction(2, 3), 3), (Fraction(1), 1)), 0, zeros=("d21",)),
-        _FamilySpec((2, 1, 1), "p=0", False, (0, None, 1, None, 3),
+        _FamilySpec((2, 1, 1), "p=0", (0, None, 1, None, 3),
                     ((Fraction(1, 2), 2), (Fraction(1), 2)), 0, solve=(("d24", 3, 2),)),
-        _FamilySpec((2, 1, 1), "q=0", False, (0, None, 1, 2, None),
+        _FamilySpec((2, 1, 1), "q=0", (0, None, 1, 2, None),
                     ((Fraction(1, 2), 2), (Fraction(1), 1)), 1, solve=(("d34", 4, 3),)),
-        _FamilySpec((2, 2), "generic", True, (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0),
-        _FamilySpec((2, 2), "d21=d43=0", False, (0, None, 2, 2, 2), ((Fraction(1, 2), 4),), 0,
+        _FamilySpec((2, 2), "generic", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0),
+        _FamilySpec((2, 2), "d21=d43=0", (0, None, 2, 2, 2), ((Fraction(1, 2), 4),), 0,
                     zeros=("d21", "d43")),
-        _FamilySpec((2, 2), "p=0", False, (0, None, 1, 2, 3),
+        _FamilySpec((2, 2), "p=0", (0, None, 1, 2, 3),
                     ((Fraction(1, 2), 2), (Fraction(1), 2)), 0, solve=(("d23", 4, 2),)),
-        _FamilySpec((2, 2), "d21=d43=0,p=0", False, (0, None, 2, 2, 3),
+        _FamilySpec((2, 2), "d21=d43=0,p=0", (0, None, 2, 2, 3),
                     ((Fraction(2, 3), 3), (Fraction(1), 1)), 0, zeros=("d21", "d43", "d23")),
-        _FamilySpec((2, 2), "p=q=0", False, (0, None, 1, 2, None),
+        _FamilySpec((2, 2), "p=q=0", (0, None, 1, 2, None),
                     ((Fraction(1, 2), 2), (Fraction(1), 1)), 1,
                     zeros=("d24", "d44"),
                     fixed=(("d21", 1), ("d43", 1), ("d23", 1), ("d41", 1), ("d31", 1))),
-        _FamilySpec((3, 1), "generic", True, (0, None, 1, 1, 2),
+        _FamilySpec((3, 1), "generic", (0, None, 1, 1, 2),
                     ((Fraction(1, 3), 3), (Fraction(1), 1)), 0),
-        _FamilySpec((3, 1), "q=0", False, (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
+        _FamilySpec((3, 1), "q=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
                     solve=(("d34", 4, 2),)),
-        _FamilySpec((3, 1), "d31=0", False, (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0,
+        _FamilySpec((3, 1), "d31=0", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0,
                     zeros=("d31",)),
-        _FamilySpec((3, 1), "d32=0", False, (0, None, 2, 1, 2),
+        _FamilySpec((3, 1), "d32=0", (0, None, 2, 1, 2),
                     ((Fraction(1, 3), 3), (Fraction(1), 1)), 0, zeros=("d32",)),
-        _FamilySpec((3, 1), "d31=0,q=0", False, (0, None, 1, 2, None),
+        _FamilySpec((3, 1), "d31=0,q=0", (0, None, 1, 2, None),
                     ((Fraction(1, 2), 2), (Fraction(1), 1)), 1, zeros=("d31", "d41")),
-        _FamilySpec((4,), "generic", True, (0, None, 1, 1, 1), ((Fraction(1, 4), 4),), 0),
-        _FamilySpec((4,), "d41=0", False, (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
+        _FamilySpec((4,), "generic", (0, None, 1, 1, 1), ((Fraction(1, 4), 4),), 0),
+        _FamilySpec((4,), "d41=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
                     zeros=("d41",)),
-        _FamilySpec((4,), "only d43", False, (0, None, 1, None, None), ((Fraction(1, 2), 2),), 2,
+        _FamilySpec((4,), "only d43", (0, None, 1, None, None), ((Fraction(1, 2), 2),), 2,
                     zeros=("d41", "d42")),
     ],
 }
@@ -231,10 +229,11 @@ def _solve_linear(template, direction, var, i, power) -> Optional[ExactComplex]:
     determinant is affine in any one entry, so a_i is affine in that slope;
     two evaluations determine the line.
     """
-    d0 = dict(direction, **{var: EC_ZERO})
-    c0 = substitute_direction(template, d0).coefficient(i).coefficient(power)
-    d1 = dict(direction, **{var: EC_ONE})
-    c1 = substitute_direction(template, d1).coefficient(i).coefficient(power)
+    def coeff(value):
+        m = build_direction_matrix(template, dict(direction, **{var: value}))
+        return charpoly_traces(m).coefficient(i).coefficient(power)
+
+    c0, c1 = coeff(EC_ZERO), coeff(EC_ONE)
     slope = c1 - c0
     if not slope:
         return None
@@ -273,7 +272,7 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
         label = ",".join(str(s) for s in spec.partition)
         return Family(f"H[{label}] {spec.constraint}", matrix, expected,
                       {"partition": spec.partition, "constraint": spec.constraint,
-                       "generic": spec.generic, "direction": direction,
+                       "generic": spec.constraint == "generic", "direction": direction,
                        "coeff_orders": spec.alpha},
                       known_charpoly=cp)
     raise RuntimeError(

@@ -354,18 +354,14 @@ def lindblad_liouvillian(h: np.ndarray, jumps) -> np.ndarray:
     n = h.shape[0]
     if h.shape != (n, n):
         raise ValueError("hamiltonian must be square")
-    h_nh = h.astype(complex).copy()
-    total = np.zeros((n * n, n * n), dtype=complex)
-    eye = np.eye(n)
+    total = liouvillian_from_nonhermitian(h)
     for op, rate in jumps:
         op = np.asarray(op, dtype=complex)
         if op.shape != (n, n):
             raise ValueError("jump operator dimension mismatch")
         if rate < 0:
             raise ValueError("rates must be non-negative")
-        h_nh -= 0.5j * rate * (op.conj().T @ op)
-        total += rate * np.kron(op, op.conj())
-    total += np.kron(-1j * h_nh, eye) + np.kron(eye, 1j * h_nh.conj())
+        total = total + rate * dissipator(op)
     return total
 
 

@@ -9,6 +9,10 @@ eigensolver or from an Ehrlich-Aberth simultaneous root iteration on the
 exactly-known characteristic polynomial; the latter is preferred for
 deep-asymptotic sampling because exact coefficients evaluated in floats keep
 the roots well conditioned far below where matrix eigensolvers degrade.
+
+Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
+for the root iteration, CLUSTER_GAP for grouping fitted exponents, and
+BRAID_HALVINGS for step halving on a braid loop.
 """
 
 from __future__ import annotations
@@ -27,6 +31,14 @@ from .models import Family
 from .tropical import TropicalRoot, _lower_hull
 
 ZERO_TRACK_RELATIVE_FLOOR = 1e-13
+# Aberth stops once every relative step is below this (about 225 ulps)
+ROOT_TOL = 5e-14
+# cap on Aberth sweeps; the built-in families converge within 42
+ROOT_ITERATIONS = 300
+# exponents this close form one cluster; built-in predictions are >= 2/15 apart
+CLUSTER_GAP = 0.1
+# step halvings (to 2^-14 of a step) before a braid loop counts as degenerate
+BRAID_HALVINGS = 14
 
 
 class NonConvergenceError(RuntimeError):
@@ -94,8 +106,7 @@ def _horner2(coeffs: Sequence[complex], z: complex) -> Tuple[complex, complex]:
     return p, dp
 
 
-def aberth_roots(coeffs: Sequence[complex], tol: float = 5e-14,
-                 max_iter: int = 300) -> List[complex]:
+def aberth_roots(coeffs: Sequence[complex]) -> List[complex]:
     """All roots of a polynomial given by leading-first coefficients.
 
     Multiple roots converge only linearly and bottom out at roughly
@@ -116,7 +127,7 @@ def aberth_roots(coeffs: Sequence[complex], tol: float = 5e-14,
     z = _initial_guesses(coeffs)
     prev_step = math.inf
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(ROOT_ITERATIONS):
         max_step = 0.0
         for i in range(m):
             p, dp = _horner2(coeffs, z[i])
@@ -139,13 +150,13 @@ def aberth_roots(coeffs: Sequence[complex], tol: float = 5e-14,
             step = w if denom == 0 else w / denom
             z[i] -= step
             max_step = max(max_step, abs(step) / (1 + abs(z[i])))
-        if max_step <= tol:
+        if max_step <= ROOT_TOL:
             return z + [0j] * tail_zeros
         stalled = stalled + 1 if max_step > 0.7 * prev_step else 0
         if stalled >= 8 and max_step <= 1e-4:
             return z + [0j] * tail_zeros
         prev_step = max_step
-    raise NonConvergenceError("root iteration did not converge", max_iter, max_step)
+    raise NonConvergenceError("root iteration did not converge", ROOT_ITERATIONS, max_step)
 
 
 def charpoly_roots_at(cp: CharPoly, t: complex) -> List[complex]:
@@ -159,20 +170,18 @@ def charpoly_roots_at(cp: CharPoly, t: complex) -> List[complex]:
     return aberth_roots(coeffs) + [0j] * zeros
 
 
-def eigenvalues_at(source, t: complex, method: str = "auto") -> List[complex]:
-    """Eigenvalues of a parametrized matrix at a numeric parameter value.
+def eigenvalues_at(source, t: complex, method: str = "eig") -> List[complex]:
+    """Eigenvalues of a PolyMatrix or the roots of a CharPoly at a numeric
+    parameter value.
 
-    ``method="eig"`` evaluates the matrix and runs the dense eigensolver;
-    ``method="charpoly"`` finds roots of the exact characteristic polynomial.
+    For a matrix, ``method="eig"`` evaluates it and runs the dense
+    eigensolver; ``method="charpoly"`` finds roots of the exact
+    characteristic polynomial.
     """
-    if callable(source) and not isinstance(source, (PolyMatrix, CharPoly)):
-        return list(np.linalg.eigvals(np.asarray(source(t), dtype=complex)))
     if isinstance(source, CharPoly):
         return charpoly_roots_at(source, t)
     if not isinstance(source, PolyMatrix):
         raise TypeError(f"cannot take eigenvalues of {type(source).__name__}")
-    if method == "auto":
-        method = "eig"
     if method == "eig":
         return list(np.linalg.eigvals(source.to_array(t)))
     if method == "charpoly":
@@ -302,8 +311,7 @@ class VerificationResult:
 
 
 def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
-                  match_tol: float = 0.05,
-                  cluster_gap: float = 0.1) -> VerificationResult:
+                  match_tol: float = 0.05) -> VerificationResult:
     """Fit per-eigenvalue leading exponents and compare with the prediction.
 
     Tracks are continued through the grid, the smallest-|t| half of each
@@ -347,7 +355,7 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
     fits.sort()
     clusters: List[List[Tuple[float, float]]] = []
     for fit in fits:
-        if clusters and fit[0] - clusters[-1][-1][0] <= cluster_gap:
+        if clusters and fit[0] - clusters[-1][-1][0] <= CLUSTER_GAP:
             clusters[-1].append(fit)
         else:
             clusters.append([fit])
@@ -409,8 +417,7 @@ class BraidPermutation:
         object.__setattr__(self, "cycle_lengths", tuple(sorted(cycles)))
 
 
-def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64,
-               max_depth: int = 14) -> BraidPermutation:
+def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64) -> BraidPermutation:
     """Permutation of eigenvalues after one loop eps0 * e^(i*phi).
 
     Continuation is nearest-neighbour with recursive step halving whenever a
@@ -448,7 +455,7 @@ def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64,
         gap = gap_check(new)
         order = _match(cur, new)
         if max(abs(cur[i] - new[order[i]]) for i in range(len(cur))) > 0.45 * gap:
-            if depth >= max_depth:
+            if depth >= BRAID_HALVINGS:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
             mid = (phi_from + phi_to) / 2
             cur = advance(cur, phi_from, mid, depth + 1)

@@ -1,33 +1,36 @@
 """Plot artifacts: CSV samples of the piecewise-linear graph and small SVGs.
 
 CSV is the canonical artifact (exact kink rows plus float samples); SVG
-rendering is a convenience for quick looks and stays dependency-free.
+rendering is a convenience for quick looks and stays dependency-free.  Both
+graphs of a tropical polynomial sample SAMPLES equal steps of omega from 0
+to one past the largest kink; both SVGs are SIZE pixels square.
 """
 
 from __future__ import annotations
 
 import io
 from fractions import Fraction
-from typing import Optional
 
-from .tropical import NewtonPolygon, SplittingReport, TropicalPoly, tropical_roots
+from .tropical import NewtonPolygon, TropicalPoly, tropical_roots
+
+SAMPLES = 200
+SIZE = 360
 
 
-def _omega_max(p: TropicalPoly) -> Fraction:
+def _omega_hi(p: TropicalPoly) -> Fraction:
     report = tropical_roots(p)
     kinks = [r.omega for r in report.roots]
     top = max(kinks) if kinks else Fraction(1)
     return top + 1
 
 
-def tropical_csv(p: TropicalPoly, samples: int = 200,
-                 omega_max: Optional[Fraction] = None) -> str:
+def tropical_csv(p: TropicalPoly) -> str:
     """CSV with float samples of min_i(alpha_i + k_i w) and exact kink rows."""
-    hi = Fraction(omega_max) if omega_max is not None else _omega_max(p)
+    hi = _omega_hi(p)
     out = io.StringIO()
     out.write("kind,omega,value,exact_omega,multiplicity\n")
-    for j in range(samples + 1):
-        w = hi * j / samples
+    for j in range(SAMPLES + 1):
+        w = hi * j / SAMPLES
         out.write(f"sample,{float(w)},{float(p(w))},,\n")
     for root in tropical_roots(p).roots:
         out.write(f"kink,{float(root.omega)},{float(p(root.omega))},"
@@ -35,29 +38,28 @@ def tropical_csv(p: TropicalPoly, samples: int = 200,
     return out.getvalue()
 
 
-def _svg_header(width, height):
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">'
-            f'<rect width="{width}" height="{height}" fill="white"/>')
+_SVG_HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+               f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
+               f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
 
 
-def tropical_svg(p: TropicalPoly, size: int = 360) -> str:
+def tropical_svg(p: TropicalPoly) -> str:
     """Piecewise-linear graph of the tropical polynomial with kinks marked."""
-    hi = _omega_max(p)
-    ws = [hi * j / 200 for j in range(201)]
+    hi = _omega_hi(p)
+    ws = [hi * j / SAMPLES for j in range(SAMPLES + 1)]
     vs = [p(w) for w in ws]
     vlo, vhi = min(vs), max(vs)
     span = (vhi - vlo) or Fraction(1)
     pad = 30
 
     def x(w):
-        return pad + float(w / hi) * (size - 2 * pad)
+        return pad + float(w / hi) * (SIZE - 2 * pad)
 
     def y(v):
-        return size - pad - float((v - vlo) / span) * (size - 2 * pad)
+        return SIZE - pad - float((v - vlo) / span) * (SIZE - 2 * pad)
 
     pts = " ".join(f"{x(w):.2f},{y(v):.2f}" for w, v in zip(ws, vs))
-    parts = [_svg_header(size, size),
+    parts = [_SVG_HEADER,
              f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>']
     for root in tropical_roots(p).roots:
         parts.append(f'<circle cx="{x(root.omega):.2f}" cy="{y(p(root.omega)):.2f}" '
@@ -68,7 +70,7 @@ def tropical_svg(p: TropicalPoly, size: int = 360) -> str:
     return "".join(parts)
 
 
-def polygon_svg(np_: NewtonPolygon, size: int = 360) -> str:
+def polygon_svg(np_: NewtonPolygon) -> str:
     """Coefficient valuations with the lower convex hull highlighted."""
     finite = [(i, a) for i, a in
               ((i, Fraction(o.value)) for i, o in np_.points if o.is_finite)]
@@ -77,12 +79,12 @@ def polygon_svg(np_: NewtonPolygon, size: int = 360) -> str:
     pad = 30
 
     def x(i):
-        return pad + float(Fraction(i, xmax)) * (size - 2 * pad)
+        return pad + float(Fraction(i, xmax)) * (SIZE - 2 * pad)
 
     def y(a):
-        return size - pad - float(a / ymax) * (size - 2 * pad)
+        return SIZE - pad - float(a / ymax) * (SIZE - 2 * pad)
 
-    parts = [_svg_header(size, size)]
+    parts = [_SVG_HEADER]
     hull_pts = " ".join(f"{x(i):.2f},{y(a):.2f}" for i, a in np_.hull)
     parts.append(f'<polyline points="{hull_pts}" fill="none" stroke="steelblue" '
                  f'stroke-width="2"/>')

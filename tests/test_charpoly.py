@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from tropeig import charpoly as charpoly_module
 from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, _pack, _to_kernel, _unpack,
                               build_direction_matrix, charpoly_direct, charpoly_traces,
-                              companion_matrix, substitute_direction, traceless_shift)
+                              companion_matrix, traceless_shift)
 from tropeig.exact import ExactComplex, ec
 from tropeig.jordan import _TEMPLATES
 from tropeig.models import hatano_nelson
@@ -275,6 +275,21 @@ class TestSparseStructures:
         fn(hatano_nelson(L, "unidirectional").matrix)
         assert 0 < products <= 4 * L * L
 
+    def test_chain_dot_calls_grow_linearly(self, monkeypatch):
+        """Berkowitz calls the kernel's dot product only where v has nonzeros."""
+        calls = 0
+        dot = charpoly_module._dot
+
+        def counting_dot(pairs, rad):
+            nonlocal calls
+            calls += 1
+            return dot(pairs, rad)
+
+        monkeypatch.setattr(charpoly_module, "_dot", counting_dot)
+        L = 256
+        charpoly_direct(hatano_nelson(L, "unidirectional").matrix)
+        assert 0 < calls <= 4 * L
+
 
 def _sympy_poly(sympy, p: ScalarPoly, t):
     def q(f):
@@ -474,26 +489,26 @@ class TestPerturbedJordanForms:
 class TestSubstituteDirection:
     def test_restriction_matches_template(self):
         d = {"d21": ec(1)}
-        cp = substitute_direction(_TEMPLATES[(2,)], d)
+        cp = charpoly_traces(build_direction_matrix(_TEMPLATES[(2,)], d))
         assert cp.coefficient(2) == ScalarPoly.monomial(1, -1)
 
     def test_unlifting_direction_cancels_exactly(self):
         d22 = ec(3, 1)
         d12 = ec(2)
         d21 = -(d22 * d22) / d12
-        cp = substitute_direction(_TEMPLATES[(1, 1)],
-                                  {"d12": d12, "d21": d21, "d22": d22})
+        cp = charpoly_traces(build_direction_matrix(
+            _TEMPLATES[(1, 1)], {"d12": d12, "d21": d21, "d22": d22}))
         assert cp.coefficient(2).is_zero()
 
     def test_zero_direction(self):
         d = {k: ExactComplex() for k in ("d21", "d23", "d31", "d33")}
-        cp = substitute_direction(_TEMPLATES[(2, 1)], d)
+        cp = charpoly_traces(build_direction_matrix(_TEMPLATES[(2, 1)], d))
         assert all(cp.coefficient(i).is_zero() for i in range(1, 4))
 
     def test_missing_placeholder_named(self):
         with pytest.raises(ValueError, match="d33"):
-            substitute_direction(_TEMPLATES[(2, 1)], {"d21": ec(1), "d23": ec(1),
-                                                      "d31": ec(1)})
+            charpoly_traces(build_direction_matrix(
+                _TEMPLATES[(2, 1)], {"d21": ec(1), "d23": ec(1), "d31": ec(1)}))
 
 
 class TestSimilarityInvariance:

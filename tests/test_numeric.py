@@ -162,10 +162,6 @@ class TestEigenvaluesAt:
             b = eigenvalues_at(m, 1e-3, method="charpoly")
             assert matched_rel_err(a, b) < 1e-7
 
-    def test_callable_source(self):
-        eigs = eigenvalues_at(lambda t: np.diag([t, 2 * t]), 0.5)
-        assert sorted(e.real for e in eigs) == pytest.approx([0.5, 1.0])
-
 
 class TestCardano:
     def test_cube_roots_of_unity(self):
