@@ -429,13 +429,18 @@ def build_direction_matrix(template: Sequence[Sequence],
         # coefficients +-1, the only ones the catalog uses, need no product
         return val if coeff == 1 else -val if coeff == -1 else val * coeff
 
+    consts: dict = {}  # ScalarPoly is immutable, so equal constants share one
+
     def build(entry) -> ScalarPoly:
         if isinstance(entry, str):
             entry = [(entry[1:], -1) if entry.startswith("-") else (entry, 1)]
         if isinstance(entry, (list, tuple)):
             terms = [term(name, coeff) for name, coeff in entry]
             return ScalarPoly({1: sum(terms[1:], terms[0]) if terms else 0})
-        return ScalarPoly.from_value(entry)
+        key = (type(entry), entry)
+        if key not in consts:
+            consts[key] = ScalarPoly.from_value(entry)
+        return consts[key]
 
     return PolyMatrix([[build(x) for x in row] for row in template])
 

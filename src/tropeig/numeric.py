@@ -2,13 +2,21 @@
 
 The symbolic layer predicts leading exponents; this module checks them on
 actual numbers: eigenvalues are sampled along a geometric grid of the
-perturbation parameter, tracked by nearest-neighbour continuation, fitted in
-log-log scale, and clustered; braids are read off by continuing eigenvalues
-around a small loop.  Eigenvalues come either from a dense nonsymmetric
-eigensolver or from an Ehrlich-Aberth simultaneous root iteration on the
-exactly-known characteristic polynomial; the latter is preferred for
-deep-asymptotic sampling because exact coefficients evaluated in floats keep
-the roots well conditioned far below where matrix eigensolvers degrade.
+perturbation parameter, tracked by minimum-displacement continuation, fitted
+in log-log scale, and clustered; braids are read off by continuing
+eigenvalues around a small loop.  Eigenvalues come either from a dense
+nonsymmetric eigensolver or from an Ehrlich-Aberth simultaneous root
+iteration on the exactly-known characteristic polynomial; the latter is
+preferred for deep-asymptotic sampling because exact coefficients evaluated
+in floats keep the roots well conditioned far below where matrix
+eigensolvers degrade.  The exact coefficients are converted to floats once
+per fit or braid loop.
+
+The fit starts every root solve from Newton-polygon guesses, so the roots
+at one sample do not depend on the others.  The braid loop is a
+continuation: each solve starts from the previous step's roots, only the
+roots that move are continued, and a step is accepted by a nearest-neighbour
+rule that agrees with the minimum-displacement assignment (see braid_loop).
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
 for the root iteration, CLUSTER_GAP for grouping fitted exponents, and
@@ -21,13 +29,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .models import Family
+from .poly import horner_table
 from .tropical import TropicalRoot, _lower_hull
 
 ZERO_TRACK_RELATIVE_FLOOR = 1e-13
@@ -106,8 +114,13 @@ def _horner2(coeffs: Sequence[complex], z: complex) -> Tuple[complex, complex]:
     return p, dp
 
 
-def aberth_roots(coeffs: Sequence[complex]) -> List[complex]:
+def aberth_roots(coeffs: Sequence[complex],
+                 start: Optional[Sequence[complex]] = None) -> List[complex]:
     """All roots of a polynomial given by leading-first coefficients.
+
+    The iteration starts from ``start`` when it holds one point per root
+    left after exact zero roots are peeled off (a continuation passes the
+    previous roots), and from Newton-polygon guesses otherwise.
 
     Multiple roots converge only linearly and bottom out at roughly
     machine_eps^(1/m) relative scatter around the true root; the iteration
@@ -124,7 +137,7 @@ def aberth_roots(coeffs: Sequence[complex]) -> List[complex]:
     m = len(coeffs) - 1
     if m == 0:
         return [0j] * tail_zeros
-    z = _initial_guesses(coeffs)
+    z = list(start) if start is not None and len(start) == m else _initial_guesses(coeffs)
     prev_step = math.inf
     stalled = 0
     for _ in range(ROOT_ITERATIONS):
@@ -140,16 +153,19 @@ def aberth_roots(coeffs: Sequence[complex]) -> List[complex]:
                     continue
             w = p / dp
             s = 0j
-            for j in range(m):
+            zi = z[i]
+            for j, zj in enumerate(z):
                 if j != i:
-                    diff = z[i] - z[j]
+                    diff = zi - zj
                     if diff == 0:
                         diff = 1e-300
                     s += 1 / diff
             denom = 1 - w * s
             step = w if denom == 0 else w / denom
-            z[i] -= step
-            max_step = max(max_step, abs(step) / (1 + abs(z[i])))
+            z[i] = zi = zi - step
+            rel = abs(step) / (1 + abs(zi))
+            if rel > max_step:
+                max_step = rel
         if max_step <= ROOT_TOL:
             return z + [0j] * tail_zeros
         stalled = stalled + 1 if max_step > 0.7 * prev_step else 0
@@ -159,15 +175,31 @@ def aberth_roots(coeffs: Sequence[complex]) -> List[complex]:
     raise NonConvergenceError("root iteration did not converge", ROOT_ITERATIONS, max_step)
 
 
+def _coefficient_sampler(cp: CharPoly):
+    """(coeffs_at, zeros): coeffs_at(t) gives the float coefficients of cp at
+    t with its ``zeros`` identically-zero trailing coefficients deflated.
+
+    The exact coefficients are converted to floats once, here, and every
+    value is the one ``ScalarPoly.evaluate`` gives.
+    """
+    zeros = cp.trailing_zero_count()
+    tables = [cp.coeffs[i].float_table() for i in range(cp.n - zeros + 1)]
+    return (lambda t: [horner_table(table, t) for table in tables]), zeros
+
+
+def _roots_sampler(cp: CharPoly):
+    """t -> charpoly_roots_at(cp, t), with the float tables built once."""
+    coeffs_at, zeros = _coefficient_sampler(cp)
+    return lambda t: aberth_roots(coeffs_at(t)) + [0j] * zeros
+
+
 def charpoly_roots_at(cp: CharPoly, t: complex) -> List[complex]:
     """Eigenvalues at parameter t from the exact characteristic polynomial.
 
     Identically-zero trailing coefficients are deflated symbolically, so flat
     zero modes come back as exact 0j.
     """
-    zeros = cp.trailing_zero_count()
-    coeffs = [cp.coeffs[i].evaluate(t) for i in range(cp.n - zeros + 1)]
-    return aberth_roots(coeffs) + [0j] * zeros
+    return _roots_sampler(cp)(t)
 
 
 def eigenvalues_at(source, t: complex, method: str = "eig") -> List[complex]:
@@ -176,17 +208,17 @@ def eigenvalues_at(source, t: complex, method: str = "eig") -> List[complex]:
 
     For a matrix, ``method="eig"`` evaluates it and runs the dense
     eigensolver; ``method="charpoly"`` finds roots of the exact
-    characteristic polynomial.
+    characteristic polynomial.  A CharPoly accepts either method.
     """
+    if method not in ("eig", "charpoly"):
+        raise ValueError(f"unknown method {method!r}")
     if isinstance(source, CharPoly):
         return charpoly_roots_at(source, t)
     if not isinstance(source, PolyMatrix):
         raise TypeError(f"cannot take eigenvalues of {type(source).__name__}")
     if method == "eig":
         return list(np.linalg.eigvals(source.to_array(t)))
-    if method == "charpoly":
-        return charpoly_roots_at(charpoly_direct(source), t)
-    raise ValueError(f"unknown method {method!r}")
+    return charpoly_roots_at(charpoly_direct(source), t)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +359,7 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
         raise ValueError("family carries no expected splitting report")
     n = family.charpoly.n
     ts = grid.points()
-    tracks = track_eigenvalues(partial(charpoly_roots_at, family.charpoly), ts)
+    tracks = track_eigenvalues(_roots_sampler(family.charpoly), ts)
 
     scale = float(np.max(np.abs(tracks[0]))) or 1.0
     floor = ZERO_TRACK_RELATIVE_FLOOR * scale
@@ -417,24 +449,47 @@ class BraidPermutation:
         object.__setattr__(self, "cycle_lengths", tuple(sorted(cycles)))
 
 
+def _nearest_within(cur: Sequence[complex], new: Sequence[complex],
+                    radius: float) -> Optional[List[int]]:
+    """Indices m with new[m[i]] the point of new nearest to cur[i], or None
+    unless these points are distinct and each lies within radius of cur[i]."""
+    order = []
+    for c in cur:
+        dists = [abs(c - w) for w in new]
+        dist = min(dists)
+        if dist > radius:
+            return None
+        order.append(dists.index(dist))
+    return order if len(set(order)) == len(order) else None
+
+
 def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64) -> BraidPermutation:
     """Permutation of eigenvalues after one loop eps0 * e^(i*phi).
 
     Continuation is nearest-neighbour with recursive step halving whenever a
     matching is ambiguous (displacement comparable to the local eigenvalue
-    spacing).  Raises LoopDegeneracyError when eigenvalues approach each
-    other below 1e-3 of the eigenvalue scale, or when halving bottoms out;
-    flat zero modes, which coincide exactly, do not count as approaching.
-    Raises ValueError unless steps >= 1 and eps0 is finite.
+    spacing).  Each root solve starts from the previous step's roots, and
+    only the roots that move are continued: flat zero modes stay at their
+    starting places.  Raises LoopDegeneracyError when eigenvalues approach
+    each other below 1e-3 of the eigenvalue scale, or when halving bottoms
+    out; flat zero modes, which coincide exactly, do not count as
+    approaching.  Raises ValueError unless steps >= 1 and eps0 is finite.
     """
     if steps < 1 or not math.isfinite(eps0):
         raise ValueError(f"braid loop needs steps >= 1 and a finite eps0, "
                          f"got steps={steps}, eps0={eps0}")
-    eig_fn = partial(charpoly_roots_at, family.charpoly)
+    coeffs_at, zeros = _coefficient_sampler(family.charpoly)
+    flat = [0j] * zeros
     phis = [2 * math.pi * k / steps for k in range(steps + 1)]
 
-    start = sorted(eig_fn(eps0 * cmath.exp(1j * phis[0])),
-                   key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    def solve(phi, near=None):
+        return aberth_roots(coeffs_at(eps0 * cmath.exp(1j * phi)), near)
+
+    moving = solve(phis[0])
+    first = moving + flat
+    places = sorted(range(len(first)),
+                    key=lambda i: (round(first[i].real, 12), round(first[i].imag, 12)))
+    start = [first[i] for i in places]
     lam_scale = max(abs(z) for z in start)
     if lam_scale == 0:
         raise LoopDegeneracyError("all eigenvalues vanish on the loop")
@@ -448,13 +503,27 @@ def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64) -> BraidPerm
         return gap
 
     gap_check(start)
-    current = list(start)
+    # indices into start of the roots that move; the rest are flat zeros
+    slots = [k for k, i in enumerate(places) if i < len(moving)]
+    current = [start[k] for k in slots]
 
     def advance(cur, phi_from, phi_to, depth):
-        new = eig_fn(eps0 * cmath.exp(1j * phi_to))
-        gap = gap_check(new)
-        order = _match(cur, new)
-        if max(abs(cur[i] - new[order[i]]) for i in range(len(cur))) > 0.45 * gap:
+        new = solve(phi_to, cur)
+        gap = gap_check(new + flat)
+        # A step is safe when the assignment of least total displacement
+        # (_match over all roots, flat zeros included) moves no root by more
+        # than 0.45*gap; this nearest-neighbour test accepts exactly those
+        # steps, with the same assignment.  Distinct new roots, flat zeros
+        # included, lie at least gap apart.  If the optimum moves each root
+        # at most 0.45*gap, every other new root is at least 0.55*gap from
+        # it, so the optimum sends each root to its nearest new root, and a
+        # flat zero, gap from every moving root, to a flat zero.
+        # Conversely, if the nearest new roots of the moving roots are
+        # distinct and within 0.45*gap, any other assignment moves some root
+        # by at least 0.55*gap and no root by less, so this map, with the
+        # flat zeros kept in place, is the unique optimum.
+        order = _nearest_within(cur, new, 0.45 * gap)
+        if order is None:
             if depth >= BRAID_HALVINGS:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
             mid = (phi_from + phi_to) / 2
@@ -465,8 +534,11 @@ def braid_loop(family: Family, eps0: float = 1e-3, steps: int = 64) -> BraidPerm
     for phi_from, phi_to in zip(phis, phis[1:]):
         current = advance(current, phi_from, phi_to, 0)
 
-    # current[i] should coincide with start[sigma(i)]
-    sigma = _match(current, start)
+    # end[i] should coincide with start[sigma(i)]
+    end = list(start)
+    for k, z in zip(slots, current):
+        end[k] = z
+    sigma = _match(end, start)
     return BraidPermutation(tuple(sigma))
 
 

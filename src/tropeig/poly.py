@@ -204,19 +204,14 @@ class ScalarPoly:
 
     # -- numerics ----------------------------------------------------------
 
+    def float_table(self) -> tuple:
+        """The (exponent, complex coefficient) pairs, highest exponent first,
+        in the form ``horner_table`` reads."""
+        return tuple((e, self.terms[e].to_complex()) for e in sorted(self.terms, reverse=True))
+
     def evaluate(self, z: complex) -> complex:
         """Horner evaluation after float conversion of the coefficients."""
-        if not self.terms:
-            return 0j
-        exps = sorted(self.terms, reverse=True)
-        acc = 0j
-        prev = None
-        for e in exps:
-            if prev is not None:
-                acc *= z ** (prev - e)
-            acc += self.terms[e].to_complex()
-            prev = e
-        return acc * z ** exps[-1]
+        return horner_table(self.float_table(), z)
 
     def __repr__(self):
         if not self.terms:
@@ -225,6 +220,21 @@ class ScalarPoly:
             body = " + ".join(f"({c})*t^{e}" if e else f"({c})"
                               for e, c in sorted(self.terms.items()))
         return body + (f" + O(t^{self.trunc})" if self.trunc is not None else "")
+
+
+def horner_table(table, z: complex) -> complex:
+    """Sum of c * z^e over a ``ScalarPoly.float_table``, by Horner's rule with
+    the gaps between exponents taken as powers of z."""
+    if not table:
+        return 0j
+    acc = 0j
+    prev = None
+    for e, c in table:
+        if prev is not None:
+            acc *= z ** (prev - e)
+        acc += c
+        prev = e
+    return acc * z ** table[-1][0]
 
 
 def cos_series(order: int) -> ScalarPoly:

@@ -2,18 +2,24 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from tropeig import numeric
 from tropeig.charpoly import CharPoly, PolyMatrix, companion_matrix
-from tropeig.models import Family, build_example, cavity_dynamical
-from tropeig.numeric import (DEFAULT_GRID, BraidPermutation, LoopDegeneracyError,
-                             NonConvergenceError, SampleGrid, aberth_roots,
-                             braid_loop, cardano_roots, charpoly_roots_at,
-                             _match, eigenvalues_at, fit_exponents, numeric_ord)
+from tropeig.exact import ExactComplex
+from tropeig.jordan import catalog_families
+from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
+                            hatano_nelson)
+from tropeig.numeric import (BRAID_HALVINGS, DEFAULT_GRID, BraidPermutation,
+                             LoopDegeneracyError, NonConvergenceError, SampleGrid,
+                             _coefficient_sampler, _match, _min_gap, _nearest_within,
+                             aberth_roots, braid_loop, cardano_roots, charpoly_roots_at,
+                             eigenvalues_at, fit_exponents, numeric_ord)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import SplittingReport, TropicalRoot
 
@@ -62,6 +68,60 @@ def point_pairs(draw, zeros=0):
     return prev, new
 
 
+def reference_evaluate(poly, z):
+    """ScalarPoly.evaluate as it was before the float tables: every
+    coefficient converted to a float on every call."""
+    if not poly.terms:
+        return 0j
+    exps = sorted(poly.terms, reverse=True)
+    acc = 0j
+    prev = None
+    for e in exps:
+        if prev is not None:
+            acc *= z ** (prev - e)
+        acc += poly.terms[e].to_complex()
+        prev = e
+    return acc * z ** exps[-1]
+
+
+def bits(values):
+    """Exact bit patterns, so that 0.0 and -0.0 differ."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+@st.composite
+def exact_polys(draw):
+    """Gaussian rationals with denominators, an optional surd sqrt(2) or
+    sqrt(5), optional truncation, and the zero polynomial."""
+    rad = draw(st.sampled_from((0, 2, 5)))
+    small, den = st.integers(-9, 9), st.integers(1, 7)
+
+    def scalar():
+        parts = [Fraction(draw(small), draw(den)) for _ in range(4 if rad else 2)]
+        return ExactComplex(*parts, rad) if rad else ExactComplex(*parts)
+
+    terms = {draw(st.integers(0, 8)): scalar() for _ in range(draw(st.integers(0, 4)))}
+    return ScalarPoly(terms, draw(st.none() | st.integers(0, 9)))
+
+
+class TestFloatTables:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_polys(), st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                             allow_infinity=False))
+    def test_table_evaluation_is_bit_identical(self, poly, z):
+        assert bits([poly.evaluate(z)]) == bits([reference_evaluate(poly, z)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(exact_polys(), min_size=1, max_size=6), st.integers(0, 3),
+           st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
+    def test_sampler_is_bit_identical(self, polys, zeros, t):
+        cp = CharPoly([1] + polys + [ScalarPoly.zero()] * zeros)
+        coeffs_at, flat = _coefficient_sampler(cp)
+        assert flat == cp.trailing_zero_count()
+        kept = cp.coeffs[:cp.n - flat + 1]
+        assert bits(coeffs_at(t)) == bits(reference_evaluate(c, t) for c in kept)
+
+
 class TestMatch:
     @settings(max_examples=300, deadline=None)
     @given(point_pairs())
@@ -89,6 +149,33 @@ class TestMatch:
     def test_nonfinite_displacement_raises(self):
         with pytest.raises(ValueError):
             _match([0j, complex("nan")], [0j, 1j])
+
+
+@st.composite
+def continuation_steps(draw):
+    """Distinct new points, and previous points displaced from them by up to
+    0.6 of their spacing, so that steps fall on both sides of 0.45."""
+    new = draw(st.lists(points, min_size=1, max_size=8, unique=True))
+    gap = _min_gap(new) if len(new) > 1 else 1.0
+    assume(math.isfinite(gap) and gap > 1e-6)
+    moves = draw(st.lists(st.complex_numbers(max_magnitude=0.6), min_size=len(new),
+                          max_size=len(new)))
+    prev = [z + gap * w for z, w in zip(new, moves)]
+    return draw(st.permutations(prev)), new, gap
+
+
+class TestNearestWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(continuation_steps())
+    def test_same_decision_and_assignment_as_hungarian(self, step):
+        prev, new, gap = step
+        order = _match(prev, new)
+        accept = max(abs(p - new[j]) for p, j in zip(prev, order)) <= 0.45 * gap
+        assert _nearest_within(prev, new, 0.45 * gap) == (order if accept else None)
+
+    def test_shared_nearest_point_is_refused(self):
+        assert _nearest_within([0j, 0.1 + 0j], [0.05 + 0j, 5 + 0j], 1.0) is None
+        assert _nearest_within([0j, 4.9 + 0j], [0.05 + 0j, 5 + 0j], 1.0) == [0, 1]
 
 
 class TestSampleGrid:
@@ -136,6 +223,32 @@ class TestAberth:
         for r in roots:
             assert abs(r - 1) < 1e-4
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2,
+                    max_size=7, unique=True),
+           st.floats(1e-3, 1e3),
+           st.lists(st.complex_numbers(max_magnitude=1), min_size=7, max_size=7))
+    def test_warm_start_matches_cold_start(self, lattice, spacing, noise):
+        # distinct lattice points: roots at least `spacing` apart
+        roots = [spacing * complex(a, b) for a, b in lattice]
+        scale = max(abs(z) for z in roots)
+        coeffs = list(np.poly(roots))
+        near = [z + 0.1 * spacing * w for z, w in zip(roots, noise)]
+        cold = aberth_roots(coeffs)
+        warm = aberth_roots(coeffs, start=near)
+        cost = np.abs(np.subtract.outer(np.asarray(warm), np.asarray(cold)))
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10 * scale
+
+    def test_start_of_wrong_length_is_ignored(self):
+        coeffs = [1, 0.5j, -2, 0]  # one exact zero root, two left after peeling
+        cold = aberth_roots(coeffs)
+        assert bits(aberth_roots(coeffs, start=[1, 2, 3])) == bits(cold)
+        # a start of the right length is used: the roots come back in its order
+        for start in ([1.4, -1.4], [-1.4, 1.4]):
+            warm = aberth_roots(coeffs, start=start)
+            assert [z.real > 0 for z in warm[:2]] == [x > 0 for x in start]
+
     def test_exact_zero_deflation(self):
         roots = charpoly_roots_at(
             CharPoly([1, ScalarPoly.monomial(1, -1), ScalarPoly.zero()]), 1e-4)
@@ -161,6 +274,19 @@ class TestEigenvaluesAt:
             a = eigenvalues_at(m, 1e-3, method="eig")
             b = eigenvalues_at(m, 1e-3, method="charpoly")
             assert matched_rel_err(a, b) < 1e-7
+
+
+    @pytest.mark.parametrize("source", [
+        CharPoly([1, 0, ScalarPoly.monomial(1, -1)]),
+        PolyMatrix([[0, 1], [ScalarPoly.t(), 0]])])
+    def test_unknown_method_rejected(self, source):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            eigenvalues_at(source, 0.01, method="bogus")
+
+    def test_charpoly_accepts_both_methods(self):
+        cp = CharPoly([1, 0, ScalarPoly.monomial(1, -1)])
+        assert eigenvalues_at(cp, 0.01, method="eig") == eigenvalues_at(
+            cp, 0.01, method="charpoly") == charpoly_roots_at(cp, 0.01)
 
 
 class TestCardano:
@@ -329,6 +455,95 @@ class TestBraid:
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
         with pytest.raises(LoopDegeneracyError):
             braid_loop(fam, eps0=1e-4, steps=16)
+
+
+def reference_braid_loop(family, eps0, steps):
+    """braid_loop before warm starts: Newton-polygon guesses on every solve,
+    every root continued, and the Hungarian _match on every step."""
+    eig_fn = partial(charpoly_roots_at, family.charpoly)
+    phis = [2 * math.pi * k / steps for k in range(steps + 1)]
+    start = sorted(eig_fn(eps0 * cmath.exp(1j * phis[0])),
+                   key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    lam_scale = max(abs(z) for z in start)
+    if lam_scale == 0:
+        raise LoopDegeneracyError("all eigenvalues vanish on the loop")
+
+    def gap_check(eigs):
+        gap = _min_gap(eigs)
+        if gap < 1e-3 * lam_scale:
+            raise LoopDegeneracyError(
+                f"minimum eigenvalue gap {gap:.3e} below 1e-3 of scale; "
+                "loop too coarse or crossing a degeneracy")
+        return gap
+
+    gap_check(start)
+    current = list(start)
+
+    def advance(cur, phi_from, phi_to, depth):
+        new = eig_fn(eps0 * cmath.exp(1j * phi_to))
+        gap = gap_check(new)
+        order = _match(cur, new)
+        if max(abs(cur[i] - new[order[i]]) for i in range(len(cur))) > 0.45 * gap:
+            if depth >= BRAID_HALVINGS:
+                raise LoopDegeneracyError("continuation ambiguous after max halving")
+            mid = (phi_from + phi_to) / 2
+            cur = advance(cur, phi_from, mid, depth + 1)
+            return advance(cur, mid, phi_to, depth + 1)
+        return [new[j] for j in order]
+
+    for phi_from, phi_to in zip(phis, phis[1:]):
+        current = advance(current, phi_from, phi_to, 0)
+    return BraidPermutation(tuple(_match(current, start)))
+
+
+def _verify_families():
+    """The families of the benchmark's verify workload."""
+    fams = [f for n in (2, 3, 4) for f in catalog_families(n)]
+    return fams + default_families() + [hatano_nelson(8, "unidirectional"),
+                                        hatano_nelson(8, "obc")]
+
+
+class TestBraidAgainstReference:
+    @staticmethod
+    def counted(monkeypatch, fn, *args):
+        """(BraidPermutation or (exception type, message), aberth_roots
+        calls, _match calls) of one call."""
+        calls = {"aberth_roots": 0, "_match": 0}
+        for name in calls:
+            original = getattr(numeric, name)
+
+            def counting(*a, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*a, **kw)
+            monkeypatch.setattr(numeric, name, counting)
+        try:
+            outcome = fn(*args)
+        except (LoopDegeneracyError, NonConvergenceError) as exc:
+            outcome = (type(exc), str(exc))
+        monkeypatch.undo()
+        return outcome, calls["aberth_roots"], calls["_match"]
+
+    @pytest.mark.parametrize("group, eps0, steps", [
+        ("verify", 1e-6, 96), ("catalog seed 1", 1e-3, 64), ("catalog seed 2", 1e-3, 64)])
+    def test_same_braids_with_one_match_and_the_same_solves(self, monkeypatch, group,
+                                                             eps0, steps):
+        if group == "verify":
+            fams = _verify_families()
+            assert len(fams) == 48
+        else:
+            seed = int(group.split()[-1])
+            fams = [f for n in (2, 3, 4) for f in catalog_families(n, seed)]
+        flat_braids = 0
+        for fam in fams:
+            want, ref_solves, _ = self.counted(monkeypatch, reference_braid_loop, fam, eps0,
+                                               steps)
+            got, solves, matches = self.counted(monkeypatch, braid_loop, fam, eps0, steps)
+            assert got == want, fam.name
+            assert solves == ref_solves, fam.name  # the same halvings
+            if isinstance(got, BraidPermutation):
+                assert matches == 1, fam.name
+                flat_braids += fam.charpoly.trailing_zero_count() > 0
+        assert flat_braids >= 3  # families with flat modes braid, not only fail
 
 
 class TestNumericOrd:
