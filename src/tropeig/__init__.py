@@ -13,22 +13,19 @@ __version__ = "0.1.0"
 from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, ec
 from .poly import Ord, ScalarPoly, cos_series, sin_series
 from .charpoly import (CharPoly, PolyMatrix, build_direction_matrix,
-                       charpoly_direct, charpoly_traces, companion_matrix,
-                       traceless_shift)
+                       charpoly_direct, charpoly_traces)
 from .tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
-                       TropicalRoot, newton_polygon, tropical_product,
-                       tropical_roots, tropicalize)
+                       TropicalRoot, newton_polygon, tropical_roots,
+                       tropicalize)
 from .jordan import (JordanStructure, WeyrAmbiguityError, catalog_families,
-                     jordan_matrix, partitions, weyr_structure)
+                     partitions, weyr_structure)
 from .numeric import (BraidPermutation, LoopDegeneracyError, SampleGrid,
                       VerificationResult, aberth_roots, braid_loop,
-                      cardano_roots, charpoly_roots_at, eigenvalues_at,
-                      fit_exponents, numeric_ord)
+                      charpoly_roots_at, eigenvalues_at, fit_exponents)
 from .models import (Family, build_example, cavity_dynamical,
-                     circuit_laplacian, default_families, dissipator,
+                     circuit_laplacian, default_families,
                      effective_liouvillian_example, example_names,
-                     hatano_nelson, lieb, lieb_hamiltonian,
-                     lindblad_liouvillian, liouvillian_from_nonhermitian,
+                     hatano_nelson, lieb, liouvillian_from_nonhermitian,
                      torus_knot)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

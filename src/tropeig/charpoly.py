@@ -64,9 +64,7 @@ from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Mapping, Sequence, Tuple
 
-import numpy as np
-
-from .exact import ExactComplex, invert_matrix
+from .exact import ExactComplex
 from .poly import ScalarPoly
 
 
@@ -101,13 +99,6 @@ class PolyMatrix:
         return PolyMatrix([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        n = self.n
-        cols = list(zip(*other.rows))
-        return PolyMatrix([[sum((a * b for a, b in zip(self.rows[i], cols[j])),
-                                ScalarPoly.zero()) for j in range(n)]
-                           for i in range(n)])
-
     def scale(self, c) -> "PolyMatrix":
         return PolyMatrix([[x * c for x in row] for row in self.rows])
 
@@ -117,21 +108,9 @@ class PolyMatrix:
         return PolyMatrix([[self.rows[i // m][j // m] * other.rows[i % m][j % m]
                             for j in range(self.n * m)] for i in range(self.n * m)])
 
-    def trace(self) -> ScalarPoly:
-        acc = ScalarPoly.zero()
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
-
-    def conjugate_by(self, s_rows) -> "PolyMatrix":
-        """Exact similarity transform S M S^-1 for a constant matrix S."""
-        s_inv = invert_matrix(s_rows)
-        s = PolyMatrix([[ScalarPoly.const(x) for x in row] for row in s_rows])
-        si = PolyMatrix([[ScalarPoly.const(x) for x in row] for row in s_inv])
-        return s @ self @ si
-
-    def to_array(self, t: complex) -> np.ndarray:
-        """Evaluate all entries at a numeric parameter value."""
+    def to_array(self, t: complex):
+        """All entries evaluated at a numeric parameter value, as a numpy array."""
+        import numpy as np
         return np.array([[x.evaluate(t) for x in row] for row in self.rows],
                         dtype=complex)
 
@@ -170,25 +149,8 @@ class CharPoly:
                 break
         return k
 
-    def evaluate(self, lam: complex, t: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs:
-            acc = acc * lam + c.evaluate(t)
-        return acc
-
-    def rescale_t(self, c) -> "CharPoly":
-        return CharPoly([p.rescale_t(c) for p in self.coeffs])
-
     def __repr__(self):
         return f"CharPoly(n={self.n})"
-
-
-def traceless_shift(m: PolyMatrix) -> PolyMatrix:
-    """M - (tr M / n) I; the result has identically-zero trace."""
-    shift = m.trace() / m.n
-    rows = [[m.rows[i][j] - shift if i == j else m.rows[i][j]
-             for j in range(m.n)] for i in range(m.n)]
-    return PolyMatrix(rows)
 
 
 def charpoly_traces(m: PolyMatrix) -> CharPoly:
@@ -444,14 +406,3 @@ def build_direction_matrix(template: Sequence[Sequence],
 
     return PolyMatrix([[build(x) for x in row] for row in template])
 
-
-def companion_matrix(coeffs: Sequence) -> PolyMatrix:
-    """Companion matrix of a monic polynomial given as CharPoly-style a_0..a_n."""
-    coeffs = [ScalarPoly.from_value(c) for c in coeffs]
-    n = len(coeffs) - 1
-    rows = [[ScalarPoly.zero()] * n for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = ScalarPoly.const(1)
-    for j in range(n):
-        rows[n - 1][j] = -coeffs[n - j]
-    return PolyMatrix(rows)

@@ -28,8 +28,8 @@ from .charpoly import charpoly_direct
 from .jordan import (DEFAULT_SEED, WeyrAmbiguityError, catalog_families,
                      validate_partition, weyr_structure)
 from .models import Family, build_example, example_names
-from .numeric import (DEFAULT_GRID, LoopDegeneracyError, NonConvergenceError,
-                      SampleGrid, braid_loop, fit_exponents)
+from .numeric import (BRAID_EPS0, BRAID_STEPS, DEFAULT_GRID, LoopDegeneracyError,
+                      NonConvergenceError, SampleGrid, braid_loop, fit_exponents)
 from .plots import polygon_svg, tropical_csv, tropical_svg
 from .serialize import (ParseError, braid_to_json, charpoly_from_json,
                         charpoly_to_json, dumps, family_to_json,
@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=0.05, help="exponent match tolerance")
     p.add_argument("--braid", action="store_true")
-    p.add_argument("--eps0", type=float, default=1e-6, help="braid loop radius")
-    p.add_argument("--steps", type=int, default=96, help="braid loop resolution")
+    p.add_argument("--eps0", type=float, default=BRAID_EPS0, help="braid loop radius")
+    p.add_argument("--steps", type=int, default=BRAID_STEPS, help="braid loop resolution")
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_verify)
 

@@ -181,25 +181,3 @@ def ec(re, im=0) -> ExactComplex:
     """Shorthand Gaussian-rational constructor."""
     return ExactComplex(re, im)
 
-
-def invert_matrix(rows):
-    """Exact inverse of a square matrix of ExactComplex entries.
-
-    Gauss-Jordan with pivoting on any nonzero entry (exact arithmetic, so
-    magnitude is irrelevant).  Raises ZeroDivisionError on singular input.
-    """
-    n = len(rows)
-    aug = [[ExactComplex.from_value(rows[i][j]) for j in range(n)]
-           + [EC_ONE if i == j else EC_ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

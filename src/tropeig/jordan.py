@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .charpoly import CharPoly, PolyMatrix, build_direction_matrix, charpoly_traces
+from .charpoly import CharPoly, build_direction_matrix, charpoly_traces
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
 from .models import Family
 # tropical_roots is not called here; the binding stays importable for the
@@ -49,22 +47,6 @@ def validate_partition(p: Sequence[int]) -> Tuple[int, ...]:
     if not p or any(x < 1 for x in p) or list(p) != sorted(p, reverse=True):
         raise ValueError(f"not a partition: {p}")
     return p
-
-
-def jordan_matrix(partition: Sequence[int], lam=0) -> PolyMatrix:
-    """Block-diagonal Jordan matrix with eigenvalue lam."""
-    partition = validate_partition(partition)
-    lam = ExactComplex.from_value(lam)
-    n = sum(partition)
-    rows = [[EC_ZERO] * n for _ in range(n)]
-    offset = 0
-    for size in partition:
-        for k in range(size):
-            rows[offset + k][offset + k] = lam
-            if k + 1 < size:
-                rows[offset + k][offset + k + 1] = EC_ONE
-        offset += size
-    return PolyMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +297,7 @@ def weyr_structure(matrix, eigenvalue: complex, tol: float = 1e-8) -> JordanStru
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    import numpy as np
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]
     if m.shape != (n, n):

@@ -13,13 +13,10 @@ encoded exactly over a quadratic extension; see ``exact.ExactComplex``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, ec
@@ -257,21 +254,6 @@ def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> Family:
 # non-Hermitian Lieb lattice
 # ---------------------------------------------------------------------------
 
-def lieb_hamiltonian(kx: float, ky: float, eps: float) -> np.ndarray:
-    """Numeric three-band Bloch Hamiltonian of the lossy Lieb lattice."""
-    return np.array([
-        [0, 1 + np.exp(1j * ky), 0],
-        [1 + np.exp(-1j * ky) + 1j * eps, 0, 1 + np.exp(-1j * kx) - 1j * eps],
-        [0, 1 + np.exp(1j * kx), 0],
-    ], dtype=complex)
-
-
-def lieb_degeneracy_points(eps: float) -> Dict[str, Tuple[float, float]]:
-    """The two zero-energy band-touching momenta at non-Hermiticity eps."""
-    a = 2 * math.atan2(2, eps)  # 2*arccot(eps/2)
-    return {"arccot": (-a, a), "pi": (math.pi, math.pi)}
-
-
 def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> Family:
     """Characteristic polynomial along a momentum path through a degeneracy.
 
@@ -321,48 +303,13 @@ def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> Family:
 # Liouvillian superoperators
 # ---------------------------------------------------------------------------
 
-def dissipator(jump: np.ndarray) -> np.ndarray:
-    """Vectorized Lindblad dissipator D[L] = L(x)L* - (L+L (x) 1 + 1 (x) LtL*)/2.
-
-    Vectorization is row-major: |m><n| -> index m*dim + n, so LtL* is the
-    transpose of L+L.
-    """
-    jump = np.asarray(jump, dtype=complex)
-    n = jump.shape[0]
-    if jump.shape != (n, n):
-        raise ValueError("jump operator must be square")
-    eye = np.eye(n)
-    ldl = jump.conj().T @ jump
-    return (np.kron(jump, jump.conj())
-            - 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T)))
-
-
-def liouvillian_from_nonhermitian(h_nh: np.ndarray) -> np.ndarray:
-    """Jump-free vectorized generator (-i H)(x)1 + 1(x)(i H*)."""
+def liouvillian_from_nonhermitian(h_nh):
+    """Jump-free vectorized generator (-i H)(x)1 + 1(x)(i H*), as a numpy array."""
+    import numpy as np
     h_nh = np.asarray(h_nh, dtype=complex)
     n = h_nh.shape[0]
     eye = np.eye(n)
     return np.kron(-1j * h_nh, eye) + np.kron(eye, 1j * h_nh.conj())
-
-
-def lindblad_liouvillian(h: np.ndarray, jumps) -> np.ndarray:
-    """Vectorized Liouvillian of a Lindblad master equation.
-
-    ``jumps`` is a list of (operator, rate) pairs with non-negative rates.
-    """
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError("hamiltonian must be square")
-    total = liouvillian_from_nonhermitian(h)
-    for op, rate in jumps:
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (n, n):
-            raise ValueError("jump operator dimension mismatch")
-        if rate < 0:
-            raise ValueError("rates must be non-negative")
-        total = total + rate * dissipator(op)
-    return total
 
 
 # -- exact effective Liouvillian of the dissipative four-level system -------

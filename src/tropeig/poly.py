@@ -173,11 +173,6 @@ class ScalarPoly:
         c = ExactComplex.from_value(c)
         return ScalarPoly({e: v * c for e, v in self.terms.items()}, self.trunc)
 
-    def __truediv__(self, k):
-        """Division by an exact scalar (used by integer-division recursions)."""
-        inv = ExactComplex.from_value(k).inverse()
-        return self.scale(inv)
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
@@ -189,18 +184,6 @@ class ScalarPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def rescale_t(self, c) -> "ScalarPoly":
-        """Substitute t -> c*t for an exact nonzero scalar c."""
-        c = ExactComplex.from_value(c)
-        if not c:
-            raise ValueError("rescaling by zero")
-        out, p = {}, EC_ONE
-        for e in range(0, self.degree() + 1):
-            if e in self.terms:
-                out[e] = self.terms[e] * p
-            p = p * c
-        return ScalarPoly(out, self.trunc)
 
     # -- numerics ----------------------------------------------------------
 

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import pi
-from cmath import exp as cexp
 from typing import Optional, Sequence, Tuple, Union
 
 from .charpoly import CharPoly
@@ -107,10 +105,6 @@ class TropicalRoot:
         object.__setattr__(self, "omega", Fraction(self.omega))
         if self.omega < 0 or self.multiplicity < 1:
             raise ValueError("roots are non-negative with positive multiplicity")
-
-    def branch_phases(self) -> Tuple[complex, ...]:
-        m = self.multiplicity
-        return tuple(cexp(2j * pi * l / m) for l in range(m))
 
 
 @dataclass(frozen=True)
@@ -219,14 +213,3 @@ def _roots_from_minplus(p: TropicalPoly) -> SplittingReport:
     zero = terms[-1][0]  # smallest slope = count of identically-zero branches
     return SplittingReport(tuple(roots), zero, p.undetermined)
 
-
-def tropical_product(p: TropicalPoly, q: TropicalPoly) -> TropicalPoly:
-    """Min-plus convolution; root multisets add under this product."""
-    conv = {}
-    for k1, a1 in p.terms:
-        for k2, a2 in q.terms:
-            k, a = k1 + k2, a1 + a2
-            if k not in conv or a < conv[k]:
-                conv[k] = a
-    return TropicalPoly(tuple(conv.items()),
-                        undetermined=p.undetermined or q.undetermined)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import companion_matrix, conjugate_by, evaluate_charpoly, trace, traceless_shift
 from tropeig import charpoly as charpoly_module
 from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, _pack, _to_kernel, _unpack,
-                              build_direction_matrix, charpoly_direct, charpoly_traces,
-                              companion_matrix, traceless_shift)
+                              build_direction_matrix, charpoly_direct, charpoly_traces)
 from tropeig.exact import ExactComplex, ec
 from tropeig.jordan import _TEMPLATES
 from tropeig.models import hatano_nelson
@@ -69,7 +69,7 @@ class TestTracelessShift:
         rng = random.Random(5)
         for _ in range(10):
             m = rand_linear_matrix(rng, 3)
-            assert traceless_shift(m).trace().is_zero()
+            assert trace(traceless_shift(m)).is_zero()
 
 
 class TestTwoAlgorithmsAgree:
@@ -520,7 +520,7 @@ class TestSimilarityInvariance:
             m = rand_linear_matrix(rng, n)
             s = [[ec(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
             try:
-                conj = m.conjugate_by(s)
+                conj = conjugate_by(m, s)
             except ZeroDivisionError:
                 continue
             assert charpoly_traces(conj) == charpoly_traces(m)
@@ -539,4 +539,4 @@ class TestNumericConsistency:
             norm = np.linalg.norm(arr, 2)
             bound = 100 * n * max(1.0, norm) ** n * np.finfo(float).eps
             for lam in np.linalg.eigvals(arr):
-                assert abs(cp.evaluate(lam, t)) <= bound
+                assert abs(evaluate_charpoly(cp, lam, t)) <= bound

@@ -157,7 +157,8 @@ class TestVerify:
         assert code == 6 and out == ""
         assert err.startswith("error: root iteration did not converge")
 
-    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--steps", "-3"], ["--eps0", "nan"]])
+    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--steps", "-3"], ["--eps0", "nan"],
+                                      ["--eps0", "0"]])
     def test_bad_braid_arguments_exit(self, capsys, flag):
         code, out, err = run(capsys, "verify", "--jordan", "3", "--braid", *flag)
         assert code == 1 and out == ""
@@ -265,10 +266,37 @@ class TestDeterminism:
         assert out1 == out2
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+# imports tropeig, runs `tropeig argv` when argv is given, and reports on
+# stderr, after exit, whether numpy was ever imported
+NUMPY_PROBE = """import atexit, sys
+atexit.register(lambda: sys.stderr.write("\\nnumpy loaded: %s" % ("numpy" in sys.modules)))
+import tropeig
+if sys.argv[1:]:
+    from tropeig.cli import main
+    sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         code = "import tropeig.cli, sys; sys.exit('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, timeout=120)
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("argv, loads_numpy", [
+        ([], False), (["--version"], False), (["catalog"], False),
+        (["example", "effective_liouvillian"], False),
+        (["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")], False),
+        (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], False),
+        (["verify", "--jordan", "2", "--braid"], True),
+        (["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"], True),
+    ])
+    def test_numpy_loads_only_for_float_commands(self, argv, loads_numpy):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"

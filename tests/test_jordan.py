@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import jordan_matrix
 from tropeig.charpoly import charpoly_direct
 from tropeig.exact import ec
 from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, JordanStructure, WeyrAmbiguityError,
-                            catalog_families, jordan_matrix, partitions,
-                            validate_partition, weyr_structure)
+                            catalog_families, partitions, validate_partition, weyr_structure)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from reference import cardano_roots, numeric_ord
 from tropeig import numeric
-from tropeig.charpoly import CharPoly, PolyMatrix, companion_matrix
+from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
 from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families
 from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
@@ -18,8 +19,8 @@ from tropeig.models import (Family, build_example, cavity_dynamical, default_fam
 from tropeig.numeric import (BRAID_HALVINGS, DEFAULT_GRID, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, SampleGrid,
                              _coefficient_sampler, _match, _min_gap, _nearest_within,
-                             aberth_roots, braid_loop, cardano_roots, charpoly_roots_at,
-                             eigenvalues_at, fit_exponents, numeric_ord)
+                             aberth_roots, braid_loop, charpoly_roots_at, eigenvalues_at,
+                             fit_exponents)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import SplittingReport, TropicalRoot
 
@@ -271,22 +272,9 @@ class TestEigenvaluesAt:
         for _ in range(20):
             m = PolyMatrix([[ScalarPoly.monomial(1, rng.randint(-5, 5))
                              for _ in range(3)] for _ in range(3)])
-            a = eigenvalues_at(m, 1e-3, method="eig")
-            b = eigenvalues_at(m, 1e-3, method="charpoly")
+            a = eigenvalues_at(m, 1e-3)
+            b = charpoly_roots_at(charpoly_direct(m), 1e-3)
             assert matched_rel_err(a, b) < 1e-7
-
-
-    @pytest.mark.parametrize("source", [
-        CharPoly([1, 0, ScalarPoly.monomial(1, -1)]),
-        PolyMatrix([[0, 1], [ScalarPoly.t(), 0]])])
-    def test_unknown_method_rejected(self, source):
-        with pytest.raises(ValueError, match="unknown method 'bogus'"):
-            eigenvalues_at(source, 0.01, method="bogus")
-
-    def test_charpoly_accepts_both_methods(self):
-        cp = CharPoly([1, 0, ScalarPoly.monomial(1, -1)])
-        assert eigenvalues_at(cp, 0.01, method="eig") == eigenvalues_at(
-            cp, 0.01, method="charpoly") == charpoly_roots_at(cp, 0.01)
 
 
 class TestCardano:
@@ -418,7 +406,7 @@ class TestBraid:
             for fam in fams:
                 if not fam.parameters["generic"]:
                     continue
-                b = braid_loop(fam, eps0=BRAID_EPS, steps=BRAID_STEPS)
+                b = braid_loop(fam)  # the defaults; 1e-3 encloses H[2,1,1]'s next degeneracy
                 assert b.cycle_lengths == fam.expected.predicted_cycle_lengths(), fam.name
 
     def test_nongeneric_23_exponent_family_is_full_cycle(self, catalogs):
@@ -445,7 +433,7 @@ class TestBraid:
         assert b.cycle_lengths == (1, 1, 4) == fam.expected.predicted_cycle_lengths()
 
     @pytest.mark.parametrize("eps0, steps", [
-        (BRAID_EPS, 0), (BRAID_EPS, -3), (math.nan, 16), (math.inf, 16)])
+        (BRAID_EPS, 0), (BRAID_EPS, -3), (math.nan, 16), (math.inf, 16), (0, 16)])
     def test_bad_arguments_rejected(self, catalogs, eps0, steps):
         fam = catalogs[2][0]
         with pytest.raises(ValueError, match="steps >= 1 and a finite eps0"):
