@@ -28,4 +28,17 @@ from .models import (Family, build_example, cavity_dynamical,
                      hatano_nelson, lieb, liouvillian_from_nonhermitian,
                      torus_knot)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "ec",
+    "Ord", "ScalarPoly", "cos_series", "sin_series",
+    "CharPoly", "PolyMatrix", "build_direction_matrix", "charpoly_direct", "charpoly_traces",
+    "NewtonPolygon", "SplittingReport", "TropicalPoly", "TropicalRoot", "newton_polygon",
+    "tropical_roots", "tropicalize",
+    "JordanStructure", "WeyrAmbiguityError", "catalog_families", "partitions",
+    "weyr_structure",
+    "BraidPermutation", "LoopDegeneracyError", "SampleGrid", "VerificationResult",
+    "aberth_roots", "braid_loop", "charpoly_roots_at", "eigenvalues_at", "fit_exponents",
+    "Family", "build_example", "cavity_dynamical", "circuit_laplacian", "default_families",
+    "effective_liouvillian_example", "example_names", "hatano_nelson", "lieb",
+    "liouvillian_from_nonhermitian", "torus_knot",
+]

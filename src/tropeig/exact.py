@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import sqrt
 from numbers import Rational
 
 _ZERO = Fraction(0)

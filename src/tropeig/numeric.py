@@ -3,14 +3,15 @@
 The symbolic layer predicts leading exponents; this module checks them on
 actual numbers: eigenvalues are sampled along a geometric grid of the
 perturbation parameter, tracked by minimum-displacement continuation, fitted
-in log-log scale, and clustered; braids are read off by continuing
-eigenvalues around a small loop.  Eigenvalues come either from a dense
-nonsymmetric eigensolver or from an Ehrlich-Aberth simultaneous root
-iteration on the exactly-known characteristic polynomial; the latter is
-preferred for deep-asymptotic sampling because exact coefficients evaluated
-in floats keep the roots well conditioned far below where matrix
-eigensolvers degrade.  The exact coefficients are converted to floats once
-per fit or braid loop.
+in log-log scale, and grouped by the predicted exponents; flat zero modes
+are counted from the exact characteristic polynomial.  Braids are read off
+by continuing eigenvalues around a small loop.  Eigenvalues come either
+from a dense nonsymmetric eigensolver or from an Ehrlich-Aberth
+simultaneous root iteration on the exactly-known characteristic
+polynomial; the latter is preferred for deep-asymptotic sampling because
+exact coefficients evaluated in floats keep the roots well conditioned far
+below where matrix eigensolvers degrade.  The exact coefficients are
+converted to floats once per fit or braid loop.
 
 The fit starts every root solve from Newton-polygon guesses, so the roots
 at one sample do not depend on the others.  The braid loop is a
@@ -19,11 +20,11 @@ roots that move are continued, and a step is accepted by a nearest-neighbour
 rule that agrees with the minimum-displacement assignment (see braid_loop).
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
-for the root iteration, CLUSTER_GAP for grouping fitted exponents,
-BRAID_HALVINGS for step halving on a braid loop, and BRAID_EPS0 and
-BRAID_STEPS for the loop's default radius and resolution (the CLI's too).
-Only the functions that compute with arrays (the dense eigensolver, the
-tracks and the fit) import numpy, so the exact pipeline never loads it.
+for the root iteration, BRAID_HALVINGS for step halving on a braid loop,
+and BRAID_EPS0 and BRAID_STEPS for the loop's default radius and
+resolution (the CLI's too).  Only the functions that compute with arrays
+(the dense eigensolver, the tracks and the fit) import numpy, so the exact
+pipeline never loads it.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ from .models import Family
 from .poly import horner_table
 from .tropical import TropicalRoot, _lower_hull
 
-ZERO_TRACK_RELATIVE_FLOOR = 1e-13
 # Aberth stops once every relative step is below this (about 225 ulps)
 ROOT_TOL = 5e-14
 # cap on Aberth sweeps; the built-in families converge within 42
 ROOT_ITERATIONS = 300
-# exponents this close form one cluster; built-in predictions are >= 2/15 apart
-CLUSTER_GAP = 0.1
 # step halvings (to 2^-14 of a step) before a braid loop counts as degenerate
 BRAID_HALVINGS = 14
 # default braid loop radius and steps; a radius of 1e-3 encloses a second
@@ -96,11 +94,11 @@ DEFAULT_GRID = SampleGrid()
 # ---------------------------------------------------------------------------
 
 def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
-    m = len(coeffs) - 1
     # upper convex hull of (i, log|c_i|); negation is exact, so the lower
     # hull of the negated points makes the same decisions
     pts = [(i, -math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
     hull = [(i, -y) for i, y in _lower_hull(pts)]
+    # both end coefficients are nonzero (aberth_roots), so one guess per root
     guesses: List[complex] = []
     for gi, ((i0, y0), (i1, y1)) in enumerate(zip(hull, hull[1:])):
         radius = math.exp((y1 - y0) / (i1 - i0))
@@ -108,9 +106,7 @@ def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
         for k in range(g):
             theta = 2 * math.pi * k / g + 0.4 + 0.9 * gi
             guesses.append(radius * cmath.exp(1j * theta))
-    while len(guesses) < m:  # degenerate hulls (should not happen for monic input)
-        guesses.append(cmath.exp(1j * (0.4 + len(guesses))))
-    return guesses[:m]
+    return guesses
 
 
 def _horner2(coeffs: Sequence[complex], z: complex) -> Tuple[complex, complex]:
@@ -194,19 +190,14 @@ def _coefficient_sampler(cp: CharPoly):
     return (lambda t: [horner_table(table, t) for table in tables]), zeros
 
 
-def _roots_sampler(cp: CharPoly):
-    """t -> charpoly_roots_at(cp, t), with the float tables built once."""
-    coeffs_at, zeros = _coefficient_sampler(cp)
-    return lambda t: aberth_roots(coeffs_at(t)) + [0j] * zeros
-
-
 def charpoly_roots_at(cp: CharPoly, t: complex) -> List[complex]:
     """Eigenvalues at parameter t from the exact characteristic polynomial.
 
     Identically-zero trailing coefficients are deflated symbolically, so flat
     zero modes come back as exact 0j.
     """
-    return _roots_sampler(cp)(t)
+    coeffs_at, zeros = _coefficient_sampler(cp)
+    return aberth_roots(coeffs_at(t)) + [0j] * zeros
 
 
 def eigenvalues_at(source, t: complex) -> List[complex]:
@@ -315,10 +306,13 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
                   match_tol: float = 0.05) -> VerificationResult:
     """Fit per-eigenvalue leading exponents and compare with the prediction.
 
-    Tracks are continued through the grid, the smallest-|t| half of each
-    track is fitted by least squares in log-log scale, tracks are clustered
-    by fitted exponent, and clusters are matched against the expected
-    splitting report.  Mismatches produce ``passed=False`` with diagnostics
+    Flat zero modes are counted from the exact characteristic polynomial
+    and only the moving roots are tracked.  Tracks are continued through
+    the grid, and the smallest-|t| half of each track is fitted by least
+    squares in log-log scale.  Each track joins the predicted root nearest
+    in exponent (a tie goes to the lower exponent), and each predicted root
+    must collect its multiplicity of tracks with a mean exponent within
+    ``match_tol``.  Mismatches produce ``passed=False`` with diagnostics
     rather than an exception.
     """
     import numpy as np
@@ -327,25 +321,20 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
     expected = family.expected
     if expected is None:
         raise ValueError("family carries no expected splitting report")
-    n = family.charpoly.n
+    coeffs_at, zero_tracks = _coefficient_sampler(family.charpoly)
     ts = grid.points()
-    tracks = track_eigenvalues(_roots_sampler(family.charpoly), ts)
-
-    scale = float(np.max(np.abs(tracks[0]))) or 1.0
-    floor = ZERO_TRACK_RELATIVE_FLOOR * scale
+    tracks = track_eigenvalues(lambda t: aberth_roots(coeffs_at(t)), ts)
     half = grid.count // 2
     log_t = np.log(np.abs(np.asarray(ts)))
 
+    ok = True
     diagnostics: List[str] = []
     fits: List[Tuple[float, float]] = []  # (slope, residual)
-    zero_tracks = 0
-    for j in range(n):
+    for j in range(tracks.shape[1]):
         window = np.abs(tracks[half:, j])
-        if np.all(window <= floor):
-            zero_tracks += 1
-            continue
-        keep = window > floor
+        keep = window > 0  # a coefficient that underflows leaves an exact zero root
         if keep.sum() < 3:
+            ok = False
             diagnostics.append(f"track {j}: too few usable points for a fit")
             continue
         x = log_t[half:][keep]
@@ -354,42 +343,34 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
         residual = float(np.max(np.abs(slope * x + intercept - y)))
         fits.append((float(slope), residual))
 
-    fits.sort()
-    clusters: List[List[Tuple[float, float]]] = []
-    for fit in fits:
-        if clusters and fit[0] - clusters[-1][-1][0] <= CLUSTER_GAP:
-            clusters[-1].append(fit)
-        else:
-            clusters.append([fit])
-
-    remaining = list(expected.roots)
-    out: List[ClusterFit] = []
-    ok = True
-    for group in clusters:
-        mean = sum(f[0] for f in group) / len(group)
-        res = max(f[1] for f in group)
-        match = None
-        for root in remaining:
-            if abs(mean - float(root.omega)) <= match_tol and root.multiplicity == len(group):
-                match = root
-                break
-        if match is None:
+    roots = expected.roots  # ascending exponent
+    groups: List[List[Tuple[float, float]]] = [[] for _ in roots]
+    for fit in sorted(fits):
+        if not roots:
             ok = False
-            diagnostics.append(
-                f"cluster exponent~{mean:.4f} x{len(group)} matches no predicted root")
-        else:
-            remaining.remove(match)
-        out.append(ClusterFit(mean, len(group), match, res))
-    for root in remaining:
-        ok = False
-        diagnostics.append(f"predicted root {root.omega} x{root.multiplicity} unmatched")
+            diagnostics.append(f"track exponent~{fit[0]:.4f} matches no predicted root")
+            continue
+        nearest = min(range(len(roots)), key=lambda k: abs(fit[0] - float(roots[k].omega)))
+        groups[nearest].append(fit)
+
+    out: List[ClusterFit] = []
+    for root, group in zip(roots, groups):
+        if not group:
+            ok = False
+            diagnostics.append(f"predicted root {root.omega} x{root.multiplicity} unmatched")
+            continue
+        mean = sum(f[0] for f in group) / len(group)
+        matched = abs(mean - float(root.omega)) <= match_tol and len(group) == root.multiplicity
+        if not matched:
+            ok = False
+            diagnostics.append(f"cluster exponent~{mean:.4f} x{len(group)} does not match "
+                               f"predicted root {root.omega} x{root.multiplicity}")
+        out.append(ClusterFit(mean, len(group), root if matched else None,
+                              max(f[1] for f in group)))
     if zero_tracks != expected.zero_root_count:
         ok = False
         diagnostics.append(
             f"{zero_tracks} identically-zero tracks, expected {expected.zero_root_count}")
-    if sum(len(g) for g in clusters) + zero_tracks != n:
-        ok = False
-        diagnostics.append("track count does not add up to the dimension")
     return VerificationResult(tuple(out), zero_tracks, ok, tuple(diagnostics))
 
 

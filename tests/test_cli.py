@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,11 @@ class TestStartup:
         code = "import tropeig.cli, sys; sys.exit('scipy' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, timeout=120)
         assert proc.returncode == 0
+
+    def test_all_names_resolve_and_none_is_a_module(self):
+        import tropeig
+        for name in tropeig.__all__:
+            assert not isinstance(getattr(tropeig, name), types.ModuleType), name
 
     @pytest.mark.parametrize("argv, loads_numpy", [
         ([], False), (["--version"], False), (["catalog"], False),

@@ -34,7 +34,7 @@ EXAMPLES = ["cavity_d12", "cavity_d22_ep31", "cavity_d22_ep4", "circuit_epsilon"
             "circuit_gamma_detune", "effective_liouvillian", "hatano_nelson",
             "lieb_arccot", "lieb_pi_antidiag", "lieb_pi_diag", "torus_knot"]
 PARTITIONS = ["2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1"]
-FAMILY_FILES = ["family_matrix.json", "family_charpoly.json"]
+FAMILY_FILES = ["family_matrix.json", "family_charpoly.json", "family_multiblock.json"]
 
 
 # analyze's plot flags, each with the suffix of its golden file

@@ -15,7 +15,7 @@ from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
 from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families
 from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
-                            hatano_nelson)
+                            hatano_nelson, torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, DEFAULT_GRID, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, SampleGrid,
                              _coefficient_sampler, _match, _min_gap, _nearest_within,
@@ -347,6 +347,38 @@ class TestFitExponents:
             SplittingReport((TropicalRoot(Fraction(1, 2), 2),), 1))
         res = fit_exponents(fam)
         assert res.passed and res.zero_tracks == 1
+
+    def test_far_apart_branches_both_move(self):
+        # (l - t)(l - t^3): the t^3 branch is tiny but not a flat zero mode
+        cp = CharPoly([1, ScalarPoly.monomial(1, -1) + ScalarPoly.monomial(3, -1),
+                       ScalarPoly.monomial(4)])
+        fam = Family("synthetic", cp, SplittingReport(
+            (TropicalRoot(Fraction(1), 1), TropicalRoot(Fraction(3), 1)), 0))
+        res = fit_exponents(fam)
+        assert res.passed and res.zero_tracks == 0
+        assert [c.size for c in res.clusters] == [1, 1]
+
+    def test_multiblock_rates_stay_apart(self):
+        # EP3 + EP4: (l^3 - t)(l^4 - t) splits as t^(1/4) x4 and t^(1/3) x3
+        zero, minus_t = ScalarPoly.zero(), ScalarPoly.monomial(1, -1)
+        cp = CharPoly([1, zero, zero, minus_t, minus_t, zero, zero, ScalarPoly.monomial(2)])
+        quarter, third = TropicalRoot(Fraction(1, 4), 4), TropicalRoot(Fraction(1, 3), 3)
+        res = fit_exponents(Family("synthetic", cp, SplittingReport((quarter, third), 0)))
+        assert res.passed
+        assert [(c.matched, c.size) for c in res.clusters] == [(quarter, 4), (third, 3)]
+
+    def test_underflowing_coefficient_is_no_zero_mode(self):
+        # l^2 - t^31: the constant term underflows to 0.0 at the smallest |t|
+        res = fit_exponents(torus_knot(2, 31))
+        assert res.passed and res.zero_tracks == 0
+
+    def test_moving_roots_without_a_prediction(self):
+        fam = Family(
+            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
+            SplittingReport((), 2))
+        res = fit_exponents(fam)
+        assert res.passed is False and not res.clusters
+        assert any("exponent~0.5000" in d for d in res.diagnostics)
 
     def test_grid_must_span_three_decades(self):
         fam = Family(
