@@ -11,15 +11,14 @@ import numpy as np
 
 from tropeig import fit_exponents, tropical_roots, tropicalize, weyr_structure
 from tropeig.models import (effective_hamiltonian, effective_liouvillian_example,
-                            effective_liouvillian_matrix,
-                            liouvillian_from_nonhermitian)
+                            effective_liouvillian_matrix)
 
 h, gamma3 = effective_hamiltonian()
 h_num = np.array([[x.to_complex() for x in row] for row in h])
 print("effective Hamiltonian block structure at the tuning point:",
       weyr_structure(h_num, -0.5j * float(gamma3)).partition)
 
-jump_free = liouvillian_from_nonhermitian(h_num)
+jump_free = effective_liouvillian_matrix(recenter=False).to_array(0.0)
 print("jump-free 9x9 generator blocks at lambda = -gamma3:",
       weyr_structure(jump_free, -float(gamma3)).partition)
 

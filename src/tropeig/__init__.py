@@ -25,8 +25,7 @@ from .numeric import (BraidPermutation, LoopDegeneracyError, SampleGrid,
 from .models import (Family, build_example, cavity_dynamical,
                      circuit_laplacian, default_families,
                      effective_liouvillian_example, example_names,
-                     hatano_nelson, lieb, liouvillian_from_nonhermitian,
-                     torus_knot)
+                     hatano_nelson, lieb, torus_knot)
 
 __all__ = [
     "EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "ec",
@@ -39,6 +38,5 @@ __all__ = [
     "BraidPermutation", "LoopDegeneracyError", "SampleGrid", "VerificationResult",
     "aberth_roots", "braid_loop", "charpoly_roots_at", "eigenvalues_at", "fit_exponents",
     "Family", "build_example", "cavity_dynamical", "circuit_laplacian", "default_families",
-    "effective_liouvillian_example", "example_names", "hatano_nelson", "lieb",
-    "liouvillian_from_nonhermitian", "torus_knot",
+    "effective_liouvillian_example", "example_names", "hatano_nelson", "lieb", "torus_knot",
 ]

@@ -70,7 +70,11 @@ from .poly import ScalarPoly
 
 @dataclass(frozen=True, slots=True)
 class PolyMatrix:
-    """Square matrix of ScalarPoly entries, immutable after construction."""
+    """Square matrix of ScalarPoly entries, immutable after construction.
+
+    A container for the characteristic-polynomial algorithms, not a matrix
+    algebra: builders fill the entries directly.
+    """
 
     rows: Tuple[Tuple[ScalarPoly, ...], ...]  # any square nested sequence on input
     n: int = field(init=False)
@@ -83,30 +87,9 @@ class PolyMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
 
-    @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def __add__(self, other):
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return PolyMatrix([[a - b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)])
-
-    def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix([[x * c for x in row] for row in self.rows])
-
-    def kron(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Kronecker product: entry (i*m + k, j*m + l) is self[i, j] * other[k, l]."""
-        m = other.n
-        return PolyMatrix([[self.rows[i // m][j // m] * other.rows[i % m][j % m]
-                            for j in range(self.n * m)] for i in range(self.n * m)])
 
     def to_array(self, t: complex):
         """All entries evaluated at a numeric parameter value, as a numpy array."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -207,6 +208,11 @@ def cmd_example(args) -> int:
     return OK
 
 
+def _is_finite_number(x) -> bool:
+    """A finite JSON number; json.loads also reads true, false, NaN and Infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _parse_numeric_matrix(obj, path="$"):
     entries = obj.get("entries", obj) if isinstance(obj, dict) else obj
     if not isinstance(entries, list) or not entries:
@@ -217,13 +223,13 @@ def _parse_numeric_matrix(obj, path="$"):
             raise ParseError(f"{path}[{i}]", "matrix must be square")
         out = []
         for j, x in enumerate(row):
-            if isinstance(x, (int, float)):
+            if _is_finite_number(x):
                 out.append(complex(x))
-            elif isinstance(x, list) and len(x) == 2:
+            elif isinstance(x, list) and len(x) == 2 and all(map(_is_finite_number, x)):
                 out.append(complex(x[0], x[1]))
             else:
                 raise ParseError(f"{path}[{i}][{j}]",
-                                 "entries are numbers or [re, im] pairs")
+                                 "entries are finite numbers or [re, im] pairs")
         rows.append(out)
     return rows
 

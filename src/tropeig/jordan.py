@@ -13,6 +13,8 @@ solved for exactly so that a coefficient cancels identically.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -293,10 +295,13 @@ def weyr_structure(matrix, eigenvalue: complex, tol: float = 1e-8) -> JordanStru
 
     rank((M - lambda I)^(k-1)) - rank((M - lambda I)^k) counts the blocks of
     size >= k.  Ranks are numerical: singular values of every power are
-    thresholded at tol * sigma_max(M - lambda I).
+    thresholded at tol * sigma_max(M - lambda I).  Raises ValueError unless
+    tol is finite and positive and the eigenvalue is finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not cmath.isfinite(eigenvalue):
+        raise ValueError(f"eigenvalue must be finite, got {eigenvalue}")
     import numpy as np
     m = np.asarray(matrix, dtype=complex)
     n = m.shape[0]

@@ -3,8 +3,9 @@ input to the pipeline shares.
 
 Each builder returns a Family: a realization (an exact PolyMatrix in the
 perturbation variable, or an exact CharPoly when matrix entries are not
-polynomial in the parameter), the exact parameter values used, and the
-splitting report the tropical analysis must reproduce.
+polynomial in the parameter or when the family is the expanded
+characteristic polynomial of a matrix builder here), the exact parameter
+values used, and the splitting report the tropical analysis must reproduce.
 
 Models whose degeneracy conditions involve surds (the golden-ratio circuit
 couplings, the 1/sqrt(2) hopping of the dissipative four-level system) are
@@ -19,7 +20,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
-from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, ec
+from .exact import EC_I, EC_ZERO, ExactComplex, ec
 from .poly import ScalarPoly, cos_series, sin_series
 from .tropical import SplittingReport, TropicalRoot
 
@@ -167,34 +168,14 @@ def circuit_matrix(perturbation: str) -> PolyMatrix:
 
 def circuit_laplacian(perturbation: str) -> Family:
     """Circuit Laplacian families: EP6 under bias perturbation, EP4-like
-    response when only the gain/loss rate is detuned."""
-    t = ScalarPoly.t()
-    sqrt5 = ExactComplex.radical(5, 1)
+    response when only the gain/loss rate is detuned.  The realization is
+    the exact characteristic polynomial of ``circuit_matrix(perturbation)``.
+    """
+    cp = charpoly_direct(circuit_matrix(perturbation))
     if perturbation == "epsilon":
-        cp = CharPoly([
-            1,
-            -t,
-            0,
-            -t,
-            t.scale(EC_I * (EC_ONE + sqrt5) / 2),
-            t.scale((ec(3) + sqrt5) / 4),
-            t.scale(EC_I * Fraction(-1, 2)),
-        ])
         expected = _report([(Fraction(1, 6), 6)])
-    elif perturbation == "gamma_detune":
-        one_plus = EC_ONE + sqrt5
-        cp = CharPoly([
-            1,
-            0,
-            ScalarPoly({1: one_plus, 2: 1}),
-            0,
-            ScalarPoly({1: ec(-2), 2: (EC_ONE - sqrt5) / 2}),
-            0,
-            0,
-        ])
-        expected = _report([(Fraction(1, 4), 4)], zero=2)
     else:
-        raise ValueError(f"unknown circuit perturbation {perturbation!r}")
+        expected = _report([(Fraction(1, 4), 4)], zero=2)
     return Family(f"circuit ({perturbation})", cp, expected,
                   {"perturbation": perturbation})
 
@@ -303,15 +284,6 @@ def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> Family:
 # Liouvillian superoperators
 # ---------------------------------------------------------------------------
 
-def liouvillian_from_nonhermitian(h_nh):
-    """Jump-free vectorized generator (-i H)(x)1 + 1(x)(i H*), as a numpy array."""
-    import numpy as np
-    h_nh = np.asarray(h_nh, dtype=complex)
-    n = h_nh.shape[0]
-    eye = np.eye(n)
-    return np.kron(-1j * h_nh, eye) + np.kron(eye, 1j * h_nh.conj())
-
-
 # -- exact effective Liouvillian of the dissipative four-level system -------
 
 def effective_hamiltonian(gamma2=Fraction(1), gamma4=Fraction(3),
@@ -342,29 +314,40 @@ def effective_liouvillian_matrix(gamma2=Fraction(1), gamma4=Fraction(3),
                                  epsilon=Fraction(0), recenter: bool = True) -> PolyMatrix:
     """Exact 9x9 effective Liouvillian with dissipation rates proportional
     to the ScalarPoly variable; optionally shifted by +gamma3 so the
-    degenerate eigenvalue sits at zero."""
+    degenerate eigenvalue sits at zero.
+
+    The entries are filled from the index formula of the row-major
+    vectorized generator (-iH)(x)1 + 1(x)(iH*) + t * sum r D[L] over the
+    jumps L = |l><k| with rates r, where D[L] = L(x)L* - (L+L(x)1 + 1(x)L+L)/2
+    and L+L = |k><k|.  Row 3a+b and column 3c+d hold the constant
+    -i H[a][c] [b=d] + i conj(H[b][d]) [a=c], plus gamma3 [a=c, b=d] when
+    recentered, and D[L] contributes
+    [a=b=l][c=d=k] - ([a=c=k][b=d] + [b=d=k][a=c]) / 2.
+    """
     h, gamma3 = effective_hamiltonian(gamma2, gamma4, epsilon)
-    eye = PolyMatrix.identity(3)
-    minus_ih = PolyMatrix(h).scale(-EC_I)
-    plus_ih_conj = PolyMatrix([[x.conjugate() * EC_I for x in row] for row in h])
-    const = minus_ih.kron(eye) + eye.kron(plus_ih_conj)
-    if recenter:
-        const = const + PolyMatrix.identity(9).scale(gamma3)
-
-    def basis(l, k):
-        return PolyMatrix([[1 if (i, j) == (l, k) else 0 for j in range(3)]
-                           for i in range(3)])
-
     # decay |l><k| from upper level k to lower level l, rates linear in the
     # overall scale: 5/8 between (2,3), 39/50 between (2,4), 1/13 between (3,4)
     rates = {(0, 1): Fraction(5, 8), (0, 2): Fraction(39, 50), (1, 2): Fraction(1, 13)}
-    linear = PolyMatrix([[0] * 9 for _ in range(9)])
-    for (l, k), rate in rates.items():
-        e = basis(l, k)
-        ekk = basis(k, k)  # L+L = (L+L)^T = |k><k| for the real jump L = |l><k|
-        diss = e.kron(e) + (ekk.kron(eye) + eye.kron(ekk)).scale(Fraction(-1, 2))
-        linear = linear + diss.scale(rate)
-    return const + linear.scale(ScalarPoly.t())
+    pairs = [(a, b) for a in range(3) for b in range(3)]
+    rows = []
+    for a, b in pairs:
+        row = []
+        for c, d in pairs:
+            const = EC_ZERO
+            if b == d:
+                const -= EC_I * h[a][c]
+            if a == c:
+                const += EC_I * h[b][d].conjugate()
+                if b == d and recenter:
+                    const += gamma3
+            linear = Fraction(0)
+            for (l, k), r in rates.items():
+                jump = a == b == l and c == d == k
+                loss = (a == c == k and b == d) + (b == d == k and a == c)
+                linear += r * (jump - Fraction(loss, 2))
+            row.append(ScalarPoly({0: const, 1: linear}))
+        rows.append(row)
+    return PolyMatrix(rows)
 
 
 def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),

@@ -75,8 +75,11 @@ class SampleGrid:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.t0 <= 0 or not 0 < self.ratio < 1 or self.count < 5:
-            raise ValueError("need t0 > 0, ratio in (0,1), count >= 5")
+        if (not (math.isfinite(self.t0) and self.t0 > 0) or not 0 < self.ratio < 1
+                or self.count < 5 or not math.isfinite(self.phase)):
+            raise ValueError(f"need a finite t0 > 0, ratio in (0,1), count >= 5 and a "
+                             f"finite phase, got t0={self.t0}, ratio={self.ratio}, "
+                             f"count={self.count}, phase={self.phase}")
 
     def points(self) -> List[complex]:
         rot = cmath.exp(1j * self.phase)
@@ -313,9 +316,12 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
     in exponent (a tie goes to the lower exponent), and each predicted root
     must collect its multiplicity of tracks with a mean exponent within
     ``match_tol``.  Mismatches produce ``passed=False`` with diagnostics
-    rather than an exception.
+    rather than an exception; a ``match_tol`` that is not finite and
+    positive raises ValueError.
     """
     import numpy as np
+    if not (math.isfinite(match_tol) and match_tol > 0):
+        raise ValueError(f"match_tol must be finite and positive, got {match_tol}")
     if grid.decades() < 3:
         raise ValueError("grid must span at least three decades")
     expected = family.expected

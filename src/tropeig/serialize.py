@@ -38,6 +38,12 @@ def parse_frac(s, path: str) -> Fraction:
         raise ParseError(path, f"not a rational: {s!r} ({exc})") from None
 
 
+def _count(x, least: int, path: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise ParseError(path, f"expected an int >= {least}, got {x!r}")
+    return x
+
+
 # -- scalars -----------------------------------------------------------------
 
 def exact_to_json(c: ExactComplex) -> dict:
@@ -56,9 +62,12 @@ def exact_from_json(obj, path: str) -> ExactComplex:
         sre = parse_frac(obj.get("sre", 0), f"{path}.sre")
         sim = parse_frac(obj.get("sim", 0), f"{path}.sim")
         rad = obj.get("rad", 0)
-        if not isinstance(rad, int):
+        if isinstance(rad, bool) or not isinstance(rad, int):
             raise ParseError(f"{path}.rad", "radicand must be an integer")
-        return ExactComplex(re, im, sre, sim, rad)
+        try:
+            return ExactComplex(re, im, sre, sim, rad)
+        except ValueError as exc:  # not square-free
+            raise ParseError(f"{path}.rad", str(exc)) from None
     return ExactComplex(re, im)
 
 
@@ -77,8 +86,8 @@ def scalarpoly_from_json(obj, path: str) -> ScalarPoly:
         if "terms" not in obj:
             raise ParseError(path, "expected 'terms' in polynomial object")
         trunc = obj.get("trunc")
-        if trunc is not None and (not isinstance(trunc, int) or trunc < 0):
-            raise ParseError(f"{path}.trunc", "truncation order must be a non-negative int")
+        if trunc is not None:
+            trunc = _count(trunc, 0, f"{path}.trunc")
         obj = obj["terms"]
     if not isinstance(obj, list):
         raise ParseError(path, "expected a term array")
@@ -87,9 +96,7 @@ def scalarpoly_from_json(obj, path: str) -> ScalarPoly:
         tpath = f"{path}[{k}]"
         if not isinstance(item, dict) or "exp" not in item:
             raise ParseError(tpath, "term needs an 'exp' field")
-        exp = item["exp"]
-        if not isinstance(exp, int) or exp < 0:
-            raise ParseError(f"{tpath}.exp", "exponent must be a non-negative int")
+        exp = _count(item["exp"], 0, f"{tpath}.exp")
         if exp in terms:
             raise ParseError(f"{tpath}.exp", f"repeated exponent {exp}")
         terms[exp] = exact_from_json(item, tpath)
@@ -113,7 +120,7 @@ def polymatrix_from_json(obj, path: str = "$") -> PolyMatrix:
             raise ParseError(f"{path}.entries[{i}]", "matrix must be square")
         rows.append([scalarpoly_from_json(x, f"{path}.entries[{i}][{j}]")
                      for j, x in enumerate(row)])
-    if "n" in obj and obj["n"] != len(rows):
+    if "n" in obj and _count(obj["n"], 1, f"{path}.n") != len(rows):
         raise ParseError(f"{path}.n", f"declared n={obj['n']} but found {len(rows)} rows")
     return PolyMatrix(rows)
 
@@ -131,7 +138,7 @@ def charpoly_from_json(obj, path: str = "$") -> CharPoly:
         cp = CharPoly(coeffs)
     except ValueError as exc:
         raise ParseError(f"{path}.coeffs", str(exc)) from None
-    if "n" in obj and obj["n"] != cp.n:
+    if "n" in obj and _count(obj["n"], 1, f"{path}.n") != cp.n:
         raise ParseError(f"{path}.n", f"declared n={obj['n']} but degree is {cp.n}")
     return cp
 
@@ -143,12 +150,6 @@ def report_to_json(r: SplittingReport) -> dict:
                       for x in r.roots],
             "zero_roots": r.zero_root_count,
             "undetermined": r.undetermined}
-
-
-def _count(x, least: int, path: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int) or x < least:
-        raise ParseError(path, f"expected an int >= {least}, got {x!r}")
-    return x
 
 
 def report_from_json(obj, path: str = "$") -> SplittingReport:

@@ -12,7 +12,6 @@ import numpy as np
 from tropeig.charpoly import CharPoly, PolyMatrix
 from tropeig.exact import EC_ONE, EC_ZERO, ExactComplex
 from tropeig.jordan import validate_partition
-from tropeig.models import liouvillian_from_nonhermitian
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import TropicalPoly, TropicalRoot
 
@@ -186,6 +185,13 @@ def lieb_degeneracy_points(eps: float) -> Dict[str, Tuple[float, float]]:
     """The two zero-energy band-touching momenta at non-Hermiticity eps."""
     a = 2 * math.atan2(2, eps)  # 2*arccot(eps/2)
     return {"arccot": (-a, a), "pi": (math.pi, math.pi)}
+
+
+def liouvillian_from_nonhermitian(h_nh) -> np.ndarray:
+    """Jump-free vectorized generator (-i H)(x)1 + 1(x)(i H*), row-major."""
+    h_nh = np.asarray(h_nh, dtype=complex)
+    eye = np.eye(h_nh.shape[0])
+    return np.kron(-1j * h_nh, eye) + np.kron(eye, 1j * h_nh.conj())
 
 
 def dissipator(jump) -> np.ndarray:

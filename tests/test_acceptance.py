@@ -15,12 +15,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from reference import (cardano_roots, conjugate_by, jordan_matrix, lieb_degeneracy_points,
-                       lieb_hamiltonian, tropical_product)
+                       lieb_hamiltonian, liouvillian_from_nonhermitian, tropical_product)
 from tropeig.charpoly import PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import ec
 from tropeig.jordan import catalog_families, weyr_structure
 from tropeig.models import (cavity_dynamical, circuit_laplacian, default_families,
-                            hatano_nelson, lieb, liouvillian_from_nonhermitian)
+                            hatano_nelson, lieb)
 from tropeig.numeric import braid_loop, fit_exponents
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import newton_polygon, tropical_roots, tropicalize

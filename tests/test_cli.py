@@ -64,6 +64,15 @@ class TestAnalyze:
         assert code == 1
         assert "entries[0][0]" in err
 
+    @pytest.mark.parametrize("coeff, where", [
+        ({"terms": [{"exp": 1, "re": "-1", "im": "0"}], "trunc": True}, "$.coeffs[2].trunc"),
+        ([{"exp": True, "re": "-1", "im": "0"}], "$.coeffs[2][0].exp"),
+    ])
+    def test_bool_fields_exit_with_path(self, tmp_path, capsys, coeff, where):
+        cp = {"coeffs": [[{"exp": 0, "re": "1", "im": "0"}], [], coeff]}
+        code, out, err = run(capsys, "analyze", "--charpoly", write(tmp_path, "c.json", cp))
+        assert code == 1 and out == "" and err.startswith(f"error: {where}: ")
+
     def test_requires_exactly_one_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])
@@ -187,6 +196,18 @@ class TestVerify:
         assert code == 1 and out == "" and err.startswith("error: $: ")
         assert "family file must be a JSON object" in err
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--tol", "nan"], "match_tol must be finite and positive"),
+        (["--tol", "-1"], "match_tol must be finite and positive"),
+        (["--t0", "nan"], "need a finite t0 > 0"),
+        (["--t0", "inf"], "need a finite t0 > 0"),
+        (["--phase", "nan"], "finite phase"),
+    ])
+    def test_bad_numeric_flags_exit(self, capsys, flag, message):
+        code, out, err = run(capsys, "verify", "--jordan", "3", *flag)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
@@ -231,6 +252,31 @@ class TestJordanCommand:
                            "--eigenvalue", "0,1")
         assert code == 0
         assert json.loads(out)["partition"] == [2]
+
+    @pytest.mark.parametrize("entries, where", [
+        ([[True, 0], [0, False]], "$[0][0]"),
+        ([[0, [1, True]], [0, 0]], "$[0][1]"),
+        ([[0, 1], [["0", 1], 0]], "$[1][0]"),
+        ([[float("nan"), 1], [0, 0]], "$[0][0]"),
+        ([[0, [1, float("-inf")]], [0, 0]], "$[0][1]"),
+    ])
+    def test_non_numeric_entries_exit_with_path(self, tmp_path, capsys, entries, where):
+        path = write(tmp_path, "m.json", {"entries": entries})
+        code, out, err = run(capsys, "jordan", "--matrix", path, "--eigenvalue", "0")
+        assert code == 1 and out == "" and err.startswith(f"error: {where}: ")
+
+    @pytest.mark.parametrize("tol, eigenvalue, message", [
+        ("nan", "0", "tol must be finite and positive"),
+        ("0", "0", "tol must be finite and positive"),
+        ("1e-8", "nan", "eigenvalue must be finite"),
+        ("1e-8", "0,inf", "eigenvalue must be finite"),
+    ])
+    def test_bad_numeric_flags_exit(self, tmp_path, capsys, tol, eigenvalue, message):
+        path = write(tmp_path, "j.json", {"entries": [[0, 1], [0, 0]]})
+        code, out, err = run(capsys, "jordan", "--matrix", path, "--eigenvalue", eigenvalue,
+                             "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
 
     def test_ambiguity_exit_code(self, tmp_path, capsys):
         weak = {"entries": [[0, 1e-9, 0], [0, 0, 1e-9], [0, 0, 0]]}

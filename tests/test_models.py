@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from reference import (dissipator, evaluate_charpoly, jordan_matrix, lieb_degeneracy_points,
-                       lieb_hamiltonian, lindblad_liouvillian, numeric_ord)
+                       lieb_hamiltonian, lindblad_liouvillian, liouvillian_from_nonhermitian,
+                       numeric_ord)
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import EC_I, ExactComplex, ec
 from tropeig.jordan import weyr_structure
@@ -16,7 +17,7 @@ from tropeig.models import (GAMMA_EP, MU_EP, Family, build_example,
                             default_families, effective_hamiltonian,
                             effective_liouvillian_example,
                             effective_liouvillian_matrix, example_names,
-                            hatano_nelson, lieb, liouvillian_from_nonhermitian, torus_knot)
+                            hatano_nelson, lieb, torus_knot)
 from tropeig.numeric import fit_exponents
 from tropeig.poly import ScalarPoly
 from tropeig.serialize import polymatrix_from_json
@@ -105,13 +106,23 @@ class TestCircuit:
         assert GAMMA_EP * GAMMA_EP == GAMMA_EP + 1
         assert MU_EP * 2 == GAMMA_EP - 1
 
+    # the tests below compare with characteristic polynomials expanded by
+    # hand from circuit_matrix
+    SQRT5 = ExactComplex.radical(5, 1)
+
     def test_matrix_reproduces_charpoly_epsilon(self):
-        assert charpoly_direct(circuit_matrix("epsilon")) == \
-            circuit_laplacian("epsilon").realization
+        t, sqrt5 = ScalarPoly.t(), self.SQRT5
+        by_hand = CharPoly([1, -t, 0, -t,
+                            t.scale(EC_I * (1 + sqrt5) / 2),
+                            t.scale((3 + sqrt5) / 4),
+                            t.scale(EC_I * Fraction(-1, 2))])
+        assert circuit_laplacian("epsilon").realization == by_hand
 
     def test_matrix_reproduces_charpoly_gamma(self):
-        assert charpoly_direct(circuit_matrix("gamma_detune")) == \
-            circuit_laplacian("gamma_detune").realization
+        sqrt5 = self.SQRT5
+        by_hand = CharPoly([1, 0, ScalarPoly({1: 1 + sqrt5, 2: 1}), 0,
+                            ScalarPoly({1: -2, 2: (1 - sqrt5) / 2}), 0, 0])
+        assert circuit_laplacian("gamma_detune").realization == by_hand
 
     def test_epsilon_family(self):
         _, report = analysis(circuit_laplacian("epsilon"))
@@ -308,13 +319,21 @@ class TestEffectiveLiouvillian:
 
     @pytest.mark.parametrize("case", ["default", "shifted", "not_recentered"])
     def test_matrix_matches_stored_reference(self, case):
-        # reference matrices were written by the entry-by-entry Kronecker
-        # construction that PolyMatrix.kron replaced
+        # the stored matrices come from an entry-by-entry Kronecker-product
+        # construction, an oracle independent of the index formula
         path = Path(__file__).parent / "golden" / "effective_liouvillian_matrices.json"
         ref = json.loads(path.read_text())[case]
         kwargs = {k: Fraction(v) if isinstance(v, str) else v
                   for k, v in ref["arguments"].items()}
         assert effective_liouvillian_matrix(**kwargs) == polymatrix_from_json(ref["matrix"])
+
+    def test_jump_free_part_is_the_kronecker_generator(self):
+        for kwargs in ({}, {"gamma2": Fraction(2), "gamma4": Fraction(7, 2),
+                            "epsilon": Fraction(1, 3)}):
+            h, _ = effective_hamiltonian(**kwargs)
+            h_num = np.array([[x.to_complex() for x in row] for row in h])
+            got = effective_liouvillian_matrix(recenter=False, **kwargs).to_array(0.0)
+            assert np.array_equal(got, liouvillian_from_nonhermitian(h_num))
 
     def test_tropicalization_terms(self, eff_liouvillian):
         poly = tropicalize(eff_liouvillian.realization)

@@ -13,7 +13,7 @@ from reference import cardano_roots, numeric_ord
 from tropeig import numeric
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
 from tropeig.exact import ExactComplex
-from tropeig.jordan import catalog_families
+from tropeig.jordan import catalog_families, weyr_structure
 from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
                             hatano_nelson, torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, DEFAULT_GRID, BraidPermutation,
@@ -475,6 +475,28 @@ class TestBraid:
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
         with pytest.raises(LoopDegeneracyError):
             braid_loop(fam, eps0=1e-4, steps=16)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda fam: SampleGrid(t0=math.nan), "finite t0 > 0"),
+    (lambda fam: SampleGrid(t0=math.inf), "finite t0 > 0"),
+    (lambda fam: SampleGrid(t0=0.0), "finite t0 > 0"),
+    (lambda fam: SampleGrid(phase=math.nan), "finite phase"),
+    (lambda fam: SampleGrid(phase=-math.inf), "finite phase"),
+    (lambda fam: fit_exponents(fam, match_tol=math.nan), "match_tol must be finite"),
+    (lambda fam: fit_exponents(fam, match_tol=math.inf), "match_tol must be finite"),
+    (lambda fam: fit_exponents(fam, match_tol=-1.0), "match_tol must be finite"),
+    (lambda fam: weyr_structure(np.eye(2), 1.0, tol=math.nan), "tol must be finite"),
+    (lambda fam: weyr_structure(np.eye(2), 1.0, tol=math.inf), "tol must be finite"),
+    (lambda fam: weyr_structure(np.eye(2), complex(0, math.nan)), "eigenvalue must be finite"),
+    (lambda fam: weyr_structure(np.eye(2), math.inf), "eigenvalue must be finite"),
+], ids=["t0-nan", "t0-inf", "t0-zero", "phase-nan", "phase-minus-inf", "match_tol-nan",
+        "match_tol-inf", "match_tol-negative", "weyr-tol-nan", "weyr-tol-inf",
+        "weyr-eigenvalue-nan", "weyr-eigenvalue-inf"])
+def test_bad_grid_fit_and_rank_arguments_rejected(catalogs, call, match):
+    # each value is checked where it enters, as braid_loop checks eps0
+    with pytest.raises(ValueError, match=match):
+        call(catalogs[2][0])
 
 
 def reference_braid_loop(family, eps0, steps):

@@ -49,6 +49,18 @@ class TestScalarRoundTrip:
         with pytest.raises(ParseError, match=r"\$\[0\]\.exp"):
             scalarpoly_from_json([{"exp": -1, "re": "1", "im": "0"}], "$")
 
+    @pytest.mark.parametrize("blob, where", [
+        ([{"exp": True, "re": "1", "im": "0"}], r"\$\[0\]\.exp"),
+        ([{"exp": 1.0, "re": "1", "im": "0"}], r"\$\[0\]\.exp"),
+        ({"terms": [], "trunc": True}, r"\$\.trunc"),
+        ({"terms": [], "trunc": -1}, r"\$\.trunc"),
+        ([{"exp": 0, "re": "1", "im": "0", "sre": "1", "rad": True}], r"\$\[0\]\.rad"),
+        ([{"exp": 0, "re": "1", "im": "0", "sre": "1", "rad": 4}], r"\$\[0\]\.rad"),
+    ])
+    def test_bad_integer_fields_rejected_with_path(self, blob, where):
+        with pytest.raises(ParseError, match=where):
+            scalarpoly_from_json(blob, "$")
+
     def test_repeated_exponent_rejected(self):
         terms = [{"exp": 1, "re": "1", "im": "0"}, {"exp": 1, "re": "-1", "im": "0"}]
         with pytest.raises(ParseError, match=r"\$\[1\]\.exp: repeated exponent 1"):
@@ -77,12 +89,20 @@ class TestMatrixRoundTrip:
         with pytest.raises(ParseError, match=r"\$\.n"):
             polymatrix_from_json({"n": 3, "entries": [[[]]]})
 
+    def test_bool_declared_dimension(self):
+        with pytest.raises(ParseError, match=r"\$\.n: expected an int >= 1, got True"):
+            polymatrix_from_json({"n": True, "entries": [[[]]]})
+
 
 class TestCharPolyRoundTrip:
     def test_round_trip(self):
         cp = effective_liouvillian_example().realization
         blob = json.loads(json.dumps(charpoly_to_json(cp)))
         assert charpoly_from_json(blob) == cp
+
+    def test_bool_declared_degree(self):
+        with pytest.raises(ParseError, match=r"\$\.n: expected an int >= 1, got True"):
+            charpoly_from_json({"n": True, "coeffs": [[{"exp": 0, "re": "1", "im": "0"}], []]})
 
     def test_monic_enforced(self):
         with pytest.raises(ParseError):
