@@ -168,11 +168,14 @@ def cmd_verify(args) -> int:
     family = _resolve_family(args)
     grid = SampleGrid(t0=args.t0, ratio=args.ratio, count=args.count, phase=args.phase)
     result = fit_exponents(family, grid, match_tol=args.tol)
+    tolerances = {"match_tol": args.tol, "t0": args.t0, "ratio": args.ratio,
+                  "phase": args.phase, "count": args.count}
+    if args.braid:
+        tolerances.update(eps0=args.eps0, steps=args.steps)
     body = {"family": family.name,
             "expected": report_to_json(family.expected),
             "verification": verification_to_json(result),
-            "provenance": _provenance(seed=args.seed, match_tol=args.tol,
-                                      t0=args.t0, ratio=args.ratio)}
+            "provenance": _provenance(seed=args.seed, **tolerances)}
     status = OK if result.passed else CHECK_FAILED
     if args.braid:
         try:

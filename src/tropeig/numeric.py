@@ -18,6 +18,11 @@ at one sample do not depend on the others.  The braid loop is a
 continuation: each solve starts from the previous step's roots, only the
 roots that move are continued, and a step is accepted by a nearest-neighbour
 rule that agrees with the minimum-displacement assignment (see braid_loop).
+Each eigenvalue is measured against its own spacing: a step may move a root
+by up to 0.45 of the distance from its new place to the nearest other
+eigenvalue, and a loop is refused as degenerate when some pair lies closer
+than 1e-3 of the larger of their moduli, so branches of different orders
+in t are each tracked on their own scale.
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
 for the root iteration, BRAID_HALVINGS for step halving on a braid loop,
@@ -267,15 +272,6 @@ def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
     return order
 
 
-def _min_gap(eigs: Sequence[complex]) -> float:
-    """Smallest nonzero distance between two eigenvalues, inf if none.
-
-    Flat zero modes come back as repeated exact 0j and are no collision.
-    """
-    gaps = (abs(a - b) for i, a in enumerate(eigs) for b in eigs[i + 1:])
-    return min((g for g in gaps if g > 0), default=math.inf)
-
-
 def track_eigenvalues(eig_fn, params: Sequence[complex]):
     """Eigenvalues along a parameter path as a numpy array of shape
     (len(params), n), rows ordered by continuation."""
@@ -407,17 +403,38 @@ class BraidPermutation:
 
 
 def _nearest_within(cur: Sequence[complex], new: Sequence[complex],
-                    radius: float) -> Optional[List[int]]:
+                    zeros: int) -> Optional[List[int]]:
     """Indices m with new[m[i]] the point of new nearest to cur[i], or None
-    unless these points are distinct and each lies within radius of cur[i]."""
+    unless these points are distinct and each lies within 0.45 of its
+    spacing from cur[i].
+
+    The spacing of a point is its distance to the nearest other point of
+    new or, when there are ``zeros`` flat zeros, to 0; inf if there is
+    neither.  A point that close to cur[i] is nearer to it than 0 is.
+    """
     order = []
     for c in cur:
         dists = [abs(c - w) for w in new]
-        dist = min(dists)
-        if dist > radius:
+        j = dists.index(min(dists))
+        others = [abs(new[j] - w) for k, w in enumerate(new) if k != j]
+        if zeros:
+            others.append(abs(new[j]))
+        if dists[j] > 0.45 * min(others, default=math.inf):
             return None
-        order.append(dists.index(dist))
+        order.append(j)
     return order if len(set(order)) == len(order) else None
+
+
+def _check_separated(eigs: Sequence[complex]) -> None:
+    """Raise LoopDegeneracyError when two eigenvalues lie closer than 1e-3
+    of the larger of their moduli; two exact zeros (flat modes) pass."""
+    worst = min((abs(a - b) / max(abs(a), abs(b))
+                 for i, a in enumerate(eigs) for b in eigs[i + 1:] if a or b),
+                default=math.inf)
+    if worst < 1e-3:
+        raise LoopDegeneracyError(
+            f"two eigenvalues lie {worst:.3e} of their larger modulus apart, below "
+            "1e-3; loop too coarse or crossing a degeneracy")
 
 
 def braid_loop(family: Family, eps0: float = BRAID_EPS0,
@@ -425,14 +442,15 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     """Permutation of eigenvalues after one loop eps0 * e^(i*phi).
 
     Continuation is nearest-neighbour with recursive step halving whenever a
-    matching is ambiguous (displacement comparable to the local eigenvalue
-    spacing).  Each root solve starts from the previous step's roots, and
-    only the roots that move are continued: flat zero modes stay at their
-    starting places.  Raises LoopDegeneracyError when eigenvalues approach
-    each other below 1e-3 of the eigenvalue scale, or when halving bottoms
-    out; flat zero modes, which coincide exactly, do not count as
-    approaching.  Raises ValueError unless steps >= 1 and eps0 is finite
-    and positive.
+    matching is ambiguous: a root moves by more than 0.45 of its new place's
+    own spacing, the distance to the nearest other eigenvalue there.  Each
+    root solve starts from the previous step's roots, and only the roots
+    that move are continued: flat zero modes stay at their starting places.
+    Raises LoopDegeneracyError when two eigenvalues approach each other
+    below 1e-3 of the larger of their moduli, when all of them vanish, or
+    when halving bottoms out; flat zero modes, which coincide exactly, do
+    not count as approaching.  Raises ValueError unless steps >= 1 and eps0
+    is finite and positive.
     """
     if steps < 1 or not (math.isfinite(eps0) and eps0 > 0):
         raise ValueError(f"braid loop needs steps >= 1 and a finite eps0 > 0, "
@@ -449,39 +467,36 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     places = sorted(range(len(first)),
                     key=lambda i: (round(first[i].real, 12), round(first[i].imag, 12)))
     start = [first[i] for i in places]
-    lam_scale = max(abs(z) for z in start)
-    if lam_scale == 0:
+    if not any(start):
         raise LoopDegeneracyError("all eigenvalues vanish on the loop")
-
-    def gap_check(eigs):
-        gap = _min_gap(eigs)
-        if gap < 1e-3 * lam_scale:
-            raise LoopDegeneracyError(
-                f"minimum eigenvalue gap {gap:.3e} below 1e-3 of scale; "
-                "loop too coarse or crossing a degeneracy")
-        return gap
-
-    gap_check(start)
+    _check_separated(start)
     # indices into start of the roots that move; the rest are flat zeros
     slots = [k for k, i in enumerate(places) if i < len(moving)]
     current = [start[k] for k in slots]
 
     def advance(cur, phi_from, phi_to, depth):
         new = solve(phi_to, cur)
-        gap = gap_check(new + flat)
+        _check_separated(new + flat)
         # A step is safe when the assignment of least total displacement
-        # (_match over all roots, flat zeros included) moves no root by more
-        # than 0.45*gap; this nearest-neighbour test accepts exactly those
-        # steps, with the same assignment.  Distinct new roots, flat zeros
-        # included, lie at least gap apart.  If the optimum moves each root
-        # at most 0.45*gap, every other new root is at least 0.55*gap from
-        # it, so the optimum sends each root to its nearest new root, and a
-        # flat zero, gap from every moving root, to a flat zero.
-        # Conversely, if the nearest new roots of the moving roots are
-        # distinct and within 0.45*gap, any other assignment moves some root
-        # by at least 0.55*gap and no root by less, so this map, with the
-        # flat zeros kept in place, is the unique optimum.
-        order = _nearest_within(cur, new, 0.45 * gap)
+        # (_match over all roots, flat zeros included) moves each root by at
+        # most 0.45*sep of its target, where sep(w) is the distance from the
+        # new root w to the nearest other new root, flat zeros included.
+        # _nearest_within accepts exactly those steps, with the same
+        # assignment.  If the optimum moves each root so, a root c sent to w
+        # lies at least sep(w) - |c - w| >= 0.55*sep(w) > 0 from every other
+        # new root, so w is its strictly nearest new root; and no moving
+        # root is sent to a flat zero, since the flat zero that would take a
+        # nonzero w in its place moves by |w| >= sep(w).
+        # Conversely, let the moving roots' nearest new roots be distinct
+        # moving roots within 0.45*sep, and let the flat zeros stay.  Any
+        # other assignment moves a set S of roots among the targets that S
+        # had; a root c sent to u instead of w moves at least
+        # |w - u| - |c - w| >= sep(u) - |c - w|, so on S it costs at least
+        # 0.55*sum(sep) while the accepted map costs at most 0.45*sum(sep).
+        # The sum is positive, as the new roots are pairwise separated,
+        # unless S only permutes coinciding flat zeros at no cost: the map
+        # is the unique optimum.
+        order = _nearest_within(cur, new, zeros)
         if order is None:
             if depth >= BRAID_HALVINGS:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")

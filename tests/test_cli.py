@@ -144,6 +144,17 @@ class TestVerify:
         assert body["verification"]["zero_tracks"] == 2
         assert body["verification"]["clusters"] == []
 
+    def test_provenance_records_every_sampling_flag(self, capsys):
+        code, out, _ = run(capsys, "verify", "--jordan", "2", "--phase", "1.0", "--count", "30")
+        assert code == 0
+        assert json.loads(out)["provenance"]["tolerances"] == {
+            "match_tol": 0.05, "t0": 1e-4, "ratio": 0.5, "phase": 1.0, "count": 30}
+        code, out, _ = run(capsys, "verify", "--jordan", "2", "--braid", "--eps0", "1e-5",
+                           "--steps", "48")
+        assert code == 0
+        tolerances = json.loads(out)["provenance"]["tolerances"]
+        assert (tolerances["eps0"], tolerances["steps"]) == (1e-5, 48)
+
     def test_braid_loop_failure_exit(self, capsys):
         code, out, _ = run(capsys, "verify", "--jordan", "1,1",
                            "--constraint", "unlifting", "--braid")
