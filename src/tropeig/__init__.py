@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 
 from .exact import EC_I, EC_ONE, EC_ZERO, ExactComplex, ec
 from .poly import Ord, ScalarPoly, cos_series, sin_series
-from .charpoly import (CharPoly, PolyMatrix, build_direction_matrix,
-                       charpoly_direct, charpoly_traces)
+from .charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
 from .tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
                        TropicalRoot, newton_polygon, tropical_roots,
                        tropicalize)
-from .jordan import (JordanStructure, WeyrAmbiguityError, catalog_families,
-                     partitions, weyr_structure)
+from .jordan import (JordanStructure, WeyrAmbiguityError, build_direction_matrix,
+                     catalog_families, partitions, weyr_structure)
 from .numeric import (BraidPermutation, LoopDegeneracyError, SampleGrid,
                       VerificationResult, aberth_roots, braid_loop,
                       charpoly_roots_at, eigenvalues_at, fit_exponents)

@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, isqrt, lcm
-from typing import Mapping, Sequence, Tuple
+from typing import Tuple
 
 from .exact import ExactComplex
 from .poly import ScalarPoly
@@ -351,41 +351,3 @@ def _row_times(row, rows, rad) -> list:
             acc.setdefault(j, []).append((x, y))
     out = ((j, _dot(pairs, rad)) for j, pairs in acc.items())
     return [(j, x) for j, x in out if x]
-
-
-def build_direction_matrix(template: Sequence[Sequence],
-                           direction: Mapping[str, object]) -> PolyMatrix:
-    """Instantiate a symbolic perturbation pattern on a one-parameter line.
-
-    Template entries are either constants (int / Fraction / ExactComplex /
-    ScalarPoly, kept as-is), a linear combination given as a sequence of
-    ``(name, integer_coefficient)`` pairs, or a placeholder name like
-    ``"d21"`` or ``"-d21"``, which stands for ``[("d21", 1)]`` or
-    ``[("d21", -1)]``.  Each placeholder name must be assigned a slope in
-    ``direction``; the entry becomes (sum of coefficient * slope) * t.
-    """
-    def lookup(name: str) -> ExactComplex:
-        if name not in direction:
-            raise ValueError(f"no direction assigned for placeholder '{name}'")
-        return ExactComplex.from_value(direction[name])
-
-    def term(name: str, coeff) -> ExactComplex:
-        val = lookup(name)
-        # coefficients +-1, the only ones the catalog uses, need no product
-        return val if coeff == 1 else -val if coeff == -1 else val * coeff
-
-    consts: dict = {}  # ScalarPoly is immutable, so equal constants share one
-
-    def build(entry) -> ScalarPoly:
-        if isinstance(entry, str):
-            entry = [(entry[1:], -1) if entry.startswith("-") else (entry, 1)]
-        if isinstance(entry, (list, tuple)):
-            terms = [term(name, coeff) for name, coeff in entry]
-            return ScalarPoly({1: sum(terms[1:], terms[0]) if terms else 0})
-        key = (type(entry), entry)
-        if key not in consts:
-            consts[key] = ScalarPoly.from_value(entry)
-        return consts[key]
-
-    return PolyMatrix([[build(x) for x in row] for row in template])
-

@@ -26,11 +26,12 @@ from pathlib import Path
 
 from . import __version__
 from .charpoly import charpoly_direct
-from .jordan import (DEFAULT_SEED, WeyrAmbiguityError, catalog_families,
+from .jordan import (DEFAULT_SEED, WEYR_TOL, WeyrAmbiguityError, catalog_families,
                      validate_partition, weyr_structure)
 from .models import Family, build_example, example_names
-from .numeric import (BRAID_EPS0, BRAID_STEPS, DEFAULT_GRID, LoopDegeneracyError,
-                      NonConvergenceError, SampleGrid, braid_loop, fit_exponents)
+from .numeric import (BRAID_EPS0, BRAID_STEPS, DEFAULT_GRID, MATCH_TOL,
+                      LoopDegeneracyError, NonConvergenceError, SampleGrid, braid_loop,
+                      fit_exponents)
 from .plots import polygon_svg, tropical_csv, tropical_svg
 from .serialize import (ParseError, braid_to_json, charpoly_from_json,
                         charpoly_to_json, dumps, family_to_json,
@@ -167,15 +168,19 @@ def _resolve_family(args) -> Family:
 def cmd_verify(args) -> int:
     family = _resolve_family(args)
     grid = SampleGrid(t0=args.t0, ratio=args.ratio, count=args.count, phase=args.phase)
-    result = fit_exponents(family, grid, match_tol=args.tol)
     tolerances = {"match_tol": args.tol, "t0": args.t0, "ratio": args.ratio,
                   "phase": args.phase, "count": args.count}
     if args.braid:
         tolerances.update(eps0=args.eps0, steps=args.steps)
     body = {"family": family.name,
             "expected": report_to_json(family.expected),
-            "verification": verification_to_json(result),
             "provenance": _provenance(seed=args.seed, **tolerances)}
+    if family.expected.undetermined or tropical_roots(family.charpoly).undetermined:
+        # samples would read an unknown truncated coefficient as 0: no check
+        _emit(dumps(body), args.output)
+        return UNDETERMINED
+    result = fit_exponents(family, grid, match_tol=args.tol)
+    body["verification"] = verification_to_json(result)
     status = OK if result.passed else CHECK_FAILED
     if args.braid:
         try:
@@ -302,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=DEFAULT_GRID.t0)
     p.add_argument("--ratio", type=float, default=DEFAULT_GRID.ratio)
     p.add_argument("--count", type=int, default=DEFAULT_GRID.count)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=0.05, help="exponent match tolerance")
+    p.add_argument("--phase", type=float, default=DEFAULT_GRID.phase)
+    p.add_argument("--tol", type=float, default=MATCH_TOL, help="exponent match tolerance")
     p.add_argument("--braid", action="store_true")
     p.add_argument("--eps0", type=float, default=BRAID_EPS0, help="braid loop radius")
     p.add_argument("--steps", type=int, default=BRAID_STEPS, help="braid loop resolution")
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jordan", help="numerical Jordan structure via rank decay")
     p.add_argument("--matrix", required=True, help="numeric matrix JSON")
     p.add_argument("--eigenvalue", required=True, metavar="RE[,IM]")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=WEYR_TOL)
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_jordan)
 

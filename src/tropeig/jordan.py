@@ -9,6 +9,9 @@ valuation (a random direction is generic with probability one, but exact
 arithmetic lets us check rather than hope).  Non-generic constraints are
 enforced by construction: either entries are pinned to zero, or one slope is
 solved for exactly so that a coefficient cancels identically.
+
+A template entry is the constant 0 or 1 or a signed sum of placeholder names
+such as "d21" or "d22-d11"; _terms is the one reader of that syntax.
 """
 
 from __future__ import annotations
@@ -20,14 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .charpoly import CharPoly, build_direction_matrix, charpoly_traces
+from .charpoly import CharPoly, PolyMatrix, charpoly_traces
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
-from .models import Family
+from .models import Family, _report
+from .poly import ScalarPoly
 # tropical_roots is not called here; the binding stays importable for the
 # benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
-from .tropical import SplittingReport, TropicalRoot, tropical_roots  # noqa: F401
+from .tropical import tropical_roots  # noqa: F401
 
 DEFAULT_SEED = 0
+WEYR_TOL = 1e-8  # weyr_structure's default relative rank threshold
 
 
 def partitions(n: int):
@@ -61,7 +66,7 @@ _TEMPLATES: Dict[Tuple[int, ...], list] = {
     (2,): [[0, 1],
            ["d21", 0]],
     (1, 1, 1): [["d11", "d12", "d13"],
-                ["d21", [("d11", -1), ("d33", -1)], "d23"],
+                ["d21", "-d11-d33", "d23"],
                 ["d31", "d32", "d33"]],
     (2, 1): [[0, 1, 0],
              ["d21", "-d33", "d23"],
@@ -70,8 +75,8 @@ _TEMPLATES: Dict[Tuple[int, ...], list] = {
            [0, 0, 1],
            ["d31", "d32", 0]],
     (1, 1, 1, 1): [["d11", "d12", "d13", "d14"],
-                   ["d21", [("d22", 1), ("d11", -1)], "d23", "d24"],
-                   ["d31", "d32", [("d44", -1), ("d22", -1)], "d34"],
+                   ["d21", "d22-d11", "d23", "d24"],
+                   ["d31", "d32", "-d44-d22", "d34"],
                    ["d41", "d42", "d43", "d44"]],
     (2, 1, 1): [[0, 1, 0, 0],
                 ["d21", 0, "d23", "d24"],
@@ -91,17 +96,41 @@ _TEMPLATES: Dict[Tuple[int, ...], list] = {
            ["d41", "d42", "d43", 0]],
 }
 
+
+def _terms(entry) -> List[Tuple[str, int]]:
+    """The (name, sign) pairs of a template entry; a constant has none."""
+    if not isinstance(entry, str):
+        return []
+    return [(part[1:], -1) if part[0] == "-" else (part, 1)
+            for part in entry.replace("-", "+-").split("+") if part]
+
+
 def _placeholders(template) -> Tuple[str, ...]:
     """Sorted placeholder names of a template; the catalog draws slopes in
     this order, so it fixes which direction a seed produces."""
-    names = set()
-    for row in template:
-        for entry in row:
-            if isinstance(entry, str):
-                names.add(entry.lstrip("-"))
-            elif isinstance(entry, (list, tuple)):
-                names.update(name for name, _ in entry)
-    return tuple(sorted(names))
+    return tuple(sorted({name for row in template for entry in row
+                         for name, _ in _terms(entry)}))
+
+
+def build_direction_matrix(template: Sequence[Sequence],
+                           direction: Dict[str, object]) -> PolyMatrix:
+    """Instantiate a template on a one-parameter line: an entry becomes the
+    signed sum of its placeholders' slopes in ``direction`` times t, and the
+    constants 0 and 1 stay.  Raises ValueError naming a placeholder with no
+    slope."""
+    constants = {0: ScalarPoly.zero(), 1: ScalarPoly.const(1)}
+
+    def build(entry) -> ScalarPoly:
+        if not isinstance(entry, str):
+            return constants[entry]
+        slopes = []
+        for name, sign in _terms(entry):
+            if name not in direction:
+                raise ValueError(f"no direction assigned for placeholder '{name}'")
+            slopes.append(direction[name] if sign > 0 else -direction[name])
+        return ScalarPoly({1: sum(slopes[1:], slopes[0])})
+
+    return PolyMatrix([[build(x) for x in row] for row in template])
 
 
 @dataclass(frozen=True)
@@ -251,8 +280,7 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
         cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
-        expected = SplittingReport(
-            tuple(TropicalRoot(w, m) for w, m in spec.roots), spec.zero_roots)
+        expected = _report(spec.roots, spec.zero_roots)
         label = ",".join(str(s) for s in spec.partition)
         return Family(f"H[{label}] {spec.constraint}", matrix, expected,
                       {"partition": spec.partition, "constraint": spec.constraint,
@@ -290,7 +318,7 @@ class WeyrAmbiguityError(RuntimeError):
         self.gaps = gaps
 
 
-def weyr_structure(matrix, eigenvalue: complex, tol: float = 1e-8) -> JordanStructure:
+def weyr_structure(matrix, eigenvalue: complex, tol: float = WEYR_TOL) -> JordanStructure:
     """Recover the Jordan block partition of `eigenvalue` from rank decay.
 
     rank((M - lambda I)^(k-1)) - rank((M - lambda I)^k) counts the blocks of

@@ -26,10 +26,10 @@ in t are each tracked on their own scale.
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
 for the root iteration, BRAID_HALVINGS for step halving on a braid loop,
-and BRAID_EPS0 and BRAID_STEPS for the loop's default radius and
-resolution (the CLI's too).  Only the functions that compute with arrays
-(the dense eigensolver, the tracks and the fit) import numpy, so the exact
-pipeline never loads it.
+and, as defaults the CLI reads too, MATCH_TOL for the exponent fit and
+BRAID_EPS0 and BRAID_STEPS for the loop's radius and resolution.  Only the
+functions that compute with arrays (the dense eigensolver, the tracks and
+the fit) import numpy, so the exact pipeline never loads it.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ BRAID_HALVINGS = 14
 # |t| = 1.29e-4) and so returns the wrong cycles
 BRAID_EPS0 = 1e-6
 BRAID_STEPS = 96
+MATCH_TOL = 0.05  # default largest gap between a fitted and a predicted exponent
 
 
 class NonConvergenceError(RuntimeError):
@@ -302,7 +303,7 @@ class VerificationResult:
 
 
 def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
-                  match_tol: float = 0.05) -> VerificationResult:
+                  match_tol: float = MATCH_TOL) -> VerificationResult:
     """Fit per-eigenvalue leading exponents and compare with the prediction.
 
     Flat zero modes are counted from the exact characteristic polynomial

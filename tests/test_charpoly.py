@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 from reference import companion_matrix, conjugate_by, evaluate_charpoly, trace, traceless_shift
 from tropeig import charpoly as charpoly_module
 from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, _pack, _to_kernel, _unpack,
-                              build_direction_matrix, charpoly_direct, charpoly_traces)
+                              charpoly_direct, charpoly_traces)
 from tropeig.exact import ExactComplex, ec
-from tropeig.jordan import _TEMPLATES
+from tropeig.jordan import _TEMPLATES, build_direction_matrix
 from tropeig.models import hatano_nelson
 from tropeig.poly import ScalarPoly
 

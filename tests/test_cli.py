@@ -172,6 +172,25 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
         assert code == 6 and not json.loads(out)["verification"]["pass"]
 
+    def test_undetermined_example_runs_no_check(self, capsys):
+        # a_2 is an unknown O(t^2): sampling it as 0 would make every track vanish
+        code, out, _ = run(capsys, "verify", "--example", "lieb_pi_diag",
+                           "--param", "series_order=2", "--braid")
+        assert code == 2
+        body = json.loads(out)
+        assert set(body) == {"family", "expected", "provenance"}
+        assert body["expected"]["undetermined"] is True
+
+    def test_undetermined_file_family_runs_no_check(self, tmp_path, capsys):
+        cp = {"coeffs": [[{"exp": 0, "re": "1", "im": "0"}], [],
+                         {"terms": [], "trunc": 4}]}
+        code, out, _ = run(capsys, "verify", "--file",
+                           write(tmp_path, "c.json", {"charpoly": cp}), "--braid")
+        assert code == 2
+        body = json.loads(out)
+        assert set(body) == {"family", "expected", "provenance"}
+        assert body["expected"]["undetermined"] is True
+
     def test_nonconvergence_exit_without_traceback(self, capsys):
         code, out, err = run(capsys, "verify", "--example", "hatano_nelson",
                              "--param", "L=8", "--param", "regime=obc")

@@ -8,7 +8,8 @@ from reference import jordan_matrix
 from tropeig.charpoly import charpoly_direct
 from tropeig.exact import ec
 from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, JordanStructure, WeyrAmbiguityError,
-                            catalog_families, partitions, validate_partition, weyr_structure)
+                            _placeholders, _terms, catalog_families, partitions,
+                            validate_partition, weyr_structure)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
 
@@ -147,13 +148,7 @@ class TestCatalog:
     @staticmethod
     def positions(partition, var):
         """Number of template entries in which placeholder `var` appears."""
-        def names(entry):
-            if isinstance(entry, str):
-                return {entry.lstrip("-")}
-            if isinstance(entry, list):
-                return {name for name, _ in entry}
-            return set()
-        return sum(var in names(entry) for row in _TEMPLATES[partition] for entry in row)
+        return sum(var in dict(_terms(entry)) for row in _TEMPLATES[partition] for entry in row)
 
     def test_solve_variables_occupy_one_position(self):
         # _solve_linear assumes a_i is affine in the solved slope
@@ -163,6 +158,15 @@ class TestCatalog:
         for partition, var in solved:
             assert self.positions(partition, var) == 1, (partition, var)
         assert self.positions((1, 1, 1), "d11") == 2  # diagonal ones may repeat
+
+    def test_spec_names_are_template_placeholders(self):
+        # _draw_family skips names the template lacks, so a misspelt one is
+        # silently ignored (zeros, fixed) or fails only after 500 draws (solve)
+        for specs in _CATALOG_SPECS.values():
+            for spec in specs:
+                named = ({*spec.zeros} | {name for name, _ in spec.fixed}
+                         | {var for var, _, _ in spec.solve})
+                assert named <= set(_placeholders(_TEMPLATES[spec.partition])), spec
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,7 @@ import pytest
 from reference import branch_phases, rescale_charpoly, tropical_product
 from tropeig.charpoly import CharPoly, charpoly_traces
 from tropeig.exact import ec
-from tropeig.jordan import _TEMPLATES, catalog_families
-from tropeig.charpoly import build_direction_matrix
+from tropeig.jordan import _TEMPLATES, build_direction_matrix, catalog_families
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
                               TropicalRoot, newton_polygon, tropical_roots,
