@@ -29,9 +29,9 @@ from .charpoly import charpoly_direct
 from .jordan import (DEFAULT_SEED, WEYR_TOL, WeyrAmbiguityError, catalog_families,
                      validate_partition, weyr_structure)
 from .models import Family, build_example, example_names
-from .numeric import (BRAID_EPS0, BRAID_STEPS, DEFAULT_GRID, MATCH_TOL,
-                      LoopDegeneracyError, NonConvergenceError, SampleGrid, braid_loop,
-                      fit_exponents)
+from .numeric import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, DEFAULT_GRID, MATCH_TOL,
+                      LoopDegeneracyError, NonConvergenceError, SampleGrid,
+                      _check_braid_arguments, _check_match_tol, braid_loop, fit_exponents)
 from .plots import polygon_svg, tropical_csv, tropical_svg
 from .serialize import (ParseError, braid_to_json, charpoly_from_json,
                         charpoly_to_json, dumps, family_to_json,
@@ -166,6 +166,10 @@ def _resolve_family(args) -> Family:
 
 
 def cmd_verify(args) -> int:
+    # usage errors win over the exit 2 of an undetermined prediction
+    _check_match_tol(args.tol)
+    if args.braid:
+        _check_braid_arguments(args.eps0, args.steps)
     family = _resolve_family(args)
     grid = SampleGrid(t0=args.t0, ratio=args.ratio, count=args.count, phase=args.phase)
     tolerances = {"match_tol": args.tol, "t0": args.t0, "ratio": args.ratio,
@@ -311,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=MATCH_TOL, help="exponent match tolerance")
     p.add_argument("--braid", action="store_true")
     p.add_argument("--eps0", type=float, default=BRAID_EPS0, help="braid loop radius")
-    p.add_argument("--steps", type=int, default=BRAID_STEPS, help="braid loop resolution")
+    p.add_argument("--steps", type=int, default=BRAID_STEPS,
+                   help="braid steps are sized from root velocity; the shortest "
+                        f"allowed is 2*pi/(STEPS*2^{BRAID_HALVINGS})")
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_verify)
 

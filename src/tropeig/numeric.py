@@ -13,21 +13,25 @@ exact coefficients evaluated in floats keep the roots well conditioned far
 below where matrix eigensolvers degrade.  The exact coefficients are
 converted to floats once per fit or braid loop.
 
-The fit starts every root solve from Newton-polygon guesses, so the roots
+The fit solves only the smallest-|t| half of the grid, the points it
+fits, and starts every root solve from Newton-polygon guesses, so the roots
 at one sample do not depend on the others.  The braid loop is a
 continuation: each solve starts from the previous step's roots, only the
 roots that move are continued, and a step is accepted by a nearest-neighbour
 rule that agrees with the minimum-displacement assignment (see braid_loop).
-Each eigenvalue is measured against its own spacing: a step may move a root
-by up to 0.45 of the distance from its new place to the nearest other
-eigenvalue, and a loop is refused as degenerate when some pair lies closer
+Each eigenvalue is measured against its own spacing: a step is sized from
+the roots' velocities so that, to first order, no root moves more than 0.25
+of its spacing; it is accepted if each root moves by up to 0.45 of the
+distance from its new place to the nearest other eigenvalue, and halved
+otherwise; and a loop is refused as degenerate when some pair lies closer
 than 1e-3 of the larger of their moduli, so branches of different orders
 in t are each tracked on their own scale.
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
 for the root iteration, BRAID_HALVINGS for step halving on a braid loop,
 and, as defaults the CLI reads too, MATCH_TOL for the exponent fit and
-BRAID_EPS0 and BRAID_STEPS for the loop's radius and resolution.  Only the
+BRAID_EPS0 and BRAID_STEPS for the loop's radius and its shortest step,
+2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).  Only the
 functions that compute with arrays (the dense eigensolver, the tracks and
 the fit) import numpy, so the exact pipeline never loads it.
 """
@@ -50,11 +54,12 @@ from .tropical import TropicalRoot, _lower_hull
 ROOT_TOL = 5e-14
 # cap on Aberth sweeps; the built-in families converge within 42
 ROOT_ITERATIONS = 300
-# step halvings (to 2^-14 of a step) before a braid loop counts as degenerate
+# a braid step may not be shorter than 2*pi / (steps * 2^BRAID_HALVINGS)
 BRAID_HALVINGS = 14
-# default braid loop radius and steps; a radius of 1e-3 encloses a second
-# degeneracy of some catalog families (H[2,1,1] generic, seed 0, has one at
-# |t| = 1.29e-4) and so returns the wrong cycles
+# default braid loop radius and steps (the shortest step, as above); a
+# radius of 1e-3 encloses a second degeneracy of some catalog families
+# (H[2,1,1] generic, seed 0, has one at |t| = 1.29e-4) and so returns the
+# wrong cycles
 BRAID_EPS0 = 1e-6
 BRAID_STEPS = 96
 MATCH_TOL = 0.05  # default largest gap between a fitted and a predicted exponent
@@ -187,15 +192,18 @@ def aberth_roots(coeffs: Sequence[complex],
     raise NonConvergenceError("root iteration did not converge", ROOT_ITERATIONS, max_step)
 
 
-def _coefficient_sampler(cp: CharPoly):
+def _coefficient_sampler(cp: CharPoly, d_dt: bool = False):
     """(coeffs_at, zeros): coeffs_at(t) gives the float coefficients of cp at
-    t with its ``zeros`` identically-zero trailing coefficients deflated.
+    t, or with ``d_dt`` their t-derivatives, with its ``zeros``
+    identically-zero trailing coefficients deflated.
 
     The exact coefficients are converted to floats once, here, and every
     value is the one ``ScalarPoly.evaluate`` gives.
     """
     zeros = cp.trailing_zero_count()
     tables = [cp.coeffs[i].float_table() for i in range(cp.n - zeros + 1)]
+    if d_dt:
+        tables = [tuple((e - 1, e * c) for e, c in table if e) for table in tables]
     return (lambda t: [horner_table(table, t) for table in tables]), zeros
 
 
@@ -302,14 +310,20 @@ class VerificationResult:
     diagnostics: Tuple[str, ...] = ()
 
 
+def _check_match_tol(match_tol: float) -> None:
+    if not (math.isfinite(match_tol) and match_tol > 0):
+        raise ValueError(f"match_tol must be finite and positive, got {match_tol}")
+
+
 def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
                   match_tol: float = MATCH_TOL) -> VerificationResult:
     """Fit per-eigenvalue leading exponents and compare with the prediction.
 
     Flat zero modes are counted from the exact characteristic polynomial
-    and only the moving roots are tracked.  Tracks are continued through
-    the grid, and the smallest-|t| half of each track is fitted by least
-    squares in log-log scale.  Each track joins the predicted root nearest
+    and only the moving roots are tracked.  Only the smallest-|t| half of
+    the grid, ``grid.points()[grid.count // 2:]``, is solved; the tracks are
+    continued through it and each is fitted by least squares in log-log
+    scale.  Each track joins the predicted root nearest
     in exponent (a tie goes to the lower exponent), and each predicted root
     must collect its multiplicity of tracks with a mean exponent within
     ``match_tol``.  Mismatches produce ``passed=False`` with diagnostics
@@ -317,30 +331,28 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
     positive raises ValueError.
     """
     import numpy as np
-    if not (math.isfinite(match_tol) and match_tol > 0):
-        raise ValueError(f"match_tol must be finite and positive, got {match_tol}")
+    _check_match_tol(match_tol)
     if grid.decades() < 3:
         raise ValueError("grid must span at least three decades")
     expected = family.expected
     if expected is None:
         raise ValueError("family carries no expected splitting report")
     coeffs_at, zero_tracks = _coefficient_sampler(family.charpoly)
-    ts = grid.points()
+    ts = grid.points()[grid.count // 2:]
     tracks = track_eigenvalues(lambda t: aberth_roots(coeffs_at(t)), ts)
-    half = grid.count // 2
     log_t = np.log(np.abs(np.asarray(ts)))
 
     ok = True
     diagnostics: List[str] = []
     fits: List[Tuple[float, float]] = []  # (slope, residual)
     for j in range(tracks.shape[1]):
-        window = np.abs(tracks[half:, j])
+        window = np.abs(tracks[:, j])
         keep = window > 0  # a coefficient that underflows leaves an exact zero root
         if keep.sum() < 3:
             ok = False
             diagnostics.append(f"track {j}: too few usable points for a fit")
             continue
-        x = log_t[half:][keep]
+        x = log_t[keep]
         y = np.log(window[keep])
         slope, intercept = np.polyfit(x, y, 1)
         residual = float(np.max(np.abs(slope * x + intercept - y)))
@@ -438,32 +450,73 @@ def _check_separated(eigs: Sequence[complex]) -> None:
             "1e-3; loop too coarse or crossing a degeneracy")
 
 
+def _check_braid_arguments(eps0: float, steps: int) -> None:
+    if steps < 1 or not (math.isfinite(eps0) and eps0 > 0):
+        raise ValueError(f"braid loop needs steps >= 1 and a finite eps0 > 0, "
+                         f"got steps={steps}, eps0={eps0}")
+
+
+def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex], t: complex,
+               roots: Sequence[complex], zeros: int, floor: float) -> float:
+    """Phase step of a braid loop t = eps0 * e^(i*phi) from the roots of the
+    polynomial ``coeffs`` (leading first; ``dcoeffs`` are their
+    t-derivatives) at t: the largest step up to 2*pi/8 over which, to first
+    order, no root moves more than 0.25 of its spacing.
+
+    A root moves at dlambda/dphi = -i*t*dp/dt / dp/dlambda; its spacing is
+    the distance to the nearest other root or, when there are ``zeros`` flat
+    zeros, to 0.  Raises LoopDegeneracyError when a velocity is not finite
+    (dp/dlambda vanishes at a root) or the step is shorter than ``floor``.
+    """
+    h = 2 * math.pi / 8
+    for k, z in enumerate(roots):
+        dp = _horner2(coeffs, z)[1]
+        speed = abs(t * _horner2(dcoeffs, z)[0] / dp) if dp else math.inf
+        if not math.isfinite(speed):
+            raise LoopDegeneracyError(f"eigenvalue velocity {speed} on the loop; "
+                                      "it crosses a degeneracy")
+        if speed:
+            others = [abs(z - w) for j, w in enumerate(roots) if j != k]
+            if zeros:
+                others.append(abs(z))
+            h = min(h, 0.25 * min(others, default=math.inf) / speed)
+    if h < floor:
+        raise LoopDegeneracyError(f"eigenvalues move too fast: step {h:.3e} below "
+                                  f"the shortest allowed, {floor:.3e}")
+    return h
+
+
 def braid_loop(family: Family, eps0: float = BRAID_EPS0,
                steps: int = BRAID_STEPS) -> BraidPermutation:
     """Permutation of eigenvalues after one loop eps0 * e^(i*phi).
 
-    Continuation is nearest-neighbour with recursive step halving whenever a
-    matching is ambiguous: a root moves by more than 0.45 of its new place's
-    own spacing, the distance to the nearest other eigenvalue there.  Each
-    root solve starts from the previous step's roots, and only the roots
-    that move are continued: flat zero modes stay at their starting places.
+    Each step is sized from the velocities of the roots (see _loop_step): at
+    most 2*pi/8, and short enough that no root moves, to first order, more
+    than 0.25 of its spacing.  A step is accepted by a nearest-neighbour
+    rule, and halved while it is ambiguous: while a root moves by more than
+    0.45 of its new place's own spacing, the distance to the nearest other
+    eigenvalue there.  Each root solve starts from the previous step's
+    roots, and only the roots that move are continued: flat zero modes stay
+    at their starting places.
+
+    ``steps`` sets the shortest step, 2*pi / (steps * 2^BRAID_HALVINGS).
     Raises LoopDegeneracyError when two eigenvalues approach each other
-    below 1e-3 of the larger of their moduli, when all of them vanish, or
-    when halving bottoms out; flat zero modes, which coincide exactly, do
-    not count as approaching.  Raises ValueError unless steps >= 1 and eps0
-    is finite and positive.
+    below 1e-3 of the larger of their moduli, when all of them vanish, when
+    a velocity is not finite, or when a step would have to be shorter than
+    that; flat zero modes, which coincide exactly, do not count as
+    approaching.  Raises ValueError unless steps >= 1 and eps0 is finite and
+    positive.
     """
-    if steps < 1 or not (math.isfinite(eps0) and eps0 > 0):
-        raise ValueError(f"braid loop needs steps >= 1 and a finite eps0 > 0, "
-                         f"got steps={steps}, eps0={eps0}")
+    _check_braid_arguments(eps0, steps)
     coeffs_at, zeros = _coefficient_sampler(family.charpoly)
+    dcoeffs_at, _ = _coefficient_sampler(family.charpoly, d_dt=True)
     flat = [0j] * zeros
-    phis = [2 * math.pi * k / steps for k in range(steps + 1)]
+    full_turn = 2 * math.pi
+    floor = full_turn / (steps * 2 ** BRAID_HALVINGS)
 
-    def solve(phi, near=None):
-        return aberth_roots(coeffs_at(eps0 * cmath.exp(1j * phi)), near)
-
-    moving = solve(phis[0])
+    phi, t = 0.0, complex(eps0)
+    coeffs = coeffs_at(t)
+    moving = aberth_roots(coeffs)
     first = moving + flat
     places = sorted(range(len(first)),
                     key=lambda i: (round(first[i].real, 12), round(first[i].imag, 12)))
@@ -475,39 +528,44 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     slots = [k for k, i in enumerate(places) if i < len(moving)]
     current = [start[k] for k in slots]
 
-    def advance(cur, phi_from, phi_to, depth):
-        new = solve(phi_to, cur)
-        _check_separated(new + flat)
-        # A step is safe when the assignment of least total displacement
-        # (_match over all roots, flat zeros included) moves each root by at
-        # most 0.45*sep of its target, where sep(w) is the distance from the
-        # new root w to the nearest other new root, flat zeros included.
-        # _nearest_within accepts exactly those steps, with the same
-        # assignment.  If the optimum moves each root so, a root c sent to w
-        # lies at least sep(w) - |c - w| >= 0.55*sep(w) > 0 from every other
-        # new root, so w is its strictly nearest new root; and no moving
-        # root is sent to a flat zero, since the flat zero that would take a
-        # nonzero w in its place moves by |w| >= sep(w).
-        # Conversely, let the moving roots' nearest new roots be distinct
-        # moving roots within 0.45*sep, and let the flat zeros stay.  Any
-        # other assignment moves a set S of roots among the targets that S
-        # had; a root c sent to u instead of w moves at least
-        # |w - u| - |c - w| >= sep(u) - |c - w|, so on S it costs at least
-        # 0.55*sum(sep) while the accepted map costs at most 0.45*sum(sep).
-        # The sum is positive, as the new roots are pairwise separated,
-        # unless S only permutes coinciding flat zeros at no cost: the map
-        # is the unique optimum.
-        order = _nearest_within(cur, new, zeros)
-        if order is None:
-            if depth >= BRAID_HALVINGS:
+    while phi < full_turn:
+        h = _loop_step(coeffs, dcoeffs_at(t), t, current, zeros, floor)
+        while True:
+            phi_to = min(phi + h, full_turn)
+            if phi_to == phi:
+                raise LoopDegeneracyError("step below the resolution of the loop phase")
+            t_to = eps0 * cmath.exp(1j * phi_to)
+            coeffs_to = coeffs_at(t_to)
+            new = aberth_roots(coeffs_to, current)
+            _check_separated(new + flat)
+            # A step is safe when the assignment of least total displacement
+            # (_match over all roots, flat zeros included) moves each root by
+            # at most 0.45*sep of its target, where sep(w) is the distance
+            # from the new root w to the nearest other new root, flat zeros
+            # included.  _nearest_within accepts exactly those steps, with
+            # the same assignment.  If the optimum moves each root so, a root
+            # c sent to w lies at least sep(w) - |c - w| >= 0.55*sep(w) > 0
+            # from every other new root, so w is its strictly nearest new
+            # root; and no moving root is sent to a flat zero, since the flat
+            # zero that would take a nonzero w in its place moves by
+            # |w| >= sep(w).
+            # Conversely, let the moving roots' nearest new roots be distinct
+            # moving roots within 0.45*sep, and let the flat zeros stay.  Any
+            # other assignment moves a set S of roots among the targets that
+            # S had; a root c sent to u instead of w moves at least
+            # |w - u| - |c - w| >= sep(u) - |c - w|, so on S it costs at least
+            # 0.55*sum(sep) while the accepted map costs at most 0.45*sum(sep).
+            # The sum is positive, as the new roots are pairwise separated,
+            # unless S only permutes coinciding flat zeros at no cost: the
+            # map is the unique optimum.
+            order = _nearest_within(current, new, zeros)
+            if order is not None:
+                break
+            h = (phi_to - phi) / 2
+            if h < floor:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
-            mid = (phi_from + phi_to) / 2
-            cur = advance(cur, phi_from, mid, depth + 1)
-            return advance(cur, mid, phi_to, depth + 1)
-        return [new[j] for j in order]
-
-    for phi_from, phi_to in zip(phis, phis[1:]):
-        current = advance(current, phi_from, phi_to, 0)
+        current = [new[j] for j in order]
+        phi, t, coeffs = phi_to, t_to, coeffs_to
 
     # end[i] should coincide with start[sigma(i)]
     end = list(start)
@@ -515,4 +573,3 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
         end[k] = z
     sigma = _match(end, start)
     return BraidPermutation(tuple(sigma))
-

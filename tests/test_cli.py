@@ -191,6 +191,15 @@ class TestVerify:
         assert set(body) == {"family", "expected", "provenance"}
         assert body["expected"]["undetermined"] is True
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--tol", "nan"], "error: match_tol must be finite and positive"),
+        (["--steps", "0", "--braid"], "error: braid loop needs steps >= 1")])
+    def test_usage_error_wins_over_undetermined(self, capsys, flag, message):
+        code, out, err = run(capsys, "verify", "--example", "lieb_pi_diag",
+                             "--param", "series_order=2", *flag)
+        assert code == 1 and out == ""
+        assert err.startswith(message)
+
     def test_nonconvergence_exit_without_traceback(self, capsys):
         code, out, err = run(capsys, "verify", "--example", "hatano_nelson",
                              "--param", "L=8", "--param", "regime=obc")

@@ -18,9 +18,9 @@ from tropeig.models import (Family, build_example, cavity_dynamical, default_fam
                             hatano_nelson, torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, DEFAULT_GRID, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, SampleGrid,
-                             _check_separated, _coefficient_sampler, _match,
-                             _nearest_within, aberth_roots, braid_loop, charpoly_roots_at,
-                             eigenvalues_at, fit_exponents)
+                             _check_separated, _coefficient_sampler, _loop_step,
+                             _match, _nearest_within, aberth_roots, braid_loop,
+                             charpoly_roots_at, eigenvalues_at, fit_exponents)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import SplittingReport, TropicalRoot
 
@@ -452,6 +452,12 @@ class TestFitExponents:
                 if fam.parameters["generic"]:
                     assert fit_exponents(fam).passed, fam.name
 
+    def test_solves_only_the_fitted_half(self, catalogs, monkeypatch):
+        fam = next(f for f in catalogs[4] if f.parameters["generic"])
+        res, solves, _ = TestBraidAgainstReference.counted(monkeypatch, fit_exponents, fam)
+        assert res.passed
+        assert solves == DEFAULT_GRID.count - DEFAULT_GRID.count // 2 == 13
+
     def test_unlifting_direction_all_zero(self, catalogs):
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
         res = fit_exponents(fam)
@@ -519,11 +525,49 @@ class TestBraid:
 
     def test_fast_branches_keep_their_steps(self, catalogs, monkeypatch):
         # H[2,1,1] p=0 has t^(1/2) branches beside an order-t pair; steps
-        # sized by the global gap took 2,977 root solves at the defaults
+        # sized by the global gap took 2,977 root solves at the defaults,
+        # fixed steps 97, and steps sized by each root's velocity take 14
         fam = next(f for f in catalogs[4] if f.name == "H[2,1,1] p=0")
         b, solves, _ = TestBraidAgainstReference.counted(monkeypatch, braid_loop, fam)
         assert b.cycle_lengths == fam.expected.predicted_cycle_lengths()
         assert solves <= 200
+
+    def test_step_keeps_each_root_within_a_quarter_of_its_spacing(self):
+        # (l - 1)(l - 1 - t): the root 1 + t moves at speed |t| and lies |t|
+        # from the root 1, which stands still
+        t = 0.1
+        h = _loop_step([1, -(2 + t), 1 + t], [0, -1, 1], t, [1, 1 + t], 0, 1e-6)
+        assert h == pytest.approx(0.25)
+        # l^2 - t: both roots sweep at half their distance; the cap holds
+        h = _loop_step([1, 0, -t], [0, 0, -1], t, [t ** 0.5, -t ** 0.5], 0, 1e-6)
+        assert h == 2 * math.pi / 8
+
+    def test_step_refuses_infinite_velocity_and_steps_below_the_floor(self):
+        # (l - t)^2: dp/dl vanishes at the double root
+        t = 0.1
+        with pytest.raises(LoopDegeneracyError, match="velocity"):
+            _loop_step([1, -2 * t, t * t], [0, -2, 2 * t], t, [t, t], 0, 1e-6)
+        with pytest.raises(LoopDegeneracyError, match="below the shortest allowed"):
+            _loop_step([1, -(2 + t), 1 + t], [0, -1, 1], t, [1, 1 + t], 0, 0.5)
+
+    def test_step_too_short_for_the_phase_refuses(self, catalogs, monkeypatch):
+        # a step that would not advance phi refuses the loop instead of hanging
+        sizes = iter([1.0])
+        monkeypatch.setattr(numeric, "_loop_step", lambda *args: next(sizes, 1e-300))
+        with pytest.raises(LoopDegeneracyError, match="resolution of the loop phase"):
+            braid_loop(catalogs[2][0], steps=10 ** 300)
+
+    def test_steps_only_set_the_floor(self, catalogs, monkeypatch):
+        # steps=1 lowers no cap and skips no solve on the generic families
+        for fams in catalogs.values():
+            for fam in fams:
+                if fam.parameters["generic"]:
+                    coarse = TestBraidAgainstReference.counted(monkeypatch, braid_loop, fam,
+                                                               BRAID_EPS, 1)
+                    fine = TestBraidAgainstReference.counted(monkeypatch, braid_loop, fam,
+                                                             BRAID_EPS, BRAID_STEPS)
+                    assert coarse == fine, fam.name
+                    assert coarse[0].cycle_lengths == fam.expected.predicted_cycle_lengths()
 
     def test_hatano_nelson_obc_is_still_degenerate(self):
         # its EP2 blocks split alike, so two eigenvalues nearly coincide
@@ -640,26 +684,33 @@ class TestBraidAgainstReference:
         return outcome, calls["aberth_roots"], calls["_match"]
 
     @pytest.mark.parametrize("group, eps0, steps", [
-        ("verify", 1e-6, 96), ("catalog seed 1", 1e-3, 64), ("catalog seed 2", 1e-3, 64)])
+        ("verify", 1e-6, 96), ("catalog seed 1", 1e-3, 64), ("catalog seed 2", 1e-3, 64),
+        ("catalog seed 0", 1e-6, 96), ("catalog seed 3", 1e-6, 96),
+        ("catalog seed 4", 1e-6, 96), ("catalog seed 5", 1e-6, 96)])
     def test_same_braids_with_one_match_and_the_same_solves(self, monkeypatch, group,
                                                              eps0, steps):
+        # the reference takes fixed steps of 2*pi/steps; velocity-sized steps
+        # reach the same outcome with no more solves
         if group == "verify":
             fams = _verify_families()
             assert len(fams) == 48
         else:
             seed = int(group.split()[-1])
             fams = [f for n in (2, 3, 4) for f in catalog_families(n, seed)]
-        flat_braids = 0
+        flat_braids = total_solves = 0
         for fam in fams:
             want, ref_solves, _ = self.counted(monkeypatch, reference_braid_loop, fam, eps0,
                                                steps)
             got, solves, matches = self.counted(monkeypatch, braid_loop, fam, eps0, steps)
             assert got == want, fam.name
-            assert solves == ref_solves, fam.name  # the same halvings
+            assert solves <= ref_solves, fam.name
+            total_solves += solves
             if isinstance(got, BraidPermutation):
                 assert matches == 1, fam.name
                 flat_braids += fam.charpoly.trailing_zero_count() > 0
         assert flat_braids >= 3  # families with flat modes braid, not only fail
+        if group == "verify":
+            assert total_solves <= 1000  # 4,176 with fixed steps
 
 
 class TestNumericOrd:
