@@ -1,8 +1,9 @@
 """Numerically confirm predicted exponents and braids.
 
-Exponent fits: eigenvalues are tracked down a geometric grid of the
-perturbation parameter and the log-log slope of every track is clustered and
-matched against the exact prediction.
+Scaled-root checks: for each predicted exponent omega the characteristic
+polynomial is rescaled by lambda = t^omega * mu, and at two values of t two
+decades apart the roots nearest the edge polynomial's roots must approach
+them; their two-point exponent is printed.
 
 Braids: eigenvalues are continued once around a small circle in the
 parameter; each group of branches sharing a Puiseux series permutes

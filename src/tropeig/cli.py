@@ -8,8 +8,8 @@ Subcommands: analyze, catalog, verify, example, jordan.  Exit codes:
     3  braid loop failed (too coarse or crossing a degeneracy)
     4  numerical rank ambiguity in Jordan detection
     5  a catalog family disagreed with its stored expectation
-    6  numeric check failed (exponent fit or braid cycles disagree with the
-       prediction, or a root iteration did not converge)
+    6  numeric check failed (scaled-root check or braid cycles disagree with
+       the prediction, or a root iteration did not converge)
 
 Output is deterministic byte-for-byte for fixed input, seed, and version.
 """
@@ -29,8 +29,8 @@ from .charpoly import charpoly_direct
 from .jordan import (DEFAULT_SEED, WEYR_TOL, WeyrAmbiguityError, catalog_families,
                      validate_partition, weyr_structure)
 from .models import Family, build_example, example_names
-from .numeric import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, DEFAULT_GRID, MATCH_TOL,
-                      LoopDegeneracyError, NonConvergenceError, SampleGrid,
+from .numeric import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, DEFAULT_GRID,
+                      MATCH_TOL, LoopDegeneracyError, NonConvergenceError, SampleGrid,
                       _check_braid_arguments, _check_match_tol, braid_loop, fit_exponents)
 from .plots import polygon_svg, tropical_csv, tropical_svg
 from .serialize import (ParseError, braid_to_json, charpoly_from_json,
@@ -171,9 +171,8 @@ def cmd_verify(args) -> int:
     if args.braid:
         _check_braid_arguments(args.eps0, args.steps)
     family = _resolve_family(args)
-    grid = SampleGrid(t0=args.t0, ratio=args.ratio, count=args.count, phase=args.phase)
-    tolerances = {"match_tol": args.tol, "t0": args.t0, "ratio": args.ratio,
-                  "phase": args.phase, "count": args.count}
+    grid = SampleGrid(t0=args.t0, phase=args.phase)
+    tolerances = {"match_tol": args.tol, "t0": args.t0, "phase": args.phase}
     if args.braid:
         tolerances.update(eps0=args.eps0, steps=args.steps)
     body = {"family": family.name,
@@ -308,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", default="generic")
     p.add_argument("--param", action="append", metavar="K=V")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--t0", type=float, default=DEFAULT_GRID.t0)
-    p.add_argument("--ratio", type=float, default=DEFAULT_GRID.ratio)
-    p.add_argument("--count", type=int, default=DEFAULT_GRID.count)
+    p.add_argument("--t0", type=float, default=DEFAULT_GRID.t0,
+                   help="first |t| of the check; the second lies "
+                        f"{CHECK_DECADES} decades below")
     p.add_argument("--phase", type=float, default=DEFAULT_GRID.phase)
     p.add_argument("--tol", type=float, default=MATCH_TOL, help="exponent match tolerance")
     p.add_argument("--braid", action="store_true")

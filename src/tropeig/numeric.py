@@ -1,21 +1,20 @@
 """Floating-point verification of the exact predictions.
 
-The symbolic layer predicts leading exponents; this module checks them on
-actual numbers: eigenvalues are sampled along a geometric grid of the
-perturbation parameter, tracked by minimum-displacement continuation, fitted
-in log-log scale, and grouped by the predicted exponents; flat zero modes
-are counted from the exact characteristic polynomial.  Braids are read off
-by continuing eigenvalues around a small loop.  Eigenvalues come either
-from a dense nonsymmetric eigensolver or from an Ehrlich-Aberth
+The symbolic layer predicts leading exponents omega and, through the edge
+polynomials E_omega of the Newton polygon, the prefactors of the branches
+lambda ~ c * t^omega; this module checks both on actual numbers, each branch
+on its own scale t^omega (the scaled-root check, see fit_exponents).  Flat
+zero modes are counted from the exact characteristic polynomial.  Braids
+are read off by continuing eigenvalues around a small loop.  Eigenvalues
+come either from a dense nonsymmetric eigensolver or from an Ehrlich-Aberth
 simultaneous root iteration on the exactly-known characteristic
 polynomial; the latter is preferred for deep-asymptotic sampling because
 exact coefficients evaluated in floats keep the roots well conditioned far
 below where matrix eigensolvers degrade.  The exact coefficients are
-converted to floats once per fit or braid loop.
+converted to floats once per check or braid loop.
 
-The fit solves only the smallest-|t| half of the grid, the points it
-fits, and starts every root solve from Newton-polygon guesses, so the roots
-at one sample do not depend on the others.  The braid loop is a
+Every root solve of the check starts from Newton-polygon guesses, so the
+roots at one point do not depend on the other.  The braid loop is a
 continuation: each solve starts from the previous step's roots, only the
 roots that move are continued, and a step is accepted by a nearest-neighbour
 rule that agrees with the minimum-displacement assignment (see braid_loop).
@@ -28,12 +27,12 @@ than 1e-3 of the larger of their moduli, so branches of different orders
 in t are each tracked on their own scale.
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
-for the root iteration, BRAID_HALVINGS for step halving on a braid loop,
-and, as defaults the CLI reads too, MATCH_TOL for the exponent fit and
+for the root iteration, CHECK_DECADES, SEPARATION and EXACT_DISTANCE for the
+scaled-root check, BRAID_HALVINGS for step halving on a braid loop, and, as
+defaults the CLI reads too, MATCH_TOL for the check's exponent and
 BRAID_EPS0 and BRAID_STEPS for the loop's radius and its shortest step,
-2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).  Only the
-functions that compute with arrays (the dense eigensolver, the tracks and
-the fit) import numpy, so the exact pipeline never loads it.
+2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).  Only the dense eigensolver imports
+numpy, so neither the exact pipeline nor the check nor the braid loads it.
 """
 
 from __future__ import annotations
@@ -41,11 +40,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 # charpoly_direct is not called here; the binding stays importable for the
 # benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct  # noqa: F401
+from .exact import EC_ZERO, ExactComplex
 from .models import Family
 from .poly import horner_table
 from .tropical import TropicalRoot, _lower_hull
@@ -62,7 +63,15 @@ BRAID_HALVINGS = 14
 # wrong cycles
 BRAID_EPS0 = 1e-6
 BRAID_STEPS = 96
-MATCH_TOL = 0.05  # default largest gap between a fitted and a predicted exponent
+MATCH_TOL = 0.05  # default largest gap between a measured and a predicted exponent
+# the check's second point lies this many decades below its first
+CHECK_DECADES = 2
+# at the second point, the nearest root left over must lie at least this
+# many times farther from the edge roots than the farthest branch
+SEPARATION = 4.0
+# a branch this close to its edge root (relative) needs no rate: the scaled
+# polynomial of an exact branch such as lambda^2 - t^q is E itself
+EXACT_DISTANCE = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
@@ -78,26 +87,19 @@ class LoopDegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Geometric grid t_k = t0 * ratio^k * e^(i*phase), k = 0..count-1."""
+    """The check's two points, t0 * e^(i*phase) and 10^-CHECK_DECADES times it."""
 
-    t0: float = 1e-4
-    ratio: float = 0.5
-    count: int = 25
+    t0: float = 1e-6
     phase: float = 0.0
 
     def __post_init__(self):
-        if (not (math.isfinite(self.t0) and self.t0 > 0) or not 0 < self.ratio < 1
-                or self.count < 5 or not math.isfinite(self.phase)):
-            raise ValueError(f"need a finite t0 > 0, ratio in (0,1), count >= 5 and a "
-                             f"finite phase, got t0={self.t0}, ratio={self.ratio}, "
-                             f"count={self.count}, phase={self.phase}")
+        if not (math.isfinite(self.t0) and self.t0 > 0) or not math.isfinite(self.phase):
+            raise ValueError(f"need a finite t0 > 0 and a finite phase, "
+                             f"got t0={self.t0}, phase={self.phase}")
 
-    def points(self) -> List[complex]:
-        rot = cmath.exp(1j * self.phase)
-        return [self.t0 * self.ratio ** k * rot for k in range(self.count)]
-
-    def decades(self) -> float:
-        return -math.log10(self.ratio ** (self.count - 1))
+    def points(self) -> Tuple[complex, complex]:
+        t = self.t0 * cmath.exp(1j * self.phase)
+        return t, t * 10.0 ** -CHECK_DECADES
 
 
 DEFAULT_GRID = SampleGrid()
@@ -229,17 +231,17 @@ def eigenvalues_at(source, t: complex) -> List[complex]:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue continuation
+# eigenvalue assignment
 # ---------------------------------------------------------------------------
 
-def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
-    """Indices m with new[m[i]] continuing prev[i], min total displacement.
+def _assign(cost: Sequence[Sequence[float]]) -> List[int]:
+    """Column order[i] for each row i of a square cost matrix, of least
+    total cost.
 
     Hungarian method with potentials, O(n^3): row i enters through a
     shortest augmenting path in reduced costs from column 0, a virtual root.
     Strict comparisons send ties to the lowest column index.
     """
-    cost = [[abs(p - q) for q in new] for p in prev]
     n = len(cost)
     u = [0.0] * (n + 1)
     v = [0.0] * (n + 1)
@@ -281,6 +283,13 @@ def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
     return order
 
 
+def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
+    """Indices m with new[m[i]] continuing prev[i], min total displacement."""
+    return _assign([[abs(p - q) for q in new] for p in prev])
+
+
+# not called here; stays importable because the benchmark's tracer looks it
+# up by name (perfbench/layers.py)
 def track_eigenvalues(eig_fn, params: Sequence[complex]):
     """Eigenvalues along a parameter path as a numpy array of shape
     (len(params), n), rows ordered by continuation."""
@@ -294,12 +303,30 @@ def track_eigenvalues(eig_fn, params: Sequence[complex]):
     return np.asarray(tracks)
 
 
+# ---------------------------------------------------------------------------
+# the scaled-root check
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
 class ClusterFit:
+    """One predicted exponent as the check saw it.
+
+    ``exponent`` is the two-point exponent of the branches assigned to
+    E_omega's nonzero roots and ``size`` their number; ``matched`` is the
+    predicted root when every test passed.  ``distance`` is the largest
+    relative distance |mu - r| / |r| of a branch from its edge root at the
+    second point, and ``rate`` that distance over the one at the first, both
+    floored at EXACT_DISTANCE.  ``edge`` holds the exact coefficients of
+    E_omega with its zero roots divided out, leading first: its roots are
+    the prefactors c of the branches lambda ~ c * t^omega.
+    """
+
     exponent: float
     size: int
     matched: Optional[TropicalRoot]
-    max_residual: float
+    distance: float
+    rate: float
+    edge: Tuple[ExactComplex, ...]
 
 
 @dataclass(frozen=True)
@@ -315,73 +342,146 @@ def _check_match_tol(match_tol: float) -> None:
         raise ValueError(f"match_tol must be finite and positive, got {match_tol}")
 
 
+def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
+    """(edge, tables) of the moving part sum_{i <= moving} a_i lambda^(moving-i)
+    of cp at the exponent omega; ``floats`` holds the float tables of
+    a_0..a_moving (ScalarPoly.float_table).
+
+    With nu = min_i(ord a_i + omega*(moving - i)), tables[i] lists (x, c)
+    over the terms c*t^e of a_i, where x = e + omega*(moving - i) - nu >= 0:
+    the coefficient of mu^(moving-i) in q_t(mu) = t^(-nu) p(t^omega mu, t)
+    is the sum of c*t^x.  ``edge`` is E_omega = lim q_t with its zero roots
+    divided out, leading first: lc(a_i) for i from the first to the last
+    index whose lowest term has x = 0, and 0 between them.
+    """
+    moving = len(floats) - 1
+    p, q = omega.numerator, omega.denominator
+    # exponents times q, so that they stay integers
+    shifts = [p * (moving - i) for i in range(moving + 1)]
+    lows = [q * table[-1][0] + s if table else None for table, s in zip(floats, shifts)]
+    nu = min(low for low in lows if low is not None)
+    tables = [[((q * e + s - nu) / q, c) for e, c in table]
+              for table, s in zip(floats, shifts)]
+    on_edge = [i for i, low in enumerate(lows) if low == nu]
+    edge = tuple(cp.coeffs[i].terms[floats[i][-1][0]] if lows[i] == nu else EC_ZERO
+                 for i in range(on_edge[0], on_edge[-1] + 1))
+    return edge, tables
+
+
+def _scaled_roots(tables, t: complex) -> List[complex]:
+    """Roots of q_t at t; a leading coefficient that underflows to 0 drops
+    a root at infinity, which lies far from every edge root."""
+    log_t = cmath.log(t)
+    coeffs = [sum(c * cmath.exp(x * log_t) for x, c in table) for table in tables]
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    return aberth_roots(coeffs)
+
+
+def _edge_distances(edge_roots: Sequence[complex], roots: Sequence[complex]):
+    """(near, far, assigned) for roots of q_t against E_omega's nonzero roots.
+
+    The roots are assigned to the edge roots at least total relative
+    distance |mu - r| / |r|; ``near`` is the largest distance of an assigned
+    root, ``far`` the smallest distance of another root to any edge root
+    (inf if none is left), and ``assigned`` the assigned roots.
+    """
+    m = len(edge_roots)
+    cost = [[abs(z - r) / abs(r) for z in roots] for r in edge_roots]
+    cost += [[0.0] * len(roots) for _ in range(len(roots) - m)]
+    order = _assign(cost)
+    near = max(cost[k][order[k]] for k in range(m))
+    left = set(range(len(roots))) - set(order[:m])
+    far = min((min(cost[k][j] for k in range(m)) for j in left), default=math.inf)
+    return near, far, [roots[j] for j in order[:m]]
+
+
+def _mean_log(zs: Sequence[complex]) -> float:
+    return sum(math.log(abs(z)) if z else -math.inf for z in zs) / len(zs)
+
+
 def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
                   match_tol: float = MATCH_TOL) -> VerificationResult:
-    """Fit per-eigenvalue leading exponents and compare with the prediction.
+    """Check each predicted exponent on its own scale.
 
-    Flat zero modes are counted from the exact characteristic polynomial
-    and only the moving roots are tracked.  Only the smallest-|t| half of
-    the grid, ``grid.points()[grid.count // 2:]``, is solved; the tracks are
-    continued through it and each is fitted by least squares in log-log
-    scale.  Each track joins the predicted root nearest
-    in exponent (a tie goes to the lower exponent), and each predicted root
-    must collect its multiplicity of tracks with a mean exponent within
-    ``match_tol``.  Mismatches produce ``passed=False`` with diagnostics
-    rather than an exception; a ``match_tol`` that is not finite and
-    positive raises ValueError.
+    For a predicted root omega of multiplicity m, the nonzero roots r of the
+    edge polynomial E_omega are solved once, and the scaled polynomial q_t
+    (see _scaled_polynomial) at the grid's two points t1 and
+    t2 = t1 / 10^CHECK_DECADES.  At each point the roots of q_t are assigned
+    to the r at least total relative distance |mu - r| / |r|, and the root
+    passes when
+
+    * E_omega has exactly m nonzero roots, so m branches are assigned;
+    * at t2 the nearest root not assigned lies at least SEPARATION times
+      farther from the edge roots than the farthest assigned one;
+    * the largest distance d of an assigned root shrinks:
+      d(t2) <= d(t1) * (t2/t1)^(1/(2n')), with n' moving roots, or
+      d(t2) <= EXACT_DISTANCE.  A branch is a Puiseux series
+      mu = r + c*t^(k/e) + ... whose cycle length e is at most n', so d
+      falls at least like (t2/t1)^(1/n') once its leading correction
+      dominates; the square root leaves room for the next terms.  The
+      scaled polynomial of an exact branch (the torus knots) is E_omega
+      itself, and d stays at rounding level;
+    * the two-point exponent omega + (mean log|mu|(t2) - mean log|mu|(t1))
+      / log|t2/t1| over the assigned roots lies within ``match_tol`` of
+      omega.
+
+    The multiplicities must add up to the n' moving roots, and the flat zero
+    modes, counted from the exact characteristic polynomial, must match the
+    prediction.  Every root solve starts from Newton-polygon guesses and
+    q_t has only non-negative powers of t, so deep points do not underflow.
+    Mismatches produce ``passed=False`` with diagnostics rather than an
+    exception; a ``match_tol`` that is not finite and positive raises
+    ValueError.
     """
-    import numpy as np
     _check_match_tol(match_tol)
-    if grid.decades() < 3:
-        raise ValueError("grid must span at least three decades")
     expected = family.expected
     if expected is None:
         raise ValueError("family carries no expected splitting report")
-    coeffs_at, zero_tracks = _coefficient_sampler(family.charpoly)
-    ts = grid.points()[grid.count // 2:]
-    tracks = track_eigenvalues(lambda t: aberth_roots(coeffs_at(t)), ts)
-    log_t = np.log(np.abs(np.asarray(ts)))
+    cp = family.charpoly
+    zero_tracks = cp.trailing_zero_count()
+    moving = cp.n - zero_tracks
+    t1, t2 = grid.points()
+    floats = [a.float_table() for a in cp.coeffs[:moving + 1]]
+    bound = 10.0 ** (-CHECK_DECADES / (2 * moving)) if moving else 0.0
 
     ok = True
     diagnostics: List[str] = []
-    fits: List[Tuple[float, float]] = []  # (slope, residual)
-    for j in range(tracks.shape[1]):
-        window = np.abs(tracks[:, j])
-        keep = window > 0  # a coefficient that underflows leaves an exact zero root
-        if keep.sum() < 3:
-            ok = False
-            diagnostics.append(f"track {j}: too few usable points for a fit")
-            continue
-        x = log_t[keep]
-        y = np.log(window[keep])
-        slope, intercept = np.polyfit(x, y, 1)
-        residual = float(np.max(np.abs(slope * x + intercept - y)))
-        fits.append((float(slope), residual))
-
-    roots = expected.roots  # ascending exponent
-    groups: List[List[Tuple[float, float]]] = [[] for _ in roots]
-    for fit in sorted(fits):
-        if not roots:
-            ok = False
-            diagnostics.append(f"track exponent~{fit[0]:.4f} matches no predicted root")
-            continue
-        nearest = min(range(len(roots)), key=lambda k: abs(fit[0] - float(roots[k].omega)))
-        groups[nearest].append(fit)
-
     out: List[ClusterFit] = []
-    for root, group in zip(roots, groups):
-        if not group:
+    for root in expected.roots:
+        m = root.multiplicity
+        edge, tables = _scaled_polynomial(cp, floats, root.omega)
+        if len(edge) == 1:
             ok = False
-            diagnostics.append(f"predicted root {root.omega} x{root.multiplicity} unmatched")
+            diagnostics.append(f"predicted root {root.omega} x{m} is no slope of the "
+                               "Newton polygon")
             continue
-        mean = sum(f[0] for f in group) / len(group)
-        matched = abs(mean - float(root.omega)) <= match_tol and len(group) == root.multiplicity
-        if not matched:
+        edge_roots = aberth_roots([c.to_complex() for c in edge])
+        # q_t has at least as many roots as E_omega: its coefficient at
+        # E_omega's leading index holds a t^0 term, so it does not underflow
+        (d1, _, near1), (d2, far2, near2) = (
+            _edge_distances(edge_roots, _scaled_roots(tables, t)) for t in (t1, t2))
+        rate = max(d2, EXACT_DISTANCE) / max(d1, EXACT_DISTANCE)
+        exponent = float(root.omega) + (_mean_log(near2) - _mean_log(near1)) / math.log(
+            abs(t2 / t1))
+        problems = []
+        if len(edge_roots) != m:
+            problems.append(f"{len(edge_roots)} edge roots")
+        if far2 < SEPARATION * d2:
+            problems.append(f"next root at {far2:.3e} against {d2:.3e}")
+        if d2 > EXACT_DISTANCE and rate > bound:
+            problems.append(f"distance {d1:.3e} -> {d2:.3e}, rate above {bound:.3f}")
+        if not abs(exponent - float(root.omega)) <= match_tol:
+            problems.append(f"exponent~{exponent:.4f}")
+        if problems:
             ok = False
-            diagnostics.append(f"cluster exponent~{mean:.4f} x{len(group)} does not match "
-                               f"predicted root {root.omega} x{root.multiplicity}")
-        out.append(ClusterFit(mean, len(group), root if matched else None,
-                              max(f[1] for f in group)))
+            diagnostics.append(f"predicted root {root.omega} x{m}: " + "; ".join(problems))
+        out.append(ClusterFit(exponent, len(edge_roots), None if problems else root, d2, rate,
+                              edge))
+    predicted = sum(r.multiplicity for r in expected.roots)
+    if predicted != moving:
+        ok = False
+        diagnostics.append(f"{moving} moving roots, the prediction accounts for {predicted}")
     if zero_tracks != expected.zero_root_count:
         ok = False
         diagnostics.append(

@@ -167,9 +167,12 @@ def report_from_json(obj, path: str = "$") -> SplittingReport:
             raise ParseError(rpath, "root needs 'omega' and 'mult'")
         roots.append(TropicalRoot(parse_frac(item["omega"], f"{rpath}.omega"),
                                   _count(item["mult"], 1, f"{rpath}.mult")))
-    return SplittingReport(tuple(roots),
-                           _count(obj.get("zero_roots", 0), 0, f"{path}.zero_roots"),
-                           undetermined)
+    zero = obj.get("zero_roots", 0)
+    if zero is None and not undetermined:
+        raise ParseError(f"{path}.zero_roots", "null needs undetermined: true")
+    if zero is not None:
+        zero = _count(zero, 0, f"{path}.zero_roots")
+    return SplittingReport(tuple(roots), zero, undetermined)
 
 
 def polygon_to_json(np_: NewtonPolygon) -> dict:
@@ -198,7 +201,9 @@ def verification_to_json(v: VerificationResult) -> dict:
                           "matched": (None if c.matched is None else
                                       {"omega": frac_str(c.matched.omega),
                                        "mult": c.matched.multiplicity}),
-                          "max_residual": c.max_residual} for c in v.clusters],
+                          "distance": c.distance,
+                          "edge": [exact_to_json(x) for x in c.edge],
+                          "rate": c.rate} for c in v.clusters],
             "diagnostics": list(v.diagnostics)}
 
 

@@ -20,7 +20,9 @@ Conventions.  Eigenvalue branches that are *identically* zero (a_n, a_{n-1},
 are counted separately in ``zero_root_count``.  A kink at omega = 0, by
 contrast, describes branches of order one in t and is reported as a root with
 value 0.  Valuations that are only known to exceed a truncation order poison
-the result: the report is flagged ``undetermined`` instead of guessing.
+the result: the report is flagged ``undetermined`` instead of guessing, and
+when such a coefficient lies right of the last finite one the zero-root count
+is unknown too and reported as None.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from .poly import Ord
 
 @dataclass(frozen=True)
 class TropicalPoly:
-    """Min of affine forms alpha + k*omega, one term per finite-ord coefficient."""
+    """Min of affine forms alpha + k*omega, one term per finite-ord coefficient;
+    ``undetermined_slopes`` holds the slopes of coefficients known only up to
+    a truncation order."""
 
     terms: Tuple[Tuple[int, Fraction], ...]  # (slope k = n - i, intercept alpha_i)
-    undetermined: bool = False
+    undetermined_slopes: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if not self.terms:
@@ -50,6 +54,10 @@ class TropicalPoly:
                 dedup[k] = alpha
         object.__setattr__(
             self, "terms", tuple(sorted(dedup.items(), reverse=True)))
+
+    @property
+    def undetermined(self) -> bool:
+        return bool(self.undetermined_slopes)
 
     def __call__(self, omega) -> Fraction:
         omega = Fraction(omega)
@@ -112,15 +120,19 @@ class SplittingReport:
     """Predicted leading exponents, multiplicities, and flat zero modes."""
 
     roots: Tuple[TropicalRoot, ...]
-    zero_root_count: int
+    zero_root_count: Optional[int]  # None when a truncation hides it
     undetermined: bool = False
 
     def __post_init__(self):
+        if self.zero_root_count is None and not self.undetermined:
+            raise ValueError("only an undetermined report may leave the zero-root count open")
         object.__setattr__(self, "roots",
                            tuple(sorted(self.roots, key=lambda r: r.omega)))
 
     @property
-    def total_dimension(self) -> int:
+    def total_dimension(self) -> Optional[int]:
+        if self.zero_root_count is None:
+            return None
         return self.zero_root_count + sum(r.multiplicity for r in self.roots)
 
     def predicted_cycle_lengths(self) -> Optional[Tuple[int, ...]]:
@@ -129,8 +141,11 @@ class SplittingReport:
         A root p/q (lowest terms) of multiplicity m consists of m/q Puiseux
         series of q branches each; one loop cyclically permutes the branches
         within every series.  Returns None when some multiplicity is not a
-        whole number of series (no clean prediction).
+        whole number of series (no clean prediction) or the zero-root count
+        is unknown.
         """
+        if self.zero_root_count is None:
+            return None
         cycles = [1] * self.zero_root_count
         for r in self.roots:
             q = r.omega.denominator if r.omega > 0 else 1
@@ -142,15 +157,14 @@ class SplittingReport:
 
 def tropicalize(c: CharPoly) -> TropicalPoly:
     n = c.n
-    terms = []
-    undet = False
+    terms, undetermined = [], []
     for i, coeff in enumerate(c.coeffs):
         o = coeff.ord()
         if o.is_finite:
             terms.append((n - i, Fraction(o.value)))
         elif o.is_undetermined:
-            undet = True
-    return TropicalPoly(tuple(terms), undetermined=undet)
+            undetermined.append(n - i)
+    return TropicalPoly(tuple(terms), tuple(undetermined))
 
 
 def newton_polygon(c: CharPoly) -> NewtonPolygon:
@@ -172,8 +186,10 @@ def _roots_from_hull(np_: NewtonPolygon) -> SplittingReport:
     roots = []
     for (i0, a0), (i1, a1) in zip(np_.hull, np_.hull[1:]):
         roots.append(TropicalRoot(Fraction(a1 - a0, i1 - i0), i1 - i0))
-    zero = np_.n - np_.hull[-1][0]
-    return SplittingReport(tuple(roots), zero, np_.undetermined)
+    last = np_.hull[-1][0]
+    hidden = any(o.is_undetermined for i, o in np_.points if i > last)
+    return SplittingReport(tuple(roots), None if hidden else np_.n - last,
+                           np_.undetermined)
 
 
 def _roots_from_minplus(p: TropicalPoly) -> SplittingReport:
@@ -211,5 +227,6 @@ def _roots_from_minplus(p: TropicalPoly) -> SplittingReport:
             roots.append(TropicalRoot(w, prev - s))
         prev = s
     zero = terms[-1][0]  # smallest slope = count of identically-zero branches
-    return SplittingReport(tuple(roots), zero, p.undetermined)
+    hidden = any(k < zero for k in p.undetermined_slopes)
+    return SplittingReport(tuple(roots), None if hidden else zero, p.undetermined)
 

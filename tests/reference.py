@@ -111,15 +111,19 @@ def evaluate_charpoly(cp: CharPoly, lam: complex, t: complex) -> complex:
 
 
 def tropical_product(p: TropicalPoly, q: TropicalPoly) -> TropicalPoly:
-    """Min-plus convolution; root multisets add under this product."""
+    """Min-plus convolution; root multisets add under this product.  A slope
+    that some undetermined term reaches is undetermined."""
     conv = {}
     for k1, a1 in p.terms:
         for k2, a2 in q.terms:
             k, a = k1 + k2, a1 + a2
             if k not in conv or a < conv[k]:
                 conv[k] = a
-    return TropicalPoly(tuple(conv.items()),
-                        undetermined=p.undetermined or q.undetermined)
+    p_all = [k for k, _ in p.terms] + list(p.undetermined_slopes)
+    q_all = [k for k, _ in q.terms] + list(q.undetermined_slopes)
+    undetermined = ({k1 + k2 for k1 in p.undetermined_slopes for k2 in q_all}
+                    | {k1 + k2 for k1 in p_all for k2 in q.undetermined_slopes})
+    return TropicalPoly(tuple(conv.items()), tuple(sorted(undetermined)))
 
 
 def branch_phases(root: TropicalRoot) -> Tuple[complex, ...]:

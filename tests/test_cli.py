@@ -145,10 +145,10 @@ class TestVerify:
         assert body["verification"]["clusters"] == []
 
     def test_provenance_records_every_sampling_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--jordan", "2", "--phase", "1.0", "--count", "30")
+        code, out, _ = run(capsys, "verify", "--jordan", "2", "--phase", "1.0", "--t0", "1e-5")
         assert code == 0
         assert json.loads(out)["provenance"]["tolerances"] == {
-            "match_tol": 0.05, "t0": 1e-4, "ratio": 0.5, "phase": 1.0, "count": 30}
+            "match_tol": 0.05, "t0": 1e-5, "phase": 1.0}
         code, out, _ = run(capsys, "verify", "--jordan", "2", "--braid", "--eps0", "1e-5",
                            "--steps", "48")
         assert code == 0
@@ -327,7 +327,7 @@ class TestJordanCommand:
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
-        ["verify", "--count", "abc"], ["catalog", "7"], ["frobnicate"],
+        ["verify", "--t0", "abc"], ["catalog", "7"], ["frobnicate"],
         ["verify", "--example", "cavity_d12", "--file", "/nonexistent.json"],
         ["verify", "--jordan", "2", "--file", "/nonexistent.json"],
     ])
@@ -382,7 +382,7 @@ class TestStartup:
         (["example", "effective_liouvillian"], False),
         (["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")], False),
         (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], False),
-        (["verify", "--jordan", "2", "--braid"], True),
+        (["verify", "--jordan", "2", "--braid"], False),
         (["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"], True),
     ])
     def test_numpy_loads_only_for_float_commands(self, argv, loads_numpy):

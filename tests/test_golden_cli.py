@@ -55,6 +55,10 @@ def _cases():
     for name in EXAMPLES:
         cases[f"verify-example-{name}"] = ["verify", "--example", name,
                                            *EXAMPLE_PARAMS.get(name, []), "--braid"]
+    # deep enough that lambda^2 - t^50 underflows in floats at the check's
+    # second point; no braid, whose loop at eps0 = 1e-6 underflows too
+    cases["verify-example-torus_knot-q50"] = ["verify", "--example", "torus_knot",
+                                              "--param", "p=2", "--param", "q=50"]
     for p in PARTITIONS:
         cases[f"verify-jordan-{p.replace(',', '')}"] = ["verify", "--jordan", p, "--braid"]
     for f in FAMILY_FILES:

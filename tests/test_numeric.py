@@ -16,7 +16,7 @@ from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families, weyr_structure
 from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
                             hatano_nelson, torus_knot)
-from tropeig.numeric import (BRAID_HALVINGS, DEFAULT_GRID, BraidPermutation,
+from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, SampleGrid,
                              _check_separated, _coefficient_sampler, _loop_step,
                              _match, _nearest_within, aberth_roots, braid_loop,
@@ -234,16 +234,16 @@ class TestSampleGrid:
         with pytest.raises(ValueError):
             SampleGrid(t0=-1)
         with pytest.raises(ValueError):
-            SampleGrid(ratio=1.5)
-        with pytest.raises(ValueError):
-            SampleGrid(count=3)
+            SampleGrid(phase=math.inf)
+        with pytest.raises(TypeError):
+            SampleGrid(ratio=0.5)  # the log-log grid's fields are gone
 
     def test_points(self):
-        g = SampleGrid(t0=1e-2, ratio=0.5, count=5, phase=math.pi / 2)
+        g = SampleGrid(t0=1e-2, phase=math.pi / 2)
         pts = g.points()
-        assert len(pts) == 5
+        assert len(pts) == 2
         assert pts[0] == pytest.approx(1e-2j)
-        assert abs(pts[-1]) == pytest.approx(1e-2 * 0.5 ** 4)
+        assert pts[1] == pytest.approx(1e-2j * 10.0 ** -CHECK_DECADES)
 
 
 class TestAberth:
@@ -408,6 +408,17 @@ class TestFitExponents:
         assert res.passed and res.zero_tracks == 0
         assert [c.size for c in res.clusters] == [1, 1]
 
+    def test_far_branch_whose_scaled_coefficients_underflow(self):
+        # (l - t)(l - t^50): on the scale of t^50 the leading coefficient is
+        # t^49, and on the scale of t the constant one; both underflow to 0
+        # at the second point and leave a root at infinity or at 0
+        cp = CharPoly([1, ScalarPoly.monomial(1, -1) + ScalarPoly.monomial(50, -1),
+                       ScalarPoly.monomial(51)])
+        one, fifty = TropicalRoot(Fraction(1), 1), TropicalRoot(Fraction(50), 1)
+        res = fit_exponents(Family("synthetic", cp, SplittingReport((one, fifty), 0)))
+        assert res.passed, res.diagnostics
+        assert [c.matched for c in res.clusters] == [one, fifty]
+
     def test_multiblock_rates_stay_apart(self):
         # EP3 + EP4: (l^3 - t)(l^4 - t) splits as t^(1/4) x4 and t^(1/3) x3
         zero, minus_t = ScalarPoly.zero(), ScalarPoly.monomial(1, -1)
@@ -428,14 +439,69 @@ class TestFitExponents:
             SplittingReport((), 2))
         res = fit_exponents(fam)
         assert res.passed is False and not res.clusters
-        assert any("exponent~0.5000" in d for d in res.diagnostics)
+        assert "2 moving roots, the prediction accounts for 0" in res.diagnostics
 
-    def test_grid_must_span_three_decades(self):
-        fam = Family(
-            "synthetic", CharPoly([1, ScalarPoly.zero(), ScalarPoly.monomial(1, -1)]),
-            SplittingReport((TropicalRoot(Fraction(1, 2), 2),), 0))
-        with pytest.raises(ValueError):
-            fit_exponents(fam, SampleGrid(count=5, ratio=0.5))
+    @pytest.mark.parametrize("p, q", [(2, 40), (2, 50), (2, 60), (3, 50)])
+    def test_deep_torus_knots_do_not_underflow(self, p, q):
+        # l^p - t^q: t^q leaves the float range at the depths the log-log fit
+        # sampled, but the scaled polynomial mu^p - 1 does not depend on t
+        res = fit_exponents(torus_knot(p, q))
+        assert res.passed, res.diagnostics
+        (cluster,) = res.clusters
+        assert cluster.size == p and cluster.exponent == pytest.approx(q / p, abs=1e-9)
+        assert cluster.distance <= numeric.EXACT_DISTANCE
+
+    def test_exponent_off_the_polygon_fails(self):
+        # l^3 - t: 1/2 is no slope, so its edge polynomial is one monomial
+        cp = CharPoly([1, ScalarPoly.zero(), ScalarPoly.zero(), ScalarPoly.monomial(1, -1)])
+        fam = Family("synthetic", cp, SplittingReport((TropicalRoot(Fraction(1, 2), 3),), 0))
+        res = fit_exponents(fam)
+        assert not res.passed and not res.clusters
+        assert res.diagnostics == ("predicted root 1/2 x3 is no slope of the Newton polygon",)
+
+    def test_wrong_multiplicity_names_the_edge(self):
+        # (l^2 - t)(l - t): the edge of slope 1/2 has two roots, not three
+        cp = CharPoly([1, ScalarPoly.monomial(1, -1), ScalarPoly.monomial(1, -1),
+                       ScalarPoly.monomial(2)])
+        fam = Family("synthetic", cp, SplittingReport(
+            (TropicalRoot(Fraction(1, 2), 3),), 0))
+        res = fit_exponents(fam)
+        assert not res.passed
+        (cluster,) = res.clusters
+        assert cluster.size == 2 and cluster.matched is None
+        assert "2 edge roots" in res.diagnostics[0]
+
+    def test_repeated_edge_root_passes(self):
+        # l^2 - 2t l + t^2 - t^3 = (l - t)^2 - t^3: the edge polynomial (mu - 1)^2
+        # has a double root, and the branches t +- t^(3/2) approach it like t^(1/2)
+        cp = CharPoly([1, ScalarPoly.monomial(1, -2),
+                       ScalarPoly.monomial(2) + ScalarPoly.monomial(3, -1)])
+        one = TropicalRoot(Fraction(1), 2)
+        res = fit_exponents(Family("synthetic", cp, SplittingReport((one,), 0)))
+        assert res.passed, res.diagnostics
+        (cluster,) = res.clusters
+        assert cluster.matched == one and cluster.size == 2
+        # |mu - 1| = sqrt(t): 1e-4 at the second point, a tenth of the first
+        assert cluster.distance == pytest.approx(1e-4, rel=1e-3)
+        assert cluster.rate == pytest.approx(0.1, rel=1e-3)
+
+    def test_all_flat_family_passes_without_clusters(self):
+        cp = CharPoly([1, ScalarPoly.zero(), ScalarPoly.zero(), ScalarPoly.zero()])
+        res = fit_exponents(Family("synthetic", cp, SplittingReport((), 3)))
+        assert res.passed and res.zero_tracks == 3 and res.clusters == ()
+        assert res.diagnostics == ()
+
+    def test_distance_that_grows_fails(self):
+        # l = 1 - 100 t + 1e8 t^2 meets its edge root 1 exactly at the first
+        # point, t = 1e-6, and lies 1e-6 from it at the second
+        cp = CharPoly([1, ScalarPoly.const(-1) + ScalarPoly.monomial(1, 100)
+                       + ScalarPoly.monomial(2, -10 ** 8)])
+        fam = Family("synthetic", cp, SplittingReport((TropicalRoot(Fraction(0), 1),), 0))
+        res = fit_exponents(fam)
+        assert not res.passed
+        (cluster,) = res.clusters
+        assert cluster.matched is None and cluster.rate > 1e3
+        assert res.diagnostics[0].endswith("rate above 0.100")
 
     def test_phase_invariance(self, catalogs):
         for fam in catalogs[3]:
@@ -452,11 +518,17 @@ class TestFitExponents:
                 if fam.parameters["generic"]:
                     assert fit_exponents(fam).passed, fam.name
 
-    def test_solves_only_the_fitted_half(self, catalogs, monkeypatch):
-        fam = next(f for f in catalogs[4] if f.parameters["generic"])
-        res, solves, _ = TestBraidAgainstReference.counted(monkeypatch, fit_exponents, fam)
-        assert res.passed
-        assert solves == DEFAULT_GRID.count - DEFAULT_GRID.count // 2 == 13
+    def test_three_solves_per_predicted_root(self, monkeypatch):
+        # the edge polynomial once and the scaled polynomial at both points
+        solves = {}
+        for fam in _verify_families()[:-1]:  # HN L=8 OBC does not converge
+            res, n, _ = TestBraidAgainstReference.counted(monkeypatch, fit_exponents, fam)
+            assert res.passed, fam.name
+            assert n == 3 * len(fam.expected.roots), fam.name
+            solves[fam.name] = n
+        assert solves["effective_liouvillian"] == 9
+        assert solves["H[1,1] unlifting"] == 0
+        assert sum(solves.values()) == 177
 
     def test_unlifting_direction_all_zero(self, catalogs):
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")

@@ -113,9 +113,15 @@ class TestReportRoundTrip:
     def test_round_trip(self):
         for rep in (SplittingReport((TropicalRoot(Fraction(1, 5), 5),
                                      TropicalRoot(Fraction(1), 1)), 3, False),
-                    SplittingReport((), 2, True)):
+                    SplittingReport((), 2, True), SplittingReport((), None, True)):
             blob = json.loads(json.dumps(report_to_json(rep)))
             assert report_from_json(blob) == rep
+
+    def test_open_zero_count_needs_the_undetermined_flag(self):
+        with pytest.raises(ParseError, match=re.escape("$.zero_roots: null needs")):
+            report_from_json({"roots": [], "zero_roots": None})
+        with pytest.raises(ValueError, match="only an undetermined report"):
+            SplittingReport((), None)
 
     @pytest.mark.parametrize("root, zero_roots, where", [
         ({"omega": "1/2", "mult": 2.0}, 0, r"roots\[0\]\.mult"),

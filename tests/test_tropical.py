@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from reference import branch_phases, rescale_charpoly, tropical_product
-from tropeig.charpoly import CharPoly, charpoly_traces
+from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import ec
 from tropeig.jordan import _TEMPLATES, build_direction_matrix, catalog_families
 from tropeig.poly import ScalarPoly
@@ -133,6 +133,44 @@ class TestTropicalRoots:
         report = tropical_roots(cp_from_alpha([0, None, 0]))
         assert roots_set(report) == {(Fraction(0), 2)}
         assert report.zero_root_count == 0
+
+
+class TestHiddenZeroRoots:
+    """A coefficient known only up to a truncation order right of the last
+    finite one hides the zero-root count: both views report None."""
+
+    def test_truncated_tail_leaves_the_count_open(self):
+        # [[0, t^4], [O(t^2), 0]]: a_2 = -t^4 * O(t^2) is unknown
+        m = PolyMatrix([[ScalarPoly.zero(), ScalarPoly.monomial(4)],
+                        [ScalarPoly.zero(trunc=2), ScalarPoly.zero()]])
+        cp = charpoly_direct(m)
+        hull, minplus = tropical_roots(newton_polygon(cp)), tropical_roots(tropicalize(cp))
+        assert hull == minplus == SplittingReport((), None, undetermined=True)
+        assert hull.total_dimension is None and hull.predicted_cycle_lengths() is None
+
+    def test_truncation_left_of_the_last_finite_point_keeps_the_count(self):
+        cp = CharPoly([ScalarPoly.const(1), ScalarPoly.zero(trunc=3), ScalarPoly.monomial(1),
+                       ScalarPoly.zero()])
+        hull, minplus = tropical_roots(newton_polygon(cp)), tropical_roots(tropicalize(cp))
+        assert hull == minplus
+        assert hull.zero_root_count == 1 and hull.undetermined
+
+    def test_views_agree_with_truncated_coefficients(self):
+        rng = random.Random(65)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            coeffs = [ScalarPoly.const(1)]
+            for _ in range(n):
+                kind = rng.choice(["zero", "trunc", "mono", "mono"])
+                coeffs.append(ScalarPoly.zero() if kind == "zero" else
+                              ScalarPoly.zero(trunc=rng.randint(1, 5)) if kind == "trunc" else
+                              ScalarPoly.monomial(rng.randint(0, 5)))
+            cp = CharPoly(coeffs)
+            hull = tropical_roots(newton_polygon(cp))
+            assert hull == tropical_roots(tropicalize(cp))
+            last = max(i for i, c in enumerate(coeffs) if c.ord().is_finite)
+            hidden = any(c.ord().is_undetermined for c in coeffs[last + 1:])
+            assert hull.zero_root_count == (None if hidden else n - last)
 
 
 class TestBranchStructure:
