@@ -19,8 +19,7 @@ from .tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
 from .jordan import (JordanStructure, WeyrAmbiguityError, build_direction_matrix,
                      catalog_families, partitions, weyr_structure)
 from .numeric import (BraidPermutation, LoopDegeneracyError, SampleGrid,
-                      VerificationResult, aberth_roots, braid_loop,
-                      charpoly_roots_at, eigenvalues_at, fit_exponents)
+                      VerificationResult, aberth_roots, braid_loop, fit_exponents)
 from .models import (Family, build_example, cavity_dynamical,
                      circuit_laplacian, default_families,
                      effective_liouvillian_example, example_names,
@@ -35,7 +34,7 @@ __all__ = [
     "JordanStructure", "WeyrAmbiguityError", "catalog_families", "partitions",
     "weyr_structure",
     "BraidPermutation", "LoopDegeneracyError", "SampleGrid", "VerificationResult",
-    "aberth_roots", "braid_loop", "charpoly_roots_at", "eigenvalues_at", "fit_exponents",
+    "aberth_roots", "braid_loop", "fit_exponents",
     "Family", "build_example", "cavity_dynamical", "circuit_laplacian", "default_families",
     "effective_liouvillian_example", "example_names", "hatano_nelson", "lieb", "torus_knot",
 ]

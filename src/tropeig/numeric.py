@@ -5,13 +5,12 @@ polynomials E_omega of the Newton polygon, the prefactors of the branches
 lambda ~ c * t^omega; this module checks both on actual numbers, each branch
 on its own scale t^omega (the scaled-root check, see fit_exponents).  Flat
 zero modes are counted from the exact characteristic polynomial.  Braids
-are read off by continuing eigenvalues around a small loop.  Eigenvalues
-come either from a dense nonsymmetric eigensolver or from an Ehrlich-Aberth
-simultaneous root iteration on the exactly-known characteristic
-polynomial; the latter is preferred for deep-asymptotic sampling because
-exact coefficients evaluated in floats keep the roots well conditioned far
-below where matrix eigensolvers degrade.  The exact coefficients are
-converted to floats once per check or braid loop.
+are read off by continuing eigenvalues around a small loop.  The check and
+the braid solve by an Ehrlich-Aberth simultaneous root iteration on a scaled
+polynomial of the exactly-known characteristic polynomial (see
+_scaled_polynomial), whose coefficients hold only non-negative powers of t
+and are converted to floats once per check or braid loop, so deep points
+neither underflow nor overflow.
 
 Every root solve of the check starts from Newton-polygon guesses, so the
 roots at one point do not depend on the other.  The braid loop is a
@@ -31,8 +30,8 @@ for the root iteration, CHECK_DECADES, SEPARATION and EXACT_DISTANCE for the
 scaled-root check, BRAID_HALVINGS for step halving on a braid loop, and, as
 defaults the CLI reads too, MATCH_TOL for the check's exponent and
 BRAID_EPS0 and BRAID_STEPS for the loop's radius and its shortest step,
-2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).  Only the dense eigensolver imports
-numpy, so neither the exact pipeline nor the check nor the braid loads it.
+2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).  Neither the check nor the braid
+loads numpy.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 # charpoly_direct is not called here; the binding stays importable for the
 # benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
-from .charpoly import CharPoly, PolyMatrix, charpoly_direct  # noqa: F401
+from .charpoly import CharPoly, charpoly_direct  # noqa: F401
 from .exact import EC_ZERO, ExactComplex
 from .models import Family
 from .poly import horner_table
@@ -194,42 +193,6 @@ def aberth_roots(coeffs: Sequence[complex],
     raise NonConvergenceError("root iteration did not converge", ROOT_ITERATIONS, max_step)
 
 
-def _coefficient_sampler(cp: CharPoly, d_dt: bool = False):
-    """(coeffs_at, zeros): coeffs_at(t) gives the float coefficients of cp at
-    t, or with ``d_dt`` their t-derivatives, with its ``zeros``
-    identically-zero trailing coefficients deflated.
-
-    The exact coefficients are converted to floats once, here, and every
-    value is the one ``ScalarPoly.evaluate`` gives.
-    """
-    zeros = cp.trailing_zero_count()
-    tables = [cp.coeffs[i].float_table() for i in range(cp.n - zeros + 1)]
-    if d_dt:
-        tables = [tuple((e - 1, e * c) for e, c in table if e) for table in tables]
-    return (lambda t: [horner_table(table, t) for table in tables]), zeros
-
-
-def charpoly_roots_at(cp: CharPoly, t: complex) -> List[complex]:
-    """Eigenvalues at parameter t from the exact characteristic polynomial.
-
-    Identically-zero trailing coefficients are deflated symbolically, so flat
-    zero modes come back as exact 0j.
-    """
-    coeffs_at, zeros = _coefficient_sampler(cp)
-    return aberth_roots(coeffs_at(t)) + [0j] * zeros
-
-
-def eigenvalues_at(source, t: complex) -> List[complex]:
-    """Eigenvalues at a numeric parameter value: of a PolyMatrix by the
-    dense eigensolver, of a CharPoly by ``charpoly_roots_at``."""
-    if isinstance(source, CharPoly):
-        return charpoly_roots_at(source, t)
-    if not isinstance(source, PolyMatrix):
-        raise TypeError(f"cannot take eigenvalues of {type(source).__name__}")
-    import numpy as np
-    return list(np.linalg.eigvals(source.to_array(t)))
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue assignment
 # ---------------------------------------------------------------------------
@@ -347,7 +310,7 @@ def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
     of cp at the exponent omega; ``floats`` holds the float tables of
     a_0..a_moving (ScalarPoly.float_table).
 
-    With nu = min_i(ord a_i + omega*(moving - i)), tables[i] lists (x, c)
+    With nu = min_i(ord a_i + omega*(moving - i)), tables[i] lists (x, e, c)
     over the terms c*t^e of a_i, where x = e + omega*(moving - i) - nu >= 0:
     the coefficient of mu^(moving-i) in q_t(mu) = t^(-nu) p(t^omega mu, t)
     is the sum of c*t^x.  ``edge`` is E_omega = lim q_t with its zero roots
@@ -360,7 +323,7 @@ def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
     shifts = [p * (moving - i) for i in range(moving + 1)]
     lows = [q * table[-1][0] + s if table else None for table, s in zip(floats, shifts)]
     nu = min(low for low in lows if low is not None)
-    tables = [[((q * e + s - nu) / q, c) for e, c in table]
+    tables = [[((q * e + s - nu) / q, e, c) for e, c in table]
               for table, s in zip(floats, shifts)]
     on_edge = [i for i, low in enumerate(lows) if low == nu]
     edge = tuple(cp.coeffs[i].terms[floats[i][-1][0]] if lows[i] == nu else EC_ZERO
@@ -372,7 +335,7 @@ def _scaled_roots(tables, t: complex) -> List[complex]:
     """Roots of q_t at t; a leading coefficient that underflows to 0 drops
     a root at infinity, which lies far from every edge root."""
     log_t = cmath.log(t)
-    coeffs = [sum(c * cmath.exp(x * log_t) for x, c in table) for table in tables]
+    coeffs = [sum(c * cmath.exp(x * log_t) for x, _, c in table) for table in tables]
     while coeffs[0] == 0:
         coeffs.pop(0)
     return aberth_roots(coeffs)
@@ -515,35 +478,48 @@ class BraidPermutation:
         object.__setattr__(self, "cycle_lengths", tuple(sorted(cycles)))
 
 
+def _spacings(roots: Sequence[complex], zeros: int) -> List[float]:
+    """The spacing of each root: its distance to the nearest other root or,
+    when there are ``zeros`` flat zeros, to 0; inf if there is neither."""
+    out = []
+    for k, z in enumerate(roots):
+        others = [abs(z - w) for j, w in enumerate(roots) if j != k]
+        if zeros:
+            others.append(abs(z))
+        out.append(min(others, default=math.inf))
+    return out
+
+
 def _nearest_within(cur: Sequence[complex], new: Sequence[complex],
-                    zeros: int) -> Optional[List[int]]:
+                    spacing: Sequence[float]) -> Optional[List[int]]:
     """Indices m with new[m[i]] the point of new nearest to cur[i], or None
     unless these points are distinct and each lies within 0.45 of its
-    spacing from cur[i].
+    spacing (_spacings of new) from cur[i].
 
-    The spacing of a point is its distance to the nearest other point of
-    new or, when there are ``zeros`` flat zeros, to 0; inf if there is
-    neither.  A point that close to cur[i] is nearer to it than 0 is.
+    A point that close to cur[i] is nearer to it than a flat zero is.
     """
     order = []
     for c in cur:
         dists = [abs(c - w) for w in new]
         j = dists.index(min(dists))
-        others = [abs(new[j] - w) for k, w in enumerate(new) if k != j]
-        if zeros:
-            others.append(abs(new[j]))
-        if dists[j] > 0.45 * min(others, default=math.inf):
+        if dists[j] > 0.45 * spacing[j]:
             return None
         order.append(j)
     return order if len(set(order)) == len(order) else None
 
 
-def _check_separated(eigs: Sequence[complex]) -> None:
-    """Raise LoopDegeneracyError when two eigenvalues lie closer than 1e-3
-    of the larger of their moduli; two exact zeros (flat modes) pass."""
-    worst = min((abs(a - b) / max(abs(a), abs(b))
-                 for i, a in enumerate(eigs) for b in eigs[i + 1:] if a or b),
-                default=math.inf)
+def _check_separated(roots: Sequence[complex], spacing: Sequence[float]) -> None:
+    """Raise LoopDegeneracyError when two eigenvalues, the roots and the flat
+    zeros ``spacing`` (_spacings) counts, lie closer than 1e-3 of the larger
+    of their moduli; two exact zeros pass.
+
+    min spacing_k / |z_k| over the nonzero roots equals, in floats too, the
+    least pairwise ratio |a - b| / max(|a|, |b|): for the pair with |a| >= |b|
+    attaining the latter, s_a <= |a - b|; and the root attaining the former
+    with its nearest neighbour is a pair of no larger ratio.  A zero root
+    meets only ratios of 1, and its partner b has s_b / |b| <= 1.
+    """
+    worst = min((s / abs(z) for z, s in zip(roots, spacing) if z), default=math.inf)
     if worst < 1e-3:
         raise LoopDegeneracyError(
             f"two eigenvalues lie {worst:.3e} of their larger modulus apart, below "
@@ -556,39 +532,56 @@ def _check_braid_arguments(eps0: float, steps: int) -> None:
                          f"got steps={steps}, eps0={eps0}")
 
 
-def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex], t: complex,
-               roots: Sequence[complex], zeros: int, floor: float) -> float:
-    """Phase step of a braid loop t = eps0 * e^(i*phi) from the roots of the
-    polynomial ``coeffs`` (leading first; ``dcoeffs`` are their
-    t-derivatives) at t: the largest step up to 2*pi/8 over which, to first
-    order, no root moves more than 0.25 of its spacing.
+def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex],
+               roots: Sequence[complex], spacing: Sequence[float], floor: float) -> float:
+    """Phase step of a braid loop w = e^(i*phi) from the roots of the
+    polynomial ``coeffs`` (leading first) at w: the largest step up to
+    2*pi/8 over which, to first order, no root moves more than 0.25 of its
+    ``spacing``.
 
-    A root moves at dlambda/dphi = -i*t*dp/dt / dp/dlambda; its spacing is
-    the distance to the nearest other root or, when there are ``zeros`` flat
-    zeros, to 0.  Raises LoopDegeneracyError when a velocity is not finite
-    (dp/dlambda vanishes at a root) or the step is shorter than ``floor``.
+    ``dcoeffs`` are w*d/dw of the coefficients, the polynomial d, so a root
+    moves at dmu/dphi = -i*d(mu) / p'(mu).  Raises LoopDegeneracyError when
+    a velocity is not finite (p' vanishes at a root) or the step is shorter
+    than ``floor``.
     """
     h = 2 * math.pi / 8
-    for k, z in enumerate(roots):
+    for z, sep in zip(roots, spacing):
         dp = _horner2(coeffs, z)[1]
-        speed = abs(t * _horner2(dcoeffs, z)[0] / dp) if dp else math.inf
+        speed = abs(_horner2(dcoeffs, z)[0] / dp) if dp else math.inf
         if not math.isfinite(speed):
             raise LoopDegeneracyError(f"eigenvalue velocity {speed} on the loop; "
                                       "it crosses a degeneracy")
         if speed:
-            others = [abs(z - w) for j, w in enumerate(roots) if j != k]
-            if zeros:
-                others.append(abs(z))
-            h = min(h, 0.25 * min(others, default=math.inf) / speed)
+            h = min(h, 0.25 * sep / speed)
     if h < floor:
         raise LoopDegeneracyError(f"eigenvalues move too fast: step {h:.3e} below "
                                   f"the shortest allowed, {floor:.3e}")
     return h
 
 
+def _loop_tables(cp: CharPoly, eps0: float):
+    """(zeros, scale, tables) of a braid loop t = eps0 * w, |w| = 1: the
+    flat zero count, scale = eps0^omega at the least slope omega =
+    min_{i>=1} ord(a_i)/i of the Newton polygon, and for each moving a_i the
+    (e, c * eps0^x) over the terms of _scaled_polynomial at omega, so that
+    horner_table(tables[i], w) = a_i(eps0*w) / scale^i.  As a_0 = 1 and
+    every x >= 0, no coefficient overflows."""
+    zeros = cp.trailing_zero_count()
+    floats = [a.float_table() for a in cp.coeffs[:cp.n - zeros + 1]]
+    omega = min((Fraction(table[-1][0], i) for i, table in enumerate(floats) if i and table),
+                default=Fraction(0))
+    _, tables = _scaled_polynomial(cp, floats, omega)
+    return (zeros, eps0 ** float(omega),
+            [[(e, c * eps0 ** x) for x, e, c in table] for table in tables])
+
+
 def braid_loop(family: Family, eps0: float = BRAID_EPS0,
                steps: int = BRAID_STEPS) -> BraidPermutation:
-    """Permutation of eigenvalues after one loop eps0 * e^(i*phi).
+    """Permutation of eigenvalues after one loop t = eps0 * e^(i*phi).
+
+    The roots are those of p(scale*mu, t) / scale^n' in w (_loop_tables),
+    the largest of order 1 whatever their order in t; every rule below is
+    relative and |t| is fixed, so the braid is that of lambda = scale*mu.
 
     Each step is sized from the velocities of the roots (see _loop_step): at
     most 2*pi/8, and short enough that no root moves, to first order, more
@@ -597,47 +590,49 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     0.45 of its new place's own spacing, the distance to the nearest other
     eigenvalue there.  Each root solve starts from the previous step's
     roots, and only the roots that move are continued: flat zero modes stay
-    at their starting places.
+    at their starting places.  The spacings of each solved root set are
+    computed once (_spacings).
 
     ``steps`` sets the shortest step, 2*pi / (steps * 2^BRAID_HALVINGS).
     Raises LoopDegeneracyError when two eigenvalues approach each other
-    below 1e-3 of the larger of their moduli, when all of them vanish, when
-    a velocity is not finite, or when a step would have to be shorter than
-    that; flat zero modes, which coincide exactly, do not count as
-    approaching.  Raises ValueError unless steps >= 1 and eps0 is finite and
-    positive.
+    below 1e-3 of the larger of their moduli, when a velocity is not
+    finite, or when a step would have to be shorter than that; flat zero
+    modes, which coincide exactly, do not count as approaching, and when
+    every eigenvalue is one the braid is the identity.  Raises ValueError
+    unless steps >= 1 and eps0 is finite and positive.
     """
     _check_braid_arguments(eps0, steps)
-    coeffs_at, zeros = _coefficient_sampler(family.charpoly)
-    dcoeffs_at, _ = _coefficient_sampler(family.charpoly, d_dt=True)
+    zeros, scale, tables = _loop_tables(family.charpoly, eps0)
+    dtables = [[(e, e * c) for e, c in table if e] for table in tables]
     flat = [0j] * zeros
     full_turn = 2 * math.pi
     floor = full_turn / (steps * 2 ** BRAID_HALVINGS)
 
-    phi, t = 0.0, complex(eps0)
-    coeffs = coeffs_at(t)
+    phi, w = 0.0, 1 + 0j
+    coeffs = [horner_table(table, w) for table in tables]
     moving = aberth_roots(coeffs)
     first = moving + flat
-    places = sorted(range(len(first)),
-                    key=lambda i: (round(first[i].real, 12), round(first[i].imag, 12)))
+    places = sorted(range(len(first)), key=lambda i: (round((scale * first[i]).real, 12),
+                                                      round((scale * first[i]).imag, 12)))
     start = [first[i] for i in places]
-    if not any(start):
-        raise LoopDegeneracyError("all eigenvalues vanish on the loop")
-    _check_separated(start)
     # indices into start of the roots that move; the rest are flat zeros
     slots = [k for k, i in enumerate(places) if i < len(moving)]
     current = [start[k] for k in slots]
+    spacing = _spacings(current, zeros)
+    _check_separated(current, spacing)
 
     while phi < full_turn:
-        h = _loop_step(coeffs, dcoeffs_at(t), t, current, zeros, floor)
+        dcoeffs = [horner_table(table, w) for table in dtables]
+        h = _loop_step(coeffs, dcoeffs, current, spacing, floor)
         while True:
             phi_to = min(phi + h, full_turn)
             if phi_to == phi:
                 raise LoopDegeneracyError("step below the resolution of the loop phase")
-            t_to = eps0 * cmath.exp(1j * phi_to)
-            coeffs_to = coeffs_at(t_to)
+            w_to = cmath.exp(1j * phi_to)
+            coeffs_to = [horner_table(table, w_to) for table in tables]
             new = aberth_roots(coeffs_to, current)
-            _check_separated(new + flat)
+            new_spacing = _spacings(new, zeros)
+            _check_separated(new, new_spacing)
             # A step is safe when the assignment of least total displacement
             # (_match over all roots, flat zeros included) moves each root by
             # at most 0.45*sep of its target, where sep(w) is the distance
@@ -658,14 +653,15 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
             # The sum is positive, as the new roots are pairwise separated,
             # unless S only permutes coinciding flat zeros at no cost: the
             # map is the unique optimum.
-            order = _nearest_within(current, new, zeros)
+            order = _nearest_within(current, new, new_spacing)
             if order is not None:
                 break
             h = (phi_to - phi) / 2
             if h < floor:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
         current = [new[j] for j in order]
-        phi, t, coeffs = phi_to, t_to, coeffs_to
+        spacing = [new_spacing[j] for j in order]
+        phi, w, coeffs = phi_to, w_to, coeffs_to
 
     # end[i] should coincide with start[sigma(i)]
     end = list(start)

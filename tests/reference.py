@@ -12,6 +12,7 @@ import numpy as np
 from tropeig.charpoly import CharPoly, PolyMatrix
 from tropeig.exact import EC_ONE, EC_ZERO, ExactComplex
 from tropeig.jordan import validate_partition
+from tropeig.numeric import aberth_roots
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import TropicalPoly, TropicalRoot
 
@@ -108,6 +109,25 @@ def evaluate_charpoly(cp: CharPoly, lam: complex, t: complex) -> complex:
     for c in cp.coeffs:
         acc = acc * lam + c.evaluate(t)
     return acc
+
+
+def charpoly_roots(cp: CharPoly, t: complex):
+    """Eigenvalues at t from the characteristic polynomial's float
+    coefficients; exact zero coefficients come back as exact 0j roots."""
+    return aberth_roots([c.evaluate(t) for c in cp.coeffs])
+
+
+def dense_eigenvalues(m: PolyMatrix, t: complex):
+    """Eigenvalues at t by the dense nonsymmetric eigensolver."""
+    return list(np.linalg.eigvals(m.to_array(t)))
+
+
+def pairwise_separation(eigs: Sequence[complex]) -> float:
+    """Least |a - b| / max(|a|, |b|) over the pairs of eigenvalues that are
+    not both zero, inf if there is none; a braid loop is refused below 1e-3."""
+    return min((abs(a - b) / max(abs(a), abs(b))
+                for i, a in enumerate(eigs) for b in eigs[i + 1:] if a or b),
+               default=math.inf)
 
 
 def tropical_product(p: TropicalPoly, q: TropicalPoly) -> TropicalPoly:

@@ -156,9 +156,11 @@ class TestVerify:
         assert (tolerances["eps0"], tolerances["steps"]) == (1e-5, 48)
 
     def test_braid_loop_failure_exit(self, capsys):
-        code, out, _ = run(capsys, "verify", "--jordan", "1,1",
-                           "--constraint", "unlifting", "--braid")
+        # its EP2 blocks split alike, so two eigenvalues nearly coincide
+        code, out, _ = run(capsys, "verify", "--example", "hatano_nelson", "--param", "L=4",
+                           "--param", "regime=obc", "--braid")
         assert code == 3
+        assert "below 1e-3" in json.loads(out)["braid"]["error"]
 
     def test_file_family(self, tmp_path, capsys):
         fam = {"matrix": SQRT_T,

@@ -56,9 +56,15 @@ def _cases():
         cases[f"verify-example-{name}"] = ["verify", "--example", name,
                                            *EXAMPLE_PARAMS.get(name, []), "--braid"]
     # deep enough that lambda^2 - t^50 underflows in floats at the check's
-    # second point; no braid, whose loop at eps0 = 1e-6 underflows too
+    # second point, and t^60 on the braid loop at eps0 = 1e-6; both solve
+    # scaled polynomials that stay in range
     cases["verify-example-torus_knot-q50"] = ["verify", "--example", "torus_knot",
                                               "--param", "p=2", "--param", "q=50"]
+    cases["verify-example-torus_knot-q60"] = ["verify", "--example", "torus_knot",
+                                              "--param", "p=2", "--param", "q=60", "--braid"]
+    # every eigenvalue is a flat zero: the braid is the identity
+    cases["verify-jordan-11-unlifting"] = ["verify", "--jordan", "1,1", "--constraint",
+                                           "unlifting", "--braid"]
     for p in PARTITIONS:
         cases[f"verify-jordan-{p.replace(',', '')}"] = ["verify", "--jordan", p, "--braid"]
     for f in FAMILY_FILES:

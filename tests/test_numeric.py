@@ -2,14 +2,15 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from reference import cardano_roots, numeric_ord
+from reference import (cardano_roots, charpoly_roots, dense_eigenvalues, numeric_ord,
+                       pairwise_separation)
 from tropeig import numeric
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
 from tropeig.exact import ExactComplex
@@ -18,10 +19,10 @@ from tropeig.models import (Family, build_example, cavity_dynamical, default_fam
                             hatano_nelson, torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, SampleGrid,
-                             _check_separated, _coefficient_sampler, _loop_step,
-                             _match, _nearest_within, aberth_roots, braid_loop,
-                             charpoly_roots_at, eigenvalues_at, fit_exponents)
-from tropeig.poly import ScalarPoly
+                             _check_separated, _loop_step, _loop_tables, _match,
+                             _nearest_within, _spacings, aberth_roots, braid_loop,
+                             fit_exponents)
+from tropeig.poly import ScalarPoly, horner_table
 from tropeig.tropical import SplittingReport, TropicalRoot
 
 BRAID_EPS, BRAID_STEPS = 1e-6, 96
@@ -112,15 +113,44 @@ class TestFloatTables:
     def test_table_evaluation_is_bit_identical(self, poly, z):
         assert bits([poly.evaluate(z)]) == bits([reference_evaluate(poly, z)])
 
+    @staticmethod
+    def check_loop_tables(cp, eps0, phi):
+        """The braid loop's tables at w = e^(i*phi) against a_i(eps0*w) /
+        scale^i in 50 digits: finite, a_0 = 1, and every term no larger than
+        the exact coefficient's, so that no power eps0^x is negative."""
+        zeros, scale, tables = _loop_tables(cp, eps0)
+        assert zeros == cp.trailing_zero_count()
+        assert len(tables) == cp.n - zeros + 1 and tables[0] == [(0, 1 + 0j)]
+        # scale = eps0^omega, omega = min ord(a_i)/i over the moving coefficients
+        orders = [Fraction(min(a.terms), i) for i, a in enumerate(cp.coeffs[:len(tables)])
+                  if i and a.terms]
+        omega = min(orders, default=Fraction(0))
+        assert scale == eps0 ** float(omega)
+        w = cmath.exp(1j * phi)
+        with mpmath.workdps(50):
+            mscale = mpmath.mpf(eps0) ** (mpmath.mpf(omega.numerator) / omega.denominator)
+            for i, (table, a) in enumerate(zip(tables, cp.coeffs)):
+                assert [e for e, _ in table] == [e for e, _ in a.float_table()]
+                for (e, c), (_, c0) in zip(table, a.float_table()):
+                    assert cmath.isfinite(c) and abs(c) <= abs(c0)
+                terms = [mpmath.mpc(c.to_complex()) * (mpmath.mpf(eps0) * mpmath.mpc(w)) ** e
+                         / mscale ** i for e, c in a.terms.items()]
+                exact = complex(mpmath.fsum(terms))
+                size = float(mpmath.fsum(abs(x) for x in terms))
+                assert abs(horner_table(table, w) - exact) <= 1e-13 * size
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(exact_polys(), min_size=1, max_size=6), st.integers(0, 3),
-           st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
-    def test_sampler_is_bit_identical(self, polys, zeros, t):
-        cp = CharPoly([1] + polys + [ScalarPoly.zero()] * zeros)
-        coeffs_at, flat = _coefficient_sampler(cp)
-        assert flat == cp.trailing_zero_count()
-        kept = cp.coeffs[:cp.n - flat + 1]
-        assert bits(coeffs_at(t)) == bits(reference_evaluate(c, t) for c in kept)
+           st.sampled_from((1e-6, 1e-4, 1e-3, 0.5)), st.floats(0, 2 * math.pi))
+    def test_loop_tables_are_the_scaled_coefficients(self, polys, zeros, eps0, phi):
+        self.check_loop_tables(CharPoly([1] + polys + [ScalarPoly.zero()] * zeros), eps0,
+                               phi)
+
+    @pytest.mark.parametrize("p, q", [(2, 80), (2, 61), (3, 50)])
+    def test_deep_loop_tables_stay_in_range(self, p, q):
+        # t^80 at eps0 = 1e-6 is 1e-480, below the smallest float
+        for phi in (0.0, 1.0, math.pi):
+            self.check_loop_tables(torus_knot(p, q).charpoly, 1e-6, phi)
 
 
 class TestMatch:
@@ -176,6 +206,16 @@ def continuation_steps(draw):
     return draw(st.permutations(prev)), new, zeros
 
 
+def nearest_within(cur, new, zeros):
+    return _nearest_within(cur, new, _spacings(new, zeros))
+
+
+def check_separated(eigs):
+    """_check_separated with the exact zeros of eigs taken as flat zeros."""
+    roots = [z for z in eigs if z]
+    _check_separated(roots, _spacings(roots, len(eigs) - len(roots)))
+
+
 class TestNearestWithin:
     @settings(max_examples=500, deadline=None)
     @given(continuation_steps())
@@ -189,25 +229,25 @@ class TestNearestWithin:
         order = _match(prev + flat, targets)
         accept = all(abs(p - targets[j]) <= 0.45 * spacing(targets, j)
                      for p, j in zip(prev + flat, order))
-        assert _nearest_within(prev, new, zeros) == (order[:len(prev)] if accept else None)
+        assert nearest_within(prev, new, zeros) == (order[:len(prev)] if accept else None)
 
     def test_shared_nearest_point_is_refused(self):
-        assert _nearest_within([0j, 0.1 + 0j], [0.05 + 0j, 5 + 0j], 0) is None
-        assert _nearest_within([0j, 4.9 + 0j], [0.05 + 0j, 5 + 0j], 0) == [0, 1]
+        assert nearest_within([0j, 0.1 + 0j], [0.05 + 0j, 5 + 0j], 0) is None
+        assert nearest_within([0j, 4.9 + 0j], [0.05 + 0j, 5 + 0j], 0) == [0, 1]
 
     def test_each_root_is_measured_against_its_own_spacing(self):
         # a pair 1e-3 apart beside a root at 1: the far root may move by 0.4,
         # far beyond 0.45 of the pair's gap, and the pair by only 0.45e-3
         new = [1 + 0j, 2e-2 + 0j, 2.1e-2 + 0j]
-        assert _nearest_within([1.4 + 0j, 2e-2 + 4e-4j, 2.1e-2 + 0j], new, 0) == [0, 1, 2]
-        assert _nearest_within([1 + 0j, 2e-2 + 4.6e-4j, 2.1e-2 + 0j], new, 0) is None
+        assert nearest_within([1.4 + 0j, 2e-2 + 4e-4j, 2.1e-2 + 0j], new, 0) == [0, 1, 2]
+        assert nearest_within([1 + 0j, 2e-2 + 4.6e-4j, 2.1e-2 + 0j], new, 0) is None
 
     def test_flat_zeros_count_in_the_spacing(self):
         new = [1 + 0j, 0.3 + 0j]  # 0.3 lies 0.3 from a flat zero
-        assert _nearest_within([1 + 0j, 0.1 + 0j], new, 1) is None  # nearest is the zero
-        assert _nearest_within([1 + 0j, 0.16 + 0j], new, 1) is None  # 0.14 > 0.45 * 0.3
-        assert _nearest_within([1 + 0j, 0.2 + 0j], new, 1) == [0, 1]
-        assert _nearest_within([1 + 0j, 0.2 + 0j], new, 2) == [0, 1]
+        assert nearest_within([1 + 0j, 0.1 + 0j], new, 1) is None  # nearest is the zero
+        assert nearest_within([1 + 0j, 0.16 + 0j], new, 1) is None  # 0.14 > 0.45 * 0.3
+        assert nearest_within([1 + 0j, 0.2 + 0j], new, 1) == [0, 1]
+        assert nearest_within([1 + 0j, 0.2 + 0j], new, 2) == [0, 1]
 
 
 class TestCheckSeparated:
@@ -217,7 +257,7 @@ class TestCheckSeparated:
         [0j, 0j, 1e-9 + 0j, 1 + 0j],  # coinciding flat zeros
     ])
     def test_apart(self, eigs):
-        _check_separated(eigs)
+        check_separated(eigs)
 
     @pytest.mark.parametrize("eigs", [
         [1 + 0j, 1.0009 + 0j],
@@ -226,7 +266,31 @@ class TestCheckSeparated:
     ])
     def test_too_close(self, eigs):
         with pytest.raises(LoopDegeneracyError, match="below 1e-3"):
-            _check_separated(eigs)
+            check_separated(eigs)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-6, 0), st.floats(0, 2 * math.pi),
+                              st.none() | st.floats(-5, -1), st.floats(0, 2 * math.pi)),
+                    max_size=6),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_spacings_give_the_pairwise_ratio(self, polar, moving_zeros, zeros):
+        """Raises exactly when the least pairwise ratio over the roots and
+        the flat zeros is below 1e-3, and reports that same number; the
+        roots hold neighbours at relative distances 1e-5 to 1e-1 and exact
+        zeros that move."""
+        roots = [0j] * moving_zeros
+        for e, a, rel, b in polar:
+            z = 10 ** e * cmath.exp(1j * a)
+            roots.append(z)
+            if rel is not None:
+                roots.append(z * (1 + 10 ** rel * cmath.exp(1j * b)))
+        worst = pairwise_separation(roots + [0j] * zeros)
+        if worst < 1e-3:
+            with pytest.raises(LoopDegeneracyError) as info:
+                _check_separated(roots, _spacings(roots, zeros))
+            assert f"lie {worst:.3e} of" in str(info.value)
+        else:
+            _check_separated(roots, _spacings(roots, zeros))
 
 
 class TestSampleGrid:
@@ -301,7 +365,7 @@ class TestAberth:
             assert [z.real > 0 for z in warm[:2]] == [x > 0 for x in start]
 
     def test_exact_zero_deflation(self):
-        roots = charpoly_roots_at(
+        roots = charpoly_roots(
             CharPoly([1, ScalarPoly.monomial(1, -1), ScalarPoly.zero()]), 1e-4)
         assert sorted(abs(r) for r in roots)[0] == 0.0
 
@@ -309,21 +373,23 @@ class TestAberth:
 class TestEigenvaluesAt:
     def test_closed_form_square_root(self):
         m = PolyMatrix([[0, 1], [ScalarPoly.t(), 0]])
-        eigs = sorted(eigenvalues_at(m, 1e-6), key=lambda z: z.real)
+        eigs = sorted(dense_eigenvalues(m, 1e-6), key=lambda z: z.real)
         assert eigs[0] == pytest.approx(-1e-3, abs=1e-12)
         assert eigs[1] == pytest.approx(1e-3, abs=1e-12)
 
     def test_zero_matrix(self):
         m = PolyMatrix([[0, 0], [0, 0]])
-        assert eigenvalues_at(m, 0.3) == [0, 0]
+        assert dense_eigenvalues(m, 0.3) == [0, 0]
+        assert charpoly_roots(charpoly_direct(m), 0.3) == [0, 0]
 
     def test_paths_agree(self):
+        # the dense eigensolver and the roots of the exact charpoly
         rng = random.Random(81)
         for _ in range(20):
             m = PolyMatrix([[ScalarPoly.monomial(1, rng.randint(-5, 5))
                              for _ in range(3)] for _ in range(3)])
-            a = eigenvalues_at(m, 1e-3)
-            b = charpoly_roots_at(charpoly_direct(m), 1e-3)
+            a = dense_eigenvalues(m, 1e-3)
+            b = charpoly_roots(charpoly_direct(m), 1e-3)
             assert matched_rel_err(a, b) < 1e-7
 
 
@@ -536,6 +602,12 @@ class TestFitExponents:
         assert res.passed and res.zero_tracks == 2 and not res.clusters
 
 
+def loop_step(coeffs, dcoeffs, roots, zeros, floor):
+    """_loop_step on roots with their spacings; dcoeffs are t*d/dt of the
+    coefficients, the phase derivative over i."""
+    return _loop_step(coeffs, dcoeffs, roots, _spacings(roots, zeros), floor)
+
+
 class TestBraid:
     def test_cycle_extraction(self):
         b = BraidPermutation((1, 2, 0, 4, 3))
@@ -608,19 +680,19 @@ class TestBraid:
         # (l - 1)(l - 1 - t): the root 1 + t moves at speed |t| and lies |t|
         # from the root 1, which stands still
         t = 0.1
-        h = _loop_step([1, -(2 + t), 1 + t], [0, -1, 1], t, [1, 1 + t], 0, 1e-6)
+        h = loop_step([1, -(2 + t), 1 + t], [0, -t, t], [1, 1 + t], 0, 1e-6)
         assert h == pytest.approx(0.25)
         # l^2 - t: both roots sweep at half their distance; the cap holds
-        h = _loop_step([1, 0, -t], [0, 0, -1], t, [t ** 0.5, -t ** 0.5], 0, 1e-6)
+        h = loop_step([1, 0, -t], [0, 0, -t], [t ** 0.5, -t ** 0.5], 0, 1e-6)
         assert h == 2 * math.pi / 8
 
     def test_step_refuses_infinite_velocity_and_steps_below_the_floor(self):
         # (l - t)^2: dp/dl vanishes at the double root
         t = 0.1
         with pytest.raises(LoopDegeneracyError, match="velocity"):
-            _loop_step([1, -2 * t, t * t], [0, -2, 2 * t], t, [t, t], 0, 1e-6)
+            loop_step([1, -2 * t, t * t], [0, -2 * t, 2 * t * t], [t, t], 0, 1e-6)
         with pytest.raises(LoopDegeneracyError, match="below the shortest allowed"):
-            _loop_step([1, -(2 + t), 1 + t], [0, -1, 1], t, [1, 1 + t], 0, 0.5)
+            loop_step([1, -(2 + t), 1 + t], [0, -t, t], [1, 1 + t], 0, 0.5)
 
     def test_step_too_short_for_the_phase_refuses(self, catalogs, monkeypatch):
         # a step that would not advance phi refuses the loop instead of hanging
@@ -659,10 +731,25 @@ class TestBraid:
         with pytest.raises(ValueError, match="steps >= 1 and a finite eps0"):
             braid_loop(fam, eps0=eps0, steps=steps)
 
-    def test_degenerate_loop_raises(self, catalogs):
-        fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
+    def test_degenerate_loop_raises(self):
         with pytest.raises(LoopDegeneracyError):
-            braid_loop(fam, eps0=1e-4, steps=16)
+            braid_loop(hatano_nelson(4, "obc"), eps0=1e-4, steps=16)
+
+    def test_all_flat_braid_is_the_identity(self, catalogs):
+        # no root moves: 2 and 3 flat zeros, which coincide but do not approach
+        for n, name in ((2, "H[1,1] unlifting"), (3, "H[1,1,1] p=q=0")):
+            fam = next(f for f in catalogs[n] if f.name == name)
+            assert fam.charpoly.trailing_zero_count() == n
+            assert braid_loop(fam).permutation == tuple(range(n))
+
+    @pytest.mark.parametrize("q", [60, 61, 80, 81])
+    def test_deep_torus_knots_braid(self, q):
+        # lambda^2 = t^q: t^80 underflows at eps0 = 1e-6, the scaled loop's
+        # roots stay of order 1; odd q exchanges the pair, even q does not
+        fam = torus_knot(2, q)
+        b = braid_loop(fam)
+        assert b.cycle_lengths == fam.expected.predicted_cycle_lengths() == ((2,) if q % 2
+                                                                            else (1, 1))
 
 
 @pytest.mark.parametrize("call, match", [
@@ -689,30 +776,33 @@ def test_bad_grid_fit_and_rank_arguments_rejected(catalogs, call, match):
 
 def reference_braid_loop(family, eps0, steps):
     """braid_loop's specification without its shortcuts: Newton-polygon
-    guesses on every solve, every root continued, and the Hungarian _match
-    on every step.  A step is accepted when each root moves by at most 0.45
-    of its target's spacing, and the loop is refused when two eigenvalues
-    lie closer than 1e-3 of the larger of their moduli."""
-    eig_fn = partial(charpoly_roots_at, family.charpoly)
+    guesses on every solve of the loop's scaled polynomial (_loop_tables),
+    every root continued, and the Hungarian _match on every step.  A step is
+    accepted when each root moves by at most 0.45 of its target's spacing,
+    and the loop is refused when two eigenvalues lie closer than 1e-3 of the
+    larger of their moduli (pairwise_separation)."""
+    zeros, scale, tables = _loop_tables(family.charpoly, eps0)
+
+    def eig_fn(phi):
+        w = cmath.exp(1j * phi)
+        return numeric.aberth_roots([horner_table(table, w) for table in tables]) + [0j] * zeros
+
     phis = [2 * math.pi * k / steps for k in range(steps + 1)]
-    start = sorted(eig_fn(eps0 * cmath.exp(1j * phis[0])),
-                   key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    if max(abs(z) for z in start) == 0:
-        raise LoopDegeneracyError("all eigenvalues vanish on the loop")
+    start = sorted(eig_fn(phis[0]),
+                   key=lambda z: (round((scale * z).real, 12), round((scale * z).imag, 12)))
 
     def pair_check(eigs):
-        rel = [abs(a - b) / max(abs(a), abs(b))
-               for i, a in enumerate(eigs) for b in eigs[i + 1:] if max(abs(a), abs(b)) > 0]
-        if min(rel, default=math.inf) < 1e-3:
+        worst = pairwise_separation(eigs)
+        if worst < 1e-3:
             raise LoopDegeneracyError(
-                f"two eigenvalues lie {min(rel):.3e} of their larger modulus apart, below "
+                f"two eigenvalues lie {worst:.3e} of their larger modulus apart, below "
                 "1e-3; loop too coarse or crossing a degeneracy")
 
     pair_check(start)
     current = list(start)
 
     def advance(cur, phi_from, phi_to, depth):
-        new = eig_fn(eps0 * cmath.exp(1j * phi_to))
+        new = eig_fn(phi_to)
         pair_check(new)
         order = _match(cur, new)
         if any(abs(c - new[j]) > 0.45 * spacing(new, j) for c, j in zip(cur, order)):
