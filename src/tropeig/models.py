@@ -63,24 +63,33 @@ def _report(roots, zero=0) -> SplittingReport:
     return SplittingReport(tuple(TropicalRoot(Fraction(w), m) for w, m in roots), zero)
 
 
+def _reject_unread(where: str, **params) -> None:
+    """Raise ValueError naming the first of ``params`` given (not None)."""
+    for name, value in params.items():
+        if value is not None:
+            raise ValueError(f"{name} is not read in {where}")
+
+
 # ---------------------------------------------------------------------------
 # torus-knot companion family
 # ---------------------------------------------------------------------------
 
-def torus_knot(p: int, q: int, direction: str = "linear", ky=1) -> Family:
+def torus_knot(p: int, q: int, direction: str = "linear", ky=None) -> Family:
     """p x p cyclic-shift matrix with a z^q corner entry.
 
     ``linear`` substitutes z = t and yields p branches of order q/p;
-    ``kx_only`` moves z = t + i*ky along the real axis only, which leaves the
-    corner entry O(1) and produces no nonzero tropical root.
+    ``kx_only`` moves z = t + i*ky (ky = 1 by default) along the real axis
+    only, which leaves the corner entry O(1) and produces no nonzero
+    tropical root.  ``ky`` is rejected in the linear direction.
     """
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     if direction == "linear":
+        _reject_unread("the linear direction", ky=ky)
         z = ScalarPoly.t()
         expected = _report([(Fraction(q, p), p)])
     elif direction == "kx_only":
-        ky = ExactComplex.from_value(ky)
+        ky = ExactComplex.from_value(1 if ky is None else ky)
         if not ky:
             raise ValueError("ky must be nonzero for the kx_only direction")
         z = ScalarPoly.t() + ScalarPoly.const(EC_I * ky)
@@ -184,7 +193,7 @@ def circuit_laplacian(perturbation: str) -> Family:
 # bipartite Hatano-Nelson chain
 # ---------------------------------------------------------------------------
 
-def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> Family:
+def hatano_nelson(L: int, regime: str, gamma1=None, t1=None, t2=None) -> Family:
     """Nonreciprocal bipartite hopping chain of length L.
 
     Bonds alternate between two hopping/gain pairs, odd bonds carrying
@@ -196,13 +205,17 @@ def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> Family:
     ``unidirectional``: t = -gamma on both sublattices kills every backward
     amplitude; a perturbative eps hopping from the last site to the first
     closes a single length-L cycle (an EP-L).
+
+    ``obc`` reads gamma1 (default 1) and ``unidirectional`` reads t1 and t2
+    (default -1); a parameter the regime does not read is rejected.
     """
     if L < 2:
         raise ValueError("need L >= 2")
     t = ScalarPoly.t()
     rows = [[ScalarPoly.zero()] * L for _ in range(L)]
     if regime == "obc":
-        gamma1 = Fraction(gamma1)
+        _reject_unread("the obc regime", t1=t1, t2=t2)
+        gamma1 = Fraction(1 if gamma1 is None else gamma1)
         if gamma1 == 0:
             raise ValueError("gamma1 must be nonzero in the obc regime")
         for bond in range(1, L):
@@ -217,7 +230,9 @@ def hatano_nelson(L: int, regime: str, gamma1=1, t1=-1, t2=-1) -> Family:
         expected = _report([(Fraction(1, 2), 2 * (L // 2))], zero=L % 2)
         params = {"L": L, "regime": regime, "gamma1": gamma1}
     elif regime == "unidirectional":
-        t1, t2 = Fraction(t1), Fraction(t2)
+        _reject_unread("the unidirectional regime", gamma1=gamma1)
+        t1 = Fraction(-1 if t1 is None else t1)
+        t2 = Fraction(-1 if t2 is None else t2)
         if t1 == 0 or t2 == 0:
             raise ValueError("t1 and t2 must be nonzero")
         for bond in range(1, L):

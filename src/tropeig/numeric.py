@@ -65,8 +65,8 @@ BRAID_STEPS = 96
 MATCH_TOL = 0.05  # default largest gap between a measured and a predicted exponent
 # the check's second point lies this many decades below its first
 CHECK_DECADES = 2
-# at the second point, the nearest root left over must lie at least this
-# many times farther from the edge roots than the farthest branch
+# at the second point, the nearest root left over, and 0, must lie at least
+# this many times farther from the edge roots than the farthest branch
 SEPARATION = 4.0
 # a branch this close to its edge root (relative) needs no rate: the scaled
 # polynomial of an exact branch such as lambda^2 - t^q is E itself
@@ -375,8 +375,11 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
     passes when
 
     * E_omega has exactly m nonzero roots, so m branches are assigned;
-    * at t2 the nearest root not assigned lies at least SEPARATION times
-      farther from the edge roots than the farthest assigned one;
+    * at t2 the nearest root not assigned, and 0, lie at least SEPARATION
+      times farther from the edge roots than the farthest assigned one.  In
+      mu the branches of higher order tend to 0, at relative distance 1
+      from every edge root, so d2 must stay below 1/SEPARATION even when
+      E_omega takes every moving root;
     * the largest distance d of an assigned root shrinks:
       d(t2) <= d(t1) * (t2/t1)^(1/(2n')), with n' moving roots, or
       d(t2) <= EXACT_DISTANCE.  A branch is a Puiseux series
@@ -430,8 +433,8 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
         problems = []
         if len(edge_roots) != m:
             problems.append(f"{len(edge_roots)} edge roots")
-        if far2 < SEPARATION * d2:
-            problems.append(f"next root at {far2:.3e} against {d2:.3e}")
+        if min(far2, 1.0) < SEPARATION * d2:
+            problems.append(f"next root or 0 at {min(far2, 1.0):.3e} against {d2:.3e}")
         if d2 > EXACT_DISTANCE and rate > bound:
             problems.append(f"distance {d1:.3e} -> {d2:.3e}, rate above {bound:.3f}")
         if not abs(exponent - float(root.omega)) <= match_tol:

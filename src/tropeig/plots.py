@@ -17,22 +17,22 @@ SAMPLES = 200
 SIZE = 360
 
 
-def _omega_hi(p: TropicalPoly) -> Fraction:
-    report = tropical_roots(p)
-    kinks = [r.omega for r in report.roots]
-    top = max(kinks) if kinks else Fraction(1)
-    return top + 1
+def _roots_and_hi(p: TropicalPoly):
+    """The min-plus roots of p and the end of the sampled range, one past
+    the largest kink (2 when there is none)."""
+    roots = tropical_roots(p).roots
+    return roots, (roots[-1].omega if roots else Fraction(1)) + 1
 
 
 def tropical_csv(p: TropicalPoly) -> str:
     """CSV with float samples of min_i(alpha_i + k_i w) and exact kink rows."""
-    hi = _omega_hi(p)
+    roots, hi = _roots_and_hi(p)
     out = io.StringIO()
     out.write("kind,omega,value,exact_omega,multiplicity\n")
     for j in range(SAMPLES + 1):
         w = hi * j / SAMPLES
         out.write(f"sample,{float(w)},{float(p(w))},,\n")
-    for root in tropical_roots(p).roots:
+    for root in roots:
         out.write(f"kink,{float(root.omega)},{float(p(root.omega))},"
                   f"{root.omega},{root.multiplicity}\n")
     return out.getvalue()
@@ -45,7 +45,7 @@ _SVG_HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
 
 def tropical_svg(p: TropicalPoly) -> str:
     """Piecewise-linear graph of the tropical polynomial with kinks marked."""
-    hi = _omega_hi(p)
+    roots, hi = _roots_and_hi(p)
     ws = [hi * j / SAMPLES for j in range(SAMPLES + 1)]
     vs = [p(w) for w in ws]
     vlo, vhi = min(vs), max(vs)
@@ -61,7 +61,7 @@ def tropical_svg(p: TropicalPoly) -> str:
     pts = " ".join(f"{x(w):.2f},{y(v):.2f}" for w, v in zip(ws, vs))
     parts = [_SVG_HEADER,
              f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>']
-    for root in tropical_roots(p).roots:
+    for root in roots:
         parts.append(f'<circle cx="{x(root.omega):.2f}" cy="{y(p(root.omega)):.2f}" '
                      f'r="4" fill="red"/>')
         parts.append(f'<text x="{x(root.omega) + 6:.2f}" y="{y(p(root.omega)) - 6:.2f}" '
@@ -72,8 +72,7 @@ def tropical_svg(p: TropicalPoly) -> str:
 
 def polygon_svg(np_: NewtonPolygon) -> str:
     """Coefficient valuations with the lower convex hull highlighted."""
-    finite = [(i, a) for i, a in
-              ((i, Fraction(o.value)) for i, o in np_.points if o.is_finite)]
+    finite = [(i, Fraction(o.value)) for i, o in np_.points if o.is_finite]
     xmax = np_.n
     ymax = max((a for _, a in finite), default=Fraction(1)) or Fraction(1)
     pad = 30

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Tuple, Union
 
 from .charpoly import CharPoly
@@ -193,40 +194,18 @@ def _roots_from_hull(np_: NewtonPolygon) -> SplittingReport:
 
 
 def _roots_from_minplus(p: TropicalPoly) -> SplittingReport:
-    terms = p.terms  # slopes strictly decreasing
-    n = terms[0][0]
-    # candidate kinks: pairwise crossings at non-negative omega
-    cands = set()
-    for idx, (k1, a1) in enumerate(terms):
-        for k2, a2 in terms[idx + 1:]:
-            w = Fraction(a2 - a1, k1 - k2)
-            if w > 0:  # a crossing at 0 is covered by the virtual slope below
-                cands.add(w)
-    cands = sorted(cands)
-
-    def active_slope(omega: Fraction) -> int:
-        best, slope = None, None
-        for k, a in terms:
-            v = a + k * omega
-            if best is None or v < best:
-                best, slope = v, k
-        return slope
-
-    # slope of the min on each open interval between crossings
-    probes = []
-    grid = [Fraction(0)] + cands
-    for lo, hi in zip(grid, grid[1:]):
-        probes.append((lo + hi) / 2)
-    probes.append(grid[-1] + 1)
-    slopes = [active_slope(w) for w in probes]
-
-    roots = []
-    prev = n  # virtual slope left of omega = 0
-    for w, s in zip(grid, slopes):
-        if s < prev:
-            roots.append(TropicalRoot(w, prev - s))
-        prev = s
-    zero = terms[-1][0]  # smallest slope = count of identically-zero branches
+    # Each kink lies at 0 or where two terms cross at omega > 0.  Right of
+    # a kink the least slope attaining the minimum rules, and the kink's
+    # multiplicity is the drop from the slope on its left; left of 0 the
+    # slope counts as n, so a kink at 0 holds the branches of order one.
+    cands = {Fraction(0)} | {Fraction(a2 - a1, k1 - k2) for (k1, a1), (k2, a2)
+                             in combinations(p.terms, 2) if a2 > a1}
+    roots, prev = [], p.terms[0][0]
+    for w in sorted(cands):
+        slope = min((a + k * w, k) for k, a in p.terms)[1]
+        if slope < prev:
+            roots.append(TropicalRoot(w, prev - slope))
+        prev = slope
+    zero = p.terms[-1][0]  # smallest slope = count of identically-zero branches
     hidden = any(k < zero for k in p.undetermined_slopes)
     return SplittingReport(tuple(roots), None if hidden else zero, p.undetermined)
-

@@ -14,7 +14,7 @@ from tropeig.exact import EC_ONE, EC_ZERO, ExactComplex
 from tropeig.jordan import validate_partition
 from tropeig.numeric import aberth_roots
 from tropeig.poly import ScalarPoly
-from tropeig.tropical import TropicalPoly, TropicalRoot
+from tropeig.tropical import SplittingReport, TropicalPoly, TropicalRoot
 
 
 def invert_matrix(rows):
@@ -144,6 +144,40 @@ def tropical_product(p: TropicalPoly, q: TropicalPoly) -> TropicalPoly:
     undetermined = ({k1 + k2 for k1 in p.undetermined_slopes for k2 in q_all}
                     | {k1 + k2 for k1 in p_all for k2 in q.undetermined_slopes})
     return TropicalPoly(tuple(conv.items()), tuple(sorted(undetermined)))
+
+
+def minplus_roots_by_probes(p: TropicalPoly) -> SplittingReport:
+    """The min-plus roots found by probing: the slope of the minimum at the
+    midpoint of each interval between crossings at omega > 0, and one past
+    the last; each drop in slope from the previous interval (n left of 0)
+    is a root at the interval's left end."""
+    terms = p.terms  # slopes strictly decreasing
+    n = terms[0][0]
+    cands = set()
+    for idx, (k1, a1) in enumerate(terms):
+        for k2, a2 in terms[idx + 1:]:
+            w = Fraction(a2 - a1, k1 - k2)
+            if w > 0:  # a crossing at 0 is covered by the slope n left of 0
+                cands.add(w)
+    grid = [Fraction(0)] + sorted(cands)
+
+    def active_slope(omega: Fraction) -> int:
+        best, slope = None, None
+        for k, a in terms:
+            v = a + k * omega
+            if best is None or v < best:
+                best, slope = v, k
+        return slope
+
+    probes = [(lo + hi) / 2 for lo, hi in zip(grid, grid[1:])] + [grid[-1] + 1]
+    roots, prev = [], n
+    for w, s in zip(grid, map(active_slope, probes)):
+        if s < prev:
+            roots.append(TropicalRoot(w, prev - s))
+        prev = s
+    zero = terms[-1][0]
+    hidden = any(k < zero for k in p.undetermined_slopes)
+    return SplittingReport(tuple(roots), None if hidden else zero, p.undetermined)
 
 
 def branch_phases(root: TropicalRoot) -> Tuple[complex, ...]:

@@ -249,6 +249,16 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
 
+    def test_unresolved_branches_fail_at_a_large_t0(self, capsys):
+        # at t0 = 1e300 no root of q_t is near E_omega's; all four are
+        # assigned, so only 0 is left to compete with them
+        code, out, _ = run(capsys, "verify", "--jordan", "4", "--t0", "1e300")
+        assert code == 6
+        verification = json.loads(out)["verification"]
+        assert not verification["pass"]
+        assert verification["diagnostics"] == [
+            "predicted root 1/4 x4: next root or 0 at 1.000e+00 against 4.472e+74"]
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
@@ -275,6 +285,18 @@ class TestExample:
                            "--param", "L=6", "--param", "regime=obc")
         assert code == 0
         assert json.loads(out)["parameters"]["L"] == "6"
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("hatano_nelson", ["L=3", "regime=obc", "t1=5"], "t1 is not read in the obc regime"),
+        ("hatano_nelson", ["L=3", "regime=unidirectional", "gamma1=7"],
+         "gamma1 is not read in the unidirectional regime"),
+        ("torus_knot", ["p=2", "q=3", "ky=5"], "ky is not read in the linear direction"),
+    ])
+    def test_unread_params_exit(self, capsys, name, params, message):
+        argv = [arg for p in params for arg in ("--param", p)]
+        code, out, err = run(capsys, "example", name, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestJordanCommand:

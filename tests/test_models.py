@@ -184,6 +184,13 @@ class TestHatanoNelson:
             hatano_nelson(4, "obc", gamma1=0)
         with pytest.raises(ValueError):
             hatano_nelson(4, "pbc")
+        with pytest.raises(ValueError, match="t2 is not read in the obc regime"):
+            hatano_nelson(4, "obc", t2=-1)  # even at the unidirectional default
+
+    def test_defaults_resolve_per_regime(self):
+        assert hatano_nelson(3, "obc").parameters == {"L": 3, "regime": "obc", "gamma1": 1}
+        assert hatano_nelson(3, "unidirectional").parameters == {
+            "L": 3, "regime": "unidirectional", "t1": -1, "t2": -1}
 
 
 class TestLieb:

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from reference import branch_phases, rescale_charpoly, tropical_product
+from reference import (branch_phases, minplus_roots_by_probes, rescale_charpoly,
+                       tropical_product)
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import ec
 from tropeig.jordan import _TEMPLATES, build_direction_matrix, catalog_families
@@ -133,6 +135,27 @@ class TestTropicalRoots:
         report = tropical_roots(cp_from_alpha([0, None, 0]))
         assert roots_set(report) == {(Fraction(0), 2)}
         assert report.zero_root_count == 0
+
+
+@st.composite
+def tropical_polys(draw):
+    """Any TropicalPoly: a nonempty subset of the slopes 0..12 with rational
+    intercepts of either sign, and any undetermined slopes."""
+    slopes = draw(st.sets(st.integers(0, 12), min_size=1))
+    intercepts = st.fractions(-12, 12, max_denominator=6)
+    terms = tuple((k, draw(intercepts)) for k in sorted(slopes))
+    return TropicalPoly(terms, tuple(sorted(draw(st.sets(st.integers(0, 12))))))
+
+
+class TestMinplusKinks:
+    # 2w, 1 + w and 2 all meet at w = 1: one kink of multiplicity 2
+    @example(TropicalPoly(((2, 0), (1, 1), (0, 2))))
+    # a negative intercept puts the drop 3 -> 1 at 0
+    @example(TropicalPoly(((3, 0), (1, Fraction(-1, 2)))))
+    @settings(max_examples=400, deadline=None)
+    @given(tropical_polys())
+    def test_crossings_agree_with_probes(self, p):
+        assert tropical_roots(p) == minplus_roots_by_probes(p)
 
 
 class TestHiddenZeroRoots:
