@@ -40,5 +40,6 @@ print(f"  identically-zero branches: {report.zero_root_count}")
 print("\nnumeric check (|eigenvalue| against t^(1/3)):")
 for exponent in (4, 6, 8):
     tt = 10.0 ** -exponent
-    lam = max(abs(z) for z in np.linalg.eigvals(m.to_array(tt)))
+    arr = np.array([[x.evaluate(tt) for x in row] for row in m.rows], dtype=complex)
+    lam = max(abs(z) for z in np.linalg.eigvals(arr))
     print(f"  t = 1e-{exponent}:  max|lambda| = {lam:.3e},  t^(1/3) = {tt ** (1 / 3):.3e}")

@@ -13,12 +13,17 @@ from tropeig import fit_exponents, tropical_roots, tropicalize, weyr_structure
 from tropeig.models import (effective_hamiltonian, effective_liouvillian_example,
                             effective_liouvillian_matrix)
 
+
+def dense(m, t):
+    return np.array([[x.evaluate(t) for x in row] for row in m.rows], dtype=complex)
+
+
 h, gamma3 = effective_hamiltonian()
 h_num = np.array([[x.to_complex() for x in row] for row in h])
 print("effective Hamiltonian block structure at the tuning point:",
       weyr_structure(h_num, -0.5j * float(gamma3)).partition)
 
-jump_free = effective_liouvillian_matrix(recenter=False).to_array(0.0)
+jump_free = dense(effective_liouvillian_matrix(recenter=False), 0.0)
 print("jump-free 9x9 generator blocks at lambda = -gamma3:",
       weyr_structure(jump_free, -float(gamma3)).partition)
 
@@ -36,7 +41,7 @@ print("numeric fit:", "pass" if result.passed else "FAIL",
       [(round(c.exponent, 4), c.size) for c in result.clusters])
 
 gamma = 0.2
-eigs = np.linalg.eigvals(effective_liouvillian_matrix(recenter=False).to_array(gamma))
+eigs = np.linalg.eigvals(dense(effective_liouvillian_matrix(recenter=False), gamma))
 print(f"\nspectrum at dissipation scale {gamma} (recentering off):")
 for lam in sorted(eigs, key=lambda z: z.real):
     print(f"  {lam:+.4f}")

@@ -91,12 +91,6 @@ class PolyMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def to_array(self, t: complex):
-        """All entries evaluated at a numeric parameter value, as a numpy array."""
-        import numpy as np
-        return np.array([[x.evaluate(t) for x in row] for row in self.rows],
-                        dtype=complex)
-
     def __repr__(self):
         return f"PolyMatrix(n={self.n})"
 

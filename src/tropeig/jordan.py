@@ -318,38 +318,76 @@ class WeyrAmbiguityError(RuntimeError):
         self.gaps = gaps
 
 
+def _singular_values(rows) -> List[float]:
+    """Singular values of a square complex matrix, largest first, by one-sided
+    Jacobi on the columns scaled by a power of two (so squares do not
+    underflow); it stops after a sweep without a rotation, or after 60."""
+    moduli = [abs(z) for row in rows for z in row]
+    if not all(map(math.isfinite, moduli)):
+        raise ValueError("matrix entries must be finite")
+    e = math.frexp(max(moduli))[1]
+    cols = [[complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in col]
+            for col in zip(*rows)]
+    n = len(cols)
+    for _ in range(60):
+        norms = [sum(z.real * z.real + z.imag * z.imag for z in col) for col in cols]
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                x, y = cols[p], cols[q]
+                g = sum(a.conjugate() * b for a, b in zip(x, y))
+                if abs(g) <= 1e-15 * math.sqrt(norms[p]) * math.sqrt(norms[q]):
+                    continue
+                rotated = True
+                zeta = (norms[q] - norms[p]) / (2 * abs(g))
+                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cos = 1 / math.hypot(1.0, tan)
+                sp, sq = cos * tan * g.conjugate() / abs(g), cos * tan * g / abs(g)
+                cols[p] = [cos * a - sp * b for a, b in zip(x, y)]
+                cols[q] = [sq * a + cos * b for a, b in zip(x, y)]
+                norms[p] = max(norms[p] - tan * abs(g), 0.0)
+                norms[q] = max(norms[q] + tan * abs(g), 0.0)
+        if not rotated:
+            break
+    return sorted((math.ldexp(math.sqrt(v), e) for v in norms), reverse=True)
+
+
 def weyr_structure(matrix, eigenvalue: complex, tol: float = WEYR_TOL) -> JordanStructure:
     """Recover the Jordan block partition of `eigenvalue` from rank decay.
 
     rank((M - lambda I)^(k-1)) - rank((M - lambda I)^k) counts the blocks of
-    size >= k.  Ranks are numerical: singular values of every power are
-    thresholded at tol * sigma_max(M - lambda I).  Raises ValueError unless
-    tol is finite and positive and the eigenvalue is finite.
+    size >= k.  Ranks are numerical: the singular values of every power (by
+    _singular_values, O(n^3) Python steps each) are thresholded at
+    tol * max(sigma_max(M - lambda I), |lambda|), or at tol if both are 0, so
+    a numerically scalar M = lambda I has n blocks of size 1.  Raises
+    ValueError unless `matrix`, any nested sequence of numbers, is square,
+    non-empty and finite, tol is finite and positive and lambda finite.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if not cmath.isfinite(eigenvalue):
         raise ValueError(f"eigenvalue must be finite, got {eigenvalue}")
-    import numpy as np
-    m = np.asarray(matrix, dtype=complex)
-    n = m.shape[0]
-    if m.shape != (n, n):
+    try:
+        rows = [[complex(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    shifted = m - eigenvalue * np.eye(n)
-    base_sv = np.linalg.svd(shifted, compute_uv=False)
-    threshold = tol * (base_sv[0] if base_sv.size and base_sv[0] > 0 else 1.0)
+    shifted = [[x - eigenvalue * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    sv = _singular_values(shifted)
+    threshold = tol * (max(sv[0], abs(eigenvalue)) or 1.0)
 
-    ranks = [n]
-    gaps = []
-    power = np.eye(n, dtype=complex)
-    for _ in range(1, n + 1):
-        power = power @ shifted
-        sv = np.linalg.svd(power, compute_uv=False)
-        above = sv[sv > threshold]
-        below = sv[sv <= threshold]
-        gaps.append((float(below[0]) if below.size else 0.0,
-                     float(above[-1]) if above.size else float("inf")))
-        ranks.append(int(above.size))
+    ranks, gaps = [n], []
+    power, cols = shifted, list(zip(*shifted))
+    for k in range(1, n + 1):
+        if k > 1:
+            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
+            sv = _singular_values(power)
+        above = [s for s in sv if s > threshold]
+        below = sv[len(above):]
+        gaps.append((below[0] if below else 0.0, above[-1] if above else float("inf")))
+        ranks.append(len(above))
         if ranks[-1] == ranks[-2]:
             break
 

@@ -100,8 +100,8 @@ def torus_knot(p: int, q: int, direction: str = "linear", ky=None) -> Family:
     for i in range(p - 1):
         rows[i][i + 1] = ScalarPoly.const(1)
     rows[p - 1][0] = z ** q
-    return Family(f"torus_knot({p},{q},{direction})", PolyMatrix(rows), expected,
-                  {"p": p, "q": q, "direction": direction})
+    params = {"p": p, "q": q, "direction": direction, **({} if ky is None else {"ky": ky})}
+    return Family(f"torus_knot({p},{q},{direction})", PolyMatrix(rows), expected, params)
 
 
 # ---------------------------------------------------------------------------

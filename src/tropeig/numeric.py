@@ -30,8 +30,7 @@ for the root iteration, CHECK_DECADES, SEPARATION and EXACT_DISTANCE for the
 scaled-root check, BRAID_HALVINGS for step halving on a braid loop, and, as
 defaults the CLI reads too, MATCH_TOL for the check's exponent and
 BRAID_EPS0 and BRAID_STEPS for the loop's radius and its shortest step,
-2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).  Neither the check nor the braid
-loads numpy.
+2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).
 """
 
 from __future__ import annotations
@@ -254,16 +253,15 @@ def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
 # not called here; stays importable because the benchmark's tracer looks it
 # up by name (perfbench/layers.py)
 def track_eigenvalues(eig_fn, params: Sequence[complex]):
-    """Eigenvalues along a parameter path as a numpy array of shape
-    (len(params), n), rows ordered by continuation."""
-    import numpy as np
+    """Eigenvalues along a parameter path, one list of n per parameter,
+    ordered by continuation."""
     first = sorted(eig_fn(params[0]), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     tracks = [first]
     for t in params[1:]:
         new = eig_fn(t)
         order = _match(tracks[-1], new)
         tracks.append([new[j] for j in order])
-    return np.asarray(tracks)
+    return tracks
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ def _cases():
              "catalog-json": ["catalog", "--format", "json"],
              "catalog-table": ["catalog"],
              "jordan-matrix": ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"),
-                               "--eigenvalue", "1,0.5"]}
+                               "--eigenvalue", "1,0.5"],
+             # a unitary conjugate of 2*I: three blocks of size 1, not rounding noise
+             "jordan-nbolical": ["jordan", "--matrix", str(GOLDEN / "jordan_nbolical.json"),
+                                 "--eigenvalue", "2"]}
     for name in EXAMPLES:
         cases[f"example-{name}"] = ["example", name, *EXAMPLE_PARAMS.get(name, [])]
     for name in EXAMPLES:

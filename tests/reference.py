@@ -117,9 +117,14 @@ def charpoly_roots(cp: CharPoly, t: complex):
     return aberth_roots([c.evaluate(t) for c in cp.coeffs])
 
 
+def dense(m: PolyMatrix, t: complex):
+    """All entries of m evaluated at t, as a complex numpy array."""
+    return np.array([[x.evaluate(t) for x in row] for row in m.rows], dtype=complex)
+
+
 def dense_eigenvalues(m: PolyMatrix, t: complex):
     """Eigenvalues at t by the dense nonsymmetric eigensolver."""
-    return list(np.linalg.eigvals(m.to_array(t)))
+    return list(np.linalg.eigvals(dense(m, t)))
 
 
 def pairwise_separation(eigs: Sequence[complex]) -> float:

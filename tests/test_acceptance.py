@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from reference import (cardano_roots, conjugate_by, jordan_matrix, lieb_degeneracy_points,
+from reference import (cardano_roots, conjugate_by, dense, jordan_matrix, lieb_degeneracy_points,
                        lieb_hamiltonian, liouvillian_from_nonhermitian, tropical_product)
 from tropeig.charpoly import PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import ec
@@ -164,7 +164,7 @@ def test_criterion_08_liouvillian(eff_liouvillian):
     assert report.zero_root_count == 0
 
     eps0 = 0.2 + 0.45j
-    h = jordan_matrix((3,), 0).to_array(0.0) + eps0 * np.eye(3)
+    h = dense(jordan_matrix((3,), 0), 0.0) + eps0 * np.eye(3)
     liou = liouvillian_from_nonhermitian(h)
     assert weyr_structure(liou, 2 * eps0.imag, tol=WEYR_TOL).partition == (5, 3, 1)
     _ok(8, "9x9 generator: min{9w, 4w+1, w+2, 3}; jump-free block sizes (5,3,1)")

@@ -299,6 +299,15 @@ class TestExample:
         assert err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("params, ky", [([], "1"), (["ky=5"], "5"), (["ky=1/2"], "1/2")])
+    def test_kx_only_records_ky(self, capsys, params, ky):
+        argv = [arg for p in ["p=2", "q=3", "direction=kx_only", *params] for arg in ("--param", p)]
+        code, out, _ = run(capsys, "example", "torus_knot", *argv)
+        assert code == 0
+        assert json.loads(out)["parameters"] == {"direction": "kx_only", "ky": ky, "p": "2",
+                                                 "q": "3"}
+
+
 class TestJordanCommand:
     def test_nilpotent_block(self, tmp_path, capsys):
         j4 = {"entries": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]}
@@ -407,9 +416,11 @@ class TestStartup:
         (["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")], False),
         (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], False),
         (["verify", "--jordan", "2", "--braid"], False),
-        (["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"], True),
+        (["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
+         False),
     ])
     def test_numpy_loads_only_for_float_commands(self, argv, loads_numpy):
+        # no command loads numpy, the float ones (verify, jordan) included
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env, cwd=ROOT,
                               capture_output=True, text=True, timeout=120)

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import jordan_matrix
+from reference import dense, jordan_matrix
 from tropeig.charpoly import charpoly_direct
 from tropeig.exact import ec
 from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, JordanStructure, WeyrAmbiguityError,
-                            _placeholders, _terms, catalog_families, partitions,
+                            _placeholders, _singular_values, _terms, catalog_families, partitions,
                             validate_partition, weyr_structure)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
@@ -177,12 +178,12 @@ class TestWeyr:
     def test_all_partitions_up_to_6(self):
         for n in range(1, 7):
             for p in partitions(n):
-                arr = jordan_matrix(p, 0).to_array(0.0)
+                arr = dense(jordan_matrix(p, 0), 0.0)
                 assert weyr_structure(arr, 0.0).partition == p
 
     def test_shifted_eigenvalue(self):
         lam = 1.5 - 0.5j
-        arr = jordan_matrix((3, 2), ec(Fraction(3, 2), Fraction(-1, 2))).to_array(0.0)
+        arr = dense(jordan_matrix((3, 2), ec(Fraction(3, 2), Fraction(-1, 2))), 0.0)
         got = weyr_structure(arr, lam)
         assert got.partition == (3, 2)
         assert got.eigenvalue == lam
@@ -192,7 +193,7 @@ class TestWeyr:
         for _ in range(20):
             n = rng.randint(2, 6)
             p = rng.choice(list(partitions(n)))
-            arr = jordan_matrix(p, 0).to_array(0.0)
+            arr = dense(jordan_matrix(p, 0), 0.0)
             seq = weyr_structure(arr, 0.0).rank_sequence
             diffs = [a - b for a, b in zip(seq, seq[1:])]
             assert all(d1 >= d2 for d1, d2 in zip(diffs, diffs[1:]))
@@ -207,7 +208,7 @@ class TestWeyr:
 
     def test_noise_robustness_at_tolerance(self):
         rng = np.random.default_rng(1)
-        arr = jordan_matrix((3, 1), 0).to_array(0.0)
+        arr = dense(jordan_matrix((3, 1), 0), 0.0)
         arr = arr + 1e-12 * rng.standard_normal((4, 4))
         assert weyr_structure(arr, 0.0, tol=1e-8).partition == (3, 1)
 
@@ -222,3 +223,64 @@ class TestWeyr:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             weyr_structure(np.eye(2), 0.0, tol=0.0)
+
+
+ENTRY = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n products of n x r and r x n factors, so rank <= r, scaled by
+    2^-500, 1 or 2^500."""
+    n = draw(st.integers(1, 8))
+    r = draw(st.integers(0, n))
+    a = np.array(draw(st.lists(ENTRY, min_size=n * r, max_size=n * r)), dtype=complex)
+    b = np.array(draw(st.lists(ENTRY, min_size=r * n, max_size=r * n)), dtype=complex)
+    scale = draw(st.sampled_from([2.0 ** -500, 1.0, 2.0 ** 500]))
+    return a.reshape(n, r) @ b.reshape(r, n) * scale
+
+
+class TestSingularValues:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_agrees_with_numpy_svd(self, m):
+        want = np.linalg.svd(m, compute_uv=False)
+        got = _singular_values(m.tolist())
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * want[0]
+
+    def test_tiny_entries_do_not_underflow(self):
+        m = [[1e-200, 1e-200], [0, 1e-200]]
+        want = np.linalg.svd(np.array(m), compute_uv=False)
+        assert np.allclose(_singular_values(m), want, rtol=1e-15, atol=0)
+        got = weyr_structure(m, 0.0)
+        assert got.partition == () and got.rank_sequence == (2, 2)
+
+    @pytest.mark.parametrize("m, message", [
+        ([[float("nan"), 0], [0, 0]], "finite"),
+        ([[0, complex(0, float("inf"))], [0, 0]], "finite"),
+        ([[1, 2], [3]], "square"),
+        ([[1, 2], [3, 4], [5, 6]], "square"),
+        ([], "square"),
+        ([[]], "square"),
+        ([1, 2], "square"),
+    ])
+    def test_bad_matrices_rejected(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            weyr_structure(m, 0.0)
+
+
+class TestNbolical:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_scalar_matrices_are_n_simple_blocks(self, n):
+        # unitary conjugates of lam*I are lam*I up to rounding: n blocks of
+        # size 1, not a threshold placed on rounding noise
+        rng = np.random.default_rng(n)
+        for lam in (0, 2, 1 - 3j, 1e-3):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            m = q @ (lam * np.eye(n)) @ q.conj().T
+            got = weyr_structure(m, lam)
+            assert got.partition == (1,) * n and got.rank_sequence == (n, 0, 0)
+
+    def test_one_ulp_from_the_identity(self):
+        got = weyr_structure([[1.0000000000000002, 0], [0, 1]], 1.0)
+        assert got.partition == (1, 1)

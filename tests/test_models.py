@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import (dissipator, evaluate_charpoly, jordan_matrix, lieb_degeneracy_points,
+from reference import (dense, dissipator, evaluate_charpoly, jordan_matrix, lieb_degeneracy_points,
                        lieb_hamiltonian, lindblad_liouvillian, liouvillian_from_nonhermitian,
                        numeric_ord)
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
@@ -64,6 +64,11 @@ class TestTorusKnot:
         assert corner.coefficient(0) == ec(-1)
         assert corner.coefficient(1) == ec(0, 2)
         assert corner.coefficient(2) == ec(1)
+
+    def test_parameters_record_the_resolved_ky(self):
+        assert "ky" not in torus_knot(2, 3).parameters
+        assert torus_knot(2, 3, "kx_only").parameters["ky"] == ec(1)
+        assert torus_knot(2, 3, "kx_only", ky=Fraction(5, 2)).parameters["ky"] == ec(Fraction(5, 2))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -135,7 +140,7 @@ class TestCircuit:
         assert report.zero_root_count == 2
 
     def test_unperturbed_point_is_sixfold_degenerate(self):
-        eigs = np.linalg.eigvals(circuit_matrix("epsilon").to_array(0.0))
+        eigs = np.linalg.eigvals(dense(circuit_matrix("epsilon"), 0.0))
         # defective 6-fold zero: numerical eigenvalues scatter like eps^(1/6)
         assert np.max(np.abs(eigs)) < 1e-2
 
@@ -286,7 +291,7 @@ class TestLindblad:
     def test_jump_free_jordan_block_structure(self):
         for n, want in ((2, (3, 1)), (3, (5, 3, 1)), (4, (7, 5, 3, 1))):
             eps0 = 0.4 + 0.7j
-            h = jordan_matrix((n,), 0).to_array(0.0) + eps0 * np.eye(n)
+            h = dense(jordan_matrix((n,), 0), 0.0) + eps0 * np.eye(n)
             liou = liouvillian_from_nonhermitian(h)
             got = weyr_structure(liou, 2 * eps0.imag, tol=1e-8)
             assert got.partition == want
@@ -320,7 +325,7 @@ class TestEffectiveLiouvillian:
     def test_all_eigenvalues_coincide_without_dissipation(self, eff_liouvillian):
         gamma3 = eff_liouvillian.parameters["gamma3"]
         m = effective_liouvillian_matrix(recenter=False)
-        eigs = np.linalg.eigvals(m.to_array(0.0))
+        eigs = np.linalg.eigvals(dense(m, 0.0))
         # defective 9x9: numerical scatter is large but centered on -gamma3
         assert np.max(np.abs(eigs + float(gamma3))) < 1e-2
 
@@ -339,7 +344,7 @@ class TestEffectiveLiouvillian:
                             "epsilon": Fraction(1, 3)}):
             h, _ = effective_hamiltonian(**kwargs)
             h_num = np.array([[x.to_complex() for x in row] for row in h])
-            got = effective_liouvillian_matrix(recenter=False, **kwargs).to_array(0.0)
+            got = dense(effective_liouvillian_matrix(recenter=False, **kwargs), 0.0)
             assert np.array_equal(got, liouvillian_from_nonhermitian(h_num))
 
     def test_tropicalization_terms(self, eff_liouvillian):
@@ -358,7 +363,7 @@ class TestEffectiveLiouvillian:
     def test_charpoly_consistent_with_numeric_eigensolver(self, eff_liouvillian):
         m = effective_liouvillian_matrix(recenter=True)
         gamma = 0.37
-        arr = m.to_array(gamma)
+        arr = dense(m, gamma)
         for lam in np.linalg.eigvals(arr):
             assert abs(evaluate_charpoly(eff_liouvillian.realization, lam, gamma)) < 1e-6
 
