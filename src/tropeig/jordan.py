@@ -318,16 +318,18 @@ class WeyrAmbiguityError(RuntimeError):
         self.gaps = gaps
 
 
-def _singular_values(rows) -> List[float]:
-    """Singular values of a square complex matrix, largest first, by one-sided
-    Jacobi on the columns scaled by a power of two (so squares do not
-    underflow); it stops after a sweep without a rotation, or after 60."""
+def _svd(rows) -> List[Tuple[float, List[complex]]]:
+    """(sigma, v) pairs of a square complex matrix A, largest sigma first: its
+    singular values and unit right singular vectors (v = 0 where sigma = 0).
+    One-sided Jacobi on the columns of A^H, scaled by a power of two (so
+    squares do not underflow), leaves column i equal to sigma_i v_i; it stops
+    after a sweep without a rotation, or after 60."""
     moduli = [abs(z) for row in rows for z in row]
     if not all(map(math.isfinite, moduli)):
         raise ValueError("matrix entries must be finite")
     e = math.frexp(max(moduli))[1]
-    cols = [[complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in col]
-            for col in zip(*rows)]
+    cols = [[complex(math.ldexp(z.real, -e), -math.ldexp(z.imag, -e)) for z in row]
+            for row in rows]
     n = len(cols)
     for _ in range(60):
         norms = [sum(z.real * z.real + z.imag * z.imag for z in col) for col in cols]
@@ -349,17 +351,24 @@ def _singular_values(rows) -> List[float]:
                 norms[q] = max(norms[q] + tan * abs(g), 0.0)
         if not rotated:
             break
-    return sorted((math.ldexp(math.sqrt(v), e) for v in norms), reverse=True)
+    # a column below 2^-485 of the largest entry has squares within 53 bits of
+    # the subnormal range, so its direction is rounding debris: it reads 0
+    norms = [math.sqrt(v) if v >= 2.0 ** -970 else 0.0 for v in norms]
+    return sorted(((math.ldexp(s, e), [z / s for z in col] if s else [0j] * n)
+                   for s, col in zip(norms, cols)), key=lambda pair: -pair[0])
 
 
 def weyr_structure(matrix, eigenvalue: complex, tol: float = WEYR_TOL) -> JordanStructure:
-    """Recover the Jordan block partition of `eigenvalue` from rank decay.
+    """Recover the Jordan block partition of `eigenvalue` by staircase deflation.
 
-    rank((M - lambda I)^(k-1)) - rank((M - lambda I)^k) counts the blocks of
-    size >= k.  Ranks are numerical: the singular values of every power (by
-    _singular_values, O(n^3) Python steps each) are thresholded at
-    tol * max(sigma_max(M - lambda I), |lambda|), or at tol if both are 0, so
-    a numerically scalar M = lambda I has n blocks of size 1.  Raises
+    The nullity w_k of A_k counts the blocks of size >= k, where A_1 = M -
+    lambda I and A_{k+1} = V^H A_k V for V the right singular vectors (by
+    _svd, O(n^3) Python steps each) of A_k off its numerical kernel; it stops
+    at w_k = 0 or after n levels.  Every level is thresholded at tol *
+    max(sigma_max(M - lambda I), |lambda|), or at tol if both are 0, so a
+    numerically scalar M = lambda I has n blocks of size 1.  Raises
+    WeyrAmbiguityError, with the gap around the threshold at each level
+    (None for a side with no singular value), if w ever increases, and
     ValueError unless `matrix`, any nested sequence of numbers, is square,
     non-empty and finite, tol is finite and positive and lambda finite.
     """
@@ -374,31 +383,26 @@ def weyr_structure(matrix, eigenvalue: complex, tol: float = WEYR_TOL) -> Jordan
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    shifted = [[x - eigenvalue * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
-    sv = _singular_values(shifted)
-    threshold = tol * (max(sv[0], abs(eigenvalue)) or 1.0)
+    a = [[x - eigenvalue * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    pairs = _svd(a)
+    threshold = tol * (max(pairs[0][0], abs(eigenvalue)) or 1.0)
 
-    ranks, gaps = [n], []
-    power, cols = shifted, list(zip(*shifted))
-    for k in range(1, n + 1):
-        if k > 1:
-            power = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in power]
-            sv = _singular_values(power)
-        above = [s for s in sv if s > threshold]
-        below = sv[len(above):]
-        gaps.append((below[0] if below else 0.0, above[-1] if above else float("inf")))
-        ranks.append(len(above))
-        if ranks[-1] == ranks[-2]:
+    ranks, gaps, w = [n], [], []
+    while True:
+        r = sum(s > threshold for s, _ in pairs)
+        gaps.append((pairs[r][0] if r < len(pairs) else None, pairs[r - 1][0] if r else None))
+        w.append(len(pairs) - r)
+        ranks.append(r)
+        if not w[-1] or len(w) == n:
             break
+        v = [vec for _, vec in pairs[:r]]
+        av = [[sum(x * y for x, y in zip(row, vec)) for vec in v] for row in a]
+        a = [[sum(x.conjugate() * y for x, y in zip(u, col)) for col in zip(*av)] for u in v]
+        pairs = _svd(a) if a else []
 
-    diffs = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
-    if any(d < 0 for d in diffs) or any(d1 < d2 for d1, d2 in zip(diffs, diffs[1:])):
+    if any(w1 < w2 for w1, w2 in zip(w, w[1:])):
         raise WeyrAmbiguityError(
             f"tolerance ambiguity: rank sequence {ranks} is not a Weyr profile",
             tuple(gaps))
-    partition = []
-    for size in range(len(diffs), 0, -1):
-        count = diffs[size - 1] - (diffs[size] if size < len(diffs) else 0)
-        partition.extend([size] * count)
-    partition = tuple(sorted((s for s in partition if s > 0), reverse=True))
+    partition = tuple(sum(x >= j for x in w) for j in range(1, w[0] + 1))
     return JordanStructure(complex(eigenvalue), partition, tuple(ranks))

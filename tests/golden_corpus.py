@@ -62,7 +62,13 @@ def _cases():
                                "--eigenvalue", "1,0.5"],
              # a unitary conjugate of 2*I: three blocks of size 1, not rounding noise
              "jordan-nbolical": ["jordan", "--matrix", str(GOLDEN / "jordan_nbolical.json"),
-                                 "--eigenvalue", "2"]}
+                                 "--eigenvalue", "2"],
+             # a 3-chain whose weak link sits on the threshold to rounding: exit 4
+             "jordan-ambiguous": ["jordan", "--matrix", str(GOLDEN / "jordan_ambiguous.json"),
+                                  "--eigenvalue", "0", "--tol", "1e-6"],
+             # links of 1e-9 far above the threshold, with a square far below it
+             "jordan-weak-chain": ["jordan", "--matrix", str(GOLDEN / "jordan_weak_chain.json"),
+                                   "--eigenvalue", "0", "--tol", "1e-6"]}
     for name in EXAMPLES:
         cases[f"example-{name}"] = ["example", name, *EXAMPLE_PARAMS.get(name, [])]
     for name in EXAMPLES:

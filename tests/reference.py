@@ -127,6 +127,37 @@ def dense_eigenvalues(m: PolyMatrix, t: complex):
     return list(np.linalg.eigvals(dense(m, t)))
 
 
+def weyr_by_powers(m, lam: complex, tol: float) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(partition, rank sequence) of lam from the numpy singular values of the
+    powers (M - lam I)^k, thresholded at tol * max(sigma_max(M - lam I), |lam|)
+    (or tol if both are 0), stopping when a rank repeats or at k = n: an
+    oracle for weyr_structure's staircase, which forms no power."""
+    a = np.asarray(m, dtype=complex) - lam * np.eye(len(m))
+    threshold = tol * (max(np.linalg.svd(a, compute_uv=False)[0], abs(lam)) or 1.0)
+    ranks, power = [len(m)], np.eye(len(m))
+    for _ in range(len(m)):
+        power = power @ a
+        ranks.append(int(np.sum(np.linalg.svd(power, compute_uv=False) > threshold)))
+        if ranks[-1] == ranks[-2]:
+            break
+    w = [r0 - r1 for r0, r1 in zip(ranks, ranks[1:])]
+    return tuple(sum(x >= j for x in w) for j in range(1, w[0] + 1)), tuple(ranks)
+
+
+# A unitary conjugate Q N Q^H of N = [[0, 1, 0], [0, 0, b], [0, 0, 0]] with
+# b = 1e-6 - 1.5e-17, as [re, im] literals: at tol 1e-6 the second singular
+# value sits on the threshold to rounding.  Q is the unitary factor of the QR
+# of a complex Gaussian matrix drawn by numpy.random.default_rng(11).
+AMBIGUOUS_CHAIN = [
+    [[0.4105370145803271, 0.05070024883677695], [0.41459678727684063, -0.04850421410603447],
+     [0.4613551956438559, 0.4145298538279804]],
+    [[-0.13959423492307427, -0.12949647870717654], [-0.16782835472232935, -0.0935574329701597],
+     [-0.06057288270620648, -0.27899772111745347]],
+    [[-0.11640661120436732, 0.11605676464274339], [-0.0863552137629753, 0.14162240649088548],
+     [-0.24270865985799783, 0.04285718413338263]],
+]
+
+
 def pairwise_separation(eigs: Sequence[complex]) -> float:
     """Least |a - b| / max(|a|, |b|) over the pairs of eigenvalues that are
     not both zero, inf if there is none; a braid loop is refused below 1e-3."""

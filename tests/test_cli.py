@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from reference import AMBIGUOUS_CHAIN
 from tropeig.cli import main
 from tropeig.serialize import dumps
 
@@ -351,11 +352,24 @@ class TestJordanCommand:
         assert err.startswith("error: ") and message in err
 
     def test_ambiguity_exit_code(self, tmp_path, capsys):
-        weak = {"entries": [[0, 1e-9, 0], [0, 0, 1e-9], [0, 0, 0]]}
-        code, out, _ = run(capsys, "jordan", "--matrix", write(tmp_path, "w.json", weak),
+        chain = {"entries": AMBIGUOUS_CHAIN}
+        code, out, _ = run(capsys, "jordan", "--matrix", write(tmp_path, "w.json", chain),
                            "--eigenvalue", "0", "--tol", "1e-6")
         assert code == 4
         assert "singular_value_gaps" in json.loads(out)
+
+    @pytest.mark.parametrize("entries, tol, partition, ranks", [
+        # 0 is a simple eigenvalue; a power of the matrix would hold 1e400
+        ([[1e200, 0], [0, 0]], "1e-8", [1], [2, 1, 1]),
+        # similar to a 3-block, although its square lies below the threshold
+        ([[0, 1e-9, 0], [0, 0, 1e-9], [0, 0, 0]], "1e-6", [3], [3, 2, 1, 0]),
+    ])
+    def test_extreme_scales_read_cleanly(self, tmp_path, capsys, entries, tol, partition, ranks):
+        path = write(tmp_path, "m.json", {"entries": entries})
+        code, out, _ = run(capsys, "jordan", "--matrix", path, "--eigenvalue", "0", "--tol", tol)
+        assert code == 0
+        body = json.loads(out)
+        assert body["partition"] == partition and body["rank_sequence"] == ranks
 
 
 class TestArgumentErrors:

@@ -9,14 +9,27 @@ see test_demos.py) with
 and review the diff.
 """
 
+import json
+
 import pytest
 
-from golden_corpus import CASES, EXAMPLES, PARTITIONS, mismatches
+from golden_corpus import CASES, EXAMPLES, OUTPUTS, PARTITIONS, mismatches
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path):
     assert mismatches(case, tmp_path) == []
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+@pytest.mark.parametrize("case", sorted(c for c, argv in CASES.items()
+                                        if argv[0] != "catalog" or "json" in argv))
+def test_json_output_is_strict(case):
+    # json.loads alone accepts NaN and Infinity, which RFC 8259 does not
+    json.loads((OUTPUTS / f"{case}.out").read_text(), parse_constant=_reject)
 
 
 def test_corpus_covers_every_example_and_partition():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import dense, jordan_matrix
+from reference import AMBIGUOUS_CHAIN, dense, jordan_matrix, weyr_by_powers
 from tropeig.charpoly import charpoly_direct
 from tropeig.exact import ec
 from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, JordanStructure, WeyrAmbiguityError,
-                            _placeholders, _singular_values, _terms, catalog_families, partitions,
+                            _placeholders, _svd, _terms, catalog_families, partitions,
                             validate_partition, weyr_structure)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
@@ -213,9 +213,9 @@ class TestWeyr:
         assert weyr_structure(arr, 0.0, tol=1e-8).partition == (3, 1)
 
     def test_ambiguity_raises_with_gaps(self):
-        # a weak 3-chain: the square falls below threshold while the first
-        # power does not, so the rank profile is not a valid Weyr sequence
-        m = np.array([[0, 1e-9, 0], [0, 0, 1e-9], [0, 0, 0]], dtype=complex)
+        # a 3-chain whose weak link sits on the threshold to rounding: counted
+        # above it at level 1 and below it at level 2, so the nullities grow
+        m = [[complex(*z) for z in row] for row in AMBIGUOUS_CHAIN]
         with pytest.raises(WeyrAmbiguityError) as info:
             weyr_structure(m, 0.0, tol=1e-6)
         assert info.value.gaps
@@ -245,13 +245,26 @@ class TestSingularValues:
     @given(square_matrices())
     def test_agrees_with_numpy_svd(self, m):
         want = np.linalg.svd(m, compute_uv=False)
-        got = _singular_values(m.tolist())
-        assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * want[0]
+        pairs = _svd(m.tolist())
+        got = np.array([s for s, _ in pairs])
+        assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+        vs = np.array([v for _, v in pairs])
+        # norms of m scaled by 2^-e exactly, so squares do not underflow; a
+        # subnormal sigma is exact only to 5e-324
+        e = np.frexp(want[0])[1]
+        a = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
+        bound = np.ldexp(1e-13 * want[0] + 5e-324, -e)
+        for s, v in pairs:
+            if s > 0:
+                assert abs(np.linalg.norm(v) - 1) <= 1e-13
+                assert abs(np.linalg.norm(a @ v) - np.ldexp(s, -e)) <= bound
+        gram = np.abs(vs.conj() @ vs.T)
+        assert np.max(gram - np.diag(np.diag(gram)), initial=0.0) <= 1e-12
 
     def test_tiny_entries_do_not_underflow(self):
         m = [[1e-200, 1e-200], [0, 1e-200]]
         want = np.linalg.svd(np.array(m), compute_uv=False)
-        assert np.allclose(_singular_values(m), want, rtol=1e-15, atol=0)
+        assert np.allclose([s for s, _ in _svd(m)], want, rtol=1e-15, atol=0)
         got = weyr_structure(m, 0.0)
         assert got.partition == () and got.rank_sequence == (2, 2)
 
@@ -267,6 +280,39 @@ class TestSingularValues:
     def test_bad_matrices_rejected(self, m, message):
         with pytest.raises(ValueError, match=message):
             weyr_structure(m, 0.0)
+
+
+@st.composite
+def planted_jordan(draw):
+    """(Q (lam I + N) Q^H, lam, partition of N) for a unitary Q, n <= 8."""
+    n = draw(st.integers(1, 8))
+    partition = draw(st.sampled_from(list(partitions(n))))
+    lam = draw(st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = q @ dense(jordan_matrix(partition, 0), 0.0) @ q.conj().T + lam * np.eye(n)
+    return m, lam, partition
+
+
+class TestStaircase:
+    @settings(max_examples=150, deadline=None)
+    @given(planted_jordan())
+    def test_agrees_with_the_power_ranks(self, planted):
+        m, lam, partition = planted
+        got = weyr_structure(m, lam)
+        assert got.partition == partition
+        assert (got.partition, got.rank_sequence) == weyr_by_powers(m, lam, 1e-8)
+
+    def test_huge_entries_do_not_overflow(self):
+        # 0 is a simple eigenvalue; a power would hold 1e400
+        got = weyr_structure([[1e200, 0], [0, 0]], 0.0)
+        assert got.partition == (1,) and got.rank_sequence == (2, 1, 1)
+
+    def test_weak_chain_is_one_block(self):
+        # similar to a 3-block; the square's singular value 1e-18 lies far
+        # below the threshold, but no level of the staircase forms it
+        got = weyr_structure([[0, 1e-9, 0], [0, 0, 1e-9], [0, 0, 0]], 0.0, tol=1e-6)
+        assert got.partition == (3,) and got.rank_sequence == (3, 2, 1, 0)
 
 
 class TestNbolical:
