@@ -12,34 +12,19 @@ Subcommands: analyze, catalog, verify, example, jordan.  Exit codes:
        the prediction, or a root iteration did not converge)
 
 Output is deterministic byte-for-byte for fixed input, seed, and version.
+Each command imports the layers it runs, so `tropeig --version` loads none.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .charpoly import charpoly_direct
-from .jordan import (DEFAULT_SEED, WEYR_TOL, WeyrAmbiguityError, catalog_families,
-                     validate_partition, weyr_structure)
-from .models import Family, build_example, example_names
-from .numeric import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, DEFAULT_GRID,
-                      MATCH_TOL, LoopDegeneracyError, NonConvergenceError, SampleGrid,
-                      _check_braid_arguments, _check_match_tol, braid_loop, fit_exponents)
-from .plots import polygon_svg, tropical_csv, tropical_svg
-from .serialize import (ParseError, braid_to_json, charpoly_from_json,
-                        charpoly_to_json, dumps, family_to_json,
-                        jordan_structure_to_json, polygon_to_json,
-                        polymatrix_from_json, polymatrix_to_json,
-                        report_from_json, report_to_json, tropical_to_json,
-                        verification_to_json)
-from .tropical import newton_polygon, tropical_roots, tropicalize
+from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, DEFAULT_SEED,
+               GRID_PHASE, GRID_T0, MATCH_TOL, WEYR_TOL, __version__)
 
 OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH, CHECK_FAILED = range(7)
 
@@ -52,6 +37,7 @@ def _emit(text: str, output):
 
 
 def _load_json(path: str):
+    from .serialize import ParseError
     try:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -72,6 +58,8 @@ def _provenance(seed=None, **tolerances):
 
 
 def _parse_param(item: str):
+    from fractions import Fraction
+    from .serialize import ParseError
     if "=" not in item:
         raise ParseError("--param", f"expected key=value, got {item!r}")
     key, raw = item.split("=", 1)
@@ -83,10 +71,24 @@ def _parse_param(item: str):
     return key, raw
 
 
+def _example(name: str, args, flag: str):
+    """The built-in family `name` with the --param values of `args`."""
+    from .models import build_example, example_names
+    from .serialize import ParseError
+    if name not in example_names():
+        raise ParseError(flag, f"unknown example {name!r}; choose from "
+                               f"{', '.join(example_names())}")
+    return build_example(name, **dict(_parse_param(p) for p in args.param or []))
+
+
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
+    from .serialize import (charpoly_from_json, dumps, polygon_to_json, polymatrix_from_json,
+                            report_to_json, tropical_to_json)
+    from .tropical import newton_polygon, tropical_roots, tropicalize
     if args.matrix is not None:
+        from .charpoly import charpoly_direct
         cp = charpoly_direct(polymatrix_from_json(_load_json(args.matrix)))
     else:
         cp = charpoly_from_json(_load_json(args.charpoly))
@@ -98,6 +100,8 @@ def cmd_analyze(args) -> int:
             "polygon": polygon_to_json(polygon),
             "provenance": _provenance()}
     _emit(dumps(body), args.output)
+    if args.emit_tropical_plot or args.emit_svg or args.emit_polygon_svg:
+        from .plots import polygon_svg, tropical_csv, tropical_svg
     if args.emit_tropical_plot:
         Path(args.emit_tropical_plot).write_text(tropical_csv(poly))
     if args.emit_svg:
@@ -108,6 +112,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .jordan import catalog_families
+    from .serialize import dumps, family_to_json, report_to_json
+    from .tropical import tropical_roots
     families = []
     for n in ([args.n] if args.n else (2, 3, 4)):
         families.extend(catalog_families(n, seed=args.seed))
@@ -137,10 +144,14 @@ def cmd_catalog(args) -> int:
     return MISMATCH if mismatch else OK
 
 
-def _resolve_family(args) -> Family:
+def _resolve_family(args):
+    import dataclasses
+    from .jordan import catalog_families, validate_partition
+    from .models import Family
+    from .serialize import ParseError, charpoly_from_json, polymatrix_from_json, report_from_json
+    from .tropical import tropical_roots
     if args.example is not None:
-        params = dict(_parse_param(p) for p in args.param or [])
-        return build_example(args.example, **params)
+        return _example(args.example, args, "--example")
     if args.jordan is not None:
         partition = validate_partition(int(x) for x in args.jordan.split(","))
         for fam in catalog_families(sum(partition), seed=args.seed):
@@ -166,6 +177,10 @@ def _resolve_family(args) -> Family:
 
 
 def cmd_verify(args) -> int:
+    from .numeric import (LoopDegeneracyError, NonConvergenceError, SampleGrid,
+                          _check_braid_arguments, _check_match_tol, braid_loop, fit_exponents)
+    from .serialize import braid_to_json, dumps, report_to_json, verification_to_json
+    from .tropical import tropical_roots
     # usage errors win over the exit 2 of an undetermined prediction
     _check_match_tol(args.tol)
     if args.braid:
@@ -182,11 +197,11 @@ def cmd_verify(args) -> int:
         # samples would read an unknown truncated coefficient as 0: no check
         _emit(dumps(body), args.output)
         return UNDETERMINED
-    result = fit_exponents(family, grid, match_tol=args.tol)
-    body["verification"] = verification_to_json(result)
-    status = OK if result.passed else CHECK_FAILED
-    if args.braid:
-        try:
+    try:
+        result = fit_exponents(family, grid, match_tol=args.tol)
+        body["verification"] = verification_to_json(result)
+        status = OK if result.passed else CHECK_FAILED
+        if args.braid:
             braid = braid_loop(family, eps0=args.eps0, steps=args.steps)
             body["braid"] = braid_to_json(braid)
             predicted = family.expected.predicted_cycle_lengths()
@@ -194,17 +209,20 @@ def cmd_verify(args) -> int:
                 body["braid"]["predicted_cycle_lengths"] = list(predicted)
                 if tuple(predicted) != braid.cycle_lengths:
                     status = CHECK_FAILED
-        except LoopDegeneracyError as exc:
-            body["braid"] = {"error": str(exc)}
-            _emit(dumps(body), args.output)
-            return LOOP_FAILED
+    except NonConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILED
+    except LoopDegeneracyError as exc:
+        body["braid"] = {"error": str(exc)}
+        _emit(dumps(body), args.output)
+        return LOOP_FAILED
     _emit(dumps(body), args.output)
     return status
 
 
 def cmd_example(args) -> int:
-    params = dict(_parse_param(p) for p in args.param or [])
-    family = build_example(args.name, **params)
+    from .serialize import charpoly_to_json, dumps, polymatrix_to_json, report_to_json
+    family = _example(args.name, args, "name")
     if family.matrix is not None:
         real_json = {"matrix": polymatrix_to_json(family.matrix)}
     else:
@@ -225,6 +243,7 @@ def _is_finite_number(x) -> bool:
 
 
 def _parse_numeric_matrix(obj, path="$"):
+    from .serialize import ParseError
     entries = obj.get("entries", obj) if isinstance(obj, dict) else obj
     if not isinstance(entries, list) or not entries:
         raise ParseError(path, "expected a non-empty numeric matrix")
@@ -253,6 +272,8 @@ def _parse_complex(s: str) -> complex:
 
 
 def cmd_jordan(args) -> int:
+    from .serialize import dumps, jordan_structure_to_json
+    from .weyr import WeyrAmbiguityError, weyr_structure
     matrix = _parse_numeric_matrix(_load_json(args.matrix))
     lam = _parse_complex(args.eigenvalue)
     try:
@@ -301,16 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerically verify predicted exponents")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--example", choices=example_names())
+    src.add_argument("--example")
     src.add_argument("--jordan", metavar="PARTITION", help="e.g. '4' or '2,1'")
     src.add_argument("--file", help="family JSON with matrix/charpoly and expected")
     p.add_argument("--constraint", default="generic")
     p.add_argument("--param", action="append", metavar="K=V")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--t0", type=float, default=DEFAULT_GRID.t0,
+    p.add_argument("--t0", type=float, default=GRID_T0,
                    help="first |t| of the check; the second lies "
                         f"{CHECK_DECADES} decades below")
-    p.add_argument("--phase", type=float, default=DEFAULT_GRID.phase)
+    p.add_argument("--phase", type=float, default=GRID_PHASE)
     p.add_argument("--tol", type=float, default=MATCH_TOL, help="exponent match tolerance")
     p.add_argument("--braid", action="store_true")
     p.add_argument("--eps0", type=float, default=BRAID_EPS0, help="braid loop radius")
@@ -321,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("example", help="dump a built-in model family as JSON")
-    p.add_argument("name", choices=example_names())
+    p.add_argument("name")
     p.add_argument("--param", action="append", metavar="K=V")
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_example)
@@ -341,13 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -26,11 +26,10 @@ than 1e-3 of the larger of their moduli, so branches of different orders
 in t are each tracked on their own scale.
 
 Tolerances and limits are module constants: ROOT_TOL and ROOT_ITERATIONS
-for the root iteration, CHECK_DECADES, SEPARATION and EXACT_DISTANCE for the
-scaled-root check, BRAID_HALVINGS for step halving on a braid loop, and, as
-defaults the CLI reads too, MATCH_TOL for the check's exponent and
-BRAID_EPS0 and BRAID_STEPS for the loop's radius and its shortest step,
-2*pi / (BRAID_STEPS * 2^BRAID_HALVINGS).
+for the root iteration, SEPARATION and EXACT_DISTANCE for the scaled-root
+check.  The package's __init__ writes those the CLI shows too: MATCH_TOL,
+GRID_T0, GRID_PHASE and CHECK_DECADES for the check, and BRAID_EPS0,
+BRAID_STEPS and BRAID_HALVINGS for the loop's radius and shortest step.
 """
 
 from __future__ import annotations
@@ -41,6 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHASE, GRID_T0,
+               MATCH_TOL)
 # charpoly_direct is not called here; the binding stays importable for the
 # benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
 from .charpoly import CharPoly, charpoly_direct  # noqa: F401
@@ -53,17 +54,6 @@ from .tropical import TropicalRoot, _lower_hull
 ROOT_TOL = 5e-14
 # cap on Aberth sweeps; the built-in families converge within 42
 ROOT_ITERATIONS = 300
-# a braid step may not be shorter than 2*pi / (steps * 2^BRAID_HALVINGS)
-BRAID_HALVINGS = 14
-# default braid loop radius and steps (the shortest step, as above); a
-# radius of 1e-3 encloses a second degeneracy of some catalog families
-# (H[2,1,1] generic, seed 0, has one at |t| = 1.29e-4) and so returns the
-# wrong cycles
-BRAID_EPS0 = 1e-6
-BRAID_STEPS = 96
-MATCH_TOL = 0.05  # default largest gap between a measured and a predicted exponent
-# the check's second point lies this many decades below its first
-CHECK_DECADES = 2
 # at the second point, the nearest root left over, and 0, must lie at least
 # this many times farther from the edge roots than the farthest branch
 SEPARATION = 4.0
@@ -87,8 +77,8 @@ class LoopDegeneracyError(RuntimeError):
 class SampleGrid:
     """The check's two points, t0 * e^(i*phase) and 10^-CHECK_DECADES times it."""
 
-    t0: float = 1e-6
-    phase: float = 0.0
+    t0: float = GRID_T0
+    phase: float = GRID_PHASE
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and self.t0 > 0) or not math.isfinite(self.phase):

@@ -3,22 +3,14 @@
 All rationals travel as strings ("3/4", "2") so nothing is lost to floats;
 complex exact scalars carry optional radical fields only when the radical
 part is nonzero.  Parsers raise ParseError with a JSON-path pointer to the
-offending element.
+offending element, and each imports the type it builds; the writers only
+read attributes, so ParseError, dumps and the writers load no other layer.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
-
-from .charpoly import CharPoly, PolyMatrix
-from .exact import ExactComplex
-from .jordan import JordanStructure
-from .models import Family
-from .numeric import BraidPermutation, VerificationResult
-from .poly import Ord, ScalarPoly
-from .tropical import NewtonPolygon, SplittingReport, TropicalPoly, TropicalRoot
 
 
 class ParseError(ValueError):
@@ -54,6 +46,7 @@ def exact_to_json(c: ExactComplex) -> dict:
 
 
 def exact_from_json(obj, path: str) -> ExactComplex:
+    from .exact import ExactComplex
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object with re/im fields")
     re = parse_frac(obj.get("re", 0), f"{path}.re")
@@ -81,6 +74,7 @@ def scalarpoly_to_json(p: ScalarPoly):
 
 
 def scalarpoly_from_json(obj, path: str) -> ScalarPoly:
+    from .poly import ScalarPoly
     trunc = None
     if isinstance(obj, dict):
         if "terms" not in obj:
@@ -109,6 +103,7 @@ def polymatrix_to_json(m: PolyMatrix) -> dict:
 
 
 def polymatrix_from_json(obj, path: str = "$") -> PolyMatrix:
+    from .charpoly import PolyMatrix
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError(path, "expected an object with an 'entries' field")
     entries = obj["entries"]
@@ -130,6 +125,7 @@ def charpoly_to_json(c: CharPoly) -> dict:
 
 
 def charpoly_from_json(obj, path: str = "$") -> CharPoly:
+    from .charpoly import CharPoly
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError(path, "expected an object with a 'coeffs' field")
     coeffs = [scalarpoly_from_json(x, f"{path}.coeffs[{i}]")
@@ -153,6 +149,7 @@ def report_to_json(r: SplittingReport) -> dict:
 
 
 def report_from_json(obj, path: str = "$") -> SplittingReport:
+    from .tropical import SplittingReport, TropicalRoot
     if not isinstance(obj, dict) or "roots" not in obj:
         raise ParseError(path, "expected an object with a 'roots' field")
     if not isinstance(obj["roots"], list):

@@ -10,6 +10,7 @@ import pytest
 
 from reference import AMBIGUOUS_CHAIN
 from tropeig.cli import main
+from tropeig.models import example_names
 from tropeig.serialize import dumps
 
 
@@ -384,6 +385,13 @@ class TestArgumentErrors:
         assert exc.value.code == 1
         assert "error: argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["verify", "--example", "nope"], ["example", "nope"]])
+    def test_unknown_example_names_every_example(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(name in err for name in example_names())
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_zero(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -402,14 +410,32 @@ class TestDeterminism:
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # imports tropeig, runs `tropeig argv` when argv is given, and reports on
-# stderr, after exit, whether numpy was ever imported
-NUMPY_PROBE = """import atexit, sys
-atexit.register(lambda: sys.stderr.write("\\nnumpy loaded: %s" % ("numpy" in sys.modules)))
+# stderr, after exit, whether numpy was ever imported and which tropeig
+# modules were
+PROBE = """import atexit, sys
+atexit.register(lambda: sys.stderr.write("\\nnumpy loaded: %s\\ntropeig modules: %s" % (
+    "numpy" in sys.modules, " ".join(sorted(m for m in sys.modules if m.startswith("tropeig"))))))
 import tropeig
 if sys.argv[1:]:
     from tropeig.cli import main
     sys.exit(main(sys.argv[1:]))
 """
+# the modules each command may load: `tropeig` and the CLI itself, the float
+# Jordan reading and the writers, and the exact layers analyze runs
+STARTUP = {"tropeig", "tropeig.cli"}
+WEYR = STARTUP | {"tropeig.weyr", "tropeig.serialize"}
+EXACT = STARTUP | {"tropeig.serialize", "tropeig.exact", "tropeig.poly", "tropeig.charpoly",
+                   "tropeig.tropical"}
+
+
+def probe(*argv):
+    """(whether numpy was loaded, the set of tropeig modules loaded) by `tropeig argv`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    numpy_line, modules_line = proc.stderr.splitlines()[-2:]
+    return numpy_line, set(modules_line.split(": ", 1)[1].split())
 
 
 class TestStartup:
@@ -424,6 +450,37 @@ class TestStartup:
         for name in tropeig.__all__:
             assert not isinstance(getattr(tropeig, name), types.ModuleType), name
 
+    def test_names_resolve_lazily_and_dir_lists_them(self):
+        # a bare import loads no layer; each name then loads its own module
+        assert probe()[1] == {"tropeig"}
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = """import sys, tropeig
+assert set(tropeig.__all__) <= set(dir(tropeig))
+for name in tropeig.__all__:
+    value = getattr(tropeig, name)
+    assert sys.modules[value.__module__] is not None, name
+namespace = {}
+exec("from tropeig import *", namespace)
+assert set(tropeig.__all__) <= set(namespace)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv, allowed", [
+        (["--version"], STARTUP),
+        (["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
+         WEYR),
+        (["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")], EXACT),
+        (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], EXACT),
+        (["example", "effective_liouvillian"], EXACT | {"tropeig.models"}),
+        (["example", "circuit_epsilon"], EXACT | {"tropeig.models"}),
+    ])
+    def test_each_command_loads_only_its_layers(self, argv, allowed):
+        loaded = probe(*argv)[1]
+        assert loaded <= allowed, loaded - allowed
+        assert "tropeig.cli" in loaded
+
     @pytest.mark.parametrize("argv, loads_numpy", [
         ([], False), (["--version"], False), (["catalog"], False),
         (["example", "effective_liouvillian"], False),
@@ -435,8 +492,4 @@ class TestStartup:
     ])
     def test_numpy_loads_only_for_float_commands(self, argv, loads_numpy):
         # no command loads numpy, the float ones (verify, jordan) included
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv], env=env, cwd=ROOT,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == f"numpy loaded: {loads_numpy}"
+        assert probe(*argv)[0] == f"numpy loaded: {loads_numpy}"

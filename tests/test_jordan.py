@@ -1,4 +1,6 @@
+import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from reference import AMBIGUOUS_CHAIN, dense, jordan_matrix, weyr_by_powers
 from tropeig.charpoly import charpoly_direct
 from tropeig.exact import ec
-from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, JordanStructure, WeyrAmbiguityError,
-                            _placeholders, _svd, _terms, catalog_families, partitions,
-                            validate_partition, weyr_structure)
+from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, _placeholders, _terms, catalog_families,
+                            partitions, validate_partition)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
+from tropeig import weyr
+from tropeig.weyr import WeyrAmbiguityError, _svd, weyr_structure
 
 
 def roots_set(report):
@@ -267,6 +270,35 @@ class TestSingularValues:
         assert np.allclose([s for s, _ in _svd(m)], want, rtol=1e-15, atol=0)
         got = weyr_structure(m, 0.0)
         assert got.partition == () and got.rank_sequence == (2, 2)
+
+    @staticmethod
+    def _rank_one_beside_tiny_entries():
+        m = [[0j] * 8 for _ in range(8)]
+        for i, a in ((6, 1 + 1j), (7, 1 + 2j)):
+            for j, b in ((4, 1 - 1j), (7, -1 + 2j)):
+                m[i][j] = a * b * 1e-151
+        for i, j in ((0, 5), (1, 5), (5, 4), (2, 0)):
+            m[i][j] = 1e-286
+        return m
+
+    @pytest.mark.parametrize("m, values", [
+        # rank 1 at 1e-151: a rotation leaves rounding debris in one column
+        ([[0] * 4, [0] * 4, [0, 0, 0, complex(1, 1) * 1e-151], [0, 0, 0, complex(1, 7) * 1e-151]],
+         [math.sqrt(52) * 1e-151, 0, 0, 0]),
+        # the same beside entries 135 decades smaller
+        (_rank_one_beside_tiny_entries(), [7e-151, 0, math.sqrt(2) * 1e-286, 1e-286, 0, 0, 0, 0]),
+    ])
+    def test_debris_columns_stop_the_sweeps(self, m, values, monkeypatch):
+        # each rotation calls hypot twice, and every sweep but the last rotates;
+        # a column read as debris is no longer rotated, so the debris does not
+        # shrink into the subnormal range where it stalled for all 60 sweeps
+        calls = []
+        counting = types.SimpleNamespace(**vars(math))
+        counting.hypot = lambda *a: calls.append(a) or math.hypot(*a)
+        monkeypatch.setattr(weyr, "math", counting)
+        got = [s for s, _ in _svd(m)]
+        assert len(calls) // 2 <= 10
+        assert got == pytest.approx(values, rel=1e-13, abs=1e-13 * values[0])
 
     @pytest.mark.parametrize("m, message", [
         ([[float("nan"), 0], [0, 0]], "finite"),
