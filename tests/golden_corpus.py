@@ -47,14 +47,18 @@ FAMILY_FILES = ["family_matrix.json", "family_charpoly.json", "family_multiblock
 
 
 # analyze's plot flags, each with the suffix of its golden file
-ARTIFACTS = {"analyze-matrix": [("--emit-tropical-plot", "csv"), ("--emit-svg", "svg"),
-                                ("--emit-polygon-svg", "polygon.svg")]}
+PLOTS = [("--emit-tropical-plot", "csv"), ("--emit-svg", "svg"),
+         ("--emit-polygon-svg", "polygon.svg")]
+ARTIFACTS = {case: PLOTS for case in ("analyze-matrix", "analyze-charpoly", "analyze-flat")}
 
 
 def _cases():
     cases = {"analyze-matrix": ["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")],
              "analyze-charpoly": ["analyze", "--charpoly",
                                   str(GOLDEN / "analyze_charpoly.json")],
+             # lambda^2 - 1: every finite valuation is 0 and the one kink sits
+             # at omega = 0, so both plots' axis ranges are degenerate
+             "analyze-flat": ["analyze", "--charpoly", str(GOLDEN / "analyze_flat.json")],
              "catalog-2": ["catalog", "2"],
              "catalog-json": ["catalog", "--format", "json"],
              "catalog-table": ["catalog"],
