@@ -30,10 +30,13 @@ OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH, CHECK_FAILED = r
 
 
 def _emit(text: str, output):
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:  # no such directory, a directory, no permission, ...
+        raise ValueError(f"{output}: {exc.strerror}") from None
 
 
 def _load_json(path: str):
@@ -103,11 +106,11 @@ def cmd_analyze(args) -> int:
     if args.emit_tropical_plot or args.emit_svg or args.emit_polygon_svg:
         from .plots import polygon_svg, tropical_csv, tropical_svg
     if args.emit_tropical_plot:
-        Path(args.emit_tropical_plot).write_text(tropical_csv(poly))
+        _emit(tropical_csv(poly), args.emit_tropical_plot)
     if args.emit_svg:
-        Path(args.emit_svg).write_text(tropical_svg(poly))
+        _emit(tropical_svg(poly), args.emit_svg)
     if args.emit_polygon_svg:
-        Path(args.emit_polygon_svg).write_text(polygon_svg(polygon))
+        _emit(polygon_svg(polygon), args.emit_polygon_svg)
     return UNDETERMINED if report.undetermined else OK
 
 

@@ -134,10 +134,10 @@ def build_direction_matrix(template: Sequence[Sequence],
 class _FamilySpec:
     partition: Tuple[int, ...]
     constraint: str  # "generic" names the generic direction
-    # valuation ord(a_i) for i = 0..n; None means identically zero
+    # valuation ord(a_i) for i = 0..n; None means identically zero, and the
+    # trailing Nones count the flat branches
     alpha: Tuple[Optional[int], ...]
     roots: Tuple[Tuple[Fraction, int], ...]
-    zero_roots: int
     zeros: Tuple[str, ...] = ()            # placeholders pinned to 0
     fixed: Tuple[Tuple[str, int], ...] = ()  # placeholders pinned to a value
     # solve placeholder so that the t^power part of a_i cancels exactly
@@ -146,75 +146,75 @@ class _FamilySpec:
 
 _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
     2: [
-        _FamilySpec((1, 1), "generic", (0, None, 2), ((Fraction(1), 2),), 0),
-        _FamilySpec((1, 1), "unlifting", (0, None, None), (), 2,
+        _FamilySpec((1, 1), "generic", (0, None, 2), ((Fraction(1), 2),)),
+        _FamilySpec((1, 1), "unlifting", (0, None, None), (),
                     solve=(("d21", 2, 2),)),
-        _FamilySpec((2,), "generic", (0, None, 1), ((Fraction(1, 2), 2),), 0),
+        _FamilySpec((2,), "generic", (0, None, 1), ((Fraction(1, 2), 2),)),
     ],
     3: [
-        _FamilySpec((1, 1, 1), "generic", (0, None, 2, 3), ((Fraction(1), 3),), 0),
-        _FamilySpec((1, 1, 1), "q=0", (0, None, 2, None), ((Fraction(1), 2),), 1,
+        _FamilySpec((1, 1, 1), "generic", (0, None, 2, 3), ((Fraction(1), 3),)),
+        _FamilySpec((1, 1, 1), "q=0", (0, None, 2, None), ((Fraction(1), 2),),
                     zeros=("d11", "d33", "d13", "d31")),
-        _FamilySpec((1, 1, 1), "p=q=0", (0, None, None, None), (), 3,
+        _FamilySpec((1, 1, 1), "p=q=0", (0, None, None, None), (),
                     zeros=("d11", "d13", "d21", "d23", "d31", "d32", "d33"),
                     fixed=(("d12", 1),)),
         _FamilySpec((2, 1), "generic", (0, None, 1, 2),
-                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 0),
-        _FamilySpec((2, 1), "d21=0", (0, None, 2, 2), ((Fraction(2, 3), 3),), 0,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1))),
+        _FamilySpec((2, 1), "d21=0", (0, None, 2, 2), ((Fraction(2, 3), 3),),
                     zeros=("d21",)),
-        _FamilySpec((2, 1), "d21=0,q=0", (0, None, 2, None), ((Fraction(1), 2),), 1,
+        _FamilySpec((2, 1), "d21=0,q=0", (0, None, 2, None), ((Fraction(1), 2),),
                     zeros=("d21", "d31")),
-        _FamilySpec((2, 1), "q=0", (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
+        _FamilySpec((2, 1), "q=0", (0, None, 1, None), ((Fraction(1, 2), 2),),
                     solve=(("d31", 3, 2),)),
-        _FamilySpec((3,), "generic", (0, None, 1, 1), ((Fraction(1, 3), 3),), 0),
-        _FamilySpec((3,), "d31=0", (0, None, 1, None), ((Fraction(1, 2), 2),), 1,
+        _FamilySpec((3,), "generic", (0, None, 1, 1), ((Fraction(1, 3), 3),)),
+        _FamilySpec((3,), "d31=0", (0, None, 1, None), ((Fraction(1, 2), 2),),
                     zeros=("d31",)),
     ],
     4: [
-        _FamilySpec((1, 1, 1, 1), "generic", (0, None, 2, 3, 4), ((Fraction(1), 4),), 0),
-        _FamilySpec((1, 1, 1, 1), "r=0", (0, None, None, 3, 4), ((Fraction(1), 4),), 0,
+        _FamilySpec((1, 1, 1, 1), "generic", (0, None, 2, 3, 4), ((Fraction(1), 4),)),
+        _FamilySpec((1, 1, 1, 1), "r=0", (0, None, None, 3, 4), ((Fraction(1), 4),),
                     solve=(("d12", 2, 2),)),
-        _FamilySpec((1, 1, 1, 1), "p=0", (0, None, 2, None, 4), ((Fraction(1), 4),), 0,
+        _FamilySpec((1, 1, 1, 1), "p=0", (0, None, 2, None, 4), ((Fraction(1), 4),),
                     solve=(("d12", 3, 3),)),
-        _FamilySpec((1, 1, 1, 1), "q=0", (0, None, 2, 3, None), ((Fraction(1), 3),), 1,
+        _FamilySpec((1, 1, 1, 1), "q=0", (0, None, 2, 3, None), ((Fraction(1), 3),),
                     solve=(("d14", 4, 4),)),
-        _FamilySpec((1, 1, 1, 1), "p=q=0", (0, None, 2, None, None), ((Fraction(1), 2),), 2,
+        _FamilySpec((1, 1, 1, 1), "p=q=0", (0, None, 2, None, None), ((Fraction(1), 2),),
                     zeros=("d11", "d13", "d14", "d22", "d23", "d24",
                            "d31", "d32", "d41", "d42", "d43", "d44"),
                     fixed=(("d12", 1), ("d21", 1), ("d34", 1))),
         _FamilySpec((2, 1, 1), "generic", (0, None, 1, 2, 3),
-                    ((Fraction(1, 2), 2), (Fraction(1), 2)), 0),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2))),
         _FamilySpec((2, 1, 1), "d21=0", (0, None, 2, 2, 3),
-                    ((Fraction(2, 3), 3), (Fraction(1), 1)), 0, zeros=("d21",)),
+                    ((Fraction(2, 3), 3), (Fraction(1), 1)), zeros=("d21",)),
         _FamilySpec((2, 1, 1), "p=0", (0, None, 1, None, 3),
-                    ((Fraction(1, 2), 2), (Fraction(1), 2)), 0, solve=(("d24", 3, 2),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), solve=(("d24", 3, 2),)),
         _FamilySpec((2, 1, 1), "q=0", (0, None, 1, 2, None),
-                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 1, solve=(("d34", 4, 3),)),
-        _FamilySpec((2, 2), "generic", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0),
-        _FamilySpec((2, 2), "d21=d43=0", (0, None, 2, 2, 2), ((Fraction(1, 2), 4),), 0,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), solve=(("d34", 4, 3),)),
+        _FamilySpec((2, 2), "generic", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),)),
+        _FamilySpec((2, 2), "d21=d43=0", (0, None, 2, 2, 2), ((Fraction(1, 2), 4),),
                     zeros=("d21", "d43")),
         _FamilySpec((2, 2), "p=0", (0, None, 1, 2, 3),
-                    ((Fraction(1, 2), 2), (Fraction(1), 2)), 0, solve=(("d23", 4, 2),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), solve=(("d23", 4, 2),)),
         _FamilySpec((2, 2), "d21=d43=0,p=0", (0, None, 2, 2, 3),
-                    ((Fraction(2, 3), 3), (Fraction(1), 1)), 0, zeros=("d21", "d43", "d23")),
+                    ((Fraction(2, 3), 3), (Fraction(1), 1)), zeros=("d21", "d43", "d23")),
         _FamilySpec((2, 2), "p=q=0", (0, None, 1, 2, None),
-                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 1,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)),
                     zeros=("d24", "d44"),
                     fixed=(("d21", 1), ("d43", 1), ("d23", 1), ("d41", 1), ("d31", 1))),
         _FamilySpec((3, 1), "generic", (0, None, 1, 1, 2),
-                    ((Fraction(1, 3), 3), (Fraction(1), 1)), 0),
-        _FamilySpec((3, 1), "q=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
+                    ((Fraction(1, 3), 3), (Fraction(1), 1))),
+        _FamilySpec((3, 1), "q=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),),
                     solve=(("d34", 4, 2),)),
-        _FamilySpec((3, 1), "d31=0", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),), 0,
+        _FamilySpec((3, 1), "d31=0", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),),
                     zeros=("d31",)),
         _FamilySpec((3, 1), "d32=0", (0, None, 2, 1, 2),
-                    ((Fraction(1, 3), 3), (Fraction(1), 1)), 0, zeros=("d32",)),
+                    ((Fraction(1, 3), 3), (Fraction(1), 1)), zeros=("d32",)),
         _FamilySpec((3, 1), "d31=0,q=0", (0, None, 1, 2, None),
-                    ((Fraction(1, 2), 2), (Fraction(1), 1)), 1, zeros=("d31", "d41")),
-        _FamilySpec((4,), "generic", (0, None, 1, 1, 1), ((Fraction(1, 4), 4),), 0),
-        _FamilySpec((4,), "d41=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),), 1,
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), zeros=("d31", "d41")),
+        _FamilySpec((4,), "generic", (0, None, 1, 1, 1), ((Fraction(1, 4), 4),)),
+        _FamilySpec((4,), "d41=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),),
                     zeros=("d41",)),
-        _FamilySpec((4,), "only d43", (0, None, 1, None, None), ((Fraction(1, 2), 2),), 2,
+        _FamilySpec((4,), "only d43", (0, None, 1, None, None), ((Fraction(1, 2), 2),),
                     zeros=("d41", "d42")),
     ],
 }
@@ -277,7 +277,8 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
         cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
-        expected = _report(spec.roots, spec.zero_roots)
+        flat = next(k for k, a in enumerate(reversed(spec.alpha)) if a is not None)
+        expected = _report(spec.roots, flat)
         label = ",".join(str(s) for s in spec.partition)
         return Family(f"H[{label}] {spec.constraint}", matrix, expected,
                       {"partition": spec.partition, "constraint": spec.constraint,

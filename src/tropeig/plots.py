@@ -3,7 +3,8 @@
 CSV is the canonical artifact (exact kink rows plus float samples); SVG
 rendering is a convenience for quick looks and stays dependency-free.  Both
 graphs of a tropical polynomial sample SAMPLES equal steps of omega from 0
-to one past the largest kink; both SVGs are SIZE pixels square.
+to one past the largest kink; both SVGs are SIZE pixels square and draw
+the data PAD pixels inside their edges.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .tropical import NewtonPolygon, TropicalPoly, tropical_roots
 
 SAMPLES = 200
 SIZE = 360
+PAD = 30  # pixels between the data box and each edge of an SVG
 
 
 def _roots_and_hi(p: TropicalPoly):
@@ -38,9 +40,25 @@ def tropical_csv(p: TropicalPoly) -> str:
     return out.getvalue()
 
 
-_SVG_HEADER = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
-               f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">'
-               f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>')
+def _svg(curve, stroke: str, dots, width, bottom, height) -> str:
+    """A SIZE-pixel square SVG: the polyline through the data points `curve`
+    in the `stroke` style, then a dot and label per (u, v, color, label) of
+    `dots`.  The data box [0, width] x [bottom, bottom + height] fills the
+    square less PAD pixels on each side."""
+    def px(u, v):
+        return (PAD + float(u / width) * (SIZE - 2 * PAD),
+                SIZE - PAD - float((v - bottom) / height) * (SIZE - 2 * PAD))
+
+    pts = " ".join("{:.2f},{:.2f}".format(*px(u, v)) for u, v in curve)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+             f'viewBox="0 0 {SIZE} {SIZE}"><rect width="{SIZE}" height="{SIZE}" fill="white"/>'
+             f'<polyline points="{pts}" fill="none" {stroke}/>']
+    for u, v, color, label in dots:
+        x, y = px(u, v)
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}"/>'
+                     f'<text x="{x + 6:.2f}" y="{y - 6:.2f}" font-size="11">{label}</text>')
+    parts.append("</svg>")
+    return "".join(parts)
 
 
 def tropical_svg(p: TropicalPoly) -> str:
@@ -49,49 +67,15 @@ def tropical_svg(p: TropicalPoly) -> str:
     ws = [hi * j / SAMPLES for j in range(SAMPLES + 1)]
     vs = [p(w) for w in ws]
     vlo, vhi = min(vs), max(vs)
-    span = (vhi - vlo) or Fraction(1)
-    pad = 30
-
-    def x(w):
-        return pad + float(w / hi) * (SIZE - 2 * pad)
-
-    def y(v):
-        return SIZE - pad - float((v - vlo) / span) * (SIZE - 2 * pad)
-
-    pts = " ".join(f"{x(w):.2f},{y(v):.2f}" for w, v in zip(ws, vs))
-    parts = [_SVG_HEADER,
-             f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>']
-    for root in roots:
-        parts.append(f'<circle cx="{x(root.omega):.2f}" cy="{y(p(root.omega)):.2f}" '
-                     f'r="4" fill="red"/>')
-        parts.append(f'<text x="{x(root.omega) + 6:.2f}" y="{y(p(root.omega)) - 6:.2f}" '
-                     f'font-size="11">{root.omega} (x{root.multiplicity})</text>')
-    parts.append("</svg>")
-    return "".join(parts)
+    dots = [(r.omega, p(r.omega), "red", f"{r.omega} (x{r.multiplicity})") for r in roots]
+    return _svg(zip(ws, vs), 'stroke="black" stroke-width="1.5"', dots,
+                hi, vlo, (vhi - vlo) or Fraction(1))
 
 
 def polygon_svg(np_: NewtonPolygon) -> str:
     """Coefficient valuations with the lower convex hull highlighted."""
     finite = [(i, Fraction(o.value)) for i, o in np_.points if o.is_finite]
-    xmax = np_.n
-    ymax = max((a for _, a in finite), default=Fraction(1)) or Fraction(1)
-    pad = 30
-
-    def x(i):
-        return pad + float(Fraction(i, xmax)) * (SIZE - 2 * pad)
-
-    def y(a):
-        return SIZE - pad - float(a / ymax) * (SIZE - 2 * pad)
-
-    parts = [_SVG_HEADER]
-    hull_pts = " ".join(f"{x(i):.2f},{y(a):.2f}" for i, a in np_.hull)
-    parts.append(f'<polyline points="{hull_pts}" fill="none" stroke="steelblue" '
-                 f'stroke-width="2"/>')
-    hull_set = set(np_.hull)
-    for i, a in finite:
-        color = "red" if (i, a) in hull_set else "black"
-        parts.append(f'<circle cx="{x(i):.2f}" cy="{y(a):.2f}" r="4" fill="{color}"/>')
-        parts.append(f'<text x="{x(i) + 6:.2f}" y="{y(a) - 6:.2f}" '
-                     f'font-size="11">({i}, {a})</text>')
-    parts.append("</svg>")
-    return "".join(parts)
+    hull = set(np_.hull)
+    dots = [(i, a, "red" if (i, a) in hull else "black", f"({i}, {a})") for i, a in finite]
+    top = max((a for _, a in finite), default=Fraction(1)) or Fraction(1)
+    return _svg(np_.hull, 'stroke="steelblue" stroke-width="2"', dots, Fraction(np_.n), 0, top)

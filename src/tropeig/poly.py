@@ -220,21 +220,18 @@ def horner_table(table, z: complex) -> complex:
     return acc * z ** table[-1][0]
 
 
+def _alternating_series(first: int, order: int) -> ScalarPoly:
+    """The sum of (-1)^k t^e / e! over e = first + 2k, truncated strictly
+    below t^order."""
+    return ScalarPoly({e: ExactComplex(Fraction((-1) ** (e // 2), factorial(e)))
+                       for e in range(first, order, 2)}, trunc=order)
+
+
 def cos_series(order: int) -> ScalarPoly:
     """cos(t) truncated strictly below t^order."""
-    terms = {}
-    k = 0
-    while 2 * k < order:
-        terms[2 * k] = ExactComplex(Fraction((-1) ** k, factorial(2 * k)))
-        k += 1
-    return ScalarPoly(terms, trunc=order)
+    return _alternating_series(0, order)
 
 
 def sin_series(order: int) -> ScalarPoly:
     """sin(t) truncated strictly below t^order."""
-    terms = {}
-    k = 0
-    while 2 * k + 1 < order:
-        terms[2 * k + 1] = ExactComplex(Fraction((-1) ** k, factorial(2 * k + 1)))
-        k += 1
-    return ScalarPoly(terms, trunc=order)
+    return _alternating_series(1, order)

@@ -10,7 +10,6 @@ read attributes, so ParseError, dumps and the writers load no other layer.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 
 class ParseError(ValueError):
@@ -19,11 +18,8 @@ class ParseError(ValueError):
         self.path = path
 
 
-def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def parse_frac(s, path: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -39,9 +35,9 @@ def _count(x, least: int, path: str) -> int:
 # -- scalars -----------------------------------------------------------------
 
 def exact_to_json(c: ExactComplex) -> dict:
-    out = {"re": frac_str(c.re), "im": frac_str(c.im)}
+    out = {"re": str(c.re), "im": str(c.im)}
     if c.rad:
-        out.update({"sre": frac_str(c.sre), "sim": frac_str(c.sim), "rad": c.rad})
+        out.update({"sre": str(c.sre), "sim": str(c.sim), "rad": c.rad})
     return out
 
 
@@ -141,9 +137,12 @@ def charpoly_from_json(obj, path: str = "$") -> CharPoly:
 
 # -- reports -----------------------------------------------------------------
 
+def _root_to_json(r: TropicalRoot) -> dict:
+    return {"omega": str(r.omega), "mult": r.multiplicity}
+
+
 def report_to_json(r: SplittingReport) -> dict:
-    return {"roots": [{"omega": frac_str(x.omega), "mult": x.multiplicity}
-                      for x in r.roots],
+    return {"roots": [_root_to_json(x) for x in r.roots],
             "zero_roots": r.zero_root_count,
             "undetermined": r.undetermined}
 
@@ -181,12 +180,12 @@ def polygon_to_json(np_: NewtonPolygon) -> dict:
         return f">={o.value}"
 
     return {"points": [[i, ord_json(o)] for i, o in np_.points],
-            "hull": [[i, frac_str(a)] for i, a in np_.hull],
+            "hull": [[i, str(a)] for i, a in np_.hull],
             "undetermined": np_.undetermined}
 
 
 def tropical_to_json(p: TropicalPoly) -> dict:
-    return {"terms": [{"slope": k, "intercept": frac_str(a)} for k, a in p.terms],
+    return {"terms": [{"slope": k, "intercept": str(a)} for k, a in p.terms],
             "undetermined": p.undetermined}
 
 
@@ -195,9 +194,7 @@ def verification_to_json(v: VerificationResult) -> dict:
             "zero_tracks": v.zero_tracks,
             "clusters": [{"exponent": c.exponent,
                           "size": c.size,
-                          "matched": (None if c.matched is None else
-                                      {"omega": frac_str(c.matched.omega),
-                                       "mult": c.matched.multiplicity}),
+                          "matched": None if c.matched is None else _root_to_json(c.matched),
                           "distance": c.distance,
                           "edge": [exact_to_json(x) for x in c.edge],
                           "rate": c.rate} for c in v.clusters],

@@ -5,17 +5,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from collections import namedtuple
 
 from . import WEYR_TOL
 
-
-@dataclass(frozen=True)
-class JordanStructure:
-    eigenvalue: complex
-    partition: Tuple[int, ...]
-    rank_sequence: Tuple[int, ...]
+JordanStructure = namedtuple("JordanStructure", "eigenvalue partition rank_sequence")
+JordanStructure.__doc__ = """The Jordan blocks of `eigenvalue`, a complex: `partition` holds their
+sizes, largest first, and `rank_sequence` is n followed by the numerical rank
+at each deflation level.  A named tuple, unlike the frozen dataclasses of the
+exact layers, so that the jordan command loads neither dataclasses nor inspect."""
 
 
 class WeyrAmbiguityError(RuntimeError):
@@ -32,7 +30,7 @@ class WeyrAmbiguityError(RuntimeError):
 _DEBRIS = 2.0 ** -970
 
 
-def _svd(rows) -> List[Tuple[float, List[complex]]]:
+def _svd(rows) -> list[tuple[float, list[complex]]]:
     """(sigma, v) pairs of a square complex matrix A, largest sigma first: its
     singular values and unit right singular vectors (v = 0 where sigma = 0).
     One-sided Jacobi on the columns of A^H, scaled by a power of two (so

@@ -85,6 +85,15 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--matrix", str(tmp_path))
         assert code == 1 and out == "" and err.startswith(f"error: {tmp_path}: ")
 
+    @pytest.mark.parametrize("flag", ["--output", "--emit-tropical-plot", "--emit-svg",
+                                      "--emit-polygon-svg"])
+    @pytest.mark.parametrize("target", ["missing/x", ""], ids=["no-such-directory", "directory"])
+    def test_unwritable_output_exits_usage(self, tmp_path, capsys, flag, target):
+        path = str(tmp_path / target)
+        code, _, err = run(capsys, "analyze", "--matrix", write(tmp_path, "m.json", SQRT_T),
+                           flag, path)
+        assert code == 1 and len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
     def test_plot_emission(self, tmp_path, capsys):
         csv = tmp_path / "plot.csv"
         svg = tmp_path / "plot.svg"
@@ -109,6 +118,10 @@ class TestCatalog:
         assert code == 0
         assert "[1/2,2]" in out and "[1,2]" in out
         assert "*" in out  # generic marker
+
+    def test_output_to_a_directory_exits_usage(self, tmp_path, capsys):
+        code, out, err = run(capsys, "catalog", "2", "-o", str(tmp_path))
+        assert code == 1 and out == "" and err == f"error: {tmp_path}: Is a directory\n"
 
     def test_json_output_agrees(self, capsys):
         code, out, _ = run(capsys, "catalog", "3", "--format", "json")
@@ -410,12 +423,17 @@ class TestDeterminism:
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 # imports tropeig, runs `tropeig argv` when argv is given, and reports on
-# stderr, after exit, whether numpy was ever imported and which tropeig
-# modules were
+# stderr, after exit, whether numpy was ever imported, which tropeig modules
+# were, and which other modules were imported after tropeig
 PROBE = """import atexit, sys
-atexit.register(lambda: sys.stderr.write("\\nnumpy loaded: %s\\ntropeig modules: %s" % (
-    "numpy" in sys.modules, " ".join(sorted(m for m in sys.modules if m.startswith("tropeig"))))))
+def report():
+    ours = {m for m in sys.modules if m.startswith("tropeig")}
+    sys.stderr.write("\\nnumpy loaded: %s\\ntropeig modules: %s\\nother modules: %s" % (
+        "numpy" in sys.modules, " ".join(sorted(ours)),
+        " ".join(sorted(set(sys.modules) - ours - before))))
+atexit.register(report)
 import tropeig
+before = set(sys.modules)
 if sys.argv[1:]:
     from tropeig.cli import main
     sys.exit(main(sys.argv[1:]))
@@ -429,13 +447,14 @@ EXACT = STARTUP | {"tropeig.serialize", "tropeig.exact", "tropeig.poly", "tropei
 
 
 def probe(*argv):
-    """(whether numpy was loaded, the set of tropeig modules loaded) by `tropeig argv`."""
+    """(whether numpy was loaded, the set of tropeig modules loaded, the set of
+    other modules loaded after `import tropeig`) by `tropeig argv`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    numpy_line, modules_line = proc.stderr.splitlines()[-2:]
-    return numpy_line, set(modules_line.split(": ", 1)[1].split())
+    numpy_line, *module_lines = proc.stderr.splitlines()[-3:]
+    return (numpy_line, *(set(line.split(": ", 1)[1].split()) for line in module_lines))
 
 
 class TestStartup:
@@ -480,6 +499,14 @@ assert set(tropeig.__all__) <= set(namespace)
         loaded = probe(*argv)[1]
         assert loaded <= allowed, loaded - allowed
         assert "tropeig.cli" in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
+    ])
+    def test_jordan_loads_no_dataclasses_inspect_or_fractions(self, argv):
+        # typing is left out: a site-packages .pth file may load it at start-up
+        assert not probe(*argv)[2] & {"dataclasses", "inspect", "fractions"}
 
     @pytest.mark.parametrize("argv, loads_numpy", [
         ([], False), (["--version"], False), (["catalog"], False),

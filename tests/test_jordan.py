@@ -184,6 +184,12 @@ class TestWeyr:
                 arr = dense(jordan_matrix(p, 0), 0.0)
                 assert weyr_structure(arr, 0.0).partition == p
 
+    def test_structure_is_an_immutable_record(self):
+        got = weyr_structure([[0, 1], [0, 0]], 0)
+        assert repr(got) == "JordanStructure(eigenvalue=0j, partition=(2,), rank_sequence=(2, 1, 0))"
+        with pytest.raises(AttributeError):
+            got.partition = (1, 1)
+
     def test_shifted_eigenvalue(self):
         lam = 1.5 - 0.5j
         arr = dense(jordan_matrix((3, 2), ec(Fraction(3, 2), Fraction(-1, 2))), 0.0)
