@@ -61,6 +61,8 @@ def _cases():
              "analyze-flat": ["analyze", "--charpoly", str(GOLDEN / "analyze_flat.json")],
              "catalog-2": ["catalog", "2"],
              "catalog-json": ["catalog", "--format", "json"],
+             # seed 5 rejects one (2,2) generic draw on the valuation check
+             "catalog-seed5-json": ["catalog", "--seed", "5", "--format", "json"],
              "catalog-table": ["catalog"],
              "jordan-matrix": ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"),
                                "--eigenvalue", "1,0.5"],
