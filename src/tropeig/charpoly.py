@@ -15,8 +15,8 @@ Both return the monic coefficient vector a_0..a_n of
 with each a_i a ScalarPoly in the perturbation variable.
 
 Both run on an integer kernel rather than on ScalarPoly/ExactComplex
-objects.  On entry the matrix is scaled by D, the lcm of the denominators of
-every component of every coefficient, so that D*M has entries in
+objects.  On entry the matrix is scaled by D, the lcm of the one common
+denominator each ExactComplex coefficient stores, so that D*M has entries in
 Z[i][t] or, when M holds one surd sqrt(rad), in Z[i, sqrt(rad)][t].  The
 truncation is decided once: a_0 is exact, a_1 = -tr M is known below the
 smallest truncation order on the diagonal, and every a_k with k >= 2 below
@@ -52,19 +52,19 @@ row from the nonzeros.
 The coefficients of D*M's characteristic polynomial are algebraic integers,
 so the traces recursion divides k a_k by k exactly: it unpacks each sum,
 checks and divides every coefficient, and packs the quotient again (it
-raises if a division ever would not be exact).  On exit a_k of D*M is
-divided by D^k and rebuilt as ExactComplex values.  A matrix mixing two
-radicands is rejected with the same ValueError as ExactComplex.
+raises if a division ever would not be exact).  On exit (``_from_kernel``)
+each coefficient of a_k of D*M is read as integer numerators over D^k and
+reduced straight into an ExactComplex, with no Fraction in between.  A matrix
+mixing two radicands is rejected with the same ValueError as ExactComplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, isqrt, lcm
 from typing import Tuple
 
-from .exact import ExactComplex
+from .exact import _canonical
 from .poly import ScalarPoly
 
 
@@ -207,14 +207,14 @@ def _berkowitz(rows, rad) -> list:
 def _to_kernel(m: PolyMatrix):
     """(rows, rad, den, bits): the known terms of den * M packed at 2^bits,
     each row the list of its nonzero (column, entry) pairs in column order."""
-    den, rads = 1, set()
+    dens, rads = {1}, set()
     for row in m.rows:
         for p in row:
             for c in p.terms.values():
-                den = lcm(den, c.re.denominator, c.im.denominator,
-                          c.sre.denominator, c.sim.denominator)
+                dens.add(c.den)
                 if c.rad:
                     rads.add(c.rad)
+    den = lcm(*dens)
     if len(rads) > 1:
         first, second = sorted(rads)[:2]
         raise ValueError(f"mixed radicands {first} and {second}")
@@ -222,8 +222,8 @@ def _to_kernel(m: PolyMatrix):
     w = isqrt(rad) + 1  # w^2 > rad keeps the norm submultiplicative
 
     def scaled(c):
-        parts = (c.re, c.im, c.sre, c.sim) if rad else (c.re, c.im)
-        return tuple(f.numerator * (den // f.denominator) for f in parts)
+        k = den // c.den
+        return (c.nre * k, c.nim * k, c.nsre * k, c.nsim * k) if rad else (c.nre * k, c.nim * k)
 
     def entry(p):
         coeffs = [(0, 0, 0, 0) if rad else (0, 0)] * (max(p.terms) + 1)
@@ -254,15 +254,14 @@ def _coeff_orders(m: PolyMatrix) -> list:
 
 def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
     """CharPoly of M from the kernel coefficients a_k of den * M: a_k / den^k,
-    cut at its truncation order."""
+    cut at its truncation order, each built straight from its integers."""
     out = []
     for k, (poly, trunc) in enumerate(zip(coeffs, orders)):
         dk = den ** k
         terms = {}
         for e, c in enumerate(poly[:trunc]):
             if any(c):
-                parts = [Fraction(x, dk) for x in c]
-                terms[e] = ExactComplex(*parts, rad) if rad else ExactComplex(*parts)
+                terms[e] = _canonical(*c, dk, rad) if rad else _canonical(*c, 0, 0, dk, 0)
         out.append(ScalarPoly(terms, trunc))
     return CharPoly(out)
 

@@ -7,7 +7,8 @@ Subcommands: analyze, catalog, verify, example, jordan.  Exit codes:
     2  analysis undetermined (a valuation exceeded its truncation order)
     3  braid loop failed (too coarse or crossing a degeneracy)
     4  numerical rank ambiguity in Jordan detection
-    5  a catalog family disagreed with its stored expectation
+    5  a catalog family disagreed with its stored expectation, or the seed
+       drew no direction that realizes one
     6  numeric check failed (scaled-root check or braid cycles disagree with
        the prediction, or a root iteration did not converge)
 
@@ -29,14 +30,26 @@ from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, DEFAULT_S
 OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH, CHECK_FAILED = range(7)
 
 
-def _emit(text: str, output):
-    if not output:
-        sys.stdout.write(text)
-        return
+def _emit(text: str, output, files=()):
+    """Write text to the path output, or to stdout if it is None, and each
+    (text, path) pair of files.  Every file is opened before anything is
+    written, so a path that cannot be written fails the command with nothing
+    on stdout."""
+    targets = [(text, output)] if output else []
+    opened = []
     try:
-        Path(output).write_text(text)
-    except OSError as exc:  # no such directory, a directory, no permission, ...
-        raise ValueError(f"{output}: {exc.strerror}") from None
+        for body, path in [*targets, *files]:
+            try:
+                opened.append((body, Path(path).open("w")))
+            except OSError as exc:  # no such directory, a directory, no permission, ...
+                raise ValueError(f"{path}: {exc.strerror}") from None
+        if not output:
+            sys.stdout.write(text)
+        for body, f in opened:
+            f.write(body)
+    finally:
+        for _, f in opened:
+            f.close()
 
 
 def _load_json(path: str):
@@ -102,25 +115,33 @@ def cmd_analyze(args) -> int:
             "tropical": tropical_to_json(poly),
             "polygon": polygon_to_json(polygon),
             "provenance": _provenance()}
-    _emit(dumps(body), args.output)
+    plots = []  # rendered before anything is written
     if args.emit_tropical_plot or args.emit_svg or args.emit_polygon_svg:
         from .plots import polygon_svg, tropical_csv, tropical_svg
-    if args.emit_tropical_plot:
-        _emit(tropical_csv(poly), args.emit_tropical_plot)
-    if args.emit_svg:
-        _emit(tropical_svg(poly), args.emit_svg)
-    if args.emit_polygon_svg:
-        _emit(polygon_svg(polygon), args.emit_polygon_svg)
+        for path, render, data in ((args.emit_tropical_plot, tropical_csv, poly),
+                                   (args.emit_svg, tropical_svg, poly),
+                                   (args.emit_polygon_svg, polygon_svg, polygon)):
+            if path:
+                plots.append((render(data), path))
+    _emit(dumps(body), args.output, plots)
     return UNDETERMINED if report.undetermined else OK
 
 
+def _unrealized(exc) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return MISMATCH
+
+
 def cmd_catalog(args) -> int:
-    from .jordan import catalog_families
+    from .jordan import RealizationError, catalog_families
     from .serialize import dumps, family_to_json, report_to_json
     from .tropical import tropical_roots
     families = []
-    for n in ([args.n] if args.n else (2, 3, 4)):
-        families.extend(catalog_families(n, seed=args.seed))
+    try:
+        for n in ([args.n] if args.n else (2, 3, 4)):
+            families.extend(catalog_families(n, seed=args.seed))
+    except RealizationError as exc:
+        return _unrealized(exc)
     rows = []
     mismatch = False
     for fam in families:
@@ -180,6 +201,7 @@ def _resolve_family(args):
 
 
 def cmd_verify(args) -> int:
+    from .jordan import RealizationError  # _resolve_family loads jordan anyway
     from .numeric import (LoopDegeneracyError, NonConvergenceError, SampleGrid,
                           _check_braid_arguments, _check_match_tol, braid_loop, fit_exponents)
     from .serialize import braid_to_json, dumps, report_to_json, verification_to_json
@@ -188,7 +210,10 @@ def cmd_verify(args) -> int:
     _check_match_tol(args.tol)
     if args.braid:
         _check_braid_arguments(args.eps0, args.steps)
-    family = _resolve_family(args)
+    try:
+        family = _resolve_family(args)
+    except RealizationError as exc:
+        return _unrealized(exc)
     grid = SampleGrid(t0=args.t0, phase=args.phase)
     tolerances = {"match_tol": args.tol, "t0": args.t0, "phase": args.phase}
     if args.braid:

@@ -3,9 +3,16 @@
 The symbolic layer works over Gaussian rationals, optionally extended by a
 single square root of a square-free integer:
 
-    value = (re + im*i) + (sre + sim*i) * sqrt(rad)
+    value = (nre + nim*i + (nsre + nsim*i) * sqrt(rad)) / den
 
-with all four components stored as ``fractions.Fraction``.  The radical part
+stored as four integer numerators over one positive denominator, in lowest
+terms (gcd(nre, nim, nsre, nsim, den) = 1), with ``rad == 0`` exactly when
+the surd part nsre + nsim*i is zero.  That form is canonical, so equality
+and hashing compare the six integers, and the components ``re``, ``im``,
+``sre`` and ``sim`` are read as ``fractions.Fraction`` properties.  Every
+value is built by one normalising helper, ``_canonical``: the public
+constructor, which takes any exact rationals, and every ring operation,
+which works on the integers alone and forms no Fraction.  The radical part
 is needed by a handful of physical models whose degeneracy conditions live
 off the rationals (golden-ratio couplings, 1/sqrt(2) hoppings); everything
 else stays in plain Q(i), for which the arithmetic below short-circuits.
@@ -18,12 +25,9 @@ classification rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import gcd, lcm, sqrt
 from numbers import Rational
-
-_ZERO = Fraction(0)
 
 
 def _is_square_free(m: int) -> bool:
@@ -45,25 +49,51 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class ExactComplex:
-    """Element of Q(i, sqrt(rad)); ``rad == 0`` means plain Q(i)."""
+    """Element of Q(i, sqrt(rad)); ``rad == 0`` means plain Q(i).
 
-    re: Fraction = _ZERO
-    im: Fraction = _ZERO
-    sre: Fraction = _ZERO
-    sim: Fraction = _ZERO
-    rad: int = 0
+    Immutable: the six integers of the canonical form are read-only.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
-        object.__setattr__(self, "sre", _as_fraction(self.sre))
-        object.__setattr__(self, "sim", _as_fraction(self.sim))
-        if self.sre == 0 and self.sim == 0:
-            object.__setattr__(self, "rad", 0)
-        elif not _is_square_free(self.rad):
-            raise ValueError(f"radicand must be square-free and >= 2, got {self.rad}")
+    __slots__ = ("nre", "nim", "nsre", "nsim", "den", "rad")
+
+    def __new__(cls, re=0, im=0, sre=0, sim=0, rad=0):
+        if re.__class__ is int and im.__class__ is int and sim.__class__ is int \
+                and sre.__class__ is int:
+            den = 1
+        else:
+            parts = [_as_fraction(x) for x in (re, im, sre, sim)]
+            den = lcm(*(f.denominator for f in parts))
+            re, im, sre, sim = (f.numerator * (den // f.denominator) for f in parts)
+        if (sre or sim) and not _is_square_free(rad):
+            raise ValueError(f"radicand must be square-free and >= 2, got {rad}")
+        return _canonical(re, im, sre, sim, den, rad)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactComplex is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle; the default would set the slots
+        return _canonical, (self.nre, self.nim, self.nsre, self.nsim, self.den, self.rad)
+
+    # -- components --------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.nre, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.nim, self.den)
+
+    @property
+    def sre(self) -> Fraction:
+        return Fraction(self.nsre, self.den)
+
+    @property
+    def sim(self) -> Fraction:
+        return Fraction(self.nsim, self.den)
 
     # -- constructors ------------------------------------------------------
 
@@ -76,12 +106,22 @@ class ExactComplex:
     @staticmethod
     def radical(rad: int, sre, sim=0) -> "ExactComplex":
         """(sre + sim*i) * sqrt(rad)."""
-        return ExactComplex(_ZERO, _ZERO, sre, sim, rad)
+        return ExactComplex(0, 0, sre, sim, rad)
 
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return not (self.re == 0 and self.im == 0 and self.sre == 0 and self.sim == 0)
+        return bool(self.nre or self.nim or self.nsre or self.nsim)
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactComplex:
+            return NotImplemented
+        return (self.nre == other.nre and self.nim == other.nim and self.den == other.den
+                and self.nsre == other.nsre and self.nsim == other.nsim
+                and self.rad == other.rad)
+
+    def __hash__(self):
+        return hash((self.nre, self.nim, self.nsre, self.nsim, self.den, self.rad))
 
     def _join_rad(self, other: "ExactComplex") -> int:
         if self.rad and other.rad and self.rad != other.rad:
@@ -93,13 +133,18 @@ class ExactComplex:
     def __add__(self, other):
         other = ExactComplex.from_value(other)
         rad = self._join_rad(other)
-        return ExactComplex(self.re + other.re, self.im + other.im,
-                            self.sre + other.sre, self.sim + other.sim, rad)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return _canonical(self.nre + other.nre, self.nim + other.nim,
+                              self.nsre + other.nsre, self.nsim + other.nsim, d1, rad)
+        return _canonical(self.nre * d2 + other.nre * d1, self.nim * d2 + other.nim * d1,
+                          self.nsre * d2 + other.nsre * d1, self.nsim * d2 + other.nsim * d1,
+                          d1 * d2, rad)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactComplex(-self.re, -self.im, -self.sre, -self.sim, self.rad)
+        return _canonical(-self.nre, -self.nim, -self.nsre, -self.nsim, self.den, self.rad)
 
     def __sub__(self, other):
         return self + (-ExactComplex.from_value(other))
@@ -109,75 +154,109 @@ class ExactComplex:
 
     def __mul__(self, other):
         other = ExactComplex.from_value(other)
+        a, b, e, f = self.nre, self.nim, other.nre, other.nim
         # fast path: both plain Gaussian rationals
-        if self.rad == 0 and other.rad == 0:
-            return ExactComplex(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-        rad = self._join_rad(other)
-        a, b, c, d = self.re, self.im, self.sre, self.sim
-        e, f, g, h = other.re, other.im, other.sre, other.sim
-        # (a+bi + (c+di)r)(e+fi + (g+hi)r),  r^2 = rad
-        m = rad
-        re = a * e - b * f + m * (c * g - d * h)
-        im = a * f + b * e + m * (c * h + d * g)
-        sre = a * g - b * h + c * e - d * f
-        sim = a * h + b * g + c * f + d * e
-        return ExactComplex(re, im, sre, sim, rad)
+        if not (self.rad or other.rad):
+            return _canonical(a * e - b * f, a * f + b * e, 0, 0, self.den * other.den, 0)
+        m = self._join_rad(other)
+        c, d, g, h = self.nsre, self.nsim, other.nsre, other.nsim
+        # (a+bi + (c+di)r)(e+fi + (g+hi)r),  r^2 = m
+        return _canonical(a * e - b * f + m * (c * g - d * h),
+                          a * f + b * e + m * (c * h + d * g),
+                          a * g - b * h + c * e - d * f,
+                          a * h + b * g + c * f + d * e,
+                          self.den * other.den, m)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im, self.sre, -self.sim, self.rad)
+        return _canonical(self.nre, -self.nim, self.nsre, -self.nsim, self.den, self.rad)
 
     def inverse(self) -> "ExactComplex":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if self.rad == 0:
-            den = self.re * self.re + self.im * self.im
-            return ExactComplex(self.re / den, -self.im / den)
-        # (g + h*sqrt(m))^-1 = (g - h*sqrt(m)) / (g^2 - m h^2), Gaussian g, h
-        flip = ExactComplex(self.re, self.im, -self.sre, -self.sim, self.rad)
-        den = self * flip  # lands in Q(i)
-        assert den.sre == 0 and den.sim == 0
-        return flip * ExactComplex(den.re, den.im).inverse()
+        a, b, den = self.nre, self.nim, self.den
+        if not self.rad:
+            return _canonical(den * a, -den * b, 0, 0, a * a + b * b, 0)
+        # x = (g + h sqrt(m)) / den with Gaussian integers g = a+bi, h = c+di:
+        # 1/x = den (g - h sqrt(m)) conj(N) / |N|^2 with N = g^2 - m h^2 = p+qi,
+        # nonzero because sqrt(m) is not in Q(i)
+        c, d, m = self.nsre, self.nsim, self.rad
+        p = a * a - b * b - m * (c * c - d * d)
+        q = 2 * (a * b - m * c * d)
+        return _canonical(den * (a * p + b * q), den * (b * p - a * q),
+                          -den * (c * p + d * q), -den * (d * p - c * q), p * p + q * q, m)
 
     def __truediv__(self, other):
         if isinstance(other, int) or isinstance(other, Rational):
             q = _as_fraction(other)
-            return ExactComplex(self.re / q, self.im / q, self.sre / q, self.sim / q, self.rad)
+            if not q:
+                raise ZeroDivisionError("division by zero")
+            k = q.denominator
+            return _canonical(self.nre * k, self.nim * k, self.nsre * k, self.nsim * k,
+                              self.den * q.numerator, self.rad)
         return self * ExactComplex.from_value(other).inverse()
 
     # -- conversions -------------------------------------------------------
 
     def to_complex(self) -> complex:
-        z = complex(self.re) + 1j * complex(self.im)
+        den = self.den  # int / int rounds correctly, as float(Fraction) does
+        z = complex(self.nre / den) + 1j * complex(self.nim / den)
         if self.rad:
-            z += (complex(self.sre) + 1j * complex(self.sim)) * sqrt(self.rad)
+            z += (complex(self.nsre / den) + 1j * complex(self.nsim / den)) * sqrt(self.rad)
         return z
 
     __complex__ = to_complex
 
     def __repr__(self) -> str:
         parts = []
-        if self.re or self.im or not self:
-            if self.im:
-                parts.append(f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}i)")
+        if self.nre or self.nim or not self:
+            if self.nim:
+                parts.append(f"({self.re}{'+' if self.nim > 0 else '-'}{abs(self.im)}i)")
             else:
                 parts.append(str(self.re))
         if self.rad:
-            if self.sim:
-                parts.append(f"({self.sre}{'+' if self.sim > 0 else '-'}{abs(self.sim)}i)*sqrt({self.rad})")
+            if self.nsim:
+                parts.append(f"({self.sre}{'+' if self.nsim > 0 else '-'}{abs(self.sim)}i)"
+                             f"*sqrt({self.rad})")
             else:
                 parts.append(f"{self.sre}*sqrt({self.rad})")
         return " + ".join(parts) if parts else "0"
 
 
+_new = object.__new__
+_SET = tuple(ExactComplex.__dict__[name].__set__ for name in ExactComplex.__slots__)
+
+
+def _canonical(nre: int, nim: int, nsre: int, nsim: int, den: int, rad: int) -> ExactComplex:
+    """(nre + nim*i + (nsre + nsim*i) sqrt(rad)) / den in canonical form, for
+    integers with den != 0 and rad square-free whenever the surd part is not
+    zero: divided by the gcd of all five, den > 0, and rad = 0 exactly when
+    nsre = nsim = 0.  The one place an ExactComplex is made."""
+    if den != 1:
+        if den < 0:
+            nre, nim, nsre, nsim, den = -nre, -nim, -nsre, -nsim, -den
+        g = gcd(nre, nim, nsre, nsim, den)
+        if g != 1:
+            nre, nim, nsre, nsim, den = nre // g, nim // g, nsre // g, nsim // g, den // g
+    if not (nsre or nsim):
+        rad = 0
+    z = _new(ExactComplex)
+    s_re, s_im, s_sre, s_sim, s_den, s_rad = _SET
+    s_re(z, nre)
+    s_im(z, nim)
+    s_sre(z, nsre)
+    s_sim(z, nsim)
+    s_den(z, den)
+    s_rad(z, rad)
+    return z
+
+
 EC_ZERO = ExactComplex()
-EC_ONE = ExactComplex(Fraction(1))
-EC_I = ExactComplex(_ZERO, Fraction(1))
+EC_ONE = ExactComplex(1)
+EC_I = ExactComplex(0, 1)
 
 
 def ec(re, im=0) -> ExactComplex:
     """Shorthand Gaussian-rational constructor."""
     return ExactComplex(re, im)
-

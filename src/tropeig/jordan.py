@@ -140,15 +140,15 @@ class _FamilySpec:
     roots: Tuple[Tuple[Fraction, int], ...]
     zeros: Tuple[str, ...] = ()            # placeholders pinned to 0
     fixed: Tuple[Tuple[str, int], ...] = ()  # placeholders pinned to a value
-    # solve placeholder so that the t^power part of a_i cancels exactly
-    solve: Tuple[Tuple[str, int, int], ...] = ()  # (var, i, power)
+    # solve placeholder var so that the t^power part of a_i cancels exactly
+    solve: Optional[Tuple[str, int, int]] = None  # (var, i, power)
 
 
 _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
     2: [
         _FamilySpec((1, 1), "generic", (0, None, 2), ((Fraction(1), 2),)),
         _FamilySpec((1, 1), "unlifting", (0, None, None), (),
-                    solve=(("d21", 2, 2),)),
+                    solve=("d21", 2, 2)),
         _FamilySpec((2,), "generic", (0, None, 1), ((Fraction(1, 2), 2),)),
     ],
     3: [
@@ -165,7 +165,7 @@ _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
         _FamilySpec((2, 1), "d21=0,q=0", (0, None, 2, None), ((Fraction(1), 2),),
                     zeros=("d21", "d31")),
         _FamilySpec((2, 1), "q=0", (0, None, 1, None), ((Fraction(1, 2), 2),),
-                    solve=(("d31", 3, 2),)),
+                    solve=("d31", 3, 2)),
         _FamilySpec((3,), "generic", (0, None, 1, 1), ((Fraction(1, 3), 3),)),
         _FamilySpec((3,), "d31=0", (0, None, 1, None), ((Fraction(1, 2), 2),),
                     zeros=("d31",)),
@@ -173,11 +173,11 @@ _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
     4: [
         _FamilySpec((1, 1, 1, 1), "generic", (0, None, 2, 3, 4), ((Fraction(1), 4),)),
         _FamilySpec((1, 1, 1, 1), "r=0", (0, None, None, 3, 4), ((Fraction(1), 4),),
-                    solve=(("d12", 2, 2),)),
+                    solve=("d12", 2, 2)),
         _FamilySpec((1, 1, 1, 1), "p=0", (0, None, 2, None, 4), ((Fraction(1), 4),),
-                    solve=(("d12", 3, 3),)),
+                    solve=("d12", 3, 3)),
         _FamilySpec((1, 1, 1, 1), "q=0", (0, None, 2, 3, None), ((Fraction(1), 3),),
-                    solve=(("d14", 4, 4),)),
+                    solve=("d14", 4, 4)),
         _FamilySpec((1, 1, 1, 1), "p=q=0", (0, None, 2, None, None), ((Fraction(1), 2),),
                     zeros=("d11", "d13", "d14", "d22", "d23", "d24",
                            "d31", "d32", "d41", "d42", "d43", "d44"),
@@ -187,14 +187,14 @@ _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
         _FamilySpec((2, 1, 1), "d21=0", (0, None, 2, 2, 3),
                     ((Fraction(2, 3), 3), (Fraction(1), 1)), zeros=("d21",)),
         _FamilySpec((2, 1, 1), "p=0", (0, None, 1, None, 3),
-                    ((Fraction(1, 2), 2), (Fraction(1), 2)), solve=(("d24", 3, 2),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), solve=("d24", 3, 2)),
         _FamilySpec((2, 1, 1), "q=0", (0, None, 1, 2, None),
-                    ((Fraction(1, 2), 2), (Fraction(1), 1)), solve=(("d34", 4, 3),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 1)), solve=("d34", 4, 3)),
         _FamilySpec((2, 2), "generic", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),)),
         _FamilySpec((2, 2), "d21=d43=0", (0, None, 2, 2, 2), ((Fraction(1, 2), 4),),
                     zeros=("d21", "d43")),
         _FamilySpec((2, 2), "p=0", (0, None, 1, 2, 3),
-                    ((Fraction(1, 2), 2), (Fraction(1), 2)), solve=(("d23", 4, 2),)),
+                    ((Fraction(1, 2), 2), (Fraction(1), 2)), solve=("d23", 4, 2)),
         _FamilySpec((2, 2), "d21=d43=0,p=0", (0, None, 2, 2, 3),
                     ((Fraction(2, 3), 3), (Fraction(1), 1)), zeros=("d21", "d43", "d23")),
         _FamilySpec((2, 2), "p=q=0", (0, None, 1, 2, None),
@@ -204,7 +204,7 @@ _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
         _FamilySpec((3, 1), "generic", (0, None, 1, 1, 2),
                     ((Fraction(1, 3), 3), (Fraction(1), 1))),
         _FamilySpec((3, 1), "q=0", (0, None, 1, 1, None), ((Fraction(1, 3), 3),),
-                    solve=(("d34", 4, 2),)),
+                    solve=("d34", 4, 2)),
         _FamilySpec((3, 1), "d31=0", (0, None, 1, 2, 2), ((Fraction(1, 2), 4),),
                     zeros=("d31",)),
         _FamilySpec((3, 1), "d32=0", (0, None, 2, 1, 2),
@@ -220,6 +220,10 @@ _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
 }
 
 
+class RealizationError(RuntimeError):
+    """No seeded draw of a catalog family met its valuation constraints."""
+
+
 def _alpha_matches(cp: CharPoly, alpha) -> bool:
     for coeff, want in zip(cp.coeffs, alpha):
         o = coeff.ord()
@@ -231,23 +235,25 @@ def _alpha_matches(cp: CharPoly, alpha) -> bool:
     return True
 
 
-def _solve_linear(template, direction, var, i, power) -> Optional[ExactComplex]:
-    """Exact value of `var` cancelling the t^power part of a_i, if unique.
+def _solve_linear(template, direction, var, i, power
+                  ) -> Optional[Tuple[ExactComplex, CharPoly]]:
+    """(v, charpoly) for the exact value v of `var` that cancels the t^power
+    part of a_i, if unique, and the charpoly of the matrix with var = v.
 
     Every `solve` variable occupies a single matrix position (diagonal
     placeholders such as d11 may fill two, but are never solved for), and a
-    determinant is affine in any one entry, so a_i is affine in that slope;
-    two evaluations determine the line.
+    determinant is affine in any one entry, so every coefficient of the
+    charpoly is affine in that slope: the charpolys cp0, cp1 at 0 and 1
+    determine the line, and the charpoly at v is cp0 + v (cp1 - cp0).
     """
-    def coeff(value):
-        m = build_direction_matrix(template, dict(direction, **{var: value}))
-        return charpoly_traces(m).coefficient(i).coefficient(power)
-
-    c0, c1 = coeff(EC_ZERO), coeff(EC_ONE)
-    slope = c1 - c0
+    cp0, cp1 = (charpoly_traces(build_direction_matrix(template, dict(direction, **{var: x})))
+                for x in (EC_ZERO, EC_ONE))
+    c0 = cp0.coefficient(i).coefficient(power)
+    slope = cp1.coefficient(i).coefficient(power) - c0
     if not slope:
         return None
-    return -c0 / slope
+    v = -c0 / slope
+    return v, CharPoly([p0 + (p1 - p0).scale(v) for p0, p1 in zip(cp0.coeffs, cp1.coeffs)])
 
 
 def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
@@ -264,17 +270,15 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
                 direction[nm] = ec(pinned[nm])
             else:
                 direction[nm] = ec(rng.choice(nonzero_pool))
-        ok = True
-        for var, i, power in spec.solve:
-            val = _solve_linear(template, direction, var, i, power)
-            if val is None:
-                ok = False
-                break
-            direction[var] = val
-        if not ok:
-            continue
-        matrix = build_direction_matrix(template, direction)
-        cp = charpoly_traces(matrix)
+        if spec.solve:
+            solved = _solve_linear(template, direction, *spec.solve)
+            if solved is None:
+                continue
+            direction[spec.solve[0]], cp = solved
+            matrix = build_direction_matrix(template, direction)
+        else:
+            matrix = build_direction_matrix(template, direction)
+            cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
         flat = next(k for k, a in enumerate(reversed(spec.alpha)) if a is not None)
@@ -285,7 +289,7 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
                        "generic": spec.constraint == "generic", "direction": direction,
                        "coeff_orders": spec.alpha},
                       known_charpoly=cp)
-    raise RuntimeError(
+    raise RealizationError(
         f"could not realize family {spec.partition} '{spec.constraint}'")
 
 

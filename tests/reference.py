@@ -17,6 +17,66 @@ from tropeig.poly import ScalarPoly
 from tropeig.tropical import SplittingReport, TropicalPoly, TropicalRoot
 
 
+@dataclass(frozen=True)
+class RefComplex:
+    """(re + im*i) + (sre + sim*i) * sqrt(rad) with four Fraction components,
+    computed component by component: an oracle for ExactComplex, which keeps
+    integer numerators over one denominator.  rad is 0 exactly when the surd
+    part is, and a value made by an operation takes the operands' radicand."""
+
+    re: Fraction
+    im: Fraction
+    sre: Fraction = Fraction(0)
+    sim: Fraction = Fraction(0)
+    rad: int = 0
+
+    @staticmethod
+    def of(z: ExactComplex) -> "RefComplex":
+        return RefComplex(z.re, z.im, z.sre, z.sim, z.rad)
+
+    @staticmethod
+    def _make(re, im, sre, sim, rad) -> "RefComplex":
+        return RefComplex(re, im, sre, sim, rad if sre or sim else 0)
+
+    def __add__(self, o):
+        return RefComplex._make(self.re + o.re, self.im + o.im, self.sre + o.sre,
+                                self.sim + o.sim, self.rad or o.rad)
+
+    def __neg__(self):
+        return RefComplex(-self.re, -self.im, -self.sre, -self.sim, self.rad)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __mul__(self, o):
+        m = self.rad or o.rad
+        a, b, c, d, e, f, g, h = (self.re, self.im, self.sre, self.sim,
+                                  o.re, o.im, o.sre, o.sim)
+        return RefComplex._make(a * e - b * f + m * (c * g - d * h),
+                                a * f + b * e + m * (c * h + d * g),
+                                a * g - b * h + c * e - d * f,
+                                a * h + b * g + c * f + d * e, m)
+
+    def conjugate(self):
+        return RefComplex(self.re, -self.im, self.sre, -self.sim, self.rad)
+
+    def inverse(self):
+        # 1/(g + h r) = (g - h r) / (g^2 - rad h^2), and 1/N = conj(N) / |N|^2
+        flip = RefComplex(self.re, self.im, -self.sre, -self.sim, self.rad)
+        n = self * flip
+        norm = n.re * n.re + n.im * n.im
+        return flip * RefComplex(n.re / norm, -n.im / norm)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def to_complex(self) -> complex:
+        z = complex(self.re) + 1j * complex(self.im)
+        if self.rad:
+            z += (complex(self.sre) + 1j * complex(self.sim)) * math.sqrt(self.rad)
+        return z
+
+
 def invert_matrix(rows):
     """Exact Gauss-Jordan inverse, pivoting on any nonzero entry; raises
     ZeroDivisionError on singular input."""

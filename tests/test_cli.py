@@ -13,6 +13,9 @@ from tropeig.cli import main
 from tropeig.models import example_names
 from tropeig.serialize import dumps
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -94,6 +97,13 @@ class TestAnalyze:
                            flag, path)
         assert code == 1 and len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
+    def test_unwritable_plot_writes_no_report(self, tmp_path, capsys):
+        # every plot is rendered and every target opened before the report
+        path = str(tmp_path / "missing" / "x.svg")
+        code, out, err = run(capsys, "analyze", "--charpoly", str(GOLDEN / "analyze_flat.json"),
+                             "--emit-svg", path)
+        assert code == 1 and out == "" and err == f"error: {path}: No such file or directory\n"
+
     def test_plot_emission(self, tmp_path, capsys):
         csv = tmp_path / "plot.csv"
         svg = tmp_path / "plot.svg"
@@ -122,6 +132,17 @@ class TestCatalog:
     def test_output_to_a_directory_exits_usage(self, tmp_path, capsys):
         code, out, err = run(capsys, "catalog", "2", "-o", str(tmp_path))
         assert code == 1 and out == "" and err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("argv", [["catalog", "2"],
+                                      ["verify", "--jordan", "2", "--constraint", "impossible"]])
+    def test_unrealizable_family_exits_mismatch(self, capsys, monkeypatch, argv):
+        from tropeig import jordan
+        # lambda^2 - d21 t: a_2 has valuation 1 whatever the slope, never 2
+        impossible = jordan._FamilySpec((2,), "impossible", (0, None, 2), ())
+        monkeypatch.setitem(jordan._CATALOG_SPECS, 2, [impossible])
+        code, out, err = run(capsys, *argv)
+        assert code == 5 and out == ""
+        assert err == "error: could not realize family (2,) 'impossible'\n"
 
     def test_json_output_agrees(self, capsys):
         code, out, _ = run(capsys, "catalog", "3", "--format", "json")
@@ -420,8 +441,6 @@ class TestDeterminism:
         assert out1 == out2
 
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
 # imports tropeig, runs `tropeig argv` when argv is given, and reports on
 # stderr, after exit, whether numpy was ever imported, which tropeig modules
 # were, and which other modules were imported after tropeig

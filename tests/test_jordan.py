@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import AMBIGUOUS_CHAIN, dense, jordan_matrix, weyr_by_powers
-from tropeig.charpoly import charpoly_direct
+from tropeig.charpoly import charpoly_direct, charpoly_traces
 from tropeig.exact import ec
 from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, _placeholders, _terms, catalog_families,
                             partitions, validate_partition)
@@ -144,6 +144,16 @@ class TestCatalog:
                 if p["generic"]:
                     assert roots_set(fam.expected) == frozenset(bold[p["partition"]])
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stored_charpoly_is_the_matrix_charpoly(self, seed):
+        # a solved family's charpoly is read off the line through the
+        # charpolys at slopes 0 and 1, not expanded from its matrix
+        for n in (2, 3, 4):
+            for fam in catalog_families(n, seed=seed):
+                stored = fam.__dict__["charpoly"]  # seeded, not computed on first use
+                assert stored == charpoly_traces(fam.matrix), fam.name
+                assert stored == charpoly_direct(fam.matrix), fam.name
+
     def test_deterministic_given_seed(self):
         a = catalog_families(3, seed=7)
         b = catalog_families(3, seed=7)
@@ -156,8 +166,8 @@ class TestCatalog:
 
     def test_solve_variables_occupy_one_position(self):
         # _solve_linear assumes a_i is affine in the solved slope
-        solved = {(spec.partition, var) for specs in _CATALOG_SPECS.values()
-                  for spec in specs for var, _, _ in spec.solve}
+        solved = {(spec.partition, spec.solve[0]) for specs in _CATALOG_SPECS.values()
+                  for spec in specs if spec.solve}
         assert len(solved) == 8
         for partition, var in solved:
             assert self.positions(partition, var) == 1, (partition, var)
@@ -169,7 +179,7 @@ class TestCatalog:
         for specs in _CATALOG_SPECS.values():
             for spec in specs:
                 named = ({*spec.zeros} | {name for name, _ in spec.fixed}
-                         | {var for var, _, _ in spec.solve})
+                         | ({spec.solve[0]} if spec.solve else set()))
                 assert named <= set(_placeholders(_TEMPLATES[spec.partition])), spec
 
     def test_bad_dimension(self):

@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reference import invert_matrix, rescale_t
+from reference import RefComplex, invert_matrix, rescale_t
 from tropeig.exact import EC_I, EC_ONE, ExactComplex, ec
 from tropeig.poly import Ord, ScalarPoly, cos_series, sin_series
 
@@ -64,6 +67,103 @@ class TestExactComplex:
                     for k in range(3):
                         acc = acc + rows[i][k] * inv[k][j]
                     assert acc == (EC_ONE if i == j else ExactComplex())
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two elements of Q(i) or of one Q(i, sqrt(rad)), either of which may
+    have no surd part; components are rationals with denominators."""
+    rad = draw(st.sampled_from((0, 2, 3, 5, 6)))
+
+    def scalar():
+        re, im = draw(RATIONALS), draw(RATIONALS)
+        if rad and draw(st.booleans()):
+            return ExactComplex(re, im, draw(RATIONALS), draw(RATIONALS), rad)
+        return ExactComplex(re, im)
+    return scalar(), scalar()
+
+
+def _assert_canonical(z: ExactComplex):
+    assert math.gcd(z.nre, z.nim, z.nsre, z.nsim, z.den) == 1 and z.den > 0
+    assert (z.rad == 0) == (z.nsre == 0 and z.nsim == 0)
+
+
+class TestExactComplexAgainstReference:
+    """ExactComplex against RefComplex, which keeps four Fractions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_pairs())
+    def test_field_operations(self, pair):
+        a, b = pair
+        ra, rb = RefComplex.of(a), RefComplex.of(b)
+        results = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                   (-a, -ra), (a.conjugate(), ra.conjugate())]
+        if b:
+            results += [(a / b, ra / rb), (b.inverse(), rb.inverse())]
+        for ours, theirs in results:
+            _assert_canonical(ours)
+            assert RefComplex.of(ours) == theirs
+            assert ours.to_complex() == theirs.to_complex()
+        if not b:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_pairs())
+    def test_equality_hash_and_round_trip(self, pair):
+        a, b = pair
+        _assert_canonical(a)
+        again = ExactComplex(a.re, a.im, a.sre, a.sim, a.rad)
+        assert again == a and hash(again) == hash(a)
+        assert (again.nre, again.nim, again.nsre, again.nsim, again.den, again.rad) == \
+            (a.nre, a.nim, a.nsre, a.nsim, a.den, a.rad)
+        assert (a == b) == (RefComplex.of(a) == RefComplex.of(b))
+        assert a + b - b == a and hash(a + b - b) == hash(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 30, 10 ** 30),
+           st.integers(1, 10 ** 12), st.integers(-50, 50).filter(bool))
+    def test_integer_fast_path_and_rational_division(self, re, im, d, k):
+        z = ExactComplex(re, im)
+        assert (z.nre, z.nim, z.den, z.rad) == (re, im, 1, 0)
+        q = Fraction(k, d)
+        assert RefComplex.of(z / q) == RefComplex(Fraction(re) / q, Fraction(im) / q)
+        assert z / k == z / Fraction(k) and z / True == z
+        _assert_canonical(z / q)
+
+    def test_value_is_read_only(self):
+        z = ec(Fraction(1, 2), 3)
+        for name in ("nre", "nim", "nsre", "nsim", "den", "rad", "re", "im"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+        assert z == ec(Fraction(1, 2), 3) and z != Fraction(1, 2) and z != 0
+        w = ExactComplex(1, Fraction(2, 3), Fraction(-1, 6), 1, 7)
+        assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+    def test_mixed_radicands_raise(self):
+        r2, r5 = ExactComplex.radical(2, 1), ExactComplex.radical(5, Fraction(1, 3))
+        for op in (lambda: r2 + r5, lambda: r2 - r5, lambda: r2 * r5, lambda: r2 / r5):
+            with pytest.raises(ValueError, match="^mixed radicands 2 and 5$"):
+                op()
+
+    @pytest.mark.parametrize("rad", [0, 1, 4, 8, 9, 12, 18, -3])
+    def test_radicand_not_square_free_raises(self, rad):
+        with pytest.raises(ValueError, match=f"^radicand must be square-free and >= 2, "
+                                             f"got {rad}$"):
+            ExactComplex(1, 0, Fraction(1, 2), 0, rad)
+        assert ExactComplex(1, 0, 0, 0, rad) == ExactComplex(1)  # no surd part
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExactComplex(0.5), lambda: ExactComplex(1, 0.0),
+        lambda: ExactComplex(1, 0, 0.5, 0, 2), lambda: ec(1) + 1.5, lambda: ec(1) * 0.5,
+        lambda: ec(1) / 0.5, lambda: 2.0 - ec(1),
+    ])
+    def test_float_input_raises(self, make):
+        with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+            make()
 
 
 class TestOrd:
