@@ -58,9 +58,9 @@ class ExactComplex:
     __slots__ = ("nre", "nim", "nsre", "nsim", "den", "rad")
 
     def __new__(cls, re=0, im=0, sre=0, sim=0, rad=0):
-        if re.__class__ is int and im.__class__ is int and sim.__class__ is int \
-                and sre.__class__ is int:
-            den = 1
+        if (re.__class__ is int and im.__class__ is int
+                and sre.__class__ is int and sim.__class__ is int):
+            den = 1  # fast path: plain int parts are their own numerators
         else:
             parts = [_as_fraction(x) for x in (re, im, sre, sim)]
             den = lcm(*(f.denominator for f in parts))

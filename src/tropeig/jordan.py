@@ -275,9 +275,8 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
             if solved is None:
                 continue
             direction[spec.solve[0]], cp = solved
-            matrix = build_direction_matrix(template, direction)
-        else:
-            matrix = build_direction_matrix(template, direction)
+        matrix = build_direction_matrix(template, direction)
+        if not spec.solve:
             cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
