@@ -99,6 +99,18 @@ def _cases():
         cases[f"verify-jordan-{p.replace(',', '')}"] = ["verify", "--jordan", p, "--braid"]
     for f in FAMILY_FILES:
         cases[f"verify-file-{Path(f).stem}"] = ["verify", "--file", str(GOLDEN / f), "--braid"]
+    # the failure exits: an unknown O(t^2) coefficient runs no check (2); the
+    # EP2 blocks of an open chain split alike, so the braid refuses (3); a
+    # perfect-power charpoly stalls the root iteration, with nothing on
+    # stdout (6); and at |t| = 1e300 the branches are no longer asymptotic (6)
+    cases["verify-example-lieb_pi_diag-order2"] = ["verify", "--example", "lieb_pi_diag",
+                                                   "--param", "series_order=2", "--braid"]
+    cases["verify-example-hatano_nelson-L4-obc"] = ["verify", "--example", "hatano_nelson",
+                                                    "--param", "L=4", "--param", "regime=obc",
+                                                    "--braid"]
+    cases["verify-example-hatano_nelson-L8-obc"] = ["verify", "--example", "hatano_nelson",
+                                                    "--param", "L=8", "--param", "regime=obc"]
+    cases["verify-jordan-4-t0-1e300"] = ["verify", "--jordan", "4", "--t0", "1e300"]
     return cases
 
 

@@ -26,8 +26,10 @@ def _reject(constant):
 
 
 @pytest.mark.parametrize("case", sorted(c for c, argv in CASES.items()
-                                        if argv[0] != "catalog" or "json" in argv))
+                                        if (argv[0] != "catalog" or "json" in argv)
+                                        and (OUTPUTS / f"{c}.out").stat().st_size))
 def test_json_output_is_strict(case):
+    # a failed root iteration writes only its error line, to stderr
     # json.loads alone accepts NaN and Infinity, which RFC 8259 does not
     json.loads((OUTPUTS / f"{case}.out").read_text(), parse_constant=_reject)
 
