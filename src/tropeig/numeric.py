@@ -348,7 +348,9 @@ def _edge_distances(edge_roots: Sequence[complex], roots: Sequence[complex]):
 
 
 def _mean_log(zs: Sequence[complex]) -> float:
-    return sum(math.log(abs(z)) if z else -math.inf for z in zs) / len(zs)
+    # fsum rounds once, so the mean does not depend on the Python version
+    # (sum of floats is compensated since 3.12)
+    return math.fsum(math.log(abs(z)) if z else -math.inf for z in zs) / len(zs)
 
 
 def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,

@@ -44,7 +44,8 @@ def _svd(rows) -> list[tuple[float, list[complex]]]:
             for row in rows]
     n = len(cols)
     for _ in range(60):
-        norms = [sum(z.real * z.real + z.imag * z.imag for z in col) for col in cols]
+        # fsum, as sum of floats is compensated since Python 3.12
+        norms = [math.fsum(z.real * z.real + z.imag * z.imag for z in col) for col in cols]
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
