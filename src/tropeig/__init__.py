@@ -34,8 +34,8 @@ _EXPORTS = {
                  "newton_polygon", "tropical_roots", "tropicalize"),
     "jordan": ("build_direction_matrix", "catalog_families", "partitions"),
     "weyr": ("JordanStructure", "WeyrAmbiguityError", "weyr_structure"),
-    "numeric": ("BraidPermutation", "LoopDegeneracyError", "SampleGrid", "VerificationResult",
-                "aberth_roots", "braid_loop", "fit_exponents"),
+    "numeric": ("BraidPermutation", "LoopDegeneracyError", "UndeterminedError",
+                "VerificationResult", "aberth_roots", "braid_loop", "fit_exponents"),
     "models": ("Family", "build_example", "cavity_dynamical", "circuit_laplacian",
                "default_families", "effective_liouvillian_example", "example_names",
                "hatano_nelson", "lieb", "torus_knot"),

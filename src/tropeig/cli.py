@@ -30,6 +30,10 @@ from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, DEFAULT_S
 OK, USAGE, UNDETERMINED, LOOP_FAILED, RANK_AMBIGUOUS, MISMATCH, CHECK_FAILED = range(7)
 
 
+class _Failed(Exception):
+    """Fails a command: main writes `error: <args[0]>` and returns args[1]."""
+
+
 def _emit(text: str, output, files=()):
     """Write text to the path output, or to stdout if it is None, and each
     (text, path) pair of files.  Every file is opened before anything is
@@ -127,21 +131,21 @@ def cmd_analyze(args) -> int:
     return UNDETERMINED if report.undetermined else OK
 
 
-def _unrealized(exc) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return MISMATCH
+def _catalog(n: int, seed: int):
+    """The catalog's families of size n; a family that no direction the seed
+    draws realizes fails the command with exit 5."""
+    from .jordan import RealizationError, catalog_families
+    try:
+        return catalog_families(n, seed=seed)
+    except RealizationError as exc:
+        raise _Failed(exc, MISMATCH) from None
 
 
 def cmd_catalog(args) -> int:
-    from .jordan import RealizationError, catalog_families
     from .serialize import dumps, family_to_json, report_to_json
     from .tropical import tropical_roots
-    families = []
-    try:
-        for n in ([args.n] if args.n else (2, 3, 4)):
-            families.extend(catalog_families(n, seed=args.seed))
-    except RealizationError as exc:
-        return _unrealized(exc)
+    families = [fam for n in ([args.n] if args.n else (2, 3, 4))
+                for fam in _catalog(n, args.seed)]
     rows = []
     mismatch = False
     for fam in families:
@@ -169,16 +173,13 @@ def cmd_catalog(args) -> int:
 
 
 def _resolve_family(args):
-    import dataclasses
-    from .jordan import catalog_families, validate_partition
-    from .models import Family
     from .serialize import ParseError, charpoly_from_json, polymatrix_from_json, report_from_json
-    from .tropical import tropical_roots
     if args.example is not None:
         return _example(args.example, args, "--example")
     if args.jordan is not None:
+        from .jordan import validate_partition
         partition = validate_partition(int(x) for x in args.jordan.split(","))
-        for fam in catalog_families(sum(partition), seed=args.seed):
+        for fam in _catalog(sum(partition), args.seed):
             if (fam.parameters["partition"] == partition
                     and fam.parameters["constraint"] == args.constraint):
                 return fam
@@ -193,6 +194,9 @@ def _resolve_family(args):
         realization = charpoly_from_json(obj["charpoly"], "$.charpoly")
     else:
         raise ParseError("$", "family file needs 'matrix' or 'charpoly'")
+    import dataclasses
+    from .models import Family
+    from .tropical import tropical_roots
     family = Family(obj.get("name", args.file), realization)
     # file families may omit the expectation; derive it from the input
     expected = (report_from_json(obj["expected"], "$.expected") if "expected" in obj
@@ -201,32 +205,23 @@ def _resolve_family(args):
 
 
 def cmd_verify(args) -> int:
-    from .jordan import RealizationError  # _resolve_family loads jordan anyway
-    from .numeric import (LoopDegeneracyError, NonConvergenceError, SampleGrid,
-                          _check_braid_arguments, _check_match_tol, braid_loop, fit_exponents)
+    from .numeric import (LoopDegeneracyError, NonConvergenceError, UndeterminedError,
+                          _check_braid_arguments, _check_fit_arguments, braid_loop,
+                          fit_exponents)
     from .serialize import braid_to_json, dumps, report_to_json, verification_to_json
-    from .tropical import tropical_roots
-    # usage errors win over the exit 2 of an undetermined prediction
-    _check_match_tol(args.tol)
+    # usage errors win over an unrealized family and an undetermined prediction
+    _check_fit_arguments(args.t0, args.phase, args.tol)
     if args.braid:
         _check_braid_arguments(args.eps0, args.steps)
-    try:
-        family = _resolve_family(args)
-    except RealizationError as exc:
-        return _unrealized(exc)
-    grid = SampleGrid(t0=args.t0, phase=args.phase)
+    family = _resolve_family(args)
     tolerances = {"match_tol": args.tol, "t0": args.t0, "phase": args.phase}
     if args.braid:
         tolerances.update(eps0=args.eps0, steps=args.steps)
     body = {"family": family.name,
             "expected": report_to_json(family.expected),
             "provenance": _provenance(seed=args.seed, **tolerances)}
-    if family.expected.undetermined or tropical_roots(family.charpoly).undetermined:
-        # samples would read an unknown truncated coefficient as 0: no check
-        _emit(dumps(body), args.output)
-        return UNDETERMINED
     try:
-        result = fit_exponents(family, grid, match_tol=args.tol)
+        result = fit_exponents(family, args.t0, args.phase, args.tol)
         body["verification"] = verification_to_json(result)
         status = OK if result.passed else CHECK_FAILED
         if args.braid:
@@ -237,9 +232,12 @@ def cmd_verify(args) -> int:
                 body["braid"]["predicted_cycle_lengths"] = list(predicted)
                 if tuple(predicted) != braid.cycle_lengths:
                     status = CHECK_FAILED
+    except UndeterminedError:
+        # samples would read an unknown truncated coefficient as 0: no check
+        _emit(dumps(body), args.output)
+        return UNDETERMINED
     except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_FAILED
+        raise _Failed(exc, CHECK_FAILED) from None
     except LoopDegeneracyError as exc:
         body["braid"] = {"error": str(exc)}
         _emit(dumps(body), args.output)
@@ -390,6 +388,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Failed as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return exc.args[1]
     except (ValueError, TypeError) as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -188,13 +188,6 @@ class ExactComplex:
                           -den * (c * p + d * q), -den * (d * p - c * q), p * p + q * q, m)
 
     def __truediv__(self, other):
-        if isinstance(other, int) or isinstance(other, Rational):
-            q = _as_fraction(other)
-            if not q:
-                raise ZeroDivisionError("division by zero")
-            k = q.denominator
-            return _canonical(self.nre * k, self.nim * k, self.nsre * k, self.nsim * k,
-                              self.den * q.numerator, self.rad)
         return self * ExactComplex.from_value(other).inverse()
 
     # -- conversions -------------------------------------------------------

@@ -73,24 +73,13 @@ class LoopDegeneracyError(RuntimeError):
     """The braid loop came too close to a degeneracy to track reliably."""
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """The check's two points, t0 * e^(i*phase) and 10^-CHECK_DECADES times it."""
-
-    t0: float = GRID_T0
-    phase: float = GRID_PHASE
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t0) and self.t0 > 0) or not math.isfinite(self.phase):
-            raise ValueError(f"need a finite t0 > 0 and a finite phase, "
-                             f"got t0={self.t0}, phase={self.phase}")
-
-    def points(self) -> Tuple[complex, complex]:
-        t = self.t0 * cmath.exp(1j * self.phase)
-        return t, t * 10.0 ** -CHECK_DECADES
+class UndeterminedError(ValueError):
+    """The prediction, or a coefficient that a sample would read as 0, is undetermined."""
 
 
-DEFAULT_GRID = SampleGrid()
+def _check_determined(cp: CharPoly) -> None:
+    if any(a.ord().is_undetermined for a in cp.coeffs):
+        raise UndeterminedError("a sample would read an unknown truncated coefficient as 0")
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +277,11 @@ class VerificationResult:
     diagnostics: Tuple[str, ...] = ()
 
 
-def _check_match_tol(match_tol: float) -> None:
+def _check_fit_arguments(t0: float, phase: float, match_tol: float) -> None:
     if not (math.isfinite(match_tol) and match_tol > 0):
         raise ValueError(f"match_tol must be finite and positive, got {match_tol}")
+    if not (math.isfinite(t0) and t0 > 0) or not math.isfinite(phase):
+        raise ValueError(f"need a finite t0 > 0 and a finite phase, got t0={t0}, phase={phase}")
 
 
 def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
@@ -348,18 +339,17 @@ def _edge_distances(edge_roots: Sequence[complex], roots: Sequence[complex]):
 
 
 def _mean_log(zs: Sequence[complex]) -> float:
-    # fsum rounds once, so the mean does not depend on the Python version
-    # (sum of floats is compensated since 3.12)
+    # fsum, as sum of floats is compensated since Python 3.12
     return math.fsum(math.log(abs(z)) if z else -math.inf for z in zs) / len(zs)
 
 
-def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
+def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE,
                   match_tol: float = MATCH_TOL) -> VerificationResult:
     """Check each predicted exponent on its own scale.
 
     For a predicted root omega of multiplicity m, the nonzero roots r of the
     edge polynomial E_omega are solved once, and the scaled polynomial q_t
-    (see _scaled_polynomial) at the grid's two points t1 and
+    (see _scaled_polynomial) at the two points t1 = t0 * e^(i*phase) and
     t2 = t1 / 10^CHECK_DECADES.  At each point the roots of q_t are assigned
     to the r at least total relative distance |mu - r| / |r|, and the root
     passes when
@@ -387,17 +377,22 @@ def fit_exponents(family: Family, grid: SampleGrid = DEFAULT_GRID,
     prediction.  Every root solve starts from Newton-polygon guesses and
     q_t has only non-negative powers of t, so deep points do not underflow.
     Mismatches produce ``passed=False`` with diagnostics rather than an
-    exception; a ``match_tol`` that is not finite and positive raises
-    ValueError.
+    exception.  Raises ValueError unless ``match_tol`` and ``t0`` are finite
+    and positive and ``phase`` is finite, then UndeterminedError when the
+    prediction or a charpoly coefficient is undetermined.
     """
-    _check_match_tol(match_tol)
+    _check_fit_arguments(t0, phase, match_tol)
     expected = family.expected
     if expected is None:
         raise ValueError("family carries no expected splitting report")
     cp = family.charpoly
+    _check_determined(cp)
+    if expected.undetermined:
+        raise UndeterminedError("the prediction is undetermined")
     zero_tracks = cp.trailing_zero_count()
     moving = cp.n - zero_tracks
-    t1, t2 = grid.points()
+    t1 = t0 * cmath.exp(1j * phase)
+    t2 = t1 * 10.0 ** -CHECK_DECADES
     floats = [a.float_table() for a in cp.coeffs[:moving + 1]]
     bound = 10.0 ** (-CHECK_DECADES / (2 * moving)) if moving else 0.0
 
@@ -592,9 +587,11 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     finite, or when a step would have to be shorter than that; flat zero
     modes, which coincide exactly, do not count as approaching, and when
     every eigenvalue is one the braid is the identity.  Raises ValueError
-    unless steps >= 1 and eps0 is finite and positive.
+    unless steps >= 1 and eps0 is finite and positive, then
+    UndeterminedError when a charpoly coefficient is undetermined.
     """
     _check_braid_arguments(eps0, steps)
+    _check_determined(family.charpoly)
     zeros, scale, tables = _loop_tables(family.charpoly, eps0)
     dtables = [[(e, e * c) for e, c in table if e] for table in tables]
     flat = [0j] * zeros

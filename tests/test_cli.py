@@ -134,15 +134,20 @@ class TestCatalog:
         assert code == 1 and out == "" and err == f"error: {tmp_path}: Is a directory\n"
 
     @pytest.mark.parametrize("argv", [["catalog", "2"],
-                                      ["verify", "--jordan", "2", "--constraint", "impossible"]])
+                                      ["verify", "--jordan", "2", "--constraint", "impossible"],
+                                      ["verify", "--jordan", "2", "--constraint", "impossible",
+                                       "--t0", "nan"]])
     def test_unrealizable_family_exits_mismatch(self, capsys, monkeypatch, argv):
         from tropeig import jordan
         # lambda^2 - d21 t: a_2 has valuation 1 whatever the slope, never 2
         impossible = jordan._FamilySpec((2,), "impossible", (0, None, 2), ())
         monkeypatch.setitem(jordan._CATALOG_SPECS, 2, [impossible])
         code, out, err = run(capsys, *argv)
-        assert code == 5 and out == ""
-        assert err == "error: could not realize family (2,) 'impossible'\n"
+        assert out == ""
+        if "--t0" in argv:  # a usage error wins over the unrealized family
+            assert code == 1 and err.startswith("error: need a finite t0 > 0")
+        else:
+            assert code == 5 and err == "error: could not realize family (2,) 'impossible'\n"
 
     def test_json_output_agrees(self, capsys):
         code, out, _ = run(capsys, "catalog", "3", "--format", "json")
@@ -231,7 +236,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("flag, message", [
         (["--tol", "nan"], "error: match_tol must be finite and positive"),
-        (["--steps", "0", "--braid"], "error: braid loop needs steps >= 1")])
+        (["--steps", "0", "--braid"], "error: braid loop needs steps >= 1"),
+        (["--t0", "nan"], "error: need a finite t0 > 0"),
+        (["--phase", "nan"], "error: need a finite t0 > 0 and a finite phase")])
     def test_usage_error_wins_over_undetermined(self, capsys, flag, message):
         code, out, err = run(capsys, "verify", "--example", "lieb_pi_diag",
                              "--param", "series_order=2", *flag)
@@ -513,6 +520,11 @@ assert set(tropeig.__all__) <= set(namespace)
         (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], EXACT),
         (["example", "effective_liouvillian"], EXACT | {"tropeig.models"}),
         (["example", "circuit_epsilon"], EXACT | {"tropeig.models"}),
+        # only --jordan draws from the catalog, which loads jordan and weyr
+        (["verify", "--example", "hatano_nelson", "--param", "L=5", "--param",
+          "regime=unidirectional"], EXACT | {"tropeig.models", "tropeig.numeric"}),
+        (["verify", "--file", str(GOLDEN / "family_matrix.json")],
+         EXACT | {"tropeig.models", "tropeig.numeric"}),
     ])
     def test_each_command_loads_only_its_layers(self, argv, allowed):
         loaded = probe(*argv)[1]

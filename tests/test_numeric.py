@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from tropeig.jordan import catalog_families, weyr_structure
 from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
                             hatano_nelson, torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
-                             LoopDegeneracyError, NonConvergenceError, SampleGrid,
+                             LoopDegeneracyError, NonConvergenceError, UndeterminedError,
                              _check_separated, _loop_step, _loop_tables, _match,
                              _nearest_within, _spacings, aberth_roots, braid_loop,
                              fit_exponents)
@@ -293,21 +294,28 @@ class TestCheckSeparated:
             _check_separated(roots, _spacings(roots, zeros))
 
 
-class TestSampleGrid:
-    def test_validation(self):
+class TestSamplePoints:
+    def test_validation(self, catalogs):
+        fam = catalogs[2][0]
         with pytest.raises(ValueError):
-            SampleGrid(t0=-1)
+            fit_exponents(fam, t0=-1)
         with pytest.raises(ValueError):
-            SampleGrid(phase=math.inf)
+            fit_exponents(fam, phase=math.inf)
         with pytest.raises(TypeError):
-            SampleGrid(ratio=0.5)  # the log-log grid's fields are gone
+            fit_exponents(fam, ratio=0.5)  # the log-log grid's fields are gone
 
-    def test_points(self):
-        g = SampleGrid(t0=1e-2, phase=math.pi / 2)
-        pts = g.points()
-        assert len(pts) == 2
-        assert pts[0] == pytest.approx(1e-2j)
-        assert pts[1] == pytest.approx(1e-2j * 10.0 ** -CHECK_DECADES)
+    def test_points(self, catalogs, monkeypatch):
+        # q_t is solved at t0 * e^(i*phase) and 10^-CHECK_DECADES times it
+        points = []
+        solve = numeric._scaled_roots
+        monkeypatch.setattr(numeric, "_scaled_roots",
+                            lambda tables, t: points.append(t) or solve(tables, t))
+        fam = catalogs[2][0]
+        assert len(fam.expected.roots) == 1
+        assert fit_exponents(fam, t0=1e-2, phase=math.pi / 2).passed
+        assert len(points) == 2
+        assert points[0] == pytest.approx(1e-2j)
+        assert points[1] == pytest.approx(1e-2j * 10.0 ** -CHECK_DECADES)
 
 
 class TestAberth:
@@ -574,7 +582,7 @@ class TestFitExponents:
             if not fam.parameters["generic"]:
                 continue
             base = fit_exponents(fam)
-            rot = fit_exponents(fam, SampleGrid(phase=0.9))
+            rot = fit_exponents(fam, phase=0.9)
             for c1, c2 in zip(base.clusters, rot.clusters):
                 assert abs(c1.exponent - c2.exponent) <= 0.01
 
@@ -752,12 +760,47 @@ class TestBraid:
                                                                             else (1, 1))
 
 
+class TestUndetermined:
+    """A sample would read an unknown truncated coefficient as 0, so both
+    checks refuse an undetermined family after their argument checks."""
+
+    @pytest.fixture
+    def lieb_o2(self):
+        # a_2 is an unknown O(t^2)
+        return build_example("lieb_pi_diag", series_order=2)
+
+    @pytest.mark.parametrize("call", [fit_exponents, braid_loop])
+    def test_refused(self, lieb_o2, call):
+        assert lieb_o2.charpoly.coeffs[2].ord().is_undetermined
+        with pytest.raises(UndeterminedError, match="unknown truncated coefficient"):
+            call(lieb_o2)
+
+    def test_argument_errors_come_first(self, lieb_o2):
+        with pytest.raises(ValueError, match="finite t0 > 0") as info:
+            fit_exponents(lieb_o2, t0=math.nan)
+        assert not isinstance(info.value, UndeterminedError)
+        with pytest.raises(ValueError, match="braid loop needs steps >= 1") as info:
+            braid_loop(lieb_o2, steps=0)
+        assert not isinstance(info.value, UndeterminedError)
+
+    def test_undetermined_prediction_is_refused(self, catalogs):
+        fam = catalogs[2][0]
+        report = SplittingReport(fam.expected.roots, None, undetermined=True)
+        with pytest.raises(UndeterminedError, match="prediction is undetermined"):
+            fit_exponents(dataclasses.replace(fam, expected=report))
+
+    def test_exported_as_a_value_error(self):
+        import tropeig
+        assert tropeig.UndeterminedError is UndeterminedError
+        assert issubclass(UndeterminedError, ValueError)
+
+
 @pytest.mark.parametrize("call, match", [
-    (lambda fam: SampleGrid(t0=math.nan), "finite t0 > 0"),
-    (lambda fam: SampleGrid(t0=math.inf), "finite t0 > 0"),
-    (lambda fam: SampleGrid(t0=0.0), "finite t0 > 0"),
-    (lambda fam: SampleGrid(phase=math.nan), "finite phase"),
-    (lambda fam: SampleGrid(phase=-math.inf), "finite phase"),
+    (lambda fam: fit_exponents(fam, t0=math.nan), "finite t0 > 0"),
+    (lambda fam: fit_exponents(fam, t0=math.inf), "finite t0 > 0"),
+    (lambda fam: fit_exponents(fam, t0=0.0), "finite t0 > 0"),
+    (lambda fam: fit_exponents(fam, phase=math.nan), "finite phase"),
+    (lambda fam: fit_exponents(fam, phase=-math.inf), "finite phase"),
     (lambda fam: fit_exponents(fam, match_tol=math.nan), "match_tol must be finite"),
     (lambda fam: fit_exponents(fam, match_tol=math.inf), "match_tol must be finite"),
     (lambda fam: fit_exponents(fam, match_tol=-1.0), "match_tol must be finite"),

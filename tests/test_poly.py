@@ -135,6 +135,11 @@ class TestExactComplexAgainstReference:
         assert z / k == z / Fraction(k) and z / True == z
         _assert_canonical(z / q)
 
+    @pytest.mark.parametrize("zero", [0, Fraction(0), False, ExactComplex()])
+    def test_division_by_zero_raises(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            ec(1, 2) / zero
+
     def test_value_is_read_only(self):
         z = ec(Fraction(1, 2), 3)
         for name in ("nre", "nim", "nsre", "nsim", "den", "rad", "re", "im"):
