@@ -71,6 +71,8 @@ class ScalarPoly:
         clean = {}
         if self.terms:
             for e, c in self.terms.items():
+                if e.__class__ is not int:
+                    raise TypeError(f"exponents must be int, got {e!r}")
                 if e < 0:
                     raise ValueError("negative exponent")
                 c = ExactComplex.from_value(c)

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,14 @@ class TestExactComplexAgainstReference:
 
 
 class TestOrd:
+    @pytest.mark.parametrize("exponent", [0.5, 2.0, Fraction(1), True, "1"])
+    def test_exponents_must_be_int(self, exponent):
+        # a float exponent used to fail deep in the charpoly kernel, and True
+        # printed as t^True
+        message = f"exponents must be int, got {exponent!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ScalarPoly({0: 1, exponent: 1})
+
     def test_smallest_nonzero_exponent(self):
         assert ScalarPoly({2: 3, 5: 1}).ord() == Ord.finite(2)
 
