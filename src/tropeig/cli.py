@@ -233,7 +233,7 @@ def cmd_verify(args) -> int:
                 if tuple(predicted) != braid.cycle_lengths:
                     status = CHECK_FAILED
     except UndeterminedError:
-        # samples would read an unknown truncated coefficient as 0: no check
+        # an undetermined charpoly or prediction: nothing is checked
         _emit(dumps(body), args.output)
         return UNDETERMINED
     except NonConvergenceError as exc:

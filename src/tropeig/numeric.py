@@ -339,7 +339,7 @@ def _edge_distances(edge_roots: Sequence[complex], roots: Sequence[complex]):
 
 
 def _mean_log(zs: Sequence[complex]) -> float:
-    # fsum, as sum of floats is compensated since Python 3.12
+    # fsum rounds alike on every Python; sum() is compensated from 3.12 on
     return math.fsum(math.log(abs(z)) if z else -math.inf for z in zs) / len(zs)
 
 

@@ -44,7 +44,7 @@ def _svd(rows) -> list[tuple[float, list[complex]]]:
             for row in rows]
     n = len(cols)
     for _ in range(60):
-        # fsum, as sum of floats is compensated since Python 3.12
+        # fsum rounds alike on every Python; sum() is compensated from 3.12 on
         norms = [math.fsum(z.real * z.real + z.imag * z.imag for z in col) for col in cols]
         rotated = False
         for p in range(n - 1):

@@ -169,8 +169,8 @@ class TestExactComplexAgainstReference:
 class TestOrd:
     @pytest.mark.parametrize("exponent", [0.5, 2.0, Fraction(1), True, "1"])
     def test_exponents_must_be_int(self, exponent):
-        # a float exponent used to fail deep in the charpoly kernel, and True
-        # printed as t^True
+        # a float exponent would fail deep in the charpoly kernel, and True
+        # would print as t^True
         message = f"exponents must be int, got {exponent!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             ScalarPoly({0: 1, exponent: 1})
