@@ -30,13 +30,13 @@ _EXPORTS = {
     "exact": ("EC_I", "EC_ONE", "EC_ZERO", "ExactComplex", "ec"),
     "poly": ("Ord", "ScalarPoly", "cos_series", "sin_series"),
     "charpoly": ("CharPoly", "PolyMatrix", "charpoly_direct", "charpoly_traces"),
-    "tropical": ("NewtonPolygon", "SplittingReport", "TropicalPoly", "TropicalRoot",
+    "tropical": ("Family", "NewtonPolygon", "SplittingReport", "TropicalPoly", "TropicalRoot",
                  "newton_polygon", "tropical_roots", "tropicalize"),
-    "jordan": ("build_direction_matrix", "catalog_families", "partitions"),
+    "jordan": ("build_direction_matrix", "catalog_families"),
     "weyr": ("JordanStructure", "WeyrAmbiguityError", "weyr_structure"),
     "numeric": ("BraidPermutation", "LoopDegeneracyError", "UndeterminedError",
                 "VerificationResult", "aberth_roots", "braid_loop", "fit_exponents"),
-    "models": ("Family", "build_example", "cavity_dynamical", "circuit_laplacian",
+    "models": ("build_example", "cavity_dynamical", "circuit_laplacian",
                "default_families", "effective_liouvillian_example", "example_names",
                "hatano_nelson", "lieb", "torus_knot"),
 }

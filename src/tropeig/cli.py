@@ -189,19 +189,18 @@ def _resolve_family(args):
     if not isinstance(obj, dict):
         raise ParseError("$", "family file must be a JSON object")
     if "matrix" in obj:
+        from .charpoly import charpoly_direct
         realization = polymatrix_from_json(obj["matrix"], "$.matrix")
+        cp = charpoly_direct(realization)
     elif "charpoly" in obj:
-        realization = charpoly_from_json(obj["charpoly"], "$.charpoly")
+        realization = cp = charpoly_from_json(obj["charpoly"], "$.charpoly")
     else:
         raise ParseError("$", "family file needs 'matrix' or 'charpoly'")
-    import dataclasses
-    from .models import Family
-    from .tropical import tropical_roots
-    family = Family(obj.get("name", args.file), realization)
+    from .tropical import Family, tropical_roots
     # file families may omit the expectation; derive it from the input
     expected = (report_from_json(obj["expected"], "$.expected") if "expected" in obj
-                else tropical_roots(family.charpoly))
-    return dataclasses.replace(family, expected=expected, known_charpoly=family.charpoly)
+                else tropical_roots(cp))
+    return Family(obj.get("name", args.file), realization, expected, known_charpoly=cp)
 
 
 def cmd_verify(args) -> int:
@@ -256,7 +255,7 @@ def cmd_example(args) -> int:
     body = {"name": family.name,
             "parameters": {k: str(v) for k, v in family.parameters.items()},
             **real_json,
-            "expected": report_to_json(family.expected) if family.expected else None,
+            "expected": report_to_json(family.expected),
             "annotations": list(family.annotations),
             "provenance": _provenance()}
     _emit(dumps(body), args.output)

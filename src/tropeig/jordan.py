@@ -24,26 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import DEFAULT_SEED
 from .charpoly import CharPoly, PolyMatrix, charpoly_traces
 from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
-from .models import Family, _report
 from .poly import ScalarPoly
+from .tropical import Family, _report
 # tropical_roots and weyr_structure are not called here; the benchmark reads
 # both bindings here (perfbench/layers.py, perfbench/tests/test_harness.py)
 from .tropical import tropical_roots  # noqa: F401
 from .weyr import weyr_structure  # noqa: F401
-
-
-def partitions(n: int):
-    """All partitions of n in non-increasing order, largest-first ordering."""
-
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    yield from gen(n, n)
 
 
 def validate_partition(p: Sequence[int]) -> Tuple[int, ...]:

@@ -1,5 +1,4 @@
-"""Builders for the physical example families, and the Family type every
-input to the pipeline shares.
+"""Builders for the physical example families, and their registry.
 
 Each builder returns a Family: a realization (an exact PolyMatrix in the
 perturbation variable, or an exact CharPoly when matrix entries are not
@@ -14,53 +13,13 @@ encoded exactly over a quadratic extension; see ``exact.ExactComplex``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .exact import EC_I, EC_ZERO, ExactComplex, ec
 from .poly import ScalarPoly, cos_series, sin_series
-from .tropical import SplittingReport, TropicalRoot
-
-
-@dataclass(frozen=True)
-class Family:
-    """One input to the pipeline: an exact realization and the splitting
-    report its tropical analysis must reproduce.
-
-    ``charpoly`` is the realization itself when that is a CharPoly, and
-    otherwise the Berkowitz expansion of the matrix, computed on first use.
-    A builder that already holds the characteristic polynomial passes it as
-    ``known_charpoly`` so it is not expanded a second time.
-    """
-
-    name: str
-    realization: Union[PolyMatrix, CharPoly]
-    expected: Optional[SplittingReport] = None
-    parameters: Dict[str, object] = field(default_factory=dict)
-    annotations: Tuple[str, ...] = ()
-    known_charpoly: InitVar[Optional[CharPoly]] = None
-
-    def __post_init__(self, known_charpoly):
-        if known_charpoly is not None:
-            self.__dict__["charpoly"] = known_charpoly  # seeds the cached property
-
-    @cached_property
-    def charpoly(self) -> CharPoly:
-        if isinstance(self.realization, CharPoly):
-            return self.realization
-        return charpoly_direct(self.realization)
-
-    @property
-    def matrix(self) -> Optional[PolyMatrix]:
-        """The realization if it is a matrix, else None."""
-        return self.realization if isinstance(self.realization, PolyMatrix) else None
-
-
-def _report(roots, zero=0) -> SplittingReport:
-    return SplittingReport(tuple(TropicalRoot(Fraction(w), m) for w, m in roots), zero)
+from .tropical import Family, SplittingReport, _report
 
 
 def _reject_unread(where: str, **params) -> None:

@@ -46,9 +46,8 @@ from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHAS
 # benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
 from .charpoly import CharPoly, charpoly_direct  # noqa: F401
 from .exact import EC_ZERO, ExactComplex
-from .models import Family
 from .poly import horner_table
-from .tropical import TropicalRoot, _lower_hull
+from .tropical import Family, TropicalRoot, _lower_hull
 
 # Aberth stops once every relative step is below this (about 225 ulps)
 ROOT_TOL = 5e-14
@@ -63,10 +62,7 @@ EXACT_DISTANCE = 1e-10
 
 
 class NonConvergenceError(RuntimeError):
-    def __init__(self, message, iterations, residual):
-        super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
-        self.iterations = iterations
-        self.residual = residual
+    """The root iteration did not converge within ROOT_ITERATIONS sweeps."""
 
 
 class LoopDegeneracyError(RuntimeError):
@@ -168,7 +164,8 @@ def aberth_roots(coeffs: Sequence[complex],
         if stalled >= 8 and max_step <= 1e-4:
             return z + [0j] * tail_zeros
         prev_step = max_step
-    raise NonConvergenceError("root iteration did not converge", ROOT_ITERATIONS, max_step)
+    raise NonConvergenceError(f"root iteration did not converge "
+                              f"(iterations={ROOT_ITERATIONS}, residual={max_step:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +380,6 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     """
     _check_fit_arguments(t0, phase, match_tol)
     expected = family.expected
-    if expected is None:
-        raise ValueError("family carries no expected splitting report")
     cp = family.charpoly
     _check_determined(cp)
     if expected.undetermined:

@@ -4,8 +4,9 @@ A ScalarPoly maps exponents (non-negative ints) to ExactComplex coefficients.
 Zero coefficients are never stored, so the valuation ``ord`` is just the
 smallest stored exponent and identity testing is dictionary equality.
 
-Truncated power series reuse the same container: ``trunc = k`` means "terms
-of degree >= k are unknown", not "they are zero".  Consequently the valuation
+Truncated power series reuse the same container: ``trunc = k``, a
+non-negative int (None for an exact polynomial), means "terms of degree >= k
+are unknown", not "they are zero".  Consequently the valuation
 of a polynomial that is empty *up to its truncation order* is reported as
 undetermined rather than infinite; downstream code must refuse to guess in
 that case (see Ord.kind == "undetermined").
@@ -68,6 +69,12 @@ class ScalarPoly:
     trunc: Optional[int] = None
 
     def __post_init__(self):
+        trunc = self.trunc
+        if trunc is not None:
+            if trunc.__class__ is not int:
+                raise TypeError(f"trunc must be int or None, got {trunc!r}")
+            if trunc < 0:
+                raise ValueError("negative trunc")
         clean = {}
         if self.terms:
             for e, c in self.terms.items():
@@ -76,7 +83,7 @@ class ScalarPoly:
                 if e < 0:
                     raise ValueError("negative exponent")
                 c = ExactComplex.from_value(c)
-                if c and (self.trunc is None or e < self.trunc):
+                if c and (trunc is None or e < trunc):
                     clean[e] = c
         object.__setattr__(self, "terms", clean)
 

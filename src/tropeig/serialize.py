@@ -156,19 +156,21 @@ def report_from_json(obj, path: str = "$") -> SplittingReport:
     undetermined = obj.get("undetermined", False)
     if not isinstance(undetermined, bool):
         raise ParseError(f"{path}.undetermined", f"expected true or false, got {undetermined!r}")
-    roots = []
+    roots = {}
     for i, item in enumerate(obj["roots"]):
         rpath = f"{path}.roots[{i}]"
         if not isinstance(item, dict) or "omega" not in item or "mult" not in item:
             raise ParseError(rpath, "root needs 'omega' and 'mult'")
-        roots.append(TropicalRoot(parse_frac(item["omega"], f"{rpath}.omega"),
-                                  _count(item["mult"], 1, f"{rpath}.mult")))
+        omega = parse_frac(item["omega"], f"{rpath}.omega")
+        if omega in roots:
+            raise ParseError(f"{rpath}.omega", f"repeated omega {omega}")
+        roots[omega] = TropicalRoot(omega, _count(item["mult"], 1, f"{rpath}.mult"))
     zero = obj.get("zero_roots", 0)
     if zero is None and not undetermined:
         raise ParseError(f"{path}.zero_roots", "null needs undetermined: true")
     if zero is not None:
         zero = _count(zero, 0, f"{path}.zero_roots")
-    return SplittingReport(tuple(roots), zero, undetermined)
+    return SplittingReport(tuple(roots.values()), zero, undetermined)
 
 
 def polygon_to_json(np_: NewtonPolygon) -> dict:

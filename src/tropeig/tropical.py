@@ -23,16 +23,21 @@ value 0.  Valuations that are only known to exceed a truncation order poison
 the result: the report is flagged ``undetermined`` instead of guessing, and
 when such a coefficient lies right of the last finite one the zero-root count
 is unknown too and reported as None.
+
+A Family pairs an exact realization with the SplittingReport its analysis
+must reproduce: the one input type of the pipeline, shared by the catalog,
+the example builders and files read by the CLI.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .charpoly import CharPoly
+from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .poly import Ord
 
 
@@ -154,6 +159,44 @@ class SplittingReport:
                 return None
             cycles.extend([q] * (r.multiplicity // q))
         return tuple(sorted(cycles))
+
+
+def _report(roots, zero=0) -> SplittingReport:
+    return SplittingReport(tuple(TropicalRoot(Fraction(w), m) for w, m in roots), zero)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One input to the pipeline: an exact realization and the splitting
+    report its tropical analysis must reproduce.
+
+    ``charpoly`` is the realization itself when that is a CharPoly, and
+    otherwise the Berkowitz expansion of the matrix, computed on first use.
+    A caller that already holds the characteristic polynomial passes it as
+    ``known_charpoly`` so it is not expanded a second time.
+    """
+
+    name: str
+    realization: Union[PolyMatrix, CharPoly]
+    expected: SplittingReport
+    parameters: Dict[str, object] = field(default_factory=dict)
+    annotations: Tuple[str, ...] = ()
+    known_charpoly: InitVar[Optional[CharPoly]] = None
+
+    def __post_init__(self, known_charpoly):
+        if known_charpoly is not None:
+            self.__dict__["charpoly"] = known_charpoly  # seeds the cached property
+
+    @cached_property
+    def charpoly(self) -> CharPoly:
+        if isinstance(self.realization, CharPoly):
+            return self.realization
+        return charpoly_direct(self.realization)
+
+    @property
+    def matrix(self) -> Optional[PolyMatrix]:
+        """The realization if it is a matrix, else None."""
+        return self.realization if isinstance(self.realization, PolyMatrix) else None
 
 
 def tropicalize(c: CharPoly) -> TropicalPoly:

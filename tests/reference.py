@@ -131,6 +131,20 @@ def companion_matrix(coeffs: Sequence) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
+def partitions(n: int):
+    """All partitions of n, each in non-increasing order, the largest first."""
+
+    def gen(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    yield from gen(n, n)
+
+
 def jordan_matrix(partition: Sequence[int], lam=0) -> PolyMatrix:
     """Block-diagonal Jordan matrix with eigenvalue lam."""
     partition = validate_partition(partition)

@@ -274,6 +274,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
         assert code == 1 and out == "" and err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("roots", [
+        [("1/3", 2), ("1/3", 1), ("1", 1)],  # the golden's 1/3 x3 split in two
+        [("1/3", 3), ("1/3", 3), ("1", 1)],
+    ])
+    def test_repeated_omega_exit(self, tmp_path, capsys, roots):
+        fam = json.loads((GOLDEN / "family_matrix.json").read_text())
+        fam["expected"]["roots"] = [{"omega": w, "mult": m} for w, m in roots]
+        code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam),
+                             "--braid")
+        assert code == 1 and out == ""
+        assert err == "error: $.expected.roots[1].omega: repeated omega 1/3\n"
+
     @pytest.mark.parametrize("doc", [5, "matrix"])
     def test_non_object_family_file_exit(self, tmp_path, capsys, doc):
         code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", doc))
@@ -520,11 +532,14 @@ assert set(tropeig.__all__) <= set(namespace)
         (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], EXACT),
         (["example", "effective_liouvillian"], EXACT | {"tropeig.models"}),
         (["example", "circuit_epsilon"], EXACT | {"tropeig.models"}),
-        # only --jordan draws from the catalog, which loads jordan and weyr
+        # only --example builds a model; only catalog and --jordan draw from
+        # the catalog, which loads jordan and weyr
         (["verify", "--example", "hatano_nelson", "--param", "L=5", "--param",
           "regime=unidirectional"], EXACT | {"tropeig.models", "tropeig.numeric"}),
-        (["verify", "--file", str(GOLDEN / "family_matrix.json")],
-         EXACT | {"tropeig.models", "tropeig.numeric"}),
+        (["verify", "--file", str(GOLDEN / "family_matrix.json")], EXACT | {"tropeig.numeric"}),
+        (["catalog"], EXACT | {"tropeig.jordan", "tropeig.weyr"}),
+        (["verify", "--jordan", "2"],
+         EXACT | {"tropeig.jordan", "tropeig.weyr", "tropeig.numeric"}),
     ])
     def test_each_command_loads_only_its_layers(self, argv, allowed):
         loaded = probe(*argv)[1]
@@ -539,15 +554,17 @@ assert set(tropeig.__all__) <= set(namespace)
         # typing is left out: a site-packages .pth file may load it at start-up
         assert not probe(*argv)[2] & {"dataclasses", "inspect", "fractions"}
 
-    @pytest.mark.parametrize("argv, loads_numpy", [
-        ([], False), (["--version"], False), (["catalog"], False),
-        (["example", "effective_liouvillian"], False),
-        (["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")], False),
-        (["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")], False),
-        (["verify", "--jordan", "2", "--braid"], False),
-        (["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
-         False),
-    ])
-    def test_numpy_loads_only_for_float_commands(self, argv, loads_numpy):
+    NUMPY_ARGVS = [
+        [], ["--version"], ["catalog"], ["example", "effective_liouvillian"],
+        ["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")],
+        ["analyze", "--charpoly", str(GOLDEN / "analyze_charpoly.json")],
+        ["verify", "--jordan", "2", "--braid"],
+        ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
+    ]
+
+    # each id ends in the answer every row expects, "numpy loaded: False"
+    @pytest.mark.parametrize("argv", NUMPY_ARGVS,
+                             ids=[f"argv{i}-False" for i in range(len(NUMPY_ARGVS))])
+    def test_numpy_loads_only_for_float_commands(self, argv):
         # no command loads numpy, the float ones (verify, jordan) included
-        assert probe(*argv)[0] == f"numpy loaded: {loads_numpy}"
+        assert probe(*argv)[0] == "numpy loaded: False"

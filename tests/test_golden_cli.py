@@ -35,7 +35,7 @@ def test_json_output_is_strict(case):
 
 
 def test_corpus_covers_every_example_and_partition():
-    from tropeig.jordan import partitions
+    from reference import partitions
     from tropeig.models import example_names
 
     assert EXAMPLES == example_names()

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import AMBIGUOUS_CHAIN, dense, jordan_matrix, weyr_by_powers
+from reference import AMBIGUOUS_CHAIN, dense, jordan_matrix, partitions, weyr_by_powers
 from tropeig.charpoly import charpoly_direct, charpoly_traces
 from tropeig.exact import ec
 from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, _placeholders, _terms, catalog_families,
-                            partitions, validate_partition)
+                            validate_partition)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
 from tropeig import weyr

@@ -16,15 +16,15 @@ from tropeig import numeric
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
 from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families, weyr_structure
-from tropeig.models import (Family, build_example, cavity_dynamical, default_families,
-                            hatano_nelson, torus_knot)
+from tropeig.models import (build_example, cavity_dynamical, default_families, hatano_nelson,
+                            torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, UndeterminedError,
                              _check_separated, _loop_step, _loop_tables, _match,
                              _nearest_within, _spacings, aberth_roots, braid_loop,
                              fit_exponents)
 from tropeig.poly import ScalarPoly, horner_table
-from tropeig.tropical import SplittingReport, TropicalRoot
+from tropeig.tropical import Family, SplittingReport, TropicalRoot
 
 BRAID_EPS, BRAID_STEPS = 1e-6, 96
 

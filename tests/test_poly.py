@@ -175,6 +175,23 @@ class TestOrd:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             ScalarPoly({0: 1, exponent: 1})
 
+    @pytest.mark.parametrize("trunc", [True, False, 2.5, 2.0, Fraction(2), "2"])
+    def test_trunc_must_be_int(self, trunc):
+        # True printed as O(t^True) and 2.5 was kept as an order
+        message = f"trunc must be int or None, got {trunc!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            ScalarPoly({0: 1}, trunc)
+
+    def test_negative_trunc_rejected(self):
+        # -1 would drop the constant term and report ord >= -1
+        with pytest.raises(ValueError, match="^negative trunc$"):
+            ScalarPoly({0: 1}, trunc=-1)
+
+    def test_zero_trunc_keeps_no_term(self):
+        p = ScalarPoly({0: 1, 3: 2}, trunc=0)
+        assert p.terms == {} and p.trunc == 0
+        assert p.ord() == Ord.at_least(0) and str(p) == "0 + O(t^0)"
+
     def test_smallest_nonzero_exponent(self):
         assert ScalarPoly({2: 3, 5: 1}).ord() == Ord.finite(2)
 

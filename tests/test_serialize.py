@@ -148,6 +148,12 @@ class TestReportRoundTrip:
         with pytest.raises(ParseError, match=re.escape(where)):
             report_from_json(blob)
 
+    def test_repeated_omega_rejected(self):
+        # 2/6 is 1/3: one omega split over two entries
+        blob = {"roots": [{"omega": "1/3", "mult": 2}, {"omega": "2/6", "mult": 1}]}
+        with pytest.raises(ParseError, match=r"^\$\.roots\[1\]\.omega: repeated omega 1/3$"):
+            report_from_json(blob)
+
     def test_exact_omega_strings(self):
         rep = SplittingReport((TropicalRoot(Fraction(2, 3), 3),), 0)
         assert report_to_json(rep)["roots"][0]["omega"] == "2/3"
