@@ -177,7 +177,7 @@ class TestOrd:
 
     @pytest.mark.parametrize("trunc", [True, False, 2.5, 2.0, Fraction(2), "2"])
     def test_trunc_must_be_int(self, trunc):
-        # True printed as O(t^True) and 2.5 was kept as an order
+        # True would print as O(t^True), and 2.5 would be kept as an order
         message = f"trunc must be int or None, got {trunc!r}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             ScalarPoly({0: 1}, trunc)
