@@ -60,32 +60,28 @@ mixing two radicands is rejected with the same ValueError as ExactComplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, isqrt, lcm
 from typing import Tuple
 
-from .exact import _canonical
+from .exact import _canonical, _Frozen, _set
 from .poly import ScalarPoly
 
 
-@dataclass(frozen=True, slots=True)
-class PolyMatrix:
+class PolyMatrix(_Frozen):
     """Square matrix of ScalarPoly entries, immutable after construction.
 
     A container for the characteristic-polynomial algorithms, not a matrix
     algebra: builders fill the entries directly.
     """
 
-    rows: Tuple[Tuple[ScalarPoly, ...], ...]  # any square nested sequence on input
-    n: int = field(init=False)
+    __slots__ = ("rows", "n")
 
-    def __post_init__(self):
-        n = len(self.rows)
-        if n < 1 or any(len(r) != n for r in self.rows):
+    def __init__(self, rows: Tuple[Tuple[ScalarPoly, ...], ...]):  # any square nested sequence
+        n = len(rows)
+        if n < 1 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
-        rows = tuple(tuple(ScalarPoly.from_value(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
+        _set(self, "rows", tuple(tuple(ScalarPoly.from_value(x) for x in row) for row in rows))
+        _set(self, "n", n)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -95,19 +91,17 @@ class PolyMatrix:
         return f"PolyMatrix(n={self.n})"
 
 
-@dataclass(frozen=True, slots=True)
-class CharPoly:
+class CharPoly(_Frozen):
     """Monic degree-n polynomial in lambda with ScalarPoly coefficients."""
 
-    coeffs: Tuple[ScalarPoly, ...]
-    n: int = field(init=False)
+    __slots__ = ("coeffs", "n")
 
-    def __post_init__(self):
-        coeffs = tuple(ScalarPoly.from_value(c) for c in self.coeffs)
+    def __init__(self, coeffs: Tuple[ScalarPoly, ...]):
+        coeffs = tuple(ScalarPoly.from_value(c) for c in coeffs)
         if len(coeffs) < 2 or coeffs[0] != ScalarPoly.const(1):
             raise ValueError("coefficients must start with the constant 1")
-        object.__setattr__(self, "n", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
+        _set(self, "n", len(coeffs) - 1)
 
     def coefficient(self, i: int) -> ScalarPoly:
         """a_i, the coefficient of lambda^(n-i)."""

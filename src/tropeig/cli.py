@@ -132,11 +132,11 @@ def cmd_analyze(args) -> int:
 
 
 def _catalog(n: int, seed: int):
-    """The catalog's families of size n; a family that no direction the seed
-    draws realizes fails the command with exit 5."""
-    from .jordan import RealizationError, catalog_families
+    """The catalog's families of size n, drawn as they are iterated; a family
+    that no direction the seed draws realizes fails the command with exit 5."""
+    from .jordan import RealizationError, _draw_catalog
     try:
-        return catalog_families(n, seed=seed)
+        yield from _draw_catalog(n, seed)
     except RealizationError as exc:
         raise _Failed(exc, MISMATCH) from None
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, sqrt
 from numbers import Rational
+from operator import attrgetter
 
 
 def _is_square_free(m: int) -> bool:
@@ -49,7 +50,56 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class ExactComplex:
+class _Frozen:
+    """Base of the immutable value types: a subclass lists its fields in
+    ``__slots__``, in order ("__dict__" aside), and sets them in ``__init__``
+    with ``_fill``, or ``_set`` on hot paths.  Equality, hashing and repr are
+    over the field tuple, as a frozen dataclass has them; ExactComplex, made
+    only by _canonical, keeps its own and takes just the immutability."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._names = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._astuple = attrgetter(*cls._names)
+
+    def __setattr__(self, name, value=None):  # also __delattr__, which passes no value
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == self._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle; the default would set the slots
+        return _restore, (self.__class__, self._astuple(self)), getattr(self, "__dict__", None)
+
+
+_set = object.__setattr__
+
+
+def _fill(obj: _Frozen, *values) -> None:
+    """Set the fields of obj to values, in order."""
+    for name, value in zip(obj._names, values):
+        _set(obj, name, value)
+
+
+def _restore(cls, values) -> _Frozen:
+    obj = _new(cls)
+    _fill(obj, *values)
+    return obj
+
+
+class ExactComplex(_Frozen):
     """Element of Q(i, sqrt(rad)); ``rad == 0`` means plain Q(i).
 
     Immutable: the six integers of the canonical form are read-only.
@@ -68,11 +118,6 @@ class ExactComplex:
         if (sre or sim) and not _is_square_free(rad):
             raise ValueError(f"radicand must be square-free and >= 2, got {rad}")
         return _canonical(re, im, sre, sim, den, rad)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ExactComplex is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):  # copy and pickle; the default would set the slots
         return _canonical, (self.nre, self.nim, self.nsre, self.nsim, self.den, self.rad)

@@ -17,13 +17,12 @@ such as "d21" or "d22-d11"; _terms is the one reader of that syntax.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import DEFAULT_SEED
 from .charpoly import CharPoly, PolyMatrix, charpoly_traces
-from .exact import EC_ONE, EC_ZERO, ExactComplex, ec
+from .exact import EC_ONE, EC_ZERO, ExactComplex, _fill, _Frozen, ec
 from .poly import ScalarPoly
 from .tropical import Family, _report
 # tropical_roots and weyr_structure are not called here; the benchmark reads
@@ -116,18 +115,21 @@ def build_direction_matrix(template: Sequence[Sequence],
     return PolyMatrix([[build(x) for x in row] for row in template])
 
 
-@dataclass(frozen=True)
-class _FamilySpec:
-    partition: Tuple[int, ...]
-    constraint: str  # "generic" names the generic direction
-    # valuation ord(a_i) for i = 0..n; None means identically zero, and the
-    # trailing Nones count the flat branches
-    alpha: Tuple[Optional[int], ...]
-    roots: Tuple[Tuple[Fraction, int], ...]
-    zeros: Tuple[str, ...] = ()            # placeholders pinned to 0
-    fixed: Tuple[Tuple[str, int], ...] = ()  # placeholders pinned to a value
-    # solve placeholder var so that the t^power part of a_i cancels exactly
-    solve: Optional[Tuple[str, int, int]] = None  # (var, i, power)
+class _FamilySpec(_Frozen):
+    """``constraint`` "generic" names the generic direction.  ``alpha`` holds
+    the valuations ord(a_i) for i = 0..n; None means identically zero, and the
+    trailing Nones count the flat branches.  ``zeros`` lists the placeholders
+    pinned to 0 and ``fixed`` those pinned to a value; ``solve`` = (var, i,
+    power) solves placeholder var so that the t^power part of a_i cancels
+    exactly."""
+
+    __slots__ = ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve")
+
+    def __init__(self, partition: Tuple[int, ...], constraint: str,
+                 alpha: Tuple[Optional[int], ...], roots: Tuple[Tuple[Fraction, int], ...],
+                 zeros: Tuple[str, ...] = (), fixed: Tuple[Tuple[str, int], ...] = (),
+                 solve: Optional[Tuple[str, int, int]] = None):
+        _fill(self, partition, constraint, alpha, roots, zeros, fixed, solve)
 
 
 _CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
@@ -278,9 +280,16 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
         f"could not realize family {spec.partition} '{spec.constraint}'")
 
 
-def catalog_families(n: int, seed: int = DEFAULT_SEED) -> List[Family]:
-    """All perturbation families for nilpotent structures of dimension n."""
+def _draw_catalog(n: int, seed: int) -> Iterator[Family]:
+    """The families of catalog_families, each drawn only when asked for: a
+    caller that stops early draws the same families, and no later one."""
     if n not in _CATALOG_SPECS:
         raise ValueError(f"catalog covers n in {{2, 3, 4}}, got {n}")
     rng = random.Random(seed)
-    return [_draw_family(spec, rng) for spec in _CATALOG_SPECS[n]]
+    for spec in _CATALOG_SPECS[n]:
+        yield _draw_family(spec, rng)
+
+
+def catalog_families(n: int, seed: int = DEFAULT_SEED) -> List[Family]:
+    """All perturbation families for nilpotent structures of dimension n."""
+    return list(_draw_catalog(n, seed))

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,7 +44,7 @@ from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHAS
 # charpoly_direct is not called here; the binding stays importable for the
 # benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
 from .charpoly import CharPoly, charpoly_direct  # noqa: F401
-from .exact import EC_ZERO, ExactComplex
+from .exact import EC_ZERO, ExactComplex, _fill, _Frozen
 from .poly import horner_table
 from .tropical import Family, TropicalRoot, _lower_hull
 
@@ -244,8 +243,7 @@ def track_eigenvalues(eig_fn, params: Sequence[complex]):
 # the scaled-root check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusterFit:
+class ClusterFit(_Frozen):
     """One predicted exponent as the check saw it.
 
     ``exponent`` is the two-point exponent of the branches assigned to
@@ -258,20 +256,19 @@ class ClusterFit:
     the prefactors c of the branches lambda ~ c * t^omega.
     """
 
-    exponent: float
-    size: int
-    matched: Optional[TropicalRoot]
-    distance: float
-    rate: float
-    edge: Tuple[ExactComplex, ...]
+    __slots__ = ("exponent", "size", "matched", "distance", "rate", "edge")
+
+    def __init__(self, exponent: float, size: int, matched: Optional[TropicalRoot],
+                 distance: float, rate: float, edge: Tuple[ExactComplex, ...]):
+        _fill(self, exponent, size, matched, distance, rate, edge)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    clusters: Tuple[ClusterFit, ...]
-    zero_tracks: int
-    passed: bool
-    diagnostics: Tuple[str, ...] = ()
+class VerificationResult(_Frozen):
+    __slots__ = ("clusters", "zero_tracks", "passed", "diagnostics")
+
+    def __init__(self, clusters: Tuple[ClusterFit, ...], zero_tracks: int, passed: bool,
+                 diagnostics: Tuple[str, ...] = ()):
+        _fill(self, clusters, zero_tracks, passed, diagnostics)
 
 
 def _check_fit_arguments(t0: float, phase: float, match_tol: float) -> None:
@@ -439,26 +436,23 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
 # braids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BraidPermutation:
-    permutation: Tuple[int, ...]
-    cycle_lengths: Tuple[int, ...] = field(init=False)
+class BraidPermutation(_Frozen):
+    __slots__ = ("permutation", "cycle_lengths")
 
-    def __post_init__(self):
-        perm = self.permutation
-        if sorted(perm) != list(range(len(perm))):
-            raise ValueError(f"not a permutation: {perm}")
+    def __init__(self, permutation: Tuple[int, ...]):
+        if sorted(permutation) != list(range(len(permutation))):
+            raise ValueError(f"not a permutation: {permutation}")
         seen, cycles = set(), []
-        for start in range(len(perm)):
+        for start in range(len(permutation)):
             if start in seen:
                 continue
             length, cur = 0, start
             while cur not in seen:
                 seen.add(cur)
-                cur = perm[cur]
+                cur = permutation[cur]
                 length += 1
             cycles.append(length)
-        object.__setattr__(self, "cycle_lengths", tuple(sorted(cycles)))
+        _fill(self, permutation, tuple(sorted(cycles)))
 
 
 def _spacings(roots: Sequence[complex], zeros: int) -> List[float]:

@@ -14,20 +14,21 @@ that case (see Ord.kind == "undetermined").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .exact import EC_ONE, ExactComplex
+from .exact import EC_ONE, ExactComplex, _Frozen, _set
 
 
-@dataclass(frozen=True)
-class Ord:
+class Ord(_Frozen):
     """Valuation of a ScalarPoly: finite, +infinity, or unknown-but->=bound."""
 
-    kind: str  # "finite" | "infinite" | "undetermined"
-    value: Optional[int] = None  # exponent if finite, lower bound if undetermined
+    __slots__ = ("kind", "value")
+
+    def __init__(self, kind: str, value: Optional[int] = None):
+        _set(self, "kind", kind)  # "finite" | "infinite" | "undetermined"
+        _set(self, "value", value)  # exponent if finite, lower bound if undetermined
 
     @staticmethod
     def finite(k: int) -> "Ord":
@@ -61,23 +62,21 @@ class Ord:
         return f">={self.value}?"
 
 
-@dataclass(frozen=True, slots=True)
-class ScalarPoly:
+class ScalarPoly(_Frozen):
     """Immutable sparse polynomial/truncated series over ExactComplex."""
 
-    terms: Optional[dict] = None  # exponent -> coefficient; zeros and terms >= trunc dropped
-    trunc: Optional[int] = None
+    __slots__ = ("terms", "trunc")
 
-    def __post_init__(self):
-        trunc = self.trunc
+    def __init__(self, terms: Optional[dict] = None, trunc: Optional[int] = None):
+        # terms maps exponent -> coefficient; zeros and terms >= trunc are dropped
         if trunc is not None:
             if trunc.__class__ is not int:
                 raise TypeError(f"trunc must be int or None, got {trunc!r}")
             if trunc < 0:
                 raise ValueError("negative trunc")
         clean = {}
-        if self.terms:
-            for e, c in self.terms.items():
+        if terms:
+            for e, c in terms.items():
                 if e.__class__ is not int:
                     raise TypeError(f"exponents must be int, got {e!r}")
                 if e < 0:
@@ -85,7 +84,8 @@ class ScalarPoly:
                 c = ExactComplex.from_value(c)
                 if c and (trunc is None or e < trunc):
                     clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        _set(self, "terms", clean)
+        _set(self, "trunc", trunc)
 
     # -- constructors ------------------------------------------------------
 
@@ -133,7 +133,7 @@ class ScalarPoly:
     def coefficient(self, exp: int) -> ExactComplex:
         return self.terms.get(exp, ExactComplex())
 
-    def __hash__(self):  # terms is a dict, so the generated hash would fail
+    def __hash__(self):  # terms is a dict, so the field-tuple hash would fail
         return hash((frozenset(self.terms.items()), self.trunc))
 
     # -- arithmetic --------------------------------------------------------

@@ -162,6 +162,8 @@ def report_from_json(obj, path: str = "$") -> SplittingReport:
         if not isinstance(item, dict) or "omega" not in item or "mult" not in item:
             raise ParseError(rpath, "root needs 'omega' and 'mult'")
         omega = parse_frac(item["omega"], f"{rpath}.omega")
+        if omega < 0:
+            raise ParseError(f"{rpath}.omega", f"expected omega >= 0, got {omega}")
         if omega in roots:
             raise ParseError(f"{rpath}.omega", f"repeated omega {omega}")
         roots[omega] = TropicalRoot(omega, _count(item["mult"], 1, f"{rpath}.mult"))

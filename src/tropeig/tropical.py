@@ -31,35 +31,33 @@ the example builders and files read by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Dict, Optional, Tuple, Union
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
+from .exact import _fill, _Frozen, _set
 from .poly import Ord
 
 
-@dataclass(frozen=True)
-class TropicalPoly:
+class TropicalPoly(_Frozen):
     """Min of affine forms alpha + k*omega, one term per finite-ord coefficient;
     ``undetermined_slopes`` holds the slopes of coefficients known only up to
     a truncation order."""
 
-    terms: Tuple[Tuple[int, Fraction], ...]  # (slope k = n - i, intercept alpha_i)
-    undetermined_slopes: Tuple[int, ...] = ()
+    __slots__ = ("terms", "undetermined_slopes")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: Tuple[Tuple[int, Fraction], ...],  # (slope k = n - i, alpha_i)
+                 undetermined_slopes: Tuple[int, ...] = ()):
+        if not terms:
             raise ValueError("a tropical polynomial needs at least one term")
         dedup = {}
-        for k, alpha in self.terms:
+        for k, alpha in terms:
             alpha = Fraction(alpha)
             if k not in dedup or alpha < dedup[k]:
                 dedup[k] = alpha
-        object.__setattr__(
-            self, "terms", tuple(sorted(dedup.items(), reverse=True)))
+        _fill(self, tuple(sorted(dedup.items(), reverse=True)), undetermined_slopes)
 
     @property
     def undetermined(self) -> bool:
@@ -70,21 +68,17 @@ class TropicalPoly:
         return min(alpha + k * omega for k, alpha in self.terms)
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(_Frozen):
     """Points (i, alpha_i) for i = 0..n and their lower convex hull."""
 
-    points: Tuple[Tuple[int, Ord], ...]
-    hull: Tuple[Tuple[int, Fraction], ...] = field(init=False)
-    undetermined: bool = field(init=False)
+    __slots__ = ("points", "hull", "undetermined")
 
-    def __post_init__(self):
-        finite = [(i, Fraction(o.value)) for i, o in self.points if o.is_finite]
-        undet = any(o.is_undetermined for _, o in self.points)
+    def __init__(self, points: Tuple[Tuple[int, Ord], ...]):
+        finite = [(i, Fraction(o.value)) for i, o in points if o.is_finite]
         if not finite or finite[0][0] != 0:
             raise ValueError("the monic point (0, alpha_0) must be present")
-        object.__setattr__(self, "hull", tuple(_lower_hull(finite)))
-        object.__setattr__(self, "undetermined", undet)
+        _fill(self, points, tuple(_lower_hull(finite)),
+              any(o.is_undetermined for _, o in points))
 
     @property
     def n(self) -> int:
@@ -110,30 +104,28 @@ def _lower_hull(points):
     return hull
 
 
-@dataclass(frozen=True)
-class TropicalRoot:
-    omega: Fraction
-    multiplicity: int
+class TropicalRoot(_Frozen):
+    __slots__ = ("omega", "multiplicity")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", Fraction(self.omega))
-        if self.omega < 0 or self.multiplicity < 1:
+    def __init__(self, omega: Fraction, multiplicity: int):
+        omega = Fraction(omega)
+        if omega < 0 or multiplicity < 1:
             raise ValueError("roots are non-negative with positive multiplicity")
+        _set(self, "omega", omega)
+        _set(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(_Frozen):
     """Predicted leading exponents, multiplicities, and flat zero modes."""
 
-    roots: Tuple[TropicalRoot, ...]
-    zero_root_count: Optional[int]  # None when a truncation hides it
-    undetermined: bool = False
+    __slots__ = ("roots", "zero_root_count", "undetermined")
 
-    def __post_init__(self):
-        if self.zero_root_count is None and not self.undetermined:
+    def __init__(self, roots: Tuple[TropicalRoot, ...],
+                 zero_root_count: Optional[int],  # None when a truncation hides it
+                 undetermined: bool = False):
+        if zero_root_count is None and not undetermined:
             raise ValueError("only an undetermined report may leave the zero-root count open")
-        object.__setattr__(self, "roots",
-                           tuple(sorted(self.roots, key=lambda r: r.omega)))
+        _fill(self, tuple(sorted(roots, key=lambda r: r.omega)), zero_root_count, undetermined)
 
     @property
     def total_dimension(self) -> Optional[int]:
@@ -165,8 +157,7 @@ def _report(roots, zero=0) -> SplittingReport:
     return SplittingReport(tuple(TropicalRoot(Fraction(w), m) for w, m in roots), zero)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Frozen):
     """One input to the pipeline: an exact realization and the splitting
     report its tropical analysis must reproduce.
 
@@ -176,14 +167,14 @@ class Family:
     ``known_charpoly`` so it is not expanded a second time.
     """
 
-    name: str
-    realization: Union[PolyMatrix, CharPoly]
-    expected: SplittingReport
-    parameters: Dict[str, object] = field(default_factory=dict)
-    annotations: Tuple[str, ...] = ()
-    known_charpoly: InitVar[Optional[CharPoly]] = None
+    # __dict__ holds only the cached charpoly
+    __slots__ = ("name", "realization", "expected", "parameters", "annotations", "__dict__")
 
-    def __post_init__(self, known_charpoly):
+    def __init__(self, name: str, realization: Union[PolyMatrix, CharPoly],
+                 expected: SplittingReport, parameters: Optional[Dict[str, object]] = None,
+                 annotations: Tuple[str, ...] = (), known_charpoly: Optional[CharPoly] = None):
+        _fill(self, name, realization, expected, {} if parameters is None else parameters,
+              annotations)
         if known_charpoly is not None:
             self.__dict__["charpoly"] = known_charpoly  # seeds the cached property
 

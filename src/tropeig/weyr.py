@@ -12,8 +12,8 @@ from . import WEYR_TOL
 JordanStructure = namedtuple("JordanStructure", "eigenvalue partition rank_sequence")
 JordanStructure.__doc__ = """The Jordan blocks of `eigenvalue`, a complex: `partition` holds their
 sizes, largest first, and `rank_sequence` is n followed by the numerical rank
-at each deflation level.  A named tuple, unlike the frozen dataclasses of the
-exact layers, so that the jordan command loads neither dataclasses nor inspect."""
+at each deflation level.  A named tuple, not an exact._Frozen value type as in
+the other layers, so that the jordan command loads neither exact nor fractions."""
 
 
 class WeyrAmbiguityError(RuntimeError):

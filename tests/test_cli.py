@@ -149,6 +149,16 @@ class TestCatalog:
         else:
             assert code == 5 and err == "error: could not realize family (2,) 'impossible'\n"
 
+    def test_verify_jordan_draws_no_family_after_the_one_it_keeps(self, capsys, monkeypatch):
+        from tropeig import jordan
+        impossible = jordan._FamilySpec((2,), "impossible", (0, None, 2), ())
+        monkeypatch.setitem(jordan._CATALOG_SPECS, 2,
+                            [*jordan._CATALOG_SPECS[2], impossible])
+        code, out, err = run(capsys, "verify", "--jordan", "1,1")
+        assert code == 0 and err == "" and json.loads(out)["family"] == "H[1,1] generic"
+        code, out, err = run(capsys, "catalog", "2")
+        assert code == 5 and out == "" and "could not realize family (2,) 'impossible'" in err
+
     def test_json_output_agrees(self, capsys):
         code, out, _ = run(capsys, "catalog", "3", "--format", "json")
         assert code == 0
@@ -285,6 +295,13 @@ class TestVerify:
                              "--braid")
         assert code == 1 and out == ""
         assert err == "error: $.expected.roots[1].omega: repeated omega 1/3\n"
+
+    def test_negative_omega_exit(self, tmp_path, capsys):
+        fam = {"matrix": SQRT_T,
+               "expected": {"roots": [{"omega": "-1/3", "mult": 2}], "zero_roots": 0}}
+        code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
+        assert code == 1 and out == ""
+        assert err == "error: $.expected.roots[0].omega: expected omega >= 0, got -1/3\n"
 
     @pytest.mark.parametrize("doc", [5, "matrix"])
     def test_non_object_family_file_exit(self, tmp_path, capsys, doc):
@@ -549,10 +566,21 @@ assert set(tropeig.__all__) <= set(namespace)
     @pytest.mark.parametrize("argv", [
         ["--version"],
         ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
+        ["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")],
+        ["example", "effective_liouvillian"],
+        ["catalog"],
+        ["verify", "--example", "hatano_nelson", "--param", "L=5", "--param",
+         "regime=unidirectional", "--braid"],
+        ["verify", "--jordan", "2,2", "--braid"],
+        ["verify", "--file", str(GOLDEN / "family_matrix.json")],
     ])
     def test_jordan_loads_no_dataclasses_inspect_or_fractions(self, argv):
-        # typing is left out: a site-packages .pth file may load it at start-up
-        assert not probe(*argv)[2] & {"dataclasses", "inspect", "fractions"}
+        # the exact layers need fractions, and no command needs dataclasses or
+        # inspect; typing is left out: a site-packages .pth file may load it
+        forbidden = {"dataclasses", "inspect"}
+        if argv[0] in ("--version", "jordan"):
+            forbidden.add("fractions")
+        assert not probe(*argv)[2] & forbidden
 
     NUMPY_ARGVS = [
         [], ["--version"], ["catalog"], ["example", "effective_liouvillian"],

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -787,7 +786,8 @@ class TestUndetermined:
         fam = catalogs[2][0]
         report = SplittingReport(fam.expected.roots, None, undetermined=True)
         with pytest.raises(UndeterminedError, match="prediction is undetermined"):
-            fit_exponents(dataclasses.replace(fam, expected=report))
+            fit_exponents(Family(fam.name, fam.realization, report, fam.parameters,
+                                 fam.annotations))
 
     def test_exported_as_a_value_error(self):
         import tropeig

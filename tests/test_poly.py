@@ -146,6 +146,8 @@ class TestExactComplexAgainstReference:
         for name in ("nre", "nim", "nsre", "nsim", "den", "rad", "re", "im"):
             with pytest.raises(AttributeError):
                 setattr(z, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(z, name)
         assert z == ec(Fraction(1, 2), 3) and z != Fraction(1, 2) and z != 0
         w = ExactComplex(1, Fraction(2, 3), Fraction(-1, 6), 1, 7)
         assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
