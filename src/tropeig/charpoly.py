@@ -63,7 +63,7 @@ from __future__ import annotations
 from math import comb, isqrt, lcm
 from typing import Tuple
 
-from .exact import _canonical, _Frozen, _set
+from .exact import EC_ONE, _canonical, _Frozen, _set
 from .poly import ScalarPoly
 
 
@@ -98,7 +98,7 @@ class CharPoly(_Frozen):
 
     def __init__(self, coeffs: Tuple[ScalarPoly, ...]):
         coeffs = tuple(ScalarPoly.from_value(c) for c in coeffs)
-        if len(coeffs) < 2 or coeffs[0] != ScalarPoly.const(1):
+        if len(coeffs) < 2 or coeffs[0].trunc is not None or coeffs[0].terms != {0: EC_ONE}:
             raise ValueError("coefficients must start with the constant 1")
         _set(self, "coeffs", coeffs)
         _set(self, "n", len(coeffs) - 1)

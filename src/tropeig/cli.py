@@ -83,11 +83,13 @@ def _parse_param(item: str):
     if "=" not in item:
         raise ParseError("--param", f"expected key=value, got {item!r}")
     key, raw = item.split("=", 1)
-    for conv in (int, Fraction, float):
+    for conv in (int, Fraction):
         try:
             return key, conv(raw)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             continue
+        except ZeroDivisionError:
+            raise ParseError("--param", f"zero denominator in {item!r}") from None
     return key, raw
 
 

@@ -106,31 +106,20 @@ def circuit_matrix(perturbation: str) -> PolyMatrix:
     """Six-node circuit Laplacian at the EP6 point, exactly over Q(i, sqrt5)."""
     i_ = EC_I
     t = ScalarPoly.t()
-
-    def const(v):
-        return ScalarPoly.const(v)
-
     if perturbation == "epsilon":
-        eps_entry = t
-        gamma = GAMMA_EP
+        eps_entry, eta = t, 0
     elif perturbation == "gamma_detune":
-        eps_entry = ScalarPoly.zero()
-        gamma = None  # gamma_EP + eta, built below
+        eps_entry, eta = 0, t
     else:
         raise ValueError(f"unknown circuit perturbation {perturbation!r}")
-
-    def gamma_poly(sign):
-        if gamma is not None:
-            return const(i_ * gamma * sign)
-        return ScalarPoly({0: i_ * GAMMA_EP * sign, 1: i_ * sign})
-
+    gain = ScalarPoly.const(GAMMA_EP) + eta  # gamma_EP, detuned by eta
     return PolyMatrix([
-        [eps_entry, 0, 0, const(i_), 0, 0],
-        [0, 0, 0, 0, const(i_), 0],
-        [0, 0, 0, 0, 0, const(i_)],
-        [const(-i_), const(i_), 0, gamma_poly(-1), 0, 0],
-        [const(i_ * MU_EP), const(-2 * i_ * MU_EP), const(i_ * MU_EP), 0, 0, 0],
-        [0, const(i_), const(-i_), 0, 0, gamma_poly(1)],
+        [eps_entry, 0, 0, i_, 0, 0],
+        [0, 0, 0, 0, i_, 0],
+        [0, 0, 0, 0, 0, i_],
+        [-i_, i_, 0, gain.scale(-i_), 0, 0],
+        [i_ * MU_EP, -2 * i_ * MU_EP, i_ * MU_EP, 0, 0, 0],
+        [0, i_, -i_, 0, 0, gain.scale(i_)],
     ])
 
 
@@ -336,7 +325,7 @@ def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),
     """
     m = effective_liouvillian_matrix(gamma2, gamma4, epsilon, recenter=True)
     cp = charpoly_direct(m)
-    gamma3 = (Fraction(gamma2) + Fraction(gamma4)) / 2
+    _, gamma3 = effective_hamiltonian(gamma2, gamma4, epsilon)
     expected = _report([(Fraction(1, 5), 5), (Fraction(1, 3), 3), (Fraction(1), 1)])
     return Family("effective_liouvillian", cp, expected,
                   {"gamma2": Fraction(gamma2), "gamma3": gamma3,
@@ -349,12 +338,6 @@ def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),
 # registry
 # ---------------------------------------------------------------------------
 
-def _build_lieb(path):
-    def build(eps=Fraction(3, 2), series_order=6):
-        return lieb(path, eps, series_order)
-    return build
-
-
 BUILDERS: Dict[str, Callable[..., Family]] = {
     "torus_knot": torus_knot,
     "cavity_d12": lambda: cavity_dynamical("d12"),
@@ -363,9 +346,9 @@ BUILDERS: Dict[str, Callable[..., Family]] = {
     "circuit_epsilon": lambda: circuit_laplacian("epsilon"),
     "circuit_gamma_detune": lambda: circuit_laplacian("gamma_detune"),
     "hatano_nelson": hatano_nelson,
-    "lieb_arccot": _build_lieb("arccot_antidiag"),
-    "lieb_pi_antidiag": _build_lieb("pi_antidiag"),
-    "lieb_pi_diag": _build_lieb("pi_diag"),
+    "lieb_arccot": lambda **kw: lieb("arccot_antidiag", **kw),
+    "lieb_pi_antidiag": lambda **kw: lieb("pi_antidiag", **kw),
+    "lieb_pi_diag": lambda **kw: lieb("pi_diag", **kw),
     "effective_liouvillian": effective_liouvillian_example,
 }
 

@@ -304,14 +304,19 @@ def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
     return edge, tables
 
 
-def _scaled_roots(tables, t: complex) -> List[complex]:
-    """Roots of q_t at t; a leading coefficient that underflows to 0 drops
-    a root at infinity, which lies far from every edge root."""
+def _scaled_roots(tables, t: complex) -> Optional[List[complex]]:
+    """Roots of q_t at t, or None when a coefficient overflows or a root is
+    not finite; a leading coefficient that underflows to 0 drops a root at
+    infinity, which lies far from every edge root."""
     log_t = cmath.log(t)
-    coeffs = [sum(c * cmath.exp(x * log_t) for x, _, c in table) for table in tables]
+    try:
+        coeffs = [sum(c * cmath.exp(x * log_t) for x, _, c in table) for table in tables]
+    except OverflowError:
+        return None
     while coeffs[0] == 0:
         coeffs.pop(0)
-    return aberth_roots(coeffs)
+    roots = aberth_roots(coeffs)
+    return roots if all(map(cmath.isfinite, roots)) else None
 
 
 def _edge_distances(edge_roots: Sequence[complex], roots: Sequence[complex]):
@@ -400,10 +405,15 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
                                "Newton polygon")
             continue
         edge_roots = aberth_roots([c.to_complex() for c in edge])
+        solved = [_scaled_roots(tables, t) for t in (t1, t2)]
+        if None in solved:
+            ok = False
+            diagnostics.append(f"predicted root {root.omega} x{m}: q_t is not finite at "
+                               f"|t| = {abs((t1, t2)[solved.index(None)]):.3e}")
+            continue
         # q_t has at least as many roots as E_omega: its coefficient at
         # E_omega's leading index holds a t^0 term, so it does not underflow
-        (d1, _, near1), (d2, far2, near2) = (
-            _edge_distances(edge_roots, _scaled_roots(tables, t)) for t in (t1, t2))
+        (d1, _, near1), (d2, far2, near2) = (_edge_distances(edge_roots, r) for r in solved)
         rate = max(d2, EXACT_DISTANCE) / max(d1, EXACT_DISTANCE)
         exponent = float(root.omega) + (_mean_log(near2) - _mean_log(near1)) / math.log(
             abs(t2 / t1))
@@ -542,14 +552,20 @@ def _loop_tables(cp: CharPoly, eps0: float):
     min_{i>=1} ord(a_i)/i of the Newton polygon, and for each moving a_i the
     (e, c * eps0^x) over the terms of _scaled_polynomial at omega, so that
     horner_table(tables[i], w) = a_i(eps0*w) / scale^i.  As a_0 = 1 and
-    every x >= 0, no coefficient overflows."""
+    every x >= 0, no coefficient overflows for eps0 <= 1; raises
+    LoopDegeneracyError when one does at a larger radius."""
     zeros = cp.trailing_zero_count()
     floats = [a.float_table() for a in cp.coeffs[:cp.n - zeros + 1]]
     omega = min((Fraction(table[-1][0], i) for i, table in enumerate(floats) if i and table),
                 default=Fraction(0))
     _, tables = _scaled_polynomial(cp, floats, omega)
-    return (zeros, eps0 ** float(omega),
-            [[(e, c * eps0 ** x) for x, e, c in table] for table in tables])
+    try:
+        tables = [[(e, c * eps0 ** x) for x, e, c in table] for table in tables]
+        if all(cmath.isfinite(c) for table in tables for _, c in table):
+            return zeros, eps0 ** float(omega), tables
+    except OverflowError:
+        pass
+    raise LoopDegeneracyError(f"a scaled coefficient overflows at loop radius eps0={eps0}")
 
 
 def braid_loop(family: Family, eps0: float = BRAID_EPS0,
@@ -571,13 +587,14 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     computed once (_spacings).
 
     ``steps`` sets the shortest step, 2*pi / (steps * 2^BRAID_HALVINGS).
-    Raises LoopDegeneracyError when two eigenvalues approach each other
-    below 1e-3 of the larger of their moduli, when a velocity is not
-    finite, or when a step would have to be shorter than that; flat zero
-    modes, which coincide exactly, do not count as approaching, and when
-    every eigenvalue is one the braid is the identity.  Raises ValueError
-    unless steps >= 1 and eps0 is finite and positive, then
-    UndeterminedError when a charpoly coefficient is undetermined.
+    Raises LoopDegeneracyError when a scaled coefficient overflows at the
+    radius eps0, when two eigenvalues approach each other below 1e-3 of the
+    larger of their moduli, when a velocity is not finite, or when a step
+    would have to be shorter than that; flat zero modes, which coincide
+    exactly, do not count as approaching, and when every eigenvalue is one
+    the braid is the identity.  Raises ValueError unless steps >= 1 and
+    eps0 is finite and positive, then UndeterminedError when a charpoly
+    coefficient is undetermined.
     """
     _check_braid_arguments(eps0, steps)
     _check_determined(family.charpoly)

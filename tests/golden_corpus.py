@@ -111,6 +111,15 @@ def _cases():
     cases["verify-example-hatano_nelson-L8-obc"] = ["verify", "--example", "hatano_nelson",
                                                     "--param", "L=8", "--param", "regime=obc"]
     cases["verify-jordan-4-t0-1e300"] = ["verify", "--jordan", "4", "--t0", "1e300"]
+    # numbers out of range: a zero denominator in --param is a usage error
+    # (1); q_t overflows at |t| = 1e300, so its root fails the check (6); and
+    # the scaled coefficients overflow at the loop radius 1e300 (3)
+    cases["example-lieb_arccot-zero-denominator"] = ["example", "lieb_arccot",
+                                                     "--param", "eps=1/0"]
+    cases["verify-example-cavity_d12-t0-1e300"] = ["verify", "--example", "cavity_d12",
+                                                   "--t0", "1e300"]
+    cases["verify-example-cavity_d12-eps0-1e300"] = ["verify", "--example", "cavity_d12",
+                                                     "--braid", "--eps0", "1e300"]
     return cases
 
 

@@ -56,6 +56,22 @@ class TestValueContract:
             assert value != other and other != value, other
 
 
+class TestLeadingOne:
+    @pytest.mark.parametrize("leading", [1, ec(1), ScalarPoly({0: 1})])
+    def test_exact_one_accepted(self, leading):
+        assert CharPoly([leading, ScalarPoly.t()]).n == 1
+
+    @pytest.mark.parametrize("coeffs", [
+        [ScalarPoly({0: 1}, trunc=3), 0],  # 1 + O(t^3) is not exactly 1
+        [2, 0],
+        [1 + ScalarPoly.t(), 0],
+        [1],
+    ])
+    def test_anything_else_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="must start with the constant 1"):
+            CharPoly(coeffs)
+
+
 class TestTracelessShift:
     def test_diagonal(self):
         m = traceless_shift(PolyMatrix([[1, 0], [0, 3]]))

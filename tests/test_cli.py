@@ -331,6 +331,27 @@ class TestVerify:
         assert verification["diagnostics"] == [
             "predicted root 1/4 x4: next root or 0 at 1.000e+00 against 4.472e+74"]
 
+    @pytest.mark.parametrize("name", ["cavity_d12", "circuit_epsilon", "effective_liouvillian",
+                                      "lieb_arccot"])
+    def test_overflowing_q_t_fails_the_check(self, capsys, name):
+        # at |t| = 1e300 a coefficient of q_t overflows or a root of it is
+        # not finite: the root fails with a diagnostic and no cluster
+        code, out, err = run(capsys, "verify", "--example", name, "--t0", "1e300")
+        assert code == 6 and err == ""
+        body = json.loads(out)
+        verification = body["verification"]
+        assert not verification["pass"] and verification["clusters"] == []
+        assert verification["diagnostics"] == [
+            f"predicted root {r['omega']} x{r['mult']}: q_t is not finite at |t| = 1.000e+300"
+            for r in body["expected"]["roots"]]
+
+    def test_overflowing_loop_radius_exit(self, capsys):
+        code, out, err = run(capsys, "verify", "--example", "cavity_d12", "--braid",
+                             "--eps0", "1e300")
+        assert code == 3 and err == ""
+        assert json.loads(out)["braid"] == {
+            "error": "a scaled coefficient overflows at loop radius eps0=1e+300"}
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
@@ -370,6 +391,26 @@ class TestExample:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("name, params", [
+        ("lieb_arccot", ["eps=1/0"]),
+        ("lieb_arccot", ["eps=inf"]),
+        ("hatano_nelson", ["L=4", "regime=obc", "gamma1=-inf"]),
+        ("effective_liouvillian", ["gamma2=inf"]),
+    ])
+    def test_zero_denominator_and_infinite_params_exit(self, capsys, name, params):
+        argv = [arg for p in params for arg in ("--param", p)]
+        code, out, err = run(capsys, "example", name, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_denominator_is_named_at_param(self, capsys):
+        _, _, err = run(capsys, "example", "lieb_arccot", "--param", "eps=1/0")
+        assert err == "error: --param: zero denominator in 'eps=1/0'\n"
+
+    def test_unknown_lieb_param_names_lieb(self, capsys):
+        code, out, err = run(capsys, "example", "lieb_pi_diag", "--param", "x=1")
+        assert code == 1 and out == ""
+        assert err == "error: lieb() got an unexpected keyword argument 'x'\n"
 
     @pytest.mark.parametrize("params, ky", [([], "1"), (["ky=5"], "5"), (["ky=1/2"], "1/2")])
     def test_kx_only_records_ky(self, capsys, params, ky):
