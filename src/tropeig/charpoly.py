@@ -46,8 +46,11 @@ Sparsity.  Each row is the list of its nonzero (column, entry) pairs.
 Berkowitz keeps only the nonzeros of v, forms every A v product by scattering
 them through the nonzeros of their columns, and combines the nonzero items
 with the nonzero coefficients of the trailing block's polynomial only, so a
-chain costs O(n) kernel dot products; the traces recursion forms M^k row by
-row from the nonzeros.
+chain costs O(n) kernel dot products.  The traces recursion forms only the
+half powers M^1..M^h, h = ceil(n/2), each row by row from the nonzeros, and
+reads the upper power sums off pairs of them:
+tr(M^(h+j)) = sum_(i,c) (M^h)[i, c] (M^j)[c, i] for j = 1..n-h, so it needs
+h - 1 matrix products instead of n - 1.
 
 The coefficients of D*M's characteristic polynomial are algebraic integers,
 so the traces recursion divides k a_k by k exactly: it unpacks each sum,
@@ -128,12 +131,18 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via power sums and Newton's identities."""
     rows, rad, den, bits = _to_kernel(m)
     n = len(rows)
+    h = (n + 1) // 2
+    powers = [None, rows]  # powers[k] = M^k for k <= h
+    for _ in range(h - 1):
+        powers.append([_row_times(row, rows, rad) for row in powers[-1]])
     s = [None]  # s[k] = tr(M^k)
-    power = rows
-    for k in range(1, n + 1):
+    for power in powers[1:]:
         s.append(_sum([x for i, row in enumerate(power) for j, x in row if j == i]))
-        if k < n:
-            power = [_row_times(row, rows, rad) for row in power]
+    for j in range(1, n - h + 1):
+        # tr(M^(h+j)) = sum over i, c of (M^h)[i, c] (M^j)[c, i]
+        lookup = [dict(row) for row in powers[j]]
+        s.append(_dot([(x, y) for i, row in enumerate(powers[h]) for c, x in row
+                       if (y := lookup[c].get(i))], rad))
     a = [(1, 0, 0, 0) if rad else (1, 0)]
     for k in range(1, n + 1):
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)

@@ -276,6 +276,15 @@ def _check_fit_arguments(t0: float, phase: float, match_tol: float) -> None:
         raise ValueError(f"match_tol must be finite and positive, got {match_tol}")
     if not (math.isfinite(t0) and t0 > 0) or not math.isfinite(phase):
         raise ValueError(f"need a finite t0 > 0 and a finite phase, got t0={t0}, phase={phase}")
+    if _fit_points(t0, phase)[1] == 0:
+        raise ValueError(f"t0={t0} is too small: the second point, {CHECK_DECADES} decades "
+                         "below it, underflows to 0")
+
+
+def _fit_points(t0: float, phase: float) -> Tuple[complex, complex]:
+    """The check's two points t1 = t0 * e^(i*phase) and t2 = t1 / 10^CHECK_DECADES."""
+    t1 = t0 * cmath.exp(1j * phase)
+    return t1, t1 * 10.0 ** -CHECK_DECADES
 
 
 def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
@@ -388,8 +397,7 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
         raise UndeterminedError("the prediction is undetermined")
     zero_tracks = cp.trailing_zero_count()
     moving = cp.n - zero_tracks
-    t1 = t0 * cmath.exp(1j * phase)
-    t2 = t1 * 10.0 ** -CHECK_DECADES
+    t1, t2 = _fit_points(t0, phase)
     floats = [a.float_table() for a in cp.coeffs[:moving + 1]]
     bound = 10.0 ** (-CHECK_DECADES / (2 * moving)) if moving else 0.0
 
@@ -552,8 +560,15 @@ def _loop_tables(cp: CharPoly, eps0: float):
     min_{i>=1} ord(a_i)/i of the Newton polygon, and for each moving a_i the
     (e, c * eps0^x) over the terms of _scaled_polynomial at omega, so that
     horner_table(tables[i], w) = a_i(eps0*w) / scale^i.  As a_0 = 1 and
-    every x >= 0, no coefficient overflows for eps0 <= 1; raises
-    LoopDegeneracyError when one does at a larger radius."""
+    every x >= 0, no coefficient overflows for eps0 <= 1.  At a larger
+    radius the coefficients can be finite while the polynomial's values at
+    its roots are not, so this raises LoopDegeneracyError, once for the
+    whole loop, unless a bound of every Horner sum the loop takes is finite:
+    on |w| = 1 table i and its w d/dw sum to at most s_i = sum |c| and
+    d_i = sum e |c|, every root mu lies within r = max(1, 2 max_i s_i^(1/i))
+    (Fujiwara's bound, as the leading coefficient is 1), and there the
+    values of the polynomial, of its derivative and of the w d/dw one are at
+    most sum_i (k + 1) (s_i + d_i) r^k with k = n' - i."""
     zeros = cp.trailing_zero_count()
     floats = [a.float_table() for a in cp.coeffs[:cp.n - zeros + 1]]
     omega = min((Fraction(table[-1][0], i) for i, table in enumerate(floats) if i and table),
@@ -561,9 +576,14 @@ def _loop_tables(cp: CharPoly, eps0: float):
     _, tables = _scaled_polynomial(cp, floats, omega)
     try:
         tables = [[(e, c * eps0 ** x) for x, e, c in table] for table in tables]
-        if all(cmath.isfinite(c) for table in tables for _, c in table):
+        sums = [(sum(abs(c) for _, c in table), sum(e * abs(c) for e, c in table))
+                for table in tables]
+        r = max([1.0] + [2 * s ** (1 / i) for i, (s, _) in enumerate(sums) if i])
+        top = len(sums) - 1
+        bound = sum((top - i + 1) * (s + d) * r ** (top - i) for i, (s, d) in enumerate(sums))
+        if math.isfinite(bound):
             return zeros, eps0 ** float(omega), tables
-    except OverflowError:
+    except OverflowError:  # a power, or abs of a complex, too large for a float
         pass
     raise LoopDegeneracyError(f"a scaled coefficient overflows at loop radius eps0={eps0}")
 
@@ -587,9 +607,10 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     computed once (_spacings).
 
     ``steps`` sets the shortest step, 2*pi / (steps * 2^BRAID_HALVINGS).
-    Raises LoopDegeneracyError when a scaled coefficient overflows at the
-    radius eps0, when two eigenvalues approach each other below 1e-3 of the
-    larger of their moduli, when a velocity is not finite, or when a step
+    Raises LoopDegeneracyError when a scaled coefficient, or a bound of its
+    Horner sums on the loop, overflows at the radius eps0, when two
+    eigenvalues approach each other below 1e-3 of the larger of their
+    moduli, when a velocity is not finite, or when a step
     would have to be shorter than that; flat zero modes, which coincide
     exactly, do not count as approaching, and when every eigenvalue is one
     the braid is the identity.  Raises ValueError unless steps >= 1 and

@@ -15,6 +15,13 @@ off from the valuations alpha_i = ord(a_i) in two equivalent ways:
 Both routes are implemented independently and must agree; they serve as each
 other's oracle in the test suite.
 
+Both run on integers.  The valuations stay ints: the hull is taken on the
+integer points, and the min-plus search scales the intercepts and every
+candidate kink by one common integer.  Past the public values, which stay
+Fractions as their reprs show (one per hull vertex in ``NewtonPolygon.hull``,
+one per intercept in ``TropicalPoly.terms``), a Fraction is built only for a
+reported slope.
+
 Conventions.  Eigenvalue branches that are *identically* zero (a_n, a_{n-1},
 ... vanish as exact polynomials) are never reported as tropical roots; they
 are counted separately in ``zero_root_count``.  A kink at omega = 0, by
@@ -34,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Dict, Optional, Tuple, Union
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
@@ -74,10 +82,10 @@ class NewtonPolygon(_Frozen):
     __slots__ = ("points", "hull", "undetermined")
 
     def __init__(self, points: Tuple[Tuple[int, Ord], ...]):
-        finite = [(i, Fraction(o.value)) for i, o in points if o.is_finite]
+        finite = [(i, o.value) for i, o in points if o.is_finite]
         if not finite or finite[0][0] != 0:
             raise ValueError("the monic point (0, alpha_0) must be present")
-        _fill(self, points, tuple(_lower_hull(finite)),
+        _fill(self, points, tuple((i, Fraction(a)) for i, a in _lower_hull(finite)),
               any(o.is_undetermined for _, o in points))
 
     @property
@@ -87,7 +95,8 @@ class NewtonPolygon(_Frozen):
 
 def _lower_hull(points):
     """Monotone chain over points already sorted by x; comparisons are exact
-    on rational points (the root finder also runs it on float logarithms).
+    on integer or rational points (the root finder also runs it on float
+    logarithms).
 
     Collinear interior points are dropped from the vertex list (their extent
     is still covered by the enclosing segment).
@@ -108,7 +117,8 @@ class TropicalRoot(_Frozen):
     __slots__ = ("omega", "multiplicity")
 
     def __init__(self, omega: Fraction, multiplicity: int):
-        omega = Fraction(omega)
+        if type(omega) is not Fraction:
+            omega = Fraction(omega)
         if omega < 0 or multiplicity < 1:
             raise ValueError("roots are non-negative with positive multiplicity")
         _set(self, "omega", omega)
@@ -196,7 +206,7 @@ def tropicalize(c: CharPoly) -> TropicalPoly:
     for i, coeff in enumerate(c.coeffs):
         o = coeff.ord()
         if o.is_finite:
-            terms.append((n - i, Fraction(o.value)))
+            terms.append((n - i, o.value))
         elif o.is_undetermined:
             undetermined.append(n - i)
     return TropicalPoly(tuple(terms), tuple(undetermined))
@@ -220,7 +230,9 @@ def tropical_roots(obj: Union[CharPoly, TropicalPoly, NewtonPolygon]) -> Splitti
 def _roots_from_hull(np_: NewtonPolygon) -> SplittingReport:
     roots = []
     for (i0, a0), (i1, a1) in zip(np_.hull, np_.hull[1:]):
-        roots.append(TropicalRoot(Fraction(a1 - a0, i1 - i0), i1 - i0))
+        rise = a1.numerator * a0.denominator - a0.numerator * a1.denominator
+        run = i1 - i0
+        roots.append(TropicalRoot(Fraction(rise, a0.denominator * a1.denominator * run), run))
     last = np_.hull[-1][0]
     hidden = any(o.is_undetermined for i, o in np_.points if i > last)
     return SplittingReport(tuple(roots), None if hidden else np_.n - last,
@@ -232,14 +244,20 @@ def _roots_from_minplus(p: TropicalPoly) -> SplittingReport:
     # a kink the least slope attaining the minimum rules, and the kink's
     # multiplicity is the drop from the slope on its left; left of 0 the
     # slope counts as n, so a kink at 0 holds the branches of order one.
-    cands = {Fraction(0)} | {Fraction(a2 - a1, k1 - k2) for (k1, a1), (k2, a2)
-                             in combinations(p.terms, 2) if a2 > a1}
-    roots, prev = [], p.terms[0][0]
+    # The search runs on integers: with d the lcm of the intercepts'
+    # denominators and s = d * lcm(1..n), every crossing is omega = w / s
+    # for an integer w, and alpha + k*omega compares as alpha*s + k*w.
+    d = lcm(*(a.denominator for _, a in p.terms))
+    scale = lcm(*range(1, p.terms[0][0] + 1))  # every slope difference divides it
+    terms = [(k, a.numerator * (d // a.denominator) * scale) for k, a in p.terms]
+    cands = {0} | {(b2 - b1) // (k1 - k2) for (k1, b1), (k2, b2)
+                   in combinations(terms, 2) if b2 > b1}
+    roots, prev = [], terms[0][0]
     for w in sorted(cands):
-        slope = min((a + k * w, k) for k, a in p.terms)[1]
+        slope = min((b + k * w, k) for k, b in terms)[1]
         if slope < prev:
-            roots.append(TropicalRoot(w, prev - slope))
+            roots.append(TropicalRoot(Fraction(w, d * scale), prev - slope))
         prev = slope
-    zero = p.terms[-1][0]  # smallest slope = count of identically-zero branches
+    zero = terms[-1][0]  # smallest slope = count of identically-zero branches
     hidden = any(k < zero for k in p.undetermined_slopes)
     return SplittingReport(tuple(roots), None if hidden else zero, p.undetermined)

@@ -185,7 +185,8 @@ def exact_matrices(draw, max_n=5, bound=6, degree=2):
 
 class TestKernelAgainstReference:
     @settings(max_examples=150, deadline=None)
-    @given(exact_matrices())
+    # n = 1..7 covers h = ceil(n/2) = 1..4 and both parities of n
+    @given(exact_matrices(max_n=7))
     # an exact zero times a truncated entry is a truncated zero: a_2 = O(t^2)
     @example(PolyMatrix([[0, 0], [0, ScalarPoly.zero(2)]]))
     # an off-diagonal truncation leaves a_1 exact but truncates a_2
@@ -291,6 +292,23 @@ class TestSparseStructures:
         L = 64
         fn(hatano_nelson(L, "unidirectional").matrix)
         assert 0 < products <= 4 * L * L
+
+    def test_traces_form_only_the_half_powers(self, monkeypatch):
+        """A deterministic work guard: charpoly_traces forms M^2..M^h with
+        h = ceil(n/2), one _row_times call per row, and pairs the rest."""
+        calls = 0
+        row_times = charpoly_module._row_times
+
+        def counting_row_times(row, rows, rad):
+            nonlocal calls
+            calls += 1
+            return row_times(row, rows, rad)
+
+        monkeypatch.setattr(charpoly_module, "_row_times", counting_row_times)
+        n = 8
+        m = rand_linear_matrix(random.Random(8), n)
+        assert charpoly_traces(m) == charpoly_direct(m)
+        assert calls == ((n + 1) // 2 - 1) * n == 24
 
     def test_chain_dot_calls_grow_linearly(self, monkeypatch):
         """Berkowitz calls the kernel's dot product only where v has nonzeros."""

@@ -352,6 +352,26 @@ class TestVerify:
         assert json.loads(out)["braid"] == {
             "error": "a scaled coefficient overflows at loop radius eps0=1e+300"}
 
+    @pytest.mark.parametrize("eps0", ["1e100", "1e300"])
+    def test_overflowing_loop_values_exit(self, capsys, eps0):
+        # the scaled coefficients are finite, but the polynomial's values at
+        # roots of modulus up to 1e250 are not: refused before the first step
+        code, out, err = run(capsys, "verify", "--example", "circuit_epsilon", "--braid",
+                             "--eps0", eps0)
+        assert code == 3 and err == ""
+        assert json.loads(out)["braid"] == {
+            "error": f"a scaled coefficient overflows at loop radius eps0={float(eps0)}"}
+
+    def test_subnormal_t0_exit(self, capsys):
+        # the second point, t0 / 10^2, underflows to 0
+        code, out, err = run(capsys, "verify", "--example", "cavity_d12", "--t0", "5e-324")
+        assert code == 1 and out == ""
+        assert err.startswith("error: t0=5e-324 ") and err.count("\n") == 1
+
+    def test_tiny_t0_still_checks(self, capsys):
+        code, out, err = run(capsys, "verify", "--example", "cavity_d12", "--t0", "1e-320")
+        assert code == 0 and err == "" and json.loads(out)["verification"]["pass"]
+
     def test_unknown_constraint(self, capsys):
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err

@@ -79,6 +79,16 @@ class TestNewtonPolygon:
         np_ = newton_polygon(cp_from_alpha([0, 1, 2]))
         assert np_.hull == ((0, Fraction(0)), (2, Fraction(2)))
 
+    def test_public_values_stay_fractions(self):
+        # both views compute on integer valuations but expose Fractions,
+        # which the reprs (and demo 01's printed hull) show
+        cp = cp_from_alpha([0, None, 1, 2])
+        assert all(type(a) is Fraction for _, a in newton_polygon(cp).hull)
+        assert all(type(a) is Fraction for _, a in tropicalize(cp).terms)
+        assert repr(newton_polygon(cp)).endswith(
+            "hull=((0, Fraction(0, 1)), (2, Fraction(1, 1)), (3, Fraction(2, 1))), "
+            "undetermined=False)")
+
     def test_hull_slopes_strictly_increase(self):
         rng = random.Random(60)
         for _ in range(200):
@@ -140,9 +150,10 @@ class TestTropicalRoots:
 @st.composite
 def tropical_polys(draw):
     """Any TropicalPoly: a nonempty subset of the slopes 0..12 with rational
-    intercepts of either sign, and any undetermined slopes."""
+    intercepts of either sign up to 10^6, and any undetermined slopes.  The
+    denominators run to 30, so their lcm is often larger than each of them."""
     slopes = draw(st.sets(st.integers(0, 12), min_size=1))
-    intercepts = st.fractions(-12, 12, max_denominator=6)
+    intercepts = st.fractions(-10 ** 6, 10 ** 6, max_denominator=30)
     terms = tuple((k, draw(intercepts)) for k in sorted(slopes))
     return TropicalPoly(terms, tuple(sorted(draw(st.sets(st.integers(0, 12))))))
 
@@ -152,6 +163,8 @@ class TestMinplusKinks:
     @example(TropicalPoly(((2, 0), (1, 1), (0, 2))))
     # a negative intercept puts the drop 3 -> 1 at 0
     @example(TropicalPoly(((3, 0), (1, Fraction(-1, 2)))))
+    # intercepts over 7 and 11: the kink at 20/77 needs their lcm
+    @example(TropicalPoly(((1, Fraction(2, 7)), (0, Fraction(6, 11)))))
     @settings(max_examples=400, deadline=None)
     @given(tropical_polys())
     def test_crossings_agree_with_probes(self, p):
