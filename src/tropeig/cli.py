@@ -14,13 +14,13 @@ Subcommands: analyze, catalog, verify, example, jordan.  Exit codes:
 
 Output is deterministic byte-for-byte for fixed input, seed, and version.
 Each command imports the layers it runs, so `tropeig --version` loads none.
+The shape of every JSON document read or written here is `serialize`'s.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -175,7 +175,7 @@ def cmd_catalog(args) -> int:
 
 
 def _resolve_family(args):
-    from .serialize import ParseError, charpoly_from_json, polymatrix_from_json, report_from_json
+    from .serialize import ParseError, family_document_from_json
     if args.example is not None:
         return _example(args.example, args, "--example")
     if args.jordan is not None:
@@ -187,22 +187,13 @@ def _resolve_family(args):
                 return fam
         raise ParseError("--constraint",
                          f"no family '{args.constraint}' for partition {partition}")
-    obj = _load_json(args.file)
-    if not isinstance(obj, dict):
-        raise ParseError("$", "family file must be a JSON object")
-    if "matrix" in obj:
-        from .charpoly import charpoly_direct
-        realization = polymatrix_from_json(obj["matrix"], "$.matrix")
-        cp = charpoly_direct(realization)
-    elif "charpoly" in obj:
-        realization = cp = charpoly_from_json(obj["charpoly"], "$.charpoly")
-    else:
-        raise ParseError("$", "family file needs 'matrix' or 'charpoly'")
+    name, realization, expected = family_document_from_json(_load_json(args.file))
+    from .charpoly import PolyMatrix, charpoly_direct
     from .tropical import Family, tropical_roots
+    cp = charpoly_direct(realization) if isinstance(realization, PolyMatrix) else realization
     # file families may omit the expectation; derive it from the input
-    expected = (report_from_json(obj["expected"], "$.expected") if "expected" in obj
-                else tropical_roots(cp))
-    return Family(obj.get("name", args.file), realization, expected, known_charpoly=cp)
+    return Family(args.file if name is None else name, realization,
+                  tropical_roots(cp) if expected is None else expected, known_charpoly=cp)
 
 
 def cmd_verify(args) -> int:
@@ -248,47 +239,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_example(args) -> int:
-    from .serialize import charpoly_to_json, dumps, polymatrix_to_json, report_to_json
+    from .serialize import dumps, family_document_to_json
     family = _example(args.name, args, "name")
-    if family.matrix is not None:
-        real_json = {"matrix": polymatrix_to_json(family.matrix)}
-    else:
-        real_json = {"charpoly": charpoly_to_json(family.charpoly)}
-    body = {"name": family.name,
-            "parameters": {k: str(v) for k, v in family.parameters.items()},
-            **real_json,
-            "expected": report_to_json(family.expected),
-            "annotations": list(family.annotations),
-            "provenance": _provenance()}
-    _emit(dumps(body), args.output)
+    _emit(dumps(dict(family_document_to_json(family), provenance=_provenance())),
+          args.output)
     return OK
-
-
-def _is_finite_number(x) -> bool:
-    """A finite JSON number; json.loads also reads true, false, NaN and Infinity."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
-def _parse_numeric_matrix(obj, path="$"):
-    from .serialize import ParseError
-    entries = obj.get("entries", obj) if isinstance(obj, dict) else obj
-    if not isinstance(entries, list) or not entries:
-        raise ParseError(path, "expected a non-empty numeric matrix")
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != len(entries):
-            raise ParseError(f"{path}[{i}]", "matrix must be square")
-        out = []
-        for j, x in enumerate(row):
-            if _is_finite_number(x):
-                out.append(complex(x))
-            elif isinstance(x, list) and len(x) == 2 and all(map(_is_finite_number, x)):
-                out.append(complex(x[0], x[1]))
-            else:
-                raise ParseError(f"{path}[{i}][{j}]",
-                                 "entries are finite numbers or [re, im] pairs")
-        rows.append(out)
-    return rows
 
 
 def _parse_complex(s: str) -> complex:
@@ -299,9 +254,9 @@ def _parse_complex(s: str) -> complex:
 
 
 def cmd_jordan(args) -> int:
-    from .serialize import dumps, jordan_structure_to_json
+    from .serialize import dumps, jordan_structure_to_json, numeric_matrix_from_json
     from .weyr import WeyrAmbiguityError, weyr_structure
-    matrix = _parse_numeric_matrix(_load_json(args.matrix))
+    matrix = numeric_matrix_from_json(_load_json(args.matrix))
     lam = _parse_complex(args.eigenvalue)
     try:
         structure = weyr_structure(matrix, lam, tol=args.tol)

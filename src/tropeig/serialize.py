@@ -1,15 +1,17 @@
-"""JSON encoding of the exact types.
+"""JSON documents: exact types, reports, families and `jordan`'s float matrices.
 
 All rationals travel as strings ("3/4", "2") so nothing is lost to floats;
 complex exact scalars carry optional radical fields only when the radical
 part is nonzero.  Parsers raise ParseError with a JSON-path pointer to the
 offending element, and each imports the type it builds; the writers only
 read attributes, so ParseError, dumps and the writers load no other layer.
+No other module knows a document's shape, and no reader runs an algorithm.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 
 class ParseError(ValueError):
@@ -98,19 +100,23 @@ def polymatrix_to_json(m: PolyMatrix) -> dict:
             "entries": [[scalarpoly_to_json(x) for x in row] for row in m.rows]}
 
 
+def _square_rows(entries, path: str, read_entry) -> list:
+    """The rows of a non-empty square array; read_entry(x, path) reads each element."""
+    if not isinstance(entries, list) or not entries:
+        raise ParseError(path, "expected a non-empty row array")
+    rows = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != len(entries):
+            raise ParseError(f"{path}[{i}]", "matrix must be square")
+        rows.append([read_entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+    return rows
+
+
 def polymatrix_from_json(obj, path: str = "$") -> PolyMatrix:
     from .charpoly import PolyMatrix
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ParseError(path, "expected an object with an 'entries' field")
-    entries = obj["entries"]
-    if not isinstance(entries, list) or not entries:
-        raise ParseError(f"{path}.entries", "expected a non-empty row array")
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != len(entries):
-            raise ParseError(f"{path}.entries[{i}]", "matrix must be square")
-        rows.append([scalarpoly_from_json(x, f"{path}.entries[{i}][{j}]")
-                     for j, x in enumerate(row)])
+    rows = _square_rows(obj["entries"], f"{path}.entries", scalarpoly_from_json)
     if "n" in obj and _count(obj["n"], 1, f"{path}.n") != len(rows):
         raise ParseError(f"{path}.n", f"declared n={obj['n']} but found {len(rows)} rows")
     return PolyMatrix(rows)
@@ -133,6 +139,20 @@ def charpoly_from_json(obj, path: str = "$") -> CharPoly:
     if "n" in obj and _count(obj["n"], 1, f"{path}.n") != cp.n:
         raise ParseError(f"{path}.n", f"declared n={obj['n']} but degree is {cp.n}")
     return cp
+
+
+def _complex_entry(x, path: str) -> complex:
+    parts = x if isinstance(x, list) and len(x) == 2 else [x]
+    if all(type(v) in (int, float) and math.isfinite(v) for v in parts):  # no bool, NaN or inf
+        return complex(*parts)
+    raise ParseError(path, "entries are finite numbers or [re, im] pairs")
+
+
+def numeric_matrix_from_json(obj, path: str = "$") -> list:
+    """A square float matrix as complex rows: a row array or {"entries": rows}."""
+    if isinstance(obj, dict):
+        obj, path = obj.get("entries"), f"{path}.entries"
+    return _square_rows(obj, path, _complex_entry)
 
 
 # -- reports -----------------------------------------------------------------
@@ -225,6 +245,30 @@ def family_to_json(f: Family) -> dict:
             "matrix": polymatrix_to_json(f.matrix),
             "expected": report_to_json(f.expected),
             "direction": {k: exact_to_json(v) for k, v in sorted(p["direction"].items())}}
+
+
+def family_document_to_json(f: Family) -> dict:
+    """A model family as `example` writes it, less the provenance."""
+    realization = ({"matrix": polymatrix_to_json(f.matrix)} if f.matrix is not None
+                   else {"charpoly": charpoly_to_json(f.charpoly)})
+    return {"name": f.name, "parameters": {k: str(v) for k, v in f.parameters.items()},
+            **realization,
+            "expected": report_to_json(f.expected), "annotations": list(f.annotations)}
+
+
+def family_document_from_json(obj, path: str = "$"):
+    """(name or None, "matrix" or else "charpoly", expected report or None)."""
+    if not isinstance(obj, dict):
+        raise ParseError(path, "family file must be a JSON object")
+    if "matrix" in obj:
+        realization = polymatrix_from_json(obj["matrix"], f"{path}.matrix")
+    elif "charpoly" in obj:
+        realization = charpoly_from_json(obj["charpoly"], f"{path}.charpoly")
+    else:
+        raise ParseError(path, "family file needs 'matrix' or 'charpoly'")
+    expected = (report_from_json(obj["expected"], f"{path}.expected") if "expected" in obj
+                else None)
+    return obj.get("name"), realization, expected
 
 
 def dumps(obj) -> str:

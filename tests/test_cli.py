@@ -459,11 +459,11 @@ class TestJordanCommand:
         assert json.loads(out)["partition"] == [2]
 
     @pytest.mark.parametrize("entries, where", [
-        ([[True, 0], [0, False]], "$[0][0]"),
-        ([[0, [1, True]], [0, 0]], "$[0][1]"),
-        ([[0, 1], [["0", 1], 0]], "$[1][0]"),
-        ([[float("nan"), 1], [0, 0]], "$[0][0]"),
-        ([[0, [1, float("-inf")]], [0, 0]], "$[0][1]"),
+        ([[True, 0], [0, False]], "$.entries[0][0]"),
+        ([[0, [1, True]], [0, 0]], "$.entries[0][1]"),
+        ([[0, 1], [["0", 1], 0]], "$.entries[1][0]"),
+        ([[float("nan"), 1], [0, 0]], "$.entries[0][0]"),
+        ([[0, [1, float("-inf")]], [0, 0]], "$.entries[0][1]"),
     ])
     def test_non_numeric_entries_exit_with_path(self, tmp_path, capsys, entries, where):
         path = write(tmp_path, "m.json", {"entries": entries})
