@@ -66,6 +66,8 @@ def _load_json(path: str):
         raise ParseError(path, exc.strerror)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg)
+    except ValueError as exc:  # not UTF-8, or an integer longer than int(str) reads
+        raise ParseError(path, str(exc))
 
 
 def _provenance(seed=None, **tolerances):
@@ -79,10 +81,11 @@ def _provenance(seed=None, **tolerances):
 
 def _parse_param(item: str):
     from fractions import Fraction
-    from .serialize import ParseError
+    from .serialize import ParseError, check_exponent
     if "=" not in item:
         raise ParseError("--param", f"expected key=value, got {item!r}")
     key, raw = item.split("=", 1)
+    check_exponent(raw, "--param")
     for conv in (int, Fraction):
         try:
             return key, conv(raw)
@@ -178,9 +181,14 @@ def _resolve_family(args):
     from .serialize import ParseError, family_document_from_json
     if args.example is not None:
         return _example(args.example, args, "--example")
+    if args.param:
+        raise ParseError("--param", "only --example reads --param")
     if args.jordan is not None:
         from .jordan import validate_partition
-        partition = validate_partition(int(x) for x in args.jordan.split(","))
+        try:
+            partition = validate_partition([int(x) for x in args.jordan.split(",")])
+        except ValueError as exc:
+            raise ParseError("--jordan", f"expected a partition such as 2,1 ({exc})") from None
         for fam in _catalog(sum(partition), args.seed):
             if (fam.parameters["partition"] == partition
                     and fam.parameters["constraint"] == args.constraint):

@@ -11,7 +11,13 @@ No other module knows a document's shape, and no reader runs an algorithm.
 from __future__ import annotations
 
 import json
-import math
+import sys
+
+# CPython's default limit on the digits int(str) reads
+# (sys.int_info.default_max_str_digits); a decimal exponent may imply no more
+MAX_DIGITS = 4300
+# the square-free check on a radicand is trial division up to its square root
+MAX_RADICAND = 2 ** 32
 
 
 class ParseError(ValueError):
@@ -20,8 +26,23 @@ class ParseError(ValueError):
         self.path = path
 
 
+def check_exponent(text: str, path: str) -> None:
+    """Refuse a number whose decimal exponent, with its mantissa's digits,
+    implies more than MAX_DIGITS digits: Fraction("1e3000000") builds all
+    three million of them, and str() of the result fails."""
+    mantissa, e, exp = text.lower().partition("e")
+    try:
+        digits = sum(map(str.isdigit, mantissa)) + abs(int(exp)) if e else 0
+    except ValueError:  # no decimal exponent; the number's own reader decides
+        return
+    if digits > MAX_DIGITS:
+        raise ParseError(path, f"a number with exponent {exp.strip()} has more than "
+                               f"{MAX_DIGITS} digits")
+
+
 def parse_frac(s, path: str) -> Fraction:
     from fractions import Fraction
+    check_exponent(str(s), path)
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
@@ -55,6 +76,8 @@ def exact_from_json(obj, path: str) -> ExactComplex:
         rad = obj.get("rad", 0)
         if isinstance(rad, bool) or not isinstance(rad, int):
             raise ParseError(f"{path}.rad", "radicand must be an integer")
+        if rad >= MAX_RADICAND:
+            raise ParseError(f"{path}.rad", f"radicand must be below 2^32, got {rad}")
         try:
             return ExactComplex(re, im, sre, sim, rad)
         except ValueError as exc:  # not square-free
@@ -130,6 +153,8 @@ def charpoly_from_json(obj, path: str = "$") -> CharPoly:
     from .charpoly import CharPoly
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ParseError(path, "expected an object with a 'coeffs' field")
+    if not isinstance(obj["coeffs"], list):
+        raise ParseError(f"{path}.coeffs", f"expected an array, got {obj['coeffs']!r}")
     coeffs = [scalarpoly_from_json(x, f"{path}.coeffs[{i}]")
               for i, x in enumerate(obj["coeffs"])]
     try:
@@ -143,7 +168,8 @@ def charpoly_from_json(obj, path: str = "$") -> CharPoly:
 
 def _complex_entry(x, path: str) -> complex:
     parts = x if isinstance(x, list) and len(x) == 2 else [x]
-    if all(type(v) in (int, float) and math.isfinite(v) for v in parts):  # no bool, NaN or inf
+    # no bool, NaN or inf, and no int beyond the float range (json.loads reads all)
+    if all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in parts):
         return complex(*parts)
     raise ParseError(path, "entries are finite numbers or [re, im] pairs")
 
@@ -268,7 +294,10 @@ def family_document_from_json(obj, path: str = "$"):
         raise ParseError(path, "family file needs 'matrix' or 'charpoly'")
     expected = (report_from_json(obj["expected"], f"{path}.expected") if "expected" in obj
                 else None)
-    return obj.get("name"), realization, expected
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ParseError(f"{path}.name", f"expected a string, got {name!r}")
+    return name, realization, expected
 
 
 def dumps(obj) -> str:

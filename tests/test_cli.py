@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -376,6 +377,26 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--jordan", "4", "--constraint", "nope")
         assert code == 1 and "nope" in err
 
+    @pytest.mark.parametrize("partition", ["a", "2,x", "", "2,3", "0"])
+    def test_bad_partition_named_at_jordan(self, capsys, partition):
+        code, out, err = run(capsys, "verify", "--jordan", partition)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --jordan: expected a partition") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", [["--jordan", "2"], ["--file", "family"]])
+    def test_param_without_example_exit(self, tmp_path, capsys, source):
+        if source[0] == "--file":
+            source = ["--file", write(tmp_path, "fam.json", {"matrix": SQRT_T})]
+        code, out, err = run(capsys, "verify", *source, "--param", "x=1")
+        assert code == 1 and out == ""
+        assert err == "error: --param: only --example reads --param\n"
+
+    def test_non_string_family_name_exit(self, tmp_path, capsys):
+        fam = {"name": [1, 2], "matrix": SQRT_T}
+        code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
+        assert code == 1 and out == ""
+        assert err == "error: $.name: expected a string, got [1, 2]\n"
+
 
 class TestExample:
     def test_dump_and_reanalyze(self, tmp_path, capsys):
@@ -502,6 +523,60 @@ class TestJordanCommand:
         assert code == 0
         body = json.loads(out)
         assert body["partition"] == partition and body["rank_sequence"] == ranks
+
+
+ONE = [{"exp": 0, "re": "1", "im": "0"}]
+
+
+class TestTinyInputsFailFast:
+    """Inputs of a few bytes that once ran for seconds or hours, or escaped
+    without a path: each exits 1 at once with one error line naming where."""
+
+    @pytest.mark.parametrize("term, where", [
+        ({"exp": 1, "re": "1e3000000"}, "$.coeffs[2][0].re: "),
+        ({"exp": 1, "im": "-7e-3000000"}, "$.coeffs[2][0].im: "),
+        ({"exp": 1, "re": "0", "sre": "1", "rad": 100000000000007}, "$.coeffs[2][0].rad: "),
+        ({"exp": 1, "re": "0", "sre": "1", "rad": 10 ** 20 + 1}, "$.coeffs[2][0].rad: "),
+    ])
+    def test_charpoly_coefficient(self, tmp_path, capsys, term, where):
+        path = write(tmp_path, "c.json", {"coeffs": [ONE, [], [term]]})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--charpoly", path)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == "" and err.startswith(f"error: {where}")
+        assert err.count("\n") == 1
+
+    def test_charpoly_coeffs_not_an_array(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", "--charpoly",
+                             write(tmp_path, "c.json", {"coeffs": 5}))
+        assert code == 1 and out == ""
+        assert err == "error: $.coeffs: expected an array, got 5\n"
+
+    @pytest.mark.parametrize("command", [["example", "lieb_arccot"],
+                                         ["verify", "--example", "lieb_arccot"]])
+    def test_param_exponent(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--param", "eps=1e3000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err == "error: --param: a number with exponent 3000000 has more than 4300 digits\n"
+
+    def test_numeric_entry_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": [[0, 1], [0, 1' + "0" * 400 + "]]}")
+        code, out, err = run(capsys, "jordan", "--matrix", str(path), "--eigenvalue", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: $.entries[1][1]: ")
+
+    # json.loads refuses an integer of more digits than int(str) reads, and
+    # read_text a file that is not UTF-8: either names the file
+    @pytest.mark.parametrize("data", [b"[[" + b"1" * 5000 + b"]]", b"[[\xff]]"])
+    def test_unreadable_json_names_the_file(self, tmp_path, capsys, data):
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "jordan", "--matrix", str(path), "--eigenvalue", "0")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 class TestArgumentErrors:

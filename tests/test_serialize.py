@@ -4,13 +4,19 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from golden_corpus import EXAMPLE_PARAMS
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
+from tropeig.cli import _parse_param, main
 from tropeig.exact import ExactComplex, ec
-from tropeig.models import circuit_laplacian, effective_liouvillian_example
+from tropeig.models import (build_example, circuit_laplacian, effective_liouvillian_example,
+                            example_names)
 from tropeig.poly import ScalarPoly
 from tropeig.serialize import (ParseError, charpoly_from_json, charpoly_to_json,
                                dumps, exact_from_json, exact_to_json,
+                               family_document_from_json, family_document_to_json,
+                               numeric_matrix_from_json,
                                polymatrix_from_json, polymatrix_to_json,
                                report_from_json, report_to_json,
                                scalarpoly_from_json, scalarpoly_to_json)
@@ -165,3 +171,97 @@ class TestDeterminism:
         body = {"splitting": report_to_json(tropical_roots(cp)),
                 "charpoly": charpoly_to_json(cp)}
         assert dumps(body) == dumps(json.loads(dumps(body)))
+
+
+# every field name a reader looks up, so drawn objects reach past the first check
+FIELDS = ["annotations", "charpoly", "coeffs", "entries", "exp", "expected", "im", "matrix",
+          "mult", "n", "name", "omega", "re", "rad", "roots", "sim", "sre", "terms", "trunc",
+          "undetermined", "zero_roots"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 6, 10 ** 6) | st.floats()
+    | st.text(alphabet="0123456789/.-+e_ ix", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=24)
+READERS = {"exact": lambda obj: exact_from_json(obj, "$"),
+           "scalarpoly": lambda obj: scalarpoly_from_json(obj, "$"),
+           "polymatrix": polymatrix_from_json, "charpoly": charpoly_from_json,
+           "report": report_from_json, "numeric_matrix": numeric_matrix_from_json,
+           "family_document": family_document_from_json}
+
+
+class TestEveryReaderRefusesWithParseError:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @settings(max_examples=100, deadline=None)
+    @given(obj=JSON_VALUES)
+    def test_returns_a_value_or_raises_parse_error(self, reader, obj):
+        try:
+            READERS[reader](obj)
+        except ParseError:
+            pass
+
+    @pytest.mark.parametrize("reader, obj, where", [
+        # not an array: iterating 5 raised TypeError, "ab" read two bad terms
+        ("charpoly", {"coeffs": 5}, "$.coeffs: expected an array"),
+        ("charpoly", {"coeffs": "ab"}, "$.coeffs: expected an array"),
+        ("charpoly", {"coeffs": None}, "$.coeffs: expected an array"),
+        # an int beyond the float range raised OverflowError
+        ("numeric_matrix", [[10 ** 400]], "$[0][0]: entries are"),
+        ("numeric_matrix", {"entries": [[0, [1, -10 ** 400]], [0, 0]]}, "$.entries[0][1]: "),
+        # a name that is not a string was printed as the family's name
+        ("family_document", {"name": [1, 2], "charpoly": {"coeffs": [[{"exp": 0, "re": "1"}], []]}},
+         "$.name: expected a string"),
+    ])
+    def test_found_cases(self, reader, obj, where):
+        with pytest.raises(ParseError) as exc:
+            READERS[reader](obj)
+        assert str(exc.value).startswith(where)
+
+
+class TestInputSizeLimits:
+    @pytest.mark.parametrize("text", ["1e3000000", "1e-3000000", "1.5E+4300", "99e4299",
+                                      "1" * 4300 + "e1", "1e3_000_000"])
+    def test_long_exponents_refused(self, text):
+        with pytest.raises(ParseError, match=r"^\$\.re: a number with exponent .* more than "
+                                             r"4300 digits$"):
+            exact_from_json({"re": text}, "$")
+
+    @pytest.mark.parametrize("text, digits", [("1e4299", 4300), ("12e4298", 4300),
+                                              ("-1e-4299", 4300)])
+    def test_exponents_within_the_limit_read(self, text, digits):
+        value = exact_from_json({"re": text}, "$").re
+        assert max(len(str(value.numerator).lstrip("-")), len(str(value.denominator))) == digits
+
+    def test_large_radicand_refused(self):
+        blob = {"re": "1", "sre": "1", "rad": 2 ** 32}
+        with pytest.raises(ParseError, match=r"^\$\.rad: radicand must be below 2\^32"):
+            exact_from_json(blob, "$")
+        assert exact_from_json(dict(blob, rad=2 ** 32 - 1), "$").rad == 2 ** 32 - 1
+
+
+class TestFamilyDocument:
+    @pytest.mark.parametrize("name", example_names())
+    def test_example_output_reads_back(self, capsys, name):
+        argv = EXAMPLE_PARAMS.get(name, [])
+        family = build_example(name, **dict(_parse_param(p) for p in argv[1::2]))
+        assert main(["example", name, *argv]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document == dict(family_document_to_json(family),
+                                provenance=document["provenance"])
+        assert family_document_from_json(document) == (family.name, family.realization,
+                                                      family.expected)
+
+    def test_name_and_expected_are_optional(self):
+        matrix = polymatrix_to_json(PolyMatrix([[0, 1], [ScalarPoly.t(), 0]]))
+        assert family_document_from_json({"matrix": matrix})[::2] == (None, None)
+
+    @pytest.mark.parametrize("obj, where", [
+        (5, "$: family file must be a JSON object"),
+        ({}, "$: family file needs 'matrix' or 'charpoly'"),
+        ({"charpoly": {"coeffs": [[{"exp": 0, "re": "1"}], []]}, "name": 3}, "$.name: "),
+        ({"matrix": {"entries": [[[]]]}, "expected": None}, "$.expected: "),
+    ])
+    def test_malformed_documents(self, obj, where):
+        with pytest.raises(ParseError) as exc:
+            family_document_from_json(obj)
+        assert str(exc.value).startswith(where)
