@@ -27,24 +27,25 @@ class ParseError(ValueError):
 
 
 def check_exponent(text: str, path: str) -> None:
-    """Refuse a number whose decimal exponent, with its mantissa's digits,
+    """Refuse a decimal number whose exponent, with its mantissa's digits,
     implies more than MAX_DIGITS digits: Fraction("1e3000000") builds all
     three million of them, and str() of the result fails."""
-    mantissa, e, exp = text.lower().partition("e")
     try:
-        digits = sum(map(str.isdigit, mantissa)) + abs(int(exp)) if e else 0
-    except ValueError:  # no decimal exponent; the number's own reader decides
+        float(text)
+    except ValueError:  # not a decimal number; the caller's reader decides
         return
-    if digits > MAX_DIGITS:
+    mantissa, e, exp = text.lower().partition("e")
+    if e and sum(map(str.isdigit, mantissa)) + abs(int(exp)) > MAX_DIGITS:
         raise ParseError(path, f"a number with exponent {exp.strip()} has more than "
                                f"{MAX_DIGITS} digits")
 
 
 def parse_frac(s, path: str) -> Fraction:
     from fractions import Fraction
-    check_exponent(str(s), path)
+    text = str(s)
+    check_exponent(text, path)
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, f"not a rational: {s!r} ({exc})") from None
 
@@ -283,7 +284,7 @@ def family_document_to_json(f: Family) -> dict:
 
 
 def family_document_from_json(obj, path: str = "$"):
-    """(name or None, "matrix" or else "charpoly", expected report or None)."""
+    """(name or None, the "matrix" or else the "charpoly", expected report or None)."""
     if not isinstance(obj, dict):
         raise ParseError(path, "family file must be a JSON object")
     if "matrix" in obj:
