@@ -18,7 +18,8 @@ Both run on an integer kernel rather than on ScalarPoly/ExactComplex
 objects.  On entry the matrix is scaled by D, the lcm of the one common
 denominator each ExactComplex coefficient stores, so that D*M has entries in
 Z[i][t] or, when M holds one surd sqrt(rad), in Z[i, sqrt(rad)][t].  The
-truncation is decided once: a_0 is exact, a_1 = -tr M is known below the
+truncation is decided once, in the same walk over M that collects the
+denominators and radicands: a_0 is exact, a_1 = -tr M is known below the
 smallest truncation order on the diagonal, and every a_k with k >= 2 below
 the smallest order anywhere in M.  That is what joining both operands'
 orders at every product and sum gives (a zero times a truncated entry stays
@@ -32,7 +33,9 @@ entry is one Python int per component: (re, im) over Z[i], or
 None.  Polynomial products become 4 (or 16) big-int products.  Every ring
 operation commutes with the substitution, so only the final coefficients
 need to fit: each a_k is read back as balanced base-2^bits digits, which is
-exact while every component lies in [-2^(bits-1), 2^(bits-1)).
+exact while every component lies in [-2^(bits-1), 2^(bits-1)), and each run
+of zero digits is skipped with one shift, so a sparse t-degree is never
+expanded.
 
 The digit bound.  With w = isqrt(rad) + 1 (so w^2 > rad) the norm
 ||p|| = sum_e |re| + |im| + w (|sre| + |sim|) is submultiplicative and
@@ -42,11 +45,13 @@ with R the largest row sum of entry norms every component of a_k is at most
 C(n, k) R^k.  bits is two more than the bit length of n max_k C(n, k) R^k;
 the factor n covers the traces' sums k a_k.
 
-Sparsity.  Each row is the list of its nonzero (column, entry) pairs.
-Berkowitz keeps only the nonzeros of v, forms every A v product by scattering
-them through the nonzeros of their columns, and combines the nonzero items
-with the nonzero coefficients of the trailing block's polynomial only, so a
-chain costs O(n) kernel dot products.  The traces recursion forms only the
+Sparsity.  A polynomial crosses the kernel boundary, both ways, as the list
+of its nonzero (exponent, coefficient) terms, as ScalarPoly stores it, and a
+row as the list of its nonzero (column, entry) pairs.  Berkowitz keeps only
+the nonzeros of v, forms every A v product by scattering them through the
+nonzeros of their columns, and combines the nonzero items with the nonzero
+coefficients of the trailing block's polynomial only, so a chain costs O(n)
+kernel dot products.  The traces recursion forms only the
 half powers M^1..M^h, h = ceil(n/2), each row by row from the nonzeros, and
 reads the upper power sums off pairs of them:
 tr(M^(h+j)) = sum_(i,c) (M^h)[i, c] (M^j)[c, i] for j = 1..n-h, so it needs
@@ -129,7 +134,7 @@ class CharPoly(_Frozen):
 
 def charpoly_traces(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via power sums and Newton's identities."""
-    rows, rad, den, bits = _to_kernel(m)
+    rows, rad, den, bits, orders = _to_kernel(m)
     n = len(rows)
     h = (n + 1) // 2
     powers = [None, rows]  # powers[k] = M^k for k <= h
@@ -148,14 +153,14 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
         total = _dot([(x, y) for x, y in zip(a, s[k:0:-1]) if x and y], rad)
         a.append(_pack(_div_exact(_unpack(total, bits), -k), bits))
-    return _from_kernel([_unpack(x, bits) for x in a], _coeff_orders(m), rad, den)
+    return _from_kernel([_unpack(x, bits) for x in a], orders, rad, den)
 
 
 def charpoly_direct(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via the Berkowitz division-free expansion."""
-    rows, rad, den, bits = _to_kernel(m)
+    rows, rad, den, bits, orders = _to_kernel(m)
     coeffs = [_unpack(x, bits) for x in _berkowitz(rows, rad)]
-    return _from_kernel(coeffs, _coeff_orders(m), rad, den)
+    return _from_kernel(coeffs, orders, rad, den)
 
 
 def _berkowitz(rows, rad) -> list:
@@ -208,15 +213,21 @@ def _berkowitz(rows, rad) -> list:
 # -- integer kernel (see the module docstring) --------------------------------
 
 def _to_kernel(m: PolyMatrix):
-    """(rows, rad, den, bits): the known terms of den * M packed at 2^bits,
-    each row the list of its nonzero (column, entry) pairs in column order."""
-    dens, rads = {1}, set()
-    for row in m.rows:
-        for p in row:
-            for c in p.terms.values():
-                dens.add(c.den)
-                if c.rad:
-                    rads.add(c.rad)
+    """(rows, rad, den, bits, orders): the known terms of den * M packed at
+    2^bits, each row the list of its nonzero (column, entry) pairs in column
+    order, and the truncation order of each a_k, None where exact."""
+    dens, rads, diag, off = {1}, set(), [], []  # diag, off: orders on and off the diagonal
+    nonzero = [[] for _ in m.rows]
+    for i, row in enumerate(m.rows):
+        for j, p in enumerate(row):
+            if p.trunc is not None:
+                (diag if j == i else off).append(p.trunc)
+            if p.terms:
+                nonzero[i].append((j, p))
+                for c in p.terms.values():
+                    dens.add(c.den)
+                    if c.rad:
+                        rads.add(c.rad)
     den = lcm(*dens)
     if len(rads) > 1:
         first, second = sorted(rads)[:2]
@@ -228,31 +239,19 @@ def _to_kernel(m: PolyMatrix):
         k = den // c.den
         return (c.nre * k, c.nim * k, c.nsre * k, c.nsim * k) if rad else (c.nre * k, c.nim * k)
 
-    def entry(p):
-        coeffs = [(0, 0, 0, 0) if rad else (0, 0)] * (max(p.terms) + 1)
-        for e, c in p.terms.items():
-            coeffs[e] = scaled(c)
-        return coeffs
-
     def norm(c):
         return abs(c[0]) + abs(c[1]) + (w * (abs(c[2]) + abs(c[3])) if rad else 0)
 
-    sparse = [[(j, entry(p)) for j, p in enumerate(row) if p.terms] for row in m.rows]
+    sparse = [[(j, [(e, scaled(c)) for e, c in p.terms.items()]) for j, p in row]
+              for row in nonzero]
     # R, the largest row sum of entry norms (see the module docstring)
-    r_max = max(sum(norm(c) for _, coeffs in row for c in coeffs) for row in sparse)
+    r_max = max(sum(norm(c) for _, terms in row for _, c in terms) for row in sparse)
     n = m.n
     bound = n * max(comb(n, k) * r_max ** k for k in range(n + 1))
     bits = bound.bit_length() + 2
-    rows = [[(j, _pack(coeffs, bits)) for j, coeffs in row] for row in sparse]
-    return rows, rad, den, bits
-
-
-def _coeff_orders(m: PolyMatrix) -> list:
-    """Truncation order of each a_k, None where exact (see the module docstring)."""
-    def least(polys):
-        return min((p.trunc for p in polys if p.trunc is not None), default=None)
-    diag = least(m.rows[i][i] for i in range(m.n))
-    return [None, diag] + [least(p for row in m.rows for p in row)] * (m.n - 1)
+    rows = [[(j, _pack(terms, bits)) for j, terms in row] for row in sparse]
+    orders = [None, min(diag, default=None)] + [min(diag + off, default=None)] * (n - 1)
+    return rows, rad, den, bits, orders
 
 
 def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
@@ -261,54 +260,54 @@ def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
     out = []
     for k, (poly, trunc) in enumerate(zip(coeffs, orders)):
         dk = den ** k
-        terms = {}
-        for e, c in enumerate(poly[:trunc]):
-            if any(c):
-                terms[e] = _canonical(*c, dk, rad) if rad else _canonical(*c, 0, 0, dk, 0)
+        terms = {e: _canonical(*c, dk, rad) if rad else _canonical(*c, 0, 0, dk, 0)
+                 for e, c in poly if trunc is None or e < trunc}
         out.append(ScalarPoly(terms, trunc))
     return CharPoly(out)
 
 
-def _pack(coeffs, bits):
-    """Kernel entry of a list of coefficient tuples, None if it is empty."""
-    if not coeffs:
+def _pack(terms, bits):
+    """Kernel entry of (exponent, coefficient tuple) pairs, None if there are none."""
+    if not terms:
         return None
-    packed = []
-    for comp in zip(*coeffs):
-        x = 0
-        for c in reversed(comp):
-            x = (x << bits) + c
-        packed.append(x)
+    packed = [0] * len(terms[0][1])
+    for e, c in terms:
+        shift = bits * e
+        for i, x in enumerate(c):
+            packed[i] += x << shift
     return tuple(packed)
 
 
 def _unpack(p, bits) -> list:
-    """Coefficient tuples of a kernel entry, read as balanced base-2^bits
-    digits; exact while every component lies in [-2^(bits-1), 2^(bits-1))."""
+    """Nonzero (exponent, coefficient tuple) pairs of a kernel entry in rising
+    exponent order, read as balanced base-2^bits digits; exact while every
+    component lies in [-2^(bits-1), 2^(bits-1))."""
     if p is None:
         return []
-    base, half = 1 << bits, 1 << (bits - 1)
-    comps = []
-    for x in p:
-        digits = []
+    base, half, coeffs = 1 << bits, 1 << (bits - 1), {}
+    for i, x in enumerate(p):
+        e = 0
         while x:
             d = x & (base - 1)
+            if not d:  # skip the run of zero digits
+                run = ((x & -x).bit_length() - 1) // bits
+                x, e = x >> bits * run, e + run
+                continue
             if d >= half:
                 d -= base
-            digits.append(d)
+            coeffs.setdefault(e, [0] * len(p))[i] = d
             x = (x - d) >> bits
-        comps.append(digits)
-    size = max(map(len, comps))
-    return list(zip(*(d + [0] * (size - len(d)) for d in comps)))
+            e += 1
+    return [(e, tuple(c)) for e, c in sorted(coeffs.items())]
 
 
 def _div_exact(p, k: int):
-    """p / k for a polynomial whose components are all multiples of k."""
-    for c in p:
+    """p / k for (exponent, coefficient) pairs whose components are all multiples of k."""
+    for _, c in p:
         for x in c:
             if x % k:
                 raise ArithmeticError(f"traces recursion: {x} is not divisible by {k}")
-    return [tuple(x // k for x in c) for c in p]
+    return [(e, tuple(x // k for x in c)) for e, c in p]
 
 
 def _sum(entries):

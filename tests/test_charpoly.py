@@ -191,6 +191,12 @@ class TestKernelAgainstReference:
     @example(PolyMatrix([[0, 0], [0, ScalarPoly.zero(2)]]))
     # an off-diagonal truncation leaves a_1 exact but truncates a_2
     @example(PolyMatrix([[1, ScalarPoly.zero(1)], [ScalarPoly.monomial(2), 0]]))
+    # sparse high degrees: lambda^3 - t^100000, and an exact 1 + t^50000 on the
+    # diagonal, which a_1 keeps, beside an entry truncated at order 2
+    @example(companion_matrix([1, 0, 0, -ScalarPoly.monomial(100000)]))
+    @example(PolyMatrix([[ScalarPoly({0: 1, 50000: ec(2, -1)}), ScalarPoly({0: 3}, 2), 0],
+                         [ScalarPoly.monomial(1), 0, ScalarPoly.monomial(50000, ec(0, 1))],
+                         [ScalarPoly.monomial(3), 1, ScalarPoly.monomial(49999)]]))
     def test_direct_traces_reference_agree(self, m):
         ref = CharPoly(reference_berkowitz([list(row) for row in m.rows]))
         assert charpoly_direct(m) == ref
@@ -205,7 +211,7 @@ class TestKernelAgainstReference:
 
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError, match="not divisible by 2"):
-            _div_exact([(4, 3)], 2)
+            _div_exact([(0, (4, 2)), (7, (4, 3))], 2)
 
 
 def _components(p: ScalarPoly):
@@ -224,7 +230,7 @@ class TestPackedKernel:
     # tight for 6 a_6 = 6 c^6: needs the factor n
     @example(PolyMatrix([[2 ** 40 - 1 if i == j else 0 for j in range(6)] for i in range(6)]))
     def test_bits_dominate_every_coefficient(self, m):
-        _, _, den, bits = _to_kernel(m)
+        _, _, den, bits, _ = _to_kernel(m)
         known = [[ScalarPoly(p.terms).scale(den) for p in row] for row in m.rows]
         ref = reference_berkowitz(known)
         largest = max(k * abs(x) for k, a in enumerate(ref) for x in _components(a))
@@ -233,14 +239,17 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("bits", [2, 3, 17, 64, 200])
     def test_pack_unpack_round_trip(self, bits):
-        top = 2 ** (bits - 1) - 1
-        cases = [[(top, -top)], [(-top, top)], [(0, 0), (top, -1)],
-                 [(top, 1), (-1, -top)],  # negative leading digits
-                 [(-top, 0), (0, 0), (-1, 0)],
-                 [(top, -top, 0, 1), (-top, top, -1, 0), (0, 0, -top, 0)],
-                 [(-top - 1, top)]]  # the lowest balanced digit
-        for coeffs in cases:
-            assert _unpack(_pack(coeffs, bits), bits) == coeffs
+        top, low = 2 ** (bits - 1) - 1, -2 ** (bits - 1)  # low: the lowest balanced digit
+        cases = [[(0, (top, -top))], [(0, (-top, top))], [(1, (top, -1))],
+                 [(0, (top, 1)), (1, (-1, -top))],  # negative leading digits
+                 [(0, (-top, 0)), (2, (-1, 0))],
+                 [(0, (top, -top, 0, 1)), (1, (-top, top, -1, 0)), (2, (0, 0, -top, 0))],
+                 [(0, (low, top))],
+                 # zero runs up to 10^6 digits long between extreme digits
+                 [(0, (low, top)), (1, (top, low)), (10 ** 6, (low, 0)), (10 ** 6 + 1, (0, low))],
+                 [(5, (0, 0, 0, low)), (10 ** 6 + 4, (top, 0, low, 0))]]
+        for terms in cases:
+            assert _unpack(_pack(terms, bits), bits) == terms
         assert _pack([], bits) is None and _unpack(None, bits) == []
 
 

@@ -579,6 +579,28 @@ class TestTinyInputsFailFast:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+class TestSparseHighDegree:
+    """A sparse t-degree of a million is never expanded, so each input answers
+    in well under a second; the timeout only stops a regression."""
+
+    def tropeig(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "tropeig.cli", *argv], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=30)
+
+    def test_analyze_matrix(self, tmp_path):
+        doc = {"n": 2, "entries": [[[], [{"exp": 0, "re": "1", "im": "0"}]],
+                                   [[{"exp": 10 ** 6, "re": "1", "im": "0"}], []]]}
+        proc = self.tropeig("analyze", "--matrix", write(tmp_path, "m.json", doc))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["splitting"]["roots"] == [{"mult": 2, "omega": "500000"}]
+
+    def test_verify_torus_knot(self):
+        proc = self.tropeig("verify", "--example", "torus_knot", "--param", "p=2",
+                            "--param", "q=1000000")
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["verify", "--t0", "abc"], ["catalog", "7"], ["frobnicate"],
