@@ -46,14 +46,14 @@ C(n, k) R^k.  bits is two more than the bit length of n max_k C(n, k) R^k;
 the factor n covers the traces' sums k a_k.
 
 Sparsity.  A polynomial crosses the kernel boundary, both ways, as the list
-of its nonzero (exponent, coefficient) terms, as ScalarPoly stores it, and a
-row as the list of its nonzero (column, entry) pairs.  Berkowitz keeps only
+of its nonzero (exponent, coefficient) terms, the form ScalarPoly stores, and
+a row as the list of its nonzero (column, entry) pairs.  Berkowitz keeps only
 the nonzeros of v, forms every A v product by scattering them through the
 nonzeros of their columns, and combines the nonzero items with the nonzero
 coefficients of the trailing block's polynomial only, so a chain costs O(n)
-kernel dot products.  The traces recursion forms only the
-half powers M^1..M^h, h = ceil(n/2), each row by row from the nonzeros, and
-reads the upper power sums off pairs of them:
+kernel dot products.  The traces recursion forms only the half powers
+M^1..M^h, h = ceil(n/2), each row by row from the nonzeros, and reads the
+upper power sums off pairs of them:
 tr(M^(h+j)) = sum_(i,c) (M^h)[i, c] (M^j)[c, i] for j = 1..n-h, so it needs
 h - 1 matrix products instead of n - 1.
 
