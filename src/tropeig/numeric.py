@@ -10,7 +10,11 @@ the braid solve by an Ehrlich-Aberth simultaneous root iteration on a scaled
 polynomial of the exactly-known characteristic polynomial (see
 _scaled_polynomial), whose coefficients hold only non-negative powers of t
 and are converted to floats once per check or braid loop, so deep points
-neither underflow nor overflow.
+neither underflow nor overflow.  The iteration is one fused Gauss-Seidel
+sweep: each root in turn takes one Horner pass for p and p' and one sum of
+1/(z_i - z_j) over the roots before it and after it, and is updated in place
+before the next one is visited.  A non-finite coefficient is refused, and an
+iterate that leaves the floats ends the solve with NonConvergenceError.
 
 Every root solve of the check starts from Newton-polygon guesses, so the
 roots at one point do not depend on the other.  The braid loop is a
@@ -58,10 +62,19 @@ SEPARATION = 4.0
 # a branch this close to its edge root (relative) needs no rate: the scaled
 # polynomial of an exact branch such as lambda^2 - t^q is E itself
 EXACT_DISTANCE = 1e-10
+# the complex that the int 1 converts to in mixed arithmetic: the same bits,
+# without the conversion
+_ONE = 1 + 0j
 
 
 class NonConvergenceError(RuntimeError):
-    """The root iteration did not converge within ROOT_ITERATIONS sweeps."""
+    """The root iteration did not converge within ROOT_ITERATIONS sweeps, or
+    an iterate left the floats.  ``residual`` is the largest relative step of
+    the last sweep, and nan in the second case."""
+
+    def __init__(self, message: str, residual: float = math.nan):
+        super().__init__(message)
+        self.residual = residual
 
 
 class LoopDegeneracyError(RuntimeError):
@@ -73,7 +86,8 @@ class UndeterminedError(ValueError):
 
 
 def _check_determined(cp: CharPoly) -> None:
-    if any(a.ord().is_undetermined for a in cp.coeffs):
+    # ScalarPoly.ord is undetermined exactly when no term is known below trunc
+    if any(not a.terms and a.trunc is not None for a in cp.coeffs):
         raise UndeterminedError("a sample would read an unknown truncated coefficient as 0")
 
 
@@ -97,14 +111,6 @@ def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
     return guesses
 
 
-def _horner2(coeffs: Sequence[complex], z: complex) -> Tuple[complex, complex]:
-    p, dp = coeffs[0], 0j
-    for c in coeffs[1:]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 def aberth_roots(coeffs: Sequence[complex],
                  start: Optional[Sequence[complex]] = None) -> List[complex]:
     """All roots of a polynomial given by leading-first coefficients.
@@ -116,8 +122,17 @@ def aberth_roots(coeffs: Sequence[complex],
     Multiple roots converge only linearly and bottom out at roughly
     machine_eps^(1/m) relative scatter around the true root; the iteration
     accepts such a stagnated cluster instead of spinning forever.
+
+    Raises ValueError when the leading coefficient is 0 or a coefficient is
+    not finite, and NonConvergenceError, with a nan residual, rather than
+    return a root that is not finite.  Such a root comes from values of the
+    polynomial that overflow: its nan step does not count in the sweep's
+    largest step, and the sums pass the nan to the other roots, so the
+    iteration would stop as if converged.
     """
     coeffs = [complex(c) for c in coeffs]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ValueError("coefficients must be finite")
     if abs(coeffs[0]) == 0:
         raise ValueError("leading coefficient must be nonzero")
     # peel off exact zero roots so the hull sees a nonzero constant term
@@ -129,42 +144,55 @@ def aberth_roots(coeffs: Sequence[complex],
     if m == 0:
         return [0j] * tail_zeros
     z = list(start) if start is not None and len(start) == m else _initial_guesses(coeffs)
+    head, tail = coeffs[0], coeffs[1:]
     prev_step = math.inf
     stalled = 0
     for _ in range(ROOT_ITERATIONS):
         max_step = 0.0
         for i in range(m):
-            p, dp = _horner2(coeffs, z[i])
-            if p == 0:
+            # Horner for p and p' at z_i; `not x` is `x == 0` for a complex
+            zi = z[i]
+            p, dp = head, 0j
+            for c in tail:
+                dp, p = dp * zi + p, p * zi + c
+            if not p:
                 continue
-            if dp == 0:
-                z[i] *= 1 + 1e-8
-                p, dp = _horner2(coeffs, z[i])
-                if dp == 0:
+            if not dp:
+                z[i] = zi = zi * (1 + 1e-8)
+                p, dp = head, 0j
+                for c in tail:
+                    dp, p = dp * zi + p, p * zi + c
+                if not dp:
                     continue
             w = p / dp
             s = 0j
-            zi = z[i]
-            for j, zj in enumerate(z):
-                if j != i:
-                    diff = zi - zj
-                    if diff == 0:
-                        diff = 1e-300
-                    s += 1 / diff
-            denom = 1 - w * s
-            step = w if denom == 0 else w / denom
+            for zj in z[:i]:
+                diff = zi - zj
+                if not diff:
+                    diff = 1e-300
+                s += _ONE / diff
+            for zj in z[i + 1:]:
+                diff = zi - zj
+                if not diff:
+                    diff = 1e-300
+                s += _ONE / diff
+            denom = _ONE - w * s
+            step = w if not denom else w / denom
             z[i] = zi = zi - step
             rel = abs(step) / (1 + abs(zi))
             if rel > max_step:
                 max_step = rel
-        if max_step <= ROOT_TOL:
-            return z + [0j] * tail_zeros
-        stalled = stalled + 1 if max_step > 0.7 * prev_step else 0
-        if stalled >= 8 and max_step <= 1e-4:
-            return z + [0j] * tail_zeros
-        prev_step = max_step
+        if max_step > ROOT_TOL:
+            stalled = stalled + 1 if max_step > 0.7 * prev_step else 0
+            if stalled < 8 or max_step > 1e-4:
+                prev_step = max_step
+                continue
+        if not all(map(cmath.isfinite, z)):
+            raise NonConvergenceError("root iteration left the floats")
+        return z + [0j] * tail_zeros
     raise NonConvergenceError(f"root iteration did not converge "
-                              f"(iterations={ROOT_ITERATIONS}, residual={max_step:.3e})")
+                              f"(iterations={ROOT_ITERATIONS}, residual={max_step:.3e})",
+                              max_step)
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +342,24 @@ def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
 
 
 def _scaled_roots(tables, t: complex) -> Optional[List[complex]]:
-    """Roots of q_t at t, or None when a coefficient overflows or a root is
-    not finite; a leading coefficient that underflows to 0 drops a root at
-    infinity, which lies far from every edge root."""
+    """Roots of q_t at t, or None when a coefficient is not finite or a root
+    leaves the floats; a leading coefficient that underflows to 0 drops a
+    root at infinity, which lies far from every edge root."""
     log_t = cmath.log(t)
     try:
         coeffs = [sum(c * cmath.exp(x * log_t) for x, _, c in table) for table in tables]
     except OverflowError:
         return None
+    if not all(map(cmath.isfinite, coeffs)):
+        return None
     while coeffs[0] == 0:
         coeffs.pop(0)
-    roots = aberth_roots(coeffs)
-    return roots if all(map(cmath.isfinite, roots)) else None
+    try:
+        return aberth_roots(coeffs)
+    except NonConvergenceError as exc:
+        if math.isnan(exc.residual):
+            return None
+        raise
 
 
 def _edge_distances(edge_roots: Sequence[complex], roots: Sequence[complex]):
@@ -475,13 +509,21 @@ class BraidPermutation(_Frozen):
 
 def _spacings(roots: Sequence[complex], zeros: int) -> List[float]:
     """The spacing of each root: its distance to the nearest other root or,
-    when there are ``zeros`` flat zeros, to 0; inf if there is neither."""
-    out = []
+    when there are ``zeros`` flat zeros, to 0; inf if there is neither.
+
+    Each pairwise distance is taken once, for both roots: |a - b| == |b - a|
+    in floats, as a - b is -(b - a) exactly.
+    """
+    out = [abs(z) for z in roots] if zeros else [math.inf] * len(roots)
     for k, z in enumerate(roots):
-        others = [abs(z - w) for j, w in enumerate(roots) if j != k]
-        if zeros:
-            others.append(abs(z))
-        out.append(min(others, default=math.inf))
+        near = out[k]
+        for j in range(k + 1, len(roots)):
+            d = abs(z - roots[j])
+            if d < near:
+                near = d
+            if d < out[j]:
+                out[j] = d
+        out[k] = near
     return out
 
 
@@ -495,12 +537,16 @@ def _nearest_within(cur: Sequence[complex], new: Sequence[complex],
     """
     order = []
     for c in cur:
-        dists = [abs(c - w) for w in new]
-        j = dists.index(min(dists))
-        if dists[j] > 0.45 * spacing[j]:
+        # the first point at the least distance
+        j, near = 0, abs(c - new[0])
+        for k in range(1, len(new)):
+            d = abs(c - new[k])
+            if d < near:
+                j, near = k, d
+        if near > 0.45 * spacing[j] or j in order:
             return None
         order.append(j)
-    return order if len(set(order)) == len(order) else None
+    return order
 
 
 def _check_separated(roots: Sequence[complex], spacing: Sequence[float]) -> None:
@@ -540,9 +586,16 @@ def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex],
     than ``floor``.
     """
     h = 2 * math.pi / 8
+    head, tail = coeffs[0], coeffs[1:]
     for z, sep in zip(roots, spacing):
-        dp = _horner2(coeffs, z)[1]
-        speed = abs(_horner2(dcoeffs, z)[0] / dp) if dp else math.inf
+        # Horner for p' and for d at z
+        p, dp = head, 0j
+        for c in tail:
+            dp, p = dp * z + p, p * z + c
+        d = dcoeffs[0]
+        for c in dcoeffs[1:]:
+            d = d * z + c
+        speed = abs(d / dp) if dp else math.inf
         if not math.isfinite(speed):
             raise LoopDegeneracyError(f"eigenvalue velocity {speed} on the loop; "
                                       "it crosses a degeneracy")
@@ -647,6 +700,9 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
                 raise LoopDegeneracyError("step below the resolution of the loop phase")
             w_to = cmath.exp(1j * phi_to)
             coeffs_to = [horner_table(table, w_to) for table in tables]
+            # from the previous roots: a start predicted from the velocities
+            # changes whether a solve that stalls near ROOT_TOL converges
+            # (effective_liouvillian at eps0 = 1.5)
             new = aberth_roots(coeffs_to, current)
             new_spacing = _spacings(new, zeros)
             _check_separated(new, new_spacing)

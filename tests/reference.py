@@ -12,7 +12,8 @@ import numpy as np
 from tropeig.charpoly import CharPoly, PolyMatrix
 from tropeig.exact import EC_ONE, EC_ZERO, ExactComplex
 from tropeig.jordan import validate_partition
-from tropeig.numeric import aberth_roots
+from tropeig.numeric import (ROOT_ITERATIONS, ROOT_TOL, NonConvergenceError, _initial_guesses,
+                             aberth_roots)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import SplittingReport, TropicalPoly, TropicalRoot
 
@@ -230,6 +231,80 @@ AMBIGUOUS_CHAIN = [
     [[-0.11640661120436732, 0.11605676464274339], [-0.0863552137629753, 0.14162240649088548],
      [-0.24270865985799783, 0.04285718413338263]],
 ]
+
+
+def reference_aberth_roots(coeffs: Sequence[complex],
+                           start: Optional[Sequence[complex]] = None):
+    """numeric.aberth_roots as a plain Gauss-Seidel sweep: a Horner helper
+    for p and p', and the sum of 1/(z_i - z_j) over every j != i.  It checks
+    no coefficient and no iterate for finiteness, so a nan step leaves the
+    sweep's largest step alone and nan roots come back as converged."""
+    def horner2(z):
+        p, dp = coeffs[0], 0j
+        for c in coeffs[1:]:
+            dp = dp * z + p
+            p = p * z + c
+        return p, dp
+
+    coeffs = [complex(c) for c in coeffs]
+    if abs(coeffs[0]) == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    tail_zeros = 0
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+        tail_zeros += 1
+    m = len(coeffs) - 1
+    if m == 0:
+        return [0j] * tail_zeros
+    z = list(start) if start is not None and len(start) == m else _initial_guesses(coeffs)
+    prev_step = math.inf
+    stalled = 0
+    for _ in range(ROOT_ITERATIONS):
+        max_step = 0.0
+        for i in range(m):
+            p, dp = horner2(z[i])
+            if p == 0:
+                continue
+            if dp == 0:
+                z[i] *= 1 + 1e-8
+                p, dp = horner2(z[i])
+                if dp == 0:
+                    continue
+            w = p / dp
+            s = 0j
+            zi = z[i]
+            for j, zj in enumerate(z):
+                if j != i:
+                    diff = zi - zj
+                    if diff == 0:
+                        diff = 1e-300
+                    s += 1 / diff
+            denom = 1 - w * s
+            step = w if denom == 0 else w / denom
+            z[i] = zi = zi - step
+            rel = abs(step) / (1 + abs(zi))
+            if rel > max_step:
+                max_step = rel
+        if max_step <= ROOT_TOL:
+            return z + [0j] * tail_zeros
+        stalled = stalled + 1 if max_step > 0.7 * prev_step else 0
+        if stalled >= 8 and max_step <= 1e-4:
+            return z + [0j] * tail_zeros
+        prev_step = max_step
+    raise NonConvergenceError(f"root iteration did not converge "
+                              f"(iterations={ROOT_ITERATIONS}, residual={max_step:.3e})")
+
+
+def reference_spacings(roots: Sequence[complex], zeros: int):
+    """numeric._spacings taking every distance twice: the least of |z_k - z_j|
+    over j != k, and |z_k| when there are flat zeros."""
+    out = []
+    for k, z in enumerate(roots):
+        others = [abs(z - w) for j, w in enumerate(roots) if j != k]
+        if zeros:
+            others.append(abs(z))
+        out.append(min(others, default=math.inf))
+    return out
 
 
 def pairwise_separation(eigs: Sequence[complex]) -> float:

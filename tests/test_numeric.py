@@ -6,11 +6,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from reference import (cardano_roots, charpoly_roots, dense_eigenvalues, numeric_ord,
-                       pairwise_separation)
+                       pairwise_separation, reference_aberth_roots, reference_spacings)
 from tropeig import numeric
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
 from tropeig.exact import ExactComplex
@@ -293,6 +293,13 @@ class TestCheckSeparated:
             _check_separated(roots, _spacings(roots, zeros))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(points | st.just(0j) | st.just(1 + 1j), max_size=9), st.integers(0, 2))
+def test_spacings_take_each_distance_once(roots, zeros):
+    assert ([x.hex() for x in _spacings(roots, zeros)]
+            == [x.hex() for x in reference_spacings(roots, zeros)])
+
+
 class TestSamplePoints:
     def test_validation(self, catalogs):
         fam = catalogs[2][0]
@@ -317,7 +324,91 @@ class TestSamplePoints:
         assert points[1] == pytest.approx(1e-2j * 10.0 ** -CHECK_DECADES)
 
 
+def poly_from_roots(roots):
+    """Leading-first coefficients of prod (z - r)."""
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [0j], [0j] + coeffs)]
+    return coeffs
+
+
+@st.composite
+def aberth_cases(draw):
+    """(coeffs, start) for aberth_roots: planted roots of multiplicity up to
+    3 (the stagnation exit) or random coefficients, exact zero roots, and a
+    start that is cold, of the wrong length, or drawn from the roots (p == 0
+    there), 0 (p' == 0 there when the linear coefficient is 0) and nearby
+    points, with repeats (coincident starts)."""
+    gauss = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1.0, 0.37, 1e-3, 1e3]))
+        planted = [scale * r for r in draw(st.lists(gauss, min_size=1, max_size=4))]
+        coeffs = poly_from_roots([r for r in planted for _ in range(draw(st.integers(1, 3)))])
+    else:
+        planted = []
+        coeffs = draw(st.lists(points, min_size=2, max_size=8))
+        if draw(st.booleans()):
+            coeffs[-2] = 0j  # p'(0) = 0
+    coeffs += [0j] * draw(st.integers(0, 2))
+    m = len(coeffs) - 1
+    while m and coeffs[m] == 0:
+        m -= 1
+    pool = st.sampled_from(planted + [0j]) | st.builds(
+        lambda z, w: z + 1e-3 * w, st.sampled_from(planted + [0j, 1 + 1j]), gauss)
+    start = draw(st.none() | st.lists(pool, min_size=m, max_size=m)
+                 | st.lists(pool, min_size=m + 1, max_size=m + 1))
+    return coeffs, start
+
+
+def solve_outcome(solve, coeffs, start):
+    try:
+        return bits(solve(coeffs, start))
+    except (ValueError, NonConvergenceError) as exc:
+        return type(exc), str(exc)
+
+
 class TestAberth:
+    @settings(max_examples=400, deadline=None)
+    @given(aberth_cases())
+    @example(([1, -3, 2], [1, 2]))  # a start on each root: p == 0
+    @example(([1, 0, -1], [0j, 0j]))  # coincident starts at the critical point
+    @example(([1, 0, -1, 0, 0], [0j, 2]))  # p' == 0 after the zero roots are peeled
+    @example(([1, -3, 3, -1], None))  # a triple root: the stagnation exit
+    def test_fused_sweep_is_bit_identical_to_the_plain_one(self, case):
+        """Cold and warm solves return the reference's bits, or its exception;
+        where the reference returns roots that are not finite, the fused
+        sweep raises instead."""
+        coeffs, start = case
+        want = solve_outcome(reference_aberth_roots, coeffs, start)
+        got = solve_outcome(aberth_roots, coeffs, start)
+        if isinstance(want, list) and not all(map(cmath.isfinite,
+                                                  reference_aberth_roots(coeffs, start))):
+            assert got[0] is NonConvergenceError and "left the floats" in got[1]
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("coeffs", [[1, math.nan, 1], [1, math.inf, 1]])
+    def test_non_finite_coefficient_is_refused(self, coeffs):
+        # the plain sweep returned nan roots as converged
+        assert not all(map(cmath.isfinite, reference_aberth_roots(coeffs)))
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            aberth_roots(coeffs)
+
+    def test_overflowing_iteration_raises(self):
+        # finite coefficients whose values overflow at the iterates: the nan
+        # step left the sweep's largest step at 0, so nan roots read as converged
+        coeffs = [1, 1e308, 1e308, 1e308]
+        assert not all(map(cmath.isfinite, reference_aberth_roots(coeffs)))
+        with pytest.raises(NonConvergenceError, match="left the floats") as info:
+            aberth_roots(coeffs)
+        assert math.isnan(info.value.residual)
+
+    @pytest.mark.parametrize("middle", [math.nan, 1e308])
+    def test_scaled_roots_reads_non_finite_as_none(self, middle):
+        # q_t = mu^3 + c mu^2 + c mu + c with one term per coefficient, at t = 1
+        tables = [[(0.0, 0, 1 + 0j)]] + [[(0.0, 0, complex(middle))]] * 3
+        assert numeric._scaled_roots(tables, 1 + 0j) is None
+
     def test_exact_quadratic(self):
         roots = sorted(aberth_roots([1, 0, -4]), key=lambda z: z.real)
         assert roots[0] == pytest.approx(-2)
