@@ -50,7 +50,7 @@ from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHAS
 from .charpoly import CharPoly, charpoly_direct  # noqa: F401
 from .exact import EC_ZERO, ExactComplex, _fill, _Frozen
 from .poly import horner_table
-from .tropical import Family, TropicalRoot, _lower_hull
+from .tropical import Family, SplittingReport, TropicalRoot, _lower_hull
 
 # Aberth stops once every relative step is below this (about 225 ulps)
 ROOT_TOL = 5e-14
@@ -85,10 +85,18 @@ class UndeterminedError(ValueError):
     """The prediction, or a coefficient that a sample would read as 0, is undetermined."""
 
 
-def _check_determined(cp: CharPoly) -> None:
+def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
+    """(zeros, floats): cp's flat zero count and the float tables of its moving
+    coefficients a_0..a_{n-zeros}, the one form in which both checks read cp.
+    Raises UndeterminedError when a sample would read an unknown truncated
+    coefficient as 0, then when the prediction ``expected`` is undetermined."""
     # ScalarPoly.ord is undetermined exactly when no term is known below trunc
     if any(not a.terms and a.trunc is not None for a in cp.coeffs):
         raise UndeterminedError("a sample would read an unknown truncated coefficient as 0")
+    if expected is not None and expected.undetermined:
+        raise UndeterminedError("the prediction is undetermined")
+    zeros = cp.trailing_zero_count()
+    return zeros, [a.float_table() for a in cp.coeffs[:cp.n - zeros + 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +165,6 @@ def aberth_roots(coeffs: Sequence[complex],
                 dp, p = dp * zi + p, p * zi + c
             if not p:
                 continue
-            if not dp:
-                z[i] = zi = zi * (1 + 1e-8)
-                p, dp = head, 0j
-                for c in tail:
-                    dp, p = dp * zi + p, p * zi + c
-                if not dp:
-                    continue
-            w = p / dp
             s = 0j
             for zj in z[:i]:
                 diff = zi - zj
@@ -176,8 +176,15 @@ def aberth_roots(coeffs: Sequence[complex],
                 if not diff:
                     diff = 1e-300
                 s += _ONE / diff
-            denom = _ONE - w * s
-            step = w if not denom else w / denom
+            if dp:
+                w = p / dp
+                denom = _ONE - w * s
+                step = w if not denom else w / denom
+            elif s:
+                step = -1 / s  # p / (p' - p*s) at p' = 0
+            else:  # no step is defined: the root has not converged
+                max_step = math.inf
+                continue
             z[i] = zi = zi - step
             rel = abs(step) / (1 + abs(zi))
             if rel > max_step:
@@ -315,30 +322,22 @@ def _fit_points(t0: float, phase: float) -> Tuple[complex, complex]:
     return t1, t1 * 10.0 ** -CHECK_DECADES
 
 
-def _scaled_polynomial(cp: CharPoly, floats, omega: Fraction):
-    """(edge, tables) of the moving part sum_{i <= moving} a_i lambda^(moving-i)
-    of cp at the exponent omega; ``floats`` holds the float tables of
-    a_0..a_moving (ScalarPoly.float_table).
+def _scaled_polynomial(floats, omega: Fraction):
+    """The tables of the moving part sum_{i <= moving} a_i lambda^(moving-i)
+    of a charpoly at the exponent omega, from the float tables ``floats`` of
+    a_0..a_moving (_float_tables).
 
     With nu = min_i(ord a_i + omega*(moving - i)), tables[i] lists (x, e, c)
     over the terms c*t^e of a_i, where x = e + omega*(moving - i) - nu >= 0:
     the coefficient of mu^(moving-i) in q_t(mu) = t^(-nu) p(t^omega mu, t)
-    is the sum of c*t^x.  ``edge`` is E_omega = lim q_t with its zero roots
-    divided out, leading first: lc(a_i) for i from the first to the last
-    index whose lowest term has x = 0, and 0 between them.
+    is the sum of c*t^x.
     """
     moving = len(floats) - 1
     p, q = omega.numerator, omega.denominator
     # exponents times q, so that they stay integers
     shifts = [p * (moving - i) for i in range(moving + 1)]
-    lows = [q * table[-1][0] + s if table else None for table, s in zip(floats, shifts)]
-    nu = min(low for low in lows if low is not None)
-    tables = [[((q * e + s - nu) / q, e, c) for e, c in table]
-              for table, s in zip(floats, shifts)]
-    on_edge = [i for i, low in enumerate(lows) if low == nu]
-    edge = tuple(cp.coeffs[i].terms[floats[i][-1][0]] if lows[i] == nu else EC_ZERO
-                 for i in range(on_edge[0], on_edge[-1] + 1))
-    return edge, tables
+    nu = min(q * table[-1][0] + s for table, s in zip(floats, shifts) if table)
+    return [[((q * e + s - nu) / q, e, c) for e, c in table] for table, s in zip(floats, shifts)]
 
 
 def _scaled_roots(tables, t: complex) -> Optional[List[complex]]:
@@ -426,13 +425,9 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     _check_fit_arguments(t0, phase, match_tol)
     expected = family.expected
     cp = family.charpoly
-    _check_determined(cp)
-    if expected.undetermined:
-        raise UndeterminedError("the prediction is undetermined")
-    zero_tracks = cp.trailing_zero_count()
-    moving = cp.n - zero_tracks
+    zero_tracks, floats = _float_tables(cp, expected)
+    moving = len(floats) - 1
     t1, t2 = _fit_points(t0, phase)
-    floats = [a.float_table() for a in cp.coeffs[:moving + 1]]
     bound = 10.0 ** (-CHECK_DECADES / (2 * moving)) if moving else 0.0
 
     ok = True
@@ -440,13 +435,19 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     out: List[ClusterFit] = []
     for root in expected.roots:
         m = root.multiplicity
-        edge, tables = _scaled_polynomial(cp, floats, root.omega)
+        tables = _scaled_polynomial(floats, root.omega)
+        # E_omega = lim q_t, its zero roots divided out, leading first: the
+        # terms at x = 0 from the first coefficient with one to the last
+        on_edge = [i for i, table in enumerate(tables) if table and not table[-1][0]]
+        span = range(on_edge[0], on_edge[-1] + 1)
+        edge = tuple(cp.coeffs[i].terms[tables[i][-1][1]] if i in on_edge else EC_ZERO
+                     for i in span)
         if len(edge) == 1:
             ok = False
             diagnostics.append(f"predicted root {root.omega} x{m} is no slope of the "
                                "Newton polygon")
             continue
-        edge_roots = aberth_roots([c.to_complex() for c in edge])
+        edge_roots = aberth_roots([tables[i][-1][2] if i in on_edge else 0j for i in span])
         solved = [_scaled_roots(tables, t) for t in (t1, t2)]
         if None in solved:
             ok = False
@@ -607,26 +608,25 @@ def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex],
     return h
 
 
-def _loop_tables(cp: CharPoly, eps0: float):
-    """(zeros, scale, tables) of a braid loop t = eps0 * w, |w| = 1: the
-    flat zero count, scale = eps0^omega at the least slope omega =
-    min_{i>=1} ord(a_i)/i of the Newton polygon, and for each moving a_i the
-    (e, c * eps0^x) over the terms of _scaled_polynomial at omega, so that
-    horner_table(tables[i], w) = a_i(eps0*w) / scale^i.  As a_0 = 1 and
-    every x >= 0, no coefficient overflows for eps0 <= 1.  At a larger
-    radius the coefficients can be finite while the polynomial's values at
-    its roots are not, so this raises LoopDegeneracyError, once for the
-    whole loop, unless a bound of every Horner sum the loop takes is finite:
-    on |w| = 1 table i and its w d/dw sum to at most s_i = sum |c| and
-    d_i = sum e |c|, every root mu lies within r = max(1, 2 max_i s_i^(1/i))
-    (Fujiwara's bound, as the leading coefficient is 1), and there the
-    values of the polynomial, of its derivative and of the w d/dw one are at
-    most sum_i (k + 1) (s_i + d_i) r^k with k = n' - i."""
-    zeros = cp.trailing_zero_count()
-    floats = [a.float_table() for a in cp.coeffs[:cp.n - zeros + 1]]
+def _loop_tables(floats, eps0: float):
+    """(scale, tables) of a braid loop t = eps0 * w, |w| = 1, from the float
+    tables ``floats`` of the moving a_i (_float_tables): scale = eps0^omega
+    at the least slope omega = min_{i>=1} ord(a_i)/i of the Newton polygon,
+    and for each moving a_i the (e, c * eps0^x) over the terms of
+    _scaled_polynomial at omega, so that horner_table(tables[i], w) =
+    a_i(eps0*w) / scale^i.  As a_0 = 1 and every x >= 0, no coefficient
+    overflows for eps0 <= 1.  At a larger radius the coefficients can be
+    finite while the polynomial's values at its roots are not, so this
+    raises LoopDegeneracyError, once for the whole loop, unless a bound of
+    every Horner sum the loop takes is finite: on |w| = 1 table i and its
+    w d/dw sum to at most s_i = sum |c| and d_i = sum e |c|, every root mu
+    lies within r = max(1, 2 max_i s_i^(1/i)) (Fujiwara's bound, as the
+    leading coefficient is 1), and there the values of the polynomial, of
+    its derivative and of the w d/dw one are at most
+    sum_i (k + 1) (s_i + d_i) r^k with k = n' - i."""
     omega = min((Fraction(table[-1][0], i) for i, table in enumerate(floats) if i and table),
                 default=Fraction(0))
-    _, tables = _scaled_polynomial(cp, floats, omega)
+    tables = _scaled_polynomial(floats, omega)
     try:
         tables = [[(e, c * eps0 ** x) for x, e, c in table] for table in tables]
         sums = [(sum(abs(c) for _, c in table), sum(e * abs(c) for e, c in table))
@@ -635,7 +635,7 @@ def _loop_tables(cp: CharPoly, eps0: float):
         top = len(sums) - 1
         bound = sum((top - i + 1) * (s + d) * r ** (top - i) for i, (s, d) in enumerate(sums))
         if math.isfinite(bound):
-            return zeros, eps0 ** float(omega), tables
+            return eps0 ** float(omega), tables
     except OverflowError:  # a power, or abs of a complex, too large for a float
         pass
     raise LoopDegeneracyError(f"a scaled coefficient overflows at loop radius eps0={eps0}")
@@ -671,8 +671,8 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     coefficient is undetermined.
     """
     _check_braid_arguments(eps0, steps)
-    _check_determined(family.charpoly)
-    zeros, scale, tables = _loop_tables(family.charpoly, eps0)
+    zeros, floats = _float_tables(family.charpoly)
+    scale, tables = _loop_tables(floats, eps0)
     dtables = [[(e, e * c) for e, c in table if e] for table in tables]
     flat = [0j] * zeros
     full_turn = 2 * math.pi

@@ -236,9 +236,11 @@ AMBIGUOUS_CHAIN = [
 def reference_aberth_roots(coeffs: Sequence[complex],
                            start: Optional[Sequence[complex]] = None):
     """numeric.aberth_roots as a plain Gauss-Seidel sweep: a Horner helper
-    for p and p', and the sum of 1/(z_i - z_j) over every j != i.  It checks
-    no coefficient and no iterate for finiteness, so a nan step leaves the
-    sweep's largest step alone and nan roots come back as converged."""
+    for p and p', the sum s of 1/(z_i - z_j) over every j != i, and Aberth's
+    correction p / (p' - p*s), which is -1/s where p' = 0 and undefined, so
+    no convergence, where s = 0 too.  It checks no coefficient and no iterate
+    for finiteness, so a nan step leaves the sweep's largest step alone and
+    nan roots come back as converged."""
     def horner2(z):
         p, dp = coeffs[0], 0j
         for c in coeffs[1:]:
@@ -265,12 +267,6 @@ def reference_aberth_roots(coeffs: Sequence[complex],
             p, dp = horner2(z[i])
             if p == 0:
                 continue
-            if dp == 0:
-                z[i] *= 1 + 1e-8
-                p, dp = horner2(z[i])
-                if dp == 0:
-                    continue
-            w = p / dp
             s = 0j
             zi = z[i]
             for j, zj in enumerate(z):
@@ -279,8 +275,15 @@ def reference_aberth_roots(coeffs: Sequence[complex],
                     if diff == 0:
                         diff = 1e-300
                     s += 1 / diff
-            denom = 1 - w * s
-            step = w if denom == 0 else w / denom
+            if dp != 0:
+                w = p / dp
+                denom = 1 - w * s
+                step = w if denom == 0 else w / denom
+            elif s != 0:
+                step = -1 / s
+            else:
+                max_step = math.inf
+                continue
             z[i] = zi = zi - step
             rel = abs(step) / (1 + abs(zi))
             if rel > max_step:

@@ -19,7 +19,8 @@ from tropeig.models import (build_example, cavity_dynamical, default_families, h
                             torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, UndeterminedError,
-                             _check_separated, _loop_step, _loop_tables, _match,
+                             _check_separated, _float_tables, _loop_step, _loop_tables,
+                             _match,
                              _nearest_within, _spacings, aberth_roots, braid_loop,
                              fit_exponents)
 from tropeig.poly import ScalarPoly, horner_table
@@ -118,7 +119,8 @@ class TestFloatTables:
         """The braid loop's tables at w = e^(i*phi) against a_i(eps0*w) /
         scale^i in 50 digits: finite, a_0 = 1, and every term no larger than
         the exact coefficient's, so that no power eps0^x is negative."""
-        zeros, scale, tables = _loop_tables(cp, eps0)
+        zeros, floats = _float_tables(cp)
+        scale, tables = _loop_tables(floats, eps0)
         assert zeros == cp.trailing_zero_count()
         assert len(tables) == cp.n - zeros + 1 and tables[0] == [(0, 1 + 0j)]
         # scale = eps0^omega, omega = min ord(a_i)/i over the moving coefficients
@@ -143,8 +145,14 @@ class TestFloatTables:
     @given(st.lists(exact_polys(), min_size=1, max_size=6), st.integers(0, 3),
            st.sampled_from((1e-6, 1e-4, 1e-3, 0.5)), st.floats(0, 2 * math.pi))
     def test_loop_tables_are_the_scaled_coefficients(self, polys, zeros, eps0, phi):
-        self.check_loop_tables(CharPoly([1] + polys + [ScalarPoly.zero()] * zeros), eps0,
-                               phi)
+        flat = [ScalarPoly.zero()] * zeros
+        if any(not a.terms and a.trunc is not None for a in polys):
+            # an unknown O(t^k) is refused before any table is built; the
+            # loop would read it as 0, as an exact zero reads
+            with pytest.raises(UndeterminedError):
+                _float_tables(CharPoly([1] + polys + flat))
+            polys = [a if a.terms or a.trunc is None else ScalarPoly.zero() for a in polys]
+        self.check_loop_tables(CharPoly([1] + polys + flat), eps0, phi)
 
     @pytest.mark.parametrize("p, q", [(2, 80), (2, 61), (3, 50)])
     def test_deep_loop_tables_stay_in_range(self, p, q):
@@ -408,6 +416,20 @@ class TestAberth:
         # q_t = mu^3 + c mu^2 + c mu + c with one term per coefficient, at t = 1
         tables = [[(0.0, 0, 1 + 0j)]] + [[(0.0, 0, complex(middle))]] * 3
         assert numeric._scaled_roots(tables, 1 + 0j) is None
+
+    def test_start_where_the_derivative_vanishes_converges(self):
+        # p' = 0 at the start 0j: the step is Aberth's own -1/s, and the
+        # solve ends at the roots, not at the critical point
+        roots = sorted(aberth_roots([1, 0, -1], start=[0j, 0.5]), key=lambda z: z.real)
+        assert roots == [pytest.approx(-1), pytest.approx(1)]
+
+    def test_no_step_defined_is_no_convergence(self):
+        # (z^2 - 1)(z^2 - 4): p'(0) = 0, the other starts are exact roots and
+        # their pulls 1/(0 - z_j) cancel, so 0 has no step on any sweep; the
+        # solve runs out of sweeps instead of returning 0 as a root
+        with pytest.raises(NonConvergenceError, match="residual=inf") as info:
+            aberth_roots([1, 0, -5, 0, 4], start=[0j, 1, -2, -2])
+        assert info.value.residual == math.inf
 
     def test_exact_quadratic(self):
         roots = sorted(aberth_roots([1, 0, -4]), key=lambda z: z.real)
@@ -915,7 +937,8 @@ def reference_braid_loop(family, eps0, steps):
     accepted when each root moves by at most 0.45 of its target's spacing,
     and the loop is refused when two eigenvalues lie closer than 1e-3 of the
     larger of their moduli (pairwise_separation)."""
-    zeros, scale, tables = _loop_tables(family.charpoly, eps0)
+    zeros, floats = _float_tables(family.charpoly)
+    scale, tables = _loop_tables(floats, eps0)
 
     def eig_fn(phi):
         w = cmath.exp(1j * phi)
