@@ -95,8 +95,15 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
         raise UndeterminedError("a sample would read an unknown truncated coefficient as 0")
     if expected is not None and expected.undetermined:
         raise UndeterminedError("the prediction is undetermined")
-    zeros = cp.trailing_zero_count()
-    return zeros, [a.float_table() for a in cp.coeffs[:cp.n - zeros + 1]]
+    floats = []
+    for i, a in enumerate(cp.coeffs[:cp.n - cp.trailing_zero_count() + 1]):
+        try:
+            floats.append(a.float_table())
+        except OverflowError:
+            floats.append(((0, math.inf),))
+        if not all(c and cmath.isfinite(c) for _, c in floats[-1]):
+            raise ValueError(f"charpoly coefficient a_{i} has a term beyond the range of floats")
+    return cp.n + 1 - len(floats), floats
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +118,10 @@ def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
     # both end coefficients are nonzero (aberth_roots), so one guess per root
     guesses: List[complex] = []
     for gi, ((i0, y0), (i1, y1)) in enumerate(zip(hull, hull[1:])):
-        radius = math.exp((y1 - y0) / (i1 - i0))
+        try:
+            radius = math.exp((y1 - y0) / (i1 - i0))
+        except OverflowError:  # a root beyond the floats
+            raise NonConvergenceError("root iteration left the floats") from None
         g = i1 - i0
         for k in range(g):
             theta = 2 * math.pi * k / g + 0.4 + 0.9 * gi

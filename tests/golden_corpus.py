@@ -112,10 +112,13 @@ def _cases():
                                                     "--param", "L=8", "--param", "regime=obc"]
     cases["verify-jordan-4-t0-1e300"] = ["verify", "--jordan", "4", "--t0", "1e300"]
     # numbers out of range: a zero denominator in --param is a usage error
-    # (1); q_t overflows at |t| = 1e300, so its root fails the check (6); and
-    # the scaled coefficients overflow at the loop radius 1e300 (3)
+    # (1), and so is a charpoly coefficient beyond the floats (1e400 * t);
+    # q_t overflows at |t| = 1e300, so its root fails the check (6); and the
+    # scaled coefficients overflow at the loop radius 1e300 (3)
     cases["example-lieb_arccot-zero-denominator"] = ["example", "lieb_arccot",
                                                      "--param", "eps=1/0"]
+    cases["verify-file-out-of-range"] = ["verify", "--file",
+                                         str(GOLDEN / "family_out_of_range.json")]
     cases["verify-example-cavity_d12-t0-1e300"] = ["verify", "--example", "cavity_d12",
                                                    "--t0", "1e300"]
     cases["verify-example-cavity_d12-eps0-1e300"] = ["verify", "--example", "cavity_d12",

@@ -363,6 +363,29 @@ class TestVerify:
         assert json.loads(out)["braid"] == {
             "error": f"a scaled coefficient overflows at loop radius eps0={float(eps0)}"}
 
+    @pytest.mark.parametrize("argv", [
+        ["--file", str(GOLDEN / "family_out_of_range.json")],  # 1e400 * t
+        ["--example", "lieb_pi_antidiag", "--param", "eps=1e400"],
+        # an edge coefficient that rounds to 0 would make an edge root 0
+        ["--example", "lieb_pi_antidiag", "--param", "eps=1e-400"],
+        ["--example", "hatano_nelson", "--param", "L=4", "--param", "regime=obc",
+         "--param", "gamma1=1e400"],
+        ["--example", "torus_knot", "--param", "p=2", "--param", "q=1",
+         "--param", "direction=kx_only", "--param", "ky=1e400"],
+    ], ids=["file", "eps-1e400", "eps-1e-400", "gamma1-1e400", "ky-1e400"])
+    def test_coefficient_beyond_the_floats_exit(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert re.fullmatch(r"error: charpoly coefficient a_\d+ has a term beyond the range "
+                            r"of floats\n", err)
+
+    def test_undetermined_wins_over_a_coefficient_beyond_the_floats(self, tmp_path, capsys):
+        cp = {"coeffs": [[{"exp": 0, "re": "1", "im": "0"}],
+                         [{"exp": 1, "re": "1e400", "im": "0"}], {"terms": [], "trunc": 4}]}
+        code, out, _ = run(capsys, "verify", "--file",
+                           write(tmp_path, "c.json", {"charpoly": cp}), "--braid")
+        assert code == 2 and json.loads(out)["expected"]["undetermined"] is True
+
     def test_subnormal_t0_exit(self, capsys):
         # the second point, t0 / 10^2, underflows to 0
         code, out, err = run(capsys, "verify", "--example", "cavity_d12", "--t0", "5e-324")

@@ -24,7 +24,7 @@ from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              _nearest_within, _spacings, aberth_roots, braid_loop,
                              fit_exponents)
 from tropeig.poly import ScalarPoly, horner_table
-from tropeig.tropical import Family, SplittingReport, TropicalRoot
+from tropeig.tropical import Family, SplittingReport, TropicalRoot, tropical_roots
 
 BRAID_EPS, BRAID_STEPS = 1e-6, 96
 
@@ -410,6 +410,14 @@ class TestAberth:
         with pytest.raises(NonConvergenceError, match="left the floats") as info:
             aberth_roots(coeffs)
         assert math.isnan(info.value.residual)
+
+    def test_root_beyond_the_floats_raises(self):
+        # the Newton-polygon guess for the root -1e600 overflows
+        with pytest.raises(NonConvergenceError, match="left the floats") as info:
+            aberth_roots([1e-300, 1e300])
+        assert math.isnan(info.value.residual)
+        tables = [[(0.0, 0, 1e-300 + 0j)], [(0.0, 0, 1e300 + 0j)]]
+        assert numeric._scaled_roots(tables, 1 + 0j) is None
 
     @pytest.mark.parametrize("middle", [math.nan, 1e308])
     def test_scaled_roots_reads_non_finite_as_none(self, middle):
@@ -906,6 +914,59 @@ class TestUndetermined:
         import tropeig
         assert tropeig.UndeterminedError is UndeterminedError
         assert issubclass(UndeterminedError, ValueError)
+
+
+@st.composite
+def scaled_charpolys(draw):
+    """Monic charpolys of degree up to 4 whose coefficients hold up to three
+    small Gaussian-rational terms, one coefficient of them times 10^k with
+    k in [-400, 400]: beyond the floats at both ends."""
+    n = draw(st.integers(1, 4))
+    small = st.integers(-5, 5)
+    coeffs = [draw(st.dictionaries(st.integers(0, 4), st.tuples(small, small), max_size=3))
+              for _ in range(n)]
+    i, k = draw(st.integers(0, n - 1)), draw(st.integers(-400, 400))
+    coeffs[i] = {e: (re * Fraction(10) ** k, im * Fraction(10) ** k)
+                 for e, (re, im) in coeffs[i].items()}
+    return CharPoly([1] + [ScalarPoly({e: ExactComplex(*c) for e, c in a.items()})
+                           for a in coeffs])
+
+
+class TestFloatRange:
+    """A coefficient that floats cannot hold is refused, naming a_i, before
+    either check samples anything; an undetermined input is refused first."""
+
+    @pytest.mark.parametrize("c", [Fraction(10) ** 400, Fraction(10) ** -400,
+                                   ExactComplex(Fraction(10) ** 400, 1)])
+    def test_refused_naming_the_coefficient(self, c):
+        cp = CharPoly([1, ScalarPoly.monomial(1, -1), ScalarPoly({0: 2, 3: c})])
+        fam = Family("synthetic", cp, tropical_roots(cp))
+        for call in (fit_exponents, braid_loop):
+            with pytest.raises(ValueError, match="coefficient a_2 has a term beyond") as info:
+                call(fam)
+            assert not isinstance(info.value, UndeterminedError)
+
+    def test_undetermined_comes_first(self):
+        huge = ScalarPoly.monomial(1, Fraction(10) ** 400)
+        cp = CharPoly([1, huge, ScalarPoly({}, 3)])
+        fam = Family("synthetic", cp, tropical_roots(cp))
+        for call in (fit_exponents, braid_loop):
+            with pytest.raises(UndeterminedError, match="unknown truncated"):
+                call(fam)
+        cp = CharPoly([1, huge, ScalarPoly.monomial(2)])
+        undetermined = SplittingReport((TropicalRoot(Fraction(1, 2), 2),), 0, undetermined=True)
+        with pytest.raises(UndeterminedError, match="prediction is undetermined"):
+            fit_exponents(Family("synthetic", cp, undetermined))
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_charpolys())
+    def test_checks_return_or_refuse(self, cp):
+        fam = Family("synthetic", cp, tropical_roots(cp))
+        for call in (fit_exponents, braid_loop):
+            try:
+                call(fam)
+            except (ValueError, NonConvergenceError, LoopDegeneracyError):
+                pass
 
 
 @pytest.mark.parametrize("call, match", [
