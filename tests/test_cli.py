@@ -386,6 +386,40 @@ class TestVerify:
                            write(tmp_path, "c.json", {"charpoly": cp}), "--braid")
         assert code == 2 and json.loads(out)["expected"]["undetermined"] is True
 
+    def test_braid_disagreeing_with_a_passing_fit_exit(self, tmp_path, capsys):
+        # (lambda - t)^2 - t^3: the fit sees t^1 x2 and passes, but the two
+        # branches t +- t^(3/2) exchange around the loop
+        c = [[{"exp": 0, "re": "1", "im": "0"}], [{"exp": 1, "re": "-2", "im": "0"}],
+             [{"exp": 2, "re": "1", "im": "0"}, {"exp": 3, "re": "-1", "im": "0"}]]
+        fam = {"charpoly": {"coeffs": c},
+               "expected": {"roots": [{"omega": "1", "mult": 2}], "zero_roots": 0}}
+        code, out, _ = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam),
+                           "--braid")
+        assert code == 6
+        body = json.loads(out)
+        assert body["verification"]["pass"] is True
+        assert body["braid"]["cycle_lengths"] == [2]
+        assert body["braid"]["predicted_cycle_lengths"] == [1, 1]
+
+    def test_exponent_outside_a_tight_tol_exit(self, capsys):
+        code, out, _ = run(capsys, "verify", "--example", "lieb_arccot", "--tol", "1e-9")
+        assert code == 6
+        assert json.loads(out)["verification"]["diagnostics"] == [
+            "predicted root 1/2 x2: exponent~0.5000"]
+
+    def test_continuation_ambiguous_after_max_halving_exit(self, tmp_path, capsys):
+        # lambda^3 + (30-20i) lambda^2 + (-1+2i) t^4: the loop scales by the
+        # order-1 root, so the two t^2 branches lie near 1e-13 in the loop's
+        # polynomial, below the resolution of the root iteration's stopping test
+        c = [[{"exp": 0, "re": "1", "im": "0"}], [{"exp": 0, "re": "30", "im": "-20"}], [],
+             [{"exp": 4, "re": "-1", "im": "2"}]]
+        code, out, _ = run(capsys, "verify", "--file",
+                           write(tmp_path, "c.json", {"charpoly": {"coeffs": c}}), "--braid")
+        assert code == 3
+        body = json.loads(out)
+        assert body["verification"]["pass"] is True
+        assert body["braid"] == {"error": "continuation ambiguous after max halving"}
+
     def test_subnormal_t0_exit(self, capsys):
         # the second point, t0 / 10^2, underflows to 0
         code, out, err = run(capsys, "verify", "--example", "cavity_d12", "--t0", "5e-324")
