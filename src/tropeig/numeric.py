@@ -8,13 +8,21 @@ zero modes are counted from the exact characteristic polynomial.  Braids
 are read off by continuing eigenvalues around a small loop.  The check and
 the braid solve by an Ehrlich-Aberth simultaneous root iteration on a scaled
 polynomial of the exactly-known characteristic polynomial (see
-_scaled_polynomial), whose coefficients hold only non-negative powers of t
-and are converted to floats once per check or braid loop, so deep points
-neither underflow nor overflow.  The iteration is one fused Gauss-Seidel
-sweep: each root in turn takes one Horner pass for p and p' and one sum of
-1/(z_i - z_j) over the roots before it and after it, and is updated in place
-before the next one is visited.  A non-finite coefficient is refused, and an
-iterate that leaves the floats ends the solve with NonConvergenceError.
+_scaled_polynomial), whose coefficients hold only non-negative powers of t,
+so deep points neither underflow nor overflow.  Both checks take their
+floats from one place, _float_tables, once per check or braid loop; it
+refuses a coefficient with a term that a float cannot hold (one that
+overflows, or rounds to 0) with a ValueError naming a_i.
+
+The iteration is one fused Gauss-Seidel sweep: each root in turn takes one
+Horner pass for p and p' and one sum s of 1/(z_i - z_j) over the roots
+before it and after it, and is updated in place by Aberth's correction
+p / (p' - p*s) before the next one is visited.  Where p' = 0 that step is
+-1/s; where s = 0 as well no step is defined, and the sweep does not count
+as converged.  aberth_roots either returns finite roots or raises: a
+ValueError for a leading 0 or a coefficient that is not finite, and
+NonConvergenceError when the sweeps run out or a guess or an iterate
+leaves the floats.
 
 Every root solve of the check starts from Newton-polygon guesses, so the
 roots at one point do not depend on the other.  The braid loop is a
@@ -89,7 +97,9 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
     """(zeros, floats): cp's flat zero count and the float tables of its moving
     coefficients a_0..a_{n-zeros}, the one form in which both checks read cp.
     Raises UndeterminedError when a sample would read an unknown truncated
-    coefficient as 0, then when the prediction ``expected`` is undetermined."""
+    coefficient as 0, then when the prediction ``expected`` is undetermined,
+    and only then converts: ValueError naming a_i when a term's conversion
+    overflows, is not finite, or turns its nonzero value into 0."""
     # ScalarPoly.ord is undetermined exactly when no term is known below trunc
     if any(not a.terms and a.trunc is not None for a in cp.coeffs):
         raise UndeterminedError("a sample would read an unknown truncated coefficient as 0")
@@ -143,10 +153,13 @@ def aberth_roots(coeffs: Sequence[complex],
 
     Raises ValueError when the leading coefficient is 0 or a coefficient is
     not finite, and NonConvergenceError, with a nan residual, rather than
-    return a root that is not finite.  Such a root comes from values of the
-    polynomial that overflow: its nan step does not count in the sweep's
-    largest step, and the sums pass the nan to the other roots, so the
-    iteration would stop as if converged.
+    return a root that is not finite or start from a guess that is not.
+    Such a root comes from values of the polynomial that overflow: its nan
+    step does not count in the sweep's largest step, and the sums pass the
+    nan to the other roots, so the iteration would stop as if converged.
+    A root whose step is undefined (p' = 0 and s = 0, see the module
+    docstring) counts as an infinite step, so it is never returned as
+    converged.
     """
     coeffs = [complex(c) for c in coeffs]
     if not all(map(cmath.isfinite, coeffs)):
@@ -430,7 +443,9 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     Mismatches produce ``passed=False`` with diagnostics rather than an
     exception.  Raises ValueError unless ``match_tol`` and ``t0`` are finite
     and positive and ``phase`` is finite, then UndeterminedError when the
-    prediction or a charpoly coefficient is undetermined.
+    prediction or a charpoly coefficient is undetermined, then ValueError
+    when a term of a charpoly coefficient is beyond the range of floats
+    (_float_tables).
     """
     _check_fit_arguments(t0, phase, match_tol)
     expected = family.expected
@@ -678,7 +693,8 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     exactly, do not count as approaching, and when every eigenvalue is one
     the braid is the identity.  Raises ValueError unless steps >= 1 and
     eps0 is finite and positive, then UndeterminedError when a charpoly
-    coefficient is undetermined.
+    coefficient is undetermined, then ValueError when a term of one is
+    beyond the range of floats (_float_tables).
     """
     _check_braid_arguments(eps0, steps)
     zeros, floats = _float_tables(family.charpoly)
