@@ -109,9 +109,9 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
     for i, a in enumerate(cp.coeffs[:cp.n - cp.trailing_zero_count() + 1]):
         try:
             floats.append(a.float_table())
-        except OverflowError:
-            floats.append(((0, math.inf),))
-        if not all(c and cmath.isfinite(c) for _, c in floats[-1]):
+        except OverflowError:  # ExactComplex.to_complex of a term too large
+            floats.append(None)
+        if floats[-1] is None or not all(c and cmath.isfinite(c) for _, c in floats[-1]):
             raise ValueError(f"charpoly coefficient a_{i} has a term beyond the range of floats")
     return cp.n + 1 - len(floats), floats
 
