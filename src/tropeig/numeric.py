@@ -98,8 +98,9 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
     coefficients a_0..a_{n-zeros}, the one form in which both checks read cp.
     Raises UndeterminedError when a sample would read an unknown truncated
     coefficient as 0, then when the prediction ``expected`` is undetermined,
-    and only then converts: ValueError naming a_i when a term's conversion
-    overflows, is not finite, or turns its nonzero value into 0."""
+    and only then converts: ValueError naming a_i when a term's conversion,
+    or its modulus, overflows, is not finite, or turns its nonzero value
+    into 0."""
     # ScalarPoly.ord is undetermined exactly when no term is known below trunc
     if any(not a.terms and a.trunc is not None for a in cp.coeffs):
         raise UndeterminedError("a sample would read an unknown truncated coefficient as 0")
@@ -109,9 +110,10 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
     for i, a in enumerate(cp.coeffs[:cp.n - cp.trailing_zero_count() + 1]):
         try:
             floats.append(a.float_table())
-        except OverflowError:  # ExactComplex.to_complex of a term too large
-            floats.append(None)
-        if floats[-1] is None or not all(c and cmath.isfinite(c) for _, c in floats[-1]):
+            in_range = all(0 < abs(c) < math.inf for _, c in floats[-1])
+        except OverflowError:  # a term, or its modulus, too large for a float
+            in_range = False
+        if not in_range:
             raise ValueError(f"charpoly coefficient a_{i} has a term beyond the range of floats")
     return cp.n + 1 - len(floats), floats
 
@@ -121,22 +123,22 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
 # ---------------------------------------------------------------------------
 
 def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
-    # upper convex hull of (i, log|c_i|); negation is exact, so the lower
-    # hull of the negated points makes the same decisions
-    pts = [(i, -math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
-    hull = [(i, -y) for i, y in _lower_hull(pts)]
-    # both end coefficients are nonzero (aberth_roots), so one guess per root
-    guesses: List[complex] = []
-    for gi, ((i0, y0), (i1, y1)) in enumerate(zip(hull, hull[1:])):
-        try:
+    try:
+        # upper convex hull of (i, log|c_i|); negation is exact, so the lower
+        # hull of the negated points makes the same decisions
+        pts = [(i, -math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
+        hull = [(i, -y) for i, y in _lower_hull(pts)]
+        # both end coefficients are nonzero (aberth_roots), so one guess per root
+        guesses: List[complex] = []
+        for gi, ((i0, y0), (i1, y1)) in enumerate(zip(hull, hull[1:])):
             radius = math.exp((y1 - y0) / (i1 - i0))
-        except OverflowError:  # a root beyond the floats
-            raise NonConvergenceError("root iteration left the floats") from None
-        g = i1 - i0
-        for k in range(g):
-            theta = 2 * math.pi * k / g + 0.4 + 0.9 * gi
-            guesses.append(radius * cmath.exp(1j * theta))
-    return guesses
+            g = i1 - i0
+            for k in range(g):
+                theta = 2 * math.pi * k / g + 0.4 + 0.9 * gi
+                guesses.append(radius * cmath.exp(1j * theta))
+        return guesses
+    except OverflowError:  # a modulus |c_i|, or a hull radius, beyond the floats
+        raise NonConvergenceError("root iteration left the floats") from None
 
 
 def aberth_roots(coeffs: Sequence[complex],
@@ -164,7 +166,7 @@ def aberth_roots(coeffs: Sequence[complex],
     coeffs = [complex(c) for c in coeffs]
     if not all(map(cmath.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
-    if abs(coeffs[0]) == 0:
+    if not coeffs[0]:
         raise ValueError("leading coefficient must be nonzero")
     # peel off exact zero roots so the hull sees a nonzero constant term
     tail_zeros = 0

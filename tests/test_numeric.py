@@ -411,12 +411,16 @@ class TestAberth:
             aberth_roots(coeffs)
         assert math.isnan(info.value.residual)
 
-    def test_root_beyond_the_floats_raises(self):
-        # the Newton-polygon guess for the root -1e600 overflows
+    @pytest.mark.parametrize("coeffs", [
+        [1e-300, 1e300],  # the Newton-polygon radius of the root -1e600 overflows
+        [1, 1.5e308 + 1.5e308j],  # |c_1| overflows, though both its parts fit
+    ])
+    def test_root_beyond_the_floats_raises(self, coeffs):
         with pytest.raises(NonConvergenceError, match="left the floats") as info:
-            aberth_roots([1e-300, 1e300])
+            aberth_roots(coeffs)
         assert math.isnan(info.value.residual)
-        tables = [[(0.0, 0, 1e-300 + 0j)], [(0.0, 0, 1e300 + 0j)]]
+        # the check reads such a root as q_t not being finite
+        tables = [[(0.0, 0, complex(c))] for c in coeffs]
         assert numeric._scaled_roots(tables, 1 + 0j) is None
 
     @pytest.mark.parametrize("middle", [math.nan, 1e308])
@@ -937,7 +941,10 @@ class TestFloatRange:
     either check samples anything; an undetermined input is refused first."""
 
     @pytest.mark.parametrize("c", [Fraction(10) ** 400, Fraction(10) ** -400,
-                                   ExactComplex(Fraction(10) ** 400, 1)])
+                                   ExactComplex(Fraction(10) ** 400, 1),
+                                   # each part fits in a float, the modulus does not
+                                   ExactComplex(15 * Fraction(10) ** 307,
+                                                15 * Fraction(10) ** 307)])
     def test_refused_naming_the_coefficient(self, c):
         cp = CharPoly([1, ScalarPoly.monomial(1, -1), ScalarPoly({0: 2, 3: c})])
         fam = Family("synthetic", cp, tropical_roots(cp))
