@@ -20,8 +20,7 @@ from tropeig.models import (build_example, cavity_dynamical, default_families, h
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, UndeterminedError,
                              _check_separated, _float_tables, _loop_step, _loop_tables,
-                             _match,
-                             _nearest_within, _spacings, aberth_roots, braid_loop,
+                             _match, _nearest_within, _spacings, aberth_roots, braid_loop,
                              fit_exponents)
 from tropeig.poly import ScalarPoly, horner_table
 from tropeig.tropical import Family, SplittingReport, TropicalRoot, tropical_roots
