@@ -33,27 +33,40 @@ entry is one Python int per component: (re, im) over Z[i], or
 None.  Polynomial products become 4 (or 16) big-int products.  Every ring
 operation commutes with the substitution, so only the final coefficients
 need to fit: each a_k is read back as balanced base-2^bits digits, which is
-exact while every component lies in [-2^(bits-1), 2^(bits-1)), and each run
-of zero digits is skipped with one shift, so a sparse t-degree is never
-expanded.
+exact while every component lies in [-2^(bits-1), 2^(bits-1)).  Packing
+and reading back split a long entry in halves and recurse, so a dense
+t-degree d costs O(log d) passes over the big integer, and each run of zero
+digits is skipped with one shift, so a sparse t-degree is never expanded.
 
-The digit bound.  With w = isqrt(rad) + 1 (so w^2 > rad) the norm
-||p|| = sum_e |re| + |im| + w (|sre| + |sim|) is submultiplicative and
-bounds every component.  a_k is a signed sum of the C(n, k) principal k x k
-minors, and a minor's norm is at most the product of its rows' norm sums, so
-with R the largest row sum of entry norms every component of a_k is at most
-C(n, k) R^k.  bits is two more than the bit length of n max_k C(n, k) R^k;
-the factor n covers the traces' sums k a_k.
+The digit bound.  With w = isqrt(rad) + 1 (so w^2 > rad) let N_ij be the
+norm sum_e |re| + |im| + w (|sre| + |sim|) of entry (i, j) of D*M,
+rho_i = ceil(sqrt(sum_j N_ij^2)) the 2-norm of row i's norms, rounded up,
+and rho = ceil(sum_i rho_i / n).  Every component of a_k is at most
+e_k(rho_1..rho_n) <= C(n, k) rho^k.  Proof sketch: fix an embedding
+sqrt(rad) -> +-sqrt(rad) and a t with |t| = 1.  Each entry then has modulus
+at most N_ij, so by Hadamard's inequality each principal k x k minor has
+modulus at most the product of its rows' rho_i, and a_k, a signed sum of
+these minors, at most e_k(rho).  A coefficient in t of a polynomial is at
+most its largest modulus on the unit circle, so both embeddings of each
+coefficient of a_k are at most e_k(rho) in modulus; their half-sum and
+half-difference are x and y sqrt(rad) of the coefficient x + y sqrt(rad),
+so every component is too.  Maclaurin's inequality gives
+e_k(rho) <= C(n, k) (sum rho_i / n)^k (Goldstein and Graham 1974 bound
+polynomial determinants this way).  bits is two more than the bit length
+of n max_k C(n, k) rho^k; the factor n covers the traces' sums k a_k.  As
+rho_i is at most row i's sum of norms, this is never wider than the width
+from the largest row sum, and it costs O(1) big-int operations per entry.
 
 Sparsity.  A polynomial crosses the kernel boundary, both ways, as the list
 of its nonzero (exponent, coefficient) terms, the form ScalarPoly stores, and
 a row as the list of its nonzero (column, entry) pairs.  Berkowitz keeps only
 the nonzeros of v, forms every A v product by scattering them through the
-nonzeros of their columns, and combines the nonzero items with the nonzero
-coefficients of the trailing block's polynomial only, so a chain costs O(n)
-kernel dot products.  The traces recursion forms only the half powers
-M^1..M^h, h = ceil(n/2), each row by row from the nonzeros, and reads the
-upper power sums off pairs of them:
+trailing block's nonzeros, kept as column lists that each level extends by
+one row, and combines the nonzero items with the nonzero coefficients of the
+trailing block's polynomial only, so a chain costs O(n) kernel dot products.
+The traces recursion forms only the half powers M^1..M^h, h = ceil(n/2),
+each row by row from the nonzeros, and reads the upper power sums off pairs
+of them:
 tr(M^(h+j)) = sum_(i,c) (M^h)[i, c] (M^j)[c, i] for j = 1..n-h, so it needs
 h - 1 matrix products instead of n - 1.
 
@@ -166,14 +179,12 @@ def charpoly_direct(m: PolyMatrix) -> CharPoly:
 def _berkowitz(rows, rad) -> list:
     """det(lambda I - A) for sparse kernel rows, built up from the trailing
     1x1 block: level i borders the block A[i+1:, i+1:] with row and column i.
-    Indices stay absolute and v keeps only its nonzeros, keyed by row, so
-    A v scatters them through the column lists."""
+    Indices stay absolute and v keeps only its nonzeros, keyed by row.  The
+    column lists hold the rows of the trailing block only, row i joining them
+    once level i is done, so A v scatters v through them with no filter."""
     n = len(rows)
     one = (1, 0, 0, 0) if rad else (1, 0)
-    cols = [[] for _ in range(n)]
-    for j, row in enumerate(rows):
-        for c, x in row:
-            cols[c].append((j, x))
+    cols = [[] for _ in range(n)]  # cols[c]: the (row, entry) pairs of rows below i
     prev = [one]  # det of the empty block
     for i in range(n - 1, -1, -1):
         size = n - i
@@ -184,7 +195,7 @@ def _berkowitz(rows, rad) -> list:
             elif c > i:
                 r.append((c, tuple(-y for y in x)))
         items = [one, top]
-        v = {j: x for j, x in cols[i] if j > i}  # A[i+1:, i]
+        v = dict(cols[i])  # A[i+1:, i]
         for k in range(2, size + 1):
             if not v:
                 items += [None] * (size + 1 - k)
@@ -194,8 +205,7 @@ def _berkowitz(rows, rad) -> list:
                 acc = {}
                 for c, y in v.items():
                     for j, x in cols[c]:
-                        if j > i:
-                            acc.setdefault(j, []).append((x, y))
+                        acc.setdefault(j, []).append((x, y))
                 v = {j: x for j, pairs in acc.items() if (x := _dot(pairs, rad))}
         # Toeplitz step: out[p + q] += items[p] * prev[q] over nonzero pairs
         nonzero = [(p, x) for p, x in enumerate(items) if x]
@@ -207,10 +217,15 @@ def _berkowitz(rows, rad) -> list:
                         break
                     terms[p + q].append((x, y))
         prev = [_dot(t, rad) if t else None for t in terms]
+        for c, x in rows[i]:  # row i joins the trailing block of level i - 1
+            cols[c].append((i, x))
     return prev
 
 
 # -- integer kernel (see the module docstring) --------------------------------
+
+_PLAIN = 32  # terms or digits that _pack and _unpack handle in one plain loop
+
 
 def _to_kernel(m: PolyMatrix):
     """(rows, rad, den, bits, orders): the known terms of den * M packed at
@@ -244,10 +259,15 @@ def _to_kernel(m: PolyMatrix):
 
     sparse = [[(j, [(e, scaled(c)) for e, c in p.terms.items()]) for j, p in row]
               for row in nonzero]
-    # R, the largest row sum of entry norms (see the module docstring)
-    r_max = max(sum(norm(c) for _, terms in row for _, c in terms) for row in sparse)
-    n = m.n
-    bound = n * max(comb(n, k) * r_max ** k for k in range(n + 1))
+    # rho_i, the 2-norm of row i's entry norms rounded up, and their mean,
+    # rounded up (see the module docstring)
+    n, total = m.n, 0
+    for row in sparse:
+        square = sum(sum(norm(c) for _, c in terms) ** 2 for _, terms in row)
+        root = isqrt(square)
+        total += root + (root * root < square)
+    rho = -(-total // n)
+    bound = n * max(comb(n, k) * rho ** k for k in range(n + 1))
     bits = bound.bit_length() + 2
     rows = [[(j, _pack(terms, bits)) for j, terms in row] for row in sparse]
     orders = [None, min(diag, default=None)] + [min(diag + off, default=None)] * (n - 1)
@@ -267,9 +287,13 @@ def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
 
 
 def _pack(terms, bits):
-    """Kernel entry of (exponent, coefficient tuple) pairs, None if there are none."""
+    """Kernel entry of (exponent, coefficient tuple) pairs, None if there are
+    none.  More than _PLAIN terms are sorted and packed half by half
+    (_pack_halves)."""
     if not terms:
         return None
+    if len(terms) > _PLAIN:
+        return _pack_halves(sorted(terms), bits, 0)
     packed = [0] * len(terms[0][1])
     for e, c in terms:
         shift = bits * e
@@ -278,27 +302,69 @@ def _pack(terms, bits):
     return tuple(packed)
 
 
+def _pack_halves(terms, bits, low) -> tuple:
+    """_pack of terms in rising exponent order, all at least low, divided by
+    2^(bits low).  The upper half is packed relative to its own lowest
+    exponent and shifted into place once, so a dense degree d costs O(log d)
+    passes of big-int shifts and additions rather than d shifts of the whole
+    entry."""
+    if len(terms) <= _PLAIN:
+        return _pack([(e - low, c) for e, c in terms], bits)
+    mid = len(terms) // 2
+    e = terms[mid][0]
+    return tuple(x + (y << bits * (e - low)) for x, y in
+                 zip(_pack_halves(terms[:mid], bits, low), _pack_halves(terms[mid:], bits, e)))
+
+
 def _unpack(p, bits) -> list:
     """Nonzero (exponent, coefficient tuple) pairs of a kernel entry in rising
     exponent order, read as balanced base-2^bits digits; exact while every
-    component lies in [-2^(bits-1), 2^(bits-1))."""
+    component lies in [-2^(bits-1), 2^(bits-1)).  A component of more than
+    _PLAIN digits is first cut into chunks (_chunks); each chunk is read
+    digit by digit, and each run of zero digits is skipped with one shift."""
     if p is None:
         return []
-    base, half, coeffs = 1 << bits, 1 << (bits - 1), {}
+    base, half, coeffs, plain = 1 << bits, 1 << (bits - 1), {}, bits * _PLAIN
     for i, x in enumerate(p):
-        e = 0
-        while x:
-            d = x & (base - 1)
-            if not d:  # skip the run of zero digits
-                run = ((x & -x).bit_length() - 1) // bits
-                x, e = x >> bits * run, e + run
-                continue
-            if d >= half:
-                d -= base
-            coeffs.setdefault(e, [0] * len(p))[i] = d
-            x = (x - d) >> bits
-            e += 1
+        for e, x in _chunks(x, bits, 0, [half], []) if x.bit_length() > plain else ((0, x),):
+            while x:
+                d = x & (base - 1)
+                if not d:  # skip the run of zero digits
+                    run = ((x & -x).bit_length() - 1) // bits
+                    x, e = x >> bits * run, e + run
+                    continue
+                if d >= half:
+                    d -= base
+                coeffs.setdefault(e, [0] * len(p))[i] = d
+                x = (x - d) >> bits
+                e += 1
     return [(e, tuple(c)) for e, c in sorted(coeffs.items())]
+
+
+def _chunks(x, bits, e, offs, out) -> list:
+    """out extended by nonzero (exponent, chunk) pairs in rising exponent
+    order, each chunk under 2^(bits (_PLAIN + 1)) in size, such that
+    x 2^(bits e) is the sum of chunk 2^(bits exponent).
+
+    x splits at m = 2^j digits, fewer than it has.  Its low m digits, each at
+    least -2^(bits-1), sum to low in [-off, 2^(bits m) - off), where
+    off = offs[j] has all m digits equal to 2^(bits-1); so
+    low = ((x + off) mod 2^(bits m)) - off, and (x - low) / 2^(bits m) holds
+    the rest.  Both halves recurse, and a zero one adds no chunk, so a dense
+    entry of d digits costs O(log d) passes of big-int additions and shifts."""
+    size = x.bit_length() // bits
+    if size <= _PLAIN:
+        if x:
+            out.append((e, x))
+        return out
+    j = (size - 1).bit_length() - 1  # 2^j < size
+    while len(offs) <= j:  # offs[k] doubled: 2^(k+1) digits of 2^(bits-1)
+        off = offs[-1]
+        offs.append(off + (off << (bits << (len(offs) - 1))))
+    width, off = bits << j, offs[j]
+    low = ((x + off) & ((1 << width) - 1)) - off
+    _chunks(low, bits, e, offs, out)
+    return _chunks((x - low) >> width, bits, e + (1 << j), offs, out)
 
 
 def _div_exact(p, k: int):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -219,6 +220,46 @@ def _components(p: ScalarPoly):
         yield from (c.re, c.im, c.sre, c.sim)
 
 
+def _sylvester_hadamard(k) -> PolyMatrix:
+    """The 2^k x 2^k Sylvester-Hadamard matrix: +-1 entries, and |det| meets
+    Hadamard's bound (2^k)^(2^(k-1)) exactly."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return PolyMatrix(h)
+
+
+def _dense_gaussian(rng, n) -> PolyMatrix:
+    """Dense n x n A + B t, A and B Gaussian integers in [-9, 9] + i[-9, 9],
+    drawn as the exact-large benchmark draws its dense inputs."""
+    def gauss():
+        return ec(rng.randint(-9, 9), rng.randint(-9, 9))
+    return PolyMatrix([[ScalarPoly({0: gauss(), 1: gauss()}) for _ in range(n)] for _ in range(n)])
+
+
+def _dense_surd(rng, n) -> PolyMatrix:
+    """Dense n x n matrix over Q(i, sqrt 2) with denominators, degree 1."""
+    def scalar():
+        re, im, sre, sim = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        return ExactComplex(re, im, sre, sim, 2)
+    return PolyMatrix([[ScalarPoly({0: scalar(), 1: scalar()}) for _ in range(n)] for _ in range(n)])
+
+
+def _row_sum_bits(m) -> int:
+    """The digit width from R, the largest row sum of entry norms, which the
+    Hadamard-type width replaced: two more than the bit length of
+    n max_k C(n, k) R^k.  The reference that the width is never above."""
+    _, rad, den, _, _ = _to_kernel(m)
+    w = isqrt(rad) + 1
+
+    def norm(c):
+        return den // c.den * (abs(c.nre) + abs(c.nim) + w * (abs(c.nsre) + abs(c.nsim)))
+
+    r = max(sum(norm(c) for p in row for c in p.terms.values()) for row in m.rows)
+    n = m.n
+    return (n * max(comb(n, k) * r ** k for k in range(n + 1))).bit_length() + 2
+
+
 class TestPackedKernel:
     """The digit width 2^bits must hold every a_k and every traces sum k a_k
     of den * M, computed from all known terms, as a balanced digit."""
@@ -229,6 +270,10 @@ class TestPackedKernel:
     @example(PolyMatrix([[2 ** 40 - 1]]))
     # tight for 6 a_6 = 6 c^6: needs the factor n
     @example(PolyMatrix([[2 ** 40 - 1 if i == j else 0 for j in range(6)] for i in range(6)]))
+    # |det| = 8^4 meets Hadamard's bound on the rows' 2-norms
+    @example(_sylvester_hadamard(3))
+    @example(_dense_gaussian(random.Random(12), 12))
+    @example(_dense_surd(random.Random(9), 9))
     def test_bits_dominate_every_coefficient(self, m):
         _, _, den, bits, _ = _to_kernel(m)
         known = [[ScalarPoly(p.terms).scale(den) for p in row] for row in m.rows]
@@ -247,10 +292,42 @@ class TestPackedKernel:
                  [(0, (low, top))],
                  # zero runs up to 10^6 digits long between extreme digits
                  [(0, (low, top)), (1, (top, low)), (10 ** 6, (low, 0)), (10 ** 6 + 1, (0, low))],
-                 [(5, (0, 0, 0, low)), (10 ** 6 + 4, (top, 0, low, 0))]]
+                 [(5, (0, 0, 0, low)), (10 ** 6 + 4, (top, 0, low, 0))],
+                 # dense enough to split: every low window of a 1,000-digit
+                 # run of the lowest digit sits at the bottom of its offset range
+                 [(e, (low, top)) for e in range(1000)],
+                 # extreme digits alternating across several split levels, with gaps
+                 [(e, (low, top) if e % 2 else (top, low)) for e in range(300) if e % 7],
+                 # a sparse head before a dense run
+                 [(0, (top, 0))] + [(10 ** 5 + e, (low, -1)) for e in range(100)]]
         for terms in cases:
             assert _unpack(_pack(terms, bits), bits) == terms
         assert _pack([], bits) is None and _unpack(None, bits) == []
+
+    def test_pack_sorts_many_terms(self):
+        terms = [(e, (e - 50, 1)) for e in range(100)]
+        assert _pack(terms[::-1], 9) == _pack(terms, 9)
+
+    def test_dense_high_degree_matches_reference(self):
+        p = ScalarPoly({e: ec(e % 7 - 3, e % 5 - 2) for e in range(20001)})
+        m = PolyMatrix([[0, 1], [p, 0]])
+        ref = CharPoly(reference_berkowitz([list(row) for row in m.rows]))
+        assert charpoly_direct(m) == ref
+        assert charpoly_traces(m) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_matrices(max_n=6, bound=2 ** 40, degree=4))
+    @example(_sylvester_hadamard(3))
+    @example(_dense_surd(random.Random(9), 9))
+    def test_bits_never_above_the_row_sum_width(self, m):
+        assert _to_kernel(m)[3] <= _row_sum_bits(m)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_dense12_width(self, seed):
+        rng = random.Random(seed)
+        _dense_gaussian(rng, 8)  # the benchmark draws its 8 x 8 first
+        m = _dense_gaussian(rng, 12)
+        assert _to_kernel(m)[3] <= 80 < _row_sum_bits(m)
 
 
 def _lambda_product(*factors) -> CharPoly:
