@@ -304,6 +304,15 @@ class TestPackedKernel:
             assert _unpack(_pack(terms, bits), bits) == terms
         assert _pack([], bits) is None and _unpack(None, bits) == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 70).flatmap(lambda bits: st.tuples(st.just(bits), st.lists(
+        st.tuples(st.integers(0, 3000), st.tuples(*[st.integers(-2 ** (bits - 1), 2 ** (bits - 1) - 1)] * 2)),
+        max_size=300, unique_by=lambda term: term[0]))))
+    def test_pack_unpack_round_trip_property(self, case):
+        bits, terms = case
+        terms = sorted((e, c) for e, c in terms if any(c))
+        assert _unpack(_pack(terms, bits), bits) == terms
+
     def test_pack_sorts_many_terms(self):
         terms = [(e, (e - 50, 1)) for e in range(100)]
         assert _pack(terms[::-1], 9) == _pack(terms, 9)
