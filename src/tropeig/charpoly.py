@@ -73,10 +73,13 @@ h - 1 matrix products instead of n - 1.
 The coefficients of D*M's characteristic polynomial are algebraic integers,
 so the traces recursion divides k a_k by k exactly: it unpacks each sum,
 checks and divides every coefficient, and packs the quotient again (it
-raises if a division ever would not be exact).  On exit (``_from_kernel``)
-each coefficient of a_k of D*M is read as integer numerators over D^k and
-reduced straight into an ExactComplex, with no Fraction in between.  A matrix
-mixing two radicands is rejected with the same ValueError as ExactComplex.
+raises if a division ever would not be exact); the quotient's terms are kept,
+so no a_k is read back twice.  On exit (``_from_kernel``) each coefficient of
+a_k of D*M is read as integer numerators over D^k and reduced straight into
+an ExactComplex, with no Fraction in between, and the ScalarPolys and the
+CharPoly are built without the public constructors' checks, which terms in
+this form always pass.  A matrix mixing two radicands is rejected with the
+same ValueError as ExactComplex.
 """
 
 from __future__ import annotations
@@ -84,8 +87,8 @@ from __future__ import annotations
 from math import comb, isqrt, lcm
 from typing import Tuple
 
-from .exact import EC_ONE, _canonical, _Frozen, _set
-from .poly import ScalarPoly
+from .exact import EC_ONE, _canonical, _Frozen, _new, _set
+from .poly import ScalarPoly, _poly
 
 
 class PolyMatrix(_Frozen):
@@ -161,12 +164,14 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
         lookup = [dict(row) for row in powers[j]]
         s.append(_dot([(x, y) for i, row in enumerate(powers[h]) for c, x in row
                        if (y := lookup[c].get(i))], rad))
-    a = [(1, 0, 0, 0) if rad else (1, 0)]
+    one = (1, 0, 0, 0) if rad else (1, 0)
+    a, terms = [one], [[(0, one)]]  # a_k packed, and as the terms _from_kernel reads
     for k in range(1, n + 1):
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
         total = _dot([(x, y) for x, y in zip(a, s[k:0:-1]) if x and y], rad)
-        a.append(_pack(_div_exact(_unpack(total, bits), -k), bits))
-    return _from_kernel([_unpack(x, bits) for x in a], orders, rad, den)
+        terms.append(_div_exact(_unpack(total, bits), -k))
+        a.append(_pack(terms[-1], bits))
+    return _from_kernel(terms, orders, rad, den)
 
 
 def charpoly_direct(m: PolyMatrix) -> CharPoly:
@@ -282,8 +287,11 @@ def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
         dk = den ** k
         terms = {e: _canonical(*c, dk, rad) if rad else _canonical(*c, 0, 0, dk, 0)
                  for e, c in poly if trunc is None or e < trunc}
-        out.append(ScalarPoly(terms, trunc))
-    return CharPoly(out)
+        out.append(_poly(terms, trunc))
+    cp = _new(CharPoly)  # a_0 is the constant 1, as CharPoly checks
+    _set(cp, "coeffs", tuple(out))
+    _set(cp, "n", len(out) - 1)
+    return cp
 
 
 def _pack(terms, bits):
@@ -320,13 +328,18 @@ def _unpack(p, bits) -> list:
     """Nonzero (exponent, coefficient tuple) pairs of a kernel entry in rising
     exponent order, read as balanced base-2^bits digits; exact while every
     component lies in [-2^(bits-1), 2^(bits-1)).  A component of more than
-    _PLAIN digits is first cut into chunks (_chunks); each chunk is read
-    digit by digit, and each run of zero digits is skipped with one shift."""
+    _PLAIN digits loses its low run of zero digits with one shift and is
+    then cut into chunks (_chunks); each chunk is read digit by digit, and
+    each run of zero digits is skipped with one shift."""
     if p is None:
         return []
     base, half, coeffs, plain = 1 << bits, 1 << (bits - 1), {}, bits * _PLAIN
     for i, x in enumerate(p):
-        for e, x in _chunks(x, bits, 0, [half], []) if x.bit_length() > plain else ((0, x),):
+        low = 0
+        if x.bit_length() > plain:
+            low = ((x & -x).bit_length() - 1) // bits
+            x >>= bits * low
+        for e, x in _chunks(x, bits, low, [half], []) if x.bit_length() > plain else ((low, x),):
             while x:
                 d = x & (base - 1)
                 if not d:  # skip the run of zero digits

@@ -11,7 +11,8 @@ enforced by construction: either entries are pinned to zero, or one slope is
 solved for exactly so that a coefficient cancels identically.
 
 A template entry is the constant 0 or 1 or a signed sum of placeholder names
-such as "d21" or "d22-d11"; _terms is the one reader of that syntax.
+such as "d21" or "d22-d11"; _terms is the one reader of that syntax, and the
+catalog reads each of its templates once, at import (_PARSED).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import DEFAULT_SEED
 from .charpoly import CharPoly, PolyMatrix, charpoly_traces
-from .exact import EC_ONE, EC_ZERO, ExactComplex, _fill, _Frozen, ec
-from .poly import ScalarPoly
+from .exact import EC_ZERO, ExactComplex, _fill, _Frozen, ec
+from .poly import ScalarPoly, _poly
 from .tropical import Family, _report
 # tropical_roots and weyr_structure are not called here; the benchmark reads
 # both bindings here (perfbench/layers.py, perfbench/tests/test_harness.py)
@@ -94,25 +95,49 @@ def _placeholders(template) -> Tuple[str, ...]:
                          for name, _ in _terms(entry)}))
 
 
+_CONSTANTS = {0: ScalarPoly.zero(), 1: ScalarPoly.const(1)}
+
+
+def _parse(template) -> Tuple[tuple, ...]:
+    """The rows of a template with each entry read: a constant as its
+    ScalarPoly, a placeholder sum as the tuple of its (name, sign) pairs."""
+    return tuple(tuple(tuple(_terms(x)) if isinstance(x, str) else _CONSTANTS[x] for x in row)
+                 for row in template)
+
+
+def _entries(parsed, direction) -> List[List[ScalarPoly]]:
+    """The entries of a parsed template on the line ``direction``; see
+    build_direction_matrix."""
+    rows = []
+    for row in parsed:
+        out = []
+        for entry in row:
+            if entry.__class__ is not tuple:  # a constant
+                out.append(entry)
+                continue
+            total = None
+            for name, sign in entry:
+                if name not in direction:
+                    raise ValueError(f"no direction assigned for placeholder '{name}'")
+                slope = direction[name] if sign > 0 else -direction[name]
+                total = slope if total is None else total + slope
+            total = ExactComplex.from_value(total)
+            out.append(_poly({1: total} if total else {}, None))
+        rows.append(out)
+    return rows
+
+
 def build_direction_matrix(template: Sequence[Sequence],
                            direction: Dict[str, object]) -> PolyMatrix:
     """Instantiate a template on a one-parameter line: an entry becomes the
     signed sum of its placeholders' slopes in ``direction`` times t, and the
     constants 0 and 1 stay.  Raises ValueError naming a placeholder with no
     slope."""
-    constants = {0: ScalarPoly.zero(), 1: ScalarPoly.const(1)}
+    return PolyMatrix(_entries(_parse(template), direction))
 
-    def build(entry) -> ScalarPoly:
-        if not isinstance(entry, str):
-            return constants[entry]
-        slopes = []
-        for name, sign in _terms(entry):
-            if name not in direction:
-                raise ValueError(f"no direction assigned for placeholder '{name}'")
-            slopes.append(direction[name] if sign > 0 else -direction[name])
-        return ScalarPoly({1: sum(slopes[1:], slopes[0])})
 
-    return PolyMatrix([[build(x) for x in row] for row in template])
+# each catalog template read once: its parsed rows and its placeholder names
+_PARSED = {p: (_parse(t), _placeholders(t)) for p, t in _TEMPLATES.items()}
 
 
 class _FamilySpec(_Frozen):
@@ -223,30 +248,41 @@ def _alpha_matches(cp: CharPoly, alpha) -> bool:
     return True
 
 
-def _solve_linear(template, direction, var, i, power
-                  ) -> Optional[Tuple[ExactComplex, CharPoly]]:
-    """(v, charpoly) for the exact value v of `var` that cancels the t^power
-    part of a_i, if unique, and the charpoly of the matrix with var = v.
+def _solve_linear(parsed, direction, var, i, power) -> Optional[ExactComplex]:
+    """The exact value of `var` that cancels the t^power part of a_i, if
+    unique, for a parsed template (_parse) and the other slopes in
+    ``direction``.
 
-    Every `solve` variable occupies a single matrix position (diagonal
-    placeholders such as d11 may fill two, but are never solved for), and a
-    determinant is affine in any one entry, so every coefficient of the
-    charpoly is affine in that slope: the charpolys cp0, cp1 at 0 and 1
-    determine the line, and the charpoly at v is cp0 + v (cp1 - cp0).
+    One charpoly holds both numbers the solve needs.  The matrix is built
+    with var at 0, and every entry that holds var gains sign t^(K+1), with
+    K = n + 1: var stands for t^K.  Without that marker each entry has
+    t-degree at most 1, so a_i has t-degree at most i < K.  If a_i is affine
+    in var, a_i = A + var B, it reads A + t^K B, with A below t^K and t^K B
+    below t^(2K): the t^power part of A and the t^(K+power) part of t^K B
+    give v = -A_power / B_power.  A determinant is affine in each entry, so
+    a var that fills one position passes; one that fills two (the diagonal
+    d11 of (1, 1, 1)) may leave a term at t^(2K) or above, and then a_i is
+    not affine in var and ValueError is raised.
     """
-    cp0, cp1 = (charpoly_traces(build_direction_matrix(template, dict(direction, **{var: x})))
-                for x in (EC_ZERO, EC_ONE))
-    c0 = cp0.coefficient(i).coefficient(power)
-    slope = cp1.coefficient(i).coefficient(power) - c0
+    k = len(parsed) + 1
+    rows = _entries(parsed, dict(direction, **{var: EC_ZERO}))
+    for r, row in enumerate(parsed):
+        for c, entry in enumerate(row):
+            if entry.__class__ is tuple:
+                for name, sign in entry:
+                    if name == var:
+                        rows[r][c] = rows[r][c] + ScalarPoly.monomial(k + 1, sign)
+    a_i = charpoly_traces(PolyMatrix(rows)).coefficient(i)
+    if a_i.degree() >= 2 * k:
+        raise ValueError(f"a_{i} is not affine in {var}")
+    slope = a_i.coefficient(k + power)
     if not slope:
         return None
-    v = -c0 / slope
-    return v, CharPoly([p0 + (p1 - p0).scale(v) for p0, p1 in zip(cp0.coeffs, cp1.coeffs)])
+    return -a_i.coefficient(power) / slope
 
 
 def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
-    template = _TEMPLATES[spec.partition]
-    names = _placeholders(template)
+    parsed, names = _PARSED[spec.partition]
     pinned = dict(spec.fixed)
     nonzero_pool = [k for k in range(-9, 10) if k != 0]
     for _ in range(500):
@@ -259,13 +295,12 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
             else:
                 direction[nm] = ec(rng.choice(nonzero_pool))
         if spec.solve:
-            solved = _solve_linear(template, direction, *spec.solve)
-            if solved is None:
+            v = _solve_linear(parsed, direction, *spec.solve)
+            if v is None:
                 continue
-            direction[spec.solve[0]], cp = solved
-        matrix = build_direction_matrix(template, direction)
-        if not spec.solve:
-            cp = charpoly_traces(matrix)
+            direction[spec.solve[0]] = v
+        matrix = PolyMatrix(_entries(parsed, direction))
+        cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
         flat = next(k for k, a in enumerate(reversed(spec.alpha)) if a is not None)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional
 
-from .exact import EC_ONE, ExactComplex, _Frozen, _set
+from .exact import EC_ONE, ExactComplex, _Frozen, _new, _set
 
 
 class Ord(_Frozen):
@@ -150,13 +150,14 @@ class ScalarPoly(_Frozen):
         other = ScalarPoly.from_value(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, ExactComplex()) + c
-        return ScalarPoly(out, self._join_trunc(self.trunc, other.trunc))
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        return _cleaned(out, self._join_trunc(self.trunc, other.trunc))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarPoly({e: -c for e, c in self.terms.items()}, self.trunc)
+        return _poly({e: -c for e, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         return self + (-ScalarPoly.from_value(other))
@@ -173,14 +174,15 @@ class ScalarPoly(_Frozen):
                 e = e1 + e2
                 prev = out.get(e)
                 out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return ScalarPoly(out, self._join_trunc(self.trunc, other.trunc))
+        return _cleaned(out, self._join_trunc(self.trunc, other.trunc))
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "ScalarPoly":
         c = ExactComplex.from_value(c)
-        return ScalarPoly({e: v * c for e, v in self.terms.items()}, self.trunc)
+        # a field has no zero divisors: every product of nonzeros stays nonzero
+        return _poly({e: v * c for e, v in self.terms.items()} if c else {}, self.trunc)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -212,6 +214,23 @@ class ScalarPoly(_Frozen):
             body = " + ".join(f"({c})*t^{e}" if e else f"({c})"
                               for e, c in sorted(self.terms.items()))
         return body + (f" + O(t^{self.trunc})" if self.trunc is not None else "")
+
+
+def _poly(terms: dict, trunc: Optional[int]) -> ScalarPoly:
+    """A ScalarPoly of terms already in stored form: int exponents >= 0 with
+    nonzero ExactComplex coefficients, each below trunc.  The public
+    constructor checks and converts every term; the arithmetic above and the
+    charpoly kernel, which make only such terms, build through here."""
+    p = _new(ScalarPoly)
+    _set(p, "terms", terms)
+    _set(p, "trunc", trunc)
+    return p
+
+
+def _cleaned(terms: dict, trunc: Optional[int]) -> ScalarPoly:
+    """_poly of ExactComplex terms with the zeros and the terms at or above
+    trunc dropped."""
+    return _poly({e: c for e, c in terms.items() if c and (trunc is None or e < trunc)}, trunc)
 
 
 def horner_table(table, z: complex) -> complex:

@@ -50,6 +50,19 @@ def parse_frac(s, path: str) -> Fraction:
         raise ParseError(path, f"not a rational: {s!r} ({exc})") from None
 
 
+def _rational(s, path: str):
+    """parse_frac, except that an integer-only string, such as "-3", is read
+    as an int: ExactComplex takes int parts without building a Fraction."""
+    text = str(s)
+    digits = text[1:] if text[:1] in "+-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int(str) reads, as Fraction says
+            raise ParseError(path, f"not a rational: {s!r} ({exc})") from None
+    return parse_frac(s, path)
+
+
 def _count(x, least: int, path: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int) or x < least:
         raise ParseError(path, f"expected an int >= {least}, got {x!r}")
@@ -69,11 +82,11 @@ def exact_from_json(obj, path: str) -> ExactComplex:
     from .exact import ExactComplex
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object with re/im fields")
-    re = parse_frac(obj.get("re", 0), f"{path}.re")
-    im = parse_frac(obj.get("im", 0), f"{path}.im")
+    re = _rational(obj.get("re", 0), f"{path}.re")
+    im = _rational(obj.get("im", 0), f"{path}.im")
     if "rad" in obj or "sre" in obj or "sim" in obj:
-        sre = parse_frac(obj.get("sre", 0), f"{path}.sre")
-        sim = parse_frac(obj.get("sim", 0), f"{path}.sim")
+        sre = _rational(obj.get("sre", 0), f"{path}.sre")
+        sim = _rational(obj.get("sim", 0), f"{path}.sim")
         rad = obj.get("rad", 0)
         if isinstance(rad, bool) or not isinstance(rad, int):
             raise ParseError(f"{path}.rad", "radicand must be an integer")

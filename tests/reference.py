@@ -9,9 +9,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from tropeig.charpoly import CharPoly, PolyMatrix
+from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_traces
 from tropeig.exact import EC_ONE, EC_ZERO, ExactComplex
-from tropeig.jordan import validate_partition
+from tropeig.jordan import build_direction_matrix, validate_partition
 from tropeig.numeric import (ROOT_ITERATIONS, ROOT_TOL, NonConvergenceError, _initial_guesses,
                              aberth_roots)
 from tropeig.poly import ScalarPoly
@@ -160,6 +160,23 @@ def jordan_matrix(partition: Sequence[int], lam=0) -> PolyMatrix:
                 rows[offset + k][offset + k + 1] = EC_ONE
         offset += size
     return PolyMatrix(rows)
+
+
+def reference_solve_linear(template, direction, var, i, power
+                           ) -> Optional[Tuple[ExactComplex, CharPoly]]:
+    """(v, charpoly) for the value v of slope `var` that cancels the t^power
+    part of a_i, or None if no value does, and the charpoly at var = v, by two
+    charpolys: for a var that fills one position of the template every a_k is
+    affine in it, so the charpolys cp0, cp1 at 0 and 1 give the line and the
+    charpoly at v is cp0 + v (cp1 - cp0)."""
+    cp0, cp1 = (charpoly_traces(build_direction_matrix(template, dict(direction, **{var: x})))
+                for x in (EC_ZERO, EC_ONE))
+    c0 = cp0.coefficient(i).coefficient(power)
+    slope = cp1.coefficient(i).coefficient(power) - c0
+    if not slope:
+        return None
+    v = -c0 / slope
+    return v, CharPoly([p0 + (p1 - p0).scale(v) for p0, p1 in zip(cp0.coeffs, cp1.coeffs)])
 
 
 def rescale_t(p: ScalarPoly, c) -> ScalarPoly:

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import AMBIGUOUS_CHAIN, dense, jordan_matrix, partitions, weyr_by_powers
+from reference import (AMBIGUOUS_CHAIN, dense, jordan_matrix, partitions,
+                       reference_solve_linear, weyr_by_powers)
 from tropeig.charpoly import charpoly_direct, charpoly_traces
-from tropeig.exact import ec
-from tropeig.jordan import (_CATALOG_SPECS, _TEMPLATES, _placeholders, _terms, catalog_families,
+from tropeig.exact import EC_ZERO, ec
+from tropeig.jordan import (_CATALOG_SPECS, _PARSED, _TEMPLATES, _placeholders, _solve_linear,
+                            _terms, build_direction_matrix, catalog_families,
                             validate_partition)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
@@ -146,8 +148,8 @@ class TestCatalog:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stored_charpoly_is_the_matrix_charpoly(self, seed):
-        # a solved family's charpoly is read off the line through the
-        # charpolys at slopes 0 and 1, not expanded from its matrix
+        # the draw stores charpoly_traces of every family's matrix, a solved
+        # family's too, in place of computing it on first use
         for n in (2, 3, 4):
             for fam in catalog_families(n, seed=seed):
                 stored = fam.__dict__["charpoly"]  # seeded, not computed on first use
@@ -165,13 +167,63 @@ class TestCatalog:
         return sum(var in dict(_terms(entry)) for row in _TEMPLATES[partition] for entry in row)
 
     def test_solve_variables_occupy_one_position(self):
-        # _solve_linear assumes a_i is affine in the solved slope
+        # _solve_linear refuses a slope that a_i is not affine in, which a
+        # slope in two positions may be (test_solve_refuses_a_non_affine_slope)
         solved = {(spec.partition, spec.solve[0]) for specs in _CATALOG_SPECS.values()
                   for spec in specs if spec.solve}
         assert len(solved) == 8
         for partition, var in solved:
             assert self.positions(partition, var) == 1, (partition, var)
         assert self.positions((1, 1, 1), "d11") == 2  # diagonal ones may repeat
+
+    @staticmethod
+    def solve_outcome(partition, direction, solve):
+        """(v, charpoly at var = v) of _solve_linear, or None."""
+        v = _solve_linear(_PARSED[partition][0], direction, *solve)
+        if v is None:
+            return None
+        direction = dict(direction, **{solve[0]: v})
+        return v, charpoly_traces(build_direction_matrix(_TEMPLATES[partition], direction))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_solve_matches_the_two_charpoly_solve(self, seed):
+        solved = 0
+        for n, specs in _CATALOG_SPECS.items():
+            for spec, fam in zip(specs, catalog_families(n, seed=seed)):
+                if spec.solve:
+                    direction = fam.parameters["direction"]
+                    want = reference_solve_linear(_TEMPLATES[spec.partition], direction,
+                                                  *spec.solve)
+                    assert want == (direction[spec.solve[0]], fam.charpoly), fam.name
+                    assert self.solve_outcome(spec.partition, direction, spec.solve) == want
+                    solved += 1
+        assert solved == 9
+
+    SOLVED = [(spec.partition, spec.solve) for specs in _CATALOG_SPECS.values()
+              for spec in specs if spec.solve]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SOLVED), st.data())
+    def test_solve_matches_on_directions_with_zero_slopes(self, solved, data):
+        # slopes in -1..1 often make the solved coefficient independent of
+        # the solved slope, the None branch the seeded draws never reach
+        partition, solve = solved
+        direction = {name: ec(data.draw(st.integers(-1, 1), label=name))
+                     for name in _PARSED[partition][1]}
+        want = reference_solve_linear(_TEMPLATES[partition], direction, *solve)
+        assert self.solve_outcome(partition, direction, solve) == want
+
+    def test_solve_returns_none_when_the_slope_vanishes(self):
+        # a_2 = -(d22^2 + d12 d21) t^2 does not depend on d21 once d12 = 0
+        direction = {"d12": EC_ZERO, "d21": ec(3), "d22": ec(2)}
+        assert _solve_linear(_PARSED[(1, 1)][0], direction, "d21", 2, 2) is None
+        assert reference_solve_linear(_TEMPLATES[(1, 1)], direction, "d21", 2, 2) is None
+
+    def test_solve_refuses_a_non_affine_slope(self):
+        # d11 fills (1, 1) and, negated, (2, 2), so a_2 holds -d11^2 t^2
+        direction = {name: ec(k) for k, name in enumerate(_PARSED[(1, 1, 1)][1], 1)}
+        with pytest.raises(ValueError, match="a_2 is not affine in d11"):
+            _solve_linear(_PARSED[(1, 1, 1)][0], direction, "d11", 2, 2)
 
     def test_spec_names_are_template_placeholders(self):
         # _draw_family skips names the template lacks, so a misspelt one is

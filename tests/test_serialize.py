@@ -13,10 +13,10 @@ from tropeig.exact import ExactComplex, ec
 from tropeig.models import (build_example, circuit_laplacian, effective_liouvillian_example,
                             example_names)
 from tropeig.poly import ScalarPoly
-from tropeig.serialize import (ParseError, charpoly_from_json, charpoly_to_json,
+from tropeig.serialize import (ParseError, _rational, charpoly_from_json, charpoly_to_json,
                                dumps, exact_from_json, exact_to_json,
                                family_document_from_json, family_document_to_json,
-                               numeric_matrix_from_json,
+                               numeric_matrix_from_json, parse_frac,
                                polymatrix_from_json, polymatrix_to_json,
                                report_from_json, report_to_json,
                                scalarpoly_from_json, scalarpoly_to_json)
@@ -66,6 +66,22 @@ class TestScalarRoundTrip:
     def test_bad_integer_fields_rejected_with_path(self, blob, where):
         with pytest.raises(ParseError, match=where):
             scalarpoly_from_json(blob, "$")
+
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "+12", "007", "1_000", " 5", "5 ", "\u0663", "+-1", "-", "", "1/2", "1e3", 3,
+        True, pytest.param("-" + "9" * 4300, id="4300 digits"),
+        pytest.param("9" * 4301, id="4301 digits")])
+    def test_integer_strings_read_as_fractions_read_them(self, text):
+        # _rational reads an integer-only string as an int, any other through Fraction
+        def outcome(reader):
+            try:
+                return reader(text, "$.re")
+            except ParseError as exc:
+                return str(exc)
+        assert outcome(_rational) == outcome(parse_frac)
+
+    def test_integer_strings_skip_fraction(self):
+        assert [type(_rational(x, "$")) for x in ("-3", "+0", "12", "1/2")] == [int] * 3 + [Fraction]
 
     def test_repeated_exponent_rejected(self):
         terms = [{"exp": 1, "re": "1", "im": "0"}, {"exp": 1, "re": "-1", "im": "0"}]
