@@ -40,27 +40,21 @@ def check_exponent(text: str, path: str) -> None:
                                f"{MAX_DIGITS} digits")
 
 
-def parse_frac(s, path: str) -> Fraction:
-    from fractions import Fraction
+def parse_frac(s, path: str) -> int | Fraction:
+    """Read a rational; an integer-only string, such as "-3", comes back as an
+    int, which ExactComplex takes without building a Fraction."""
     text = str(s)
-    check_exponent(text, path)
+    digits = text[1:] if text[:1] in "+-" else text
+    integer = digits.isascii() and digits.isdigit()
+    if not integer:  # an integer-only string has no exponent to check
+        check_exponent(text, path)
     try:
+        if integer:
+            return int(text)
+        from fractions import Fraction
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(path, f"not a rational: {s!r} ({exc})") from None
-
-
-def _rational(s, path: str):
-    """parse_frac, except that an integer-only string, such as "-3", is read
-    as an int: ExactComplex takes int parts without building a Fraction."""
-    text = str(s)
-    digits = text[1:] if text[:1] in "+-" else text
-    if digits.isascii() and digits.isdigit():
-        try:
-            return int(text)
-        except ValueError as exc:  # more digits than int(str) reads, as Fraction says
-            raise ParseError(path, f"not a rational: {s!r} ({exc})") from None
-    return parse_frac(s, path)
 
 
 def _count(x, least: int, path: str) -> int:
@@ -82,11 +76,11 @@ def exact_from_json(obj, path: str) -> ExactComplex:
     from .exact import ExactComplex
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object with re/im fields")
-    re = _rational(obj.get("re", 0), f"{path}.re")
-    im = _rational(obj.get("im", 0), f"{path}.im")
+    re = parse_frac(obj.get("re", 0), f"{path}.re")
+    im = parse_frac(obj.get("im", 0), f"{path}.im")
     if "rad" in obj or "sre" in obj or "sim" in obj:
-        sre = _rational(obj.get("sre", 0), f"{path}.sre")
-        sim = _rational(obj.get("sim", 0), f"{path}.sim")
+        sre = parse_frac(obj.get("sre", 0), f"{path}.sre")
+        sim = parse_frac(obj.get("sim", 0), f"{path}.sim")
         rad = obj.get("rad", 0)
         if isinstance(rad, bool) or not isinstance(rad, int):
             raise ParseError(f"{path}.rad", "radicand must be an integer")
