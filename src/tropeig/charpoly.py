@@ -144,6 +144,15 @@ class CharPoly(_Frozen):
                 break
         return k
 
+    # direct, as ScalarPoly's: n follows from coeffs
+    def __eq__(self, other):
+        if other.__class__ is not CharPoly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
     def __repr__(self):
         return f"CharPoly(n={self.n})"
 

@@ -133,6 +133,13 @@ class ScalarPoly(_Frozen):
     def coefficient(self, exp: int) -> ExactComplex:
         return self.terms.get(exp, ExactComplex())
 
+    # both direct, without _Frozen's field tuples: block factors are compared
+    # and hashed on every float check
+    def __eq__(self, other):
+        if other.__class__ is not ScalarPoly:
+            return NotImplemented
+        return self.trunc == other.trunc and self.terms == other.terms
+
     def __hash__(self):  # terms is a dict, so the field-tuple hash would fail
         return hash((frozenset(self.terms.items()), self.trunc))
 
