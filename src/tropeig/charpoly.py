@@ -236,6 +236,60 @@ def _berkowitz(rows, rad) -> list:
     return prev
 
 
+def _blocks(m: PolyMatrix) -> list:
+    """The index lists of m's irreducible diagonal blocks, in rising order
+    within each block and in an order of blocks that makes m block upper
+    triangular: no nonzero entry (i, j) has i's block after j's.  The blocks
+    are the strongly connected components of the nonzero pattern, where an
+    unknown O(t^k) entry counts as nonzero (Tarjan 1972, iteratively).  det
+    is multiplicative on a block triangular matrix, so the blocks'
+    charpolys multiply to m's.  Tarjan's algorithm closes a component only
+    after every component it reaches, so the blocks come out in reverse."""
+    succ = [[j for j, p in enumerate(row) if j != i and (p.terms or p.trunc is not None)]
+            for i, row in enumerate(m.rows)]
+    index, low, on_stack = [None] * m.n, [0] * m.n, [False] * m.n
+    stack, out, count = [], [], 0
+    for root in range(m.n):
+        if index[root] is not None:
+            continue
+        work = [(root, None)]
+        while work:
+            v, edges = work[-1]
+            if edges is None:  # first visit
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on_stack[v] = True
+                edges = iter(succ[v])
+                work[-1] = (v, edges)
+            for w in edges:
+                if index[w] is None:
+                    work.append((w, None))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    k = stack.index(v)
+                    block = stack[k:]
+                    del stack[k:]
+                    for w in block:
+                        on_stack[w] = False
+                    out.append(sorted(block))
+    return out[::-1]
+
+
+def _principal(m: PolyMatrix, idx) -> PolyMatrix:
+    """The principal submatrix m[idx, idx], in the order of idx."""
+    sub = _new(PolyMatrix)  # its entries are m's ScalarPolys already
+    _set(sub, "rows", tuple(tuple(m.rows[i][j] for j in idx) for i in idx))
+    _set(sub, "n", len(idx))
+    return sub
+
+
 # -- integer kernel (see the module docstring) --------------------------------
 
 _PLAIN = 32  # terms or digits that _pack and _unpack handle in one plain loop

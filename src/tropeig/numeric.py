@@ -24,6 +24,15 @@ ValueError for a leading 0 or a coefficient that is not finite, and
 NonConvergenceError when the sweeps run out or a guess or an iterate
 leaves the floats.
 
+Both checks first deflate repeated blocks (_deflation).  When the
+matrix's irreducible diagonal blocks (Family.blocks) share an exact block
+charpoly f that is no power of lambda, f's roots repeat exactly, and a
+root iteration stalls on them.  Each check then solves the principal
+submatrix that keeps one copy of each such block: the fit counts the other
+copies from f's exact report, and the braid appends copies of f's braid.
+This says nothing about the Jordan structure across equal blocks.  A
+charpoly realization has no blocks and is solved as it stands.
+
 Every root solve of the check starts from Newton-polygon guesses, so the
 roots at one point do not depend on the other.  The braid loop is a
 continuation: each solve starts from the previous step's roots, only the
@@ -53,12 +62,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHASE, GRID_T0,
                MATCH_TOL)
-# charpoly_direct is not called here; the binding stays importable for the
-# benchmark's tracer, which patches it (perfbench/tests/test_harness.py)
-from .charpoly import CharPoly, charpoly_direct  # noqa: F401
+from .charpoly import CharPoly, _principal, charpoly_direct
 from .exact import EC_ZERO, ExactComplex, _fill, _Frozen
 from .poly import horner_table
-from .tropical import Family, SplittingReport, TropicalRoot, _lower_hull
+from .tropical import Family, SplittingReport, TropicalRoot, _lower_hull, tropical_roots
 
 # Aberth stops once every relative step is below this (about 225 ulps)
 ROOT_TOL = 5e-14
@@ -300,6 +307,38 @@ def track_eigenvalues(eig_fn, params: Sequence[complex]):
 
 
 # ---------------------------------------------------------------------------
+# repeated block factors
+# ---------------------------------------------------------------------------
+
+def _deflation(family: Family) -> Tuple[CharPoly, Tuple[Tuple[CharPoly, int], ...]]:
+    """(cp, factors): the charpoly both checks solve, and the block factors
+    they deflate, each as (f, m) in block order.
+
+    A factor is the charpoly f of m > 1 irreducible diagonal blocks of the
+    matrix (Family.blocks) that is exact and no power of lambda: its roots
+    repeat exactly m times, which the root iteration cannot resolve.  cp is
+    then the charpoly of M[S, S], where S keeps the first block of each
+    factor and every other block; as M[S, S] is block triangular with those
+    blocks, cp is the product of the distinct block charpolys.  Flat zeros
+    need no deflation: they are counted exactly.  With no factor, cp is the
+    family's charpoly.
+    """
+    keep, factors = [], []
+    for f, where in family.blocks:
+        if (len(where) > 1 and all(a.trunc is None for a in f.coeffs)
+                and any(a.terms for a in f.coeffs[1:])):
+            factors.append((f, len(where)))
+            where = where[:1]
+        keep += where
+    if not factors:
+        return family.charpoly, ()
+    if len(keep) == 1:  # M[S, S] is the one factor's first block
+        return factors[0][0], tuple(factors)
+    keep = sorted(i for block in keep for i in block)
+    return charpoly_direct(_principal(family.matrix, keep)), tuple(factors)
+
+
+# ---------------------------------------------------------------------------
 # the scaled-root check
 # ---------------------------------------------------------------------------
 
@@ -313,7 +352,10 @@ class ClusterFit(_Frozen):
     second point, and ``rate`` that distance over the one at the first, both
     floored at EXACT_DISTANCE.  ``edge`` holds the exact coefficients of
     E_omega with its zero roots divided out, leading first: its roots are
-    the prefactors c of the branches lambda ~ c * t^omega.
+    the prefactors c of the branches lambda ~ c * t^omega.  When blocks are
+    deflated (VerificationResult.deflated), ``size`` also counts the
+    unsolved copies' branches, and the other fields are those of the
+    charpoly solved, whose edge roots stand for their copies too.
     """
 
     __slots__ = ("exponent", "size", "matched", "distance", "rate", "edge")
@@ -324,11 +366,15 @@ class ClusterFit(_Frozen):
 
 
 class VerificationResult(_Frozen):
-    __slots__ = ("clusters", "zero_tracks", "passed", "diagnostics")
+    """The scaled-root check's verdict (fit_exponents).  ``deflated`` holds
+    the (degree, multiplicity) of each repeated block factor of which the
+    check solved one copy, and is empty when no block repeats."""
+
+    __slots__ = ("clusters", "zero_tracks", "passed", "diagnostics", "deflated")
 
     def __init__(self, clusters: Tuple[ClusterFit, ...], zero_tracks: int, passed: bool,
-                 diagnostics: Tuple[str, ...] = ()):
-        _fill(self, clusters, zero_tracks, passed, diagnostics)
+                 diagnostics: Tuple[str, ...] = (), deflated: Tuple[Tuple[int, int], ...] = ()):
+        _fill(self, clusters, zero_tracks, passed, diagnostics, deflated)
 
 
 def _check_fit_arguments(t0: float, phase: float, match_tol: float) -> None:
@@ -440,8 +486,13 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
 
     The multiplicities must add up to the n' moving roots, and the flat zero
     modes, counted from the exact characteristic polynomial, must match the
-    prediction.  Every root solve starts from Newton-polygon guesses and
-    q_t has only non-negative powers of t, so deep points do not underflow.
+    prediction.  With repeated blocks (_deflation) the check solves the
+    charpoly of one copy of each, n' counts that charpoly's moving roots in
+    the rate rule, and the m - 1 other copies of a factor f add f's exact
+    report: its branches to each exponent's count of edge roots and to the
+    moving roots, and its flat zeros to the flat count.  Every root solve
+    starts from Newton-polygon guesses and q_t has only non-negative powers
+    of t, so deep points do not underflow.
     Mismatches produce ``passed=False`` with diagnostics rather than an
     exception.  Raises ValueError unless ``match_tol`` and ``t0`` are finite
     and positive and ``phase`` is finite, then UndeterminedError when the
@@ -451,9 +502,17 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     """
     _check_fit_arguments(t0, phase, match_tol)
     expected = family.expected
-    cp = family.charpoly
+    cp, factors = _deflation(family)
     zero_tracks, floats = _float_tables(cp, expected)
     moving = len(floats) - 1
+    # the m - 1 unsolved copies of each factor: their branches per exponent,
+    # by the factor's exact report, and their flat zeros
+    copies = {}
+    for f, m in factors:
+        report = tropical_roots(f)
+        zero_tracks += (m - 1) * report.zero_root_count
+        for r in report.roots:
+            copies[r.omega] = copies.get(r.omega, 0) + (m - 1) * r.multiplicity
     t1, t2 = _fit_points(t0, phase)
     bound = 10.0 ** (-CHECK_DECADES / (2 * moving)) if moving else 0.0
 
@@ -484,12 +543,13 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
         # q_t has at least as many roots as E_omega: its coefficient at
         # E_omega's leading index holds a t^0 term, so it does not underflow
         (d1, _, near1), (d2, far2, near2) = (_edge_distances(edge_roots, r) for r in solved)
+        size = len(edge_roots) + copies.get(root.omega, 0)
         rate = max(d2, EXACT_DISTANCE) / max(d1, EXACT_DISTANCE)
         exponent = float(root.omega) + (_mean_log(near2) - _mean_log(near1)) / math.log(
             abs(t2 / t1))
         problems = []
-        if len(edge_roots) != m:
-            problems.append(f"{len(edge_roots)} edge roots")
+        if size != m:
+            problems.append(f"{size} edge roots")
         if min(far2, 1.0) < SEPARATION * d2:
             problems.append(f"next root or 0 at {min(far2, 1.0):.3e} against {d2:.3e}")
         if d2 > EXACT_DISTANCE and rate > bound:
@@ -499,9 +559,9 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
         if problems:
             ok = False
             diagnostics.append(f"predicted root {root.omega} x{m}: " + "; ".join(problems))
-        out.append(ClusterFit(exponent, len(edge_roots), None if problems else root, d2, rate,
-                              edge))
+        out.append(ClusterFit(exponent, size, None if problems else root, d2, rate, edge))
     predicted = sum(r.multiplicity for r in expected.roots)
+    moving += sum(copies.values())
     if predicted != moving:
         ok = False
         diagnostics.append(f"{moving} moving roots, the prediction accounts for {predicted}")
@@ -509,7 +569,8 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
         ok = False
         diagnostics.append(
             f"{zero_tracks} identically-zero tracks, expected {expected.zero_root_count}")
-    return VerificationResult(tuple(out), zero_tracks, ok, tuple(diagnostics))
+    return VerificationResult(tuple(out), zero_tracks, ok, tuple(diagnostics),
+                              tuple((f.n, m) for f, m in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +758,28 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     eps0 is finite and positive, then UndeterminedError when a charpoly
     coefficient is undetermined, then ValueError when a term of one is
     beyond the range of floats (_float_tables).
+
+    With repeated blocks (_deflation) the loop runs on the charpoly of one
+    copy of each, and for each factor f of m blocks the permutation gains
+    m - 1 copies of f's own loop, solved once, or taken from the first loop
+    when that charpoly is f itself.
     """
     _check_braid_arguments(eps0, steps)
-    zeros, floats = _float_tables(family.charpoly)
+    cp, factors = _deflation(family)
+    braid = _braid(cp, eps0, steps)
+    if not factors:
+        return braid
+    permutation = list(braid.permutation)
+    for f, m in factors:
+        copy = braid if f == cp else _braid(f, eps0, steps)
+        for _ in range(m - 1):
+            permutation += [len(permutation) + k for k in copy.permutation]
+    return BraidPermutation(tuple(permutation))
+
+
+def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
+    """braid_loop's loop on the charpoly cp."""
+    zeros, floats = _float_tables(cp)
     scale, tables = _loop_tables(floats, eps0)
     dtables = [[(e, e * c) for e, c in table if e] for table in tables]
     flat = [0j] * zeros

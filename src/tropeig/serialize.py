@@ -248,15 +248,20 @@ def tropical_to_json(p: TropicalPoly) -> dict:
 
 
 def verification_to_json(v: VerificationResult) -> dict:
-    return {"pass": v.passed,
-            "zero_tracks": v.zero_tracks,
-            "clusters": [{"exponent": c.exponent,
-                          "size": c.size,
-                          "matched": None if c.matched is None else _root_to_json(c.matched),
-                          "distance": c.distance,
-                          "edge": [exact_to_json(x) for x in c.edge],
-                          "rate": c.rate} for c in v.clusters],
-            "diagnostics": list(v.diagnostics)}
+    """The check's verdict; ``deflated`` appears only when a block factor
+    repeated, so that every other document keeps its shape."""
+    out = {"pass": v.passed,
+           "zero_tracks": v.zero_tracks,
+           "clusters": [{"exponent": c.exponent,
+                         "size": c.size,
+                         "matched": None if c.matched is None else _root_to_json(c.matched),
+                         "distance": c.distance,
+                         "edge": [exact_to_json(x) for x in c.edge],
+                         "rate": c.rate} for c in v.clusters],
+           "diagnostics": list(v.diagnostics)}
+    if v.deflated:
+        out["deflated"] = [{"degree": d, "multiplicity": m} for d, m in v.deflated]
+    return out
 
 
 def braid_to_json(b: BraidPermutation) -> dict:

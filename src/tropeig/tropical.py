@@ -44,7 +44,7 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, Optional, Tuple, Union
 
-from .charpoly import CharPoly, PolyMatrix, charpoly_direct
+from .charpoly import CharPoly, PolyMatrix, _blocks, _principal, charpoly_direct
 from .exact import _fill, _Frozen, _set
 from .poly import Ord
 
@@ -174,10 +174,12 @@ class Family(_Frozen):
     ``charpoly`` is the realization itself when that is a CharPoly, and
     otherwise the Berkowitz expansion of the matrix, computed on first use.
     A caller that already holds the characteristic polynomial passes it as
-    ``known_charpoly`` so it is not expanded a second time.
+    ``known_charpoly`` so it is not expanded a second time.  ``blocks``, the
+    matrix's irreducible diagonal blocks grouped by charpoly, is computed
+    on first use too, and only the float checks read it.
     """
 
-    # __dict__ holds only the cached charpoly
+    # __dict__ holds the cached charpoly and blocks
     __slots__ = ("name", "realization", "expected", "parameters", "annotations", "__dict__")
 
     def __init__(self, name: str, realization: Union[PolyMatrix, CharPoly],
@@ -193,6 +195,23 @@ class Family(_Frozen):
         if isinstance(self.realization, CharPoly):
             return self.realization
         return charpoly_direct(self.realization)
+
+    @cached_property
+    def blocks(self) -> Tuple[Tuple[CharPoly, Tuple[Tuple[int, ...], ...]], ...]:
+        """Each distinct charpoly of the matrix's irreducible diagonal blocks
+        (charpoly._blocks) with the indices of every block that has it, in
+        block triangular order of first occurrence: the charpolys, each to
+        the power of its number of blocks, multiply to ``charpoly``.  A
+        charpoly realization, or an irreducible matrix, is one block.
+        Computed on first use and kept; only the float checks read it."""
+        m = self.matrix
+        parts = [range(self.charpoly.n)] if m is None else _blocks(m)
+        if len(parts) == 1:
+            return ((self.charpoly, (tuple(parts[0]),)),)
+        groups: Dict[CharPoly, list] = {}
+        for b in parts:
+            groups.setdefault(charpoly_direct(_principal(m, b)), []).append(tuple(b))
+        return tuple((f, tuple(where)) for f, where in groups.items())
 
     @property
     def matrix(self) -> Optional[PolyMatrix]:

@@ -43,7 +43,10 @@ EXAMPLES = ["cavity_d12", "cavity_d22_ep31", "cavity_d22_ep4", "circuit_epsilon"
             "circuit_gamma_detune", "effective_liouvillian", "hatano_nelson",
             "lieb_arccot", "lieb_pi_antidiag", "lieb_pi_diag", "torus_knot"]
 PARTITIONS = ["2", "1,1", "3", "2,1", "1,1,1", "4", "3,1", "2,2", "2,1,1", "1,1,1,1"]
-FAMILY_FILES = ["family_matrix.json", "family_charpoly.json", "family_multiblock.json"]
+# family_perfect_power is a charpoly realization, (lambda^2 - 2t - t^2)^4: it
+# has no blocks to deflate, so its repeated roots stall the root iteration (6)
+FAMILY_FILES = ["family_matrix.json", "family_charpoly.json", "family_multiblock.json",
+                "family_perfect_power.json"]
 
 
 # analyze's plot flags, each with the suffix of its golden file
@@ -99,10 +102,9 @@ def _cases():
         cases[f"verify-jordan-{p.replace(',', '')}"] = ["verify", "--jordan", p, "--braid"]
     for f in FAMILY_FILES:
         cases[f"verify-file-{Path(f).stem}"] = ["verify", "--file", str(GOLDEN / f), "--braid"]
-    # the failure exits: an unknown O(t^2) coefficient runs no check (2); the
-    # EP2 blocks of an open chain split alike, so the braid refuses (3); a
-    # perfect-power charpoly stalls the root iteration, with nothing on
-    # stdout (6); and at |t| = 1e300 the branches are no longer asymptotic (6)
+    # the failure exits: an unknown O(t^2) coefficient runs no check (2); and
+    # at |t| = 1e300 the branches are no longer asymptotic (6).  The open
+    # chains' equal EP2 blocks are deflated: each check solves one copy (0)
     cases["verify-example-lieb_pi_diag-order2"] = ["verify", "--example", "lieb_pi_diag",
                                                    "--param", "series_order=2", "--braid"]
     cases["verify-example-hatano_nelson-L4-obc"] = ["verify", "--example", "hatano_nelson",

@@ -196,6 +196,21 @@ def rescale_charpoly(cp: CharPoly, c) -> CharPoly:
     return CharPoly([rescale_t(p, c) for p in cp.coeffs])
 
 
+def sympy_poly(sympy, p: ScalarPoly, t):
+    """p as a sympy expression in the symbol t; sympy is passed in, as it is
+    imported only where a test uses it."""
+    def q(f):
+        return sympy.Rational(f.numerator, f.denominator)
+
+    total = sympy.Integer(0)
+    for e, c in p.terms.items():
+        value = q(c.re) + sympy.I * q(c.im)
+        if c.rad:
+            value += (q(c.sre) + sympy.I * q(c.sim)) * sympy.sqrt(c.rad)
+        total += value * t ** e
+    return total
+
+
 def evaluate_charpoly(cp: CharPoly, lam: complex, t: complex) -> complex:
     acc = 0j
     for c in cp.coeffs:

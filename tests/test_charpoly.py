@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import (companion_matrix, conjugate_by, dense, evaluate_charpoly, trace,
-                       traceless_shift)
+from reference import (companion_matrix, conjugate_by, dense, evaluate_charpoly, sympy_poly,
+                       trace, traceless_shift)
 from tropeig import charpoly as charpoly_module
 from tropeig.charpoly import (CharPoly, PolyMatrix, _div_exact, _pack, _to_kernel, _unpack,
                               charpoly_direct, charpoly_traces)
@@ -421,30 +421,17 @@ class TestSparseStructures:
         assert 0 < calls <= 4 * L
 
 
-def _sympy_poly(sympy, p: ScalarPoly, t):
-    def q(f):
-        return sympy.Rational(f.numerator, f.denominator)
-
-    total = sympy.Integer(0)
-    for e, c in p.terms.items():
-        value = q(c.re) + sympy.I * q(c.im)
-        if c.rad:
-            value += (q(c.sre) + sympy.I * q(c.sim)) * sympy.sqrt(c.rad)
-        total += value * t ** e
-    return total
-
-
 class TestSympyOracle:
     """sympy's charpoly is a third, independent implementation."""
 
     def _check(self, m):
         sympy = pytest.importorskip("sympy")
         t, lam = sympy.symbols("t lam")
-        theirs = sympy.Matrix([[_sympy_poly(sympy, x, t) for x in row] for row in m.rows])
+        theirs = sympy.Matrix([[sympy_poly(sympy, x, t) for x in row] for row in m.rows])
         theirs = theirs.charpoly(lam).all_coeffs()
         for cp in (charpoly_direct(m), charpoly_traces(m)):
             for ours, other in zip(cp.coeffs, theirs, strict=True):
-                assert sympy.expand(_sympy_poly(sympy, ours, t) - other) == 0
+                assert sympy.expand(sympy_poly(sympy, ours, t) - other) == 0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_dense_gaussian_rationals(self, n):

@@ -11,8 +11,8 @@ import pytest
 
 from reference import AMBIGUOUS_CHAIN
 from tropeig.cli import main
-from tropeig.models import example_names
-from tropeig.serialize import dumps
+from tropeig.models import example_names, hatano_nelson
+from tropeig.serialize import charpoly_to_json, dumps, report_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -207,12 +207,25 @@ class TestVerify:
         tolerances = json.loads(out)["provenance"]["tolerances"]
         assert (tolerances["eps0"], tolerances["steps"]) == (1e-5, 48)
 
-    def test_braid_loop_failure_exit(self, capsys):
-        # its EP2 blocks split alike, so two eigenvalues nearly coincide
-        code, out, _ = run(capsys, "verify", "--example", "hatano_nelson", "--param", "L=4",
-                           "--param", "regime=obc", "--braid")
+    def test_braid_loop_failure_exit(self, tmp_path, capsys):
+        # (lambda^2 - 2t - t^2)^2, hatano_nelson(L=4,obc)'s charpoly on its own:
+        # with no blocks to deflate, two eigenvalues nearly coincide
+        fam = hatano_nelson(4, "obc")
+        doc = {"charpoly": charpoly_to_json(fam.charpoly),
+               "expected": report_to_json(fam.expected)}
+        code, out, _ = run(capsys, "verify", "--file", write(tmp_path, "power.json", doc),
+                           "--braid")
         assert code == 3
         assert "below 1e-3" in json.loads(out)["braid"]["error"]
+
+    @pytest.mark.parametrize("L", [4, 5, 8])
+    def test_open_chain_passes_with_its_blocks_deflated(self, capsys, L):
+        code, out, _ = run(capsys, "verify", "--example", "hatano_nelson", "--param", f"L={L}",
+                           "--param", "regime=obc", "--braid")
+        assert code == 0
+        body = json.loads(out)
+        assert body["verification"]["deflated"] == [{"degree": 2, "multiplicity": L // 2}]
+        assert body["braid"]["cycle_lengths"] == body["braid"]["predicted_cycle_lengths"]
 
     def test_file_family(self, tmp_path, capsys):
         fam = {"matrix": SQRT_T,
@@ -257,8 +270,9 @@ class TestVerify:
         assert err.startswith(message)
 
     def test_nonconvergence_exit_without_traceback(self, capsys):
-        code, out, err = run(capsys, "verify", "--example", "hatano_nelson",
-                             "--param", "L=8", "--param", "regime=obc")
+        # (lambda^2 - 2t - t^2)^4 as a charpoly: no blocks, so no deflation
+        code, out, err = run(capsys, "verify", "--file",
+                             str(GOLDEN / "family_perfect_power.json"))
         assert code == 6 and out == ""
         assert err.startswith("error: root iteration did not converge")
 

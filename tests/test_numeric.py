@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 from reference import (cardano_roots, charpoly_roots, dense_eigenvalues, numeric_ord,
                        pairwise_separation, reference_aberth_roots, reference_spacings)
 from tropeig import numeric
-from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct
+from tropeig.charpoly import CharPoly, PolyMatrix, _blocks, charpoly_direct, charpoly_traces
 from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families, weyr_structure
 from tropeig.models import (build_example, cavity_dynamical, default_families, hatano_nelson,
@@ -718,14 +718,16 @@ class TestFitExponents:
     def test_three_solves_per_predicted_root(self, monkeypatch):
         # the edge polynomial once and the scaled polynomial at both points
         solves = {}
-        for fam in _verify_families()[:-1]:  # HN L=8 OBC does not converge
+        for fam in _verify_families():
             res, n, _ = TestBraidAgainstReference.counted(monkeypatch, fit_exponents, fam)
             assert res.passed, fam.name
             assert n == 3 * len(fam.expected.roots), fam.name
             solves[fam.name] = n
         assert solves["effective_liouvillian"] == 9
         assert solves["H[1,1] unlifting"] == 0
-        assert sum(solves.values()) == 177
+        # HN L=8 OBC checks one copy of its four equal blocks
+        assert solves["hatano_nelson(L=8,obc)"] == 3
+        assert sum(solves.values()) == 180
 
     def test_unlifting_direction_all_zero(self, catalogs):
         fam = next(f for f in catalogs[2] if f.parameters["constraint"] == "unlifting")
@@ -845,9 +847,10 @@ class TestBraid:
                     assert coarse[0].cycle_lengths == fam.expected.predicted_cycle_lengths()
 
     def test_hatano_nelson_obc_is_still_degenerate(self):
-        # its EP2 blocks split alike, so two eigenvalues nearly coincide
+        # its charpoly (lambda^2 - 2t - t^2)^2 alone, with no blocks to deflate:
+        # two eigenvalues nearly coincide
         with pytest.raises(LoopDegeneracyError, match="below 1e-3"):
-            braid_loop(hatano_nelson(4, "obc"))
+            braid_loop(charpoly_only(hatano_nelson(4, "obc")))
 
     def test_circuit_gamma_detune_with_flat_modes(self):
         fam = build_example("circuit_gamma_detune")
@@ -864,7 +867,7 @@ class TestBraid:
 
     def test_degenerate_loop_raises(self):
         with pytest.raises(LoopDegeneracyError):
-            braid_loop(hatano_nelson(4, "obc"), eps0=1e-4, steps=16)
+            braid_loop(charpoly_only(hatano_nelson(4, "obc")), eps0=1e-4, steps=16)
 
     def test_all_flat_braid_is_the_identity(self, catalogs):
         # no root moves: 2 and 3 flat zeros, which coincide but do not approach
@@ -1042,6 +1045,26 @@ def reference_braid_loop(family, eps0, steps):
     return BraidPermutation(tuple(_match(current, start)))
 
 
+def charpoly_only(fam):
+    """fam with its charpoly as the realization: no blocks, so nothing to
+    deflate."""
+    return Family(fam.name, fam.charpoly, fam.expected)
+
+
+def reference_block_cycles(family, eps0, steps):
+    """The braid's cycle lengths from reference_braid_loop on each
+    irreducible block of the matrix alone, its charpoly by charpoly_traces,
+    pooled: a block triangular matrix braids as its blocks do while no two
+    blocks share an eigenvalue but by an exact repeat."""
+    m = family.matrix
+    cycles = []
+    for block in _blocks(m):
+        cp = charpoly_traces(PolyMatrix([[m[i, j] for j in block] for i in block]))
+        cycles += reference_braid_loop(Family("block", cp, tropical_roots(cp)), eps0,
+                                       steps).cycle_lengths
+    return tuple(sorted(cycles))
+
+
 def _verify_families():
     """The families of the benchmark's verify workload."""
     fams = [f for n in (2, 3, 4) for f in catalog_families(n)]
@@ -1083,11 +1106,20 @@ class TestBraidAgainstReference:
         else:
             seed = int(group.split()[-1])
             fams = [f for n in (2, 3, 4) for f in catalog_families(n, seed)]
-        flat_braids = total_solves = 0
+        flat_braids = total_solves = deflated = 0
         for fam in fams:
             want, ref_solves, _ = self.counted(monkeypatch, reference_braid_loop, fam, eps0,
                                                steps)
             got, solves, matches = self.counted(monkeypatch, braid_loop, fam, eps0, steps)
+            cp, factors = numeric._deflation(fam)
+            if factors:
+                # the full charpoly's repeated roots refuse the reference; the
+                # blocks braid one by one, and each distinct loop closes once
+                assert isinstance(want, tuple), fam.name
+                assert got.cycle_lengths == reference_block_cycles(fam, eps0, steps), fam.name
+                assert matches == 1 + sum(f != cp for f, _ in factors), fam.name
+                deflated += 1
+                continue
             assert got == want, fam.name
             assert solves <= ref_solves, fam.name
             total_solves += solves
@@ -1096,6 +1128,7 @@ class TestBraidAgainstReference:
                 flat_braids += fam.charpoly.trailing_zero_count() > 0
         assert flat_braids >= 3  # families with flat modes braid, not only fail
         if group == "verify":
+            assert deflated == 3  # hatano_nelson L = 4, 5 and 8, obc
             assert total_solves <= 1000  # 4,176 with fixed steps
 
 

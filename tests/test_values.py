@@ -51,8 +51,10 @@ CASES = {
                     ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve"),
                     None),
     "ClusterFit": (_cluster, ("exponent", "size", "matched", "distance", "rate", "edge"), None),
-    "VerificationResult": (lambda: VerificationResult((_cluster(),), 0, True, ("note",)),
-                           ("clusters", "zero_tracks", "passed", "diagnostics"), None),
+    "VerificationResult": (lambda: VerificationResult((_cluster(),), 0, True, ("note",),
+                                                      ((2, 2),)),
+                           ("clusters", "zero_tracks", "passed", "diagnostics", "deflated"),
+                           None),
     "BraidPermutation": (lambda: BraidPermutation((1, 0, 2)),
                          ("permutation", "cycle_lengths"), None),
 }
