@@ -282,14 +282,6 @@ def _blocks(m: PolyMatrix) -> list:
     return out[::-1]
 
 
-def _principal(m: PolyMatrix, idx) -> PolyMatrix:
-    """The principal submatrix m[idx, idx], in the order of idx."""
-    sub = _new(PolyMatrix)  # its entries are m's ScalarPolys already
-    _set(sub, "rows", tuple(tuple(m.rows[i][j] for j in idx) for i in idx))
-    _set(sub, "n", len(idx))
-    return sub
-
-
 # -- integer kernel (see the module docstring) --------------------------------
 
 _PLAIN = 32  # terms or digits that _pack and _unpack handle in one plain loop

@@ -62,7 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHASE, GRID_T0,
                MATCH_TOL)
-from .charpoly import CharPoly, _principal, charpoly_direct
+from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .exact import EC_ZERO, ExactComplex, _fill, _Frozen
 from .poly import horner_table
 from .tropical import Family, SplittingReport, TropicalRoot, _lower_hull, tropical_roots
@@ -335,7 +335,8 @@ def _deflation(family: Family) -> Tuple[CharPoly, Tuple[Tuple[CharPoly, int], ..
     if len(keep) == 1:  # M[S, S] is the one factor's first block
         return factors[0][0], tuple(factors)
     keep = sorted(i for block in keep for i in block)
-    return charpoly_direct(_principal(family.matrix, keep)), tuple(factors)
+    rows = family.matrix.rows
+    return charpoly_direct(PolyMatrix([[rows[i][j] for j in keep] for i in keep])), tuple(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, Optional, Tuple, Union
 
-from .charpoly import CharPoly, PolyMatrix, _blocks, _principal, charpoly_direct
+from .charpoly import CharPoly, PolyMatrix, _blocks, charpoly_direct
 from .exact import _fill, _Frozen, _set
 from .poly import Ord
 
@@ -210,7 +210,8 @@ class Family(_Frozen):
             return ((self.charpoly, (tuple(parts[0]),)),)
         groups: Dict[CharPoly, list] = {}
         for b in parts:
-            groups.setdefault(charpoly_direct(_principal(m, b)), []).append(tuple(b))
+            block = PolyMatrix([[m.rows[i][j] for j in b] for i in b])
+            groups.setdefault(charpoly_direct(block), []).append(tuple(b))
         return tuple((f, tuple(where)) for f, where in groups.items())
 
     @property
