@@ -133,8 +133,8 @@ class ScalarPoly(_Frozen):
     def coefficient(self, exp: int) -> ExactComplex:
         return self.terms.get(exp, ExactComplex())
 
-    # both direct, without _Frozen's field tuples: block factors are compared
-    # and hashed on every float check
+    # direct, without _Frozen's field tuples: Family.blocks groups block
+    # charpolys by equality, and braid_loop compares them
     def __eq__(self, other):
         if other.__class__ is not ScalarPoly:
             return NotImplemented
