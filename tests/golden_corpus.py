@@ -110,6 +110,11 @@ def _cases():
     cases["verify-example-hatano_nelson-L4-obc"] = ["verify", "--example", "hatano_nelson",
                                                     "--param", "L=4", "--param", "regime=obc",
                                                     "--braid"]
+    # L = 5 keeps one copy of the repeated EP2 block beside the flat site:
+    # the solved part spans several blocks
+    cases["verify-example-hatano_nelson-L5-obc"] = ["verify", "--example", "hatano_nelson",
+                                                    "--param", "L=5", "--param", "regime=obc",
+                                                    "--braid"]
     cases["verify-example-hatano_nelson-L8-obc"] = ["verify", "--example", "hatano_nelson",
                                                     "--param", "L=8", "--param", "regime=obc"]
     cases["verify-jordan-4-t0-1e300"] = ["verify", "--jordan", "4", "--t0", "1e300"]
