@@ -24,14 +24,13 @@ ValueError for a leading 0 or a coefficient that is not finite, and
 NonConvergenceError when the sweeps run out or a guess or an iterate
 leaves the floats.
 
-Both checks first deflate repeated blocks (_deflation).  When the
-matrix's irreducible diagonal blocks (Family.blocks) share an exact block
-charpoly f that is no power of lambda, f's roots repeat exactly, and a
-root iteration stalls on them.  Each check then solves the principal
-submatrix that keeps one copy of each such block: the fit counts the other
-copies from f's exact report, and the braid appends copies of f's braid.
-This says nothing about the Jordan structure across equal blocks.  A
-charpoly realization has no blocks and is solved as it stands.
+Both checks first deflate repeated blocks (Family.deflation).  Where the
+matrix's irreducible diagonal blocks share an exact charpoly f that is no
+power of lambda, f's roots repeat exactly and a root iteration stalls on
+them, so each check solves the principal submatrix that keeps one copy of
+each such block: the fit counts the other copies from f's exact report,
+and the braid appends copies of f's braid.  This says nothing about the
+Jordan structure across equal blocks.
 
 Every root solve of the check starts from Newton-polygon guesses, so the
 roots at one point do not depend on the other.  The braid loop is a
@@ -62,7 +61,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHASE, GRID_T0,
                MATCH_TOL)
-from .charpoly import CharPoly, PolyMatrix, charpoly_direct
+from .charpoly import CharPoly
+# charpoly_direct is not called here; the benchmark reads this binding
+# (perfbench/tests/test_harness.py)
+from .charpoly import charpoly_direct  # noqa: F401
 from .exact import EC_ZERO, ExactComplex, _fill, _Frozen
 from .poly import horner_table
 from .tropical import Family, SplittingReport, TropicalRoot, _lower_hull, tropical_roots
@@ -307,39 +309,6 @@ def track_eigenvalues(eig_fn, params: Sequence[complex]):
 
 
 # ---------------------------------------------------------------------------
-# repeated block factors
-# ---------------------------------------------------------------------------
-
-def _deflation(family: Family) -> Tuple[CharPoly, Tuple[Tuple[CharPoly, int], ...]]:
-    """(cp, factors): the charpoly both checks solve, and the block factors
-    they deflate, each as (f, m) in block order.
-
-    A factor is the charpoly f of m > 1 irreducible diagonal blocks of the
-    matrix (Family.blocks) that is exact and no power of lambda: its roots
-    repeat exactly m times, which the root iteration cannot resolve.  cp is
-    then the charpoly of M[S, S], where S keeps the first block of each
-    factor and every other block; as M[S, S] is block triangular with those
-    blocks, cp is the product of the distinct block charpolys.  Flat zeros
-    need no deflation: they are counted exactly.  With no factor, cp is the
-    family's charpoly.
-    """
-    keep, factors = [], []
-    for f, where in family.blocks:
-        if (len(where) > 1 and all(a.trunc is None for a in f.coeffs)
-                and any(a.terms for a in f.coeffs[1:])):
-            factors.append((f, len(where)))
-            where = where[:1]
-        keep += where
-    if not factors:
-        return family.charpoly, ()
-    if len(keep) == 1:  # M[S, S] is the one factor's first block
-        return factors[0][0], tuple(factors)
-    keep = sorted(i for block in keep for i in block)
-    rows = family.matrix.rows
-    return charpoly_direct(PolyMatrix([[rows[i][j] for j in keep] for i in keep])), tuple(factors)
-
-
-# ---------------------------------------------------------------------------
 # the scaled-root check
 # ---------------------------------------------------------------------------
 
@@ -487,9 +456,9 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
 
     The multiplicities must add up to the n' moving roots, and the flat zero
     modes, counted from the exact characteristic polynomial, must match the
-    prediction.  With repeated blocks (_deflation) the check solves the
-    charpoly of one copy of each, n' counts that charpoly's moving roots in
-    the rate rule, and the m - 1 other copies of a factor f add f's exact
+    prediction.  With repeated blocks (Family.deflation) the check solves
+    the charpoly of one copy of each, n' counts that charpoly's moving roots
+    in the rate rule, and the m - 1 other copies of a factor f add f's exact
     report: its branches to each exponent's count of edge roots and to the
     moving roots, and its flat zeros to the flat count.  Every root solve
     starts from Newton-polygon guesses and q_t has only non-negative powers
@@ -503,7 +472,7 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     """
     _check_fit_arguments(t0, phase, match_tol)
     expected = family.expected
-    cp, factors = _deflation(family)
+    cp, factors = family.deflation
     zero_tracks, floats = _float_tables(cp, expected)
     moving = len(floats) - 1
     # the m - 1 unsolved copies of each factor: their branches per exponent,
@@ -760,16 +729,14 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     coefficient is undetermined, then ValueError when a term of one is
     beyond the range of floats (_float_tables).
 
-    With repeated blocks (_deflation) the loop runs on the charpoly of one
-    copy of each, and for each factor f of m blocks the permutation gains
+    With repeated blocks (Family.deflation) the loop runs on the charpoly of
+    one copy of each, and for each factor f of m blocks the permutation gains
     m - 1 copies of f's own loop, solved once, or taken from the first loop
     when that charpoly is f itself.
     """
     _check_braid_arguments(eps0, steps)
-    cp, factors = _deflation(family)
+    cp, factors = family.deflation
     braid = _braid(cp, eps0, steps)
-    if not factors:
-        return braid
     permutation = list(braid.permutation)
     for f, m in factors:
         copy = braid if f == cp else _braid(f, eps0, steps)

@@ -133,7 +133,7 @@ class ScalarPoly(_Frozen):
     def coefficient(self, exp: int) -> ExactComplex:
         return self.terms.get(exp, ExactComplex())
 
-    # direct, without _Frozen's field tuples: Family.blocks groups block
+    # direct, without _Frozen's field tuples: Family.deflation groups block
     # charpolys by equality, and braid_loop compares them
     def __eq__(self, other):
         if other.__class__ is not ScalarPoly:

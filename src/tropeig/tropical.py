@@ -174,12 +174,11 @@ class Family(_Frozen):
     ``charpoly`` is the realization itself when that is a CharPoly, and
     otherwise the Berkowitz expansion of the matrix, computed on first use.
     A caller that already holds the characteristic polynomial passes it as
-    ``known_charpoly`` so it is not expanded a second time.  ``blocks``, the
-    matrix's irreducible diagonal blocks grouped by charpoly, is computed
-    on first use too, and only the float checks read it.
+    ``known_charpoly`` so it is not expanded a second time.  ``deflation``
+    is computed on first use too, and only the float checks read it.
     """
 
-    # __dict__ holds the cached charpoly and blocks
+    # __dict__ holds the cached charpoly and deflation
     __slots__ = ("name", "realization", "expected", "parameters", "annotations", "__dict__")
 
     def __init__(self, name: str, realization: Union[PolyMatrix, CharPoly],
@@ -197,22 +196,36 @@ class Family(_Frozen):
         return charpoly_direct(self.realization)
 
     @cached_property
-    def blocks(self) -> Tuple[Tuple[CharPoly, Tuple[Tuple[int, ...], ...]], ...]:
-        """Each distinct charpoly of the matrix's irreducible diagonal blocks
-        (charpoly._blocks) with the indices of every block that has it, in
-        block triangular order of first occurrence: the charpolys, each to
-        the power of its number of blocks, multiply to ``charpoly``.  A
-        charpoly realization, or an irreducible matrix, is one block.
-        Computed on first use and kept; only the float checks read it."""
+    def deflation(self) -> Tuple[CharPoly, Tuple[Tuple[CharPoly, int], ...]]:
+        """(cp, factors): the charpoly the float checks solve, and the block
+        factors they deflate, as (f, m) in block order.  A factor is an exact
+        charpoly f, no power of lambda, of m > 1 irreducible diagonal blocks
+        (charpoly._blocks): its roots repeat exactly m times.  cp is then the
+        charpoly of M[S, S], S keeping the first block of each factor and
+        every other block, which is the product of the distinct block
+        charpolys.  Without a factor, as for a charpoly realization or fewer
+        than two blocks, cp is ``charpoly``.  Computed on first use and kept."""
         m = self.matrix
-        parts = [range(self.charpoly.n)] if m is None else _blocks(m)
-        if len(parts) == 1:
-            return ((self.charpoly, (tuple(parts[0]),)),)
+        parts = [] if m is None else _blocks(m)
+        if len(parts) < 2:
+            return self.charpoly, ()
+
+        def principal(idx):
+            return PolyMatrix([[m.rows[i][j] for j in idx] for i in idx])
+
         groups: Dict[CharPoly, list] = {}
         for b in parts:
-            block = PolyMatrix([[m.rows[i][j] for j in b] for i in b])
-            groups.setdefault(charpoly_direct(block), []).append(tuple(b))
-        return tuple((f, tuple(where)) for f, where in groups.items())
+            groups.setdefault(charpoly_direct(principal(b)), []).append(b)
+        keep, factors = [], []
+        for f, where in groups.items():
+            if (len(where) > 1 and all(a.trunc is None for a in f.coeffs)
+                    and any(a.terms for a in f.coeffs[1:])):
+                factors.append((f, len(where)))
+                where = where[:1]
+            keep += where
+        if not factors:
+            return self.charpoly, ()
+        return charpoly_direct(principal(sorted(i for b in keep for i in b))), tuple(factors)
 
     @property
     def matrix(self) -> Optional[PolyMatrix]:

@@ -1,5 +1,5 @@
-"""Irreducible diagonal blocks (charpoly._blocks, Family.blocks) and the
-float checks' deflation of repeated block factors (numeric), on planted
+"""Irreducible diagonal blocks (charpoly._blocks) and the float checks'
+deflation of repeated block factors (Family.deflation, numeric), on planted
 block triangular matrices."""
 
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference import sympy_poly
+from tropeig import numeric, tropical
 from tropeig.charpoly import CharPoly, PolyMatrix, _blocks, charpoly_direct, charpoly_traces
 from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families
@@ -118,10 +119,29 @@ class TestBlocks:
         fams = [f for n in (2, 3, 4) for f in catalog_families(n)] + [hatano_nelson(8, "obc")]
         for fam in fams:
             tropical_roots(fam.charpoly)
-            assert "blocks" not in fam.__dict__, fam.name
+            assert "deflation" not in fam.__dict__, fam.name
         fit_exponents(fams[-1])
-        (f, where), = fams[-1].__dict__["blocks"]  # four equal blocks
-        assert where == ((6, 7), (4, 5), (2, 3), (0, 1))
+        # four equal blocks: the kept part is one of them, so its charpoly is f
+        cp, ((f, m),) = fams[-1].__dict__["deflation"]
+        assert cp == f and (f.n, m) == (2, 4)
+
+    def test_deflation_is_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.n)
+            return charpoly_direct(m)
+
+        # every module that binds charpoly_direct by name
+        for module in (tropical, numeric):
+            monkeypatch.setattr(module, "charpoly_direct", counted)
+        fam = hatano_nelson(5, "obc")
+        fit_exponents(fam)
+        # the three blocks [4], [2, 3] and [0, 1], then the kept part [2, 3, 4]
+        assert calls == [1, 2, 2, 3]
+        braid_loop(fam)
+        fit_exponents(fam)
+        assert calls == [1, 2, 2, 3]
 
     @pytest.mark.parametrize("roots, zeros, diagnostics", [
         # the copies' branches count toward the prediction as the solved ones do
@@ -143,11 +163,16 @@ class TestBlocks:
 def test_planted_blocks_deflate(case):
     matrix, blocks, truth, deflated = case
     fam = Family("planted", matrix, truth)
-    # the recovered blocks are the planted ones, and their charpolys, taken
-    # with their multiplicities, multiply to the whole matrix's
-    assert sorted(block for _, where in fam.blocks for block in where) == blocks
-    whole = reduce(product, [f for f, where in fam.blocks for _ in where])
+    # the recovered blocks are the planted ones, and their charpolys
+    # multiply to the whole matrix's
+    parts = _blocks(matrix)
+    assert sorted(map(tuple, parts)) == blocks
+    whole = reduce(product, [charpoly_direct(PolyMatrix([[matrix[i, j] for j in b] for i in b]))
+                             for b in parts])
     assert whole == charpoly_direct(matrix) == charpoly_traces(matrix) == fam.charpoly
+    # the solved charpoly, times m - 1 more copies of each factor, is too
+    cp, factors = fam.deflation
+    assert reduce(product, [cp] + [f for f, m in factors for _ in range(m - 1)]) == whole
     assert tropical_roots(fam.charpoly) == truth
     # the checks pass with one copy of each repeated block, and the braid
     # closes in the predicted cycles

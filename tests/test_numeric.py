@@ -1111,7 +1111,7 @@ class TestBraidAgainstReference:
             want, ref_solves, _ = self.counted(monkeypatch, reference_braid_loop, fam, eps0,
                                                steps)
             got, solves, matches = self.counted(monkeypatch, braid_loop, fam, eps0, steps)
-            cp, factors = numeric._deflation(fam)
+            cp, factors = fam.deflation
             if factors:
                 # the full charpoly's repeated roots refuse the reference; the
                 # blocks braid one by one, and each distinct loop closes once
