@@ -14,6 +14,7 @@ encoded exactly over a quadratic extension; see ``exact.ExactComplex``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
@@ -340,15 +341,15 @@ def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),
 
 BUILDERS: Dict[str, Callable[..., Family]] = {
     "torus_knot": torus_knot,
-    "cavity_d12": lambda: cavity_dynamical("d12"),
-    "cavity_d22_ep31": lambda: cavity_dynamical("d22_ep31"),
-    "cavity_d22_ep4": lambda: cavity_dynamical("d22_ep4"),
-    "circuit_epsilon": lambda: circuit_laplacian("epsilon"),
-    "circuit_gamma_detune": lambda: circuit_laplacian("gamma_detune"),
+    "cavity_d12": partial(cavity_dynamical, "d12"),
+    "cavity_d22_ep31": partial(cavity_dynamical, "d22_ep31"),
+    "cavity_d22_ep4": partial(cavity_dynamical, "d22_ep4"),
+    "circuit_epsilon": partial(circuit_laplacian, "epsilon"),
+    "circuit_gamma_detune": partial(circuit_laplacian, "gamma_detune"),
     "hatano_nelson": hatano_nelson,
-    "lieb_arccot": lambda **kw: lieb("arccot_antidiag", **kw),
-    "lieb_pi_antidiag": lambda **kw: lieb("pi_antidiag", **kw),
-    "lieb_pi_diag": lambda **kw: lieb("pi_diag", **kw),
+    "lieb_arccot": partial(lieb, "arccot_antidiag"),
+    "lieb_pi_antidiag": partial(lieb, "pi_antidiag"),
+    "lieb_pi_diag": partial(lieb, "pi_diag"),
     "effective_liouvillian": effective_liouvillian_example,
 }
 
@@ -360,7 +361,17 @@ def example_names() -> List[str]:
 def build_example(name: str, **params) -> Family:
     if name not in BUILDERS:
         raise ValueError(f"unknown example {name!r}; available: {', '.join(example_names())}")
-    return BUILDERS[name](**params)
+    builder = BUILDERS[name]
+    # a preset is a partial of its builder; a wrapped one (functools.wraps)
+    # keeps the builder as __wrapped__
+    fn = getattr(builder, "func", builder)
+    code = getattr(fn, "__wrapped__", fn).__code__
+    takes = code.co_varnames[len(getattr(builder, "args", ())):code.co_argcount]
+    unknown = [k for k in params if k not in takes]
+    if unknown:
+        raise ValueError(f"example {name} takes {', '.join(takes) or 'no parameters'}, "
+                         f"not {', '.join(unknown)}")
+    return builder(**params)
 
 
 def default_families() -> List[Family]:

@@ -522,7 +522,18 @@ class TestExample:
     def test_unknown_lieb_param_names_lieb(self, capsys):
         code, out, err = run(capsys, "example", "lieb_pi_diag", "--param", "x=1")
         assert code == 1 and out == ""
-        assert err == "error: lieb() got an unexpected keyword argument 'x'\n"
+        assert err == "error: example lieb_pi_diag takes eps, series_order, not x\n"
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_unknown_param_names_the_example(self, capsys, name):
+        takes = {"effective_liouvillian": "gamma2, gamma4, epsilon",
+                 "hatano_nelson": "L, regime, gamma1, t1, t2",
+                 "lieb_arccot": "eps, series_order", "lieb_pi_antidiag": "eps, series_order",
+                 "lieb_pi_diag": "eps, series_order",
+                 "torus_knot": "p, q, direction, ky"}.get(name, "no parameters")
+        code, out, err = run(capsys, "example", name, "--param", "foo=1")
+        assert code == 1 and out == ""
+        assert err == f"error: example {name} takes {takes}, not foo\n"
 
     @pytest.mark.parametrize("params, ky", [([], "1"), (["ky=5"], "5"), (["ky=1/2"], "1/2")])
     def test_kx_only_records_ky(self, capsys, params, ky):
