@@ -85,7 +85,6 @@ same ValueError as ExactComplex.
 from __future__ import annotations
 
 from math import comb, isqrt, lcm
-from typing import Tuple
 
 from .exact import EC_ONE, _canonical, _Frozen, _new, _set
 from .poly import ScalarPoly, _poly
@@ -100,7 +99,7 @@ class PolyMatrix(_Frozen):
 
     __slots__ = ("rows", "n")
 
-    def __init__(self, rows: Tuple[Tuple[ScalarPoly, ...], ...]):  # any square nested sequence
+    def __init__(self, rows: tuple[tuple[ScalarPoly, ...], ...]):  # any square nested sequence
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
@@ -120,7 +119,7 @@ class CharPoly(_Frozen):
 
     __slots__ = ("coeffs", "n")
 
-    def __init__(self, coeffs: Tuple[ScalarPoly, ...]):
+    def __init__(self, coeffs: tuple[ScalarPoly, ...]):
         coeffs = tuple(ScalarPoly.from_value(c) for c in coeffs)
         if len(coeffs) < 2 or coeffs[0].trunc is not None or coeffs[0].terms != {0: EC_ONE}:
             raise ValueError("coefficients must start with the constant 1")

@@ -20,9 +20,7 @@ The shape of every JSON document read or written here is `serialize`'s.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, DEFAULT_SEED,
                GRID_PHASE, GRID_T0, MATCH_TOL, WEYR_TOL, __version__)
@@ -44,7 +42,7 @@ def _emit(text: str, output, files=()):
     try:
         for body, path in [*targets, *files]:
             try:
-                opened.append((body, Path(path).open("w")))
+                opened.append((body, open(path, "w")))
             except OSError as exc:  # no such directory, a directory, no permission, ...
                 raise ValueError(f"{path}: {exc.strerror}") from None
         if not output:
@@ -57,9 +55,11 @@ def _emit(text: str, output, files=()):
 
 
 def _load_json(path: str):
+    import json
     from .serialize import ParseError
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as f:
+            return json.loads(f.read())
     except FileNotFoundError:
         raise ParseError(path, "file not found")
     except OSError as exc:  # a directory, no permission, ...

@@ -18,8 +18,8 @@ catalog reads each of its templates once, at import (_PARSED).
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import DEFAULT_SEED
 from .charpoly import CharPoly, PolyMatrix, charpoly_traces
@@ -32,7 +32,7 @@ from .tropical import tropical_roots  # noqa: F401
 from .weyr import weyr_structure  # noqa: F401
 
 
-def validate_partition(p: Sequence[int]) -> Tuple[int, ...]:
+def validate_partition(p: Sequence[int]) -> tuple[int, ...]:
     p = tuple(int(x) for x in p)
     if not p or any(x < 1 for x in p) or list(p) != sorted(p, reverse=True):
         raise ValueError(f"not a partition: {p}")
@@ -43,7 +43,7 @@ def validate_partition(p: Sequence[int]) -> Tuple[int, ...]:
 # perturbation catalog
 # ---------------------------------------------------------------------------
 
-_TEMPLATES: Dict[Tuple[int, ...], list] = {
+_TEMPLATES: dict[tuple[int, ...], list] = {
     (1, 1): [["-d22", "d12"],
              ["d21", "d22"]],
     (2,): [[0, 1],
@@ -80,7 +80,7 @@ _TEMPLATES: Dict[Tuple[int, ...], list] = {
 }
 
 
-def _terms(entry) -> List[Tuple[str, int]]:
+def _terms(entry) -> list[tuple[str, int]]:
     """The (name, sign) pairs of a template entry; a constant has none."""
     if not isinstance(entry, str):
         return []
@@ -88,7 +88,7 @@ def _terms(entry) -> List[Tuple[str, int]]:
             for part in entry.replace("-", "+-").split("+") if part]
 
 
-def _placeholders(template) -> Tuple[str, ...]:
+def _placeholders(template) -> tuple[str, ...]:
     """Sorted placeholder names of a template; the catalog draws slopes in
     this order, so it fixes which direction a seed produces."""
     return tuple(sorted({name for row in template for entry in row
@@ -98,14 +98,14 @@ def _placeholders(template) -> Tuple[str, ...]:
 _CONSTANTS = {0: ScalarPoly.zero(), 1: ScalarPoly.const(1)}
 
 
-def _parse(template) -> Tuple[tuple, ...]:
+def _parse(template) -> tuple[tuple, ...]:
     """The rows of a template with each entry read: a constant as its
     ScalarPoly, a placeholder sum as the tuple of its (name, sign) pairs."""
     return tuple(tuple(tuple(_terms(x)) if isinstance(x, str) else _CONSTANTS[x] for x in row)
                  for row in template)
 
 
-def _entries(parsed, direction) -> List[List[ScalarPoly]]:
+def _entries(parsed, direction) -> list[list[ScalarPoly]]:
     """The entries of a parsed template on the line ``direction``; see
     build_direction_matrix."""
     rows = []
@@ -128,7 +128,7 @@ def _entries(parsed, direction) -> List[List[ScalarPoly]]:
 
 
 def build_direction_matrix(template: Sequence[Sequence],
-                           direction: Dict[str, object]) -> PolyMatrix:
+                           direction: dict[str, object]) -> PolyMatrix:
     """Instantiate a template on a one-parameter line: an entry becomes the
     signed sum of its placeholders' slopes in ``direction`` times t, and the
     constants 0 and 1 stay.  Raises ValueError naming a placeholder with no
@@ -150,14 +150,14 @@ class _FamilySpec(_Frozen):
 
     __slots__ = ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve")
 
-    def __init__(self, partition: Tuple[int, ...], constraint: str,
-                 alpha: Tuple[Optional[int], ...], roots: Tuple[Tuple[Fraction, int], ...],
-                 zeros: Tuple[str, ...] = (), fixed: Tuple[Tuple[str, int], ...] = (),
-                 solve: Optional[Tuple[str, int, int]] = None):
+    def __init__(self, partition: tuple[int, ...], constraint: str,
+                 alpha: tuple[int | None, ...], roots: tuple[tuple[Fraction, int], ...],
+                 zeros: tuple[str, ...] = (), fixed: tuple[tuple[str, int], ...] = (),
+                 solve: tuple[str, int, int] | None = None):
         _fill(self, partition, constraint, alpha, roots, zeros, fixed, solve)
 
 
-_CATALOG_SPECS: Dict[int, List[_FamilySpec]] = {
+_CATALOG_SPECS: dict[int, list[_FamilySpec]] = {
     2: [
         _FamilySpec((1, 1), "generic", (0, None, 2), ((Fraction(1), 2),)),
         _FamilySpec((1, 1), "unlifting", (0, None, None), (),
@@ -248,7 +248,7 @@ def _alpha_matches(cp: CharPoly, alpha) -> bool:
     return True
 
 
-def _solve_linear(parsed, direction, var, i, power) -> Optional[ExactComplex]:
+def _solve_linear(parsed, direction, var, i, power) -> ExactComplex | None:
     """The exact value of `var` that cancels the t^power part of a_i, if
     unique, for a parsed template (_parse) and the other slopes in
     ``direction``.
@@ -325,6 +325,6 @@ def _draw_catalog(n: int, seed: int) -> Iterator[Family]:
         yield _draw_family(spec, rng)
 
 
-def catalog_families(n: int, seed: int = DEFAULT_SEED) -> List[Family]:
+def catalog_families(n: int, seed: int = DEFAULT_SEED) -> list[Family]:
     """All perturbation families for nilpotent structures of dimension n."""
     return list(_draw_catalog(n, seed))

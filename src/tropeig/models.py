@@ -13,9 +13,9 @@ encoded exactly over a quadratic extension; see ``exact.ExactComplex``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List
 
 from .charpoly import CharPoly, PolyMatrix, charpoly_direct
 from .exact import EC_I, EC_ZERO, ExactComplex, ec
@@ -339,7 +339,7 @@ def effective_liouvillian_example(gamma2=Fraction(1), gamma4=Fraction(3),
 # registry
 # ---------------------------------------------------------------------------
 
-BUILDERS: Dict[str, Callable[..., Family]] = {
+BUILDERS: dict[str, Callable[..., Family]] = {
     "torus_knot": torus_knot,
     "cavity_d12": partial(cavity_dynamical, "d12"),
     "cavity_d22_ep31": partial(cavity_dynamical, "d22_ep31"),
@@ -354,7 +354,7 @@ BUILDERS: Dict[str, Callable[..., Family]] = {
 }
 
 
-def example_names() -> List[str]:
+def example_names() -> list[str]:
     return sorted(BUILDERS)
 
 
@@ -374,7 +374,7 @@ def build_example(name: str, **params) -> Family:
     return builder(**params)
 
 
-def default_families() -> List[Family]:
+def default_families() -> list[Family]:
     """One representative instance of every example family."""
     return [
         cavity_dynamical("d12"),

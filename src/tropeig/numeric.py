@@ -56,8 +56,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
 
 from . import (BRAID_EPS0, BRAID_HALVINGS, BRAID_STEPS, CHECK_DECADES, GRID_PHASE, GRID_T0,
                MATCH_TOL)
@@ -102,7 +102,7 @@ class UndeterminedError(ValueError):
     """The prediction, or a coefficient that a sample would read as 0, is undetermined."""
 
 
-def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
+def _float_tables(cp: CharPoly, expected: SplittingReport | None = None):
     """(zeros, floats): cp's flat zero count and the float tables of its moving
     coefficients a_0..a_{n-zeros}, the one form in which both checks read cp.
     Raises UndeterminedError when a sample would read an unknown truncated
@@ -131,14 +131,14 @@ def _float_tables(cp: CharPoly, expected: Optional[SplittingReport] = None):
 # polynomial roots: Ehrlich-Aberth with Newton-polygon initialization
 # ---------------------------------------------------------------------------
 
-def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
+def _initial_guesses(coeffs: Sequence[complex]) -> list[complex]:
     try:
         # upper convex hull of (i, log|c_i|); negation is exact, so the lower
         # hull of the negated points makes the same decisions
         pts = [(i, -math.log(abs(c))) for i, c in enumerate(coeffs) if c != 0]
         hull = [(i, -y) for i, y in _lower_hull(pts)]
         # both end coefficients are nonzero (aberth_roots), so one guess per root
-        guesses: List[complex] = []
+        guesses: list[complex] = []
         for gi, ((i0, y0), (i1, y1)) in enumerate(zip(hull, hull[1:])):
             radius = math.exp((y1 - y0) / (i1 - i0))
             g = i1 - i0
@@ -151,7 +151,7 @@ def _initial_guesses(coeffs: Sequence[complex]) -> List[complex]:
 
 
 def aberth_roots(coeffs: Sequence[complex],
-                 start: Optional[Sequence[complex]] = None) -> List[complex]:
+                 start: Sequence[complex] | None = None) -> list[complex]:
     """All roots of a polynomial given by leading-first coefficients.
 
     The iteration starts from ``start`` when it holds one point per root
@@ -240,7 +240,7 @@ def aberth_roots(coeffs: Sequence[complex],
 # eigenvalue assignment
 # ---------------------------------------------------------------------------
 
-def _assign(cost: Sequence[Sequence[float]]) -> List[int]:
+def _assign(cost: Sequence[Sequence[float]]) -> list[int]:
     """Column order[i] for each row i of a square cost matrix, of least
     total cost.
 
@@ -289,7 +289,7 @@ def _assign(cost: Sequence[Sequence[float]]) -> List[int]:
     return order
 
 
-def _match(prev: Sequence[complex], new: Sequence[complex]) -> List[int]:
+def _match(prev: Sequence[complex], new: Sequence[complex]) -> list[int]:
     """Indices m with new[m[i]] continuing prev[i], min total displacement."""
     return _assign([[abs(p - q) for q in new] for p in prev])
 
@@ -330,8 +330,8 @@ class ClusterFit(_Frozen):
 
     __slots__ = ("exponent", "size", "matched", "distance", "rate", "edge")
 
-    def __init__(self, exponent: float, size: int, matched: Optional[TropicalRoot],
-                 distance: float, rate: float, edge: Tuple[ExactComplex, ...]):
+    def __init__(self, exponent: float, size: int, matched: TropicalRoot | None,
+                 distance: float, rate: float, edge: tuple[ExactComplex, ...]):
         _fill(self, exponent, size, matched, distance, rate, edge)
 
 
@@ -342,8 +342,8 @@ class VerificationResult(_Frozen):
 
     __slots__ = ("clusters", "zero_tracks", "passed", "diagnostics", "deflated")
 
-    def __init__(self, clusters: Tuple[ClusterFit, ...], zero_tracks: int, passed: bool,
-                 diagnostics: Tuple[str, ...] = (), deflated: Tuple[Tuple[int, int], ...] = ()):
+    def __init__(self, clusters: tuple[ClusterFit, ...], zero_tracks: int, passed: bool,
+                 diagnostics: tuple[str, ...] = (), deflated: tuple[tuple[int, int], ...] = ()):
         _fill(self, clusters, zero_tracks, passed, diagnostics, deflated)
 
 
@@ -357,7 +357,7 @@ def _check_fit_arguments(t0: float, phase: float, match_tol: float) -> None:
                          "below it, underflows to 0")
 
 
-def _fit_points(t0: float, phase: float) -> Tuple[complex, complex]:
+def _fit_points(t0: float, phase: float) -> tuple[complex, complex]:
     """The check's two points t1 = t0 * e^(i*phase) and t2 = t1 / 10^CHECK_DECADES."""
     t1 = t0 * cmath.exp(1j * phase)
     return t1, t1 * 10.0 ** -CHECK_DECADES
@@ -381,7 +381,7 @@ def _scaled_polynomial(floats, omega: Fraction):
     return [[((q * e + s - nu) / q, e, c) for e, c in table] for table, s in zip(floats, shifts)]
 
 
-def _scaled_roots(tables, t: complex) -> Optional[List[complex]]:
+def _scaled_roots(tables, t: complex) -> list[complex] | None:
     """Roots of q_t at t, or None when a coefficient is not finite or a root
     leaves the floats; a leading coefficient that underflows to 0 drops a
     root at infinity, which lies far from every edge root."""
@@ -487,8 +487,8 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
     bound = 10.0 ** (-CHECK_DECADES / (2 * moving)) if moving else 0.0
 
     ok = True
-    diagnostics: List[str] = []
-    out: List[ClusterFit] = []
+    diagnostics: list[str] = []
+    out: list[ClusterFit] = []
     for root in expected.roots:
         m = root.multiplicity
         tables = _scaled_polynomial(floats, root.omega)
@@ -550,7 +550,7 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
 class BraidPermutation(_Frozen):
     __slots__ = ("permutation", "cycle_lengths")
 
-    def __init__(self, permutation: Tuple[int, ...]):
+    def __init__(self, permutation: tuple[int, ...]):
         if sorted(permutation) != list(range(len(permutation))):
             raise ValueError(f"not a permutation: {permutation}")
         seen, cycles = set(), []
@@ -566,7 +566,7 @@ class BraidPermutation(_Frozen):
         _fill(self, permutation, tuple(sorted(cycles)))
 
 
-def _spacings(roots: Sequence[complex], zeros: int) -> List[float]:
+def _spacings(roots: Sequence[complex], zeros: int) -> list[float]:
     """The spacing of each root: its distance to the nearest other root or,
     when there are ``zeros`` flat zeros, to 0; inf if there is neither.
 
@@ -587,7 +587,7 @@ def _spacings(roots: Sequence[complex], zeros: int) -> List[float]:
 
 
 def _nearest_within(cur: Sequence[complex], new: Sequence[complex],
-                    spacing: Sequence[float]) -> Optional[List[int]]:
+                    spacing: Sequence[float]) -> list[int] | None:
     """Indices m with new[m[i]] the point of new nearest to cur[i], or None
     unless these points are distinct and each lies within 0.45 of its
     spacing (_spacings of new) from cur[i].

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 from .exact import EC_ONE, ExactComplex, _Frozen, _new, _set
 
@@ -26,7 +25,7 @@ class Ord(_Frozen):
 
     __slots__ = ("kind", "value")
 
-    def __init__(self, kind: str, value: Optional[int] = None):
+    def __init__(self, kind: str, value: int | None = None):
         _set(self, "kind", kind)  # "finite" | "infinite" | "undetermined"
         _set(self, "value", value)  # exponent if finite, lower bound if undetermined
 
@@ -67,7 +66,7 @@ class ScalarPoly(_Frozen):
 
     __slots__ = ("terms", "trunc")
 
-    def __init__(self, terms: Optional[dict] = None, trunc: Optional[int] = None):
+    def __init__(self, terms: dict | None = None, trunc: int | None = None):
         # terms maps exponent -> coefficient; zeros and terms >= trunc are dropped
         if trunc is not None:
             if trunc.__class__ is not int:
@@ -90,7 +89,7 @@ class ScalarPoly(_Frozen):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(trunc: Optional[int] = None) -> "ScalarPoly":
+    def zero(trunc: int | None = None) -> "ScalarPoly":
         return ScalarPoly({}, trunc)
 
     @staticmethod
@@ -146,7 +145,7 @@ class ScalarPoly(_Frozen):
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
-    def _join_trunc(a: Optional[int], b: Optional[int]) -> Optional[int]:
+    def _join_trunc(a: int | None, b: int | None) -> int | None:
         if a is None:
             return b
         if b is None:
@@ -223,7 +222,7 @@ class ScalarPoly(_Frozen):
         return body + (f" + O(t^{self.trunc})" if self.trunc is not None else "")
 
 
-def _poly(terms: dict, trunc: Optional[int]) -> ScalarPoly:
+def _poly(terms: dict, trunc: int | None) -> ScalarPoly:
     """A ScalarPoly of terms already in stored form: int exponents >= 0 with
     nonzero ExactComplex coefficients, each below trunc.  The public
     constructor checks and converts every term; the arithmetic above and the
@@ -234,7 +233,7 @@ def _poly(terms: dict, trunc: Optional[int]) -> ScalarPoly:
     return p
 
 
-def _cleaned(terms: dict, trunc: Optional[int]) -> ScalarPoly:
+def _cleaned(terms: dict, trunc: int | None) -> ScalarPoly:
     """_poly of ExactComplex terms with the zeros and the terms at or above
     trunc dropped."""
     return _poly({e: c for e, c in terms.items() if c and (trunc is None or e < trunc)}, trunc)

@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Dict, Optional, Tuple, Union
 
 from .charpoly import CharPoly, PolyMatrix, _blocks, charpoly_direct
 from .exact import _fill, _Frozen, _set
@@ -56,8 +55,8 @@ class TropicalPoly(_Frozen):
 
     __slots__ = ("terms", "undetermined_slopes")
 
-    def __init__(self, terms: Tuple[Tuple[int, Fraction], ...],  # (slope k = n - i, alpha_i)
-                 undetermined_slopes: Tuple[int, ...] = ()):
+    def __init__(self, terms: tuple[tuple[int, Fraction], ...],  # (slope k = n - i, alpha_i)
+                 undetermined_slopes: tuple[int, ...] = ()):
         if not terms:
             raise ValueError("a tropical polynomial needs at least one term")
         dedup = {}
@@ -81,7 +80,7 @@ class NewtonPolygon(_Frozen):
 
     __slots__ = ("points", "hull", "undetermined")
 
-    def __init__(self, points: Tuple[Tuple[int, Ord], ...]):
+    def __init__(self, points: tuple[tuple[int, Ord], ...]):
         finite = [(i, o.value) for i, o in points if o.is_finite]
         if not finite or finite[0][0] != 0:
             raise ValueError("the monic point (0, alpha_0) must be present")
@@ -130,20 +129,20 @@ class SplittingReport(_Frozen):
 
     __slots__ = ("roots", "zero_root_count", "undetermined")
 
-    def __init__(self, roots: Tuple[TropicalRoot, ...],
-                 zero_root_count: Optional[int],  # None when a truncation hides it
+    def __init__(self, roots: tuple[TropicalRoot, ...],
+                 zero_root_count: int | None,  # None when a truncation hides it
                  undetermined: bool = False):
         if zero_root_count is None and not undetermined:
             raise ValueError("only an undetermined report may leave the zero-root count open")
         _fill(self, tuple(sorted(roots, key=lambda r: r.omega)), zero_root_count, undetermined)
 
     @property
-    def total_dimension(self) -> Optional[int]:
+    def total_dimension(self) -> int | None:
         if self.zero_root_count is None:
             return None
         return self.zero_root_count + sum(r.multiplicity for r in self.roots)
 
-    def predicted_cycle_lengths(self) -> Optional[Tuple[int, ...]]:
+    def predicted_cycle_lengths(self) -> tuple[int, ...] | None:
         """Cycle structure of the braid around t = 0, series by series.
 
         A root p/q (lowest terms) of multiplicity m consists of m/q Puiseux
@@ -181,9 +180,9 @@ class Family(_Frozen):
     # __dict__ holds the cached charpoly and deflation
     __slots__ = ("name", "realization", "expected", "parameters", "annotations", "__dict__")
 
-    def __init__(self, name: str, realization: Union[PolyMatrix, CharPoly],
-                 expected: SplittingReport, parameters: Optional[Dict[str, object]] = None,
-                 annotations: Tuple[str, ...] = (), known_charpoly: Optional[CharPoly] = None):
+    def __init__(self, name: str, realization: PolyMatrix | CharPoly,
+                 expected: SplittingReport, parameters: dict[str, object] | None = None,
+                 annotations: tuple[str, ...] = (), known_charpoly: CharPoly | None = None):
         _fill(self, name, realization, expected, {} if parameters is None else parameters,
               annotations)
         if known_charpoly is not None:
@@ -196,7 +195,7 @@ class Family(_Frozen):
         return charpoly_direct(self.realization)
 
     @cached_property
-    def deflation(self) -> Tuple[CharPoly, Tuple[Tuple[CharPoly, int], ...]]:
+    def deflation(self) -> tuple[CharPoly, tuple[tuple[CharPoly, int], ...]]:
         """(cp, factors): the charpoly the float checks solve, and the block
         factors they deflate, as (f, m) in block order.  A factor is an exact
         charpoly f, no power of lambda, of m > 1 irreducible diagonal blocks
@@ -213,7 +212,7 @@ class Family(_Frozen):
         def principal(idx):
             return PolyMatrix([[m.rows[i][j] for j in idx] for i in idx])
 
-        groups: Dict[CharPoly, list] = {}
+        groups: dict[CharPoly, list] = {}
         for b in parts:
             groups.setdefault(charpoly_direct(principal(b)), []).append(b)
         keep, factors = [], []
@@ -228,7 +227,7 @@ class Family(_Frozen):
         return charpoly_direct(principal(sorted(i for b in keep for i in b))), tuple(factors)
 
     @property
-    def matrix(self) -> Optional[PolyMatrix]:
+    def matrix(self) -> PolyMatrix | None:
         """The realization if it is a matrix, else None."""
         return self.realization if isinstance(self.realization, PolyMatrix) else None
 
@@ -249,7 +248,7 @@ def newton_polygon(c: CharPoly) -> NewtonPolygon:
     return NewtonPolygon(tuple((i, coeff.ord()) for i, coeff in enumerate(c.coeffs)))
 
 
-def tropical_roots(obj: Union[CharPoly, TropicalPoly, NewtonPolygon]) -> SplittingReport:
+def tropical_roots(obj: CharPoly | TropicalPoly | NewtonPolygon) -> SplittingReport:
     """Roots with multiplicities from either dual representation."""
     if isinstance(obj, CharPoly):
         obj = newton_polygon(obj)
