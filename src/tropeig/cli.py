@@ -58,7 +58,7 @@ def _load_json(path: str):
     import json
     from .serialize import ParseError
     try:
-        with open(path) as f:
+        with open(path, "rb") as f:  # json.loads detects UTF-8, -16 or -32
             return json.loads(f.read())
     except FileNotFoundError:
         raise ParseError(path, "file not found")

@@ -651,7 +651,7 @@ class TestTinyInputsFailFast:
         assert err.startswith("error: $.entries[1][1]: ")
 
     # json.loads refuses an integer of more digits than int(str) reads, and
-    # read_text a file that is not UTF-8: either names the file
+    # bytes that are not UTF-8: either names the file
     @pytest.mark.parametrize("data", [b"[[" + b"1" * 5000 + b"]]", b"[[\xff]]"])
     def test_unreadable_json_names_the_file(self, tmp_path, capsys, data):
         path = tmp_path / "m.json"
@@ -659,6 +659,19 @@ class TestTinyInputsFailFast:
         code, out, err = run(capsys, "jordan", "--matrix", str(path), "--eigenvalue", "0")
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    def test_utf8_file_reads_under_an_ascii_locale(self, tmp_path):
+        # json.loads decodes the file's bytes; the locale's codec never sees them
+        family = json.loads((GOLDEN / "family_charpoly.json").read_text(encoding="utf-8"))
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(dict(family, name="Kramers–Kronig é"), ensure_ascii=False),
+                        encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), LC_ALL="C", LANG="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run([sys.executable, "-m", "tropeig.cli", "verify", "--file", str(path)],
+                              env=env, cwd=ROOT, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["family"] == "Kramers–Kronig é"
 
 
 class TestSparseHighDegree:
