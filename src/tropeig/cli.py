@@ -255,10 +255,11 @@ def cmd_example(args) -> int:
 
 
 def _parse_complex(s: str) -> complex:
-    if "," in s:
-        re, im = s.split(",", 1)
-        return complex(float(re), float(im))
-    return complex(s)
+    from .serialize import ParseError
+    try:
+        return complex(*map(float, s.split(","))) if "," in s else complex(s)
+    except (TypeError, ValueError):  # not a number, or more than two parts
+        raise ParseError("--eigenvalue", f"expected RE[,IM], got {s!r}") from None
 
 
 def cmd_jordan(args) -> int:

@@ -30,6 +30,12 @@ def _reject_unread(where: str, **params) -> None:
             raise ValueError(f"{name} is not read in {where}")
 
 
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an int (a bool is not) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
 # ---------------------------------------------------------------------------
 # torus-knot companion family
 # ---------------------------------------------------------------------------
@@ -42,8 +48,8 @@ def torus_knot(p: int, q: int, direction: str = "linear", ky=None) -> Family:
     only, which leaves the corner entry O(1) and produces no nonzero
     tropical root.  ``ky`` is rejected in the linear direction.
     """
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
+    _check_int("p", p, 1)
+    _check_int("q", q, 1)
     if direction == "linear":
         _reject_unread("the linear direction", ky=ky)
         z = ScalarPoly.t()
@@ -158,8 +164,7 @@ def hatano_nelson(L: int, regime: str, gamma1=None, t1=None, t2=None) -> Family:
     ``obc`` reads gamma1 (default 1) and ``unidirectional`` reads t1 and t2
     (default -1); a parameter the regime does not read is rejected.
     """
-    if L < 2:
-        raise ValueError("need L >= 2")
+    _check_int("L", L, 2)
     t = ScalarPoly.t()
     rows = [[ScalarPoly.zero()] * L for _ in range(L)]
     if regime == "obc":
@@ -211,8 +216,7 @@ def lieb(path: str, eps=Fraction(3, 2), series_order: int = 6) -> Family:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if series_order < 1:
-        raise ValueError("series_order must be positive")
+    _check_int("series_order", series_order, 1)
     c = cos_series(series_order)
     s = sin_series(series_order)
     if path == "arccot_antidiag":
@@ -365,12 +369,17 @@ def build_example(name: str, **params) -> Family:
     # a preset is a partial of its builder; a wrapped one (functools.wraps)
     # keeps the builder as __wrapped__
     fn = getattr(builder, "func", builder)
-    code = getattr(fn, "__wrapped__", fn).__code__
-    takes = code.co_varnames[len(getattr(builder, "args", ())):code.co_argcount]
+    fn = getattr(fn, "__wrapped__", fn)
+    code, preset = fn.__code__, len(getattr(builder, "args", ()))
+    takes = code.co_varnames[preset:code.co_argcount]
     unknown = [k for k in params if k not in takes]
     if unknown:
         raise ValueError(f"example {name} takes {', '.join(takes) or 'no parameters'}, "
                          f"not {', '.join(unknown)}")
+    needs = code.co_varnames[preset:code.co_argcount - len(fn.__defaults__ or ())]
+    missing = [k for k in needs if k not in params]
+    if missing:
+        raise ValueError(f"example {name} needs {', '.join(missing)}")
     return builder(**params)
 
 

@@ -535,6 +535,34 @@ class TestExample:
         assert code == 1 and out == ""
         assert err == f"error: example {name} takes {takes}, not foo\n"
 
+    @pytest.mark.parametrize("name", example_names())
+    def test_missing_param_names_the_example(self, capsys, name):
+        needs = {"hatano_nelson": "L, regime", "torus_knot": "p, q"}.get(name)
+        code, out, err = run(capsys, "example", name)
+        if needs is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and out == ""
+            assert err == f"error: example {name} needs {needs}\n"
+
+    def test_partly_given_params_name_the_rest(self, capsys):
+        code, out, err = run(capsys, "example", "torus_knot", "--param", "p=2")
+        assert code == 1 and out == ""
+        assert err == "error: example torus_knot needs q\n"
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("hatano_nelson", ["L=5/2", "regime=obc"], "L must be an integer >= 2"),
+        ("hatano_nelson", ["L=true", "regime=obc"], "L must be an integer >= 2"),
+        ("torus_knot", ["p=1e400", "q=1"], "p must be an integer >= 1"),
+        ("lieb_pi_diag", ["series_order=2.5"], "series_order must be an integer >= 1"),
+        ("torus_knot", ["p=2", "q=1/2"], "q must be an integer >= 1"),
+    ])
+    def test_non_integer_params_are_named(self, capsys, name, params, message):
+        argv = [arg for p in params for arg in ("--param", p)]
+        code, out, err = run(capsys, "example", name, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("params, ky", [([], "1"), (["ky=5"], "5"), (["ky=1/2"], "1/2")])
     def test_kx_only_records_ky(self, capsys, params, ky):
         argv = [arg for p in ["p=2", "q=3", "direction=kx_only", *params] for arg in ("--param", p)]
@@ -585,6 +613,13 @@ class TestJordanCommand:
                              "--tol", tol)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("eigenvalue", ["abc", "1,abc", "1,2,3"])
+    def test_malformed_eigenvalue_names_the_flag(self, tmp_path, capsys, eigenvalue):
+        path = write(tmp_path, "j.json", {"entries": [[0, 1], [0, 0]]})
+        code, out, err = run(capsys, "jordan", "--matrix", path, "--eigenvalue", eigenvalue)
+        assert code == 1 and out == ""
+        assert err == f"error: --eigenvalue: expected RE[,IM], got {eigenvalue!r}\n"
 
     def test_ambiguity_exit_code(self, tmp_path, capsys):
         chain = {"entries": AMBIGUOUS_CHAIN}
