@@ -789,11 +789,13 @@ EXACT = STARTUP | {"tropeig.serialize", "tropeig.exact", "tropeig.poly", "tropei
                    "tropeig.tropical"}
 
 
-def probe(*argv):
+def probe(*argv, site=True):
     """(whether numpy was loaded, the set of tropeig modules loaded, the set of
-    other modules loaded after `import tropeig`) by `tropeig argv`."""
+    other modules loaded after `import tropeig`) by `tropeig argv`; with
+    site=False the interpreter runs with -S, without site-packages."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env, cwd=ROOT,
+    flags = [] if site else ["-S"]
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     numpy_line, *module_lines = proc.stderr.splitlines()[-3:]
@@ -851,7 +853,7 @@ assert set(tropeig.__all__) <= set(namespace)
         assert loaded <= allowed, loaded - allowed
         assert "tropeig.cli" in loaded
 
-    @pytest.mark.parametrize("argv", [
+    STDLIB_ARGVS = [
         ["--version"],
         ["jordan", "--matrix", str(GOLDEN / "jordan_matrix.json"), "--eigenvalue", "1,0.5"],
         ["analyze", "--matrix", str(GOLDEN / "analyze_matrix.json")],
@@ -861,14 +863,26 @@ assert set(tropeig.__all__) <= set(namespace)
          "regime=unidirectional", "--braid"],
         ["verify", "--jordan", "2,2", "--braid"],
         ["verify", "--file", str(GOLDEN / "family_matrix.json")],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", STDLIB_ARGVS)
     def test_jordan_loads_no_dataclasses_inspect_or_fractions(self, argv):
         # the exact layers need fractions, and no command needs dataclasses or
-        # inspect; typing is left out: a site-packages .pth file may load it
+        # inspect; typing and pathlib are checked without site (below), as a
+        # site-packages .pth file may load them before tropeig
         forbidden = {"dataclasses", "inspect"}
         if argv[0] in ("--version", "jordan"):
             forbidden.add("fractions")
         assert not probe(*argv)[2] & forbidden
+
+    @pytest.mark.parametrize("argv", STDLIB_ARGVS)
+    def test_no_command_loads_typing_or_pathlib_without_site(self, argv):
+        # under -S no .pth hook runs, so every module loaded after `import
+        # tropeig` is one the command loads; --version reads no JSON either
+        forbidden = {"typing", "pathlib"}
+        if argv[0] == "--version":
+            forbidden.add("json")
+        assert not probe(*argv, site=False)[2] & forbidden
 
     NUMPY_ARGVS = [
         [], ["--version"], ["catalog"], ["example", "effective_liouvillian"],
