@@ -37,6 +37,13 @@ roots at one point do not depend on the other.  The braid loop is a
 continuation: each solve starts from the previous step's roots, only the
 roots that move are continued, and a step is accepted by a nearest-neighbour
 rule that agrees with the minimum-displacement assignment (see braid_loop).
+It runs in a frame that turns with the largest branches: on t = eps0 * w a
+branch lambda ~ c * t^omega of the least slope omega turns rigidly as
+w^omega, so the loop continues nu = lambda * w^(-omega) / eps0^omega, in
+which those branches stand nearly still and most steps are the longest
+allowed (see _loop_tables).  Any omega gives the same braid, as |w^omega|
+= 1 keeps every distance the rules read; the closing match turns the roots
+back by e^(2*pi*i*omega).
 Each eigenvalue is measured against its own spacing: a step is sized from
 the roots' velocities so that, to first order, no root moves more than 0.25
 of its spacing; it is accepted if each root moves by up to 0.45 of the
@@ -635,14 +642,14 @@ def _check_braid_arguments(eps0: float, steps: int) -> None:
 def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex],
                roots: Sequence[complex], spacing: Sequence[float], floor: float) -> float:
     """Phase step of a braid loop w = e^(i*phi) from the roots of the
-    polynomial ``coeffs`` (leading first) at w: the largest step up to
-    2*pi/8 over which, to first order, no root moves more than 0.25 of its
-    ``spacing``.
+    polynomial ``coeffs`` (leading first) at u = e^(i*phi/q) (_loop_tables):
+    the largest step up to 2*pi/8 over which, to first order, no root moves
+    more than 0.25 of its ``spacing``.
 
-    ``dcoeffs`` are w*d/dw of the coefficients, the polynomial d, so a root
-    moves at dmu/dphi = -i*d(mu) / p'(mu).  Raises LoopDegeneracyError when
-    a velocity is not finite (p' vanishes at a root) or the step is shorter
-    than ``floor``.
+    ``dcoeffs`` are (u d/du)/q of the coefficients, the polynomial d; as
+    d/dphi = (i/q) u d/du, a root moves at dnu/dphi = -i*d(nu) / p'(nu).
+    Raises LoopDegeneracyError when a velocity is not finite (p' vanishes at
+    a root) or the step is shorter than ``floor``.
     """
     h = 2 * math.pi / 8
     head, tail = coeffs[0], coeffs[1:]
@@ -667,33 +674,45 @@ def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex],
 
 
 def _loop_tables(floats, eps0: float):
-    """(scale, tables) of a braid loop t = eps0 * w, |w| = 1, from the float
-    tables ``floats`` of the moving a_i (_float_tables): scale = eps0^omega
-    at the least slope omega = min_{i>=1} ord(a_i)/i of the Newton polygon,
-    and for each moving a_i the (e, c * eps0^x) over the terms of
-    _scaled_polynomial at omega, so that horner_table(tables[i], w) =
-    a_i(eps0*w) / scale^i.  As a_0 = 1 and every x >= 0, no coefficient
-    overflows for eps0 <= 1.  At a larger radius the coefficients can be
-    finite while the polynomial's values at its roots are not, so this
-    raises LoopDegeneracyError, once for the whole loop, unless a bound of
-    every Horner sum the loop takes is finite: on |w| = 1 table i and its
-    w d/dw sum to at most s_i = sum |c| and d_i = sum e |c|, every root mu
-    lies within r = max(1, 2 max_i s_i^(1/i)) (Fujiwara's bound, as the
-    leading coefficient is 1), and there the values of the polynomial, of
-    its derivative and of the w d/dw one are at most
-    sum_i (k + 1) (s_i + d_i) r^k with k = n' - i."""
+    """(scale, q, turn, tables) of a braid loop t = eps0 * w, w = e^(i*phi),
+    from the float tables ``floats`` of the moving a_i (_float_tables), in a
+    frame that turns with the largest branches.
+
+    omega = p/q is the least slope min_{i>=1} ord(a_i)/i of the Newton
+    polygon and scale = eps0^omega.  The roots mu of p(scale*mu, t) /
+    scale^n', the largest of order 1, are continued as nu = mu * w^(-omega),
+    the roots of sum_i a_i(eps0*w) / (scale * w^omega)^i * nu^(n'-i).  For
+    each moving a_i, tables[i] holds the (q*e - p*i, c * eps0^x) over the
+    terms (x, e, c) of _scaled_polynomial at omega: the exponents q*e - p*i
+    = q*x >= 0 are integers in u = e^(i*phi/q), so horner_table(tables[i],
+    u) = a_i(eps0*w) / (scale * w^omega)^i.  A branch mu ~ c * w^omega turns
+    rigidly with w and stands nearly still as nu.  Any omega would give the
+    same braid: the frame is a continuous change of variable along the loop
+    with |w^omega| = 1, so it keeps every distance, spacing and modulus the
+    loop's rules read.  turn = e^(2*pi*i*omega) undoes it at the loop's
+    end, where mu = turn * nu.
+
+    As a_0 = 1 and every x >= 0, no coefficient overflows for eps0 <= 1.  At
+    a larger radius the coefficients can be finite while the polynomial's
+    values at its roots are not, so this raises LoopDegeneracyError, once
+    for the whole loop, unless a bound of every Horner sum the loop takes is
+    finite: on |u| = 1 table i and its (u d/du)/q sum to at most s_i = sum
+    |c| and d_i = sum x |c|, every root nu lies within r = max(1, 2 max_i
+    s_i^(1/i)) (Fujiwara's bound, as the leading coefficient is 1), and
+    there the values of the polynomial, of its derivative and of the (u
+    d/du)/q one are at most sum_i (k + 1) (s_i + d_i) r^k with k = n' - i."""
     omega = min((Fraction(table[-1][0], i) for i, table in enumerate(floats) if i and table),
                 default=Fraction(0))
-    tables = _scaled_polynomial(floats, omega)
+    p, q = omega.numerator, omega.denominator
     try:
-        tables = [[(e, c * eps0 ** x) for x, e, c in table] for table in tables]
-        sums = [(sum(abs(c) for _, c in table), sum(e * abs(c) for e, c in table))
+        tables = [[(q * e - p * i, c * eps0 ** x) for x, e, c in table]
+                  for i, table in enumerate(_scaled_polynomial(floats, omega))]
+        sums = [(sum(abs(c) for _, c in table), sum(k * abs(c) for k, c in table) / q)
                 for table in tables]
         r = max([1.0] + [2 * s ** (1 / i) for i, (s, _) in enumerate(sums) if i])
-        top = len(sums) - 1
-        bound = sum((top - i + 1) * (s + d) * r ** (top - i) for i, (s, d) in enumerate(sums))
+        bound = sum((k + 1) * (s + d) * r ** k for k, (s, d) in enumerate(reversed(sums)))
         if math.isfinite(bound):
-            return eps0 ** float(omega), tables
+            return eps0 ** float(omega), q, cmath.exp(2j * math.pi * p / q), tables
     except OverflowError:  # a power, or abs of a complex, too large for a float
         pass
     raise LoopDegeneracyError(f"a scaled coefficient overflows at loop radius eps0={eps0}")
@@ -703,9 +722,15 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
                steps: int = BRAID_STEPS) -> BraidPermutation:
     """Permutation of eigenvalues after one loop t = eps0 * e^(i*phi).
 
-    The roots are those of p(scale*mu, t) / scale^n' in w (_loop_tables),
-    the largest of order 1 whatever their order in t; every rule below is
+    The roots are those of p(scale*mu, t) / scale^n' (_loop_tables), the
+    largest of order 1 whatever their order in t; every rule below is
     relative and |t| is fixed, so the braid is that of lambda = scale*mu.
+    The loop continues them as nu = mu * w^(-omega), in a frame that turns
+    with the branches mu ~ c * w^omega of the least slope omega, so that
+    those stand nearly still.  |w^omega| = 1, so the frame keeps every
+    distance, spacing and modulus the rules read, and any omega would give
+    the same braid; at the end e^(2*pi*i*omega) * nu is mu again, and that
+    is what is matched against the start.
 
     Each step is sized from the velocities of the roots (see _loop_step): at
     most 2*pi/8, and short enough that no root moves, to first order, more
@@ -748,14 +773,14 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
 def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
     """braid_loop's loop on the charpoly cp."""
     zeros, floats = _float_tables(cp)
-    scale, tables = _loop_tables(floats, eps0)
-    dtables = [[(e, e * c) for e, c in table if e] for table in tables]
+    scale, q, turn, tables = _loop_tables(floats, eps0)
+    dtables = [[(k, k * c / q) for k, c in table if k] for table in tables]
     flat = [0j] * zeros
     full_turn = 2 * math.pi
     floor = full_turn / (steps * 2 ** BRAID_HALVINGS)
 
-    phi, w = 0.0, 1 + 0j
-    coeffs = [horner_table(table, w) for table in tables]
+    phi, u = 0.0, 1 + 0j
+    coeffs = [horner_table(table, u) for table in tables]
     moving = aberth_roots(coeffs)
     first = moving + flat
     places = sorted(range(len(first)), key=lambda i: (round((scale * first[i]).real, 12),
@@ -768,17 +793,14 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
     _check_separated(current, spacing)
 
     while phi < full_turn:
-        dcoeffs = [horner_table(table, w) for table in dtables]
+        dcoeffs = [horner_table(table, u) for table in dtables]
         h = _loop_step(coeffs, dcoeffs, current, spacing, floor)
         while True:
             phi_to = min(phi + h, full_turn)
             if phi_to == phi:
                 raise LoopDegeneracyError("step below the resolution of the loop phase")
-            w_to = cmath.exp(1j * phi_to)
-            coeffs_to = [horner_table(table, w_to) for table in tables]
-            # from the previous roots: a start predicted from the velocities
-            # changes whether a solve that stalls near ROOT_TOL converges
-            # (effective_liouvillian at eps0 = 1.5)
+            u_to = cmath.exp(1j * phi_to / q)
+            coeffs_to = [horner_table(table, u_to) for table in tables]
             new = aberth_roots(coeffs_to, current)
             new_spacing = _spacings(new, zeros)
             _check_separated(new, new_spacing)
@@ -810,11 +832,11 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
         current = [new[j] for j in order]
         spacing = [new_spacing[j] for j in order]
-        phi, w, coeffs = phi_to, w_to, coeffs_to
+        phi, u, coeffs = phi_to, u_to, coeffs_to
 
-    # end[i] should coincide with start[sigma(i)]
+    # end[i], turned back from nu to mu, should coincide with start[sigma(i)]
     end = list(start)
     for k, z in zip(slots, current):
-        end[k] = z
+        end[k] = turn * z
     sigma = _match(end, start)
     return BraidPermutation(tuple(sigma))

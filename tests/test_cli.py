@@ -415,6 +415,17 @@ class TestVerify:
         assert body["braid"]["cycle_lengths"] == [2]
         assert body["braid"]["predicted_cycle_lengths"] == [1, 1]
 
+    def test_wide_loop_encloses_other_degeneracies_exit(self, capsys):
+        # at eps0 = 1.5 every solve of the loop converges, but the loop
+        # encloses degeneracies away from t = 0 (as at eps0 = 1.0), so its
+        # braid is not the predicted one
+        code, out, err = run(capsys, "verify", "--example", "effective_liouvillian", "--braid",
+                             "--eps0", "1.5")
+        assert code == 6 and "did not converge" not in err and err == ""
+        braid = json.loads(out)["braid"]
+        assert braid["cycle_lengths"] == [1, 1, 2, 5]
+        assert braid["predicted_cycle_lengths"] == [1, 3, 5]
+
     def test_exponent_outside_a_tight_tol_exit(self, capsys):
         code, out, _ = run(capsys, "verify", "--example", "lieb_arccot", "--tol", "1e-9")
         assert code == 6

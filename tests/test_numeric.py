@@ -20,8 +20,8 @@ from tropeig.models import (build_example, cavity_dynamical, default_families, h
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, UndeterminedError,
                              _check_separated, _float_tables, _loop_step, _loop_tables,
-                             _match, _nearest_within, _spacings, aberth_roots, braid_loop,
-                             fit_exponents)
+                             _match, _nearest_within, _scaled_polynomial, _spacings,
+                             aberth_roots, braid_loop, fit_exponents)
 from tropeig.poly import ScalarPoly, horner_table
 from tropeig.tropical import Family, SplittingReport, TropicalRoot, tropical_roots
 
@@ -115,30 +115,35 @@ class TestFloatTables:
 
     @staticmethod
     def check_loop_tables(cp, eps0, phi):
-        """The braid loop's tables at w = e^(i*phi) against a_i(eps0*w) /
-        scale^i in 50 digits: finite, a_0 = 1, and every term no larger than
-        the exact coefficient's, so that no power eps0^x is negative."""
+        """The braid loop's tables at u = e^(i*phi/q), w = u^q, against
+        a_i(eps0*w) * w^(-omega*i) / scale^i in 50 digits: finite, a_0 = 1,
+        the exponents q*e - p*i >= 0, and every term no larger than the exact
+        coefficient's, so that no power eps0^x is negative."""
         zeros, floats = _float_tables(cp)
-        scale, tables = _loop_tables(floats, eps0)
+        scale, q, turn, tables = _loop_tables(floats, eps0)
         assert zeros == cp.trailing_zero_count()
         assert len(tables) == cp.n - zeros + 1 and tables[0] == [(0, 1 + 0j)]
         # scale = eps0^omega, omega = min ord(a_i)/i over the moving coefficients
-        orders = [Fraction(min(a.terms), i) for i, a in enumerate(cp.coeffs[:len(tables)])
-                  if i and a.terms]
-        omega = min(orders, default=Fraction(0))
-        assert scale == eps0 ** float(omega)
-        w = cmath.exp(1j * phi)
+        omega = least_slope(cp, len(tables) - 1)
+        p = omega.numerator
+        assert q == omega.denominator and scale == eps0 ** float(omega)
+        u = cmath.exp(1j * phi / q)
         with mpmath.workdps(50):
-            mscale = mpmath.mpf(eps0) ** (mpmath.mpf(omega.numerator) / omega.denominator)
+            # the closing turn e^(2*pi*i*omega), up to the rounding of its angle
+            assert abs(turn - complex(mpmath.expjpi(2 * mpmath.mpf(p) / q))) <= 1e-14 * (1 + p / q)
+            mscale = mpmath.mpf(eps0) ** (mpmath.mpf(p) / q)
+            mu = mpmath.mpc(u)
             for i, (table, a) in enumerate(zip(tables, cp.coeffs)):
-                assert [e for e, _ in table] == [e for e, _ in a.float_table()]
-                for (e, c), (_, c0) in zip(table, a.float_table()):
+                assert [k for k, _ in table] == [q * e - p * i for e, _ in a.float_table()]
+                assert all(k >= 0 for k, _ in table)
+                for (_, c), (_, c0) in zip(table, a.float_table()):
                     assert cmath.isfinite(c) and abs(c) <= abs(c0)
-                terms = [mpmath.mpc(c.to_complex()) * (mpmath.mpf(eps0) * mpmath.mpc(w)) ** e
-                         / mscale ** i for e, c in a.terms.items()]
+                # a_i(eps0*w) * w^(-omega*i) with w = u^q: u^(q*e - p*i) per term
+                terms = [mpmath.mpc(c.to_complex()) * mpmath.mpf(eps0) ** e
+                         * mu ** (q * e - p * i) / mscale ** i for e, c in a.terms.items()]
                 exact = complex(mpmath.fsum(terms))
                 size = float(mpmath.fsum(abs(x) for x in terms))
-                assert abs(horner_table(table, w) - exact) <= 1e-13 * size
+                assert abs(horner_table(table, u) - exact) <= 1e-13 * size
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(exact_polys(), min_size=1, max_size=6), st.integers(0, 3),
@@ -803,7 +808,8 @@ class TestBraid:
     def test_fast_branches_keep_their_steps(self, catalogs, monkeypatch):
         # H[2,1,1] p=0 has t^(1/2) branches beside an order-t pair; steps
         # sized by the global gap took 2,977 root solves at the defaults,
-        # fixed steps 97, and steps sized by each root's velocity take 14
+        # fixed steps 97, and steps sized by each root's velocity 14 in the
+        # fixed frame w and 9 in the frame turning with the t^(1/2) branches
         fam = next(f for f in catalogs[4] if f.name == "H[2,1,1] p=0")
         b, solves, _ = TestBraidAgainstReference.counted(monkeypatch, braid_loop, fam)
         assert b.cycle_lengths == fam.expected.predicted_cycle_lengths()
@@ -1000,15 +1006,28 @@ def test_bad_grid_fit_and_rank_arguments_rejected(catalogs, call, match):
         call(catalogs[2][0])
 
 
+def least_slope(cp, moving):
+    """omega = min ord(a_i)/i over the moving coefficients a_1..a_moving of
+    cp, read from its exact terms."""
+    return min((Fraction(min(a.terms), i) for i, a in enumerate(cp.coeffs[:moving + 1])
+                if i and a.terms), default=Fraction(0))
+
+
 def reference_braid_loop(family, eps0, steps):
     """braid_loop's specification without its shortcuts: Newton-polygon
-    guesses on every solve of the loop's scaled polynomial (_loop_tables),
-    every root continued, and the Hungarian _match on every step.  A step is
-    accepted when each root moves by at most 0.45 of its target's spacing,
-    and the loop is refused when two eigenvalues lie closer than 1e-3 of the
-    larger of their moduli (pairwise_separation)."""
+    guesses on every solve of the loop's scaled polynomial, every root
+    continued, and the Hungarian _match on every step.  The polynomial is
+    p(scale*mu, eps0*w) / scale^n' in the fixed frame w = e^(i*phi), its
+    tables built here from _scaled_polynomial at the least slope, not by
+    _loop_tables.  A step is accepted when each root moves by at most 0.45
+    of its target's spacing, and the loop is refused when two eigenvalues
+    lie closer than 1e-3 of the larger of their moduli
+    (pairwise_separation)."""
     zeros, floats = _float_tables(family.charpoly)
-    scale, tables = _loop_tables(floats, eps0)
+    omega = least_slope(family.charpoly, len(floats) - 1)
+    scale = eps0 ** float(omega)
+    tables = [[(e, c * eps0 ** x) for x, e, c in table]
+              for table in _scaled_polynomial(floats, omega)]
 
     def eig_fn(phi):
         w = cmath.exp(1j * phi)
@@ -1129,7 +1148,22 @@ class TestBraidAgainstReference:
         assert flat_braids >= 3  # families with flat modes braid, not only fail
         if group == "verify":
             assert deflated == 3  # hatano_nelson L = 4, 5 and 8, obc
-            assert total_solves <= 1000  # 4,176 with fixed steps
+            # 432 solves; 830 in the fixed frame w, 4,176 with fixed steps
+            assert total_solves <= 450
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_charpolys(), st.sampled_from((1e-6, 1e-3, 0.5)))
+    def test_turning_frame_braids_as_the_fixed_frame(self, cp, eps0):
+        # braid_loop continues nu = mu * w^(-omega), a continuous change of
+        # variable along the loop: wherever both loops complete, they agree
+        fam = Family("synthetic", cp, tropical_roots(cp))
+        got = []
+        for loop in (braid_loop, reference_braid_loop):
+            try:
+                got.append(loop(fam, eps0, BRAID_STEPS))
+            except (ValueError, NonConvergenceError, LoopDegeneracyError):
+                return
+        assert got[0] == got[1]
 
 
 class TestNumericOrd:
