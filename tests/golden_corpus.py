@@ -130,6 +130,11 @@ def _cases():
                                                    "--t0", "1e300"]
     cases["verify-example-cavity_d12-eps0-1e300"] = ["verify", "--example", "cavity_d12",
                                                      "--braid", "--eps0", "1e300"]
+    # a wide loop that encloses degeneracies away from t = 0: it completes,
+    # in the frame turning with the t^(1/5) branches, with a braid other
+    # than the predicted one (6)
+    cases["verify-example-effective_liouvillian-eps0-1.5"] = [
+        "verify", "--example", "effective_liouvillian", "--braid", "--eps0", "1.5"]
     return cases
 
 
