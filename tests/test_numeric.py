@@ -132,7 +132,7 @@ class TestFloatTables:
             # the closing turn e^(2*pi*i*omega), up to the rounding of its angle
             assert abs(turn - complex(mpmath.expjpi(2 * mpmath.mpf(p) / q))) <= 1e-14 * (1 + p / q)
             mscale = mpmath.mpf(eps0) ** (mpmath.mpf(p) / q)
-            mu = mpmath.mpc(u)
+            mp_u = mpmath.mpc(u)
             for i, (table, a) in enumerate(zip(tables, cp.coeffs)):
                 assert [k for k, _ in table] == [q * e - p * i for e, _ in a.float_table()]
                 assert all(k >= 0 for k, _ in table)
@@ -140,7 +140,7 @@ class TestFloatTables:
                     assert cmath.isfinite(c) and abs(c) <= abs(c0)
                 # a_i(eps0*w) * w^(-omega*i) with w = u^q: u^(q*e - p*i) per term
                 terms = [mpmath.mpc(c.to_complex()) * mpmath.mpf(eps0) ** e
-                         * mu ** (q * e - p * i) / mscale ** i for e, c in a.terms.items()]
+                         * mp_u ** (q * e - p * i) / mscale ** i for e, c in a.terms.items()]
                 exact = complex(mpmath.fsum(terms))
                 size = float(mpmath.fsum(abs(x) for x in terms))
                 assert abs(horner_table(table, u) - exact) <= 1e-13 * size
