@@ -33,8 +33,11 @@ from .weyr import weyr_structure  # noqa: F401
 
 
 def validate_partition(p: Sequence[int]) -> tuple[int, ...]:
-    p = tuple(int(x) for x in p)
-    if not p or any(x < 1 for x in p) or list(p) != sorted(p, reverse=True):
+    """``p`` as a tuple, if it is a non-increasing sequence of ints >= 1 (a
+    bool is not an int here); ValueError otherwise."""
+    p = tuple(p)
+    if (not p or any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in p)
+            or list(p) != sorted(p, reverse=True)):
         raise ValueError(f"not a partition: {p}")
     return p
 
@@ -248,21 +251,24 @@ def _alpha_matches(cp: CharPoly, alpha) -> bool:
     return True
 
 
-def _solve_linear(parsed, direction, var, i, power) -> ExactComplex | None:
-    """The exact value of `var` that cancels the t^power part of a_i, if
-    unique, for a parsed template (_parse) and the other slopes in
-    ``direction``.
+def _solve_linear(parsed, direction, var, i, power) -> tuple[ExactComplex, CharPoly] | None:
+    """(v, charpoly) for the exact value v of `var` that cancels the t^power
+    part of a_i, if unique, and the charpoly at var = v, for a parsed
+    template (_parse) and the other slopes in ``direction``; None if no
+    value of var cancels it.
 
-    One charpoly holds both numbers the solve needs.  The matrix is built
-    with var at 0, and every entry that holds var gains sign t^(K+1), with
-    K = n + 1: var stands for t^K.  Without that marker each entry has
-    t-degree at most 1, so a_i has t-degree at most i < K.  If a_i is affine
-    in var, a_i = A + var B, it reads A + t^K B, with A below t^K and t^K B
-    below t^(2K): the t^power part of A and the t^(K+power) part of t^K B
-    give v = -A_power / B_power.  A determinant is affine in each entry, so
-    a var that fills one position passes; one that fills two (the diagonal
-    d11 of (1, 1, 1)) may leave a term at t^(2K) or above, and then a_i is
-    not affine in var and ValueError is raised.
+    One charpoly holds all the solve needs.  The matrix is built with var at
+    0, and every entry that holds var gains sign t^(K+1), with K = n + 1:
+    var stands for t^K.  Without that marker each entry has t-degree at most
+    1, so every a_j has t-degree at most j < K.  If a_j is affine in var,
+    a_j = A_j + var B_j, it reads A_j + t^K B_j, with A_j below t^K and
+    t^K B_j below t^(2K): the t^power part of A_i and the t^(K+power) part
+    of t^K B_i give v = -A_i,power / B_i,power, and A_j + v B_j is a_j at
+    var = v.  That needs every a_j affine in var, not only a_i.  A
+    determinant is affine in each entry, so a var that fills one position
+    passes; one that fills two (the diagonal d11 of (1, 1, 1)) may leave a
+    term at t^(2K) or above, and then ValueError names the first a_j that
+    is not affine in var.
     """
     k = len(parsed) + 1
     rows = _entries(parsed, dict(direction, **{var: EC_ZERO}))
@@ -272,19 +278,30 @@ def _solve_linear(parsed, direction, var, i, power) -> ExactComplex | None:
                 for name, sign in entry:
                     if name == var:
                         rows[r][c] = rows[r][c] + ScalarPoly.monomial(k + 1, sign)
-    a_i = charpoly_traces(PolyMatrix(rows)).coefficient(i)
-    if a_i.degree() >= 2 * k:
-        raise ValueError(f"a_{i} is not affine in {var}")
-    slope = a_i.coefficient(k + power)
+    marked = charpoly_traces(PolyMatrix(rows)).coeffs
+    for j, a_j in enumerate(marked):
+        if a_j.degree() >= 2 * k:
+            raise ValueError(f"a_{j} is not affine in {var}")
+    slope = marked[i].coefficient(k + power)
     if not slope:
         return None
-    return -a_i.coefficient(power) / slope
+    v = -marked[i].coefficient(power) / slope
+    return v, CharPoly(tuple(
+        _poly({e: c for e, c in a.terms.items() if e < k}, None)
+        + _poly({e - k: c for e, c in a.terms.items() if e >= k}, None).scale(v)
+        for a in marked))
+
+
+# the nonzero slopes a draw picks from, built once and shared (immutable)
+_SLOPES = tuple(ec(x) for x in range(-9, 10) if x)
 
 
 def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
+    """One family of ``spec``: slopes drawn from ``rng`` until the direction
+    meets spec.alpha.  A solved family (spec.solve) keeps the charpoly that
+    _solve_linear derives; any other expands its own matrix."""
     parsed, names = _PARSED[spec.partition]
     pinned = dict(spec.fixed)
-    nonzero_pool = [k for k in range(-9, 10) if k != 0]
     for _ in range(500):
         direction = {}
         for nm in names:
@@ -293,14 +310,15 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
             elif nm in pinned:
                 direction[nm] = ec(pinned[nm])
             else:
-                direction[nm] = ec(rng.choice(nonzero_pool))
+                direction[nm] = rng.choice(_SLOPES)
         if spec.solve:
-            v = _solve_linear(parsed, direction, *spec.solve)
-            if v is None:
+            solved = _solve_linear(parsed, direction, *spec.solve)
+            if solved is None:
                 continue
-            direction[spec.solve[0]] = v
+            direction[spec.solve[0]], cp = solved
         matrix = PolyMatrix(_entries(parsed, direction))
-        cp = charpoly_traces(matrix)
+        if not spec.solve:
+            cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
         flat = next(k for k, a in enumerate(reversed(spec.alpha)) if a is not None)

@@ -12,8 +12,7 @@ from reference import (AMBIGUOUS_CHAIN, dense, jordan_matrix, partitions,
 from tropeig.charpoly import charpoly_direct, charpoly_traces
 from tropeig.exact import EC_ZERO, ec
 from tropeig.jordan import (_CATALOG_SPECS, _PARSED, _TEMPLATES, _placeholders, _solve_linear,
-                            _terms, build_direction_matrix, catalog_families,
-                            validate_partition)
+                            _terms, catalog_families, validate_partition)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
 from tropeig import weyr
@@ -50,6 +49,12 @@ class TestJordanMatrix:
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError):
             validate_partition((1, 2))
+
+    @pytest.mark.parametrize("partition", [(2.5, 1), (2.0, 1), (True, 1), (2, False), ("2", 1)])
+    def test_rejects_a_part_that_is_not_an_int(self, partition):
+        # refused, not truncated to (2, 1) or read as (1, 1)
+        with pytest.raises(ValueError, match="not a partition"):
+            validate_partition(partition)
 
 
 class TestPartitions:
@@ -148,13 +153,21 @@ class TestCatalog:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stored_charpoly_is_the_matrix_charpoly(self, seed):
-        # the draw stores charpoly_traces of every family's matrix, a solved
-        # family's too, in place of computing it on first use
+        # the draw stores every family's charpoly in place of computing it on
+        # first use: a solved family the one _solve_linear reads off its
+        # marker charpoly, any other charpoly_traces of its matrix
         for n in (2, 3, 4):
             for fam in catalog_families(n, seed=seed):
                 stored = fam.__dict__["charpoly"]  # seeded, not computed on first use
                 assert stored == charpoly_traces(fam.matrix), fam.name
                 assert stored == charpoly_direct(fam.matrix), fam.name
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_stored_charpoly_is_the_matrix_charpoly_at_any_seed(self, seed):
+        for n in (2, 3, 4):
+            for fam in catalog_families(n, seed=seed):
+                assert fam.__dict__["charpoly"] == charpoly_direct(fam.matrix), fam.name
 
     def test_deterministic_given_seed(self):
         a = catalog_families(3, seed=7)
@@ -167,23 +180,14 @@ class TestCatalog:
         return sum(var in dict(_terms(entry)) for row in _TEMPLATES[partition] for entry in row)
 
     def test_solve_variables_occupy_one_position(self):
-        # _solve_linear refuses a slope that a_i is not affine in, which a
-        # slope in two positions may be (test_solve_refuses_a_non_affine_slope)
+        # _solve_linear refuses a slope that some a_j is not affine in, which
+        # a slope in two positions may be (test_solve_refuses_a_non_affine_slope)
         solved = {(spec.partition, spec.solve[0]) for specs in _CATALOG_SPECS.values()
                   for spec in specs if spec.solve}
         assert len(solved) == 8
         for partition, var in solved:
             assert self.positions(partition, var) == 1, (partition, var)
         assert self.positions((1, 1, 1), "d11") == 2  # diagonal ones may repeat
-
-    @staticmethod
-    def solve_outcome(partition, direction, solve):
-        """(v, charpoly at var = v) of _solve_linear, or None."""
-        v = _solve_linear(_PARSED[partition][0], direction, *solve)
-        if v is None:
-            return None
-        direction = dict(direction, **{solve[0]: v})
-        return v, charpoly_traces(build_direction_matrix(_TEMPLATES[partition], direction))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_solve_matches_the_two_charpoly_solve(self, seed):
@@ -195,7 +199,8 @@ class TestCatalog:
                     want = reference_solve_linear(_TEMPLATES[spec.partition], direction,
                                                   *spec.solve)
                     assert want == (direction[spec.solve[0]], fam.charpoly), fam.name
-                    assert self.solve_outcome(spec.partition, direction, spec.solve) == want
+                    parsed = _PARSED[spec.partition][0]
+                    assert _solve_linear(parsed, direction, *spec.solve) == want
                     solved += 1
         assert solved == 9
 
@@ -211,7 +216,7 @@ class TestCatalog:
         direction = {name: ec(data.draw(st.integers(-1, 1), label=name))
                      for name in _PARSED[partition][1]}
         want = reference_solve_linear(_TEMPLATES[partition], direction, *solve)
-        assert self.solve_outcome(partition, direction, solve) == want
+        assert _solve_linear(_PARSED[partition][0], direction, *solve) == want
 
     def test_solve_returns_none_when_the_slope_vanishes(self):
         # a_2 = -(d22^2 + d12 d21) t^2 does not depend on d21 once d12 = 0
@@ -224,6 +229,10 @@ class TestCatalog:
         direction = {name: ec(k) for k, name in enumerate(_PARSED[(1, 1, 1)][1], 1)}
         with pytest.raises(ValueError, match="a_2 is not affine in d11"):
             _solve_linear(_PARSED[(1, 1, 1)][0], direction, "d11", 2, 2)
+        # d11 cancels out of a_1, but the charpoly at the solved value needs
+        # every a_j affine in d11
+        with pytest.raises(ValueError, match="a_2 is not affine in d11"):
+            _solve_linear(_PARSED[(1, 1, 1)][0], direction, "d11", 1, 1)
 
     def test_spec_names_are_template_placeholders(self):
         # _draw_family skips names the template lacks, so a misspelt one is
