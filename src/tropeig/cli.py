@@ -184,12 +184,16 @@ def _resolve_family(args):
     if args.param:
         raise ParseError("--param", "only --example reads --param")
     if args.jordan is not None:
-        from .jordan import validate_partition
+        from .jordan import _CATALOG_SPECS, validate_partition
         try:
             partition = validate_partition([int(x) for x in args.jordan.split(",")])
         except ValueError as exc:
             raise ParseError("--jordan", f"expected a partition such as 2,1 ({exc})") from None
-        for fam in _catalog(sum(partition), args.seed):
+        n = sum(partition)
+        if n not in _CATALOG_SPECS:
+            raise ParseError("--jordan",
+                             f"the catalog covers partitions of 2, 3 and 4, not of {n}")
+        for fam in _catalog(n, args.seed):
             if (fam.parameters["partition"] == partition
                     and fam.parameters["constraint"] == args.constraint):
                 return fam

@@ -465,6 +465,14 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: --jordan: expected a partition") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("partition", ["5", "1", "3,2"])
+    def test_partition_outside_the_catalog_named_at_jordan(self, capsys, partition):
+        code, out, err = run(capsys, "verify", "--jordan", partition)
+        assert code == 1 and out == ""
+        size = sum(map(int, partition.split(",")))
+        assert err == ("error: --jordan: the catalog covers partitions of 2, 3 and 4, "
+                       f"not of {size}\n")
+
     @pytest.mark.parametrize("source", [["--jordan", "2"], ["--file", "family"]])
     def test_param_without_example_exit(self, tmp_path, capsys, source):
         if source[0] == "--file":
