@@ -71,15 +71,16 @@ tr(M^(h+j)) = sum_(i,c) (M^h)[i, c] (M^j)[c, i] for j = 1..n-h, so it needs
 h - 1 matrix products instead of n - 1.
 
 The coefficients of D*M's characteristic polynomial are algebraic integers,
-so the traces recursion divides k a_k by k exactly: it unpacks each sum,
-checks and divides every coefficient, and packs the quotient again (it
-raises if a division ever would not be exact); the quotient's terms are kept,
-so no a_k is read back twice.  On exit (``_from_kernel``) each coefficient of
-a_k of D*M is read as integer numerators over D^k and reduced straight into
-an ExactComplex, with no Fraction in between, and the ScalarPolys and the
-CharPoly are built without the public constructors' checks, which terms in
-this form always pass.  A matrix mixing two radicands is rejected with the
-same ValueError as ExactComplex.
+so the traces recursion divides k a_k by k exactly: it unpacks each sum and
+checks and divides every coefficient (it raises if a division ever would not
+be exact), keeping the quotient's terms, so no a_k is read back twice; as
+packing is linear, the packed a_k is then the packed sum divided by -k.  On
+exit (``_from_kernel``) each coefficient of a_k of D*M is read as integer
+numerators over D^k and reduced straight into an ExactComplex, with no
+Fraction in between, and the ScalarPolys and the CharPoly are built without
+the public constructors' checks, which terms in this form always pass.  A
+matrix mixing two radicands is rejected with the same ValueError as
+ExactComplex.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
         total = _dot([(x, y) for x, y in zip(a, s[k:0:-1]) if x and y], rad)
         terms.append(_div_exact(_unpack(total, bits), -k))
-        a.append(_pack(terms[-1], bits))
+        a.append(total and tuple(x // -k for x in total))  # exact once _div_exact passed
     return _from_kernel(terms, orders, rad, den)
 
 
@@ -308,23 +309,24 @@ def _to_kernel(m: PolyMatrix):
         raise ValueError(f"mixed radicands {first} and {second}")
     rad = rads.pop() if rads else 0
     w = isqrt(rad) + 1  # w^2 > rad keeps the norm submultiplicative
-
-    def scaled(c):
-        k = den // c.den
-        return (c.nre * k, c.nim * k, c.nsre * k, c.nsim * k) if rad else (c.nre * k, c.nim * k)
-
-    def norm(c):
-        return abs(c[0]) + abs(c[1]) + (w * (abs(c[2]) + abs(c[3])) if rad else 0)
-
-    sparse = [[(j, [(e, scaled(c)) for e, c in p.terms.items()]) for j, p in row]
-              for row in nonzero]
-    # rho_i, the 2-norm of row i's entry norms rounded up, and their mean,
-    # rounded up (see the module docstring)
-    n, total = m.n, 0
-    for row in sparse:
-        square = sum(sum(norm(c) for _, c in terms) ** 2 for _, terms in row)
+    # each term scaled by den, and rho_i, the 2-norm of row i's entry norms
+    # rounded up, summed for their mean, rounded up (see the module docstring)
+    n, total, sparse = m.n, 0, []
+    for row in nonzero:
+        out, square = [], 0
+        for j, p in row:
+            terms, size = [], 0
+            for e, c in p.terms.items():
+                k = den // c.den
+                x = ((c.nre * k, c.nim * k, c.nsre * k, c.nsim * k) if rad
+                     else (c.nre * k, c.nim * k))
+                terms.append((e, x))
+                size += abs(x[0]) + abs(x[1]) + (w * (abs(x[2]) + abs(x[3])) if rad else 0)
+            out.append((j, terms))
+            square += size * size
         root = isqrt(square)
         total += root + (root * root < square)
+        sparse.append(out)
     rho = -(-total // n)
     bound = n * max(comb(n, k) * rho ** k for k in range(n + 1))
     bits = bound.bit_length() + 2

@@ -149,15 +149,18 @@ class _FamilySpec(_Frozen):
     trailing Nones count the flat branches.  ``zeros`` lists the placeholders
     pinned to 0 and ``fixed`` those pinned to a value; ``solve`` = (var, i,
     power) solves placeholder var so that the t^power part of a_i cancels
-    exactly."""
+    exactly.  ``expected`` is the SplittingReport of ``roots`` with the flat
+    branches, built once and shared by every family drawn (it is immutable)."""
 
-    __slots__ = ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve")
+    __slots__ = ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve",
+                 "expected")
 
     def __init__(self, partition: tuple[int, ...], constraint: str,
                  alpha: tuple[int | None, ...], roots: tuple[tuple[Fraction, int], ...],
                  zeros: tuple[str, ...] = (), fixed: tuple[tuple[str, int], ...] = (),
                  solve: tuple[str, int, int] | None = None):
-        _fill(self, partition, constraint, alpha, roots, zeros, fixed, solve)
+        flat = next(k for k, a in enumerate(reversed(alpha)) if a is not None)
+        _fill(self, partition, constraint, alpha, roots, zeros, fixed, solve, _report(roots, flat))
 
 
 _CATALOG_SPECS: dict[int, list[_FamilySpec]] = {
@@ -321,10 +324,8 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
             cp = charpoly_traces(matrix)
         if not _alpha_matches(cp, spec.alpha):
             continue
-        flat = next(k for k, a in enumerate(reversed(spec.alpha)) if a is not None)
-        expected = _report(spec.roots, flat)
         label = ",".join(str(s) for s in spec.partition)
-        return Family(f"H[{label}] {spec.constraint}", matrix, expected,
+        return Family(f"H[{label}] {spec.constraint}", matrix, spec.expected,
                       {"partition": spec.partition, "constraint": spec.constraint,
                        "generic": spec.constraint == "generic", "direction": direction,
                        "coeff_orders": spec.alpha},

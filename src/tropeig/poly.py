@@ -35,7 +35,7 @@ class Ord(_Frozen):
 
     @staticmethod
     def infinite() -> "Ord":
-        return Ord("infinite")
+        return _INFINITE
 
     @staticmethod
     def at_least(k: int) -> "Ord":
@@ -59,6 +59,10 @@ class Ord(_Frozen):
         if self.is_infinite:
             return "inf"
         return f">={self.value}?"
+
+
+# the values ord() returns most, built once and shared: an Ord is immutable
+_INFINITE, _FINITE = Ord("infinite"), tuple(Ord("finite", k) for k in range(64))
 
 
 class ScalarPoly(_Frozen):
@@ -114,9 +118,10 @@ class ScalarPoly(_Frozen):
 
     def ord(self) -> Ord:
         if self.terms:
-            return Ord.finite(min(self.terms))
+            k = min(self.terms)
+            return _FINITE[k] if k < len(_FINITE) else Ord("finite", k)
         if self.trunc is None:
-            return Ord.infinite()
+            return _INFINITE
         return Ord.at_least(self.trunc)
 
     def is_zero(self) -> bool:

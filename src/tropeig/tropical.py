@@ -118,7 +118,7 @@ class TropicalRoot(_Frozen):
     def __init__(self, omega: Fraction, multiplicity: int):
         if type(omega) is not Fraction:
             omega = Fraction(omega)
-        if omega < 0 or multiplicity < 1:
+        if omega.numerator < 0 or multiplicity < 1:  # a Fraction's denominator is positive
             raise ValueError("roots are non-negative with positive multiplicity")
         _set(self, "omega", omega)
         _set(self, "multiplicity", multiplicity)

@@ -313,6 +313,44 @@ class TestPackedKernel:
         terms = sorted((e, c) for e, c in terms if any(c))
         assert _unpack(_pack(terms, bits), bits) == terms
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_packed_quotient_is_the_packed_exact_quotient(self, data):
+        # charpoly_traces divides the packed sum k a_k by -k component by
+        # component once _div_exact has checked the unpacked terms; packing
+        # is linear, so that is the packed quotient
+        bits = data.draw(st.integers(6, 80))
+        k = data.draw(st.integers(1, 12))
+        width = data.draw(st.sampled_from([2, 4]))  # Z[i] or Z[i, sqrt(rad)]
+        bound = 2 ** (bits - 1) // k  # every multiple q k stays a balanced digit
+        component = st.integers(-bound, bound - 1)
+        drawn = data.draw(st.dictionaries(st.integers(0, 200), st.tuples(*[component] * width),
+                                          max_size=2 * charpoly_module._PLAIN))
+        terms = [(e, tuple(q * k for q in c)) for e, c in sorted(drawn.items()) if any(c)]
+        packed = _pack(terms, bits)
+        want = _pack(_div_exact(_unpack(packed, bits), -k), bits)
+        assert (packed and tuple(x // -k for x in packed)) == want
+
+    def test_every_newton_step_checks_its_division(self, monkeypatch):
+        """A deterministic work guard: _div_exact checks the quotient of
+        every Newton step of every charpoly_traces call, a zero sum too."""
+        calls = 0
+        div_exact = charpoly_module._div_exact
+
+        def counting_div_exact(p, k):
+            nonlocal calls
+            calls += 1
+            return div_exact(p, k)
+
+        monkeypatch.setattr(charpoly_module, "_div_exact", counting_div_exact)
+        matrices = ([rand_linear_matrix(random.Random(n), n) for n in range(1, 9)]
+                    + [_dense_surd(random.Random(3), 4), PolyMatrix([[0, 1], [0, 0]]),
+                       PolyMatrix([[0] * 3] * 3)])
+        for m in matrices:
+            before = calls
+            assert charpoly_traces(m) == charpoly_direct(m)
+            assert calls - before == m.n
+
     def test_pack_sorts_many_terms(self):
         terms = [(e, (e - 50, 1)) for e in range(100)]
         assert _pack(terms[::-1], 9) == _pack(terms, 9)

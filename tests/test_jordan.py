@@ -15,7 +15,7 @@ from tropeig.jordan import (_CATALOG_SPECS, _PARSED, _TEMPLATES, _placeholders, 
                             _terms, catalog_families, validate_partition)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
-from tropeig import weyr
+from tropeig import jordan, weyr
 from tropeig.weyr import WeyrAmbiguityError, _svd, weyr_structure
 
 
@@ -168,6 +168,28 @@ class TestCatalog:
         for n in (2, 3, 4):
             for fam in catalog_families(n, seed=seed):
                 assert fam.__dict__["charpoly"] == charpoly_direct(fam.matrix), fam.name
+
+    def test_one_round_expands_34_charpolys_and_builds_no_report(self, monkeypatch):
+        """A deterministic work guard: a catalog round (n = 2..4, seed 0)
+        expands one charpoly per generic or pinned family and one marker
+        charpoly per solved one, and every family shares the report its
+        spec built at import."""
+        calls = {"charpoly_traces": 0, "_report": 0}
+
+        def counting(name):
+            fn = getattr(jordan, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(jordan, name, counting(name))
+        for n, specs in _CATALOG_SPECS.items():
+            for spec, fam in zip(specs, catalog_families(n, seed=0), strict=True):
+                assert fam.expected is spec.expected, fam.name
+        assert calls == {"charpoly_traces": 34, "_report": 0}
 
     def test_deterministic_given_seed(self):
         a = catalog_families(3, seed=7)

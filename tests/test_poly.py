@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference import RefComplex, invert_matrix, rescale_t
 from tropeig.exact import EC_I, EC_ONE, ExactComplex, ec
-from tropeig.poly import Ord, ScalarPoly, cos_series, sin_series
+from tropeig.poly import _FINITE, Ord, ScalarPoly, cos_series, sin_series
 
 
 def rand_poly(rng, max_terms=4, max_exp=6):
@@ -211,6 +211,33 @@ class TestOrd:
         p = cos_series(2) - 1  # only the constant term survives, then cancels
         o = p.ord()
         assert o.is_undetermined and o.value == 2
+
+    @pytest.mark.parametrize("k", [0, 1, len(_FINITE) - 1, len(_FINITE), 10 ** 6])
+    def test_finite_ord_equals_a_fresh_one(self, k):
+        # ord() shares the finite values below len(_FINITE) and builds the rest
+        o = ScalarPoly({k + 2: 1, k: ec(3, 1)}).ord()
+        assert o == Ord("finite", k) and hash(o) == hash(Ord("finite", k)) and repr(o) == str(k)
+        assert (o.kind, o.value, o.is_finite) == ("finite", k, True)
+        assert (o is ScalarPoly.monomial(k).ord()) == (k < len(_FINITE))
+
+    @pytest.mark.parametrize("p, fresh", [(ScalarPoly.zero(), Ord("infinite")),
+                                          (ScalarPoly.zero(0), Ord("undetermined", 0)),
+                                          (ScalarPoly({9: 1}, 5), Ord("undetermined", 5))])
+    def test_infinite_and_undetermined_ords_equal_fresh_ones(self, p, fresh):
+        o = p.ord()
+        assert o == fresh and hash(o) == hash(fresh) and repr(o) == repr(fresh)
+        assert (o.kind, o.value) == (fresh.kind, fresh.value)
+
+    @pytest.mark.parametrize("p", [ScalarPoly.const(1), ScalarPoly.monomial(len(_FINITE) - 1),
+                                   ScalarPoly.zero()])
+    def test_shared_ords_are_read_only(self, p):
+        o = p.ord()
+        for field in ("kind", "value"):
+            with pytest.raises(AttributeError):
+                setattr(o, field, None)
+            with pytest.raises(AttributeError):
+                delattr(o, field)
+        assert p.ord() is o and o == Ord(o.kind, o.value)
 
 
 class TestArithmetic:

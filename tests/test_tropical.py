@@ -9,7 +9,7 @@ from reference import (branch_phases, minplus_roots_by_probes, rescale_charpoly,
 from tropeig.charpoly import CharPoly, PolyMatrix, charpoly_direct, charpoly_traces
 from tropeig.exact import ec
 from tropeig.jordan import _TEMPLATES, build_direction_matrix, catalog_families
-from tropeig.poly import ScalarPoly
+from tropeig.poly import Ord, ScalarPoly
 from tropeig.tropical import (NewtonPolygon, SplittingReport, TropicalPoly,
                               TropicalRoot, newton_polygon, tropical_roots,
                               tropicalize)
@@ -89,6 +89,21 @@ class TestNewtonPolygon:
             "hull=((0, Fraction(0, 1)), (2, Fraction(1, 1)), (3, Fraction(2, 1))), "
             "undetermined=False)")
 
+    @pytest.mark.parametrize("points", [
+        ((0, Ord.infinite()), (1, Ord.finite(0)), (2, Ord.finite(1))),
+        ((0, Ord.at_least(0)), (1, Ord.finite(0)), (2, Ord.finite(1))),
+        ((0, Ord.at_least(3)), (1, Ord.infinite()), (2, Ord.finite(1))),
+        ((0, Ord.infinite()), (1, Ord.at_least(2))),  # no finite point at all
+    ])
+    def test_monic_point_must_have_a_finite_valuation(self, points):
+        with pytest.raises(ValueError, match=r"monic point \(0, alpha_0\) must be present"):
+            NewtonPolygon(points)
+
+    def test_finite_nonzero_alpha_0_is_accepted(self):
+        np_ = NewtonPolygon(((0, Ord.finite(1)), (1, Ord.infinite()), (2, Ord.finite(2))))
+        assert np_.hull == ((0, Fraction(1)), (2, Fraction(2))) and not np_.undetermined
+        assert roots_set(tropical_roots(np_)) == {(Fraction(1, 2), 2)}
+
     def test_hull_slopes_strictly_increase(self):
         rng = random.Random(60)
         for _ in range(200):
@@ -133,6 +148,17 @@ class TestTropicalRoots:
             cp = charpoly_traces(build_direction_matrix(tpl, d))
             scaled = rescale_charpoly(cp, ec(rng.randint(1, 7), rng.randint(-3, 3)))
             assert tropical_roots(cp) == tropical_roots(scaled)
+
+    @pytest.mark.parametrize("omega, multiplicity", [(Fraction(-1, 2), 1), (-1, 2),
+                                                     (Fraction(-1, 10 ** 30), 1), (0, 0)])
+    def test_root_refuses_a_negative_omega_or_no_multiplicity(self, omega, multiplicity):
+        with pytest.raises(ValueError, match="non-negative with positive multiplicity"):
+            TropicalRoot(omega, multiplicity)
+
+    @pytest.mark.parametrize("omega", [0, Fraction(0), Fraction(1, 10 ** 30), 3])
+    def test_root_keeps_a_non_negative_omega_as_a_fraction(self, omega):
+        r = TropicalRoot(omega, 1)
+        assert type(r.omega) is Fraction and r.omega == omega and r.multiplicity == 1
 
     def test_kink_value(self):
         p = tropicalize(cp_from_alpha([0, None, 1, 2]))
