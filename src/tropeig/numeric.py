@@ -511,6 +511,8 @@ def fit_exponents(family: Family, t0: float = GRID_T0, phase: float = GRID_PHASE
                                "Newton polygon")
             continue
         edge_roots = aberth_roots([tables[i][-1][2] if i in on_edge else 0j for i in span])
+        if not all(edge_roots):  # a nonzero root of E_omega underflowed to 0
+            raise NonConvergenceError("root iteration left the floats")
         solved = [_scaled_roots(tables, t) for t in (t1, t2)]
         if None in solved:
             ok = False

@@ -975,6 +975,9 @@ class TestFloatRange:
 
     @settings(max_examples=150, deadline=None)
     @given(scaled_charpolys())
+    # every valuation is 0, and E_0's small root, about 1.5e-324, is 0.0 in
+    # floats: fit_exponents raised ZeroDivisionError on it
+    @example(CharPoly([1, 0, ExactComplex(0, 2), ExactComplex(0, Fraction(3, 10 ** 324))]))
     def test_checks_return_or_refuse(self, cp):
         fam = Family("synthetic", cp, tropical_roots(cp))
         for call in (fit_exponents, braid_loop):
