@@ -28,9 +28,12 @@ terms exactly and dropping the unknown ones once at the end equals cutting
 them at every step.
 
 Kronecker substitution.  The kernel substitutes t -> 2^bits, so a kernel
-entry is one Python int per component: (re, im) over Z[i], or
+entry is one Python int per component: (re, im, re + im) over Z[i], or
 (re, im, sre, sim) for re + im*i + (sre + sim*i)*sqrt(rad), and zero is
-None.  Polynomial products become 4 (or 16) big-int products.  Every ring
+None.  _pack adds the sum re + im once per packed entry, _dot once per
+result, and every other kernel step is linear, so it stays exact with no
+code of its own; it lets a Z[i] product take Gauss's 3 big-int products
+instead of 4, while a surd product keeps 16 (see _dot).  Every ring
 operation commutes with the substitution, so only the final coefficients
 need to fit: each a_k is read back as balanced base-2^bits digits, which is
 exact while every component lies in [-2^(bits-1), 2^(bits-1)).  Packing
@@ -173,8 +176,8 @@ def charpoly_traces(m: PolyMatrix) -> CharPoly:
         lookup = [dict(row) for row in powers[j]]
         s.append(_dot([(x, y) for i, row in enumerate(powers[h]) for c, x in row
                        if (y := lookup[c].get(i))], rad))
-    one = (1, 0, 0, 0) if rad else (1, 0)
-    a, terms = [one], [[(0, one)]]  # a_k packed, and as the terms _from_kernel reads
+    one = (1, 0, 0, 0) if rad else (1, 0, 1)
+    a, terms = [one], [[(0, one if rad else one[:2])]]  # a_k packed, and as _from_kernel reads
     for k in range(1, n + 1):
         # k a_k = -(s_k + a_1 s_(k-1) + ... + a_(k-1) s_1)
         total = _dot([(x, y) for x, y in zip(a, s[k:0:-1]) if x and y], rad)
@@ -197,7 +200,7 @@ def _berkowitz(rows, rad) -> list:
     column lists hold the rows of the trailing block only, row i joining them
     once level i is done, so A v scatters v through them with no filter."""
     n = len(rows)
-    one = (1, 0, 0, 0) if rad else (1, 0)
+    one = (1, 0, 0, 0) if rad else (1, 0, 1)
     cols = [[] for _ in range(n)]  # cols[c]: the (row, entry) pairs of rows below i
     prev = [one]  # det of the empty block
     for i in range(n - 1, -1, -1):
@@ -352,8 +355,8 @@ def _from_kernel(coeffs, orders, rad, den) -> CharPoly:
 
 def _pack(terms, bits):
     """Kernel entry of (exponent, coefficient tuple) pairs, None if there are
-    none.  More than _PLAIN terms are sorted and packed half by half
-    (_pack_halves)."""
+    none; (re, im) coefficients give (re, im, re + im).  More than _PLAIN
+    terms are sorted and packed half by half (_pack_halves)."""
     if not terms:
         return None
     if len(terms) > _PLAIN:
@@ -363,6 +366,8 @@ def _pack(terms, bits):
         shift = bits * e
         for i, x in enumerate(c):
             packed[i] += x << shift
+    if len(packed) == 2:
+        packed.append(packed[0] + packed[1])
     return tuple(packed)
 
 
@@ -390,6 +395,8 @@ def _unpack(p, bits) -> list:
     if p is None:
         return []
     base, half, coeffs, plain = 1 << bits, 1 << (bits - 1), {}, bits * _PLAIN
+    if len(p) == 3:  # a Z[i] entry's stored sum re + im is not read back
+        p = p[:2]
     for i, x in enumerate(p):
         low = 0
         if x.bit_length() > plain:
@@ -453,7 +460,11 @@ def _sum(entries):
 
 def _dot(pairs, rad):
     """Sum of a * b over (a, b) pairs of kernel entries, None if it is zero.
-    Over Z[i, sqrt(rad)], x + y sqrt(rad) is stored as (re x, im x, re y, im y)."""
+    Over Z[i] each pair costs Gauss's 3 products, a0 b0, a1 b1 and
+    (a0 + a1)(b0 + b1), from the stored sums; the sum of the result is formed
+    once, not per pair.  Over Z[i, sqrt(rad)], x + y sqrt(rad) is stored as
+    (re x, im x, re y, im y) and a pair costs 16 products: the same rule on
+    its 9 components, or Karatsuba over sqrt(rad), ran slower on it."""
     if rad:
         c0 = c1 = c2 = c3 = r0 = r1 = 0
         for (a0, a1, a2, a3), (b0, b1, b2, b3) in pairs:
@@ -464,13 +475,14 @@ def _dot(pairs, rad):
             c2 += a0 * b2 - a1 * b3 + a2 * b0 - a3 * b1
             c3 += a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
         out = (c0 + rad * r0, c1 + rad * r1, c2, c3)
-    else:
-        re = im = 0
-        for (ar, ai), (br, bi) in pairs:
-            re += ar * br - ai * bi
-            im += ar * bi + ai * br
-        out = (re, im)
-    return out if any(out) else None
+        return out if any(out) else None
+    s0 = s1 = s2 = 0
+    for (a0, a1, a2), (b0, b1, b2) in pairs:
+        s0 += a0 * b0
+        s1 += a1 * b1
+        s2 += a2 * b2
+    re, im = s0 - s1, s2 - s0 - s1
+    return (re, im, re + im) if re or im else None
 
 
 def _row_times(row, rows, rad) -> list:

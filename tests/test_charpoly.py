@@ -377,6 +377,125 @@ class TestPackedKernel:
         assert _to_kernel(m)[3] <= 80 < _row_sum_bits(m)
 
 
+class _Counted(int):
+    """An int that counts the big-int products it takes part in; a product
+    is a plain int, so sums of products are not counted again."""
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
+
+
+def _exact_dot(pairs, rad) -> ExactComplex:
+    """Sum of a * b on ExactComplex, the object path, for component tuples."""
+    return sum((ExactComplex(*a, rad=rad) * ExactComplex(*b, rad=rad) for a, b in pairs),
+               ExactComplex())
+
+
+BIG = 2 ** 200 + 12345  # wide enough for CPython's Karatsuba multiply
+
+
+class TestKernelProducts:
+    """A deterministic work guard: the big-int products one _dot call takes,
+    counted on int components that count their own multiplications."""
+
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [((3, 4), (5, -2))],
+        [((1, -1), (1, -1))],  # re + im = 0 in both factors: (1 - i)^2 = -2i
+        [((1, -1), (1, 0))],  # re + im = 0 in the result
+        [((2, 3), (4, -1)), ((-2, -3), (4, -1))],  # cancels to None
+        [((1, 1), (1, -1)), ((-2, 0), (1, 0))],  # (1 + i)(1 - i) - 2 = 0: None
+        [((BIG, -BIG), (BIG, 7)), ((-BIG, 3), (2, -BIG)), ((0, 5), (-BIG, BIG))],
+    ])
+    def test_gaussian_pair_takes_three_products(self, pairs):
+        def entry(re, im):
+            return tuple(map(_Counted, (re, im, re + im)))
+
+        before = _Counted.products
+        out = charpoly_module._dot([(entry(*a), entry(*b)) for a, b in pairs], 0)
+        assert _Counted.products - before == 3 * len(pairs)
+        want = _exact_dot(pairs, 0)
+        assert out == ((want.nre, want.nim, want.nre + want.nim) if want else None)
+
+    @pytest.mark.parametrize("pairs", [
+        [((1, 2, 3, 4), (-5, 6, -7, 8))],
+        # (1 + sqrt2)(-1 + sqrt2) = 1, minus 1: cancels to None
+        [((1, 0, 1, 0), (-1, 0, 1, 0)), ((-1, 0, 0, 0), (1, 0, 0, 0))],
+        [((BIG, -1, 0, BIG), (2, BIG, -BIG, 3)), ((0, 0, 1, -1), (BIG, 0, 0, -BIG))],
+    ])
+    def test_surd_pair_takes_sixteen_products(self, pairs):
+        before = _Counted.products
+        out = charpoly_module._dot([(tuple(map(_Counted, a)), tuple(map(_Counted, b)))
+                                    for a, b in pairs], 2)
+        assert _Counted.products - before == 16 * len(pairs)
+        want = _exact_dot(pairs, 2)
+        assert out == ((want.nre, want.nim, want.nsre, want.nsim) if want else None)
+
+
+@st.composite
+def gaussian_matrices(draw, max_n=8):
+    """n = 1..max_n over Q(i), components up to 2^200 beside small ones and
+    entries with re + im = 0, exact zeros at random, t-degree up to 2."""
+    n = draw(st.integers(1, max_n))
+    part = st.one_of(st.integers(-2 ** 200, 2 ** 200), st.integers(-3, 3))
+
+    def scalar():
+        re = draw(part)
+        im = -re if draw(st.integers(0, 3)) == 0 else draw(part)
+        return ExactComplex(Fraction(re, draw(st.integers(1, 3))), im)
+
+    def entry():
+        if draw(st.integers(0, 3)) == 0:
+            return ScalarPoly.zero()
+        return ScalarPoly({e: scalar() for e in range(3) if draw(st.booleans())})
+
+    return PolyMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+class TestStoredGaussianSum:
+    @staticmethod
+    def _check(entries):
+        for x in entries:
+            assert x is None or (len(x) == 3 and x[2] == x[0] + x[1]), x
+
+    @settings(max_examples=40, deadline=None)
+    @given(gaussian_matrices())
+    def test_every_entry_keeps_its_sum(self, m):
+        """Every Z[i] entry _dot and _sum take or return stores re + im, in
+        both algorithms, and both agree with the object-path reference."""
+        dot, total = charpoly_module._dot, charpoly_module._sum
+        seen = 0
+
+        def checked_dot(pairs, rad):
+            nonlocal seen
+            pairs = list(pairs)
+            self._check([x for pair in pairs for x in pair])
+            out = dot(pairs, rad)
+            self._check([out])
+            seen += 2 * len(pairs)
+            return out
+
+        def checked_sum(entries):
+            nonlocal seen
+            self._check(entries)
+            out = total(entries)
+            self._check([out])
+            seen += len(entries)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charpoly_module, "_dot", checked_dot)
+            mp.setattr(charpoly_module, "_sum", checked_sum)
+            direct, traces = charpoly_direct(m), charpoly_traces(m)
+        ref = CharPoly(reference_berkowitz([list(row) for row in m.rows]))
+        assert direct == traces == ref
+        assert seen > 0
+
+
 def _lambda_product(*factors) -> CharPoly:
     """Product of polynomials in lambda given as ScalarPoly coefficient lists."""
     out = [ScalarPoly.const(1)]
