@@ -147,15 +147,6 @@ class CharPoly(_Frozen):
                 break
         return k
 
-    # direct, as ScalarPoly's: n follows from coeffs
-    def __eq__(self, other):
-        if other.__class__ is not CharPoly:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         return f"CharPoly(n={self.n})"
 
@@ -196,34 +187,31 @@ def charpoly_direct(m: PolyMatrix) -> CharPoly:
 def _berkowitz(rows, rad) -> list:
     """det(lambda I - A) for sparse kernel rows, built up from the trailing
     1x1 block: level i borders the block A[i+1:, i+1:] with row and column i.
-    Indices stay absolute and v keeps only its nonzeros, keyed by row.  The
-    column lists hold the rows of the trailing block only, row i joining them
-    once level i is done, so A v scatters v through them with no filter."""
+    Indices stay absolute and v keeps only its nonzeros, as (row, entry)
+    pairs.  The column lists hold the rows of the trailing block only, row i
+    joining them once level i is done, so A v is v's row product (_row_times)
+    with them, with no filter."""
     n = len(rows)
     one = (1, 0, 0, 0) if rad else (1, 0, 1)
     cols = [[] for _ in range(n)]  # cols[c]: the (row, entry) pairs of rows below i
     prev = [one]  # det of the empty block
     for i in range(n - 1, -1, -1):
         size = n - i
-        top, r = None, []  # -A[i, i] and -A[i, i+1:]
+        top, r = None, {}  # -A[i, i] and -A[i, i+1:], keyed by column
         for c, x in rows[i]:
             if c == i:
                 top = tuple(-y for y in x)
             elif c > i:
-                r.append((c, tuple(-y for y in x)))
+                r[c] = tuple(-y for y in x)
         items = [one, top]
-        v = dict(cols[i])  # A[i+1:, i]
+        v = cols[i]  # A[i+1:, i]
         for k in range(2, size + 1):
             if not v:
                 items += [None] * (size + 1 - k)
                 break
-            items.append(_dot([(x, v[c]) for c, x in r if c in v], rad))
+            items.append(_dot([(x, r[c]) for c, x in v if c in r], rad))
             if k < size:
-                acc = {}
-                for c, y in v.items():
-                    for j, x in cols[c]:
-                        acc.setdefault(j, []).append((x, y))
-                v = {j: x for j, pairs in acc.items() if (x := _dot(pairs, rad))}
+                v = _row_times(v, cols, rad)
         # Toeplitz step: out[p + q] += items[p] * prev[q] over nonzero pairs
         nonzero = [(p, x) for p, x in enumerate(items) if x]
         terms = [[] for _ in range(size + 1)]
@@ -288,6 +276,7 @@ def _blocks(m: PolyMatrix) -> list:
 # -- integer kernel (see the module docstring) --------------------------------
 
 _PLAIN = 32  # terms or digits that _pack and _unpack handle in one plain loop
+_MAX_BITS = 1 << 30  # the widest packed charpoly _to_kernel accepts, 128 MiB
 
 
 def _to_kernel(m: PolyMatrix):
@@ -314,12 +303,14 @@ def _to_kernel(m: PolyMatrix):
     w = isqrt(rad) + 1  # w^2 > rad keeps the norm submultiplicative
     # each term scaled by den, and rho_i, the 2-norm of row i's entry norms
     # rounded up, summed for their mean, rounded up (see the module docstring)
-    n, total, sparse = m.n, 0, []
+    n, total, degree, sparse = m.n, 0, 0, []
     for row in nonzero:
-        out, square = [], 0
+        out, square, top = [], 0, 0  # top: the row's t-degree
         for j, p in row:
             terms, size = [], 0
             for e, c in p.terms.items():
+                if e > top:
+                    top = e
                 k = den // c.den
                 x = ((c.nre * k, c.nim * k, c.nsre * k, c.nsim * k) if rad
                      else (c.nre * k, c.nim * k))
@@ -329,10 +320,14 @@ def _to_kernel(m: PolyMatrix):
             square += size * size
         root = isqrt(square)
         total += root + (root * root < square)
+        degree += top
         sparse.append(out)
     rho = -(-total // n)
     bound = n * max(comb(n, k) * rho ** k for k in range(n + 1))
     bits = bound.bit_length() + 2
+    if bits * (degree + 1) > _MAX_BITS:  # the charpoly's t-degree is at most degree
+        raise ValueError(f"charpoly of t-degree up to {degree} is too large: packing it "
+                         f"needs {bits * (degree + 1)} bits, more than 2^30")
     rows = [[(j, _pack(terms, bits)) for j, terms in row] for row in sparse]
     orders = [None, min(diag, default=None)] + [min(diag + off, default=None)] * (n - 1)
     return rows, rad, den, bits, orders
@@ -491,5 +486,4 @@ def _row_times(row, rows, rad) -> list:
     for c, x in row:
         for j, y in rows[c]:
             acc.setdefault(j, []).append((x, y))
-    out = ((j, _dot(pairs, rad)) for j, pairs in acc.items())
-    return [(j, x) for j, x in out if x]
+    return [(j, x) for j, pairs in acc.items() if (x := _dot(pairs, rad))]

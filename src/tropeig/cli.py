@@ -236,16 +236,13 @@ def cmd_verify(args) -> int:
                 body["braid"]["predicted_cycle_lengths"] = list(predicted)
                 if tuple(predicted) != braid.cycle_lengths:
                     status = CHECK_FAILED
-    except UndeterminedError:
-        # an undetermined charpoly or prediction: nothing is checked
-        _emit(dumps(body), args.output)
-        return UNDETERMINED
+    except UndeterminedError:  # an undetermined charpoly or prediction: nothing is checked
+        status = UNDETERMINED
     except NonConvergenceError as exc:
         raise _Failed(exc, CHECK_FAILED) from None
     except LoopDegeneracyError as exc:
         body["braid"] = {"error": str(exc)}
-        _emit(dumps(body), args.output)
-        return LOOP_FAILED
+        status = LOOP_FAILED
     _emit(dumps(body), args.output)
     return status
 

@@ -15,7 +15,7 @@ constructor, which takes any exact rationals, and every ring operation,
 which works on the integers alone and forms no Fraction.  The radical part
 is needed by a handful of physical models whose degeneracy conditions live
 off the rationals (golden-ratio couplings, 1/sqrt(2) hoppings); everything
-else stays in plain Q(i), for which the arithmetic below short-circuits.
+else stays in plain Q(i), where the same formulas run with a zero surd part.
 
 Zero testing and equality are exact: a + b*sqrt(m) with rational a, b and
 square-free m >= 2 vanishes iff a = b = 0.  This is what makes "this
@@ -54,8 +54,9 @@ class _Frozen:
     """Base of the immutable value types: a subclass lists its fields in
     ``__slots__``, in order ("__dict__" aside), and sets them in ``__init__``
     with ``_fill``, or ``_set`` on hot paths.  Equality, hashing and repr are
-    over the field tuple, as a frozen dataclass has them; ExactComplex, made
-    only by _canonical, keeps its own and takes just the immutability."""
+    over the field tuple, as a frozen dataclass has them, and copy and pickle
+    restore the fields as stored.  Every value type takes them as they are;
+    ScalarPoly alone adds a hash, since its terms are a dict."""
 
     __slots__ = ()
 
@@ -119,9 +120,6 @@ class ExactComplex(_Frozen):
             raise ValueError(f"radicand must be square-free and >= 2, got {rad}")
         return _canonical(re, im, sre, sim, den, rad)
 
-    def __reduce__(self):  # copy and pickle; the default would set the slots
-        return _canonical, (self.nre, self.nim, self.nsre, self.nsim, self.den, self.rad)
-
     # -- components --------------------------------------------------------
 
     @property
@@ -158,16 +156,6 @@ class ExactComplex(_Frozen):
     def __bool__(self) -> bool:
         return bool(self.nre or self.nim or self.nsre or self.nsim)
 
-    def __eq__(self, other):
-        if other.__class__ is not ExactComplex:
-            return NotImplemented
-        return (self.nre == other.nre and self.nim == other.nim and self.den == other.den
-                and self.nsre == other.nsre and self.nsim == other.nsim
-                and self.rad == other.rad)
-
-    def __hash__(self):
-        return hash((self.nre, self.nim, self.nsre, self.nsim, self.den, self.rad))
-
     def _join_rad(self, other: "ExactComplex") -> int:
         if self.rad and other.rad and self.rad != other.rad:
             raise ValueError(f"mixed radicands {self.rad} and {other.rad}")
@@ -179,9 +167,6 @@ class ExactComplex(_Frozen):
         other = ExactComplex.from_value(other)
         rad = self._join_rad(other)
         d1, d2 = self.den, other.den
-        if d1 == d2:
-            return _canonical(self.nre + other.nre, self.nim + other.nim,
-                              self.nsre + other.nsre, self.nsim + other.nsim, d1, rad)
         return _canonical(self.nre * d2 + other.nre * d1, self.nim * d2 + other.nim * d1,
                           self.nsre * d2 + other.nsre * d1, self.nsim * d2 + other.nsim * d1,
                           d1 * d2, rad)
@@ -199,11 +184,8 @@ class ExactComplex(_Frozen):
 
     def __mul__(self, other):
         other = ExactComplex.from_value(other)
-        a, b, e, f = self.nre, self.nim, other.nre, other.nim
-        # fast path: both plain Gaussian rationals
-        if not (self.rad or other.rad):
-            return _canonical(a * e - b * f, a * f + b * e, 0, 0, self.den * other.den, 0)
         m = self._join_rad(other)
+        a, b, e, f = self.nre, self.nim, other.nre, other.nim
         c, d, g, h = self.nsre, self.nsim, other.nsre, other.nsim
         # (a+bi + (c+di)r)(e+fi + (g+hi)r),  r^2 = m
         return _canonical(a * e - b * f + m * (c * g - d * h),
@@ -220,13 +202,10 @@ class ExactComplex(_Frozen):
     def inverse(self) -> "ExactComplex":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        a, b, den = self.nre, self.nim, self.den
-        if not self.rad:
-            return _canonical(den * a, -den * b, 0, 0, a * a + b * b, 0)
         # x = (g + h sqrt(m)) / den with Gaussian integers g = a+bi, h = c+di:
         # 1/x = den (g - h sqrt(m)) conj(N) / |N|^2 with N = g^2 - m h^2 = p+qi,
-        # nonzero because sqrt(m) is not in Q(i)
-        c, d, m = self.nsre, self.nsim, self.rad
+        # nonzero because x is and sqrt(m) is not in Q(i); m = 0 in plain Q(i)
+        a, b, c, d, m, den = self.nre, self.nim, self.nsre, self.nsim, self.rad, self.den
         p = a * a - b * b - m * (c * c - d * d)
         q = 2 * (a * b - m * c * d)
         return _canonical(den * (a * p + b * q), den * (b * p - a * q),
@@ -268,12 +247,11 @@ _SET = tuple(ExactComplex.__dict__[name].__set__ for name in ExactComplex.__slot
 
 def _canonical(nre: int, nim: int, nsre: int, nsim: int, den: int, rad: int) -> ExactComplex:
     """(nre + nim*i + (nsre + nsim*i) sqrt(rad)) / den in canonical form, for
-    integers with den != 0 and rad square-free whenever the surd part is not
-    zero: divided by the gcd of all five, den > 0, and rad = 0 exactly when
-    nsre = nsim = 0.  The one place an ExactComplex is made."""
+    integers with den > 0 and rad square-free whenever the surd part is not
+    zero: divided by the gcd of all five, and rad = 0 exactly when
+    nsre = nsim = 0.  The one place an ExactComplex is built from integers;
+    copy and pickle restore one in this form."""
     if den != 1:
-        if den < 0:
-            nre, nim, nsre, nsim, den = -nre, -nim, -nsre, -nsim, -den
         g = gcd(nre, nim, nsre, nsim, den)
         if g != 1:
             nre, nim, nsre, nsim, den = nre // g, nim // g, nsre // g, nsim // g, den // g

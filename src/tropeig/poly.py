@@ -137,13 +137,6 @@ class ScalarPoly(_Frozen):
     def coefficient(self, exp: int) -> ExactComplex:
         return self.terms.get(exp, ExactComplex())
 
-    # direct, without _Frozen's field tuples: Family.deflation groups block
-    # charpolys by equality, and braid_loop compares them
-    def __eq__(self, other):
-        if other.__class__ is not ScalarPoly:
-            return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
-
     def __hash__(self):  # terms is a dict, so the field-tuple hash would fail
         return hash((frozenset(self.terms.items()), self.trunc))
 

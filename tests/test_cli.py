@@ -697,6 +697,20 @@ class TestTinyInputsFailFast:
         assert code == 1 and out == ""
         assert err == "error: --param: a number with exponent 3000000 has more than 4300 digits\n"
 
+    @pytest.mark.parametrize("argv, degree", [
+        (["analyze", "--matrix", {"entries": [[[{"exp": 10 ** 12, "re": "1"}]]]}], 10 ** 12),
+        (["verify", "--example", "torus_knot", "--param", "p=2", "--param", f"q={10 ** 12}"],
+         10 ** 12),
+    ])
+    def test_huge_t_degree(self, tmp_path, capsys, argv, degree):
+        # packing the charpoly at 2^bits per power of t would need terabytes
+        argv = [write(tmp_path, "m.json", a) if isinstance(a, dict) else a for a in argv]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: charpoly of t-degree up to {degree} is too large: ")
+
     def test_numeric_entry_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text('{"entries": [[0, 1], [0, 1' + "0" * 400 + "]]}")

@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference import RefComplex, invert_matrix, rescale_t
 from tropeig.exact import EC_I, EC_ONE, ExactComplex, ec
@@ -98,6 +98,10 @@ class TestExactComplexAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(scalar_pairs())
+    # a sum over one denominator, a Gaussian product over one, a Gaussian inverse
+    @example((ec(Fraction(1, 6)), ec(Fraction(1, 6))))
+    @example((ec(Fraction(1, 3), Fraction(2, 3)), ec(Fraction(2, 3), Fraction(-1, 3))))
+    @example((ec(1), ec(Fraction(3, 2), 2)))
     def test_field_operations(self, pair):
         a, b = pair
         ra, rb = RefComplex.of(a), RefComplex.of(b)
@@ -120,8 +124,9 @@ class TestExactComplexAgainstReference:
         _assert_canonical(a)
         again = ExactComplex(a.re, a.im, a.sre, a.sim, a.rad)
         assert again == a and hash(again) == hash(a)
-        assert (again.nre, again.nim, again.nsre, again.nsim, again.den, again.rad) == \
-            (a.nre, a.nim, a.nsre, a.nsim, a.den, a.rad)
+        six = (a.nre, a.nim, a.nsre, a.nsim, a.den, a.rad)
+        assert (again.nre, again.nim, again.nsre, again.nsim, again.den, again.rad) == six
+        assert hash(a) == hash(six)  # as the README states
         assert (a == b) == (RefComplex.of(a) == RefComplex.of(b))
         assert a + b - b == a and hash(a + b - b) == hash(a)
 
@@ -151,6 +156,18 @@ class TestExactComplexAgainstReference:
         assert z == ec(Fraction(1, 2), 3) and z != Fraction(1, 2) and z != 0
         w = ExactComplex(1, Fraction(2, 3), Fraction(-1, 6), 1, 7)
         assert copy.copy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+    # (1/2 - 3i) + (1/6 + i) sqrt(7), pickled when ExactComplex rebuilt itself
+    # through _canonical: such bytes must keep loading
+    CANONICAL_PICKLE = (b"\x80\x04\x954\x00\x00\x00\x00\x00\x00\x00\x8c\rtropeig.exact"
+                        b"\x94\x8c\n_canonical\x94\x93\x94(K\x03J\xee\xff\xff\xffK\x01K\x06"
+                        b"K\x06K\x07t\x94R\x94.")
+
+    def test_canonical_pickle_still_loads(self):
+        z = ExactComplex(Fraction(1, 2), -3, Fraction(1, 6), 1, 7)
+        old = pickle.loads(self.CANONICAL_PICKLE)
+        assert old.__class__ is ExactComplex and old == z and hash(old) == hash(z)
+        assert (old.nre, old.nim, old.nsre, old.nsim, old.den, old.rad) == (3, -18, 1, 6, 6, 7)
 
     def test_mixed_radicands_raise(self):
         r2, r5 = ExactComplex.radical(2, 1), ExactComplex.radical(5, Fraction(1, 3))
