@@ -153,7 +153,7 @@ class CharPoly(_Frozen):
 
 def charpoly_traces(m: PolyMatrix) -> CharPoly:
     """Characteristic polynomial via power sums and Newton's identities."""
-    rows, rad, den, bits, orders = _to_kernel(m)
+    rows, rad, den, bits, orders = _to_kernel(m, powers=True)
     n = len(rows)
     h = (n + 1) // 2
     powers = [None, rows]  # powers[k] = M^k for k <= h
@@ -190,7 +190,7 @@ def _berkowitz(rows, rad) -> list:
     Indices stay absolute and v keeps only its nonzeros, as (row, entry)
     pairs.  The column lists hold the rows of the trailing block only, row i
     joining them once level i is done, so A v is v's row product (_row_times)
-    with them, with no filter."""
+    with them, with no filter.  A level stops once v or r is empty."""
     n = len(rows)
     one = (1, 0, 0, 0) if rad else (1, 0, 1)
     cols = [[] for _ in range(n)]  # cols[c]: the (row, entry) pairs of rows below i
@@ -206,8 +206,7 @@ def _berkowitz(rows, rad) -> list:
         items = [one, top]
         v = cols[i]  # A[i+1:, i]
         for k in range(2, size + 1):
-            if not v:
-                items += [None] * (size + 1 - k)
+            if not (v and r):
                 break
             items.append(_dot([(x, r[c]) for c, x in v if c in r], rad))
             if k < size:
@@ -279,10 +278,11 @@ _PLAIN = 32  # terms or digits that _pack and _unpack handle in one plain loop
 _MAX_BITS = 1 << 30  # the widest packed charpoly _to_kernel accepts, 128 MiB
 
 
-def _to_kernel(m: PolyMatrix):
+def _to_kernel(m: PolyMatrix, powers: bool = False):
     """(rows, rad, den, bits, orders): the known terms of den * M packed at
     2^bits, each row the list of its nonzero (column, entry) pairs in column
-    order, and the truncation order of each a_k, None where exact."""
+    order, and the truncation order of each a_k, None where exact; with
+    ``powers`` the size check covers charpoly_traces's powers M^k."""
     dens, rads, diag, off = {1}, set(), [], []  # diag, off: orders on and off the diagonal
     nonzero = [[] for _ in m.rows]
     for i, row in enumerate(m.rows):
@@ -303,7 +303,7 @@ def _to_kernel(m: PolyMatrix):
     w = isqrt(rad) + 1  # w^2 > rad keeps the norm submultiplicative
     # each term scaled by den, and rho_i, the 2-norm of row i's entry norms
     # rounded up, summed for their mean, rounded up (see the module docstring)
-    n, total, degree, sparse = m.n, 0, 0, []
+    n, total, degree, widest, sparse = m.n, 0, 0, 0, []
     for row in nonzero:
         out, square, top = [], 0, 0  # top: the row's t-degree
         for j, p in row:
@@ -321,13 +321,16 @@ def _to_kernel(m: PolyMatrix):
         root = isqrt(square)
         total += root + (root * root < square)
         degree += top
+        widest = max(widest, top)
         sparse.append(out)
     rho = -(-total // n)
     bound = n * max(comb(n, k) * rho ** k for k in range(n + 1))
     bits = bound.bit_length() + 2
-    if bits * (degree + 1) > _MAX_BITS:  # the charpoly's t-degree is at most degree
-        raise ValueError(f"charpoly of t-degree up to {degree} is too large: packing it "
-                         f"needs {bits * (degree + 1)} bits, more than 2^30")
+    # t-degrees: the charpoly's <= degree, M^k's <= k * widest, tr(M^n)'s <= n * widest
+    reach = n * widest if powers else degree
+    if bits * (reach + 1) > _MAX_BITS:
+        raise ValueError(f"{'power sum' if powers else 'charpoly'} of t-degree up to {reach} is "
+                         f"too large: packing it needs {bits * (reach + 1)} bits, more than 2^30")
     rows = [[(j, _pack(terms, bits)) for j, terms in row] for row in sparse]
     orders = [None, min(diag, default=None)] + [min(diag + off, default=None)] * (n - 1)
     return rows, rad, den, bits, orders

@@ -296,11 +296,6 @@ def _assign(cost: Sequence[Sequence[float]]) -> list[int]:
     return order
 
 
-def _match(prev: Sequence[complex], new: Sequence[complex]) -> list[int]:
-    """Indices m with new[m[i]] continuing prev[i], min total displacement."""
-    return _assign([[abs(p - q) for q in new] for p in prev])
-
-
 # not called here; stays importable because the benchmark's tracer looks it
 # up by name (perfbench/layers.py)
 def track_eigenvalues(eig_fn, params: Sequence[complex]):
@@ -310,7 +305,7 @@ def track_eigenvalues(eig_fn, params: Sequence[complex]):
     tracks = [first]
     for t in params[1:]:
         new = eig_fn(t)
-        order = _match(tracks[-1], new)
+        order = _assign([[abs(p - q) for q in new] for p in tracks[-1]])
         tracks.append([new[j] for j in order])
     return tracks
 
@@ -732,7 +727,7 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     those stand nearly still.  |w^omega| = 1, so the frame keeps every
     distance, spacing and modulus the rules read, and any omega would give
     the same braid; at the end e^(2*pi*i*omega) * nu is mu again, and that
-    is what is matched against the start.
+    closes on the starting roots by the rule each step is accepted by.
 
     Each step is sized from the velocities of the roots (see _loop_step): at
     most 2*pi/8, and short enough that no root moves, to first order, more
@@ -748,13 +743,14 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     Raises LoopDegeneracyError when a scaled coefficient, or a bound of its
     Horner sums on the loop, overflows at the radius eps0, when two
     eigenvalues approach each other below 1e-3 of the larger of their
-    moduli, when a velocity is not finite, or when a step
-    would have to be shorter than that; flat zero modes, which coincide
-    exactly, do not count as approaching, and when every eigenvalue is one
-    the braid is the identity.  Raises ValueError unless steps >= 1 and
-    eps0 is finite and positive, then UndeterminedError when a charpoly
-    coefficient is undetermined, then ValueError when a term of one is
-    beyond the range of floats (_float_tables).
+    moduli, when a velocity is not finite, when a step would have to be
+    shorter than that, or when the end does not close on the start by the
+    step rule; flat zero modes, which coincide exactly, do not count as
+    approaching, and when every eigenvalue is one the braid is the identity.
+    Raises ValueError unless steps >= 1 and eps0 is finite and positive,
+    then UndeterminedError when a charpoly coefficient is undetermined, then
+    ValueError when a term of one is beyond the range of floats
+    (_float_tables).
 
     With repeated blocks (Family.deflation) the loop runs on the charpoly of
     one copy of each, and for each factor f of m blocks the permutation gains
@@ -773,7 +769,7 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
 
 
 def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
-    """braid_loop's loop on the charpoly cp."""
+    """braid_loop's loop on the charpoly cp, closed by its step rule or refused."""
     zeros, floats = _float_tables(cp)
     scale, q, turn, tables = _loop_tables(floats, eps0)
     dtables = [[(k, k * c / q) for k, c in table if k] for table in tables]
@@ -787,11 +783,10 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
     first = moving + flat
     places = sorted(range(len(first)), key=lambda i: (round((scale * first[i]).real, 12),
                                                       round((scale * first[i]).imag, 12)))
-    start = [first[i] for i in places]
-    # indices into start of the roots that move; the rest are flat zeros
+    # the places, in that order, of the roots that move; the rest are flat zeros
     slots = [k for k, i in enumerate(places) if i < len(moving)]
-    current = [start[k] for k in slots]
-    spacing = _spacings(current, zeros)
+    origin = current = [moving[places[k]] for k in slots]
+    origin_spacing = spacing = _spacings(current, zeros)
     _check_separated(current, spacing)
 
     while phi < full_turn:
@@ -807,7 +802,7 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
             new_spacing = _spacings(new, zeros)
             _check_separated(new, new_spacing)
             # A step is safe when the assignment of least total displacement
-            # (_match over all roots, flat zeros included) moves each root by
+            # (over all roots, flat zeros included) moves each root by
             # at most 0.45*sep of its target, where sep(w) is the distance
             # from the new root w to the nearest other new root, flat zeros
             # included.  _nearest_within accepts exactly those steps, with
@@ -836,9 +831,11 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
         spacing = [new_spacing[j] for j in order]
         phi, u, coeffs = phi_to, u_to, coeffs_to
 
-    # end[i], turned back from nu to mu, should coincide with start[sigma(i)]
-    end = list(start)
-    for k, z in zip(slots, current):
-        end[k] = turn * z
-    sigma = _match(end, start)
+    # turned back from nu to mu; the flat zeros close on themselves
+    order = _nearest_within([turn * z for z in current], origin, origin_spacing)
+    if order is None:
+        raise LoopDegeneracyError("the loop does not close on its starting eigenvalues")
+    sigma = list(range(len(first)))
+    for k, j in zip(slots, order):
+        sigma[k] = slots[j]
     return BraidPermutation(tuple(sigma))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -376,6 +377,20 @@ class TestPackedKernel:
         m = _dense_gaussian(rng, 12)
         assert _to_kernel(m)[3] <= 80 < _row_sum_bits(m)
 
+    def test_traces_refuse_powers_wider_than_the_charpoly(self):
+        # a 64-site two-way chain of ones with one t^200000 entry: its charpoly
+        # packs within 2^30 bits, but the power sums charpoly_traces forms
+        # reach t-degree 64 * 200000 and would not
+        n = 64
+        m = PolyMatrix([[ScalarPoly.monomial(200000, ec(1)) if (i, j) == (0, 1)
+                         else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
+        _to_kernel(m)  # charpoly_direct expands it
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^power sum of t-degree up to 12800000 is too "
+                                             "large: .* more than 2\\^30$"):
+            charpoly_traces(m)
+        assert time.perf_counter() - start < 0.5
+
 
 class _Counted(int):
     """An int that counts the big-int products it takes part in; a product
@@ -577,6 +592,27 @@ class TestSparseStructures:
         L = 256
         charpoly_direct(hatano_nelson(L, "unidirectional").matrix)
         assert 0 < calls <= 4 * L
+
+    def test_one_way_blocks_stop_the_walk_at_an_empty_border(self, monkeypatch):
+        """A deterministic work guard: HN OBC is L/2 EP2 blocks coupled one
+        way, and Berkowitz stops walking v = A^k c at a level whose bordering
+        row has no entry right of the diagonal, as no item can be nonzero
+        there (3,489 _dot calls at L = 32 when the walk went on)."""
+        calls = 0
+        dot = charpoly_module._dot
+
+        def counting_dot(pairs, rad):
+            nonlocal calls
+            calls += 1
+            return dot(pairs, rad)
+
+        monkeypatch.setattr(charpoly_module, "_dot", counting_dot)
+        L = 32
+        t = ScalarPoly.t()
+        ep2 = [1, 0, -(t.scale(2) + t * t)]  # lambda^2 - 2t - t^2
+        assert charpoly_direct(hatano_nelson(L, "obc").matrix) == _lambda_product(
+            *[ep2] * (L // 2))
+        assert calls == 1904
 
 
 class TestSympyOracle:

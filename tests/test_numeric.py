@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,14 +14,15 @@ from reference import (cardano_roots, charpoly_roots, dense_eigenvalues, numeric
                        pairwise_separation, reference_aberth_roots, reference_spacings)
 from tropeig import numeric
 from tropeig.charpoly import CharPoly, PolyMatrix, _blocks, charpoly_direct, charpoly_traces
+from tropeig.cli import main
 from tropeig.exact import ExactComplex
 from tropeig.jordan import catalog_families, weyr_structure
 from tropeig.models import (build_example, cavity_dynamical, default_families, hatano_nelson,
                             torus_knot)
 from tropeig.numeric import (BRAID_HALVINGS, CHECK_DECADES, BraidPermutation,
                              LoopDegeneracyError, NonConvergenceError, UndeterminedError,
-                             _check_separated, _float_tables, _loop_step, _loop_tables,
-                             _match, _nearest_within, _scaled_polynomial, _spacings,
+                             _assign, _check_separated, _float_tables, _loop_step,
+                             _loop_tables, _nearest_within, _scaled_polynomial, _spacings,
                              aberth_roots, braid_loop, fit_exponents)
 from tropeig.poly import ScalarPoly, horner_table
 from tropeig.tropical import Family, SplittingReport, TropicalRoot, tropical_roots
@@ -37,6 +39,16 @@ def matched_rel_err(a, b):
 def optimal_cost(cost):
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum()), [int(c) for c in cols]
+
+
+def displacements(prev, new):
+    return np.abs(np.subtract.outer(np.asarray(prev), np.asarray(new)))
+
+
+def least_displacement(prev, new):
+    """scipy's indices m with new[m[i]] continuing prev[i], of least total
+    displacement."""
+    return optimal_cost(displacements(prev, new))[1]
 
 
 def unique_optimum(cost, order):
@@ -170,8 +182,8 @@ class TestMatch:
     @given(point_pairs())
     def test_minimum_displacement_against_scipy(self, pair):
         prev, new = pair
-        cost = np.abs(np.subtract.outer(np.asarray(prev), np.asarray(new)))
-        order = _match(prev, new)
+        cost = displacements(prev, new)
+        order = _assign(cost.tolist())
         best, ref = optimal_cost(cost)
         assert sorted(order) == list(range(len(prev)))
         assert float(cost[range(len(prev)), order].sum()) == pytest.approx(best, rel=1e-12,
@@ -183,15 +195,15 @@ class TestMatch:
     @given(point_pairs(zeros=2))
     def test_duplicate_zeros_give_a_permutation(self, pair):
         prev, new = pair
-        cost = np.abs(np.subtract.outer(np.asarray(prev), np.asarray(new)))
-        order = _match(prev, new)
+        cost = displacements(prev, new)
+        order = _assign(cost.tolist())
         assert sorted(order) == list(range(len(prev)))
         assert float(cost[range(len(prev)), order].sum()) == pytest.approx(
             optimal_cost(cost)[0], rel=1e-12, abs=1e-12)
 
     def test_nonfinite_displacement_raises(self):
         with pytest.raises(ValueError):
-            _match([0j, complex("nan")], [0j, 1j])
+            _assign(displacements([0j, complex("nan")], [0j, 1j]).tolist())
 
 
 def spacing(points, j):
@@ -238,7 +250,7 @@ class TestNearestWithin:
         prev, new, zeros = step
         flat = [0j] * zeros
         targets = new + flat
-        order = _match(prev + flat, targets)
+        order = least_displacement(prev + flat, targets)
         accept = all(abs(p - targets[j]) <= 0.45 * spacing(targets, j)
                      for p, j in zip(prev + flat, order))
         assert nearest_within(prev, new, zeros) == (order[:len(prev)] if accept else None)
@@ -875,6 +887,27 @@ class TestBraid:
         with pytest.raises(LoopDegeneracyError):
             braid_loop(charpoly_only(hatano_nelson(4, "obc")), eps0=1e-4, steps=16)
 
+    def test_loop_that_does_not_close_is_refused(self, monkeypatch, capsys):
+        # the step rule refuses only its last call, the loop's close
+        original, calls, close = numeric._nearest_within, [], None
+
+        def step_rule(*args):
+            calls.append(args)
+            return None if len(calls) == close else original(*args)
+        monkeypatch.setattr(numeric, "_nearest_within", step_rule)
+        fam = build_example("cavity_d12")
+        assert not fam.deflation[1]  # one loop
+        braid_loop(fam)
+        close = len(calls)
+        reason = "the loop does not close on its starting eigenvalues"
+        calls.clear()
+        with pytest.raises(LoopDegeneracyError, match=f"^{reason}$"):
+            braid_loop(fam)
+        calls.clear()
+        assert main(["verify", "--example", "cavity_d12", "--braid"]) == 3
+        assert json.loads(capsys.readouterr().out)["braid"] == {"error": reason}
+        assert len(calls) == close
+
     def test_all_flat_braid_is_the_identity(self, catalogs):
         # no root moves: 2 and 3 flat zeros, which coincide but do not approach
         for n, name in ((2, "H[1,1] unlifting"), (3, "H[1,1,1] p=q=0")):
@@ -1019,13 +1052,13 @@ def least_slope(cp, moving):
 def reference_braid_loop(family, eps0, steps):
     """braid_loop's specification without its shortcuts: Newton-polygon
     guesses on every solve of the loop's scaled polynomial, every root
-    continued, and the Hungarian _match on every step.  The polynomial is
-    p(scale*mu, eps0*w) / scale^n' in the fixed frame w = e^(i*phi), its
-    tables built here from _scaled_polynomial at the least slope, not by
-    _loop_tables.  A step is accepted when each root moves by at most 0.45
-    of its target's spacing, and the loop is refused when two eigenvalues
-    lie closer than 1e-3 of the larger of their moduli
-    (pairwise_separation)."""
+    continued, and scipy's least-displacement assignment on every step and
+    at the close.  The polynomial is p(scale*mu, eps0*w) / scale^n' in the
+    fixed frame w = e^(i*phi), its tables built here from _scaled_polynomial
+    at the least slope, not by _loop_tables.  A step is accepted when each
+    root moves by at most 0.45 of its target's spacing, and the loop is
+    refused when two eigenvalues lie closer than 1e-3 of the larger of their
+    moduli (pairwise_separation)."""
     zeros, floats = _float_tables(family.charpoly)
     omega = least_slope(family.charpoly, len(floats) - 1)
     scale = eps0 ** float(omega)
@@ -1053,7 +1086,7 @@ def reference_braid_loop(family, eps0, steps):
     def advance(cur, phi_from, phi_to, depth):
         new = eig_fn(phi_to)
         pair_check(new)
-        order = _match(cur, new)
+        order = least_displacement(cur, new)
         if any(abs(c - new[j]) > 0.45 * spacing(new, j) for c, j in zip(cur, order)):
             if depth >= BRAID_HALVINGS:
                 raise LoopDegeneracyError("continuation ambiguous after max halving")
@@ -1064,7 +1097,7 @@ def reference_braid_loop(family, eps0, steps):
 
     for phi_from, phi_to in zip(phis, phis[1:]):
         current = advance(current, phi_from, phi_to, 0)
-    return BraidPermutation(tuple(_match(current, start)))
+    return BraidPermutation(tuple(least_displacement(current, start)))
 
 
 def charpoly_only(fam):
@@ -1098,8 +1131,8 @@ class TestBraidAgainstReference:
     @staticmethod
     def counted(monkeypatch, fn, *args):
         """(BraidPermutation or (exception type, message), aberth_roots
-        calls, _match calls) of one call."""
-        calls = {"aberth_roots": 0, "_match": 0}
+        calls, _assign calls) of one call."""
+        calls = {"aberth_roots": 0, "_assign": 0}
         for name in calls:
             original = getattr(numeric, name)
 
@@ -1112,7 +1145,7 @@ class TestBraidAgainstReference:
         except (LoopDegeneracyError, NonConvergenceError) as exc:
             outcome = (type(exc), str(exc))
         monkeypatch.undo()
-        return outcome, calls["aberth_roots"], calls["_match"]
+        return outcome, calls["aberth_roots"], calls["_assign"]
 
     @pytest.mark.parametrize("group, eps0, steps", [
         ("verify", 1e-6, 96), ("catalog seed 1", 1e-3, 64), ("catalog seed 2", 1e-3, 64),
@@ -1121,7 +1154,8 @@ class TestBraidAgainstReference:
     def test_same_braids_with_one_match_and_the_same_solves(self, monkeypatch, group,
                                                              eps0, steps):
         # the reference takes fixed steps of 2*pi/steps; velocity-sized steps
-        # reach the same outcome with no more solves
+        # reach the same outcome with no more solves, and no loop runs an
+        # assignment solver
         if group == "verify":
             fams = _verify_families()
             assert len(fams) == 48
@@ -1133,20 +1167,18 @@ class TestBraidAgainstReference:
             want, ref_solves, _ = self.counted(monkeypatch, reference_braid_loop, fam, eps0,
                                                steps)
             got, solves, matches = self.counted(monkeypatch, braid_loop, fam, eps0, steps)
-            cp, factors = fam.deflation
-            if factors:
+            assert matches == 0, fam.name
+            if fam.deflation[1]:
                 # the full charpoly's repeated roots refuse the reference; the
-                # blocks braid one by one, and each distinct loop closes once
+                # blocks braid one by one
                 assert isinstance(want, tuple), fam.name
                 assert got.cycle_lengths == reference_block_cycles(fam, eps0, steps), fam.name
-                assert matches == 1 + sum(f != cp for f, _ in factors), fam.name
                 deflated += 1
                 continue
             assert got == want, fam.name
             assert solves <= ref_solves, fam.name
             total_solves += solves
             if isinstance(got, BraidPermutation):
-                assert matches == 1, fam.name
                 flat_braids += fam.charpoly.trailing_zero_count() > 0
         assert flat_braids >= 3  # families with flat modes braid, not only fail
         if group == "verify":
