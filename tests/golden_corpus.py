@@ -9,8 +9,11 @@ it also checks an installation without the test dependencies:
     python tests/golden_corpus.py --check
 
 prints each case whose exit code, stdout or plot file differs and exits 1
-if any does.  After an intended output change, rewrite the CLI corpus and
-the demo outputs under ``tests/golden/demos`` with
+if any does.  It also compares ``braid_loop``'s outcome on a fixed family
+corpus (braid_families) at each of BRAID_SETTINGS, the permutation or the
+error raised, with ``tests/golden/braid_outcomes.json``.  After an
+intended output change, rewrite the CLI corpus, the demo outputs under
+``tests/golden/demos`` and the braid outcomes with
 
     PYTHONPATH=src python tests/golden_corpus.py --regenerate
 
@@ -27,6 +30,9 @@ import tempfile
 from pathlib import Path
 
 from tropeig.cli import main
+from tropeig.jordan import catalog_families
+from tropeig.models import default_families, hatano_nelson, torus_knot
+from tropeig.numeric import LoopDegeneracyError, NonConvergenceError, braid_loop
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -34,6 +40,9 @@ OUTPUTS = GOLDEN / "cli"
 EXIT_CODES = OUTPUTS / "exit_codes.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_OUTPUTS = GOLDEN / "demos"
+BRAID_OUTCOMES = GOLDEN / "braid_outcomes.json"
+# (eps0, steps) of each braid loop in the braid-outcome corpus
+BRAID_SETTINGS = [(1e-6, 96), (1e-3, 64), (1e-2, 32), (0.5, 16)]
 
 EXAMPLE_PARAMS = {
     "hatano_nelson": ["--param", "L=5", "--param", "regime=unidirectional"],
@@ -169,6 +178,50 @@ def mismatches(case, tmp):
     return bad
 
 
+def braid_families():
+    """(label, family) pairs of the braid-outcome corpus, labels unique:
+    catalog seeds 0-11 at n = 2..4, the default families, Hatano-Nelson L =
+    2..16, 24 and 32 in both regimes, and the torus knots p = 2..5, q =
+    1..11."""
+    for seed in range(12):
+        for n in (2, 3, 4):
+            for fam in catalog_families(n, seed):
+                yield f"catalog seed {seed}: {fam.name}", fam
+    for fam in default_families():
+        yield f"default: {fam.name}", fam
+    for L in [*range(2, 17), 24, 32]:
+        for regime in ("obc", "unidirectional"):
+            fam = hatano_nelson(L, regime)
+            yield fam.name, fam
+    for p in range(2, 6):
+        for q in range(1, 12):
+            fam = torus_knot(p, q)
+            yield fam.name, fam
+
+
+def braid_outcome(family, eps0, steps):
+    """braid_loop's permutation, or "<error type>: <message>" when it refuses."""
+    try:
+        return list(braid_loop(family, eps0, steps).permutation)
+    except (LoopDegeneracyError, NonConvergenceError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def braid_outcomes():
+    """{label: [braid_outcome at each of BRAID_SETTINGS]} over braid_families."""
+    return {label: [braid_outcome(fam, eps0, steps) for eps0, steps in BRAID_SETTINGS]
+            for label, fam in braid_families()}
+
+
+def braid_mismatches():
+    """The labels whose braid outcomes differ from, or are missing in, the
+    golden file, and those only the file holds."""
+    want = json.loads(BRAID_OUTCOMES.read_text())
+    got = braid_outcomes()
+    return sorted(label for label in want.keys() | got.keys()
+                  if want.get(label) != got.get(label))
+
+
 def run_demo(path: Path) -> bytes:
     """Stdout of one demo script, run in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -185,7 +238,12 @@ def check() -> int:
                 failed += 1
                 print(f"{case}: differs in {', '.join(bad)}")
     print(f"{len(CASES) - failed} of {len(CASES)} cases match")
-    return 1 if failed else 0
+    braids = braid_mismatches()
+    for label in braids:
+        print(f"braid {label}: differs in its outcomes")
+    total = len(json.loads(BRAID_OUTCOMES.read_text()))
+    print(f"{total - len(braids)} of {total} braid families match")
+    return 1 if failed or braids else 0
 
 
 def regenerate():
@@ -198,6 +256,10 @@ def regenerate():
             for suffix, data in artifacts.items():
                 (OUTPUTS / f"{case}.{suffix}").write_bytes(data)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    # one family per line, so a diff names the families whose braid changed
+    lines = [f"  {json.dumps(label)}: {json.dumps(outcomes)}"
+             for label, outcomes in braid_outcomes().items()]
+    BRAID_OUTCOMES.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     DEMO_OUTPUTS.mkdir(parents=True, exist_ok=True)
     for demo in DEMOS:
         (DEMO_OUTPUTS / f"{demo.stem}.out").write_bytes(run_demo(demo))

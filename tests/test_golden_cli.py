@@ -1,8 +1,9 @@
 """Byte-exact CLI outputs on the fixed corpus of ``golden_corpus.py``.
 
-Each case's exit code, stdout and plot files must equal its golden files.
-After an intended output change, regenerate them (and the demo outputs,
-see test_demos.py) with
+Each case's exit code, stdout and plot files must equal its golden files,
+and braid_loop's outcomes on the braid corpus must equal
+``golden/braid_outcomes.json``.  After an intended output change,
+regenerate them (and the demo outputs, see test_demos.py) with
 
     PYTHONPATH=src python tests/golden_corpus.py --regenerate
 
@@ -13,12 +14,24 @@ import json
 
 import pytest
 
-from golden_corpus import CASES, EXAMPLES, OUTPUTS, PARTITIONS, mismatches
+from golden_corpus import (BRAID_OUTCOMES, CASES, EXAMPLES, OUTPUTS, PARTITIONS,
+                           braid_families, braid_mismatches, mismatches)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path):
     assert mismatches(case, tmp_path) == []
+
+
+def test_braid_outcomes_match_golden():
+    assert braid_mismatches() == []
+
+
+def test_braid_corpus_size():
+    # 498 families at four (eps0, steps) settings; two of the 1,992 loops refuse
+    outcomes = json.loads(BRAID_OUTCOMES.read_text())
+    assert len(outcomes) == len(dict(braid_families())) == 498
+    assert sum(isinstance(o, str) for row in outcomes.values() for o in row) == 2
 
 
 def _reject(constant):
