@@ -42,8 +42,9 @@ branch lambda ~ c * t^omega of the least slope omega turns rigidly as
 w^omega, so the loop continues nu = lambda * w^(-omega) / eps0^omega, in
 which those branches stand nearly still and most steps are the longest
 allowed (see _loop_tables).  Any omega gives the same braid, as |w^omega|
-= 1 keeps every distance the rules read; the closing match turns the roots
-back by e^(2*pi*i*omega).
+= 1 keeps every distance the rules read.  A real charpoly's roots at
+conj(t) are the conjugates of those at t, so its loop walks phi from 0 to pi
+only and reads the mirrored half off the conjugation maps at t = +-eps0.
 Each eigenvalue is measured against its own spacing: a step is sized from
 the roots' velocities so that, to first order, no root moves more than 0.25
 of its spacing; it is accepted if each root moves by up to 0.45 of the
@@ -671,7 +672,7 @@ def _loop_step(coeffs: Sequence[complex], dcoeffs: Sequence[complex],
 
 
 def _loop_tables(floats, eps0: float):
-    """(scale, q, turn, tables) of a braid loop t = eps0 * w, w = e^(i*phi),
+    """(scale, p, q, tables) of a braid loop t = eps0 * w, w = e^(i*phi),
     from the float tables ``floats`` of the moving a_i (_float_tables), in a
     frame that turns with the largest branches.
 
@@ -686,8 +687,7 @@ def _loop_tables(floats, eps0: float):
     rigidly with w and stands nearly still as nu.  Any omega would give the
     same braid: the frame is a continuous change of variable along the loop
     with |w^omega| = 1, so it keeps every distance, spacing and modulus the
-    loop's rules read.  turn = e^(2*pi*i*omega) undoes it at the loop's
-    end, where mu = turn * nu.
+    loop's rules read; at the phase phi it is undone by mu = u^p * nu.
 
     As a_0 = 1 and every x >= 0, no coefficient overflows for eps0 <= 1.  At
     a larger radius the coefficients can be finite while the polynomial's
@@ -709,7 +709,7 @@ def _loop_tables(floats, eps0: float):
         r = max([1.0] + [2 * s ** (1 / i) for i, (s, _) in enumerate(sums) if i])
         bound = sum((k + 1) * (s + d) * r ** k for k, (s, d) in enumerate(reversed(sums)))
         if math.isfinite(bound):
-            return eps0 ** float(omega), q, cmath.exp(2j * math.pi * p / q), tables
+            return eps0 ** float(omega), p, q, tables
     except OverflowError:  # a power, or abs of a complex, too large for a float
         pass
     raise LoopDegeneracyError(f"a scaled coefficient overflows at loop radius eps0={eps0}")
@@ -728,6 +728,13 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
     distance, spacing and modulus the rules read, and any omega would give
     the same braid; at the end e^(2*pi*i*omega) * nu is mu again, and that
     closes on the starting roots by the rule each step is accepted by.
+
+    When every term of the charpoly is real (decided exactly), the roots at
+    conj(t) are the conjugates of those at t, and the loop's second half is
+    its first conjugated and walked back.  The loop then stops at phi = pi,
+    t = -eps0, where mu = e^(i*pi*omega) * nu; with A the half loop and c_0,
+    c_pi the conjugation maps of the roots at t = eps0 and t = -eps0, each
+    read by the step rule, the braid is c_0 . A^-1 . c_pi . A.
 
     Each step is sized from the velocities of the roots (see _loop_step): at
     most 2*pi/8, and short enough that no root moves, to first order, more
@@ -769,13 +776,17 @@ def braid_loop(family: Family, eps0: float = BRAID_EPS0,
 
 
 def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
-    """braid_loop's loop on the charpoly cp, closed by its step rule or refused."""
+    """braid_loop's loop on the charpoly cp, over half the loop when cp is
+    real, closed by its step rule or refused."""
     zeros, floats = _float_tables(cp)
-    scale, q, turn, tables = _loop_tables(floats, eps0)
+    scale, p, q, tables = _loop_tables(floats, eps0)
     dtables = [[(k, k * c / q) for k, c in table if k] for table in tables]
     flat = [0j] * zeros
     full_turn = 2 * math.pi
     floor = full_turn / (steps * 2 ** BRAID_HALVINGS)
+    # decided exactly: every term of every coefficient is real
+    real = not any(c.nim or c.nsim for a in cp.coeffs for c in a.terms.values())
+    end = math.pi if real else full_turn
 
     phi, u = 0.0, 1 + 0j
     coeffs = [horner_table(table, u) for table in tables]
@@ -789,11 +800,11 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
     origin_spacing = spacing = _spacings(current, zeros)
     _check_separated(current, spacing)
 
-    while phi < full_turn:
+    while phi < end:
         dcoeffs = [horner_table(table, u) for table in dtables]
         h = _loop_step(coeffs, dcoeffs, current, spacing, floor)
         while True:
-            phi_to = min(phi + h, full_turn)
+            phi_to = min(phi + h, end)
             if phi_to == phi:
                 raise LoopDegeneracyError("step below the resolution of the loop phase")
             u_to = cmath.exp(1j * phi_to / q)
@@ -832,7 +843,15 @@ def _braid(cp: CharPoly, eps0: float, steps: int) -> BraidPermutation:
         phi, u, coeffs = phi_to, u_to, coeffs_to
 
     # turned back from nu to mu; the flat zeros close on themselves
-    order = _nearest_within([turn * z for z in current], origin, origin_spacing)
+    turn = cmath.exp(1j * end * p / q)
+    ends = [turn * z for z in current]
+    if real:
+        # the second half is the first conjugated and walked back: from
+        # ends[i] it retraces, conjugated, the half walked from origin[j] to
+        # ends[j] = conj(ends[i]), and so ends at conj(origin[j])
+        mirror = _nearest_within([z.conjugate() for z in ends], ends, spacing)
+        ends = None if mirror is None else [origin[j].conjugate() for j in mirror]
+    order = None if ends is None else _nearest_within(ends, origin, origin_spacing)
     if order is None:
         raise LoopDegeneracyError("the loop does not close on its starting eigenvalues")
     sigma = list(range(len(first)))

@@ -132,17 +132,15 @@ class TestFloatTables:
         the exponents q*e - p*i >= 0, and every term no larger than the exact
         coefficient's, so that no power eps0^x is negative."""
         zeros, floats = _float_tables(cp)
-        scale, q, turn, tables = _loop_tables(floats, eps0)
+        scale, p, q, tables = _loop_tables(floats, eps0)
         assert zeros == cp.trailing_zero_count()
         assert len(tables) == cp.n - zeros + 1 and tables[0] == [(0, 1 + 0j)]
         # scale = eps0^omega, omega = min ord(a_i)/i over the moving coefficients
         omega = least_slope(cp, len(tables) - 1)
-        p = omega.numerator
-        assert q == omega.denominator and scale == eps0 ** float(omega)
+        assert (p, q) == (omega.numerator, omega.denominator)
+        assert scale == eps0 ** float(omega)
         u = cmath.exp(1j * phi / q)
         with mpmath.workdps(50):
-            # the closing turn e^(2*pi*i*omega), up to the rounding of its angle
-            assert abs(turn - complex(mpmath.expjpi(2 * mpmath.mpf(p) / q))) <= 1e-14 * (1 + p / q)
             mscale = mpmath.mpf(eps0) ** (mpmath.mpf(p) / q)
             mp_u = mpmath.mpc(u)
             for i, (table, a) in enumerate(zip(tables, cp.coeffs)):
@@ -888,25 +886,75 @@ class TestBraid:
             braid_loop(charpoly_only(hatano_nelson(4, "obc")), eps0=1e-4, steps=16)
 
     def test_loop_that_does_not_close_is_refused(self, monkeypatch, capsys):
-        # the step rule refuses only its last call, the loop's close
+        # the step rule refuses only one call of the loop's close: on a real
+        # charpoly, the conjugation map at t = -eps0 (the second to last call)
+        # or the one at t = eps0 (the last); on a complex one, the turn (the last)
+        for example, refused in (("cavity_d12", "map at -eps0"), ("cavity_d12", "map at eps0"),
+                                 ("circuit_epsilon", "turn")):
+            self.refuse_close(monkeypatch, capsys, example, refused)
+
+    @staticmethod
+    def refuse_close(monkeypatch, capsys, example, refused):
         original, calls, close = numeric._nearest_within, [], None
 
         def step_rule(*args):
             calls.append(args)
             return None if len(calls) == close else original(*args)
         monkeypatch.setattr(numeric, "_nearest_within", step_rule)
-        fam = build_example("cavity_d12")
+        fam = build_example(example)
         assert not fam.deflation[1]  # one loop
         braid_loop(fam)
-        close = len(calls)
+        close = len(calls) - (refused == "map at -eps0")
+        cur, new, _ = calls[close - 1]
+        if refused == "map at -eps0":
+            # the roots at t = -eps0 against their own conjugates
+            assert list(cur) == [z.conjugate() for z in new]
+        else:
+            # the first step continues the start roots; the close maps onto them
+            assert new is calls[0][0]
         reason = "the loop does not close on its starting eigenvalues"
         calls.clear()
         with pytest.raises(LoopDegeneracyError, match=f"^{reason}$"):
             braid_loop(fam)
+        assert len(calls) == close
         calls.clear()
-        assert main(["verify", "--example", "cavity_d12", "--braid"]) == 3
+        assert main(["verify", "--example", example, "--braid"]) == 3
         assert json.loads(capsys.readouterr().out)["braid"] == {"error": reason}
         assert len(calls) == close
+        monkeypatch.undo()
+
+    @staticmethod
+    def last_point(monkeypatch, fam):
+        """(braid, root solves, u of the last solve) of braid_loop on fam."""
+        solves = []
+        original = numeric.aberth_roots
+        monkeypatch.setattr(numeric, "aberth_roots",
+                            lambda coeffs, *a: solves.append(coeffs) or original(coeffs, *a))
+        points = []
+        table = numeric.horner_table
+        monkeypatch.setattr(numeric, "horner_table",
+                            lambda t, u: points.append(u) or table(t, u))
+        braid = braid_loop(fam)
+        monkeypatch.undo()
+        return braid, len(solves), points[-1]
+
+    def test_real_loop_ends_at_minus_eps0(self, monkeypatch):
+        # lambda^2 - t^3 has real coefficients: its loop walks phi from 0 to
+        # pi, the roots nu = +-1 stand still, so four steps of the longest,
+        # 2*pi/8, follow the first solve; the full turn took eight
+        fam = torus_knot(2, 3)
+        braid, solves, u = self.last_point(monkeypatch, fam)
+        assert braid.cycle_lengths == (2,) == fam.expected.predicted_cycle_lengths()
+        assert solves == 1 + 4
+        assert u == cmath.exp(1j * math.pi / 2)  # q = 2
+
+    def test_complex_loop_walks_the_full_turn(self, monkeypatch):
+        fam = build_example("circuit_epsilon")
+        assert any(c.nim or c.nsim for a in fam.charpoly.coeffs for c in a.terms.values())
+        _, q = _loop_tables(_float_tables(fam.charpoly)[1], BRAID_EPS)[1:3]
+        braid, _, u = self.last_point(monkeypatch, fam)
+        assert braid.cycle_lengths == fam.expected.predicted_cycle_lengths()
+        assert u == cmath.exp(2j * math.pi / q)
 
     def test_all_flat_braid_is_the_identity(self, catalogs):
         # no root moves: 2 and 3 flat zeros, which coincide but do not approach
@@ -1183,14 +1231,48 @@ class TestBraidAgainstReference:
         assert flat_braids >= 3  # families with flat modes braid, not only fail
         if group == "verify":
             assert deflated == 3  # hatano_nelson L = 4, 5 and 8, obc
-            # 432 solves; 830 in the fixed frame w, 4,176 with fixed steps
-            assert total_solves <= 450
+            # 245 solves, as real charpolys walk half the loop; 432 over the
+            # full turn, 830 in the fixed frame w, 4,176 with fixed steps
+            assert total_solves == 245
 
     @settings(max_examples=150, deadline=None)
     @given(scaled_charpolys(), st.sampled_from((1e-6, 1e-3, 0.5)))
     def test_turning_frame_braids_as_the_fixed_frame(self, cp, eps0):
         # braid_loop continues nu = mu * w^(-omega), a continuous change of
         # variable along the loop: wherever both loops complete, they agree
+        fam = Family("synthetic", cp, tropical_roots(cp))
+        got = []
+        for loop in (braid_loop, reference_braid_loop):
+            try:
+                got.append(loop(fam, eps0, BRAID_STEPS))
+            except (ValueError, NonConvergenceError, LoopDegeneracyError):
+                return
+        assert got[0] == got[1]
+
+
+@st.composite
+def real_charpolys(draw):
+    """Monic charpolys with 1 to 4 moving roots and 0 to 2 flat zeros,
+    whose coefficients hold up to three real integer terms, some with a
+    sqrt(2) part: the twin of scaled_charpolys that braid_loop walks over
+    half the loop."""
+    n, zeros = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    small = st.integers(-5, 5)
+    surd = draw(st.booleans())
+    coeffs = [draw(st.dictionaries(st.integers(0, 4), st.tuples(small, small if surd
+                                                                 else st.just(0)),
+                                   max_size=3)) for _ in range(n)]
+    return CharPoly([1] + [ScalarPoly({e: ExactComplex(re, 0, sre, 0, 2)
+                                       for e, (re, sre) in a.items()}) for a in coeffs]
+                    + [ScalarPoly.zero()] * zeros)
+
+
+class TestRealLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(real_charpolys(), st.sampled_from((1e-6, 1e-3, 0.1, 0.5)))
+    def test_half_loop_braids_as_the_full_turn(self, cp, eps0):
+        # the second half of the loop mirrors the first: wherever both loops
+        # complete, the half loop and the reference's full turn agree
         fam = Family("synthetic", cp, tropical_roots(cp))
         got = []
         for loop in (braid_loop, reference_braid_loop):
