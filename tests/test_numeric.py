@@ -1025,6 +1025,23 @@ def scaled_charpolys(draw):
                            for a in coeffs])
 
 
+@st.composite
+def real_charpolys(draw):
+    """Monic charpolys with 1 to 4 moving roots and 0 to 2 flat zeros,
+    whose coefficients hold up to three real integer terms, some with a
+    sqrt(2) part: the twin of scaled_charpolys that braid_loop walks over
+    half the loop."""
+    n, zeros = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    small = st.integers(-5, 5)
+    surd = draw(st.booleans())
+    coeffs = [draw(st.dictionaries(st.integers(0, 4), st.tuples(small, small if surd
+                                                                 else st.just(0)),
+                                   max_size=3)) for _ in range(n)]
+    return CharPoly([1] + [ScalarPoly({e: ExactComplex(re, 0, sre, 0, 2)
+                                       for e, (re, sre) in a.items()}) for a in coeffs]
+                    + [ScalarPoly.zero()] * zeros)
+
+
 class TestFloatRange:
     """A coefficient that floats cannot hold is refused, naming a_i, before
     either check samples anything; an undetermined input is refused first."""
@@ -1235,52 +1252,30 @@ class TestBraidAgainstReference:
             # full turn, 830 in the fixed frame w, 4,176 with fixed steps
             assert total_solves == 245
 
+    @staticmethod
+    def agree_where_both_complete(cp, eps0):
+        fam = Family("synthetic", cp, tropical_roots(cp))
+        got = []
+        for loop in (braid_loop, reference_braid_loop):
+            try:
+                got.append(loop(fam, eps0, BRAID_STEPS))
+            except (ValueError, NonConvergenceError, LoopDegeneracyError):
+                return
+        assert got[0] == got[1]
+
     @settings(max_examples=150, deadline=None)
     @given(scaled_charpolys(), st.sampled_from((1e-6, 1e-3, 0.5)))
     def test_turning_frame_braids_as_the_fixed_frame(self, cp, eps0):
         # braid_loop continues nu = mu * w^(-omega), a continuous change of
         # variable along the loop: wherever both loops complete, they agree
-        fam = Family("synthetic", cp, tropical_roots(cp))
-        got = []
-        for loop in (braid_loop, reference_braid_loop):
-            try:
-                got.append(loop(fam, eps0, BRAID_STEPS))
-            except (ValueError, NonConvergenceError, LoopDegeneracyError):
-                return
-        assert got[0] == got[1]
+        self.agree_where_both_complete(cp, eps0)
 
-
-@st.composite
-def real_charpolys(draw):
-    """Monic charpolys with 1 to 4 moving roots and 0 to 2 flat zeros,
-    whose coefficients hold up to three real integer terms, some with a
-    sqrt(2) part: the twin of scaled_charpolys that braid_loop walks over
-    half the loop."""
-    n, zeros = draw(st.integers(1, 4)), draw(st.integers(0, 2))
-    small = st.integers(-5, 5)
-    surd = draw(st.booleans())
-    coeffs = [draw(st.dictionaries(st.integers(0, 4), st.tuples(small, small if surd
-                                                                 else st.just(0)),
-                                   max_size=3)) for _ in range(n)]
-    return CharPoly([1] + [ScalarPoly({e: ExactComplex(re, 0, sre, 0, 2)
-                                       for e, (re, sre) in a.items()}) for a in coeffs]
-                    + [ScalarPoly.zero()] * zeros)
-
-
-class TestRealLoop:
     @settings(max_examples=150, deadline=None)
     @given(real_charpolys(), st.sampled_from((1e-6, 1e-3, 0.1, 0.5)))
     def test_half_loop_braids_as_the_full_turn(self, cp, eps0):
-        # the second half of the loop mirrors the first: wherever both loops
+        # a real charpoly's loop mirrors its first half: wherever both loops
         # complete, the half loop and the reference's full turn agree
-        fam = Family("synthetic", cp, tropical_roots(cp))
-        got = []
-        for loop in (braid_loop, reference_braid_loop):
-            try:
-                got.append(loop(fam, eps0, BRAID_STEPS))
-            except (ValueError, NonConvergenceError, LoopDegeneracyError):
-                return
-        assert got[0] == got[1]
+        self.agree_where_both_complete(cp, eps0)
 
 
 class TestNumericOrd:
