@@ -11,9 +11,11 @@ it also checks an installation without the test dependencies:
 prints each case whose exit code, stdout or plot file differs and exits 1
 if any does.  It also compares ``braid_loop``'s outcome on a fixed family
 corpus (braid_families) at each of BRAID_SETTINGS, the permutation or the
-error raised, with ``tests/golden/braid_outcomes.json``.  After an
-intended output change, rewrite the CLI corpus, the demo outputs under
-``tests/golden/demos`` and the braid outcomes with
+error raised, with ``tests/golden/braid_outcomes.json``, and the direction
+each catalog draw takes (catalog_draws) with
+``tests/golden/catalog_draws.json``.  After an intended output change,
+rewrite the CLI corpus, the demo outputs under ``tests/golden/demos``, the
+braid outcomes and the catalog draws with
 
     PYTHONPATH=src python tests/golden_corpus.py --regenerate
 
@@ -41,6 +43,7 @@ EXIT_CODES = OUTPUTS / "exit_codes.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 DEMO_OUTPUTS = GOLDEN / "demos"
 BRAID_OUTCOMES = GOLDEN / "braid_outcomes.json"
+CATALOG_DRAWS = GOLDEN / "catalog_draws.json"
 # (eps0, steps) of each braid loop in the braid-outcome corpus
 BRAID_SETTINGS = [(1e-6, 96), (1e-3, 64), (1e-2, 32), (0.5, 16)]
 
@@ -178,15 +181,27 @@ def mismatches(case, tmp):
     return bad
 
 
-def braid_families():
-    """(label, family) pairs of the braid-outcome corpus, labels unique:
-    catalog seeds 0-11 at n = 2..4, the default families, Hatano-Nelson L =
-    2..16, 24 and 32 in both regimes, and the torus knots p = 2..5, q =
-    1..11."""
+def catalog_seed_families():
+    """(label, family) pairs of the catalog at seeds 0-11 and n = 2..4,
+    labels unique."""
     for seed in range(12):
         for n in (2, 3, 4):
             for fam in catalog_families(n, seed):
                 yield f"catalog seed {seed}: {fam.name}", fam
+
+
+def catalog_draws():
+    """{label: the family's direction, each slope as its exact str} over
+    catalog_seed_families."""
+    return {label: {name: str(v) for name, v in sorted(fam.parameters["direction"].items())}
+            for label, fam in catalog_seed_families()}
+
+
+def braid_families():
+    """(label, family) pairs of the braid-outcome corpus, labels unique:
+    catalog_seed_families, the default families, Hatano-Nelson L = 2..16,
+    24 and 32 in both regimes, and the torus knots p = 2..5, q = 1..11."""
+    yield from catalog_seed_families()
     for fam in default_families():
         yield f"default: {fam.name}", fam
     for L in [*range(2, 17), 24, 32]:
@@ -213,13 +228,27 @@ def braid_outcomes():
             for label, fam in braid_families()}
 
 
-def braid_mismatches():
-    """The labels whose braid outcomes differ from, or are missing in, the
-    golden file, and those only the file holds."""
-    want = json.loads(BRAID_OUTCOMES.read_text())
-    got = braid_outcomes()
+def golden_mismatches(path, got):
+    """The labels whose value in ``got`` differs from, or is missing in, the
+    golden file at ``path``, and those only the file holds."""
+    want = json.loads(path.read_text())
     return sorted(label for label in want.keys() | got.keys()
                   if want.get(label) != got.get(label))
+
+
+def braid_mismatches():
+    return golden_mismatches(BRAID_OUTCOMES, braid_outcomes())
+
+
+def catalog_draw_mismatches():
+    return golden_mismatches(CATALOG_DRAWS, catalog_draws())
+
+
+def write_golden(path, values):
+    """Write {label: value} one label per line, so that a diff names the
+    labels whose value changed."""
+    lines = [f"  {json.dumps(label)}: {json.dumps(value)}" for label, value in values.items()]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def run_demo(path: Path) -> bytes:
@@ -243,7 +272,12 @@ def check() -> int:
         print(f"braid {label}: differs in its outcomes")
     total = len(json.loads(BRAID_OUTCOMES.read_text()))
     print(f"{total - len(braids)} of {total} braid families match")
-    return 1 if failed or braids else 0
+    draws = catalog_draw_mismatches()
+    for label in draws:
+        print(f"{label}: differs in its direction")
+    total = len(json.loads(CATALOG_DRAWS.read_text()))
+    print(f"{total - len(draws)} of {total} catalog draws match")
+    return 1 if failed or braids or draws else 0
 
 
 def regenerate():
@@ -256,10 +290,8 @@ def regenerate():
             for suffix, data in artifacts.items():
                 (OUTPUTS / f"{case}.{suffix}").write_bytes(data)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
-    # one family per line, so a diff names the families whose braid changed
-    lines = [f"  {json.dumps(label)}: {json.dumps(outcomes)}"
-             for label, outcomes in braid_outcomes().items()]
-    BRAID_OUTCOMES.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    write_golden(BRAID_OUTCOMES, braid_outcomes())
+    write_golden(CATALOG_DRAWS, catalog_draws())
     DEMO_OUTPUTS.mkdir(parents=True, exist_ok=True)
     for demo in DEMOS:
         (DEMO_OUTPUTS / f"{demo.stem}.out").write_bytes(run_demo(demo))

@@ -1,8 +1,9 @@
 """Byte-exact CLI outputs on the fixed corpus of ``golden_corpus.py``.
 
 Each case's exit code, stdout and plot files must equal its golden files,
-and braid_loop's outcomes on the braid corpus must equal
-``golden/braid_outcomes.json``.  After an intended output change,
+braid_loop's outcomes on the braid corpus must equal
+``golden/braid_outcomes.json``, and each catalog draw's direction must equal
+``golden/catalog_draws.json``.  After an intended output change,
 regenerate them (and the demo outputs, see test_demos.py) with
 
     PYTHONPATH=src python tests/golden_corpus.py --regenerate
@@ -14,8 +15,9 @@ import json
 
 import pytest
 
-from golden_corpus import (BRAID_OUTCOMES, CASES, EXAMPLES, OUTPUTS, PARTITIONS,
-                           braid_families, braid_mismatches, mismatches)
+from golden_corpus import (BRAID_OUTCOMES, CASES, CATALOG_DRAWS, EXAMPLES, OUTPUTS, PARTITIONS,
+                           braid_families, braid_mismatches, catalog_draw_mismatches,
+                           mismatches)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -32,6 +34,12 @@ def test_braid_corpus_size():
     outcomes = json.loads(BRAID_OUTCOMES.read_text())
     assert len(outcomes) == len(dict(braid_families())) == 498
     assert sum(isinstance(o, str) for row in outcomes.values() for o in row) == 2
+
+
+def test_catalog_draws_match_golden():
+    # 34 families at each of the 12 seeds
+    assert len(json.loads(CATALOG_DRAWS.read_text())) == 408
+    assert catalog_draw_mismatches() == []
 
 
 def _reject(constant):
