@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import DEFAULT_SEED
 from .charpoly import CharPoly, PolyMatrix, charpoly_traces
 from .exact import EC_ZERO, ExactComplex, _fill, _Frozen, ec
-from .poly import ScalarPoly, _poly
+from .poly import _FINITE, _INFINITE, ScalarPoly, _poly
 from .tropical import Family, _report
 # tropical_roots and weyr_structure are not called here; the benchmark reads
 # both bindings here (perfbench/layers.py, perfbench/tests/test_harness.py)
@@ -146,21 +146,25 @@ _PARSED = {p: (_parse(t), _placeholders(t)) for p, t in _TEMPLATES.items()}
 class _FamilySpec(_Frozen):
     """``constraint`` "generic" names the generic direction.  ``alpha`` holds
     the valuations ord(a_i) for i = 0..n; None means identically zero, and the
-    trailing Nones count the flat branches.  ``zeros`` lists the placeholders
-    pinned to 0 and ``fixed`` those pinned to a value; ``solve`` = (var, i,
-    power) solves placeholder var so that the t^power part of a_i cancels
-    exactly.  ``expected`` is the SplittingReport of ``roots`` with the flat
-    branches, built once and shared by every family drawn (it is immutable)."""
+    trailing Nones count the flat branches.  ``pins`` holds the placeholders
+    pinned to 0 (``zeros``) or to a value (``fixed``) as (name, slope) pairs;
+    ``solve`` = (var, i, power) solves placeholder var so that the t^power
+    part of a_i cancels exactly.  ``ords`` (alpha as the Ord values
+    ScalarPoly.ord() returns) and ``expected`` (the SplittingReport of
+    ``roots`` with the flat branches) are built once and shared by every
+    family drawn; both are immutable."""
 
-    __slots__ = ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve",
+    __slots__ = ("partition", "constraint", "alpha", "roots", "pins", "solve", "ords",
                  "expected")
 
     def __init__(self, partition: tuple[int, ...], constraint: str,
                  alpha: tuple[int | None, ...], roots: tuple[tuple[Fraction, int], ...],
                  zeros: tuple[str, ...] = (), fixed: tuple[tuple[str, int], ...] = (),
                  solve: tuple[str, int, int] | None = None):
+        pins = tuple((name, EC_ZERO) for name in zeros) + tuple((n, ec(v)) for n, v in fixed)
+        ords = tuple(_INFINITE if a is None else _FINITE[a] for a in alpha)
         flat = next(k for k, a in enumerate(reversed(alpha)) if a is not None)
-        _fill(self, partition, constraint, alpha, roots, zeros, fixed, solve, _report(roots, flat))
+        _fill(self, partition, constraint, alpha, roots, pins, solve, ords, _report(roots, flat))
 
 
 _CATALOG_SPECS: dict[int, list[_FamilySpec]] = {
@@ -243,17 +247,6 @@ class RealizationError(RuntimeError):
     """No seeded draw of a catalog family met its valuation constraints."""
 
 
-def _alpha_matches(cp: CharPoly, alpha) -> bool:
-    for coeff, want in zip(cp.coeffs, alpha):
-        o = coeff.ord()
-        if want is None:
-            if not o.is_infinite:
-                return False
-        elif not (o.is_finite and o.value == want):
-            return False
-    return True
-
-
 def _solve_linear(parsed, direction, var, i, power) -> tuple[ExactComplex, CharPoly] | None:
     """(v, charpoly) for the exact value v of `var` that cancels the t^power
     part of a_i, if unique, and the charpoly at var = v, for a parsed
@@ -304,16 +297,9 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
     meets spec.alpha.  A solved family (spec.solve) keeps the charpoly that
     _solve_linear derives; any other expands its own matrix."""
     parsed, names = _PARSED[spec.partition]
-    pinned = dict(spec.fixed)
+    pins = dict(spec.pins)
     for _ in range(500):
-        direction = {}
-        for nm in names:
-            if nm in spec.zeros:
-                direction[nm] = EC_ZERO
-            elif nm in pinned:
-                direction[nm] = ec(pinned[nm])
-            else:
-                direction[nm] = rng.choice(_SLOPES)
+        direction = {nm: pins[nm] if nm in pins else rng.choice(_SLOPES) for nm in names}
         if spec.solve:
             solved = _solve_linear(parsed, direction, *spec.solve)
             if solved is None:
@@ -322,7 +308,7 @@ def _draw_family(spec: _FamilySpec, rng: random.Random) -> Family:
         matrix = PolyMatrix(_entries(parsed, direction))
         if not spec.solve:
             cp = charpoly_traces(matrix)
-        if not _alpha_matches(cp, spec.alpha):
+        if tuple(a.ord() for a in cp.coeffs) != spec.ords:
             continue
         label = ",".join(str(s) for s in spec.partition)
         return Family(f"H[{label}] {spec.constraint}", matrix, spec.expected,

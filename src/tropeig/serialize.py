@@ -296,9 +296,11 @@ def family_document_to_json(f: Family) -> dict:
 
 
 def family_document_from_json(obj, path: str = "$"):
-    """(name or None, the "matrix" or else the "charpoly", expected report or None)."""
+    """(name or None, the "matrix" or the "charpoly", expected report or None)."""
     if not isinstance(obj, dict):
         raise ParseError(path, "family file must be a JSON object")
+    if "matrix" in obj and "charpoly" in obj:
+        raise ParseError(path, "family file holds both 'matrix' and 'charpoly'; give one")
     if "matrix" in obj:
         realization = polymatrix_from_json(obj["matrix"], f"{path}.matrix")
     elif "charpoly" in obj:

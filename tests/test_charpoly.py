@@ -74,6 +74,13 @@ class TestLeadingOne:
             CharPoly(coeffs)
 
 
+@pytest.mark.parametrize("rows", [[], [[1, 2]], [[1, 2], [3]]],
+                         ids=["empty", "one-row", "ragged"])
+def test_matrix_must_be_square_and_non_empty(rows):
+    with pytest.raises(ValueError, match="^matrix must be square and non-empty$"):
+        PolyMatrix(rows)
+
+
 class TestTracelessShift:
     def test_diagonal(self):
         m = traceless_shift(PolyMatrix([[1, 0], [0, 3]]))

@@ -89,6 +89,17 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--matrix", str(tmp_path))
         assert code == 1 and out == "" and err.startswith(f"error: {tmp_path}: ")
 
+    def test_missing_input_exits_usage(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "analyze", "--matrix", str(path))
+        assert code == 1 and out == "" and err == f"error: {path}: file not found\n"
+
+    def test_malformed_json_names_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries":\n  [[1,]]}')
+        code, out, err = run(capsys, "analyze", "--matrix", str(path))
+        assert code == 1 and out == "" and err == f"error: {path}:2:7: Expecting value\n"
+
     @pytest.mark.parametrize("flag", ["--output", "--emit-tropical-plot", "--emit-svg",
                                       "--emit-polygon-svg"])
     @pytest.mark.parametrize("target", ["missing/x", ""], ids=["no-such-directory", "directory"])
@@ -481,6 +492,14 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: --param: only --example reads --param\n"
 
+    def test_family_file_with_matrix_and_charpoly_exit(self, tmp_path, capsys):
+        # lambda^2 - t beside lambda^2 - t^3: verify once checked only the matrix
+        cp = {"coeffs": [ONE, [], [{"exp": 3, "re": "-1", "im": "0"}]]}
+        fam = {"matrix": SQRT_T, "charpoly": cp}
+        code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
+        assert code == 1 and out == ""
+        assert err == "error: $: family file holds both 'matrix' and 'charpoly'; give one\n"
+
     def test_non_string_family_name_exit(self, tmp_path, capsys):
         fam = {"name": [1, 2], "matrix": SQRT_T}
         code, out, err = run(capsys, "verify", "--file", write(tmp_path, "fam.json", fam))
@@ -533,6 +552,19 @@ class TestExample:
         code, out, err = run(capsys, "example", name, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("hatano_nelson", ["L"], "--param: expected key=value, got 'L'"),
+        ("torus_knot", ["p=2", "q=3", "direction=diagonal"], "unknown direction 'diagonal'"),
+        ("lieb_arccot", ["eps=0"], "eps must be positive"),
+        ("hatano_nelson", ["L=4", "regime=unidirectional", "t1=0"], "t1 and t2 must be nonzero"),
+        ("effective_liouvillian", ["gamma2=2", "gamma4=2"], "gamma2 = gamma4 leaves no coupling"),
+    ])
+    def test_refused_param_values_exit(self, capsys, name, params, message):
+        argv = [arg for p in params for arg in ("--param", p)]
+        code, out, err = run(capsys, "example", name, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_zero_denominator_is_named_at_param(self, capsys):
         _, _, err = run(capsys, "example", "lieb_arccot", "--param", "eps=1/0")

@@ -11,8 +11,8 @@ from reference import (AMBIGUOUS_CHAIN, dense, jordan_matrix, partitions,
                        reference_solve_linear, weyr_by_powers)
 from tropeig.charpoly import charpoly_direct, charpoly_traces
 from tropeig.exact import EC_ZERO, ec
-from tropeig.jordan import (_CATALOG_SPECS, _PARSED, _TEMPLATES, _placeholders, _solve_linear,
-                            _terms, catalog_families, validate_partition)
+from tropeig.jordan import (_CATALOG_SPECS, _PARSED, _TEMPLATES, _FamilySpec, _placeholders,
+                            _solve_linear, _terms, catalog_families, validate_partition)
 from tropeig.poly import ScalarPoly
 from tropeig.tropical import tropical_roots
 from tropeig import jordan, weyr
@@ -256,14 +256,24 @@ class TestCatalog:
         with pytest.raises(ValueError, match="a_2 is not affine in d11"):
             _solve_linear(_PARSED[(1, 1, 1)][0], direction, "d11", 1, 1)
 
+    @staticmethod
+    def pinned(spec):
+        """The names spec pins, once each; AssertionError when zeros and
+        fixed both name one, since _draw_family would keep only the last."""
+        names = [name for name, _ in spec.pins]
+        assert len(names) == len(set(names)), spec
+        return set(names)
+
     def test_spec_names_are_template_placeholders(self):
         # _draw_family skips names the template lacks, so a misspelt one is
         # silently ignored (zeros, fixed) or fails only after 500 draws (solve)
         for specs in _CATALOG_SPECS.values():
             for spec in specs:
-                named = ({*spec.zeros} | {name for name, _ in spec.fixed}
-                         | ({spec.solve[0]} if spec.solve else set()))
+                named = self.pinned(spec) | ({spec.solve[0]} if spec.solve else set())
                 assert named <= set(_placeholders(_TEMPLATES[spec.partition])), spec
+        both = _FamilySpec((2,), "both", (0, None, 1), (), zeros=("d21",), fixed=(("d21", 1),))
+        with pytest.raises(AssertionError):
+            self.pinned(both)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):

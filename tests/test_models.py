@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +374,20 @@ class TestEffectiveLiouvillian:
         fam = effective_liouvillian_example(gamma2=Fraction(2), gamma4=Fraction(7, 2))
         assert roots_set(tropical_roots(fam.realization)) == \
             {(Fraction(1, 5), 5), (Fraction(1, 3), 3), (Fraction(1), 1)}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: torus_knot(2, 3, "diagonal"), "unknown direction 'diagonal'"),
+    (lambda: circuit_matrix("gain"), "unknown circuit perturbation 'gain'"),
+    (lambda: lieb("zero_diag"), "unknown lieb path 'zero_diag'"),
+    (lambda: lieb("pi_diag", eps=0), "eps must be positive"),
+    (lambda: hatano_nelson(4, "unidirectional", t1=0), "t1 and t2 must be nonzero"),
+    (lambda: effective_hamiltonian(gamma2=2, gamma4=2), "gamma2 = gamma4 leaves no coupling"),
+], ids=["torus-direction", "circuit-perturbation", "lieb-path", "lieb-eps-0", "hn-t1-0",
+        "effective-gamma2-gamma4"])
+def test_refused_arguments_are_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestRegistry:

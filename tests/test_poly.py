@@ -201,6 +201,14 @@ class TestOrd:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             ScalarPoly({0: 1}, trunc)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ScalarPoly({-1: 1}), "negative exponent"),
+        (lambda: ScalarPoly.t() ** -1, "negative power"),
+    ])
+    def test_negative_exponent_and_power_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_negative_trunc_rejected(self):
         # -1 would drop the constant term and report ord >= -1
         with pytest.raises(ValueError, match="^negative trunc$"):

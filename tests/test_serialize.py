@@ -227,6 +227,8 @@ class TestEveryReaderRefusesWithParseError:
         # an int beyond the float range raised OverflowError
         ("numeric_matrix", [[10 ** 400]], "$[0][0]: entries are"),
         ("numeric_matrix", {"entries": [[0, [1, -10 ** 400]], [0, 0]]}, "$.entries[0][1]: "),
+        ("charpoly", {"n": 3, "coeffs": [[{"exp": 0, "re": "1"}], [], [{"exp": 1, "re": "-1"}]]},
+         "$.n: declared n=3 but degree is 2"),
     ])
     def test_found_cases(self, reader, obj, where):
         with pytest.raises(ParseError) as exc:
@@ -274,6 +276,10 @@ class TestFamilyDocument:
     @pytest.mark.parametrize("obj, where", [
         ({}, "$: family file needs 'matrix' or 'charpoly'"),
         ({"matrix": {"entries": [[[]]]}, "expected": None}, "$.expected: "),
+        # the matrix was read and the charpoly silently dropped
+        ({"matrix": polymatrix_to_json(PolyMatrix([[0, 1], [ScalarPoly.t(), 0]])),
+          "charpoly": charpoly_to_json(CharPoly([1, 0, -ScalarPoly.t() ** 3]))},
+         "$: family file holds both 'matrix' and 'charpoly'; give one"),
     ])
     def test_malformed_documents(self, obj, where):
         with pytest.raises(ParseError) as exc:

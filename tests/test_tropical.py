@@ -184,6 +184,13 @@ def tropical_polys(draw):
     return TropicalPoly(terms, tuple(sorted(draw(st.sets(st.integers(0, 12))))))
 
 
+def test_no_terms_and_no_polynomial_refused():
+    with pytest.raises(ValueError, match="^a tropical polynomial needs at least one term$"):
+        TropicalPoly(())
+    with pytest.raises(TypeError, match="^cannot extract tropical roots from int$"):
+        tropical_roots(5)
+
+
 class TestMinplusKinks:
     # 2w, 1 + w and 2 all meet at w = 1: one kink of multiplicity 2
     @example(TropicalPoly(((2, 0), (1, 1), (0, 2))))

@@ -48,7 +48,7 @@ CASES = {
                ("name", "realization", "expected", "parameters", "annotations"), None),
     "_FamilySpec": (lambda: _FamilySpec((2,), "generic", (0, None, 1), ((Fraction(1, 2), 2),),
                                         zeros=("d21",), solve=("d21", 2, 2)),
-                    ("partition", "constraint", "alpha", "roots", "zeros", "fixed", "solve",
+                    ("partition", "constraint", "alpha", "roots", "pins", "solve", "ords",
                      "expected"),
                     None),
     "ClusterFit": (_cluster, ("exponent", "size", "matched", "distance", "rate", "edge"), None),
